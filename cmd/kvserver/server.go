@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"net"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,9 +47,10 @@ type Config struct {
 	// service this long. Zero disables the retry loop — exhaustion
 	// answers BUSY immediately.
 	Deadline time.Duration
-	// WriteTimeout bounds one response write; a client that cannot
-	// drain its responses within it is disconnected (shed) so it cannot
-	// pin a worker forever. Zero disables.
+	// WriteTimeout bounds one socket write (a flushed batch of
+	// responses); a client that cannot drain its responses within it is
+	// disconnected (shed) so it cannot pin a worker forever. Zero
+	// disables.
 	WriteTimeout time.Duration
 	// SLO enables the per-tenant overload shedder: when the windowed
 	// p99 service time exceeds SLO, the highest tenant ids (lowest
@@ -158,6 +159,12 @@ type Server struct {
 	slowClients atomic.Uint64
 	lostWorkers atomic.Uint64
 
+	// Socket writes and the responses they carried, over all connections
+	// (connWriter): responses_total / flushes_total is how many responses
+	// one write(2) amortizes.
+	flushes   atomic.Uint64
+	responses atomic.Uint64
+
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
@@ -220,6 +227,8 @@ func NewServer(cfg Config) *Server {
 		reg.AddFunc("shed_total", s.shed.Load)
 		reg.AddFunc("slow_clients_total", s.slowClients.Load)
 		reg.AddFunc("lost_workers_total", s.lostWorkers.Load)
+		reg.AddFunc("flushes_total", s.flushes.Load)
+		reg.AddFunc("responses_total", s.responses.Load)
 		// Self-describing scrapes: process uptime and build identity.
 		reg.AddGauge("uptime_seconds", func() uint64 {
 			return uint64(time.Since(s.started).Seconds())
@@ -336,9 +345,11 @@ func (s *Server) Close() {
 // flush, then return with the server quiesced. Open connections are
 // not closed mid-response — each handler is unblocked at its next read
 // (an immediate read deadline) and exits after completing the request
-// it was serving. Parked fault actions are released first, so a chaos
-// plan cannot wedge the drain. After Drain the caller reads the final
-// Stats and Audit and exits.
+// it was serving and flushing every response it had buffered; request
+// lines of the same batch it had not started are dropped unexecuted.
+// Parked fault actions are released first, so a chaos plan cannot wedge
+// the drain. After Drain the caller reads the final Stats and Audit and
+// exits.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -361,7 +372,7 @@ func (s *Server) Drain() {
 		s.cfg.Fault.Release()
 	}
 	for _, c := range conns {
-		c.SetReadDeadline(time.Now()) // unblock the scanner; in-flight work finishes
+		c.SetReadDeadline(time.Now()) // unblock the reader; in-flight work finishes
 	}
 	s.wg.Wait()
 }
@@ -445,8 +456,68 @@ func (s *Server) shouldShed(tn int) bool {
 	return level > 0 && tn >= s.cfg.Tenants-level
 }
 
+// maxLine caps one request line: the limit the connection loop has
+// always had (it was bufio.Scanner's), now answered with an ERR instead
+// of a silent close. It is also the size of a connection's read buffer,
+// so it bounds what one read can deliver.
+const maxLine = 64 << 10
+
+// connWriter is the sink under a connection's bufio.Writer, so one
+// Write here is one write(2) on the socket, whether handle flushed or
+// the buffer overflowed under a client that does not read. Everything
+// that is per socket write rather than per response lives here: the
+// write deadline, the flush and response counters, and the verdict that
+// a client which let the deadline pass is a slow client.
+type connWriter struct {
+	s       *Server
+	conn    net.Conn
+	pending uint64 // responses buffered since the last write
+}
+
+func (cw *connWriter) Write(p []byte) (int, error) {
+	s := cw.s
+	if s.cfg.WriteTimeout > 0 {
+		cw.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	}
+	s.flushes.Add(1)
+	s.responses.Add(cw.pending)
+	cw.pending = 0
+	n, err := cw.conn.Write(p)
+	if err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			s.slowClients.Add(1) // shed the client that can't drain
+		}
+	}
+	return n, err
+}
+
+// lineBuffered reports whether the reads so far have already delivered
+// another complete request line.
+func lineBuffered(in *bufio.Reader) bool {
+	buf, _ := in.Peek(in.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// handle serves one connection a batch at a time: it executes every
+// complete request line the last read delivered, appending each response
+// to the write buffer, and flushes when no complete line remains — so a
+// lone request is answered at once and a pipelined window costs one
+// socket write. The batch is whatever the read returned; there is no
+// timer and no size threshold. Two invariants: handle never blocks in a
+// read holding unflushed responses, and every response of a request that
+// executed reaches the socket before the connection closes, whichever
+// way the loop ends (the deferred flush below).
 func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
+	in := bufio.NewReaderSize(conn, maxLine)
+	cw := &connWriter{s: s, conn: conn}
+	out := bufio.NewWriter(cw)
 	defer func() {
+		// EOF, read error, drain, write error (Flush then returns the
+		// same error again) and a fault-killed worker all leave through
+		// here, the last by runtime.Goexit with its batch-mates' responses
+		// still buffered.
+		out.Flush()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -462,14 +533,29 @@ func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
 		}
 		s.wg.Done()
 	}()
-	in := bufio.NewScanner(conn)
-	out := bufio.NewWriter(conn)
-	for in.Scan() {
+	var req kvwire.Request // its key storage is reused by every line
+	for {
+		line, rerr := in.ReadSlice('\n')
+		switch {
+		case rerr == nil:
+			line = line[:len(line)-1]
+		case rerr == io.EOF && len(line) > 0:
+			// A client that half-closed after an unterminated last line
+			// still gets it served.
+		case rerr == bufio.ErrBufferFull:
+			out.WriteString("ERR line too long\n")
+			cw.pending++
+			return
+		default:
+			return
+		}
 		var sp obs.Span
-		resp := s.exec(w, in.Text(), &sp)
+		resp := s.exec(w, &req, line, out.AvailableBuffer(), &sp)
 		// sp.Op is set iff exec opened a span (spans on, data-path op,
 		// clean parse); finish it around the response write so the
-		// write stage and full wall time land in the record.
+		// write stage and full wall time land in the record. Only the
+		// request that ends a batch pays for the flush there: its
+		// batch-mates' write stage is the append to the buffer.
 		spanning := sp.Op != ""
 		var tw time.Time
 		if spanning {
@@ -478,31 +564,23 @@ func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
 				// borrow wait; the span starts at accept, not at parse.
 				sp.Stage[obs.StageQueue] = borrowNS
 				sp.StartNS -= borrowNS
+				borrowNS = 0 // attributed once
 			}
 			tw = time.Now()
 		}
-		out.WriteString(resp)
-		out.WriteByte('\n')
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		_, err := out.Write(append(resp, '\n'))
+		cw.pending++
+		if err == nil && !lineBuffered(in) {
+			err = out.Flush()
 		}
-		err := out.Flush()
 		if spanning {
 			now := time.Now()
 			sp.Stage[obs.StageWrite] = now.Sub(tw).Nanoseconds()
 			sp.WallNS = s.spans.SinceEpoch(now) - sp.StartNS
 			s.finishSpan(w, sp)
-			borrowNS = 0 // attributed once
 		}
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.slowClients.Add(1) // shed the client that can't drain
-			}
-			return
-		}
-		if s.draining.Load() {
-			return // graceful drain: this response flushed; stop reading
+		if err != nil || rerr != nil || s.draining.Load() {
+			return // graceful drain: stop reading; the deferred flush sends what executed
 		}
 	}
 }
@@ -532,18 +610,21 @@ func (s *Server) finishSpan(w *worker, sp obs.Span) {
 // current request, so every protocol event the execution records
 // carries it. The caller (handle) closes the span around the response
 // write.
-func (s *Server) exec(w *worker, line string, sp *obs.Span) string {
+//
+// req is the connection's reusable Request and dst an empty slice of
+// its write buffer: the response is appended to dst and returned, so a
+// request served from both allocates nothing for parse or response.
+func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.Span) []byte {
 	spanning := s.spans != nil
 	var t0 time.Time
 	if spanning {
 		t0 = time.Now()
 	}
-	req, err := kvwire.ParseRequest(line, s.cfg.Tenants)
-	if err != nil {
-		return "ERR " + err.Error()
+	if err := req.Parse(line, s.cfg.Tenants); err != nil {
+		return append(append(dst, "ERR "...), err.Error()...)
 	}
 	if req.Op >= kvwire.OpCount {
-		return s.execControl(w, req)
+		return s.execControl(w, req.Op, dst)
 	}
 	tid := w.th.ID()
 	if spanning {
@@ -562,7 +643,7 @@ func (s *Server) exec(w *worker, line string, sp *obs.Span) string {
 		if spanning {
 			sp.Status = "BUSY"
 		}
-		return "BUSY"
+		return append(dst, "BUSY"...)
 	}
 	var pub0, help0, abort0 uint64
 	if spanning && s.reg != nil {
@@ -571,7 +652,7 @@ func (s *Server) exec(w *worker, line string, sp *obs.Span) string {
 		abort0 = s.reg.ThreadValue(tid, obs.KCASAbort)
 	}
 	t1 := time.Now()
-	resp := s.applyWithRetry(w.th, req, t1, sp)
+	resp := s.applyWithRetry(w.th, req, dst, t1, sp)
 	d := time.Since(t1)
 	s.rec.Record(w.idx, req.Tenant, int(req.Op), d)
 	if spanning {
@@ -592,13 +673,19 @@ func (s *Server) exec(w *worker, line string, sp *obs.Span) string {
 	return resp
 }
 
-// statusToken extracts the response's leading status token ("OK 7" →
-// "OK").
-func statusToken(resp string) string {
-	if i := strings.IndexByte(resp, ' '); i >= 0 {
-		return resp[:i]
+// statuses are the protocol's response status tokens (kvwire.Response).
+var statuses = [...]string{"OK", "NF", "EXISTS", "FAIL", "BUSY", "TIMEOUT", "ERR"}
+
+// statusToken returns the response's leading status token ("OK 7" →
+// "OK") as the constant, so a span's Status costs no allocation.
+func statusToken(resp []byte) string {
+	tok, _, _ := bytes.Cut(resp, []byte{' '})
+	for _, st := range statuses {
+		if string(tok) == st {
+			return st
+		}
 	}
-	return resp
+	return string(tok)
 }
 
 // applyWithRetry runs the request under Thread.Try, absorbing resource
@@ -606,23 +693,23 @@ func statusToken(resp string) string {
 // with one, retries with jittered backoff continue until the deadline,
 // then answer TIMEOUT. Both statuses guarantee non-execution — Try
 // unwinds from init-phase code, before the operation publishes
-// anything.
-func (s *Server) applyWithRetry(th *repro.Thread, req kvwire.Request, t0 time.Time, sp *obs.Span) string {
-	var resp string
-	err := th.Try(func() { resp = s.apply(th, req) })
+// anything. Every attempt appends its response to the same empty dst.
+func (s *Server) applyWithRetry(th *repro.Thread, req *kvwire.Request, dst []byte, t0 time.Time, sp *obs.Span) []byte {
+	var resp []byte
+	err := th.Try(func() { resp = s.apply(th, req, dst) })
 	if err == nil {
 		return resp
 	}
 	if s.cfg.Deadline <= 0 {
 		s.busy.Add(1)
-		return "BUSY"
+		return append(dst, "BUSY"...)
 	}
 	spanning := s.spans != nil
 	jit := backoff.NewJitter(time.Millisecond, 50*time.Millisecond, uint64(t0.UnixNano()))
 	for {
 		if time.Since(t0) >= s.cfg.Deadline {
 			s.timeouts.Add(1)
-			return "TIMEOUT"
+			return append(dst, "TIMEOUT"...)
 		}
 		if spanning {
 			// The backoff sleep is degradation overhead, not execution:
@@ -634,109 +721,108 @@ func (s *Server) applyWithRetry(th *repro.Thread, req kvwire.Request, t0 time.Ti
 		} else {
 			jit.Sleep()
 		}
-		if err = th.Try(func() { resp = s.apply(th, req) }); err == nil {
+		if err = th.Try(func() { resp = s.apply(th, req, dst) }); err == nil {
 			return resp
 		}
 	}
 }
 
-func (s *Server) apply(th *repro.Thread, req kvwire.Request) string {
+// apply executes one data-path request and appends its response to dst.
+func (s *Server) apply(th *repro.Thread, req *kvwire.Request, dst []byte) []byte {
 	switch req.Op {
 	case kvwire.OpGet:
 		if v, ok := s.maps[req.Tenant].Contains(th, req.Keys[0]); ok {
-			return "OK " + strconv.FormatUint(v, 10)
+			return kvwire.AppendOK(dst, v)
 		}
-		return "NF"
+		return append(dst, "NF"...)
 	case kvwire.OpPut:
 		if s.maps[req.Tenant].Insert(th, req.Keys[0], req.Val) {
-			return "OK"
+			return kvwire.AppendOK(dst)
 		}
-		return "EXISTS"
+		return append(dst, "EXISTS"...)
 	case kvwire.OpDel:
 		if v, ok := s.maps[req.Tenant].Remove(th, req.Keys[0]); ok {
-			return "OK " + strconv.FormatUint(v, 10)
+			return kvwire.AppendOK(dst, v)
 		}
-		return "NF"
+		return append(dst, "NF"...)
 	case kvwire.OpPush:
 		if s.queues[req.Tenant].Enqueue(th, req.Val) {
-			return "OK"
+			return kvwire.AppendOK(dst)
 		}
-		return "ERR queue full"
+		return append(dst, "ERR queue full"...)
 	case kvwire.OpPop:
 		if v, ok := s.queues[req.Tenant].Dequeue(th); ok {
-			return "OK " + strconv.FormatUint(v, 10)
+			return kvwire.AppendOK(dst, v)
 		}
-		return "NF"
+		return append(dst, "NF"...)
 	case kvwire.OpMove:
 		// The product composition: the entry leaves req.Tenant's map and
 		// appears in req.DTenant's in one linearization — never in both,
 		// never in neither.
 		if v, ok := repro.Move(th, s.maps[req.Tenant], s.maps[req.DTenant], req.Keys[0], req.TKeys[0]); ok {
-			return "OK " + strconv.FormatUint(v, 10)
+			return kvwire.AppendOK(dst, v)
 		}
-		return "FAIL"
+		return append(dst, "FAIL"...)
 	case kvwire.OpXfer:
 		vs, ok := repro.TransferKeys(th, s.maps[req.Tenant], s.maps[req.DTenant], req.Keys, req.TKeys)
 		if !ok {
-			return "FAIL"
+			return append(dst, "FAIL"...)
 		}
-		return "OK " + joinU64(vs)
+		return kvwire.AppendOK(dst, vs...)
 	case kvwire.OpDrain:
 		vs := repro.DrainN(th, s.queues[req.Tenant], s.queues[req.DTenant], 0, 0, req.N)
-		if len(vs) == 0 {
-			return "OK"
-		}
-		return "OK " + joinU64(vs)
+		return kvwire.AppendOK(dst, vs...)
 	}
-	return "ERR unreachable"
+	return append(dst, "ERR unreachable"...)
 }
 
-func (s *Server) execControl(w *worker, req kvwire.Request) string {
-	switch req.Op {
+// execControl serves a control verb, appending its response to dst.
+func (s *Server) execControl(w *worker, op kvwire.Op, dst []byte) []byte {
+	switch op {
 	case kvwire.OpPing:
-		return "OK"
+		return kvwire.AppendOK(dst)
 	case kvwire.OpStats:
-		b, err := json.Marshal(s.Stats())
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK " + string(b)
+		return appendJSON(dst, s.Stats())
 	case kvwire.OpAudit:
 		mapN, mapSum, queueN := s.Audit(w.th)
-		return fmt.Sprintf("OK %d %d %d", mapN, mapSum, queueN)
+		return fmt.Appendf(dst, "OK %d %d %d", mapN, mapSum, queueN)
 	case kvwire.OpMetrics:
-		return s.metricsText()
+		return s.metricsText(dst)
 	case kvwire.OpSlow:
 		if s.spans == nil {
-			return "ERR spans disabled"
+			return append(dst, "ERR spans disabled"...)
 		}
-		b, err := json.Marshal(kvwire.SlowDoc{
+		return appendJSON(dst, kvwire.SlowDoc{
 			ThresholdNS: s.spans.Threshold(),
 			Dropped:     s.spans.Dropped(),
 			Exemplars:   s.spans.Exemplars(),
 		})
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK " + string(b)
 	}
-	return "ERR unreachable"
+	return append(dst, "ERR unreachable"...)
 }
 
-// metricsText renders the registry snapshot in Prometheus text format.
+// appendJSON appends "OK <one-line JSON of doc>".
+func appendJSON(dst []byte, doc any) []byte {
+	b, err := json.Marshal(doc)
+	if err != nil {
+		return append(append(dst, "ERR "...), err.Error()...)
+	}
+	return append(append(dst, "OK "...), b...)
+}
+
+// metricsText appends the registry snapshot in Prometheus text format.
 // It is the protocol's one multi-line response; the "# EOF" terminator
 // (written by WritePrometheus, completed by the handler's newline)
 // frames it for line-reading clients.
-func (s *Server) metricsText() string {
-	reg := s.rt.Obs().Metrics()
-	if reg == nil {
-		return "ERR metrics disabled"
+func (s *Server) metricsText(dst []byte) []byte {
+	if s.reg == nil {
+		return append(dst, "ERR metrics disabled"...)
 	}
-	var b strings.Builder
-	if err := reg.Snapshot().WritePrometheus(&b); err != nil {
-		return "ERR " + err.Error()
+	b := bytes.NewBuffer(dst)
+	if err := s.reg.Snapshot().WritePrometheus(b); err != nil {
+		return append(append(dst, "ERR "...), err.Error()...)
 	}
-	return strings.TrimSuffix(b.String(), "\n")
+	return bytes.TrimSuffix(b.Bytes(), []byte("\n"))
 }
 
 // WriteTrace drains the protocol tracer and writes the events as
@@ -822,15 +908,4 @@ func (s *Server) Audit(th *repro.Thread) (mapCount, mapSum, queueCount uint64) {
 		queueCount += uint64(s.queues[tn].Len(th))
 	}
 	return
-}
-
-func joinU64(vs []uint64) string {
-	b := make([]byte, 0, len(vs)*8)
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, v, 10)
-	}
-	return string(b)
 }

@@ -11,11 +11,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,7 +259,8 @@ func TestKVServerE2E(t *testing.T) {
 }
 
 // TestServerProtocolErrors checks that malformed requests produce ERR
-// without poisoning the connection.
+// without poisoning the connection, and that the one request the server
+// cannot frame — an over-long line — gets an ERR before the close.
 func TestServerProtocolErrors(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -286,6 +290,24 @@ func TestServerProtocolErrors(t *testing.T) {
 	if !strings.HasPrefix(cl.roundTrip(t, "STATS", false).Raw, "{") {
 		t.Fatal("STATS did not return JSON")
 	}
+
+	// A request line over the 64 KiB cap is answered with an ERR and the
+	// connection closed (it used to be closed silently); a request before
+	// it in the same batch is answered first. The line is exactly the cap
+	// with no newline, so the server has read all of it when it gives up
+	// and the close is an orderly one.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(append([]byte("PING\n"), bytes.Repeat([]byte("9"), maxLine)...)); err != nil {
+		t.Fatal(err)
+	}
+	in := bufio.NewReader(conn)
+	wantLines(t, in, "OK", "ERR line too long")
+	wantClosed(t, in)
 }
 
 // TestServerBusyOnDescriptorExhaustion drives the runtime past its
@@ -541,5 +563,432 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 	if _, err := net.Dial("tcp", addr); err == nil {
 		t.Fatal("drained server accepted a new connection")
+	}
+}
+
+// ---- pipelining: one socket write per readable batch ----
+
+// countingConn is the server's end of a test connection: it counts the
+// bytes handle reads and the socket writes it makes, and announces each
+// write on writing before performing it.
+type countingConn struct {
+	net.Conn
+	writes, readBytes atomic.Int64
+	writing           chan struct{}
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.readBytes.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	select {
+	case c.writing <- struct{}{}:
+	default:
+	}
+	return c.Conn.Write(p)
+}
+
+// pipeListener serves in-memory net.Pipe connections. A pipe makes
+// delivery deterministic where TCP is not: one client Write is taken
+// whole by one server Read (the server reads into a 64 KiB buffer), and
+// a server Write blocks until the client reads it.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// dial connects a new client; reads on it give up after 10 s so a
+// response that never comes fails the test instead of hanging it.
+func (l *pipeListener) dial(t *testing.T) (client net.Conn, in *bufio.Reader, server *countingConn) {
+	t.Helper()
+	client, srv := net.Pipe()
+	client.SetReadDeadline(time.Now().Add(10 * time.Second))
+	server = &countingConn{Conn: srv, writing: make(chan struct{}, 1)}
+	l.conns <- server
+	t.Cleanup(func() { client.Close() })
+	return client, bufio.NewReader(client), server
+}
+
+// servePipes starts a server on a pipeListener; the server is closed
+// when the test ends unless the test drained it first.
+func servePipes(t *testing.T, cfg Config) (*Server, *pipeListener) {
+	t.Helper()
+	s := NewServer(cfg)
+	l := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	go s.Serve(l)
+	t.Cleanup(s.Close)
+	return s, l
+}
+
+// serveTCP starts a server on a loopback listener.
+func serveTCP(t testing.TB, cfg Config) (*Server, string) {
+	t.Helper()
+	s := NewServer(cfg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	t.Cleanup(s.Close)
+	return s, ln.Addr().String()
+}
+
+// wantLines reads len(want) response lines and compares them.
+func wantLines(t *testing.T, in *bufio.Reader, want ...string) {
+	t.Helper()
+	for i, w := range want {
+		line, err := in.ReadString('\n')
+		if err != nil {
+			t.Fatalf("response %d of %d (want %q): %v", i+1, len(want), w, err)
+		}
+		if got := strings.TrimSuffix(line, "\n"); got != w {
+			t.Fatalf("response %d of %d: got %q, want %q", i+1, len(want), got, w)
+		}
+	}
+}
+
+// wantClosed asserts the server has closed the connection with nothing
+// more to read.
+func wantClosed(t *testing.T, in *bufio.Reader) {
+	t.Helper()
+	if line, err := in.ReadString('\n'); err == nil || line != "" {
+		t.Fatalf("connection still open: read %q, %v", line, err)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection not closed: %v", err)
+	}
+}
+
+// TestServerFlushPerBatch counts socket writes: 16 request lines that
+// arrive in one read are answered with exactly one write, the same 16
+// sent one at a time by a client that waits for each answer take 16, and
+// the server's own flushes_total/responses_total say the same.
+func TestServerFlushPerBatch(t *testing.T) {
+	s, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Metrics: true})
+	client, in, srv := l.dial(t)
+
+	var batch []byte
+	var want []string
+	for i := 0; i < 16; i++ {
+		batch = fmt.Appendf(batch, "PUT 0 %d %d\n", i, 100+i)
+		want = append(want, "OK")
+	}
+	if _, err := client.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	wantLines(t, in, want...)
+	if n := srv.writes.Load(); n != 1 {
+		t.Fatalf("16 requests delivered in one read took %d socket writes, want 1", n)
+	}
+
+	for i := 0; i < 16; i++ {
+		if _, err := fmt.Fprintf(client, "GET 0 %d\n", i); err != nil {
+			t.Fatal(err)
+		}
+		wantLines(t, in, fmt.Sprintf("OK %d", 100+i))
+	}
+	if n := srv.writes.Load(); n != 17 {
+		t.Fatalf("16 requests sent one at a time took %d socket writes, want 16", n-1)
+	}
+
+	// The METRICS response is itself in flight when its snapshot is
+	// taken, so it reports the 32 responses and 17 writes before it.
+	if _, err := fmt.Fprintln(client, "METRICS"); err != nil {
+		t.Fatal(err)
+	}
+	var metrics strings.Builder
+	for line := ""; line != "# EOF\n"; {
+		var err error
+		if line, err = in.ReadString('\n'); err != nil {
+			t.Fatalf("METRICS: %v", err)
+		}
+		metrics.WriteString(line)
+	}
+	for _, series := range []string{"flushes_total 17\n", "responses_total 32\n"} {
+		if !strings.Contains(metrics.String(), series) {
+			t.Errorf("METRICS lacks %q", series)
+		}
+	}
+	if obs := s.Stats().Obs; obs["flushes_total"] == 0 || obs["responses_total"] <= obs["flushes_total"] {
+		t.Errorf("STATS obs block: flushes_total=%d responses_total=%d", obs["flushes_total"], obs["responses_total"])
+	}
+}
+
+// TestServerAnswersBeforePartialLine: a complete line followed by the
+// beginning of the next is answered at once; the server does not wait
+// for the rest of the second line with the first response unflushed.
+func TestServerAnswersBeforePartialLine(t *testing.T) {
+	_, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2})
+	client, in, _ := l.dial(t)
+	if _, err := client.Write([]byte("PUT 0 1 11\nGE")); err != nil {
+		t.Fatal(err)
+	}
+	wantLines(t, in, "OK")
+	if _, err := client.Write([]byte("T 0 1\n")); err != nil {
+		t.Fatal(err)
+	}
+	wantLines(t, in, "OK 11")
+}
+
+// TestServerPipelinedOrder sends well over a thousand mixed request
+// lines in a single write — a parse error, a STATS whose answer
+// overflows the write buffer, the multi-line METRICS and an unterminated
+// last line among them — then half-closes. Every request gets its
+// response, in order, and the connection ends after the last one.
+func TestServerPipelinedOrder(t *testing.T) {
+	const tenants, rounds = 4, 250
+	_, addr := serveTCP(t, Config{Tenants: tenants, Workers: 2, Metrics: true, Spans: true})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+
+	type step struct{ req, want string } // want "" marks a response checked by hand
+	var steps []step
+	for i := 0; i < rounds; i++ {
+		tn, dt, v := i%tenants, (i+1)%tenants, 1000+i
+		steps = append(steps,
+			step{fmt.Sprintf("PUT %d %d %d", tn, i, v), "OK"},
+			step{fmt.Sprintf("MOVE %d %d %d %d", tn, dt, i, i), fmt.Sprintf("OK %d", v)},
+			step{fmt.Sprintf("GET %d %d", dt, i), fmt.Sprintf("OK %d", v)},
+			step{fmt.Sprintf("GET %d %d", tn, i), "NF"},
+			step{fmt.Sprintf("PUSH %d %d", tn, v), "OK"},
+			step{fmt.Sprintf("DRAIN %d %d 1", tn, dt), fmt.Sprintf("OK %d", v)},
+			step{fmt.Sprintf("POP %d", dt), fmt.Sprintf("OK %d", v)},
+		)
+		if i == rounds/2 {
+			steps = append(steps,
+				step{"MOVE 0 0 1 1", "ERR MOVE requires two distinct tenants"},
+				step{"STATS", ""}, step{"METRICS", ""},
+				step{"", "ERR empty request"})
+		}
+	}
+	steps = append(steps, step{"AUDIT", fmt.Sprintf("OK %d %d 0", rounds, rounds*1000+rounds*(rounds-1)/2)})
+	steps = append(steps, step{"PING", "OK"})
+	if len(steps) < 1000 {
+		t.Fatalf("only %d request lines", len(steps))
+	}
+	var burst []byte
+	for _, st := range steps {
+		burst = append(append(burst, st.req...), '\n')
+	}
+	burst = burst[:len(burst)-1] // the last line goes unterminated
+	go func() {
+		conn.Write(burst) // an error here shows as a missing response below
+		conn.(*net.TCPConn).CloseWrite()
+	}()
+
+	in := bufio.NewReaderSize(conn, 1<<16)
+	for i, st := range steps {
+		line, err := in.ReadString('\n')
+		if err != nil {
+			t.Fatalf("response %d (%q): %v", i, st.req, err)
+		}
+		line = strings.TrimSuffix(line, "\n")
+		switch {
+		case st.want != "":
+			if line != st.want {
+				t.Fatalf("response %d: %q answered %q, want %q", i, st.req, line, st.want)
+			}
+		case st.req == "STATS":
+			if !strings.HasPrefix(line, `OK {"`) || len(line) <= 4096 {
+				t.Fatalf("STATS answered %d bytes %.40q, want JSON larger than the 4 KiB write buffer", len(line), line)
+			}
+		case st.req == "METRICS":
+			for n := 0; line != "# EOF"; n++ {
+				if strings.ContainsAny(line, "{}") && !strings.HasPrefix(line, "build_info{") || n > 1000 {
+					t.Fatalf("METRICS line %d: %q", n, line)
+				}
+				if line, err = in.ReadString('\n'); err != nil {
+					t.Fatalf("METRICS: %v", err)
+				}
+				line = strings.TrimSuffix(line, "\n")
+			}
+		}
+	}
+	wantClosed(t, in)
+}
+
+// TestServerSlowPipelinedClient: a client that pipelines requests and
+// never reads a response cannot make the server buffer without bound —
+// the server stops reading once its write blocks — and, when a write
+// timeout is configured, is disconnected and counted as a slow client.
+func TestServerSlowPipelinedClient(t *testing.T) {
+	burst := bytes.Repeat([]byte("STATS\n"), 200_000) // 1.2 MB of requests, far more in responses
+
+	t.Run("backpressure", func(t *testing.T) {
+		_, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2})
+		client, _, srv := l.dial(t)
+		go client.Write(burst) // blocks once the server stops reading; Cleanup closes client
+		<-srv.writing
+		// The server has entered its first socket write, which cannot
+		// complete, and the handler reads nothing while it is in there: all
+		// it holds is what its reads so far delivered and one write buffer
+		// of responses.
+		if n := srv.readBytes.Load(); n > maxLine {
+			t.Fatalf("server read %d bytes from a client that reads nothing, want at most one %d-byte read buffer", n, maxLine)
+		}
+		if n := srv.writes.Load(); n != 1 {
+			t.Fatalf("%d socket writes begun, want the server blocked in its first", n)
+		}
+	})
+
+	t.Run("write timeout", func(t *testing.T) {
+		s, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2,
+			Metrics: true, WriteTimeout: 20 * time.Millisecond})
+		client, _, _ := l.dial(t)
+		// The write returns when the server, having timed out, closes its
+		// end — by then it has counted the client.
+		if _, err := client.Write(burst); err == nil {
+			t.Fatal("server accepted 1.2 MB of requests from a client that reads nothing")
+		}
+		if n := s.Stats().Robust.SlowClients; n != 1 {
+			t.Fatalf("slow_clients = %d, want 1", n)
+		}
+		if n := s.Stats().Obs["slow_clients_total"]; n != 1 {
+			t.Fatalf("slow_clients_total = %d, want 1", n)
+		}
+	})
+}
+
+// TestServerKillMidBatch: a worker fault-killed (runtime.Goexit) in the
+// middle of a pipelined batch still delivers the responses of the
+// requests it had already executed before the connection drops.
+func TestServerKillMidBatch(t *testing.T) {
+	plan, err := repro.ParseFaultPlan([]string{"kcas-publish:kill:nth=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Fault: plan})
+	client, in, _ := l.dial(t)
+	// Only the MOVE publishes a descriptor; it never answers.
+	if _, err := client.Write([]byte("PUT 0 1 11\nPUT 0 2 22\nGET 0 1\nMOVE 0 1 1 1\nGET 0 2\n")); err != nil {
+		t.Fatal(err)
+	}
+	wantLines(t, in, "OK", "OK", "OK 11")
+	wantClosed(t, in)
+	if n := s.Stats().Robust.LostWorkers; n != 1 {
+		t.Fatalf("lost_workers = %d, want 1", n)
+	}
+}
+
+// TestServerGracefulDrainMidBatch: Drain arriving while a batch is being
+// served lets the request in flight finish, delivers every response
+// executed so far, and leaves the rest of the batch unexecuted.
+func TestServerGracefulDrainMidBatch(t *testing.T) {
+	plan, err := repro.ParseFaultPlan([]string{"kcas-publish:park:nth=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Fault: plan})
+	client, in, _ := l.dial(t)
+	if _, err := client.Write([]byte("PUT 0 1 11\nGET 0 1\nMOVE 0 1 1 1\nDEL 1 1\nGET 1 1\n")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); plan.Parked() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the MOVE never reached its park")
+		}
+	}
+	drained := make(chan struct{})
+	go func() {
+		s.Drain() // releases the park
+		close(drained)
+	}()
+	wantLines(t, in, "OK", "OK 11", "OK 11")
+	wantClosed(t, in)
+	<-drained
+	if mapN, mapSum, _ := s.Audit(s.SetupThread()); mapN != 1 || mapSum != 11 {
+		t.Fatalf("post-drain audit %d entries sum %d: the DEL after the drain point ran", mapN, mapSum)
+	}
+}
+
+// appendLine appends one request line without allocating (fmt and
+// kvwire.Request.Append box their arguments), so the benchmark's B/op
+// and allocs/op columns are the server's.
+func appendLine(buf []byte, verb string, args ...int) []byte {
+	buf = append(buf, verb...)
+	for _, a := range args {
+		buf = strconv.AppendInt(append(buf, ' '), int64(a), 10)
+	}
+	return append(buf, '\n')
+}
+
+// BenchmarkServePipelined is the in-repo reproducer of the coalescing
+// gain: one closed-loop loopback connection keeps window requests in
+// flight (half GET, half MOVE between two tenants), one op is one
+// request, and flushes/req is the server's socket writes per request —
+// 1 at window=1, 1/16 at window=16.
+func BenchmarkServePipelined(b *testing.B) {
+	for _, window := range []int{1, 16} {
+		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
+			const keys = 1024
+			s, addr := serveTCP(b, Config{Tenants: 2, Workers: 2, Shards: 8, Buckets: 256})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			in := bufio.NewReader(conn)
+			var buf []byte
+			for k := 0; k < keys; k++ {
+				buf = fmt.Appendf(buf, "PUT 0 %d %d\n", k, k)
+			}
+			conn.Write(buf)
+			for k := 0; k < keys; k++ {
+				if line, err := in.ReadSlice('\n'); err != nil || string(line) != "OK\n" {
+					b.Fatalf("prefill: %q, %v", line, err)
+				}
+			}
+			at := make([]int, keys) // the tenant holding each key
+			flushes := s.flushes.Load()
+			b.ResetTimer()
+			for sent := 0; sent < b.N; {
+				n := min(window, b.N-sent)
+				buf = buf[:0]
+				for i := 0; i < n; i++ {
+					k := (sent + i) % keys
+					if (sent+i)/keys%2 == 0 {
+						buf = appendLine(buf, "GET", at[k], k)
+					} else {
+						buf = appendLine(buf, "MOVE", at[k], 1-at[k], k, k)
+						at[k] = 1 - at[k]
+					}
+				}
+				if _, err := conn.Write(buf); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if line, err := in.ReadSlice('\n'); err != nil || !bytes.HasPrefix(line, []byte("OK ")) {
+						b.Fatalf("request %d: %q, %v", sent+i, line, err)
+					}
+				}
+				sent += n
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.flushes.Load()-flushes)/float64(b.N), "flushes/req")
+		})
 	}
 }

@@ -53,6 +53,20 @@
 // queues — moves and transfers must leave all three unchanged.
 //
 // Error responses are "ERR <message>"; the connection stays usable.
+// The one exception is a request line longer than 64 KiB, which the
+// server cannot frame: it answers "ERR line too long" and closes.
+//
+// # Pipelining
+//
+// A client may send any number of request lines without waiting for
+// responses. The server answers them in order, one response per
+// request, and writes to the socket once per batch: it executes every
+// complete line its last read delivered and flushes when none remains,
+// so a lone request is answered immediately and a window of N costs one
+// write. Responses of requests that executed are delivered before the
+// server closes a connection for any reason (EOF, drain, a fault-killed
+// worker); a client that stops reading is held by TCP back-pressure and,
+// with -wtimeout, disconnected.
 //
 // # Degradation responses
 //
@@ -75,6 +89,7 @@
 package kvwire
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -105,7 +120,7 @@ const (
 	OpSlow
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpGet: "GET", OpPut: "PUT", OpDel: "DEL", OpPush: "PUSH", OpPop: "POP",
 	OpMove: "MOVE", OpXfer: "XFER", OpDrain: "DRAIN",
 	OpStats: "STATS", OpAudit: "AUDIT", OpPing: "PING", OpMetrics: "METRICS",
@@ -114,10 +129,20 @@ var opNames = map[Op]string{
 
 // String returns the protocol verb.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o >= 0 && int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
+}
+
+// verbOp resolves a protocol verb to its Op.
+func verbOp(verb []byte) (Op, bool) {
+	for op, name := range opNames {
+		if name != "" && string(verb) == name {
+			return Op(op), true
+		}
+	}
+	return 0, false
 }
 
 // MaxXferKeys is the key-pair limit of XFER (repro.TransferKeys' k-CAS
@@ -194,114 +219,141 @@ func appendList(dst []byte, vs []uint64) []byte {
 
 // ParseRequest parses one protocol line (without the newline) and
 // validates tenant ids against the server's tenant count and composed
-// operations' tenant-distinctness.
+// operations' tenant-distinctness. It is Request.Parse for callers that
+// hold the line as a string and want a fresh Request per call.
 func ParseRequest(line string, tenants int) (Request, error) {
-	f := strings.Fields(line)
-	if len(f) == 0 {
-		return Request{}, fmt.Errorf("empty request")
-	}
+	// Parse neither retains nor modifies its line, so lines of ordinary
+	// length are copied to the stack rather than converted on the heap.
+	var stack [256]byte
 	var r Request
-	switch f[0] {
-	case "GET", "DEL":
-		r.Op = OpGet
-		if f[0] == "DEL" {
-			r.Op = OpDel
-		}
-		if err := parseArgs(f, 2, &r, tenants, false); err != nil {
-			return r, err
-		}
-		k, err := parseU64(f[2])
-		if err != nil {
-			return r, err
-		}
-		r.Keys = []uint64{k}
-	case "PUT":
-		r.Op = OpPut
-		if err := parseArgs(f, 3, &r, tenants, false); err != nil {
-			return r, err
-		}
-		k, err := parseU64(f[2])
-		if err != nil {
-			return r, err
-		}
-		v, err := parseU64(f[3])
-		if err != nil {
-			return r, err
-		}
-		r.Keys, r.Val = []uint64{k}, v
-	case "PUSH":
-		r.Op = OpPush
-		if err := parseArgs(f, 2, &r, tenants, false); err != nil {
-			return r, err
-		}
-		v, err := parseU64(f[2])
-		if err != nil {
-			return r, err
-		}
-		r.Val = v
-	case "POP":
-		r.Op = OpPop
-		if err := parseArgs(f, 1, &r, tenants, false); err != nil {
-			return r, err
-		}
-	case "MOVE":
-		r.Op = OpMove
-		if err := parseArgs(f, 4, &r, tenants, true); err != nil {
-			return r, err
-		}
-		sk, err := parseU64(f[3])
-		if err != nil {
-			return r, err
-		}
-		tk, err := parseU64(f[4])
-		if err != nil {
-			return r, err
-		}
-		r.Keys, r.TKeys = []uint64{sk}, []uint64{tk}
-	case "XFER":
-		r.Op = OpXfer
-		if err := parseArgs(f, 4, &r, tenants, true); err != nil {
-			return r, err
-		}
-		var err error
-		if r.Keys, err = parseList(f[3]); err != nil {
-			return r, err
-		}
-		if r.TKeys, err = parseList(f[4]); err != nil {
-			return r, err
-		}
-		if len(r.Keys) != len(r.TKeys) {
-			return r, fmt.Errorf("XFER key lists differ in length")
-		}
-		if len(r.Keys) == 0 || len(r.Keys) > MaxXferKeys {
-			return r, fmt.Errorf("XFER takes 1..%d key pairs", MaxXferKeys)
-		}
-	case "DRAIN":
-		r.Op = OpDrain
-		if err := parseArgs(f, 3, &r, tenants, true); err != nil {
-			return r, err
-		}
-		n, err := strconv.Atoi(f[3])
-		if err != nil || n < 1 {
-			return r, fmt.Errorf("bad DRAIN count %q", f[3])
-		}
-		r.N = n
-	case "STATS", "AUDIT", "PING", "METRICS", "SLOW":
-		r.Op = map[string]Op{"STATS": OpStats, "AUDIT": OpAudit, "PING": OpPing, "METRICS": OpMetrics, "SLOW": OpSlow}[f[0]]
-		if len(f) != 1 {
-			return r, fmt.Errorf("%s takes no arguments", f[0])
-		}
-	default:
-		return r, fmt.Errorf("unknown command %q", f[0])
+	err := r.Parse(append(stack[:0], line...), tenants)
+	return r, err
+}
+
+// maxTokens is the longest request: a verb and MOVE's or XFER's four
+// arguments.
+const maxTokens = 5
+
+// Parse is the server's parser: it parses one protocol line (without
+// the newline) into r, overwriting every field, with ParseRequest's
+// validation. It reuses r's key storage, so a Request kept for the life
+// of a connection parses every line without allocating once its first
+// keyed request has sized the storage; Keys and TKeys are therefore only
+// valid until the next Parse into r. line is neither retained nor
+// modified. Tokens are separated by ASCII white space.
+func (r *Request) Parse(line []byte, tenants int) error {
+	*r = Request{Keys: r.Keys[:0], TKeys: r.TKeys[:0]}
+	f, n := fields(line)
+	if n == 0 {
+		return fmt.Errorf("empty request")
 	}
-	return r, nil
+	op, ok := verbOp(f[0])
+	if !ok {
+		return fmt.Errorf("unknown command %q", string(f[0]))
+	}
+	r.Op = op
+	var err error
+	switch op {
+	case OpGet, OpDel:
+		if err = r.parseArgs(&f, n, 2, tenants, false); err != nil {
+			return err
+		}
+		r.sizeKeys()
+		r.Keys, err = parseKey(r.Keys, f[2])
+		return err
+	case OpPut:
+		if err = r.parseArgs(&f, n, 3, tenants, false); err != nil {
+			return err
+		}
+		r.sizeKeys()
+		if r.Keys, err = parseKey(r.Keys, f[2]); err != nil {
+			return err
+		}
+		r.Val, err = parseU64(f[3])
+		return err
+	case OpPush:
+		if err = r.parseArgs(&f, n, 2, tenants, false); err != nil {
+			return err
+		}
+		r.Val, err = parseU64(f[2])
+		return err
+	case OpPop:
+		return r.parseArgs(&f, n, 1, tenants, false)
+	case OpMove:
+		if err = r.parseArgs(&f, n, 4, tenants, true); err != nil {
+			return err
+		}
+		r.sizeKeys()
+		if r.Keys, err = parseKey(r.Keys, f[3]); err != nil {
+			return err
+		}
+		r.TKeys, err = parseKey(r.TKeys, f[4])
+		return err
+	case OpXfer:
+		if err = r.parseArgs(&f, n, 4, tenants, true); err != nil {
+			return err
+		}
+		r.sizeKeys()
+		var nk, ntk int
+		if r.Keys, nk, err = parseList(r.Keys, f[3]); err != nil {
+			return err
+		}
+		if r.TKeys, ntk, err = parseList(r.TKeys, f[4]); err != nil {
+			return err
+		}
+		if nk != ntk {
+			return fmt.Errorf("XFER key lists differ in length")
+		}
+		if nk > MaxXferKeys {
+			return fmt.Errorf("XFER takes 1..%d key pairs", MaxXferKeys)
+		}
+		return nil
+	case OpDrain:
+		if err = r.parseArgs(&f, n, 3, tenants, true); err != nil {
+			return err
+		}
+		if r.N, ok = atoi(f[3]); !ok || r.N < 1 {
+			return fmt.Errorf("bad DRAIN count %q", string(f[3]))
+		}
+		return nil
+	default: // the control verbs
+		if n != 1 {
+			return fmt.Errorf("%s takes no arguments", op)
+		}
+		return nil
+	}
+}
+
+// fields splits line at ASCII white space; it returns the first
+// maxTokens tokens and how many tokens the line holds in all.
+func fields(line []byte) (f [maxTokens][]byte, n int) {
+	for i := 0; ; {
+		for i < len(line) && isSpace(line[i]) {
+			i++
+		}
+		if i == len(line) {
+			return f, n
+		}
+		start := i
+		for i < len(line) && !isSpace(line[i]) {
+			i++
+		}
+		if n < maxTokens {
+			f[n] = line[start:i]
+		}
+		n++
+	}
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f'
 }
 
 // parseArgs checks the token count and fills the tenant fields (two
 // tenants when composed is set, which also enforces distinctness).
-func parseArgs(f []string, nargs int, r *Request, tenants int, composed bool) error {
-	if len(f) != nargs+1 {
-		return fmt.Errorf("%s takes %d arguments", f[0], nargs)
+func (r *Request) parseArgs(f *[maxTokens][]byte, n, nargs, tenants int, composed bool) error {
+	if n != nargs+1 {
+		return fmt.Errorf("%s takes %d arguments", r.Op, nargs)
 	}
 	t, err := parseTenant(f[1], tenants)
 	if err != nil {
@@ -314,30 +366,98 @@ func parseArgs(f []string, nargs int, r *Request, tenants int, composed bool) er
 			return err
 		}
 		if d == t {
-			return fmt.Errorf("%s requires two distinct tenants", f[0])
+			return fmt.Errorf("%s requires two distinct tenants", r.Op)
 		}
 		r.DTenant = d
 	}
 	return nil
 }
 
-func parseTenant(s string, tenants int) (int, error) {
-	t, err := strconv.Atoi(s)
-	if err != nil || t < 0 || t >= tenants {
-		return 0, fmt.Errorf("bad tenant %q (want 0..%d)", s, tenants-1)
+// sizeKeys makes Keys and TKeys empty slices of capacity MaxXferKeys.
+// Both are carved from one allocation the first time r needs them and
+// reused by every later Parse.
+func (r *Request) sizeKeys() {
+	if cap(r.Keys) < MaxXferKeys || cap(r.TKeys) < MaxXferKeys {
+		store := make([]uint64, 2*MaxXferKeys)
+		r.Keys, r.TKeys = store[:0:MaxXferKeys], store[MaxXferKeys:MaxXferKeys]
+	}
+}
+
+// parseKey appends the one key in tok to dst.
+func parseKey(dst []uint64, tok []byte) ([]uint64, error) {
+	k, err := parseU64(tok)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, k), nil
+}
+
+func parseTenant(tok []byte, tenants int) (int, error) {
+	t, ok := atoi(tok)
+	if !ok || t < 0 || t >= tenants {
+		return 0, fmt.Errorf("bad tenant %q (want 0..%d)", string(tok), tenants-1)
 	}
 	return t, nil
 }
 
-func parseU64(s string) (uint64, error) {
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s)
+// atoi is strconv.Atoi on a byte slice: an optional sign, then decimal
+// digits that fit an int.
+func atoi(tok []byte) (int, bool) {
+	neg := false
+	if len(tok) > 0 && (tok[0] == '+' || tok[0] == '-') {
+		neg = tok[0] == '-'
+		tok = tok[1:]
+	}
+	v, err := parseU64(tok)
+	switch {
+	case err != nil:
+		return 0, false
+	case neg && v <= 1<<63:
+		return -int(v), true
+	case !neg && v < 1<<63:
+		return int(v), true
+	}
+	return 0, false
+}
+
+// parseU64 is strconv.ParseUint(tok, 10, 64) without the conversion to
+// string a byte-slice token would need.
+func parseU64[T string | []byte](tok T) (uint64, error) {
+	var v uint64
+	for i := 0; i < len(tok); i++ {
+		d := uint64(tok[i] - '0')
+		if d > 9 || v > (1<<64-1)/10 || v*10 > 1<<64-1-d {
+			return 0, fmt.Errorf("bad number %q", string(tok))
+		}
+		v = v*10 + d
+	}
+	if len(tok) == 0 {
+		return 0, fmt.Errorf("bad number %q", string(tok))
 	}
 	return v, nil
 }
 
-func parseList(s string) ([]uint64, error) {
+// parseList appends a request's comma-separated key list to dst, which
+// sizeKeys has given room for MaxXferKeys. Every element is validated
+// and counted (n) but only that many are stored, so an over-long list
+// costs no allocation to reject.
+func parseList(dst []uint64, tok []byte) (_ []uint64, n int, err error) {
+	for more := true; more; n++ {
+		var elem []byte
+		elem, tok, more = bytes.Cut(tok, []byte{','})
+		v, err := parseU64(elem)
+		if err != nil {
+			return dst, n, err
+		}
+		if n < MaxXferKeys {
+			dst = append(dst, v)
+		}
+	}
+	return dst, n, nil
+}
+
+// parseVals parses a response's comma-separated value list.
+func parseVals(s string) ([]uint64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]uint64, 0, len(parts))
 	for _, p := range parts {
@@ -372,6 +492,19 @@ func (r Response) OK() bool { return r.Status == "OK" }
 // non-idempotent ones.
 func (r Response) Retryable() bool { return r.Status == "BUSY" || r.Status == "TIMEOUT" }
 
+// AppendOK appends the success response carrying vals, "OK" or
+// "OK <v,..>", without the newline: the form ParseResponse reads back
+// with values set. The server builds its data-path responses with it
+// directly in its write buffer.
+func AppendOK(dst []byte, vals ...uint64) []byte {
+	dst = append(dst, "OK"...)
+	if len(vals) > 0 {
+		dst = append(dst, ' ')
+		dst = appendList(dst, vals)
+	}
+	return dst
+}
+
 // ParseResponse parses one response line (without the newline). values
 // selects whether the OK payload is numeric (data-path responses) or
 // raw text (STATS).
@@ -382,7 +515,7 @@ func ParseResponse(line string, values bool) (Response, error) {
 	case "OK":
 		if values && rest != "" {
 			for _, tok := range strings.Fields(rest) {
-				vs, err := parseList(tok)
+				vs, err := parseVals(tok)
 				if err != nil {
 					return r, fmt.Errorf("bad OK payload %q", rest)
 				}
