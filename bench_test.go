@@ -13,7 +13,7 @@
 //	go test -bench 'A3_DCAS'     # DCAS vs two plain CASes
 //	go test -bench 'MoveN'       # §8 n-object extension
 //	go test -bench 'HashMove'    # §1.1 hash-map scenario
-//	go test -bench 'MapChurn'    # sharded-map churn + MoveN rebalance
+//	go test -bench 'MapChurn'    # sharded-map churn + Move rebalance
 //	go test -bench 'Elim'        # elimination-backoff layer off vs on
 //
 // The paper's full parameters are 5M ops × 50 trials × 1–16 threads; the

@@ -11,7 +11,7 @@
 // Beyond the paper's figures, -figure map runs the sharded-map churn +
 // rebalance scenario: keyed operations and cross-map moves (including
 // §8 MoveN fan-outs) over two growing maps, with every grow-time entry
-// relocation performed by MoveN, comparing the lock-free maps against
+// relocation performed by a Move, comparing the lock-free maps against
 // the lock-striped blocking baseline (blocking.Map) — the keyed
 // extension of Figures 2–4's lockfree-vs-blocking comparison; -keydist
 // zipfian skews its keys, and a second read-mostly panel (-readfrac
@@ -245,7 +245,7 @@ func main() {
 	for _, fig := range figs {
 		switch fig {
 		case figureMap:
-			fmt.Printf("==== Sharded map: churn + MoveN rebalance, lockfree vs blocking ====\n")
+			fmt.Printf("==== Sharded map: churn + Move rebalance, lockfree vs blocking ====\n")
 			for _, cont := range conts {
 				runMapPanel(out, cont, ths, *ops, *trials, *prefill, *pin, *rebalancer, *keys, zipf, 0, *adaptive)
 				if *readfrac > 0 {

@@ -21,7 +21,7 @@
 //
 // The hash map is sharded and resizable: shards grow cooperatively once
 // their mean bucket load passes a threshold, and every entry relocated
-// by a grow travels through a MoveN of its old and new bucket — so even
+// by a grow travels through a Move from its old to its new bucket — so even
 // mid-rebalance an entry is observable in exactly one bucket, never
 // neither. Lookups, removes and moves out of the map never block on a
 // grow; HashMap.RebalanceStep lets callers drive pending migration in
@@ -253,7 +253,7 @@ type Stack = tstack.Stack
 type List = harrislist.List
 
 // HashMap is the move-ready, sharded, resizable lock-free hash map
-// (shards of Harris-list buckets; grows migrate entries via MoveN).
+// (shards of Harris-list buckets; grows migrate entries via Move).
 type HashMap = hashmap.Map
 
 // NewRuntime builds a runtime; the zero Config selects usable defaults.

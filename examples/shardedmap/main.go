@@ -3,7 +3,7 @@
 // A session store starts as a deliberately tiny sharded map and is
 // hammered by writer threads until its shards grow several times; every
 // entry a grow relocates travels between its old and new bucket through
-// one MoveN, so even mid-rebalance a session is observable in exactly
+// one Move, so even mid-rebalance a session is observable in exactly
 // one bucket — never duplicated, never lost. Meanwhile mover threads
 // shuttle sessions between the hot store and a cold store with keyed
 // atomic moves, and a rebalancer thread drives pending migrations in
@@ -108,7 +108,7 @@ func main() {
 	gh, mh, sh := hot.Stats()
 	gc, mc, sc := cold.Stats()
 	fmt.Printf("end:   hot %d buckets / cold %d buckets\n", hot.Buckets(), cold.Buckets())
-	fmt.Printf("grows=%d entries-migrated-via-MoveN=%d rebalance-steps=%d\n",
+	fmt.Printf("grows=%d entries-migrated-via-Move=%d rebalance-steps=%d\n",
 		gh+gc, mh+mc, sh+sc)
 	if lost != 0 || dup != 0 {
 		fmt.Fprintf(os.Stderr, "AUDIT FAILED: %d lost, %d duplicated\n", lost, dup)

@@ -1,7 +1,5 @@
 package core
 
-import "math/bits"
-
 // Batch-flush support: the thread-local hooks behind internal/batch's
 // MoveBuffer. A flush brackets a run of back-to-back moves on one thread
 // and amortizes their fixed per-move costs:
@@ -86,13 +84,12 @@ func (t *Thread) AbortBatchFlush() {
 // finishBatchFlush is the shared tail of EndBatchFlush/AbortBatchFlush.
 func (t *Thread) finishBatchFlush() {
 	t.batchActive = false
-	// Clear the container slots the flush actually published (the
-	// helping mirror slots are published and cleared by the helping
-	// paths themselves, which bypass the deferral)...
-	for dirty := t.batchDirty; dirty != 0; dirty &= dirty - 1 {
-		t.rt.nodeDom.Clear(t.id, bits.TrailingZeros32(dirty))
+	// Clear the container slots the flush left published (the helping
+	// mirror slots are published and cleared by the helping paths
+	// themselves, which bypass the deferral)...
+	for s := SlotIns0; s <= SlotRemAux; s++ {
+		t.setSlot(s, 0)
 	}
-	t.batchDirty = 0
 	// ...then hand the flush's unlinked nodes to the reclaimer: with the
 	// stale protections gone, its scans see them unprotected right away.
 	for _, ref := range t.batchNodes {

@@ -224,7 +224,14 @@ func (rt *Runtime) NewController() *adapt.Controller {
 // NextObjectID hands out stable object identities; the blocking baseline
 // uses them for lock ordering and Move uses them to reject same-object
 // composition early.
-func (rt *Runtime) NextObjectID() uint64 { return rt.objIDs.Add(1) }
+func (rt *Runtime) NextObjectID() uint64 { return rt.NextObjectIDs(1) }
+
+// NextObjectIDs reserves n consecutive object identities and returns the
+// first; structures that hold many move-ready parts by value (the hash
+// map's bucket arrays) number them from it.
+func (rt *Runtime) NextObjectIDs(n int) uint64 {
+	return rt.objIDs.Add(uint64(n)) - uint64(n) + 1
+}
 
 // RegisterThread allocates the next thread slot. Each goroutine that
 // touches the runtime's objects must own exactly one Thread and must not

@@ -3,7 +3,9 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
+	"repro/internal/pad"
 	"repro/internal/word"
 )
 
@@ -190,5 +192,15 @@ func TestConcurrentRegistration(t *testing.T) {
 			t.Fatalf("id %d handed out twice", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestThreadOwnsItsLines: a Thread is written on every operation (move
+// state, hazard shadow) by its owner alone; sized to whole lines, the
+// allocator puts it on a line boundary and two threads' records never
+// share a line. Pad the struct if a new field breaks this.
+func TestThreadOwnsItsLines(t *testing.T) {
+	if size := unsafe.Sizeof(Thread{}); size%pad.CacheLineSize != 0 {
+		t.Fatalf("Thread is %d bytes, not a whole number of %d-byte lines", size, pad.CacheLineSize)
 	}
 }

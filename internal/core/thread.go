@@ -52,14 +52,15 @@ type Thread struct {
 	// seq is a private per-thread counter (see Seq).
 	seq uint64
 
+	// hz shadows what each of this thread's node-domain hazard slots
+	// publishes (see setSlot); the helping-mirror entries are unused.
+	hz [nodeSlotsPerThread]uint64
+
 	// batchActive marks a batch flush in progress (see batch.go): hazard
 	// clears and node retirement are deferred and descriptor retirement
-	// routes through the flush recycle path. batchDirty tracks which
-	// container hazard slots were published during the flush (so
-	// EndBatchFlush clears only those); batchNodes parks nodes retired
-	// during the flush until the hazard slots are cleared.
+	// routes through the flush recycle path. batchNodes parks nodes
+	// retired during the flush until the hazard slots are cleared.
 	batchActive bool
-	batchDirty  uint32
 	batchNodes  []uint64
 
 	bo        *backoff.Exp
@@ -125,18 +126,33 @@ func (t *Thread) FlushMemory() {
 
 // --- hazard pointers -------------------------------------------------------
 
+// setSlot publishes node index idx in one of this thread's node-domain
+// slots unless the slot already publishes it. Hazard stores are fenced
+// (an XCHG on amd64), and a slot is written by its owner alone, so the
+// private shadow t.hz is exact and a store that would not change the
+// published value is skipped: the hazard then stays continuously
+// published, which protects at least as much as publishing it again —
+// every scan that would have seen the repeated store also sees the
+// original one. Only the container slots
+// (SlotIns0..SlotRemAux) and the chain hold slots go through here; the
+// helping mirrors are written by kcas.Ctx and are not shadowed.
+func (t *Thread) setSlot(slot int, idx uint64) {
+	if t.hz[slot] == idx {
+		return
+	}
+	t.hz[slot] = idx
+	t.rt.nodeDom.Protect(t.id, slot, idx)
+}
+
 // ProtectNode publishes the node referenced by ref in the given slot
 // (SlotIns0..SlotRemAux). Passing ref 0 clears the slot — deferred
 // inside a batch flush (protection is conservative; EndBatchFlush
 // clears once for the whole flush).
 func (t *Thread) ProtectNode(slot int, ref uint64) {
-	if t.batchActive {
-		if ref == 0 {
-			return
-		}
-		t.batchDirty |= 1 << uint(slot)
+	if ref == 0 && t.batchActive {
+		return
 	}
-	t.rt.nodeDom.Protect(t.id, slot, word.NodeIndex(ref))
+	t.setSlot(slot, word.NodeIndex(ref))
 }
 
 // ClearNode clears a hazard slot (deferred inside a batch flush).
@@ -144,17 +160,23 @@ func (t *Thread) ClearNode(slot int) {
 	if t.batchActive {
 		return
 	}
-	t.rt.nodeDom.Clear(t.id, slot)
+	t.setSlot(slot, 0)
 }
 
-// ClearHazards clears every node hazard slot this thread owns; container
-// operations call it on return so stale protections don't delay reuse
-// (deferred inside a batch flush).
+// ClearHazards clears every node hazard slot this thread owns; the
+// exhaustion-recovery path calls it so stale protections don't delay
+// reuse (deferred inside a batch flush).
 func (t *Thread) ClearHazards() {
 	if t.batchActive {
 		return
 	}
-	t.rt.nodeDom.ClearAll(t.id)
+	for s := 0; s < nodeSlotsPerThread; s++ {
+		if s >= slotMirror1 && s < slotChainHoldBase {
+			t.rt.nodeDom.Clear(t.id, s) // helping mirror: kcas.Ctx's slot, no shadow
+			continue
+		}
+		t.setSlot(s, 0)
+	}
 }
 
 // HoldNode publishes the node referenced by ref in the i-th chain hold
@@ -166,15 +188,15 @@ func (t *Thread) ClearHazards() {
 // the pending k-word CAS. Holds bypass the batch-flush deferral: they
 // have their own release point (ReleaseHolds), not the flush's.
 func (t *Thread) HoldNode(i int, ref uint64) {
-	t.rt.nodeDom.Protect(t.id, slotChainHoldBase+i, word.NodeIndex(ref))
+	t.setSlot(slotChainHoldBase+i, word.NodeIndex(ref))
 }
 
-// ReleaseHolds clears every chain hold slot; composed operations call
-// it once when their chain completes (either way), also bypassing the
-// batch-flush deferral.
+// ReleaseHolds clears the chain hold slots the chain actually took;
+// composed operations call it once when their chain completes (either
+// way), also bypassing the batch-flush deferral.
 func (t *Thread) ReleaseHolds() {
 	for i := 0; i < kcas.MaxEntries; i++ {
-		t.rt.nodeDom.Clear(t.id, slotChainHoldBase+i)
+		t.setSlot(slotChainHoldBase+i, 0)
 	}
 }
 

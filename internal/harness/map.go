@@ -7,7 +7,7 @@ package harness
 // plus an audit queue), while an optional rebalancer thread drives
 // pending shard migrations in bounded RebalanceStep increments. The
 // maps start deliberately small, so the measured interval contains real
-// grows whose entry relocations all run through MoveN.
+// grows whose entry relocations all run through Move.
 //
 // Impl selects the family: LockFree is the composition-paper map;
 // Blocking is the lock-striped baseline (blocking.Map), extending the

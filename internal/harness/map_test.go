@@ -12,7 +12,7 @@ func TestMapChurnDefaults(t *testing.T) {
 
 // TestRunMapChurnSmoke runs one small cell end to end and checks the
 // scenario actually measured what it promises: samples recorded, and
-// grows with MoveN-migrated entries inside the measured interval.
+// grows with Move-migrated entries inside the measured interval.
 func TestRunMapChurnSmoke(t *testing.T) {
 	r := RunMapChurn(MapOptions{
 		Threads:    2,

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/pad"
 	"repro/internal/word"
 )
 
@@ -34,7 +33,6 @@ import (
 // keys.
 type List struct {
 	head word.Word
-	_    pad.Pad56
 	id   uint64
 
 	// retries counts failed linearization CASes (an insert or remove
@@ -52,9 +50,11 @@ func New(t *core.Thread) *List {
 	return &List{id: t.Runtime().NextObjectID()}
 }
 
-// NewWithID creates an empty list sharing the identity space of an
-// owning structure (used by the hash map's buckets).
-func NewWithID(id uint64) *List { return &List{id: id} }
+// Init gives a zero List held by value inside an owning structure its
+// object identity: one of a block of ids for the hash map's bucket
+// arrays, the owner's own id for the priority queue (which is its list).
+// It must run before the list is shared.
+func (l *List) Init(id uint64) { l.id = id }
 
 // ObjectID implements core.MoveReady.
 func (l *List) ObjectID() uint64 { return l.id }

@@ -11,16 +11,19 @@
 // oldest undrained table first, newer (larger) tables linked through
 // table.next. In steady state the chain is a single table; during a grow
 // it is two (the sealed table draining into its double-sized successor).
-// Every bucket is a move-ready harrislist with its own object identity,
-// so the map as a whole is move-ready — its insert/remove linearization
-// points are the bucket's — and so is every individual bucket, which is
-// what the grow path exploits.
+// A table holds its buckets by value in one flat array — a bucket is a
+// move-ready harrislist (a head word, an object identity numbered from
+// the table's block of ids, a retry counter), so reaching it costs no
+// pointer hop and a table is one allocation. The map as a whole is
+// move-ready — its insert/remove linearization points are the bucket's —
+// and so is every individual bucket, which is what the grow path
+// exploits.
 //
 // # Growing
 //
 // A grow reuses the paper's own machinery instead of ad-hoc migration
 // code: every entry leaves the old bucket and enters its new bucket
-// through one MoveN (§8), so migration inherits the composition
+// through one move (Algorithm 3), so migration inherits the composition
 // guarantee — at every instant an entry is observable in exactly one
 // bucket, never neither and never both. The protocol per shard:
 //
@@ -30,7 +33,7 @@
 //     seal, a store-load fence pair), so no insert can land in the old
 //     table after draining starts.
 //  3. drain: helpers claim old buckets through an atomic cursor and move
-//     each entry with MoveN(oldBucket → newBucket). Failed moves mean
+//     each entry with Move(oldBucket → newBucket). Failed moves mean
 //     another helper or a concurrent remove got the entry first.
 //  4. verify + swap: once the claim cursor is exhausted each helper
 //     re-scans all buckets (covering stalled claimants — cooperation,
@@ -44,7 +47,7 @@
 //
 // Progress: all operations are lock-free in steady state; during a grow,
 // lookups, removes and moves out of the map stay lock-free, while
-// inserts help migrate (cooperatively, through MoveN) before retrying.
+// inserts help migrate (cooperatively, through moves) before retrying.
 // The only wait is step 2's insert-quiescence, bounded by the in-flight
 // inserts admitted before the seal. Inserts arriving as the target of a
 // composed Move/MoveN while the shard is mid-grow cannot help (helping
@@ -112,16 +115,25 @@ const DefaultGrowLoad = 6
 
 // Map is a sharded, resizable lock-free hash map from uint64 keys to
 // uint64 values.
+//
+// Map, shard and table follow one layout rule: the fields every
+// operation reads (and a grow writes once) fill a header line of their
+// own, and the words operations write sit on a separate, padded line —
+// otherwise every writer would invalidate the line every reader needs.
+// The structs are sized to whole lines, which the allocator then places
+// on line boundaries; layout_test.go pins the offsets.
 type Map struct {
 	shards    []shard
 	shardMask uint64
 	shardBits uint
 	growLoad  int64
 	id        uint64
+	_         [pad.CacheLineSize - 56]byte
 
 	grows    atomic.Uint64 // completed seal decisions
-	migrated atomic.Uint64 // entries relocated by MoveN during grows
+	migrated atomic.Uint64 // entries relocated by a grow's moves
 	steps    atomic.Uint64 // RebalanceStep invocations that did work
+	_        [pad.CacheLineSize - 24]byte
 }
 
 var _ core.MoveReady = (*Map)(nil)
@@ -133,28 +145,34 @@ const hotRetryBudget = 1
 
 // shard is one partition: a chain of tables plus its element counter.
 type shard struct {
-	cur   atomic.Pointer[table] // oldest undrained table; chain via next
-	count atomic.Int64
-	elim  *elim.Array // per-shard elimination array, nil when disabled
+	cur  atomic.Pointer[table] // oldest undrained table; chain via next
+	elim *elim.Array           // per-shard elimination array, nil when disabled
 	// ctrl is the shard's adaptive controller (nil when
 	// core.Config.Adaptive is off); its presence implies elim != nil.
 	ctrl *adapt.Controller
-	_    pad.Line
+	_    [pad.CacheLineSize - 24]byte
+
+	count atomic.Int64 // written by every successful insert and remove
+	_     pad.Pad56
 }
 
-// table is one bucket array generation of a shard.
+// table is one bucket array generation of a shard. The buckets are held
+// by value: one allocation per table and no pointer hop per operation.
 type table struct {
-	buckets  []*harrislist.List
+	buckets  []harrislist.List
 	mask     uint64
 	sealed   atomic.Bool           // no new inserts (grow pending/running)
-	ins      atomic.Int64          // in-flight inserts admitted pre-seal
 	draining atomic.Bool           // quiescence reached; entries may move
-	claim    atomic.Int64          // next bucket index to claim for drain
 	next     atomic.Pointer[table] // successor table; set once, never cleared
+	_        [pad.CacheLineSize - 48]byte
+
+	ins   atomic.Int64 // in-flight inserts admitted pre-seal
+	claim atomic.Int64 // next bucket index to claim for drain
+	_     pad.Pad48
 }
 
 func (tb *table) bucket(h uint64, shardBits uint) *harrislist.List {
-	return tb.buckets[(h>>shardBits)&tb.mask]
+	return &tb.buckets[(h>>shardBits)&tb.mask]
 }
 
 // New creates a map with the given total initial bucket count spread
@@ -239,14 +257,15 @@ func NewSharded(t *core.Thread, shards, bucketsPerShard, growLoad int) *Map {
 }
 
 // newTable builds a bucket table; every bucket gets its own object
-// identity so grow-time MoveN sees distinct source and target objects.
+// identity so a grow's moves see distinct source and target objects.
 func (m *Map) newTable(t *core.Thread, buckets int) *table {
 	tb := &table{
-		buckets: make([]*harrislist.List, buckets),
+		buckets: make([]harrislist.List, buckets),
 		mask:    uint64(buckets - 1),
 	}
+	id := t.Runtime().NextObjectIDs(buckets)
 	for i := range tb.buckets {
-		tb.buckets[i] = harrislist.New(t)
+		tb.buckets[i].Init(id + uint64(i))
 	}
 	return tb
 }
@@ -389,8 +408,8 @@ func (m *Map) adaptTick(t *core.Thread, s *shard) {
 	}
 	var snap adapt.Sample
 	for tab := s.cur.Load(); tab != nil; tab = tab.next.Load() {
-		for _, b := range tab.buckets {
-			snap.Retries += b.Retries()
+		for i := range tab.buckets {
+			snap.Retries += tab.buckets[i].Retries()
 		}
 	}
 	snap.Hits, snap.Misses = s.elim.Stats()
@@ -523,8 +542,8 @@ func (m *Map) ContentionStats() []uint64 {
 	for i := range m.shards {
 		var n uint64
 		for tab := m.shards[i].cur.Load(); tab != nil; tab = tab.next.Load() {
-			for _, b := range tab.buckets {
-				n += b.Retries()
+			for j := range tab.buckets {
+				n += tab.buckets[j].Retries()
 			}
 		}
 		out[i] = n
@@ -604,8 +623,8 @@ func (m *Map) Keys(t *core.Thread) []uint64 {
 	var out []uint64
 	for i := range m.shards {
 		for tab := m.shards[i].cur.Load(); tab != nil; tab = tab.next.Load() {
-			for _, b := range tab.buckets {
-				out = append(out, b.Keys(t)...)
+			for j := range tab.buckets {
+				out = append(out, tab.buckets[j].Keys(t)...)
 			}
 		}
 	}
@@ -628,8 +647,8 @@ func (m *Map) Buckets() int {
 // Shards reports the shard count.
 func (m *Map) Shards() int { return len(m.shards) }
 
-// Stats reports grow activity: seals decided, entries migrated through
-// MoveN, and RebalanceStep calls that performed work.
+// Stats reports grow activity: seals decided, entries migrated by the
+// grows' moves, and RebalanceStep calls that performed work.
 func (m *Map) Stats() (grows, migrated, steps uint64) {
 	return m.grows.Load(), m.migrated.Load(), m.steps.Load()
 }
@@ -754,28 +773,29 @@ func (m *Map) finishGrow(t *core.Thread, s *shard, tab, next *table) {
 }
 
 // drainBucket migrates every entry of one sealed bucket into its new
-// bucket through MoveN, so each relocation is atomic: the entry is in
-// exactly one bucket at every instant. A failed MoveN means a concurrent
-// helper migrated the entry or a concurrent remove/move took it; either
-// way the bucket shrank and the loop re-reads.
+// bucket through a move (Algorithm 3's pair path: one source, one
+// target), so each relocation is atomic: the entry is in exactly one
+// bucket at every instant. A failed move means a concurrent helper
+// migrated the entry or a concurrent remove/move took it; either way the
+// bucket shrank and the loop re-reads.
 func (m *Map) drainBucket(t *core.Thread, tab, next *table, i int) {
-	src := tab.buckets[i]
-	dst := make([]core.Inserter, 1)
-	tkey := make([]uint64, 1)
+	src := &tab.buckets[i]
+	var moved uint64
 	for {
 		k, _, ok := src.Min(t)
 		if !ok {
-			return
+			break
 		}
 		// Mid-migration window: the table is sealed and this bucket is
 		// partially drained. A migrator stalled or killed here must not
 		// wedge the grow — any other thread (or reader) entering the map
 		// helps the same buckets via helpGrow/stepGrow.
 		t.Fault(fault.MapMidMigration)
-		dst[0] = next.bucket(hash(k), m.shardBits)
-		tkey[0] = k
-		if _, moved := t.MoveN(src, dst, k, tkey); moved {
-			m.migrated.Add(1)
+		if _, ok := t.Move(src, next.bucket(hash(k), m.shardBits), k, k); ok {
+			moved++
 		}
+	}
+	if moved != 0 {
+		m.migrated.Add(moved)
 	}
 }

@@ -7,7 +7,7 @@
 // object are all covered by one slot.
 //
 // Reclamation itself (retire lists, scanning, free lists) lives with the
-// owners of the memory: package mm for nodes and package dcas for
+// owners of the memory: package mm for nodes and package kcas for
 // descriptors. This package only answers "is index i protected by any
 // thread right now?" via Snapshot.
 package hazard
@@ -59,13 +59,6 @@ func (d *Domain) Protect(tid, slot int, idx uint64) {
 // Clear removes any protection in the given slot.
 func (d *Domain) Clear(tid, slot int) {
 	d.records[tid].slots[slot].Store(0)
-}
-
-// ClearAll removes every protection held by thread tid.
-func (d *Domain) ClearAll(tid int) {
-	for s := range d.records[tid].slots {
-		d.records[tid].slots[s].Store(0)
-	}
 }
 
 // Get returns the index currently protected in the slot (for tests).

@@ -34,17 +34,6 @@ func TestProtectSnapshotClear(t *testing.T) {
 	}
 }
 
-func TestClearAll(t *testing.T) {
-	d := New(2, 4)
-	for s := 0; s < 4; s++ {
-		d.Protect(1, s, uint64(100+s))
-	}
-	d.ClearAll(1)
-	if snap := d.Snapshot(nil); len(snap) != 0 {
-		t.Fatalf("expected empty snapshot, got %v", snap)
-	}
-}
-
 func TestProtectZeroClears(t *testing.T) {
 	d := New(1, 1)
 	d.Protect(0, 0, 9)

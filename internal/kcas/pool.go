@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/hazard"
+	"repro/internal/pad"
 	"repro/internal/word"
 )
 
@@ -23,19 +24,24 @@ const (
 // core.Config.DescCapacity is the total descriptor budget, not a
 // per-engine figure.
 type Pool struct {
-	slabs  atomic.Pointer[[]*[descSlabSize]Desc]
-	growMu sync.Mutex
-	next   atomic.Uint64
-	limit  uint64
+	// Read by every descriptor dereference, written when a slab is added:
+	// a line of their own, away from the words below.
+	slabs atomic.Pointer[[]*[descSlabSize]Desc]
+	limit uint64
+	dom   *hazard.Domain // descriptor hazard domain (hpd slots)
+	_     [pad.CacheLineSize - 24]byte
 
-	dom *hazard.Domain // descriptor hazard domain (hpd slots)
+	growMu sync.Mutex
+	next   atomic.Uint64 // bump allocator: one add per carved batch
 
 	// Observability counters (§7 discusses "false helping ... a lot of
-	// extra CASs"; these make that measurable).
+	// extra CASs"; these make that measurable). Written on the helping
+	// and cleanup paths only.
 	helps         atomic.Uint64 // helper entries into the pair protocol
 	khelps        atomic.Uint64 // helper entries into the general protocol
 	strayCleanups atomic.Uint64 // stray descriptor refs reverted after decision
 	lateP2        atomic.Uint64 // pair ptr2 installs that lost the status race
+	_             [pad.CacheLineSize - 48]byte
 }
 
 // NewPool creates a descriptor pool with capacity maxDescs (<=0 selects

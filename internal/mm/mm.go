@@ -18,10 +18,12 @@
 package mm
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/hazard"
+	"repro/internal/pad"
 	"repro/internal/word"
 )
 
@@ -39,18 +41,24 @@ type segment struct {
 	next *segment
 }
 
-// Manager owns the global free-node state shared by all threads.
+// Manager owns the global free-node state shared by all threads. Nothing
+// in it is written per node: Alloc and Retire stay inside the calling
+// thread's Cache until a segment spills or a scan runs.
 type Manager struct {
-	arena  *arena.Arena
-	dom    *hazard.Domain
-	global atomic.Pointer[segment]
+	arena *arena.Arena
+	dom   *hazard.Domain
 
 	carveBatch int
 	retireAt   int
 
-	// counters for tests and diagnostics
-	frees   atomic.Uint64
-	allocs  atomic.Uint64
+	// caches lists every Cache handed out, for Stats.
+	cachesMu sync.Mutex
+	caches   []*Cache
+
+	// The shared words, off the read-only header's line: written once
+	// per spilled/refilled segment (200 nodes) or per scan.
+	_       pad.Line
+	global  atomic.Pointer[segment]
 	scans   atomic.Uint64
 	spills  atomic.Uint64
 	refills atomic.Uint64
@@ -119,29 +127,49 @@ func (m *Manager) GlobalSegments() int {
 }
 
 // Stats reports cumulative counters: allocations, frees, hazard scans,
-// spills to and refills from the global stack.
+// spills to and refills from the global stack. Allocations and frees are
+// summed over the caches' owner-written counters, so they are exact only
+// at quiescence: call Stats once the threads owning the caches have
+// stopped (tests and diagnostics), never beside them.
 func (m *Manager) Stats() (allocs, frees, scans, spills, refills uint64) {
-	return m.allocs.Load(), m.frees.Load(), m.scans.Load(), m.spills.Load(), m.refills.Load()
+	m.cachesMu.Lock()
+	for _, c := range m.caches {
+		allocs += c.allocs
+		frees += c.frees
+	}
+	m.cachesMu.Unlock()
+	return allocs, frees, m.scans.Load(), m.spills.Load(), m.refills.Load()
 }
 
 // Cache is the per-thread view of the manager. Not safe for concurrent
-// use; each registered thread owns exactly one.
+// use; each registered thread owns exactly one. Every field is written
+// by the owner alone, and the padding keeps two threads' caches off a
+// common line wherever the allocator places them.
 type Cache struct {
+	_       pad.Line
 	m       *Manager
 	tid     int
 	free    []uint64
 	retired []uint64
 	snap    []uint64
+	// allocs/frees count this cache's Alloc and Retire/FreeDirect calls
+	// (Manager.Stats sums them).
+	allocs, frees uint64
+	_             pad.Line
 }
 
 // NewCache creates the per-thread cache for thread tid.
 func (m *Manager) NewCache(tid int) *Cache {
-	return &Cache{
+	c := &Cache{
 		m:       m,
 		tid:     tid,
 		free:    make([]uint64, 0, LocalListCap+1),
 		retired: make([]uint64, 0, m.retireAt+16),
 	}
+	m.cachesMu.Lock()
+	m.caches = append(m.caches, c)
+	m.cachesMu.Unlock()
+	return c
 }
 
 // Alloc returns a fresh node reference with the node's words reset. The
@@ -153,7 +181,7 @@ func (c *Cache) Alloc() uint64 {
 	n.Aux.Store(word.Nil)
 	n.Val = 0
 	n.Key = 0
-	c.m.allocs.Add(1)
+	c.allocs++
 	return word.MakeNode(idx, 0)
 }
 
@@ -180,7 +208,7 @@ func (c *Cache) allocIndex() uint64 {
 // thread still protects it.
 func (c *Cache) Retire(ref uint64) {
 	c.retired = append(c.retired, word.NodeIndex(ref))
-	c.m.frees.Add(1)
+	c.frees++
 	if len(c.retired) >= c.m.retireAt {
 		c.Scan()
 	}
@@ -197,7 +225,7 @@ func (c *Cache) ScanHeadroom() int { return c.m.retireAt - len(c.retired) }
 // Q15–Q17 / S8–S10). No other thread can hold a reference, so it skips
 // the hazard scan.
 func (c *Cache) FreeDirect(ref uint64) {
-	c.m.frees.Add(1)
+	c.frees++
 	c.pushFree(word.NodeIndex(ref))
 }
 

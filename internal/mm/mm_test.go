@@ -3,9 +3,11 @@ package mm
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arena"
 	"repro/internal/hazard"
+	"repro/internal/pad"
 	"repro/internal/word"
 )
 
@@ -187,6 +189,67 @@ func TestNoDoubleHandout(t *testing.T) {
 	for idx, cnt := range all {
 		if cnt > 1 {
 			t.Fatalf("node %d held by %d threads at end", idx, cnt)
+		}
+	}
+}
+
+// TestStatsSumOwnerCounters: the per-node counters live in the caches,
+// written by their owners alone; once the owners are done Stats must
+// account for every Alloc, Retire and FreeDirect exactly.
+func TestStatsSumOwnerCounters(t *testing.T) {
+	const workers = 4
+	const rounds = 5000
+	m, _ := newTestManager(workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			c := m.NewCache(tid)
+			for i := 0; i < rounds+tid; i++ { // a different count per thread
+				r := c.Alloc()
+				if i%3 == 0 {
+					c.FreeDirect(r)
+				} else {
+					c.Retire(r)
+				}
+			}
+			c.Flush()
+			if c.LocalRetired() != 0 {
+				t.Errorf("thread %d: %d nodes still retired with no hazard published", tid, c.LocalRetired())
+			}
+		}(w)
+	}
+	wg.Wait()
+	want := uint64(workers*rounds + workers*(workers-1)/2)
+	allocs, frees, scans, spills, _ := m.Stats()
+	if allocs != want || frees != want {
+		t.Fatalf("Stats: allocs=%d frees=%d, want %d each", allocs, frees, want)
+	}
+	if scans == 0 || spills == 0 {
+		t.Fatalf("Stats: scans=%d spills=%d, want both > 0", scans, spills)
+	}
+}
+
+// TestLayout: nothing Alloc/Retire write may share a line with another
+// thread's cache or with the manager's shared words, wherever the
+// allocator puts a Cache; and the manager's own shared words stay off
+// its read-only header.
+func TestLayout(t *testing.T) {
+	var c Cache
+	first, last := unsafe.Offsetof(c.m), unsafe.Offsetof(c.frees)+unsafe.Sizeof(c.frees)
+	if first < pad.CacheLineSize || unsafe.Sizeof(c)-last < pad.CacheLineSize {
+		t.Errorf("Cache fields [%d,%d) of %d bytes: want a full line of padding on both sides",
+			first, last, unsafe.Sizeof(c))
+	}
+	var m Manager
+	header := unsafe.Offsetof(m.caches) + unsafe.Sizeof(m.caches)
+	for name, off := range map[string]uintptr{
+		"global": unsafe.Offsetof(m.global), "scans": unsafe.Offsetof(m.scans),
+		"spills": unsafe.Offsetof(m.spills), "refills": unsafe.Offsetof(m.refills),
+	} {
+		if off < header+pad.CacheLineSize {
+			t.Errorf("Manager.%s at %d is within a line of the header ending at %d", name, off, header)
 		}
 	}
 }

@@ -27,7 +27,7 @@ const MaxPriority = (uint64(1) << (64 - uniqBits)) - 1
 
 // PQueue is a move-ready min-priority queue of uint64 values.
 type PQueue struct {
-	l  *harrislist.List
+	l  harrislist.List // shares the queue's identity
 	id uint64
 }
 
@@ -36,7 +36,7 @@ var _ core.MoveReady = (*PQueue)(nil)
 // New creates an empty priority queue.
 func New(t *core.Thread) *PQueue {
 	pq := &PQueue{id: t.Runtime().NextObjectID()}
-	pq.l = harrislist.NewWithID(pq.id)
+	pq.l.Init(pq.id)
 	return pq
 }
 

@@ -46,9 +46,13 @@ import (
 // Stack is a move-ready Treiber stack holding uint64 values. Create
 // instances with New or NewVersioned.
 type Stack struct {
+	// top is the word every push and pop targets; it owns its line.
 	top word.Word
 	_   pad.Pad56
-	id  uint64
+
+	// The fields every operation reads and nothing writes after
+	// construction share the next line.
+	id uint64
 
 	// versioned selects the §7 ABA-counter variant: every successful
 	// push/pop bumps the tag bits of the top reference.
@@ -59,10 +63,15 @@ type Stack struct {
 	elim *elim.Array
 
 	// ctrl is the adaptive controller steering the array's active
-	// window (nil when core.Config.Adaptive is off). retries feeds it:
-	// lost top CASes, bumped only on the contention path.
-	ctrl    *adapt.Controller
+	// window (nil when core.Config.Adaptive is off).
+	ctrl *adapt.Controller
+	_    [pad.CacheLineSize - 32]byte
+
+	// retries feeds ctrl: lost top CASes, bumped only on the contention
+	// path — on a line of its own, so a loser does not also invalidate
+	// the header under the winners.
 	retries atomic.Uint64
+	_       pad.Pad56
 }
 
 var _ core.MoveReady = (*Stack)(nil)
