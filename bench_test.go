@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure of the paper's evaluation plus
-// the ablations from DESIGN.md §4. Each figure benchmark emits one
+// the ablations listed below. Each figure benchmark emits one
 // sub-benchmark per (mix, implementation, thread count) cell and reports
 // ms/trial (the figures' y-axis: total time for the trial's operations,
 // local work subtracted) alongside Go's ns/op.
@@ -13,12 +13,11 @@
 //	go test -bench 'A3_DCAS'     # DCAS vs two plain CASes
 //	go test -bench 'MoveN'       # §8 n-object extension
 //	go test -bench 'HashMove'    # §1.1 hash-map scenario
-//	go test -bench 'MapChurn'    # sharded-map churn + Move rebalance
 //	go test -bench 'Elim'        # elimination-backoff layer off vs on
 //
 // The paper's full parameters are 5M ops × 50 trials × 1–16 threads; the
-// benchmarks default to a scaled-down cell (100k ops) so a full sweep
-// stays tractable — cmd/composebench runs the full configuration.
+// benchmarks run a scaled-down cell (100k ops) so a full sweep stays
+// tractable.
 package repro_test
 
 import (
@@ -496,51 +495,7 @@ func BenchmarkMoveBatch_Allocs_Unbatched_B4(b *testing.B)  { benchMoveBatchAlloc
 func BenchmarkMoveBatch_Allocs_Unbatched_B16(b *testing.B) { benchMoveBatchAllocs(b, 16, false) }
 func BenchmarkMoveBatch_Allocs_Unbatched_B64(b *testing.B) { benchMoveBatchAllocs(b, 64, false) }
 
-// --- E-MAP: sharded-map churn + rebalance ------------------------------------
-
-// benchMapChurn measures the keyed workload over two growing sharded
-// maps: inserts/removes/lookups mixed with keyed cross-map moves and §8
-// MoveN fan-outs, with shard grows (all entry relocations via MoveN)
-// inside the measured interval. Reported alongside ops/s: grows/trial,
-// how much rebalancing the interval absorbed.
-func benchMapChurn(b *testing.B, threads int, rebalancer bool) {
-	o := harness.MapOptions{
-		Threads:    threads,
-		TotalOps:   benchOps,
-		Trials:     1,
-		Keys:       8192,
-		Rebalancer: rebalancer,
-		Contention: harness.High,
-		Pin:        true,
-	}
-	var totalNS, grows float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := harness.RunMapChurn(o)
-		totalNS += r.Summary.Mean
-		grows += r.Grows
-	}
-	b.StopTimer()
-	b.ReportMetric(totalNS/float64(b.N)/1e6, "ms/trial")
-	b.ReportMetric(float64(benchOps)*float64(b.N)*1e9/totalNS, "ops/s")
-	b.ReportMetric(grows/float64(b.N), "grows/trial")
-}
-
-func BenchmarkMapChurn(b *testing.B) {
-	for _, threads := range benchThreads {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchMapChurn(b, threads, false)
-		})
-	}
-}
-
-func BenchmarkMapChurn_Rebalancer(b *testing.B) {
-	for _, threads := range benchThreads {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchMapChurn(b, threads, true)
-		})
-	}
-}
+// --- E-MAP: sharded map -----------------------------------------------------
 
 // Plain keyed throughput on one sharded map, no moves: the map's own
 // hot path with grows amortized in.
@@ -588,31 +543,6 @@ func BenchmarkElim_Stack(b *testing.B) {
 		for _, threads := range benchThreads {
 			b.Run(fmt.Sprintf("elim=%v/threads=%d", on, threads), func(b *testing.B) {
 				benchElimStack(b, threads, on)
-			})
-		}
-	}
-}
-
-// BenchmarkElim_MapChurn: the keyed churn scenario with per-shard
-// elimination arrays off vs on (mid-grow inserts park there).
-func BenchmarkElim_MapChurn(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		for _, threads := range benchThreads {
-			b.Run(fmt.Sprintf("elim=%v/threads=%d", on, threads), func(b *testing.B) {
-				o := harness.MapOptions{
-					Threads: threads, TotalOps: benchOps, Trials: 1,
-					Keys: 8192, Elimination: on,
-					Contention: harness.High, Pin: true,
-				}
-				var totalNS float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r := harness.RunMapChurn(o)
-					totalNS += r.Summary.Mean
-				}
-				b.StopTimer()
-				b.ReportMetric(totalNS/float64(b.N)/1e6, "ms/trial")
-				b.ReportMetric(float64(benchOps)*float64(b.N)*1e9/totalNS, "ops/s")
 			})
 		}
 	}

@@ -30,8 +30,10 @@
 // With -audit (default), the run tracks every successful PUT/DEL/
 // PUSH/POP from responses — counts and wrapping value-sums, which
 // commute, so cross-connection response ordering cannot skew them —
-// and compares the expectation against the server's AUDIT totals
-// after the workers quiesce. Composed MOVE/XFER/DRAIN traffic must
+// and compares the expectation against the change in the server's
+// AUDIT totals between a baseline read before the prefill and a second
+// read after the workers quiesce, so a server that already holds data
+// audits the same as a fresh one. Composed MOVE/XFER/DRAIN traffic must
 // leave all totals unchanged: that is the paper's composition claim
 // (an element is in exactly one object at every instant) checked over
 // the wire. A failed audit exits nonzero.
@@ -39,7 +41,7 @@
 // # Output
 //
 // Human-readable percentile tables on stdout; -json FILE additionally
-// writes the composebench-style document (host_cpus/contended honesty
+// writes the kvwire.Doc report (host_cpus/contended honesty
 // fields, one row per tenant×op with p50/p99/p999/max ns, per-tenant
 // and overall rollups, audit verdict). -slow N fetches the server-side
 // view after the run: the per-stage latency breakdown (queue/parse/
@@ -120,6 +122,11 @@ func main() {
 		prefill: *prefill, seed: *seed,
 		timeout: *timeout, maxRetries: *retries,
 		rec: latency.NewRecorder(*conns, *tenants, int(kvwire.OpCount)),
+	}
+	if *audit {
+		if g.auditBase, err = g.auditTotals(); err != nil {
+			fatal(fmt.Errorf("audit baseline: %w", err))
+		}
 	}
 	if err := g.run(); err != nil {
 		fatal(err)
@@ -260,6 +267,9 @@ type generator struct {
 	// skew them regardless of response interleaving.
 	putN, delN, pushN, popN atomic.Uint64
 	putSum, delSum          atomic.Uint64
+	// auditBase is the server's AUDIT totals before the prefill: what
+	// the server held before this run touched it.
+	auditBase [3]uint64
 
 	start   time.Time
 	elapsed time.Duration
@@ -653,28 +663,41 @@ func (g *generator) account(w int, req kvwire.Request, resp kvwire.Response) {
 	}
 }
 
-// audit fetches the server's totals and compares them with the
-// response-tracked expectations.
-func (g *generator) audit() (kvwire.Audit, error) {
+// auditTotals fetches the server's AUDIT totals: map entries, wrapping
+// map value-sum, queue entries.
+func (g *generator) auditTotals() (tot [3]uint64, err error) {
 	c, err := dialConn(g.addr)
 	if err != nil {
-		return kvwire.Audit{}, err
+		return tot, err
 	}
 	defer c.c.Close()
 	r, err := c.roundTrip(kvwire.Request{Op: kvwire.OpAudit})
 	if err != nil {
-		return kvwire.Audit{}, err
+		return tot, err
 	}
-	if !r.OK() || len(r.Vals) != 3 {
-		return kvwire.Audit{}, fmt.Errorf("bad AUDIT response %+v", r)
+	if !r.OK() || len(r.Vals) != len(tot) {
+		return tot, fmt.Errorf("bad AUDIT response %+v", r)
+	}
+	copy(tot[:], r.Vals)
+	return tot, nil
+}
+
+// audit compares the response-tracked expectations with what the run
+// changed on the server: its AUDIT totals now minus auditBase. Both
+// sides are wrapping uint64 differences, so the comparison is exact
+// even when the run removed more than it inserted.
+func (g *generator) audit() (kvwire.Audit, error) {
+	got, err := g.auditTotals()
+	if err != nil {
+		return kvwire.Audit{}, err
 	}
 	a := kvwire.Audit{
 		ExpectMapCount:   g.putN.Load() - g.delN.Load(),
 		ExpectMapSum:     g.putSum.Load() - g.delSum.Load(),
 		ExpectQueueCount: g.pushN.Load() - g.popN.Load(),
-		GotMapCount:      r.Vals[0],
-		GotMapSum:        r.Vals[1],
-		GotQueueCount:    r.Vals[2],
+		GotMapCount:      got[0] - g.auditBase[0],
+		GotMapSum:        got[1] - g.auditBase[1],
+		GotQueueCount:    got[2] - g.auditBase[2],
 	}
 	a.Pass = a.GotMapCount == a.ExpectMapCount &&
 		a.GotMapSum == a.ExpectMapSum &&
@@ -749,9 +772,11 @@ func printAudit(a kvwire.Audit) {
 	if !a.Pass {
 		verdict = "FAIL"
 	}
+	// Counts are changes over the run and print signed: against a warm
+	// server a run may remove more than it inserts.
 	fmt.Printf("conservation audit: %s (maps %d/%d entries, sum %d/%d; queues %d/%d) [expect/got]\n",
-		verdict, a.ExpectMapCount, a.GotMapCount, a.ExpectMapSum, a.GotMapSum,
-		a.ExpectQueueCount, a.GotQueueCount)
+		verdict, int64(a.ExpectMapCount), int64(a.GotMapCount), a.ExpectMapSum, a.GotMapSum,
+		int64(a.ExpectQueueCount), int64(a.GotQueueCount))
 }
 
 func fatal(err error) {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bufio"
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 
 	"repro/internal/kvwire"
@@ -78,5 +82,142 @@ func TestTokensUnique(t *testing.T) {
 			}
 			seen[v] = true
 		}
+	}
+}
+
+// stubServer answers PUT/DEL/PUSH/AUDIT lines over one map and one
+// queue count: enough of kvserver for a prefill and an audit, with
+// state the test can set before the first connection.
+type stubServer struct {
+	mu     sync.Mutex
+	m      map[[2]uint64]uint64 // (tenant, key) → value
+	queued uint64
+}
+
+func (s *stubServer) answer(req kvwire.Request) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch req.Op {
+	case kvwire.OpPut:
+		k := [2]uint64{uint64(req.Tenant), req.Keys[0]}
+		if _, ok := s.m[k]; ok {
+			return "EXISTS"
+		}
+		s.m[k] = req.Val
+		return "OK"
+	case kvwire.OpDel:
+		k := [2]uint64{uint64(req.Tenant), req.Keys[0]}
+		v, ok := s.m[k]
+		if !ok {
+			return "NF"
+		}
+		delete(s.m, k)
+		return fmt.Sprintf("OK %d", v)
+	case kvwire.OpPush:
+		s.queued++
+		return "OK"
+	case kvwire.OpAudit:
+		var sum uint64
+		for _, v := range s.m {
+			sum += v
+		}
+		return fmt.Sprintf("OK %d %d %d", len(s.m), sum, s.queued)
+	}
+	return "ERR unsupported"
+}
+
+// start serves s on a loopback listener until the test ends.
+func (s *stubServer) start(t *testing.T, tenants int) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				in := bufio.NewScanner(c)
+				for in.Scan() {
+					resp := "ERR parse"
+					if req, err := kvwire.ParseRequest(in.Text(), tenants); err == nil {
+						resp = s.answer(req)
+					}
+					if _, err := fmt.Fprintln(c, resp); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+// TestAuditAgainstWarmServer: the audit judges what the run changed,
+// not what the server holds. The stub starts with entries and queue
+// elements from "an earlier run" (a value-sum that has already wrapped),
+// and the run deletes more of them than it inserts, so the expected
+// map-count change is negative.
+func TestAuditAgainstWarmServer(t *testing.T) {
+	const tenants = 2
+	s := &stubServer{m: map[[2]uint64]uint64{}, queued: 5}
+	top := ^uint64(0)
+	for k := uint64(0); k < 8; k++ {
+		s.m[[2]uint64{0, k}] = top - k
+	}
+	g := &generator{addr: s.start(t, tenants), conns: 1, tenants: tenants, keys: 8, prefill: 4, seed: 1}
+
+	var err error
+	if g.auditBase, err = g.auditTotals(); err != nil {
+		t.Fatal(err)
+	}
+	if g.auditBase != [3]uint64{8, top*8 - 28, 5} {
+		t.Fatalf("baseline %v does not show the stub's warm state", g.auditBase)
+	}
+	c, err := dialConn(g.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.c.Close()
+	if err := g.doPrefill(c); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 8; k++ { // tenant 0 ends empty, whatever the prefill added
+		req := kvwire.Request{Op: kvwire.OpDel, Tenant: 0, Keys: []uint64{k}}
+		resp, err := c.roundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.account(0, req, resp)
+	}
+	a, err := g.audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Pass {
+		t.Fatalf("false audit failure against a warm server: %+v", a)
+	}
+	if int64(a.ExpectMapCount) >= 0 || a.ExpectQueueCount != 2 {
+		t.Fatalf("run did not shrink the warm map as intended: %+v", a)
+	}
+
+	// A server-side loss the client did not cause must still fail.
+	s.mu.Lock()
+	s.queued--
+	s.mu.Unlock()
+	if a, err = g.audit(); err != nil || a.Pass {
+		t.Fatalf("audit passed over a lost queue element: %+v, %v", a, err)
 	}
 }

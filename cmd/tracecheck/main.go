@@ -1,6 +1,6 @@
 // Command tracecheck validates and converts trace files (the JSONL
-// written by kvserver -trace and composebench -trace; see internal/obs
-// and docs/observability.md). A trace file mixes two record types on
+// written by kvserver -trace; see internal/obs and
+// docs/observability.md). A trace file mixes two record types on
 // one timeline: descriptor-protocol events and request spans (lines
 // carrying a top-level "span":1 key).
 //

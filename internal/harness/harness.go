@@ -153,8 +153,7 @@ type Options struct {
 	Elimination          bool
 	ElimSlots, ElimSpins int
 	// Prefill inserts this many elements into each object before the
-	// clock starts (the paper does not state its prefill; default 512,
-	// see EXPERIMENTS.md).
+	// clock starts (the paper does not state its prefill; default 512).
 	Prefill int
 	Seed    uint64
 	// Pin locks worker goroutines to OS threads.
@@ -349,9 +348,7 @@ func runTrial(o Options, trial uint64) (adjNS float64, elimHits, elimMisses uint
 			Slots:  o.ElimSlots,
 			Spins:  o.ElimSpins,
 		},
-		Obs: Observe,
 	})
-	defer harvestObs(rt)
 	setup := rt.RegisterThread()
 	objs := build(o, setup)
 	seedRng := xrand.New(o.Seed + trial*1000003)

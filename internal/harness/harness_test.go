@@ -85,8 +85,9 @@ func TestCalibration(t *testing.T) {
 func TestOptionNames(t *testing.T) {
 	o := smallOpts(Blocking, StackStack, MoveOnly)
 	o.Backoff = true
+	o.Elimination = true
 	name := o.Name()
-	for _, want := range []string{"stack/stack", "blocking", "move", "+backoff", "t=2"} {
+	for _, want := range []string{"stack/stack", "blocking", "move", "+backoff", "+elim", "t=2"} {
 		if !contains(name, want) {
 			t.Fatalf("Name %q missing %q", name, want)
 		}
@@ -115,34 +116,4 @@ func contains(s, sub string) bool {
 
 func nowNS() float64 {
 	return float64(time.Now().UnixNano())
-}
-
-// TestElimSweepScenario runs the elimination on/off sweep on a small
-// configuration: every cell must measure, the on-runs must carry
-// elimination stats wiring, and the off-runs must report zero hits.
-func TestElimSweepScenario(t *testing.T) {
-	cells := RunElimSweep(Options{
-		Mix:        InsertRemoveOnly,
-		Contention: NoWork,
-		TotalOps:   20000,
-		Trials:     1,
-		Prefill:    64,
-	}, []int{1, 2})
-	if len(cells) != 2 {
-		t.Fatalf("cells=%d", len(cells))
-	}
-	for _, c := range cells {
-		if c.Off.Summary.Mean <= 0 || c.On.Summary.Mean <= 0 {
-			t.Fatalf("t=%d: empty measurement", c.Threads)
-		}
-		if c.Off.ElimHits != 0 || c.Off.ElimMisses != 0 {
-			t.Fatalf("t=%d: off-run reported elimination activity", c.Threads)
-		}
-		if !c.On.Options.Elimination || c.On.Options.Name() == c.Off.Options.Name() {
-			t.Fatalf("t=%d: on-run not elimination-enabled", c.Threads)
-		}
-		if c.On.Options.Pair != StackStack {
-			t.Fatalf("t=%d: sweep must default to stack/stack", c.Threads)
-		}
-	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/elim"
-	"repro/internal/harness"
 	"repro/internal/hashmap"
 	"repro/internal/linearize"
 	"repro/internal/msqueue"
@@ -416,19 +415,4 @@ func TestComposedOpsRaceGrowsAndElimination(t *testing.T) {
 		t.Fatal("no grow happened; the race was not exercised")
 	}
 	t.Logf("grows=%d migrated=%d", grows+gb, migrated+mgb)
-}
-
-// TestComposedHarnessCells smoke-tests the harness scenario driver for
-// every composed operation; RunComposed panics on any conservation
-// violation, so completing is the assertion.
-func TestComposedHarnessCells(t *testing.T) {
-	for _, op := range []harness.ComposedOp{harness.SwapOp, harness.TransferOp, harness.DrainOp} {
-		res := harness.RunComposed(harness.ComposedOptions{
-			Op: op, Threads: 4, TotalOps: 4000, Trials: 1, K: 3, Prefill: 64,
-		})
-		if len(res.SamplesNS) != 1 {
-			t.Fatalf("%v: %d samples", op, len(res.SamplesNS))
-		}
-		t.Logf("%v: %.2fms, %.0f composed ops committed", op, res.MeanMS(), res.Succeeded)
-	}
 }

@@ -97,7 +97,7 @@ func (c *Ctx) dcas(d *Desc, ref uint64, initiator bool) Result {
 		// Some process's marked descriptor is (or was) pinned in ptr2.
 		// Promote the *observed* marked descriptor into res — not our
 		// own, which never made it into ptr2; promoting ours would let
-		// line D29 strand ptr2 (see DESIGN.md §3.2). Before the decision
+		// line D29 strand ptr2. Before the decision
 		// the pinned descriptor is unique, so cur is the right witness.
 		if word.SameDesc(cur, ref) && word.IsMarkedDesc(cur) {
 			d.status.CAS(statusUndecided, cur) // D24 (observed form)

@@ -3,6 +3,7 @@ package kvwire
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -154,6 +155,32 @@ func TestRobustCountersRoundTrip(t *testing.T) {
 	}
 	if doc.Audit != nil {
 		t.Fatal("NewDoc must not pre-fill an audit")
+	}
+}
+
+// TestNewDocContendedFlag pins the honesty guard every report carries:
+// a process with one schedulable CPU marks its document uncontended,
+// and the field serializes even when false (consumers distinguish
+// "uncontended" from "flag missing").
+func TestNewDocContendedFlag(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	solo := NewDoc()
+	if solo.Contended {
+		t.Fatal("GOMAXPROCS=1 must report an uncontended run")
+	}
+	if solo.HostCPUs != runtime.NumCPU() {
+		t.Fatalf("host_cpus %d, want %d", solo.HostCPUs, runtime.NumCPU())
+	}
+	blob, err := json.Marshal(solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"contended":false`) {
+		t.Fatalf("contended=false must be serialized explicitly: %s", blob)
+	}
+	runtime.GOMAXPROCS(2)
+	if !NewDoc().Contended {
+		t.Fatal("GOMAXPROCS=2 must report a contended run")
 	}
 }
 

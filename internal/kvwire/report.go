@@ -7,9 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Row is one (tenant, op) latency record, the composebench -json row
-// shape extended with the percentile fields the service layer reports:
-// per-tenant, per-op p50/p99/p999 read out of merged HDR histograms.
+// Row is one (tenant, op) latency record: per-tenant, per-op
+// p50/p99/p999 read out of merged HDR histograms.
 // In kvload output the latencies are response times measured from each
 // request's *intended* (scheduled) send time, so queueing a stalled
 // server causes shows up in the tail instead of being coordinated-
@@ -101,9 +100,10 @@ type SlowDoc struct {
 	Exemplars []obs.Span `json:"exemplars"`
 }
 
-// Audit is the conservation verdict of one kvload run: the totals the
+// Audit is the conservation verdict of one kvload run: the change the
 // client expects from its tracked successful responses against the
-// totals the server's AUDIT command observed after quiesce. Moves,
+// change in the server's AUDIT totals over the run (wrapping uint64
+// differences, after quiesce minus before prefill). Moves,
 // transfers and drains must leave all three invariant — an entry
 // relocated between tenants is in exactly one map (or queue) at every
 // instant, so only PUT/DEL (and PUSH/POP) change the totals.
@@ -160,10 +160,9 @@ type RobustCounters struct {
 	Drained bool `json:"drained"`
 }
 
-// Doc is the top-level JSON document both binaries emit: the
-// composebench -json layout (host_cpus + contended honesty flags, then
-// rows) extended with the load generator's schedule parameters and
-// conservation audit.
+// Doc is the top-level JSON document both binaries emit: host_cpus +
+// contended honesty flags, then rows, plus the load generator's
+// schedule parameters and conservation audit.
 type Doc struct {
 	HostCPUs  int  `json:"host_cpus"`
 	Contended bool `json:"contended"`
@@ -196,10 +195,10 @@ type Doc struct {
 	Rows []Row `json:"rows"`
 }
 
-// NewDoc returns a Doc with the host-honesty fields filled the same
-// way composebench fills them: Contended is false when the process had
-// one schedulable CPU, in which case "concurrent" latencies were
-// time-sliced and must not be compared against contended runs.
+// NewDoc returns a Doc with the host-honesty fields filled: Contended
+// is false when the process had one schedulable CPU, in which case
+// "concurrent" latencies were time-sliced and must not be compared
+// against contended runs.
 func NewDoc() Doc {
 	return Doc{HostCPUs: runtime.NumCPU(), Contended: runtime.GOMAXPROCS(0) > 1}
 }

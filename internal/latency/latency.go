@@ -12,9 +12,8 @@
 //
 // The package is measurement infrastructure for the service layer
 // (cmd/kvserver records per-tenant per-op service times, cmd/kvload
-// records open-loop response times from intended send time) and for
-// the harness's per-tenant latency mode; it has no dependency on the
-// containers.
+// records open-loop response times from intended send time); it has no
+// dependency on the containers.
 package latency
 
 import (

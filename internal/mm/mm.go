@@ -14,7 +14,7 @@
 //
 // The global stack pushes freshly boxed segments (one small GC allocation
 // per 200 freed nodes), which is the standard Go-safe way to get an
-// ABA-free Treiber stack; see DESIGN.md §2 for the substitution note.
+// ABA-free Treiber stack.
 package mm
 
 import (

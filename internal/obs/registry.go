@@ -230,8 +230,8 @@ func (s Snapshot) Names() []string {
 	return names
 }
 
-// Merge adds every series of o into s (the harness uses it to aggregate
-// snapshots across per-trial runtimes). Gauge and info marks union;
+// Merge adds every series of o into s (for aggregating snapshots
+// across several short-lived runtimes). Gauge and info marks union;
 // summed gauges across runtimes are the caller's interpretation burden.
 func (s *Snapshot) Merge(o Snapshot) {
 	if s.Counters == nil {

@@ -91,79 +91,3 @@ func (r *State) NormDuration(mean, stddev float64) float64 {
 	}
 	return d
 }
-
-// DefaultZipfTheta is the skew conventionally used by YCSB-style
-// workloads: the hottest key draws a few percent of all accesses.
-const DefaultZipfTheta = 0.99
-
-// Zipf generates zipfian-distributed ranks in [0, n): rank 0 is the
-// hottest, rank k is drawn with probability proportional to 1/(k+1)^θ.
-// It implements the Gray et al. quantile approximation popularized by
-// YCSB, with the harmonic normalizer computed once at construction
-// (O(n)); Next itself is allocation-free and O(1).
-//
-// A Zipf is immutable after construction, so one instance may be shared
-// by any number of threads, each drawing through its own *State.
-type Zipf struct {
-	n     uint64
-	theta float64
-	alpha float64
-	zetan float64
-	eta   float64
-	half  float64 // (1/2)^theta, the rank-1 threshold
-}
-
-// NewZipf builds a generator over n ranks with skew theta in (0, 1);
-// theta <= 0 selects DefaultZipfTheta. It panics when n is 0 or theta
-// is >= 1 (the approximation's validity range).
-func NewZipf(n uint64, theta float64) *Zipf {
-	if n == 0 {
-		panic("xrand: Zipf over an empty rank space")
-	}
-	if theta <= 0 {
-		theta = DefaultZipfTheta
-	}
-	if theta >= 1 {
-		panic("xrand: Zipf theta must be in (0, 1)")
-	}
-	z := &Zipf{n: n, theta: theta}
-	zeta := func(m uint64) float64 {
-		s := 0.0
-		for i := uint64(1); i <= m; i++ {
-			s += 1 / math.Pow(float64(i), theta)
-		}
-		return s
-	}
-	z.zetan = zeta(n)
-	two := n
-	if two > 2 {
-		two = 2
-	}
-	z.alpha = 1 / (1 - theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(two)/z.zetan)
-	z.half = math.Pow(0.5, theta)
-	return z
-}
-
-// N reports the rank-space size.
-func (z *Zipf) N() uint64 { return z.n }
-
-// Theta reports the configured skew.
-func (z *Zipf) Theta() float64 { return z.theta }
-
-// Next draws the next rank in [0, n) using r as the entropy source.
-func (z *Zipf) Next(r *State) uint64 {
-	u := r.Float64()
-	uz := u * z.zetan
-	if uz < 1 {
-		return 0
-	}
-	if z.n > 1 && uz < 1+z.half {
-		return 1
-	}
-	k := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	if k >= z.n {
-		k = z.n - 1
-	}
-	return k
-}

@@ -128,74 +128,3 @@ func TestUint32(t *testing.T) {
 		t.Fatal("Uint32 outputs suspiciously repetitive")
 	}
 }
-
-func TestZipfBoundsAndSkew(t *testing.T) {
-	const n = 1000
-	const draws = 200000
-	z := NewZipf(n, 0.99)
-	r := New(23)
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		k := z.Next(r)
-		if k >= n {
-			t.Fatalf("rank %d out of [0,%d)", k, n)
-		}
-		counts[k]++
-	}
-	// Rank 0 must be far hotter than uniform (draws/n = 200) and hotter
-	// than a mid-rank key; the head must dominate.
-	if counts[0] < 5*draws/n {
-		t.Fatalf("rank 0 drawn %d times; not zipfian", counts[0])
-	}
-	if counts[0] <= counts[n/2] {
-		t.Fatalf("rank 0 (%d) not hotter than rank %d (%d)", counts[0], n/2, counts[n/2])
-	}
-	head := 0
-	for i := 0; i < n/100; i++ { // hottest 1%
-		head += counts[i]
-	}
-	if float64(head) < 0.25*draws {
-		t.Fatalf("hottest 1%% drew only %d/%d; not skewed", head, draws)
-	}
-}
-
-func TestZipfDegenerateAndDefaults(t *testing.T) {
-	z := NewZipf(1, 0.5)
-	r := New(29)
-	for i := 0; i < 100; i++ {
-		if z.Next(r) != 0 {
-			t.Fatal("n=1 must always draw rank 0")
-		}
-	}
-	if NewZipf(10, 0).Theta() != DefaultZipfTheta {
-		t.Fatal("theta<=0 must select the default skew")
-	}
-	for _, bad := range []float64{1.0, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("theta=%f must panic", bad)
-				}
-			}()
-			NewZipf(10, bad)
-		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("n=0 must panic")
-			}
-		}()
-		NewZipf(0, 0.5)
-	}()
-}
-
-func TestZipfDeterministicPerState(t *testing.T) {
-	z := NewZipf(64, 0.9)
-	a, b := New(7), New(7)
-	for i := 0; i < 1000; i++ {
-		if z.Next(a) != z.Next(b) {
-			t.Fatal("equal seeds must give equal zipfian streams")
-		}
-	}
-}

@@ -8,7 +8,7 @@ import (
 )
 
 // The containers store uint64 words (shared words are arena handles; see
-// DESIGN.md §2). Box[T] bridges arbitrary Go values onto them: it rents
+// ARCHITECTURE.md "Substrate"). Box[T] bridges arbitrary Go values onto them: it rents
 // uint64 handles for values of type T, so typed wrappers like QueueOf
 // can offer a Go-native API while the moves underneath stay lock-free on
 // handles.
