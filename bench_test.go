@@ -13,11 +13,12 @@
 //	go test -bench 'A3_DCAS'     # DCAS vs two plain CASes
 //	go test -bench 'MoveN'       # §8 n-object extension
 //	go test -bench 'HashMove'    # §1.1 hash-map scenario
-//	go test -bench 'Elim'        # elimination-backoff layer off vs on
 //
 // The paper's full parameters are 5M ops × 50 trials × 1–16 threads; the
 // benchmarks run a scaled-down cell (100k ops) so a full sweep stays
-// tractable.
+// tractable. A cell with more threads than processors is named
+// threads=N/oversub: it still runs, but its adjusted time over-credits
+// local work (harness.Oversubscribed) and no verdict is read from it.
 package repro_test
 
 import (
@@ -28,7 +29,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/elim"
 	"repro/internal/harness"
 	"repro/internal/hazard"
 	"repro/internal/kcas"
@@ -37,7 +37,6 @@ import (
 	"repro/internal/plainstack"
 	"repro/internal/tstack"
 	"repro/internal/word"
-	"repro/internal/xrand"
 )
 
 const benchOps = 100_000
@@ -51,6 +50,9 @@ func benchFigure(b *testing.B, pair harness.Pair, backoff bool) {
 		for _, impl := range []harness.Impl{harness.LockFree, harness.Blocking} {
 			for _, threads := range benchThreads {
 				name := fmt.Sprintf("mix=%s/impl=%s/threads=%d", sanitize(mix.String()), impl, threads)
+				if harness.Oversubscribed(threads) {
+					name += "/oversub"
+				}
 				b.Run(name, func(b *testing.B) {
 					o := harness.Options{
 						Impl: impl, Pair: pair, Mix: mix,
@@ -508,57 +510,6 @@ func BenchmarkMap_InsertRemove_1T(b *testing.B) {
 		k := uint64(i) & 8191
 		m.Insert(th, k, k)
 		m.Remove(th, k)
-	}
-}
-
-// --- E-ELIM: elimination-backoff contention layer ----------------------------
-
-// benchElimStack runs the §6 high-contention stack/stack insert/remove
-// cell — the configuration Figure 4 shows collapsing — with the
-// elimination layer off or on; the on-runs also report their hit rate.
-func benchElimStack(b *testing.B, threads int, on bool) {
-	o := harness.Options{
-		Impl: harness.LockFree, Pair: harness.StackStack,
-		Mix: harness.InsertRemoveOnly, Contention: harness.High,
-		Threads: threads, TotalOps: benchOps, Trials: 1,
-		Elimination: on, Prefill: 512, Pin: true,
-	}
-	var totalNS, hits float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := harness.Run(o)
-		totalNS += r.Summary.Mean
-		hits += r.ElimHits
-	}
-	b.StopTimer()
-	b.ReportMetric(totalNS/float64(b.N)/1e6, "ms/trial")
-	b.ReportMetric(float64(benchOps)*float64(b.N)*1e9/totalNS, "ops/s")
-	if on {
-		b.ReportMetric(hits/float64(b.N)/float64(benchOps), "hits/op")
-	}
-}
-
-func BenchmarkElim_Stack(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		for _, threads := range benchThreads {
-			b.Run(fmt.Sprintf("elim=%v/threads=%d", on, threads), func(b *testing.B) {
-				benchElimStack(b, threads, on)
-			})
-		}
-	}
-}
-
-// BenchmarkElim_ParkMiss is the layer's worst-case fixed cost: a park
-// that times out with no taker (the price a lone contended push pays
-// before falling back to its CAS loop).
-func BenchmarkElim_ParkMiss(b *testing.B) {
-	a := elim.NewArray(elim.Config{Slots: 1, Spins: 64}, 2)
-	rng := xrand.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if a.Park(rng.Uint64(), 0, uint64(i)) {
-			b.Fatal("park hit with no taker")
-		}
 	}
 }
 

@@ -50,7 +50,7 @@
 // Example:
 //
 //	kvserver -addr :7070 -tenants 4 -workers 16
-//	kvserver -addr 127.0.0.1:7070 -tenants 3 -adaptive
+//	kvserver -addr 127.0.0.1:7070 -tenants 3
 //	kvserver -deadline 50ms -slo 5ms -fault 'kcas-commit:stall=2ms:every=97'
 //	kvserver -trace /tmp/kv.jsonl -statsevery 5s -pprof 127.0.0.1:6060
 //
@@ -96,8 +96,6 @@ func main() {
 		buckets  = flag.Int("buckets", 8, "initial buckets per shard")
 		arena    = flag.Int("arena", 1<<20, "container-node capacity across all tenants")
 		desccap  = flag.Int("desccap", 0, "k-word CAS descriptor capacity (0 = core default)")
-		elim     = flag.Bool("elim", false, "enable the elimination-backoff contention layer")
-		adaptive = flag.Bool("adaptive", false, "enable the adaptive contention-management subsystem")
 		deadline = flag.Duration("deadline", 0, "per-request service deadline; exhaustion retries until it, then TIMEOUT (0 = immediate BUSY)")
 		wtimeout = flag.Duration("wtimeout", 0, "per-response write timeout; slow clients are disconnected (0 = none)")
 		slo      = flag.Duration("slo", 0, "p99 service-time SLO; overload sheds lowest-priority tenants (0 = no shedding)")
@@ -125,9 +123,7 @@ func main() {
 
 	s := NewServer(Config{
 		Tenants: *tenants, Workers: *workers,
-		Shards: *shards, Buckets: *buckets, Arena: *arena,
-		DescCapacity: *desccap,
-		Elimination:  *elim, Adaptive: *adaptive,
+		Shards: *shards, Buckets: *buckets, Arena: *arena, DescCapacity: *desccap,
 		Deadline: *deadline, WriteTimeout: *wtimeout, SLO: *slo,
 		Fault:   plan,
 		Metrics: *metrics, Trace: *traceOut != "", TraceBuf: *traceBuf,

@@ -40,8 +40,6 @@ type Config struct {
 	// (default: the core default, 1<<18). Driving the server past it
 	// yields BUSY responses, not a crash.
 	DescCapacity int
-	// Elimination/Adaptive switch on the contention layers.
-	Elimination, Adaptive bool
 	// Deadline bounds one request's service time: resource-exhaustion
 	// retries stop and the request answers TIMEOUT once it has been in
 	// service this long. Zero disables the retry loop — exhaustion
@@ -179,8 +177,6 @@ func NewServer(cfg Config) *Server {
 		MaxThreads:    cfg.Workers + 2,
 		ArenaCapacity: cfg.Arena,
 		DescCapacity:  cfg.DescCapacity,
-		Elimination:   repro.EliminationConfig{Enable: cfg.Elimination},
-		Adaptive:      repro.AdaptiveConfig{Enable: cfg.Adaptive},
 		Obs: repro.ObsConfig{
 			Metrics: cfg.Metrics, Trace: cfg.Trace, TraceBuf: cfg.TraceBuf,
 			Spans: cfg.Spans, SpanBuf: cfg.SpanBuf, SpanTopK: cfg.SpanTopK,

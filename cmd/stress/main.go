@@ -13,12 +13,11 @@
 // on one side travels by position on the other, and map/pqueue, where a
 // keyed token on one side surfaces by priority order on the other (all
 // re-inserted tokens share one priority, stressing the uniquifier).
-// -elim adds the elimination-backoff layer to the containers that
-// support it; -rotate cycles through every pairing within one run, one
-// pair per audit round, carrying the tokens from pair to pair.
+// -rotate cycles through every pairing within one run, one pair per
+// audit round, carrying the tokens from pair to pair.
 //
 //	stress -pair queue/stack -threads 8 -rounds 20 -ops 200000
-//	stress -pair map/queue -elim -threads 8
+//	stress -pair map/queue -threads 8
 //	stress -rotate -threads 8 -rounds 18
 package main
 
@@ -52,8 +51,6 @@ func main() {
 		rounds   = flag.Int("rounds", 10, "audit rounds")
 		ops      = flag.Int("ops", 100_000, "operations per thread per round")
 		moveBias = flag.Int("movebias", 50, "percent of operations that are moves")
-		elim     = flag.Bool("elim", false, "enable the elimination-backoff layer")
-		adaptive = flag.Bool("adaptive", false, "enable the adaptive contention-management subsystem")
 		rotate   = flag.Bool("rotate", false, "cycle through all pairs within one run (one pair per round)")
 	)
 	flag.Parse()
@@ -62,8 +59,6 @@ func main() {
 		MaxThreads:    *threads + 1,
 		ArenaCapacity: 1 << 21,
 		DescCapacity:  1 << 18,
-		Elimination:   repro.EliminationConfig{Enable: *elim},
-		Adaptive:      repro.AdaptiveConfig{Enable: *adaptive},
 		// The audit lines read the metrics registry, so every counter
 		// they print carries the same series name METRICS and STATS
 		// expose — one naming scheme across all the stat surfaces.
@@ -209,11 +204,15 @@ func main() {
 		}
 		// The audit line reports the round that just ran: snapshot the
 		// registry at the quiescent point and print the window since the
-		// previous audit, under the registry's own series names.
+		// previous audit, under the registry's own series names — the
+		// same names the kvserver METRICS verb and STATS obs block use,
+		// so a grep written against one surface works on all of them.
+		// The registry already sums every container's contribution (the
+		// map's shards, both sides of the pair, retired rotation pairs'
+		// frozen counters).
 		snap := rt.Obs().Metrics().Snapshot()
 		delta := snap.Sub(prev)
 		prev = snap
-		contention := contentionLine(delta, *elim, *adaptive)
 		// Reinsert for the next round — into the next pair when
 		// rotating: every token is drained (a quiescent state), so
 		// handing the population to freshly built containers is a pure
@@ -231,35 +230,14 @@ func main() {
 			insertToken(tgt, keyed, tok)
 			i++
 		}
-		fmt.Printf("round %2d %-12s ok (%6.2fs)  kcas_helps_total=%d kcas_stray_cleanups_total=%d kcas_late_p2_total=%d%s\n",
+		fmt.Printf("round %2d %-12s ok (%6.2fs)  kcas_helps_total=%d kcas_stray_cleanups_total=%d kcas_late_p2_total=%d  cas_retries_total=%d\n",
 			round, roundPair, time.Since(t0).Seconds(),
 			delta.Get("kcas_helps_total"),
 			delta.Get("kcas_stray_cleanups_total"),
-			delta.Get("kcas_late_p2_total"), contention)
+			delta.Get("kcas_late_p2_total"),
+			delta.Get("cas_retries_total"))
 	}
 	fmt.Println("stress: all rounds passed — conservation intact")
-}
-
-// contentionLine renders the round's contention-layer counters out of a
-// registry snapshot window, under the registry's series names — the
-// same names the kvserver METRICS verb and STATS obs block use, so a
-// grep written against one surface works on all of them. The registry
-// already sums every container's contribution (the map's shards, both
-// sides of the pair, retired rotation pairs' frozen counters).
-func contentionLine(d repro.ObsSnapshot, elim, adaptive bool) string {
-	out := fmt.Sprintf("  cas_retries_total=%d", d.Get("cas_retries_total"))
-	if elim || adaptive {
-		out += fmt.Sprintf(" elim_hits_total=%d elim_misses_total=%d",
-			d.Get("elim_hits_total"), d.Get("elim_misses_total"))
-	}
-	if adaptive {
-		out += fmt.Sprintf(" adapt[epochs=%d win=+%d/-%d attach=%d/%d pace=+%d/-%d]",
-			d.Get("adapt_epochs_total"),
-			d.Get("adapt_window_grows_total"), d.Get("adapt_window_shrinks_total"),
-			d.Get("adapt_attaches_total"), d.Get("adapt_detaches_total"),
-			d.Get("adapt_pace_raises_total"), d.Get("adapt_pace_decays_total"))
-	}
-	return out
 }
 
 // buildPair constructs the requested container pair; akeyed/bkeyed

@@ -30,85 +30,6 @@
 // (QueueOf, StackOf, MapOf) bridge arbitrary Go values onto the uint64
 // containers through a shared Box.
 //
-// # Elimination backoff
-//
-// Config.Elimination switches on a Hendler/Shavit-style contention
-// layer for the stacks and the map's shards: an operation that loses
-// its linearization CAS rendezvouses in a small per-object elimination
-// array, where a push pairs off with a concurrent pop (and a mid-grow
-// map insert with a same-key remove) and the two exchange the value
-// without touching the shared word. The eliminated pair linearizes at
-// the exchange, so histories stay linearizable; hit/miss counters are
-// exposed via the containers' ElimStats methods. Tuning knobs:
-//
-//	rt := repro.NewRuntime(repro.Config{
-//		MaxThreads:  16,
-//		Elimination: repro.EliminationConfig{Enable: true}, // Slots/Spins optional
-//	})
-//
-// Threads inside a Move/MoveN always bypass the array: a move's
-// linearization must go through its kCAS descriptor, never a
-// side-channel exchange. The layer pays off only under real hardware
-// parallelism — single-CPU hosts rarely fail a CAS, so nothing parks.
-//
-// # Adaptive contention management
-//
-// Config.Adaptive closes the feedback loop the static elimination
-// knobs leave open. Each adapting object (a stack, a map shard) owns a
-// controller fed by cheap, cache-line padded, per-thread-striped
-// signal counters — CAS retries (the stacks' own counters,
-// harrislist.Retries summed per shard), elimination hits and misses,
-// park timeouts — sampled on operation-count epoch boundaries: every
-// operation ticks the controller's striped clock, and the one thread
-// that crosses the epoch (a single CAS wins the gate) gathers the
-// signals and applies the policies. There is no background goroutine;
-// reads of the published decisions are wait-free and a quiescent
-// object pays nothing. Three behaviors come out:
-//
-//   - Elimination window sizing: the active slot window of a stack's
-//     or shard's elimination array doubles when misses pile up while
-//     traffic flows, and halves when parks expire cold (timeouts with
-//     zero hits) — Hendler/Shavit's classic adaptive refinement. The
-//     window moves by CAS and never shrinks over a waiting offer;
-//     takers always scan the full physical array, so no resize can
-//     strand a parked operation.
-//
-//   - Hot-shard elimination: a map shard whose per-epoch CAS-retry
-//     delta crosses the attach threshold routes contention losers to
-//     its elimination array even with no grow in flight — inserts
-//     switch to a bounded retry budget and park (key, value) after
-//     losing it; removes that miss the chain consult the array behind
-//     the same re-walk absence witness the mid-grow path uses. A
-//     hysteresis band (attach above one threshold, detach only after
-//     several consecutive epochs below a lower one) keeps the decision
-//     from flapping.
-//
-//   - Rebalance pacing: sustained retry pressure on a shard lowers its
-//     effective grow-load threshold notch by notch, so hot shards
-//     split earlier than merely full ones; calm epochs decay the shift
-//     back.
-//
-// Enabling adaptation attaches elimination arrays to the supporting
-// containers even when Config.Elimination is off. Tuning rides on
-// AdaptiveConfig (zero fields select defaults); decision counts are
-// exposed as AdaptStats on the containers:
-//
-//	rt := repro.NewRuntime(repro.Config{
-//		MaxThreads: 16,
-//		Adaptive:   repro.AdaptiveConfig{Enable: true},
-//	})
-//	m := repro.NewHashMap(th, 64)
-//	... traffic ...
-//	st := m.AdaptStats() // epochs, window resizes, attaches, pace raises
-//
-// The invariant the whole subsystem is built around: adaptation tunes
-// the contention layer only — where an operation waits, how many
-// rendezvous slots are live, when a shard splits. It NEVER adds a
-// linearization side channel: threads inside a Move/MoveN bypass the
-// elimination layer no matter what any controller decides, exactly as
-// with the static layer, and the composition test suite probes that
-// bypass with adaptation forced hot.
-//
 // # The k-word CAS engine
 //
 // One engine (internal/kcas) backs every composition. A descriptor
@@ -195,10 +116,8 @@ package repro
 import (
 	"io"
 
-	"repro/internal/adapt"
 	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/elim"
 	"repro/internal/fault"
 	"repro/internal/harrislist"
 	"repro/internal/hashmap"
@@ -209,21 +128,6 @@ import (
 
 // Config sizes a Runtime. See core.Config for the field documentation.
 type Config = core.Config
-
-// EliminationConfig tunes the elimination-backoff contention layer; set
-// it as Config.Elimination. See elim.Config for the field documentation.
-type EliminationConfig = elim.Config
-
-// AdaptiveConfig tunes the adaptive contention-management subsystem;
-// set it as Config.Adaptive. See adapt.Config for the field
-// documentation (zero fields select package defaults).
-type AdaptiveConfig = adapt.Config
-
-// AdaptStats counts a container's adaptation decisions (epochs
-// sampled, elimination-window resizes, hot-shard attaches/detaches,
-// rebalance-pacing moves); returned by the containers' AdaptStats
-// methods (HashMap aggregates its shards').
-type AdaptStats = adapt.Stats
 
 // Runtime owns the shared substrate (arena, hazard pointers, memory
 // manager, descriptor pools) for one family of composable objects.

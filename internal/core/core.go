@@ -15,16 +15,13 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/arena"
-	"repro/internal/elim"
 	"repro/internal/fault"
 	"repro/internal/hazard"
 	"repro/internal/kcas"
 	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/word"
-	"repro/internal/xrand"
 )
 
 // Node hazard-pointer slot assignments. Requirement 2 of the
@@ -78,26 +75,6 @@ type Config struct {
 	// RetireThreshold triggers hazard scans of retired nodes. Default
 	// mm.DefaultRetireThreshold.
 	RetireThreshold int
-	// Elimination configures the elimination-backoff contention layer
-	// for the containers that support it (the Treiber stacks and the
-	// hash map's shards): operations that lose their linearization CAS
-	// to contention rendezvous in a per-object elimination array and
-	// pair off insert/remove without touching the shared anchor.
-	// Threads inside a Move/MoveN always bypass the layer — a move's
-	// linearization must go through its DCAS/MCAS descriptor. Disabled
-	// by default.
-	Elimination elim.Config
-	// Adaptive configures the feedback-driven contention-management
-	// subsystem (package adapt): per-object controllers sample the
-	// containers' contention signals on operation-count epochs and tune
-	// the elimination window, attach elimination to hot unsealed map
-	// shards, and pace shard rebalancing. Enabling it attaches
-	// elimination arrays to the supporting containers even when
-	// Elimination.Enable is false (the arrays are the mechanism the
-	// controllers steer). Adaptation never reroutes a move: the
-	// Move/MoveN elimination bypass holds regardless of any decision.
-	// Disabled by default.
-	Adaptive adapt.Config
 	// Fault, when non-nil, is fired at the substrate's named injection
 	// points (descriptor publish/commit/recycle, batch prepare–commit
 	// gap, hash-map mid-migration) — see package fault. Nil (the
@@ -188,39 +165,6 @@ func (rt *Runtime) MaxThreads() int { return rt.cfg.MaxThreads }
 // rt.Obs().Metrics() without guards).
 func (rt *Runtime) Obs() *obs.Obs { return rt.obs }
 
-// Elimination reports the configured elimination-backoff tuning;
-// containers consult it at construction time to decide whether (and how
-// big) an elimination array to attach.
-func (rt *Runtime) Elimination() elim.Config { return rt.cfg.Elimination }
-
-// Adaptive reports the configured adaptive contention-management
-// tuning; containers consult it at construction time to decide whether
-// to attach a controller (and how to parameterize its policies).
-func (rt *Runtime) Adaptive() adapt.Config { return rt.cfg.Adaptive }
-
-// NewController builds an adapt controller sized for this runtime's
-// thread bound, or nil when adaptation is disabled — the one-liner
-// containers call at construction time.
-func (rt *Runtime) NewController() *adapt.Controller {
-	if !rt.cfg.Adaptive.Enable {
-		return nil
-	}
-	c := adapt.New(rt.cfg.Adaptive, rt.cfg.MaxThreads)
-	if reg := rt.obs.Metrics(); reg != nil {
-		// Every controller registers under the same names; Snapshot
-		// sums them, mirroring what the containers' AdaptStats
-		// aggregation reports.
-		reg.AddFunc("adapt_epochs_total", func() uint64 { return c.Stats().Epochs })
-		reg.AddFunc("adapt_window_grows_total", func() uint64 { return c.Stats().WindowGrows })
-		reg.AddFunc("adapt_window_shrinks_total", func() uint64 { return c.Stats().WindowShrinks })
-		reg.AddFunc("adapt_attaches_total", func() uint64 { return c.Stats().Attaches })
-		reg.AddFunc("adapt_detaches_total", func() uint64 { return c.Stats().Detaches })
-		reg.AddFunc("adapt_pace_raises_total", func() uint64 { return c.Stats().PaceRaises })
-		reg.AddFunc("adapt_pace_decays_total", func() uint64 { return c.Stats().PaceDecays })
-	}
-	return c
-}
-
 // NextObjectID hands out stable object identities; the blocking baseline
 // uses them for lock ordering and Move uses them to reject same-object
 // composition early.
@@ -250,7 +194,6 @@ func (rt *Runtime) RegisterThread() *Thread {
 			PairMirror1: slotMirror1, PairMirror2: slotMirror2,
 			KMirrorBase: slotKMirrorBase,
 		}),
-		Rng: xrand.New(uint64(id)*0x9e3779b97f4a7c15 + 1),
 		flt: rt.cfg.Fault,
 		reg: rt.obs.Metrics(),
 		trc: rt.obs.Tracer(),

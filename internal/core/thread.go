@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/arena"
 	"repro/internal/backoff"
 	"repro/internal/fault"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/word"
-	"repro/internal/xrand"
 )
 
 // Thread is the per-goroutine execution context. It carries the paper's
@@ -44,11 +42,6 @@ type Thread struct {
 	mDepth   int    // entry index the active step fills
 	mElement uint64 // element threaded through the chain
 
-	// Rng is this thread's private random source, seeded from the
-	// thread id at registration. The elimination layer draws slot
-	// choices from it; workloads may reseed or replace it.
-	Rng *xrand.State
-
 	// seq is a private per-thread counter (see Seq).
 	seq uint64
 
@@ -74,6 +67,10 @@ type Thread struct {
 	// Nil when disabled; every hook is then one nil check.
 	reg *obs.Registry
 	trc *obs.Tracer
+
+	// Tail pad: keeps Thread a whole number of cache lines
+	// (TestThreadOwnsItsLines).
+	_ [8]byte
 }
 
 // chainStep is one operation of a composed chain: exactly one of rem or
@@ -281,19 +278,6 @@ func (t *Thread) Fault(p fault.Point) {
 // (desc ≠ 0 in the paper's terms); containers use it in assertions and
 // tests observe it.
 func (t *Thread) MoveInFlight() bool { return t.desc != nil || t.mdesc != nil }
-
-// AdaptTick is the adaptive subsystem's hook in the operation path:
-// containers call it once per operation with their controller (nil is
-// a no-op, so the call can sit unconditionally on the hot path). A
-// true return means this thread crossed the controller's epoch
-// boundary and won the sampling gate — the container must now gather
-// its signal counters and feed them to the controller's Apply.
-func (t *Thread) AdaptTick(c *adapt.Controller) bool {
-	if c == nil {
-		return false
-	}
-	return c.Tick(t.id)
-}
 
 // Seq returns a thread-local counter that increments on every call;
 // containers use it to build unique sub-keys (e.g. the priority queue's

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/core"
-	"repro/internal/elim"
 	"repro/internal/msqueue"
 	"repro/internal/stats"
 	"repro/internal/tstack"
@@ -146,12 +145,6 @@ type Options struct {
 	// zero selects package backoff defaults, which were chosen the way
 	// the paper tunes its baseline.
 	BackoffStart, BackoffMax uint32
-	// Elimination enables the elimination-backoff contention layer on
-	// the lock-free containers (stacks; ignored by queues and the
-	// blocking baseline). ElimSlots/ElimSpins tune the array (zero
-	// selects package elim defaults).
-	Elimination          bool
-	ElimSlots, ElimSpins int
 	// Prefill inserts this many elements into each object before the
 	// clock starts (the paper does not state its prefill; default 512).
 	Prefill int
@@ -187,9 +180,6 @@ func (o Options) Name() string {
 	if o.Backoff {
 		b += "+backoff"
 	}
-	if o.Elimination {
-		b += "+elim"
-	}
 	return fmt.Sprintf("%s/%s/%s%s/work=%s/t=%d", o.Pair, o.Impl, o.Mix, b, o.Contention, o.Threads)
 }
 
@@ -202,10 +192,20 @@ type Result struct {
 	Summary   stats.Summary
 	// Ops is the per-trial operation count actually issued.
 	Ops int
-	// ElimHits/ElimMisses are per-trial means of the pair's elimination
-	// counters (zero when the layer is off or unsupported).
-	ElimHits, ElimMisses float64
+	// Oversubscribed marks a cell that ran more workers than processors
+	// (see Oversubscribed): its adjusted time over-credits local work and
+	// no verdict is read from it.
+	Oversubscribed bool
 }
+
+// Oversubscribed reports whether a cell of this many workers exceeds the
+// processors available to the program. The adjusted time subtracts
+// totalWork/threads from the wall clock, which assumes every worker owns
+// a processor; SpinFor spins on the wall clock, so a descheduled
+// worker's local work elapses for free and is still subtracted. Such a
+// cell reads faster than it is (on 2 CPUs the 16-thread stack cell reads
+// 4–6× the 2-thread one for the same operations).
+func Oversubscribed(threads int) bool { return threads > runtime.GOMAXPROCS(0) }
 
 // MeanMS returns the mean adjusted duration in milliseconds.
 func (r Result) MeanMS() float64 { return r.Summary.Mean / 1e6 }
@@ -219,29 +219,6 @@ type objects struct {
 	removeB func(t *core.Thread) (uint64, bool)
 	moveAB  func(t *core.Thread) bool
 	moveBA  func(t *core.Thread) bool
-	// elimStats sums the pair's elimination counters (nil: none).
-	elimStats func() (hits, misses uint64)
-}
-
-// elimStatser is implemented by containers carrying an elimination
-// array (currently the Treiber stacks and the sharded map).
-type elimStatser interface {
-	ElimStats() (hits, misses uint64)
-}
-
-// sumElimStats aggregates elimination counters over a pair.
-func sumElimStats(a, b core.MoveReady) func() (uint64, uint64) {
-	return func() (uint64, uint64) {
-		var hits, misses uint64
-		for _, o := range []core.MoveReady{a, b} {
-			if es, ok := o.(elimStatser); ok {
-				h, m := es.ElimStats()
-				hits += h
-				misses += m
-			}
-		}
-		return hits, misses
-	}
 }
 
 // build creates the object pair for one trial.
@@ -258,13 +235,12 @@ func build(o Options, setup *core.Thread) objects {
 			a, b = msqueue.New(setup), tstack.New(setup)
 		}
 		return objects{
-			insertA:   func(t *core.Thread, v uint64) bool { return a.Insert(t, 0, v) },
-			removeA:   func(t *core.Thread) (uint64, bool) { return a.Remove(t, 0) },
-			insertB:   func(t *core.Thread, v uint64) bool { return b.Insert(t, 0, v) },
-			removeB:   func(t *core.Thread) (uint64, bool) { return b.Remove(t, 0) },
-			moveAB:    func(t *core.Thread) bool { _, ok := t.Move(a, b, 0, 0); return ok },
-			moveBA:    func(t *core.Thread) bool { _, ok := t.Move(b, a, 0, 0); return ok },
-			elimStats: sumElimStats(a, b),
+			insertA: func(t *core.Thread, v uint64) bool { return a.Insert(t, 0, v) },
+			removeA: func(t *core.Thread) (uint64, bool) { return a.Remove(t, 0) },
+			insertB: func(t *core.Thread, v uint64) bool { return b.Insert(t, 0, v) },
+			removeB: func(t *core.Thread) (uint64, bool) { return b.Remove(t, 0) },
+			moveAB:  func(t *core.Thread) bool { _, ok := t.Move(a, b, 0, 0); return ok },
+			moveBA:  func(t *core.Thread) bool { _, ok := t.Move(b, a, 0, 0); return ok },
 		}
 	default:
 		type blk interface {
@@ -322,20 +298,16 @@ func removeBlk(t *core.Thread, o blocking.Source) (uint64, bool) {
 func Run(o Options) Result {
 	o = o.withDefaults()
 	Calibrate()
-	res := Result{Options: o, Ops: o.TotalOps}
+	res := Result{Options: o, Ops: o.TotalOps, Oversubscribed: Oversubscribed(o.Threads)}
 	for trial := 0; trial < o.Trials; trial++ {
-		ns, hits, misses := runTrial(o, uint64(trial))
-		res.SamplesNS = append(res.SamplesNS, ns)
-		res.ElimHits += float64(hits) / float64(o.Trials)
-		res.ElimMisses += float64(misses) / float64(o.Trials)
+		res.SamplesNS = append(res.SamplesNS, runTrial(o, uint64(trial)))
 	}
 	res.Summary = stats.Summarize(res.SamplesNS)
 	return res
 }
 
-// runTrial performs one timed run and returns adjusted nanoseconds plus
-// the trial's elimination counters.
-func runTrial(o Options, trial uint64) (adjNS float64, elimHits, elimMisses uint64) {
+// runTrial performs one timed run and returns adjusted nanoseconds.
+func runTrial(o Options, trial uint64) float64 {
 	arenaCap := o.ArenaCapacity
 	if arenaCap == 0 {
 		arenaCap = o.Prefill*4 + o.TotalOps/2 + (1 << 16)
@@ -343,11 +315,6 @@ func runTrial(o Options, trial uint64) (adjNS float64, elimHits, elimMisses uint
 	rt := core.NewRuntime(core.Config{
 		MaxThreads:    o.Threads + 1,
 		ArenaCapacity: arenaCap,
-		Elimination: elim.Config{
-			Enable: o.Elimination,
-			Slots:  o.ElimSlots,
-			Spins:  o.ElimSpins,
-		},
 	})
 	setup := rt.RegisterThread()
 	objs := build(o, setup)
@@ -408,10 +375,7 @@ func runTrial(o Options, trial uint64) (adjNS float64, elimHits, elimMisses uint
 	if adj < 0 {
 		adj = 0
 	}
-	if objs.elimStats != nil {
-		elimHits, elimMisses = objs.elimStats()
-	}
-	return adj, elimHits, elimMisses
+	return adj
 }
 
 // doOp issues one random operation per the mix.

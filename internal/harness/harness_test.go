@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -85,9 +86,8 @@ func TestCalibration(t *testing.T) {
 func TestOptionNames(t *testing.T) {
 	o := smallOpts(Blocking, StackStack, MoveOnly)
 	o.Backoff = true
-	o.Elimination = true
 	name := o.Name()
-	for _, want := range []string{"stack/stack", "blocking", "move", "+backoff", "+elim", "t=2"} {
+	for _, want := range []string{"stack/stack", "blocking", "move", "+backoff", "t=2"} {
 		if !contains(name, want) {
 			t.Fatalf("Name %q missing %q", name, want)
 		}
@@ -95,6 +95,26 @@ func TestOptionNames(t *testing.T) {
 	if QueueQueue.String() != "queue/queue" || High.String() != "high" ||
 		LockFree.String() != "lockfree" || Mixed.String() != "all" {
 		t.Fatal("stringers broken")
+	}
+}
+
+// TestOversubscribedFlag pins the flag on both sides of the boundary: a
+// cell with as many workers as processors is not oversubscribed, one
+// more worker is, and Run reports what Oversubscribed says.
+func TestOversubscribedFlag(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		threads int
+		want    bool
+	}{{procs, false}, {procs + 1, true}} {
+		if got := Oversubscribed(c.threads); got != c.want {
+			t.Errorf("Oversubscribed(%d) at GOMAXPROCS=%d = %v, want %v", c.threads, procs, got, c.want)
+		}
+		o := smallOpts(LockFree, StackStack, InsertRemoveOnly)
+		o.Threads, o.TotalOps, o.Trials = c.threads, 2000, 1
+		if r := Run(o); r.Oversubscribed != c.want {
+			t.Errorf("Run at %d threads, GOMAXPROCS=%d: Oversubscribed = %v, want %v", c.threads, procs, r.Oversubscribed, c.want)
+		}
 	}
 }
 

@@ -36,10 +36,9 @@ type List struct {
 	id   uint64
 
 	// retries counts failed linearization CASes (an insert or remove
-	// losing its scas to a concurrent writer) — the cheap contention
-	// signal consumers like the hash map's shards aggregate. Written
-	// only on the contention path, so the uncontended fast path never
-	// touches it.
+	// losing its scas to a concurrent writer); the hash map sums it over
+	// its buckets for cas_retries_total. Written only on the contention
+	// path, so the uncontended fast path never touches it.
 	retries atomic.Uint64
 }
 
@@ -127,26 +126,6 @@ retry:
 // (an init-phase failure: during a move this aborts the composition) or
 // when a surrounding move aborts.
 func (l *List) Insert(t *core.Thread, key, val uint64) bool {
-	ok, _ := l.insertBudget(t, key, val, -1)
-	return ok
-}
-
-// InsertBounded is Insert with a retry budget: it gives up after
-// budget lost linearization CASes and reports done=false, the caller's
-// cue that this insert is a contention loser (the hash map's hot
-// shards route such losers to their elimination array instead of
-// letting them hammer the chain). An undecided return has no effect on
-// the list — the node was never published — so the caller may retry,
-// park, or abandon freely. done=true carries Insert's usual ok.
-func (l *List) InsertBounded(t *core.Thread, key, val uint64, budget int) (ok, done bool) {
-	if budget < 0 {
-		budget = 0
-	}
-	return l.insertBudget(t, key, val, budget)
-}
-
-// insertBudget is the shared insert loop; budget < 0 means unbounded.
-func (l *List) insertBudget(t *core.Thread, key, val uint64, budget int) (ok, done bool) {
 	ref := word.Nil
 	defer func() {
 		t.ProtectNode(core.SlotInsAux, 0)
@@ -158,7 +137,7 @@ func (l *List) insertBudget(t *core.Thread, key, val uint64, budget int) (ok, do
 			if ref != word.Nil {
 				t.FreeNodeDirect(ref)
 			}
-			return false, true
+			return false
 		}
 		if ref == word.Nil {
 			ref = t.AllocNode()
@@ -169,22 +148,13 @@ func (l *List) insertBudget(t *core.Thread, key, val uint64, budget int) (ok, do
 		res := t.SCASInsert(r.prevW, r.cur, ref, r.prevRef)
 		if res == core.FAbort {
 			t.FreeNodeDirect(ref)
-			return false, true
+			return false
 		}
 		if res == core.FTrue {
 			t.BackoffReset()
-			return true, true
+			return true
 		}
 		l.retries.Add(1)
-		if budget == 0 {
-			// Bounded and spent: undecided. The node was never
-			// published; recycle it and let the caller choose.
-			t.FreeNodeDirect(ref)
-			return false, false
-		}
-		if budget > 0 {
-			budget--
-		}
 		t.BackoffWait()
 	}
 }

@@ -200,29 +200,3 @@ func TestConcurrentSameKeyContention(t *testing.T) {
 		seen[k] = true
 	}
 }
-
-// TestInsertBoundedDecidedPaths: success and duplicate are decided
-// outcomes regardless of budget; an undecided return (budget spent on
-// lost CASes) needs real contention and is exercised by the hash map's
-// hot-shard tests and the race suite.
-func TestInsertBoundedDecidedPaths(t *testing.T) {
-	rt := newRT(1)
-	th := rt.RegisterThread()
-	l := New(th)
-	ok, done := l.InsertBounded(th, 5, 50, 0)
-	if !ok || !done {
-		t.Fatalf("uncontended bounded insert: ok=%v done=%v", ok, done)
-	}
-	ok, done = l.InsertBounded(th, 5, 51, 0)
-	if ok || !done {
-		t.Fatalf("duplicate bounded insert: ok=%v done=%v", ok, done)
-	}
-	if v, ok := l.Contains(th, 5); !ok || v != 50 {
-		t.Fatalf("contains: %d %v", v, ok)
-	}
-	// A negative budget clamps to zero (bounded), not unbounded.
-	ok, done = l.InsertBounded(th, 6, 60, -3)
-	if !ok || !done {
-		t.Fatalf("negative-budget insert: ok=%v done=%v", ok, done)
-	}
-}

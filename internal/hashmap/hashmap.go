@@ -56,51 +56,13 @@
 // successor table, which is already part of the lookup chain — the move
 // only aborts if the key is still present in the sealed table (a
 // genuine duplicate) or the chain advances underneath it.
-//
-// # Elimination
-//
-// When the runtime enables elimination (core.Config.Elimination), every
-// shard attaches an elimination array. An insert that finds its shard
-// sealed with the drain already fully claimed — the mid-grow state
-// where helping would only duplicate the verify pass — parks
-// (key, value) there for a bounded window instead of piling onto the
-// grow; a remove that misses the whole table chain of a sealed shard
-// scans the array for an insert parked on the same shard with the same
-// key. Before consuming it, the remove re-walks the chain: the
-// second walk is an absence witness taken strictly inside the window in
-// which the insert was continuously parked (observed waiting before the
-// walk, successfully claimed by CAS after it), so the pair linearizes
-// at the walk — insert of an absent key immediately followed by its
-// remove — a valid map history no matter what concurrent inserts do.
-// Threads inside a Move/MoveN bypass the array on both sides.
-//
-// # Adaptation
-//
-// When the runtime enables the adaptive subsystem (core.Config.
-// Adaptive), every shard additionally owns an adapt.Controller fed
-// from the operation path: inserts, removes and lookups tick its epoch
-// clock, and the thread that crosses an epoch boundary samples the
-// shard's signals (bucket CAS retries summed over the table chain, the
-// elimination array's hit/miss/timeout counters) and applies three
-// decisions. The array's active window resizes with traffic; a shard
-// whose retry rate crosses the attach threshold becomes *hot* — its
-// inserts switch to a bounded retry budget and route contention losers
-// to the elimination array even though no grow is in flight, and its
-// removes consult the array on a chain miss (same absence-witness
-// protocol as mid-grow) — until the hysteresis band cools; and
-// sustained retry pressure lowers the shard's effective grow-load
-// threshold so hot shards split earlier. None of this moves a
-// linearization point, and threads inside a Move/MoveN both skip the
-// bounded-budget path and keep the full elimination bypass.
 package hashmap
 
 import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
-	"repro/internal/elim"
 	"repro/internal/fault"
 	"repro/internal/harrislist"
 	"repro/internal/pad"
@@ -138,19 +100,10 @@ type Map struct {
 
 var _ core.MoveReady = (*Map)(nil)
 
-// hotRetryBudget is the bounded insert's retry allowance on a hot
-// shard: after this many additional lost linearization CASes the
-// insert is a contention loser and routes to the elimination array.
-const hotRetryBudget = 1
-
 // shard is one partition: a chain of tables plus its element counter.
 type shard struct {
-	cur  atomic.Pointer[table] // oldest undrained table; chain via next
-	elim *elim.Array           // per-shard elimination array, nil when disabled
-	// ctrl is the shard's adaptive controller (nil when
-	// core.Config.Adaptive is off); its presence implies elim != nil.
-	ctrl *adapt.Controller
-	_    [pad.CacheLineSize - 24]byte
+	cur atomic.Pointer[table] // oldest undrained table; chain via next
+	_   pad.Pad56
 
 	count atomic.Int64 // written by every successful insert and remove
 	_     pad.Pad56
@@ -207,45 +160,17 @@ func NewSharded(t *core.Thread, shards, bucketsPerShard, growLoad int) *Map {
 		ns >>= 1
 	}
 	per := pad.CeilPow2(bucketsPerShard)
-	rt := t.Runtime()
-	ecfg := rt.Elimination()
-	acfg := rt.Adaptive()
 	for i := range m.shards {
 		m.shards[i].cur.Store(m.newTable(t, per))
-		switch {
-		case acfg.Enable:
-			// Adaptive shards always carry an array (hot-shard
-			// elimination needs the mechanism even when the static
-			// layer is off) with physical capacity for the whole
-			// window range the controller may request.
-			ctrl := rt.NewController()
-			m.shards[i].ctrl = ctrl
-			m.shards[i].elim = elim.NewArrayCapacity(ecfg, rt.MaxThreads(), ctrl.Config().MaxWindow)
-		case ecfg.Enable:
-			// Per-shard arrays: contention concentrates on hot shards,
-			// and slot scans stay within one shard's keys.
-			m.shards[i].elim = elim.NewArray(ecfg, rt.MaxThreads())
-		}
 	}
-	if reg := rt.Obs().Metrics(); reg != nil {
+	if reg := t.Runtime().Obs().Metrics(); reg != nil {
 		// Registry pulls: map-wide aggregates reading the same atomics
-		// the legacy accessors (ContentionStats, ElimStats, Stats)
-		// report, so the two surfaces cannot drift.
+		// the legacy accessors (ContentionStats, Stats) report, so the
+		// two surfaces cannot drift.
 		reg.AddFunc("cas_retries_total", func() uint64 {
 			var total uint64
 			for _, v := range m.ContentionStats() {
 				total += v
-			}
-			return total
-		})
-		reg.AddFunc("elim_hits_total", func() uint64 { h, _ := m.ElimStats(); return h })
-		reg.AddFunc("elim_misses_total", func() uint64 { _, miss := m.ElimStats(); return miss })
-		reg.AddFunc("elim_timeouts_total", func() uint64 {
-			var total uint64
-			for i := range m.shards {
-				if a := m.shards[i].elim; a != nil {
-					total += a.Timeouts()
-				}
 			}
 			return total
 		})
@@ -311,7 +236,6 @@ func (m *Map) SameChain(key1, key2 uint64) bool {
 func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 	h := hash(key)
 	s := m.shard(h)
-	m.adaptTick(t, s)
 	for {
 		tab := s.cur.Load()
 		if tab.sealed.Load() {
@@ -321,14 +245,6 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 					continue
 				}
 				return ok
-			}
-			// Help the grow unless the drain is already fully claimed —
-			// then another helper would only duplicate the verify pass,
-			// so park in the shard's elimination array instead: the
-			// window doubles as backoff, and a concurrent remove of the
-			// same key completes both operations with one CAS.
-			if m.tryElimInsert(t, s, tab, key, val) {
-				return true
 			}
 			m.helpGrow(t, s, tab)
 			continue
@@ -341,83 +257,17 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 			tab.ins.Add(-1)
 			continue // sealed branch above handles both cases
 		}
-		b := tab.bucket(h, m.shardBits)
-		var ok, done bool
-		if m.hotElim(t, s) {
-			// Hot shard: a bounded retry budget instead of an unbounded
-			// hammer; an undecided insert is a contention loser.
-			ok, done = b.InsertBounded(t, key, val, hotRetryBudget)
-		} else {
-			ok, done = b.Insert(t, key, val), true
-		}
+		ok := tab.bucket(h, m.shardBits).Insert(t, key, val)
 		tab.ins.Add(-1)
-		if !done {
-			// Route the loser to the shard's elimination array — with
-			// the insert-quiescence announcement already withdrawn, so
-			// a parked offer never delays a grow. A concurrent same-key
-			// remove takes the offer and completes both operations (the
-			// pair nets zero on the shard count, like every eliminated
-			// pair); a timeout falls back to the normal path.
-			if s.elim.Park(t.Rng.Uint64(), key, val) {
-				return true
-			}
-			continue
-		}
 		if ok {
 			n := s.count.Add(1)
-			if !t.MoveInFlight() && n > int64(len(tab.buckets))*m.effGrowLoad(s) &&
+			if !t.MoveInFlight() && n > int64(len(tab.buckets))*m.growLoad &&
 				tab.sealed.CompareAndSwap(false, true) {
 				m.grows.Add(1)
 				m.helpGrow(t, s, tab)
 			}
 		}
 		return ok
-	}
-}
-
-// hotElim reports whether this shard is currently routing contention
-// losers to its elimination array: the controller's attach decision,
-// gated — like every elimination path — on the thread not being inside
-// a move (a move's linearization must go through its descriptor).
-func (m *Map) hotElim(t *core.Thread, s *shard) bool {
-	return s.ctrl != nil && s.ctrl.ElimActive() && !t.MoveInFlight()
-}
-
-// effGrowLoad is the shard's effective grow-load threshold: the
-// configured mean entries-per-bucket minus the controller's pacing
-// shift (floored at one), so sustainedly contended shards split
-// earlier than merely full ones.
-func (m *Map) effGrowLoad(s *shard) int64 {
-	load := m.growLoad
-	if s.ctrl != nil {
-		if load -= int64(s.ctrl.LoadShift()); load < 1 {
-			load = 1
-		}
-	}
-	return load
-}
-
-// adaptTick drives the shard's controller from the operation path; the
-// winning thread samples the shard's signals and applies the window
-// decision. The retry sum walks the live table chain — the expensive
-// gather runs once per epoch, never on the hot path — and regresses
-// when a grow retires a table, which the controller clamps to zero.
-func (m *Map) adaptTick(t *core.Thread, s *shard) {
-	if !t.AdaptTick(s.ctrl) {
-		return
-	}
-	var snap adapt.Sample
-	for tab := s.cur.Load(); tab != nil; tab = tab.next.Load() {
-		for i := range tab.buckets {
-			snap.Retries += tab.buckets[i].Retries()
-		}
-	}
-	snap.Hits, snap.Misses = s.elim.Stats()
-	snap.Timeouts = s.elim.Timeouts()
-	snap.Window = s.elim.Window()
-	dec := s.ctrl.Apply(snap)
-	if dec.Window != snap.Window {
-		s.elim.TryResize(dec.Window)
 	}
 }
 
@@ -455,22 +305,10 @@ func (m *Map) insertRouted(t *core.Thread, s *shard, tab *table, h, key, val uin
 
 // Remove deletes key and returns its value. It walks the shard's table
 // chain: entries migrate only forward along the chain, so a miss on the
-// final table linearizes as a miss on the whole map. A miss may still
-// pair off with an insert of the same key parked on the shard's
-// elimination array (see tryElimRemove).
+// final table linearizes as a miss on the whole map.
 func (m *Map) Remove(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
 	s := m.shard(h)
-	m.adaptTick(t, s)
-	if v, ok := m.removeWalk(t, s, h, key); ok {
-		return v, true
-	}
-	return m.tryElimRemove(t, s, h, key)
-}
-
-// removeWalk is the chain walk of Remove, shared with the elimination
-// path's absence re-walk.
-func (m *Map) removeWalk(t *core.Thread, s *shard, h, key uint64) (uint64, bool) {
 	for tab := s.cur.Load(); tab != nil; tab = tab.next.Load() {
 		if v, ok := tab.bucket(h, m.shardBits).Remove(t, key); ok {
 			s.count.Add(-1)
@@ -480,63 +318,14 @@ func (m *Map) removeWalk(t *core.Thread, s *shard, h, key uint64) (uint64, bool)
 	return 0, false
 }
 
-// tryElimInsert parks (key, val) on the shard's elimination array for a
-// bounded window; true means a concurrent remove of the same key took
-// it and the insert is complete. It only parks while the sealed table's
-// drain is fully claimed — the one mid-grow state where helping adds
-// nothing but a duplicate verify pass, i.e. a real contention signal;
-// everywhere else helping the grow is the productive move. Threads
-// inside a move never park: the move's linearization must go through
-// its descriptor.
-func (m *Map) tryElimInsert(t *core.Thread, s *shard, tab *table, key, val uint64) bool {
-	if s.elim == nil || t.MoveInFlight() {
-		return false
-	}
-	if !tab.draining.Load() || tab.claim.Load() < int64(len(tab.buckets)) {
-		return false
-	}
-	return s.elim.Park(t.Rng.Uint64(), key, val)
-}
-
-// tryElimRemove pairs a remove that missed the whole chain with an
-// insert of the same key parked on the shard's array. Soundness: the
-// insert was observed waiting before the re-walk and claimed by CAS
-// after it, so the walk's absence witness falls strictly inside both
-// operations' intervals — the pair linearizes at the walk, insert of an
-// absent key immediately followed by its remove. If the re-walk finds
-// the key after all (a concurrent insert landed), that entry is removed
-// instead and the parked insert is left alone. Threads inside a move
-// never take.
-func (m *Map) tryElimRemove(t *core.Thread, s *shard, h, key uint64) (uint64, bool) {
-	if s.elim == nil || t.MoveInFlight() {
-		return 0, false
-	}
-	// Inserts park while their shard is mid-grow or marked hot by the
-	// adaptive controller; with neither in sight the array is empty —
-	// skip the scan (and don't let plain key misses masquerade as
-	// elimination misses in the counters).
-	if !s.cur.Load().sealed.Load() && !(s.ctrl != nil && s.ctrl.ElimActive()) {
-		return 0, false
-	}
-	hnd, ok := s.elim.Peek(t.Rng.Uint64(), key, false)
-	if !ok {
-		return 0, false
-	}
-	if v, ok := m.removeWalk(t, s, h, key); ok {
-		return v, true
-	}
-	return s.elim.Take(hnd)
-}
-
 // ContentionStats reports each shard's accumulated CAS-retry count:
 // the sum, over the shard's live table chain, of every bucket list's
-// lost linearization CASes (harrislist.Retries). It is the cheap
-// signal an adaptive elimination layer needs to find hot unsealed
-// shards — a shard whose counter climbs between two samples is being
-// fought over right now. Counters ride on the buckets, so entries
-// migrated by a grow start fresh in the successor table and counts
-// from fully drained tables age out with them: treat deltas, not
-// absolutes, as the signal.
+// lost linearization CASes (harrislist.Retries) — a shard whose counter
+// climbs between two samples is being fought over right now; the sum
+// over shards is the registry's cas_retries_total. Counters ride on the
+// buckets, so entries migrated by a grow start fresh in the successor
+// table and counts from fully drained tables age out with them: treat
+// deltas, not absolutes, as the signal.
 func (m *Map) ContentionStats() []uint64 {
 	out := make([]uint64, len(m.shards))
 	for i := range m.shards {
@@ -549,31 +338,6 @@ func (m *Map) ContentionStats() []uint64 {
 		out[i] = n
 	}
 	return out
-}
-
-// AdaptStats aggregates the per-shard controllers' decision counters
-// (zeros when adaptation is disabled).
-func (m *Map) AdaptStats() adapt.Stats {
-	var st adapt.Stats
-	for i := range m.shards {
-		if c := m.shards[i].ctrl; c != nil {
-			st.Add(c.Stats())
-		}
-	}
-	return st
-}
-
-// ElimStats aggregates elimination hits and misses over all shards
-// (zeros when the layer is disabled).
-func (m *Map) ElimStats() (hits, misses uint64) {
-	for i := range m.shards {
-		if a := m.shards[i].elim; a != nil {
-			hi, mi := a.Stats()
-			hits += hi
-			misses += mi
-		}
-	}
-	return hits, misses
 }
 
 // PrepareRemove implements core.RemovePreparer for the batched move
@@ -598,7 +362,6 @@ func (m *Map) PrepareInsert(t *core.Thread, key uint64) bool {
 func (m *Map) Contains(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
 	s := m.shard(h)
-	m.adaptTick(t, s)
 	for tab := s.cur.Load(); tab != nil; tab = tab.next.Load() {
 		if v, ok := tab.bucket(h, m.shardBits).Contains(t, key); ok {
 			return v, true
@@ -680,7 +443,7 @@ func (m *Map) RebalanceStep(t *core.Thread) bool {
 			m.steps.Add(1)
 			return true
 		}
-		if s.count.Load() > int64(len(tab.buckets))*m.effGrowLoad(s) &&
+		if s.count.Load() > int64(len(tab.buckets))*m.growLoad &&
 			tab.sealed.CompareAndSwap(false, true) {
 			m.grows.Add(1)
 			m.steps.Add(1)

@@ -24,7 +24,7 @@ func TestLayout(t *testing.T) {
 		written     map[string]uintptr // offsets of the words operations write
 	}{
 		{"shard", unsafe.Sizeof(s),
-			unsafe.Offsetof(s.cur), unsafe.Offsetof(s.ctrl) + unsafe.Sizeof(s.ctrl) - 1,
+			unsafe.Offsetof(s.cur), unsafe.Offsetof(s.cur) + unsafe.Sizeof(s.cur) - 1,
 			map[string]uintptr{"count": unsafe.Offsetof(s.count)}},
 		{"table", unsafe.Sizeof(tb),
 			unsafe.Offsetof(tb.buckets), unsafe.Offsetof(tb.next) + unsafe.Sizeof(tb.next) - 1,

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/elim"
 	"repro/internal/hashmap"
 	"repro/internal/linearize"
 	"repro/internal/msqueue"
@@ -19,7 +18,7 @@ import (
 // invariant at the batched move pipeline: a flush amortizes fixed
 // costs but every move in it must remain its own linearizable
 // operation — racing plain Move/MoveN traffic, shard grows (whose
-// entry relocations run through MoveN) and the elimination layer.
+// entry relocations run through moves) and plain push/pop noise.
 
 // runRecordedBatched mirrors runRecorded but issues every move through
 // a per-thread MoveBuffer, flushing windows of up to flushLen moves.
@@ -258,14 +257,11 @@ func TestBatchedMoveConservationRacingGrows(t *testing.T) {
 	}
 }
 
-// TestBatchedMoveConservationWithElimination runs batched stack-to-
-// stack moves against heavy plain push/pop traffic with the
-// elimination layer enabled: eliminated pairs exchange values off the
-// shared top word, and the flush's moves must still go through their
-// descriptors (the layer is bypassed in-move). Tokens are conserved;
-// the push/pop noise uses a disjoint value range and must neither leak
-// into nor swallow tokens.
-func TestBatchedMoveConservationWithElimination(t *testing.T) {
+// TestBatchedMoveConservationUnderPushPopNoise runs batched stack-to-
+// stack moves against heavy plain push/pop traffic on the same two top
+// words. Tokens are conserved; the push/pop noise uses a disjoint value
+// range and must neither leak into nor swallow tokens.
+func TestBatchedMoveConservationUnderPushPopNoise(t *testing.T) {
 	const (
 		tokens  = 48
 		threads = 4
@@ -276,7 +272,6 @@ func TestBatchedMoveConservationWithElimination(t *testing.T) {
 		MaxThreads:    threads + 1,
 		ArenaCapacity: 1 << 18,
 		DescCapacity:  1 << 16,
-		Elimination:   elim.Config{Enable: true},
 	})
 	setup := rt.RegisterThread()
 	s1 := tstack.New(setup)
@@ -312,7 +307,7 @@ func TestBatchedMoveConservationWithElimination(t *testing.T) {
 					}
 				case 1:
 					buf.Flush()
-				case 2: // elimination-eligible push/pop noise
+				case 2: // push/pop noise
 					src.Push(th, noise+next()%1024)
 				default:
 					if v, ok := dst.Pop(th); ok {
@@ -335,10 +330,6 @@ func TestBatchedMoveConservationWithElimination(t *testing.T) {
 	}
 	wg.Wait()
 
-	hits1, _ := s1.ElimStats()
-	hits2, _ := s2.ElimStats()
-	t.Logf("elimination hits during storm: %d", hits1+hits2)
-
 	seen := make(map[uint64]int)
 	drain := func(s *tstack.Stack) {
 		for {
@@ -359,38 +350,6 @@ func TestBatchedMoveConservationWithElimination(t *testing.T) {
 	for tok, n := range seen {
 		if n != 1 {
 			t.Fatalf("token %d seen %d times", tok, n)
-		}
-	}
-}
-
-// TestBatchFlushBypassesElimination pins the invariant that a batched
-// move's commits never detour through the elimination array: a probe
-// target asserts MoveInFlight during the flush, exactly like the plain
-// Move probe in wiring_test.go.
-func TestBatchFlushBypassesElimination(t *testing.T) {
-	rt := core.NewRuntime(core.Config{
-		MaxThreads:  2,
-		Elimination: elim.Config{Enable: true},
-	})
-	th := rt.RegisterThread()
-	q := msqueue.New(th)
-	pt := &probeTarget{s: tstack.New(th)}
-	q.Enqueue(th, 1)
-	q.Enqueue(th, 2)
-
-	buf := batch.New(th, 2)
-	buf.Add(q, pt, 0, 0)
-	buf.Add(q, pt, 0, 0)
-	res := buf.Flush()
-	if len(res) != 2 || !res[0].OK || !res[1].OK {
-		t.Fatalf("flush results: %+v", res)
-	}
-	if len(pt.inFlight) != 2 {
-		t.Fatalf("probe saw %d inserts, want 2", len(pt.inFlight))
-	}
-	for i, in := range pt.inFlight {
-		if !in {
-			t.Fatalf("flush commit %d ran outside a move context", i)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/elim"
 	"repro/internal/hashmap"
 	"repro/internal/linearize"
 	"repro/internal/msqueue"
@@ -260,13 +259,13 @@ func TestTransferKeysLinearizableDuringGrow(t *testing.T) {
 	}
 }
 
-// TestComposedOpsRaceGrowsAndElimination races every composed operation
+// TestComposedOpsRaceGrowsAndChurn races every composed operation
 // against the machinery most likely to disturb it: SwapHeads against
-// elimination-enabled stacks under push/pop churn, TransferN against
-// growing maps, DrainN against reverse moves — all on one runtime, with
-// token conservation checked at the end. Run under -race this is the
-// integration sweep the CI race job executes.
-func TestComposedOpsRaceGrowsAndElimination(t *testing.T) {
+// stacks under push/pop churn, TransferN against growing maps, DrainN
+// against reverse moves — all on one runtime, with token conservation
+// checked at the end. Run under -race this is the integration sweep the
+// CI race job executes.
+func TestComposedOpsRaceGrowsAndChurn(t *testing.T) {
 	const swappers = 2
 	const churners = 2
 	const transferers = 2
@@ -276,7 +275,6 @@ func TestComposedOpsRaceGrowsAndElimination(t *testing.T) {
 	rt := core.NewRuntime(core.Config{
 		MaxThreads:    swappers + churners + transferers + drainers + 2,
 		ArenaCapacity: 1 << 17,
-		Elimination:   elim.Config{Enable: true, Slots: 2, Spins: 128},
 	})
 	setup := rt.RegisterThread()
 

@@ -6,7 +6,7 @@
 // contention management keeps the fast path fast — are only checkable if
 // who-helped-whom, abort rates and retry amplification are visible at
 // runtime. Before this package those signals were scattered over
-// per-container stat methods (ElimStats, AdaptStats, ContentionStats),
+// per-container stat methods (tstack.Retries, hashmap.ContentionStats),
 // the kcas pool counters, fault.Plan counters and the kvserver
 // degradation atomics. obs absorbs them behind one Snapshot:
 //
@@ -16,7 +16,7 @@
 //     only at snapshot time.
 //
 //   - Everything that already has a cheap monotone counter somewhere
-//     (elimination hits, adapt decisions, pool stray cleanups, fault
+//     (container CAS retries, map grows, pool stray cleanups, fault
 //     firings, server degradation counts) is *pulled*: the owning layer
 //     registers a named func at construction and Snapshot sums every
 //     func registered under the same name. Because the funcs read the

@@ -54,8 +54,8 @@ type stripe struct {
 }
 
 // series is one registered pull source. Multiple funcs may share a name;
-// Snapshot sums them (e.g. every map shard's elimination array registers
-// under elim_hits_total). gauge marks point-in-time series (AddGauge) as
+// Snapshot sums them (e.g. every stack and every map registers under
+// cas_retries_total). gauge marks point-in-time series (AddGauge) as
 // opposed to monotone counters.
 type series struct {
 	name  string

@@ -21,8 +21,7 @@ type Pad56 [CacheLineSize - 8]byte
 type Pad48 [CacheLineSize - 16]byte
 
 // CeilPow2 rounds n up to a power of two, minimum 1 — the shared
-// sizing helper for mask-indexed structures (elimination arrays, shard
-// and bucket tables).
+// sizing helper for mask-indexed structures (shard and bucket tables).
 func CeilPow2(n int) int {
 	p := 1
 	for p < n {

@@ -18,7 +18,6 @@ func TestStackLayout(t *testing.T) {
 	retries := unsafe.Offsetof(s.retries) / pad.CacheLineSize
 	for name, off := range map[string]uintptr{
 		"id": unsafe.Offsetof(s.id), "versioned": unsafe.Offsetof(s.versioned),
-		"elim": unsafe.Offsetof(s.elim), "ctrl": unsafe.Offsetof(s.ctrl),
 	} {
 		if l := off / pad.CacheLineSize; l == top || l == retries {
 			t.Errorf("Stack.%s shares a line with a written word", name)

@@ -21,24 +21,12 @@
 // builds that variant: top carries a 22-bit modification counter in the
 // reference's tag field, so a top value never recurs within 4M
 // operations. Ablation A2 measures both effects.
-//
-// When the runtime enables elimination (core.Config.Elimination), each
-// stack attaches a Hendler/Shavit elimination array: a push that loses
-// its top CAS parks its value there for a bounded window, and a pop
-// that loses its CAS (or finds the top empty) scans the array and pairs
-// off with a parked push in one exchange CAS. The eliminated pair
-// linearizes at the exchange — push immediately followed by pop, a
-// valid LIFO history — so the shared top word is never touched. Threads
-// inside a Move/MoveN bypass the array entirely: a move's linearization
-// must go through its DCAS/MCAS descriptor, never a side channel.
 package tstack
 
 import (
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
-	"repro/internal/elim"
 	"repro/internal/pad"
 	"repro/internal/word"
 )
@@ -57,17 +45,9 @@ type Stack struct {
 	// versioned selects the §7 ABA-counter variant: every successful
 	// push/pop bumps the tag bits of the top reference.
 	versioned bool
+	_         [pad.CacheLineSize - 16]byte
 
-	// elim is the elimination array, nil when the runtime disables both
-	// the elimination layer and adaptation.
-	elim *elim.Array
-
-	// ctrl is the adaptive controller steering the array's active
-	// window (nil when core.Config.Adaptive is off).
-	ctrl *adapt.Controller
-	_    [pad.CacheLineSize - 32]byte
-
-	// retries feeds ctrl: lost top CASes, bumped only on the contention
+	// retries counts lost top CASes, bumped only on the contention
 	// path — on a line of its own, so a loser does not also invalidate
 	// the header under the winners.
 	retries atomic.Uint64
@@ -76,31 +56,13 @@ type Stack struct {
 
 var _ core.MoveReady = (*Stack)(nil)
 
-// newStack builds a stack, attaching an elimination array when the
-// runtime's configuration enables the layer — or when adaptation is
-// on, in which case the array gets physical capacity for the
-// controller's whole window range and starts at the configured slot
-// count.
 func newStack(t *core.Thread, versioned bool) *Stack {
 	s := &Stack{id: t.Runtime().NextObjectID(), versioned: versioned}
-	rt := t.Runtime()
-	ecfg := rt.Elimination()
-	if acfg := rt.Adaptive(); acfg.Enable {
-		s.ctrl = rt.NewController()
-		s.elim = elim.NewArrayCapacity(ecfg, rt.MaxThreads(), s.ctrl.Config().MaxWindow)
-	} else if ecfg.Enable {
-		s.elim = elim.NewArray(ecfg, rt.MaxThreads())
-	}
-	if reg := rt.Obs().Metrics(); reg != nil {
-		// Registry pulls: the funcs read the same atomics the legacy
-		// accessors (Retries, ElimStats, Timeouts) report, summed across
-		// every container registered under the name.
+	if reg := t.Runtime().Obs().Metrics(); reg != nil {
+		// Registry pull: reads the same atomic the legacy accessor
+		// (Retries) reports, summed across every container registered
+		// under the name.
 		reg.AddFunc("cas_retries_total", s.Retries)
-		if a := s.elim; a != nil {
-			reg.AddFunc("elim_hits_total", func() uint64 { h, _ := a.Stats(); return h })
-			reg.AddFunc("elim_misses_total", func() uint64 { _, m := a.Stats(); return m })
-			reg.AddFunc("elim_timeouts_total", a.Timeouts)
-		}
 	}
 	return s
 }
@@ -133,7 +95,6 @@ func (s *Stack) newTop(ltop, ref uint64) uint64 {
 // Push adds val on top and reports success. A plain push always
 // succeeds; as a move target it fails when the move aborts.
 func (s *Stack) Push(t *core.Thread, val uint64) bool {
-	s.adaptTick(t)
 	ref := t.AllocNode() // S2
 	n := t.Node(ref)
 	n.Val = val // S3
@@ -150,13 +111,6 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 			return true // S12
 		}
 		s.retries.Add(1)
-		// Top is contended: try to pair off with a concurrent pop in
-		// the elimination array instead of hammering the CAS.
-		if s.tryElimPush(t, val) {
-			t.FreeNodeDirect(ref)
-			t.BackoffReset()
-			return true
-		}
 		t.BackoffWait()
 	}
 }
@@ -164,15 +118,9 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 // Pop removes the newest value. ok is false when the stack is empty or a
 // surrounding move aborted.
 func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
-	s.adaptTick(t)
 	for { // S14
 		ltop := t.Read(&s.top) // S15
 		if isNil(ltop) {       // S16
-			// An empty top does not preclude a parked concurrent push:
-			// taking it linearizes the pair right here.
-			if v, ok := s.tryElimPop(t); ok {
-				return v, true
-			}
 			return 0, false // S17
 		}
 		t.ProtectNode(core.SlotRem0, ltop) // S18: hp ← ltop
@@ -194,90 +142,13 @@ func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
 			return 0, false
 		}
 		s.retries.Add(1)
-		// Top is contended: a parked concurrent push serves this pop
-		// without another round on the shared word.
-		if v, ok := s.tryElimPop(t); ok {
-			t.ClearNode(core.SlotRem0)
-			t.BackoffReset()
-			return v, true
-		}
 		t.BackoffWait()
 	}
 }
 
-// adaptTick drives the stack's controller from the operation path; the
-// winning thread samples the stack's signals and applies the window
-// decision. Adaptation touches only the elimination array's active
-// window — never a linearization point.
-func (s *Stack) adaptTick(t *core.Thread) {
-	if !t.AdaptTick(s.ctrl) {
-		return
-	}
-	hits, misses := s.elim.Stats()
-	dec := s.ctrl.Apply(adapt.Sample{
-		Retries:  s.retries.Load(),
-		Hits:     hits,
-		Misses:   misses,
-		Timeouts: s.elim.Timeouts(),
-		Window:   s.elim.Window(),
-	})
-	if dec.Window != s.elim.Window() {
-		s.elim.TryResize(dec.Window)
-	}
-}
-
 // Retries reports how many linearization CASes the stack has lost to
-// concurrent writers — its contribution to the adaptive signal set.
+// concurrent writers (the registry's cas_retries_total).
 func (s *Stack) Retries() uint64 { return s.retries.Load() }
-
-// AdaptStats reports the stack's controller decisions (zero when
-// adaptation is disabled).
-func (s *Stack) AdaptStats() adapt.Stats {
-	if s.ctrl == nil {
-		return adapt.Stats{}
-	}
-	return s.ctrl.Stats()
-}
-
-// Controller exposes the adaptive controller for tests and diagnostics
-// (nil when disabled).
-func (s *Stack) Controller() *adapt.Controller { return s.ctrl }
-
-// tryElimPush parks val in the elimination array for a bounded window
-// and reports whether a concurrent pop took it (the push is then
-// complete). Threads inside a move never park: the move's linearization
-// must go through its descriptor (the FFalse that brought us here came
-// from the DCAS machinery, and retrying the top CAS is the only valid
-// continuation).
-func (s *Stack) tryElimPush(t *core.Thread, val uint64) bool {
-	if s.elim == nil || t.MoveInFlight() {
-		return false
-	}
-	return s.elim.Park(t.Rng.Uint64(), 0, val)
-}
-
-// tryElimPop takes any parked push from the elimination array,
-// linearizing the pair at the exchange. Threads inside a move never
-// take (see tryElimPush).
-func (s *Stack) tryElimPop(t *core.Thread) (uint64, bool) {
-	if s.elim == nil || t.MoveInFlight() {
-		return 0, false
-	}
-	return s.elim.TryTake(t.Rng.Uint64(), 0, true)
-}
-
-// ElimStats reports the stack's elimination hits and misses (zero when
-// the layer is disabled).
-func (s *Stack) ElimStats() (hits, misses uint64) {
-	if s.elim == nil {
-		return 0, 0
-	}
-	return s.elim.Stats()
-}
-
-// ElimArray exposes the elimination array for tests and diagnostics
-// (nil when disabled).
-func (s *Stack) ElimArray() *elim.Array { return s.elim }
 
 // PrepareRemove implements core.RemovePreparer for the batched move
 // pipeline: top is the stack's only anchor, so a nil top is exactly
