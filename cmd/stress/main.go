@@ -240,6 +240,10 @@ func main() {
 	fmt.Println("stress: all rounds passed — conservation intact")
 }
 
+// growingMap starts at one bucket per shard, so every round that fills
+// it grows the map the tokens are composed over.
+func growingMap(t *core.Thread) *repro.HashMap { return repro.NewShardedHashMap(t, 8, 1, 0) }
+
 // buildPair constructs the requested container pair; akeyed/bkeyed
 // report whether tokens are addressed by key on each side. Mixed pairs
 // (map/list alongside map/queue, list/queue and map/pqueue) give
@@ -258,17 +262,17 @@ func buildPair(t *core.Thread, name string) (a, b repro.MoveReady, akeyed, bkeye
 	case "vstack/vstack":
 		return repro.NewVersionedStack(t), repro.NewVersionedStack(t), false, false
 	case "map/map":
-		return repro.NewHashMap(t, 64), repro.NewHashMap(t, 64), true, true
+		return growingMap(t), growingMap(t), true, true
 	case "map/list":
-		return repro.NewHashMap(t, 64), repro.NewList(t), true, true
+		return growingMap(t), repro.NewList(t), true, true
 	case "map/queue":
-		return repro.NewHashMap(t, 64), repro.NewQueue(t), true, false
+		return growingMap(t), repro.NewQueue(t), true, false
 	case "list/list":
 		return repro.NewList(t), repro.NewList(t), true, true
 	case "list/queue":
 		return repro.NewList(t), repro.NewQueue(t), true, false
 	case "map/pqueue":
-		return repro.NewHashMap(t, 64), pqueue.New(t), true, false
+		return growingMap(t), pqueue.New(t), true, false
 	default:
 		return nil, nil, false, false
 	}

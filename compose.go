@@ -19,14 +19,14 @@
 // them compose with Move and MoveN; keys select elements in keyed
 // containers and are ignored by queues/stacks.
 //
-// The hash map is sharded and resizable: shards grow cooperatively once
-// their mean bucket load passes a threshold, and every entry relocated
-// by a grow travels through a Move from its old to its new bucket — so even
-// mid-rebalance an entry is observable in exactly one bucket, never
-// neither. Lookups, removes and moves out of the map never block on a
-// grow; HashMap.RebalanceStep lets callers drive pending migration in
-// bounded increments; and a Move targeting a mid-grow shard routes its
-// insert to the successor table instead of aborting. Typed facades
+// The hash map is sharded and resizable: a shard whose mean bucket load
+// passes a threshold doubles its bucket directory, and no entry moves —
+// every bucket list is kept in split order, so a new bucket is a sentinel
+// node linked into an existing list by whichever thread needs it first.
+// No operation ever waits on a grow, and a grow cannot race a Move.
+// HashMap.RebalanceStep doubles one over-full shard or links one missing
+// sentinel per call and HashMap.Quiesce links them all; neither is needed
+// for correctness. Typed facades
 // (QueueOf, StackOf, MapOf) bridge arbitrary Go values onto the uint64
 // containers through a shared Box.
 //
@@ -98,7 +98,7 @@
 // NewFaultPlan or ParseFaultPlan — that stalls, parks, or hard-kills
 // threads at the descriptor protocol's critical windows (after
 // publish, before commit, before recycle, the batch prepare–commit
-// gap, hash-map mid-migration). This is how the paper's core claim —
+// gap, hash-map mid-grow). This is how the paper's core claim —
 // peers help published operations to completion, so a stalled or dead
 // thread never wedges the system — becomes an executable test axis;
 // see docs/robustness.md for the failure model and point catalog.
@@ -157,7 +157,8 @@ type Stack = tstack.Stack
 type List = harrislist.List
 
 // HashMap is the move-ready, sharded, resizable lock-free hash map
-// (shards of Harris-list buckets; grows migrate entries via Move).
+// (shards of split-ordered Harris lists; a grow doubles a directory and
+// moves nothing).
 type HashMap = hashmap.Map
 
 // NewRuntime builds a runtime; the zero Config selects usable defaults.
@@ -319,7 +320,7 @@ func TryDrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) (
 
 // FaultPoint names one of the substrate's fault-injection sites; see
 // the fault package constants (kcas-publish, kcas-commit, kcas-recycle,
-// batch-gap, map-migrate) and docs/robustness.md for the catalog.
+// batch-gap, map-grow) and docs/robustness.md for the catalog.
 type FaultPoint = fault.Point
 
 // FaultInjector is the hook interface Config.Fault accepts; Fire runs

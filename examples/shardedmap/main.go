@@ -1,13 +1,14 @@
 // Shardedmap: the resizable map growing live under keyed churn.
 //
 // A session store starts as a deliberately tiny sharded map and is
-// hammered by writer threads until its shards grow several times; every
-// entry a grow relocates travels between its old and new bucket through
-// one Move, so even mid-rebalance a session is observable in exactly
-// one bucket — never duplicated, never lost. Meanwhile mover threads
+// hammered by writer threads until its shards grow several times; a grow
+// doubles a shard's bucket directory and moves no entry (each new bucket
+// is a sentinel node linked into a split-ordered list), so a session is
+// never duplicated or lost and nobody waits. Meanwhile mover threads
 // shuttle sessions between the hot store and a cold store with keyed
-// atomic moves, and a rebalancer thread drives pending migrations in
-// bounded RebalanceStep increments.
+// atomic moves, and a rebalancer thread links the new buckets' sentinels
+// ahead of the operations that need them, in bounded RebalanceStep
+// increments.
 //
 // The demo ends with a conservation audit (every session in exactly one
 // store, value intact) and prints how much growing the run absorbed.
@@ -105,11 +106,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	gh, mh, sh := hot.Stats()
-	gc, mc, sc := cold.Stats()
+	gh, lh, sh := hot.Stats()
+	gc, lc, sc := cold.Stats()
 	fmt.Printf("end:   hot %d buckets / cold %d buckets\n", hot.Buckets(), cold.Buckets())
-	fmt.Printf("grows=%d entries-migrated-via-Move=%d rebalance-steps=%d\n",
-		gh+gc, mh+mc, sh+sc)
+	fmt.Printf("grows=%d sentinels-linked=%d rebalance-steps=%d\n",
+		gh+gc, lh+lc, sh+sc)
 	if lost != 0 || dup != 0 {
 		fmt.Fprintf(os.Stderr, "AUDIT FAILED: %d lost, %d duplicated\n", lost, dup)
 		os.Exit(1)

@@ -20,11 +20,12 @@ import (
 )
 
 // Node is one 64-byte (cache-line sized) container node. Next is the only
-// word other threads mutate; Val and Key are written by the node's owner
-// before the node is published via a CAS and are read-only afterwards.
+// word other threads mutate; Val, Key and Aux are written by the node's
+// owner before the node is published via a CAS and are read-only
+// afterwards.
 type Node struct {
 	Next word.Word // may hold node refs or DCAS descriptor refs
-	Aux  word.Word // second link (unused by queue/stack; lists use Next only)
+	Aux  uint64    // lists order by (Key, Aux); unused by queue/stack
 	Val  uint64
 	Key  uint64
 	_    [4]uint64

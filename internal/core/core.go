@@ -77,7 +77,7 @@ type Config struct {
 	RetireThreshold int
 	// Fault, when non-nil, is fired at the substrate's named injection
 	// points (descriptor publish/commit/recycle, batch prepare–commit
-	// gap, hash-map mid-migration) — see package fault. Nil (the
+	// gap, hash-map mid-grow) — see package fault. Nil (the
 	// default) disables injection; each hook site then costs one
 	// nil-interface check. Test- and chaos-harness-only: actions may
 	// stall, park, or terminate the calling goroutine.
@@ -168,14 +168,7 @@ func (rt *Runtime) Obs() *obs.Obs { return rt.obs }
 // NextObjectID hands out stable object identities; the blocking baseline
 // uses them for lock ordering and Move uses them to reject same-object
 // composition early.
-func (rt *Runtime) NextObjectID() uint64 { return rt.NextObjectIDs(1) }
-
-// NextObjectIDs reserves n consecutive object identities and returns the
-// first; structures that hold many move-ready parts by value (the hash
-// map's bucket arrays) number them from it.
-func (rt *Runtime) NextObjectIDs(n int) uint64 {
-	return rt.objIDs.Add(uint64(n)) - uint64(n) + 1
-}
+func (rt *Runtime) NextObjectID() uint64 { return rt.objIDs.Add(1) }
 
 // RegisterThread allocates the next thread slot. Each goroutine that
 // touches the runtime's objects must own exactly one Thread and must not

@@ -60,7 +60,7 @@ type Thread struct {
 	boEnabled bool
 
 	// flt mirrors Config.Fault for the injection points that live above
-	// the kcas engine (batch gap, map migration). Nil in production.
+	// the kcas engine (batch gap, map grow). Nil in production.
 	flt fault.Injector
 
 	// reg/trc mirror the runtime's telemetry surfaces (Config.Obs).
@@ -265,8 +265,8 @@ func (t *Thread) Fault(p fault.Point) {
 		switch p {
 		case fault.BatchPrepareCommit:
 			t.trc.Record(t.id, obs.EvBatchFlush, -1, 0)
-		case fault.MapMidMigration:
-			t.trc.Record(t.id, obs.EvMapMigrate, -1, 0)
+		case fault.MapMidGrow:
+			t.trc.Record(t.id, obs.EvMapGrow, -1, 0)
 		}
 	}
 	if t.flt != nil {

@@ -13,8 +13,8 @@
 // worth anything if it survives faults injected exactly at the protocol
 // windows where a stalled thread would otherwise wedge a lock-based
 // design: after the descriptor is announced but before it commits,
-// between a batch flush's prepare and commit phases, and mid-migration
-// inside a hash-map grow. This package names those windows as Points
+// between a batch flush's prepare and commit phases, and between the two
+// steps of a hash-map grow. This package names those windows as Points
 // and lets tests and the chaos pipeline (cmd/kvserver -fault) stall,
 // park, or hard-kill the thread standing in them.
 //
@@ -82,10 +82,10 @@ const (
 	// commit loops (internal/batch), where every pending move has been
 	// located but none has committed.
 	BatchPrepareCommit
-	// MapMidMigration fires between the per-entry MoveN relocations of a
-	// hash-map bucket drain (internal/hashmap), mid-grow: the table is
-	// sealed and partially migrated, and peers must be able to finish.
-	MapMidMigration
+	// MapMidGrow fires between publishing a doubled hash-map directory
+	// and linking its first sentinel (internal/hashmap): the new buckets
+	// exist but none has an anchor yet, and peers link what they need.
+	MapMidGrow
 	// NumPoints bounds the Point range.
 	NumPoints
 )
@@ -95,7 +95,7 @@ var pointNames = [NumPoints]string{
 	KCASBeforeCommit:   "kcas-commit",
 	KCASBeforeRecycle:  "kcas-recycle",
 	BatchPrepareCommit: "batch-gap",
-	MapMidMigration:    "map-migrate",
+	MapMidGrow:         "map-grow",
 }
 
 // String returns the spec-grammar name of the point.
@@ -310,7 +310,7 @@ func (pl *Plan) Kills() uint64 { return pl.kills.Load() }
 //
 //	<point>:<action>[:<mod>[,<mod>...]]
 //
-//	point:  kcas-publish | kcas-commit | kcas-recycle | batch-gap | map-migrate
+//	point:  kcas-publish | kcas-commit | kcas-recycle | batch-gap | map-grow
 //	action: stall=<duration> | park | kill
 //	mod:    nth=<n> | every=<n> | prob=<p>,seed=<s> | skip=<n> | thread=<tid>
 //
@@ -318,7 +318,7 @@ func (pl *Plan) Kills() uint64 { return pl.kills.Load() }
 //
 //	kcas-commit:stall=2ms:every=97
 //	kcas-publish:kill:nth=1500
-//	map-migrate:stall=1ms:prob=0.01,seed=7,skip=500
+//	map-grow:stall=1ms:prob=0.01,seed=7,skip=500
 func Parse(specs []string) (*Plan, error) {
 	pl := NewPlan()
 	for _, spec := range specs {

@@ -23,11 +23,11 @@ func TestNthFiresExactlyOnce(t *testing.T) {
 }
 
 func TestEveryFiresPeriodically(t *testing.T) {
-	pl := NewPlan().Stall(MapMidMigration, 0, Every(4))
+	pl := NewPlan().Stall(MapMidGrow, 0, Every(4))
 	for i := 0; i < 12; i++ {
-		pl.Fire(MapMidMigration, 7)
+		pl.Fire(MapMidGrow, 7)
 	}
-	if got := pl.Fired(MapMidMigration); got != 3 {
+	if got := pl.Fired(MapMidGrow); got != 3 {
 		t.Fatalf("Every(4) over 12 hits fired %d times, want 3", got)
 	}
 }
@@ -166,7 +166,7 @@ func TestKillTerminatesGoroutine(t *testing.T) {
 func TestDisabledPlanIsInert(t *testing.T) {
 	pl := NewPlan()
 	pl.Fire(KCASAfterPublish, 0)
-	pl.Fire(MapMidMigration, 3)
+	pl.Fire(MapMidGrow, 3)
 	if pl.FiredTotal() != 0 || pl.Kills() != 0 {
 		t.Fatal("empty plan fired")
 	}
@@ -198,7 +198,7 @@ func TestParseRoundTrip(t *testing.T) {
 	pl, err := Parse([]string{
 		"kcas-commit:stall=2ms:every=97",
 		"kcas-publish:kill:nth=1500,skip=10",
-		"map-migrate:stall=1ms:prob=0.01,seed=7",
+		"map-grow:stall=1ms:prob=0.01,seed=7",
 		"batch-gap:park:thread=2",
 		"kcas-recycle:stall=0s",
 	})
@@ -217,7 +217,7 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Fatalf("rule 1 mismatch: %+v", r)
 	}
 	r = pl.rules[2]
-	if r.point != MapMidMigration || r.trig.Prob != 0.01 || r.trig.Seed != 7 {
+	if r.point != MapMidGrow || r.trig.Prob != 0.01 || r.trig.Seed != 7 {
 		t.Fatalf("rule 2 mismatch: %+v", r)
 	}
 	r = pl.rules[3]
@@ -257,7 +257,7 @@ func TestPointString(t *testing.T) {
 		KCASBeforeCommit:   "kcas-commit",
 		KCASBeforeRecycle:  "kcas-recycle",
 		BatchPrepareCommit: "batch-gap",
-		MapMidMigration:    "map-migrate",
+		MapMidGrow:         "map-grow",
 	}
 	for p, name := range want {
 		if p.String() != name {

@@ -20,11 +20,19 @@
 // Logical deletion uses bit 1 of the next-field value (word.ListMarked);
 // physical unlinking happens in the remove's cleanup phase or by later
 // traversals, exactly as Harris prescribes.
+//
+// The algorithm is written once, over an anchor: the word a traversal
+// starts at. List anchors at its head word; the hash map anchors at a
+// bucket's head word or at the Next word of a bucket's sentinel node
+// (InsertAt, RemoveAt, ContainsAt, LinkAt). Nodes are ordered by
+// (Key, Aux): List leaves Aux zero, the map uses it to sort a sentinel
+// before the entry that shares its order key.
 package harrislist
 
 import (
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/word"
 )
@@ -59,24 +67,26 @@ func (l *List) Init(id uint64) { l.id = id }
 func (l *List) ObjectID() uint64 { return l.id }
 
 // searchResult carries the cursor state of a traversal: prevW is the
-// word holding cur (the head anchor or a node's next field), prevRef the
+// word holding cur (the anchor or a node's next field), prevRef the
 // node containing it (0 for the anchor).
 type searchResult struct {
 	prevW   *word.Word
 	prevRef uint64
-	cur     uint64 // node with Key >= key, or Nil
+	cur     uint64 // node with (Key, Aux) >= (key, aux), or Nil
 	next    uint64 // cur's successor (unmarked)
 	found   bool
 }
 
-// search locates key with Michael's validated traversal, unlinking
-// logically deleted nodes it passes. slotPrev/slotCur select the hazard
-// slots (insert- and remove-side calls use disjoint sets, requirement
-// 2).
-func (l *List) search(t *core.Thread, key uint64, slotPrev, slotCur int) searchResult {
+// search locates (key, aux) with Michael's validated traversal, started
+// at anchor and unlinking logically deleted nodes it passes.
+// slotPrev/slotCur select the hazard slots (insert- and remove-side
+// calls use disjoint sets, requirement 2). The anchor itself is not
+// protected: it must be a word that is never reclaimed — an object's
+// head, or the Next word of a node that is never removed.
+func search(t *core.Thread, anchor *word.Word, key, aux uint64, slotPrev, slotCur int) searchResult {
 retry:
 	for {
-		prevW := &l.head
+		prevW := anchor
 		prevRef := uint64(0)
 		t.ProtectNode(slotPrev, 0)
 		cur := t.Read(prevW)
@@ -100,17 +110,17 @@ retry:
 				cur = next
 				continue
 			}
-			ckey := curN.Key
+			ckey, caux := curN.Key, curN.Aux
 			if t.Read(prevW) != cur {
 				continue retry // revalidate before trusting ckey/nextRaw
 			}
-			if ckey >= key {
+			if ckey > key || (ckey == key && caux >= aux) {
 				return searchResult{
 					prevW:   prevW,
 					prevRef: prevRef,
 					cur:     cur,
 					next:    nextRaw,
-					found:   ckey == key,
+					found:   ckey == key && caux == aux,
 				}
 			}
 			// Advance: cur becomes prev; transfer its protection.
@@ -126,13 +136,19 @@ retry:
 // (an init-phase failure: during a move this aborts the composition) or
 // when a surrounding move aborts.
 func (l *List) Insert(t *core.Thread, key, val uint64) bool {
+	return InsertAt(t, &l.head, key, 0, val, &l.retries)
+}
+
+// InsertAt is Insert on the list reachable from anchor, for the node
+// (key, aux); retries counts the linearization CASes it loses.
+func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *atomic.Uint64) bool {
 	ref := word.Nil
 	defer func() {
 		t.ProtectNode(core.SlotInsAux, 0)
 		t.ProtectNode(core.SlotIns0, 0)
 	}()
 	for {
-		r := l.search(t, key, core.SlotInsAux, core.SlotIns0)
+		r := search(t, anchor, key, aux, core.SlotInsAux, core.SlotIns0)
 		if r.found {
 			if ref != word.Nil {
 				t.FreeNodeDirect(ref)
@@ -142,7 +158,7 @@ func (l *List) Insert(t *core.Thread, key, val uint64) bool {
 		if ref == word.Nil {
 			ref = t.AllocNode()
 			n := t.Node(ref)
-			n.Key, n.Val = key, val
+			n.Key, n.Aux, n.Val = key, aux, val
 		}
 		t.Node(ref).Next.Store(r.cur)
 		res := t.SCASInsert(r.prevW, r.cur, ref, r.prevRef)
@@ -154,8 +170,40 @@ func (l *List) Insert(t *core.Thread, key, val uint64) bool {
 			t.BackoffReset()
 			return true
 		}
-		l.retries.Add(1)
+		retries.Add(1)
 		t.BackoffWait()
+	}
+}
+
+// LinkAt returns the node (key, aux) of the list reachable from anchor,
+// linking a fresh one (value 0) when there is none, and whether this
+// call linked it. The link is structural, like Harris' physical unlink:
+// a plain CAS, never scas, so a surrounding move does not capture it as
+// one of its entries. It is meant for nodes that are never removed (the
+// hash map's sentinels), on which racing callers agree: whoever loses
+// the CAS finds the winner's node on its next search and frees its own.
+func LinkAt(t *core.Thread, anchor *word.Word, key, aux uint64, slotPrev, slotCur int) (ref uint64, linked bool) {
+	defer func() {
+		t.ProtectNode(slotPrev, 0)
+		t.ProtectNode(slotCur, 0)
+	}()
+	for {
+		r := search(t, anchor, key, aux, slotPrev, slotCur)
+		if r.found {
+			if ref != word.Nil {
+				t.FreeNodeDirect(ref)
+			}
+			return r.cur, false
+		}
+		if ref == word.Nil {
+			ref = t.AllocNode()
+			n := t.Node(ref)
+			n.Key, n.Aux = key, aux
+		}
+		t.Node(ref).Next.Store(r.cur)
+		if r.prevW.CAS(r.cur, ref) {
+			return ref, true
+		}
 	}
 }
 
@@ -163,12 +211,18 @@ func (l *List) Insert(t *core.Thread, key, val uint64) bool {
 // the marking CAS on cur.next (via scas); physical unlinking is the
 // cleanup phase.
 func (l *List) Remove(t *core.Thread, key uint64) (uint64, bool) {
+	return RemoveAt(t, &l.head, key, 0, &l.retries)
+}
+
+// RemoveAt is Remove on the list reachable from anchor, for the node
+// (key, aux); retries counts the linearization CASes it loses.
+func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64, retries *atomic.Uint64) (uint64, bool) {
 	defer func() {
 		t.ProtectNode(core.SlotRemAux, 0)
 		t.ProtectNode(core.SlotRem0, 0)
 	}()
 	for {
-		r := l.search(t, key, core.SlotRemAux, core.SlotRem0)
+		r := search(t, anchor, key, aux, core.SlotRemAux, core.SlotRem0)
 		if !r.found {
 			return 0, false
 		}
@@ -187,7 +241,7 @@ func (l *List) Remove(t *core.Thread, key uint64) (uint64, bool) {
 		if res == core.FAbort {
 			return 0, false
 		}
-		l.retries.Add(1)
+		retries.Add(1)
 		t.BackoffWait()
 	}
 }
@@ -203,7 +257,7 @@ func (l *List) RemoveMin(t *core.Thread) (key, val uint64, ok bool) {
 	}()
 	for {
 		// search(0) positions at the first live node: every key is >= 0.
-		r := l.search(t, 0, core.SlotRemAux, core.SlotRem0)
+		r := search(t, &l.head, 0, 0, core.SlotRemAux, core.SlotRem0)
 		if r.cur == word.Nil {
 			return 0, 0, false
 		}
@@ -231,7 +285,7 @@ func (l *List) Min(t *core.Thread) (key, val uint64, ok bool) {
 		t.ProtectNode(core.SlotRemAux, 0)
 		t.ProtectNode(core.SlotRem0, 0)
 	}()
-	r := l.search(t, 0, core.SlotRemAux, core.SlotRem0)
+	r := search(t, &l.head, 0, 0, core.SlotRemAux, core.SlotRem0)
 	if r.cur == word.Nil {
 		return 0, 0, false
 	}
@@ -243,11 +297,17 @@ func (l *List) Min(t *core.Thread) (key, val uint64, ok bool) {
 // Harris' original, it ignores logical deletion marks on the final hop
 // only if the node is unmarked; marked nodes are treated as absent.
 func (l *List) Contains(t *core.Thread, key uint64) (uint64, bool) {
+	return ContainsAt(t, &l.head, key, 0)
+}
+
+// ContainsAt is Contains on the list reachable from anchor, for the
+// node (key, aux).
+func ContainsAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, bool) {
 	defer func() {
 		t.ProtectNode(core.SlotRemAux, 0)
 		t.ProtectNode(core.SlotRem0, 0)
 	}()
-	r := l.search(t, key, core.SlotRemAux, core.SlotRem0)
+	r := search(t, anchor, key, aux, core.SlotRemAux, core.SlotRem0)
 	if !r.found {
 		return 0, false
 	}
@@ -275,30 +335,29 @@ func (l *List) PrepareInsert(t *core.Thread, key uint64) bool {
 // Len counts elements (quiescent use; skips marked nodes).
 func (l *List) Len(t *core.Thread) int {
 	n := 0
-	cur := t.Read(&l.head)
-	for cur != word.Nil {
-		nx := t.Read(&t.Node(cur).Next)
-		if !word.IsListMarked(nx) {
-			n++
-		}
-		cur = word.ListUnmarked(nx)
-	}
+	Walk(t, &l.head, func(*arena.Node) { n++ })
 	return n
 }
 
 // Keys returns the keys in order (quiescent use, tests).
 func (l *List) Keys(t *core.Thread) []uint64 {
 	var out []uint64
-	cur := t.Read(&l.head)
+	Walk(t, &l.head, func(n *arena.Node) { out = append(out, n.Key) })
+	return out
+}
+
+// Walk calls f on every unmarked node reachable from anchor, in list
+// order (quiescent use: audits and tests).
+func Walk(t *core.Thread, anchor *word.Word, f func(*arena.Node)) {
+	cur := t.Read(anchor)
 	for cur != word.Nil {
 		n := t.Node(cur)
 		nx := t.Read(&n.Next)
 		if !word.IsListMarked(nx) {
-			out = append(out, n.Key)
+			f(n)
 		}
 		cur = word.ListUnmarked(nx)
 	}
-	return out
 }
 
 // Retries reports how many linearization CASes this list has lost to

@@ -1,71 +1,86 @@
 // Package hashmap implements a sharded, resizable, lock-free hash map
-// built from move-ready ordered lists, realizing the paper's §1.1
-// motivating scenario: "one can imagine a scenario where one wants to
-// compose together a hash-map and a linked list to provide a move
-// operation for the user".
+// over move-ready ordered lists, realizing the paper's §1.1 motivating
+// scenario: "one can imagine a scenario where one wants to compose
+// together a hash-map and a linked list to provide a move operation for
+// the user".
 //
 // # Structure
 //
-// The key space is partitioned over a fixed power-of-two number of
-// shards (low hash bits). Each shard owns a chain of bucket tables: the
-// oldest undrained table first, newer (larger) tables linked through
-// table.next. In steady state the chain is a single table; during a grow
-// it is two (the sealed table draining into its double-sized successor).
-// A table holds its buckets by value in one flat array — a bucket is a
-// move-ready harrislist (a head word, an object identity numbered from
-// the table's block of ids, a retry counter), so reaching it costs no
-// pointer hop and a table is one allocation. The map as a whole is
-// move-ready — its insert/remove linearization points are the bucket's —
-// and so is every individual bucket, which is what the grow path
-// exploits.
+// shard → directory → anchor → split-ordered list. The key space is
+// partitioned over a fixed power-of-two number of shards (low hash
+// bits). A shard points at its current directory, and a directory maps a
+// bucket index (the next hash bits) to an anchor: the word a list
+// traversal starts at. The shard's initial buckets are a flat array of
+// head words held by value, one list each, shared by every directory of
+// the shard — a map that never grows reaches an entry through the shard,
+// the directory header and the head word, nothing else. Every list is
+// kept in split order (Shalev & Shavit): nodes ascend by the bit-reversed
+// hash, bits.Reverse64(hash(key)), all 64 bits — hash is a bijection, so
+// distinct keys never tie. A bucket added by a grow is not a new list: it
+// is a sentinel node inside an existing one, carrying the bit-reversed
+// bucket index as its order key and sorting before an entry with the same
+// order key (arena.Node.Aux: 0 for a sentinel, 1 for an entry); the
+// directory's slot for that bucket holds the sentinel's reference, and
+// the bucket's anchor is the sentinel's Next word. Insert, Remove and
+// Contains are hash → shard → directory → anchor → the one validated
+// Michael traversal of package harrislist, started at that anchor; their
+// linearization points are the list's scas calls, so the map is
+// move-ready as a whole.
 //
 // # Growing
 //
-// A grow reuses the paper's own machinery instead of ad-hoc migration
-// code: every entry leaves the old bucket and enters its new bucket
-// through one move (Algorithm 3), so migration inherits the composition
-// guarantee — at every instant an entry is observable in exactly one
-// bucket, never neither and never both. The protocol per shard:
+// A grow moves nothing. It is one CAS that publishes a directory with
+// twice the slots (old slot values copied; directories are ordinary
+// garbage-collected memory). Slot b of the new half starts empty and is
+// filled by whoever needs bucket b first: search from the parent
+// bucket's anchor (b with its top bit cleared, recursively) for the
+// sentinel's order key, reuse the sentinel if it is there, otherwise
+// allocate one and link it with a plain CAS — never through scas: like
+// Harris' physical unlink the link is structural, and a surrounding
+// Move/MoveN/TransferN must not capture it as one of its entries.
+// Sentinels are never removed or retired (they live as long as the
+// runtime's arena), so a traversal started at one needs no hazard. The
+// thread that wins a doubling links the new sentinels right away, but
+// nobody depends on it: a thread that needs one first links it itself.
 //
-//  1. seal: the live table's sealed flag is raised; new inserts bounce.
-//  2. quiesce: wait for the in-flight insert count to drain to zero
-//     (inserts announce themselves with a counter before re-checking the
-//     seal, a store-load fence pair), so no insert can land in the old
-//     table after draining starts.
-//  3. drain: helpers claim old buckets through an atomic cursor and move
-//     each entry with Move(oldBucket → newBucket). Failed moves mean
-//     another helper or a concurrent remove got the entry first.
-//  4. verify + swap: once the claim cursor is exhausted each helper
-//     re-scans all buckets (covering stalled claimants — cooperation,
-//     not waiting), then CASes the shard's table pointer forward.
+// Why no entry has to move: at directory size S an entry with hash h
+// lives in bucket h mod S, after that bucket's sentinel. At size 2S its
+// bucket is h mod 2S, whose index extends h mod S by one bit — so in bit-
+// reversed order the new sentinel falls inside the old bucket's range,
+// and the entries of the new bucket are exactly the old bucket's suffix
+// from there on. Linking the sentinel splits the bucket in place; a
+// traversal started from the old (shorter) anchor still reaches every
+// entry, so a thread holding a stale directory is correct, only slower.
 //
-// Lookups and removes never block on a grow: they walk the table chain
-// from the shard's current table. Entries only migrate forward along the
-// chain and a table's next pointer is never cleared, so a miss on the
-// final table is a linearizable miss and stale readers always reach the
-// live table.
+// # Progress
 //
-// Progress: all operations are lock-free in steady state; during a grow,
-// lookups, removes and moves out of the map stay lock-free, while
-// inserts help migrate (cooperatively, through moves) before retrying.
-// The only wait is step 2's insert-quiescence, bounded by the in-flight
-// inserts admitted before the seal. Inserts arriving as the target of a
-// composed Move/MoveN while the shard is mid-grow cannot help (helping
-// would nest a move); instead of rejecting the composition they wait
-// out the sealed table's insert-quiescence and route the insert to the
-// successor table, which is already part of the lookup chain — the move
-// only aborts if the key is still present in the sealed table (a
-// genuine duplicate) or the chain advances underneath it.
+// Every operation is lock-free at all times; nothing waits. A thread
+// parked or killed between publishing a directory and linking its
+// sentinels (fault.MapMidGrow) delays nobody. Grow, RebalanceStep and
+// Quiesce let a caller double on demand or finish the linking early; they
+// are never needed for correctness.
+//
+// # Composed operations × grow
+//
+// Entries never move, so a grow cannot race a Move: the words a composed
+// operation captures — a node's Next for a remove, its predecessor's for
+// an insert — are the same words before, during and after any number of
+// doublings, and the only writes a grow makes to the lists are sentinel
+// links, which a racing k-word CAS sees as an ordinary conflict on that
+// word (retry). A doubling decided inside a move is legal: it is a CAS
+// on the shard's directory pointer, no operation is helped.
 package hashmap
 
 import (
-	"runtime"
+	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/harrislist"
 	"repro/internal/pad"
+	"repro/internal/word"
 )
 
 // DefaultShards is the shard count used by New.
@@ -75,15 +90,22 @@ const DefaultShards = 8
 // a grow.
 const DefaultGrowLoad = 6
 
+// Aux values of the map's nodes: a sentinel sorts before the entry that
+// shares its order key.
+const (
+	auxSentinel = 0
+	auxEntry    = 1
+)
+
 // Map is a sharded, resizable lock-free hash map from uint64 keys to
 // uint64 values.
 //
-// Map, shard and table follow one layout rule: the fields every
-// operation reads (and a grow writes once) fill a header line of their
-// own, and the words operations write sit on a separate, padded line —
-// otherwise every writer would invalidate the line every reader needs.
-// The structs are sized to whole lines, which the allocator then places
-// on line boundaries; layout_test.go pins the offsets.
+// Map, shard and directory follow one layout rule: the fields every
+// operation reads fill a header line of their own, and the words
+// operations write sit on a separate, padded line — otherwise every
+// writer would invalidate the line every reader needs. The structs are
+// sized to whole lines, which the allocator then places on line
+// boundaries; layout_test.go pins the offsets.
 type Map struct {
 	shards    []shard
 	shardMask uint64
@@ -92,40 +114,36 @@ type Map struct {
 	id        uint64
 	_         [pad.CacheLineSize - 56]byte
 
-	grows    atomic.Uint64 // completed seal decisions
-	migrated atomic.Uint64 // entries relocated by a grow's moves
-	steps    atomic.Uint64 // RebalanceStep invocations that did work
-	_        [pad.CacheLineSize - 24]byte
+	grows     atomic.Uint64 // directory doublings
+	sentinels atomic.Uint64 // sentinel nodes linked
+	steps     atomic.Uint64 // RebalanceStep invocations that did work
+	_         [pad.CacheLineSize - 24]byte
 }
 
 var _ core.MoveReady = (*Map)(nil)
 
-// shard is one partition: a chain of tables plus its element counter.
+// shard is one partition: its current directory, its element counter and
+// its contention counter.
 type shard struct {
-	cur atomic.Pointer[table] // oldest undrained table; chain via next
+	dir atomic.Pointer[directory] // replaced by a grow, never cleared
 	_   pad.Pad56
 
-	count atomic.Int64 // written by every successful insert and remove
-	_     pad.Pad56
+	count   atomic.Int64  // written by every successful insert and remove
+	retries atomic.Uint64 // linearization CASes lost in this shard's lists
+	_       pad.Pad48
 }
 
-// table is one bucket array generation of a shard. The buckets are held
-// by value: one allocation per table and no pointer hop per operation.
-type table struct {
-	buckets  []harrislist.List
-	mask     uint64
-	sealed   atomic.Bool           // no new inserts (grow pending/running)
-	draining atomic.Bool           // quiescence reached; entries may move
-	next     atomic.Pointer[table] // successor table; set once, never cleared
-	_        [pad.CacheLineSize - 48]byte
+// directory maps a shard's bucket indexes to anchors. Immutable apart
+// from the slot values, which only ever go from 0 to a sentinel's
+// reference, and RebalanceStep's cursor.
+type directory struct {
+	heads []word.Word     // the initial buckets' head words; shared by every directory of the shard
+	slots []atomic.Uint64 // slot b >= len(heads): bucket b's sentinel, 0 until linked; nil before the first grow
+	mask  uint64          // bucket count - 1
+	_     [pad.CacheLineSize - 56]byte
 
-	ins   atomic.Int64 // in-flight inserts admitted pre-seal
-	claim atomic.Int64 // next bucket index to claim for drain
-	_     pad.Pad48
-}
-
-func (tb *table) bucket(h uint64, shardBits uint) *harrislist.List {
-	return &tb.buckets[(h>>shardBits)&tb.mask]
+	scan atomic.Uint64 // RebalanceStep's cursor: every slot below it is linked
+	_    pad.Pad56
 }
 
 // New creates a map with the given total initial bucket count spread
@@ -161,7 +179,7 @@ func NewSharded(t *core.Thread, shards, bucketsPerShard, growLoad int) *Map {
 	}
 	per := pad.CeilPow2(bucketsPerShard)
 	for i := range m.shards {
-		m.shards[i].cur.Store(m.newTable(t, per))
+		m.shards[i].dir.Store(&directory{heads: make([]word.Word, per), mask: uint64(per - 1)})
 	}
 	if reg := t.Runtime().Obs().Metrics(); reg != nil {
 		// Registry pulls: map-wide aggregates reading the same atomics
@@ -174,32 +192,16 @@ func NewSharded(t *core.Thread, shards, bucketsPerShard, growLoad int) *Map {
 			}
 			return total
 		})
-		reg.AddFunc("map_grows_total", func() uint64 { g, _, _ := m.Stats(); return g })
-		reg.AddFunc("map_migrated_total", func() uint64 { _, mig, _ := m.Stats(); return mig })
-		reg.AddFunc("map_migrate_steps_total", func() uint64 { _, _, steps := m.Stats(); return steps })
+		reg.AddFunc("map_grows_total", func() uint64 { return m.grows.Load() })
 	}
 	return m
-}
-
-// newTable builds a bucket table; every bucket gets its own object
-// identity so a grow's moves see distinct source and target objects.
-func (m *Map) newTable(t *core.Thread, buckets int) *table {
-	tb := &table{
-		buckets: make([]harrislist.List, buckets),
-		mask:    uint64(buckets - 1),
-	}
-	id := t.Runtime().NextObjectIDs(buckets)
-	for i := range tb.buckets {
-		tb.buckets[i].Init(id + uint64(i))
-	}
-	return tb
 }
 
 // ObjectID implements core.MoveReady.
 func (m *Map) ObjectID() uint64 { return m.id }
 
-// hash is a 64-bit finalizer (splitmix64's mixer); good enough to spread
-// adversarial uint64 keys over shards and buckets.
+// hash is a 64-bit finalizer (splitmix64's mixer): a bijection that
+// spreads adversarial uint64 keys over shards and buckets.
 func hash(k uint64) uint64 {
 	k ^= k >> 30
 	k *= 0xbf58476d1ce4e5b9
@@ -209,141 +211,148 @@ func hash(k uint64) uint64 {
 	return k
 }
 
+// unhash inverts hash (the multipliers are the modular inverses of
+// hash's); Keys recovers a key from a node's order key with it.
+func unhash(h uint64) uint64 {
+	h ^= h>>31 ^ h>>62
+	h *= 0x319642b2d24d8ec3
+	h ^= h>>27 ^ h>>54
+	h *= 0x96de1b173f119089
+	h ^= h>>30 ^ h>>60
+	return h
+}
+
 func (m *Map) shard(h uint64) *shard { return &m.shards[h&m.shardMask] }
 
-// SameChain reports whether key1 and key2 currently land in the same
-// bucket chain: same shard and same bucket index in that shard's
-// current table. Composed multi-key operations (core.TransferN) need
-// chain-independent keys — two linearization CASes in one chain can
-// target the same word, which cannot be captured twice by one k-word
-// CAS — so callers reject same-chain pairs up front (a data-dependent
-// condition, not a programming error). The answer is a snapshot, but a
-// concurrent grow only doubles the bucket count, which preserves
-// distinctness: keys in different chains stay in different chains.
+// anchor returns the word a traversal for hash h starts at under
+// directory d: an initial bucket's head word, or the Next word of the
+// bucket's sentinel — linked first when nobody has yet. The hazard slots
+// are the caller's side's (insert or remove).
+func (m *Map) anchor(t *core.Thread, d *directory, h uint64, slotPrev, slotCur int) *word.Word {
+	b := (h >> m.shardBits) & d.mask
+	if b < uint64(len(d.heads)) {
+		return &d.heads[b]
+	}
+	return &t.Node(m.sentinel(t, d, h&m.shardMask, b, slotPrev, slotCur)).Next
+}
+
+// sentinel returns bucket b's sentinel in shard si, linking it into its
+// parent bucket's list when the slot is still empty. Idempotent and
+// lock-free: racing callers agree on one node (harrislist.LinkAt), and a
+// slot a directory copy missed is found again by the search.
+func (m *Map) sentinel(t *core.Thread, d *directory, si, b uint64, slotPrev, slotCur int) uint64 {
+	if ref := d.slots[b].Load(); ref != 0 {
+		return ref
+	}
+	from := &d.heads[b&uint64(len(d.heads)-1)]
+	if parent := b &^ (1 << (bits.Len64(b) - 1)); parent >= uint64(len(d.heads)) {
+		from = &t.Node(m.sentinel(t, d, si, parent, slotPrev, slotCur)).Next
+	}
+	ref, linked := harrislist.LinkAt(t, from, bits.Reverse64(b<<m.shardBits|si), auxSentinel, slotPrev, slotCur)
+	if linked {
+		m.sentinels.Add(1)
+	}
+	d.slots[b].Store(ref)
+	return ref
+}
+
+// double publishes a directory with twice d's buckets in place of d and
+// returns it, or nil when another grow already replaced d.
+func (m *Map) double(s *shard, d *directory) *directory {
+	n := 2 * (int(d.mask) + 1)
+	nd := &directory{heads: d.heads, slots: make([]atomic.Uint64, n), mask: uint64(n - 1)}
+	for i := len(d.heads); i < len(d.slots); i++ {
+		nd.slots[i].Store(d.slots[i].Load())
+	}
+	if !s.dir.CompareAndSwap(d, nd) {
+		return nil
+	}
+	m.grows.Add(1)
+	return nd
+}
+
+// SameChain reports whether key1 and key2 land in the same bucket: same
+// shard and same bucket index at the directory size it reads. Composed
+// multi-key operations (core.TransferN) need word-independent keys — two
+// linearization CASes on neighbouring nodes can target the same word,
+// which cannot be captured twice by one k-word CAS — so callers reject
+// same-bucket pairs up front (a data-dependent condition, not a
+// programming error). The answer is a snapshot, and it stays good: two
+// keys in different buckets at size S are in different buckets at every
+// later size, and every operation on either key first makes sure its own
+// bucket's sentinel is linked — a node that sorts between the two keys
+// from then on, so neither key's node, nor its predecessor's Next word,
+// can be the other's.
 func (m *Map) SameChain(key1, key2 uint64) bool {
 	h1, h2 := hash(key1), hash(key2)
 	if h1&m.shardMask != h2&m.shardMask {
 		return false
 	}
-	tab := m.shard(h1).cur.Load()
-	return (h1>>m.shardBits)&tab.mask == (h2>>m.shardBits)&tab.mask
+	mask := m.shard(h1).dir.Load().mask
+	return (h1>>m.shardBits)&mask == (h2>>m.shardBits)&mask
 }
 
 // Insert adds (key, val); false when the key exists, or when a
-// surrounding move aborts. A move targeting a mid-grow shard no longer
-// aborts outright: the insert routes to the successor table (see
-// insertRouted), so only a genuine duplicate fails the composition.
+// surrounding move aborts. The insert that takes its shard over the load
+// threshold doubles the shard's directory — also inside a move: the
+// doubling is a CAS, nothing is helped — and links the new sentinels.
 func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 	h := hash(key)
 	s := m.shard(h)
-	for {
-		tab := s.cur.Load()
-		if tab.sealed.Load() {
-			if t.MoveInFlight() {
-				ok, retry := m.insertRouted(t, s, tab, h, key, val)
-				if retry {
-					continue
-				}
-				return ok
-			}
-			m.helpGrow(t, s, tab)
-			continue
+	d := s.dir.Load()
+	from := m.anchor(t, d, h, core.SlotInsAux, core.SlotIns0)
+	if !harrislist.InsertAt(t, from, bits.Reverse64(h), auxEntry, val, &s.retries) {
+		return false
+	}
+	if s.count.Add(1) > int64(d.mask+1)*m.growLoad {
+		if nd := m.double(s, d); nd != nil {
+			// A thread stalled or killed here leaves a directory whose new
+			// half is all empty slots; peers link what they need.
+			t.Fault(fault.MapMidGrow)
+			m.linkAll(t, nd, h&m.shardMask)
 		}
-		// Announce, then re-check the seal: if the re-check still reads
-		// unsealed, the sealer's quiescence wait is guaranteed to see
-		// this insert (both sides are sequentially consistent atomics).
-		tab.ins.Add(1)
-		if tab.sealed.Load() {
-			tab.ins.Add(-1)
-			continue // sealed branch above handles both cases
-		}
-		ok := tab.bucket(h, m.shardBits).Insert(t, key, val)
-		tab.ins.Add(-1)
-		if ok {
-			n := s.count.Add(1)
-			if !t.MoveInFlight() && n > int64(len(tab.buckets))*m.growLoad &&
-				tab.sealed.CompareAndSwap(false, true) {
-				m.grows.Add(1)
-				m.helpGrow(t, s, tab)
-			}
-		}
-		return ok
+	}
+	return true
+}
+
+// linkAll links every missing sentinel of d, a directory of shard si,
+// under the insert-side hazard slots: its callers are an insert that has
+// finished with them, or no operation at all.
+func (m *Map) linkAll(t *core.Thread, d *directory, si uint64) {
+	for b := uint64(len(d.heads)); b < uint64(len(d.slots)); b++ {
+		m.sentinel(t, d, si, b, core.SlotInsAux, core.SlotIns0)
 	}
 }
 
-// insertRouted is the in-move insert path for a sealed shard (the
-// ROADMAP's "moves targeting a mid-grow shard abort" follow-up).
-// Helping the grow would nest a move, so instead the insert goes to the
-// successor table, which is already part of every reader's chain walk.
-// The protocol mirrors the normal path: wait out the sealed table's
-// insert-quiescence (after which its buckets can only shrink), check
-// the key is not still sitting in the sealed table (that would be a
-// genuine duplicate: abort the move), then announce on the successor
-// and insert there. retry asks the caller to re-read the shard when the
-// chain advanced mid-route.
-func (m *Map) insertRouted(t *core.Thread, s *shard, tab *table, h, key, val uint64) (ok, retry bool) {
-	next := m.ensureNext(t, tab)
-	tab.quiesceInserts()
-	if _, dup := tab.bucket(h, m.shardBits).Contains(t, key); dup {
-		return false, false
-	}
-	next.ins.Add(1)
-	if next.sealed.Load() {
-		// The successor became live and was itself sealed: the sealed
-		// table is fully drained, so restart from the shard's current
-		// table rather than chase the chain.
-		next.ins.Add(-1)
-		return false, true
-	}
-	ok = next.bucket(h, m.shardBits).Insert(t, key, val)
-	next.ins.Add(-1)
-	if ok {
-		s.count.Add(1)
-	}
-	return ok, false
-}
-
-// Remove deletes key and returns its value. It walks the shard's table
-// chain: entries migrate only forward along the chain, so a miss on the
-// final table linearizes as a miss on the whole map.
+// Remove deletes key and returns its value.
 func (m *Map) Remove(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
 	s := m.shard(h)
-	for tab := s.cur.Load(); tab != nil; tab = tab.next.Load() {
-		if v, ok := tab.bucket(h, m.shardBits).Remove(t, key); ok {
-			s.count.Add(-1)
-			return v, true
-		}
+	from := m.anchor(t, s.dir.Load(), h, core.SlotRemAux, core.SlotRem0)
+	v, ok := harrislist.RemoveAt(t, from, bits.Reverse64(h), auxEntry, &s.retries)
+	if ok {
+		s.count.Add(-1)
 	}
-	return 0, false
+	return v, ok
 }
 
-// ContentionStats reports each shard's accumulated CAS-retry count:
-// the sum, over the shard's live table chain, of every bucket list's
-// lost linearization CASes (harrislist.Retries) — a shard whose counter
-// climbs between two samples is being fought over right now; the sum
-// over shards is the registry's cas_retries_total. Counters ride on the
-// buckets, so entries migrated by a grow start fresh in the successor
-// table and counts from fully drained tables age out with them: treat
-// deltas, not absolutes, as the signal.
+// ContentionStats reports each shard's accumulated CAS-retry count: the
+// linearization CASes its inserts and removes lost to concurrent writers
+// — a shard whose counter climbs between two samples is being fought
+// over right now; the sum over shards is the registry's
+// cas_retries_total.
 func (m *Map) ContentionStats() []uint64 {
 	out := make([]uint64, len(m.shards))
 	for i := range m.shards {
-		var n uint64
-		for tab := m.shards[i].cur.Load(); tab != nil; tab = tab.next.Load() {
-			for j := range tab.buckets {
-				n += tab.buckets[j].Retries()
-			}
-		}
-		out[i] = n
+		out[i] = m.shards[i].retries.Load()
 	}
 	return out
 }
 
 // PrepareRemove implements core.RemovePreparer for the batched move
-// pipeline: a chain-walk miss is a linearizable absence observation (a
-// failed batched move may linearize at it); a hit warms the shard's
-// bucket path for the commit.
+// pipeline: a miss is a linearizable absence observation (a failed
+// batched move may linearize at it); a hit warms the bucket's path for
+// the commit.
 func (m *Map) PrepareRemove(t *core.Thread, key uint64) bool {
 	_, ok := m.Contains(t, key)
 	return ok
@@ -357,17 +366,11 @@ func (m *Map) PrepareInsert(t *core.Thread, key uint64) bool {
 	return !dup
 }
 
-// Contains reports presence and value, walking the table chain like
-// Remove.
+// Contains reports presence and value.
 func (m *Map) Contains(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
-	s := m.shard(h)
-	for tab := s.cur.Load(); tab != nil; tab = tab.next.Load() {
-		if v, ok := tab.bucket(h, m.shardBits).Contains(t, key); ok {
-			return v, true
-		}
-	}
-	return 0, false
+	from := m.anchor(t, m.shard(h).dir.Load(), h, core.SlotRemAux, core.SlotRem0)
+	return harrislist.ContainsAt(t, from, bits.Reverse64(h), auxEntry)
 }
 
 // Len reports the element count from the per-shard counters: exact at
@@ -385,24 +388,23 @@ func (m *Map) Len(t *core.Thread) int {
 func (m *Map) Keys(t *core.Thread) []uint64 {
 	var out []uint64
 	for i := range m.shards {
-		for tab := m.shards[i].cur.Load(); tab != nil; tab = tab.next.Load() {
-			for j := range tab.buckets {
-				out = append(out, tab.buckets[j].Keys(t)...)
-			}
+		heads := m.shards[i].dir.Load().heads
+		for j := range heads {
+			harrislist.Walk(t, &heads[j], func(n *arena.Node) {
+				if n.Aux == auxEntry {
+					out = append(out, unhash(bits.Reverse64(n.Key)))
+				}
+			})
 		}
 	}
 	return out
 }
 
-// Buckets reports the total bucket count of the live (newest) tables.
+// Buckets reports the total bucket count of the current directories.
 func (m *Map) Buckets() int {
 	n := 0
 	for i := range m.shards {
-		tab := m.shards[i].cur.Load()
-		for nx := tab.next.Load(); nx != nil; nx = tab.next.Load() {
-			tab = nx
-		}
-		n += len(tab.buckets)
+		n += int(m.shards[i].dir.Load().mask) + 1
 	}
 	return n
 }
@@ -410,42 +412,51 @@ func (m *Map) Buckets() int {
 // Shards reports the shard count.
 func (m *Map) Shards() int { return len(m.shards) }
 
-// Stats reports grow activity: seals decided, entries migrated by the
-// grows' moves, and RebalanceStep calls that performed work.
-func (m *Map) Stats() (grows, migrated, steps uint64) {
-	return m.grows.Load(), m.migrated.Load(), m.steps.Load()
+// Stats reports grow activity: directory doublings, sentinels linked,
+// and RebalanceStep calls that performed work.
+func (m *Map) Stats() (grows, sentinels, steps uint64) {
+	return m.grows.Load(), m.sentinels.Load(), m.steps.Load()
 }
 
-// Grow seals the live table of every shard, forcing a resize. Draining
-// happens cooperatively: by subsequent inserts, by RebalanceStep calls,
-// or all at once via Quiesce. Must not be called inside a move.
+// Grow doubles the directory of every shard. The new sentinels are
+// linked on demand: by the operations that need them, by RebalanceStep
+// calls, or all at once via Quiesce.
 func (m *Map) Grow(t *core.Thread) {
 	for i := range m.shards {
-		tab := m.shards[i].cur.Load()
-		if !tab.sealed.Load() && tab.sealed.CompareAndSwap(false, true) {
-			m.grows.Add(1)
-		}
+		s := &m.shards[i]
+		m.double(s, s.dir.Load())
 	}
 }
 
-// RebalanceStep performs one bounded unit of rebalancing: it drains one
-// bucket of a shard whose grow is pending (finishing the table swap when
-// it was the last), or seals one shard that exceeds the load threshold.
-// It reports whether it did any work, so callers can drive migration
-// incrementally (a rebalancer thread loops until false). Must not be
-// called inside a move.
+// RebalanceStep performs one bounded unit of rebalancing: it doubles one
+// shard that exceeds the load threshold, or links one missing sentinel.
+// It reports whether it did any work, so callers can drive the linking
+// incrementally (a rebalancer thread loops until false).
 func (m *Map) RebalanceStep(t *core.Thread) bool {
 	for i := range m.shards {
 		s := &m.shards[i]
-		tab := s.cur.Load()
-		if tab.sealed.Load() {
-			m.stepGrow(t, s, tab)
-			m.steps.Add(1)
-			return true
+		d := s.dir.Load()
+		if s.count.Load() > int64(d.mask+1)*m.growLoad {
+			if m.double(s, d) != nil {
+				m.steps.Add(1)
+				return true
+			}
+			d = s.dir.Load()
 		}
-		if s.count.Load() > int64(len(tab.buckets))*m.growLoad &&
-			tab.sealed.CompareAndSwap(false, true) {
-			m.grows.Add(1)
+		from := max(d.scan.Load(), uint64(len(d.heads)))
+		b := from
+		for b < uint64(len(d.slots)) && d.slots[b].Load() != 0 {
+			b++
+		}
+		missing := b < uint64(len(d.slots))
+		if missing {
+			m.sentinel(t, d, uint64(i), b, core.SlotInsAux, core.SlotIns0)
+			b++
+		}
+		if b != from {
+			d.scan.Store(b)
+		}
+		if missing {
 			m.steps.Add(1)
 			return true
 		}
@@ -453,112 +464,9 @@ func (m *Map) RebalanceStep(t *core.Thread) bool {
 	return false
 }
 
-// Quiesce drives every pending grow to completion. Must not be called
-// inside a move.
+// Quiesce links every missing sentinel of every shard.
 func (m *Map) Quiesce(t *core.Thread) {
-	for {
-		work := false
-		for i := range m.shards {
-			s := &m.shards[i]
-			if tab := s.cur.Load(); tab.sealed.Load() {
-				m.helpGrow(t, s, tab)
-				work = true
-			}
-		}
-		if !work {
-			return
-		}
-	}
-}
-
-// ensureNext links the successor table (double the buckets), racing
-// other helpers; exactly one allocation wins.
-func (m *Map) ensureNext(t *core.Thread, tab *table) *table {
-	if next := tab.next.Load(); next != nil {
-		return next
-	}
-	nt := m.newTable(t, len(tab.buckets)*2)
-	if tab.next.CompareAndSwap(nil, nt) {
-		return nt
-	}
-	return tab.next.Load()
-}
-
-// quiesceInserts waits out the inserts admitted before the seal (step 2
-// of the grow protocol). New inserts bounce off the seal, so the counter
-// only decreases.
-func (tb *table) quiesceInserts() {
-	if tb.draining.Load() {
-		return
-	}
-	for tb.ins.Load() > 0 {
-		runtime.Gosched()
-	}
-	tb.draining.Store(true)
-}
-
-// helpGrow runs the grow protocol for one sealed table to completion.
-func (m *Map) helpGrow(t *core.Thread, s *shard, tab *table) {
-	next := m.ensureNext(t, tab)
-	tab.quiesceInserts()
-	// Claimed pass: spread concurrent helpers over distinct buckets.
-	for {
-		i := tab.claim.Add(1) - 1
-		if i >= int64(len(tab.buckets)) {
-			break
-		}
-		m.drainBucket(t, tab, next, int(i))
-	}
-	m.finishGrow(t, s, tab, next)
-}
-
-// stepGrow is helpGrow's bounded sibling for RebalanceStep: one claimed
-// bucket per call, then the finish sequence.
-func (m *Map) stepGrow(t *core.Thread, s *shard, tab *table) {
-	next := m.ensureNext(t, tab)
-	tab.quiesceInserts()
-	if i := tab.claim.Add(1) - 1; i < int64(len(tab.buckets)) {
-		m.drainBucket(t, tab, next, int(i))
-		return
-	}
-	m.finishGrow(t, s, tab, next)
-}
-
-// finishGrow is the shared tail of the grow protocol: a verification
-// pass covering buckets whose claimant stalled (inserts are sealed out,
-// so a drained bucket stays empty and one full scan suffices), then the
-// table-pointer swap.
-func (m *Map) finishGrow(t *core.Thread, s *shard, tab, next *table) {
-	for i := range tab.buckets {
-		m.drainBucket(t, tab, next, i)
-	}
-	s.cur.CompareAndSwap(tab, next)
-}
-
-// drainBucket migrates every entry of one sealed bucket into its new
-// bucket through a move (Algorithm 3's pair path: one source, one
-// target), so each relocation is atomic: the entry is in exactly one
-// bucket at every instant. A failed move means a concurrent helper
-// migrated the entry or a concurrent remove/move took it; either way the
-// bucket shrank and the loop re-reads.
-func (m *Map) drainBucket(t *core.Thread, tab, next *table, i int) {
-	src := &tab.buckets[i]
-	var moved uint64
-	for {
-		k, _, ok := src.Min(t)
-		if !ok {
-			break
-		}
-		// Mid-migration window: the table is sealed and this bucket is
-		// partially drained. A migrator stalled or killed here must not
-		// wedge the grow — any other thread (or reader) entering the map
-		// helps the same buckets via helpGrow/stepGrow.
-		t.Fault(fault.MapMidMigration)
-		if _, ok := t.Move(src, next.bucket(hash(k), m.shardBits), k, k); ok {
-			moved++
-		}
-	}
-	if moved != 0 {
-		m.migrated.Add(moved)
+	for i := range m.shards {
+		m.linkAll(t, m.shards[i].dir.Load(), uint64(i))
 	}
 }

@@ -79,9 +79,9 @@ func TestGrowPreservesEntries(t *testing.T) {
 		}
 	}
 	m.Quiesce(th)
-	grows, migrated, _ := m.Stats()
-	if grows == 0 || migrated == 0 {
-		t.Fatalf("grows=%d migrated=%d; grow path never ran", grows, migrated)
+	grows, sentinels, _ := m.Stats()
+	if grows == 0 || sentinels == 0 {
+		t.Fatalf("grows=%d sentinels=%d; grow path never ran", grows, sentinels)
 	}
 	if m.Buckets() <= 2 {
 		t.Fatalf("Buckets=%d, never grew", m.Buckets())
@@ -106,12 +106,13 @@ func TestGrowPreservesEntries(t *testing.T) {
 	}
 }
 
-// TestRebalanceStepDrivesGrow checks the incremental migration driver: a
-// forced Grow is completed purely by RebalanceStep calls.
+// TestRebalanceStepDrivesGrow checks the incremental driver: the
+// sentinels of a forced Grow are all linked purely by RebalanceStep
+// calls.
 func TestRebalanceStepDrivesGrow(t *testing.T) {
 	rt := newRT(1)
 	th := rt.RegisterThread()
-	m := NewSharded(th, 4, 4, 1<<30) // threshold unreachable: only Grow seals
+	m := NewSharded(th, 4, 4, 1<<30) // threshold unreachable: only Grow doubles
 	const n = 500
 	for k := uint64(1); k <= n; k++ {
 		m.Insert(th, k, k)
@@ -128,12 +129,15 @@ func TestRebalanceStepDrivesGrow(t *testing.T) {
 	if got := m.Buckets(); got != before*2 {
 		t.Fatalf("Buckets=%d want %d after forced grow", got, before*2)
 	}
-	_, migrated, stepped := m.Stats()
-	if migrated != n {
-		t.Fatalf("migrated=%d want %d", migrated, n)
+	grows, sentinels, stepped := m.Stats()
+	if grows != uint64(m.Shards()) {
+		t.Fatalf("grows=%d want one per shard (%d)", grows, m.Shards())
 	}
-	if stepped == 0 {
-		t.Fatal("steps stat never advanced")
+	if sentinels != uint64(before) {
+		t.Fatalf("sentinels=%d want %d (one per new bucket)", sentinels, before)
+	}
+	if stepped != sentinels || steps != before {
+		t.Fatalf("steps stat=%d loop=%d, want one step per sentinel (%d)", stepped, steps, sentinels)
 	}
 	for k := uint64(1); k <= n; k++ {
 		if v, ok := m.Contains(th, k); !ok || v != k {
@@ -278,54 +282,6 @@ func TestMoveHashMapQueue(t *testing.T) {
 	}
 }
 
-// TestMoveIntoGrowingShardRoutes pins the composition rule for resizes:
-// a move targeting a shard that is mid-grow no longer aborts — the
-// insert routes to the successor table (already on every reader's chain
-// walk), so the move succeeds and the entry is immediately observable.
-// Only a genuine duplicate still aborts the composition.
-func TestMoveIntoGrowingShardRoutes(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	m := NewSharded(th, 1, 2, 1<<30)
-	m.Insert(th, 7, 77)
-	q := msqueue.New(th)
-	q.Enqueue(th, 55)
-	m.Grow(th) // seal without draining: the shard stays mid-grow
-	if v, ok := th.Move(q, m, 0, 5); !ok || v != 55 {
-		t.Fatalf("move into mid-grow shard must route to the successor: %d,%v", v, ok)
-	}
-	if q.Len(th) != 0 {
-		t.Fatal("moved element still in the queue")
-	}
-	if v, ok := m.Contains(th, 5); !ok || v != 55 {
-		t.Fatalf("routed entry not observable mid-grow: %d,%v", v, ok)
-	}
-	// A duplicate key still sitting in the sealed table aborts the move.
-	q.Enqueue(th, 56)
-	if _, ok := th.Move(q, m, 0, 7); ok {
-		t.Fatal("move onto a key still in the sealed table must abort")
-	}
-	if q.Len(th) != 1 {
-		t.Fatal("aborted move changed the queue")
-	}
-	// Completing the migration merges old and routed entries.
-	for m.RebalanceStep(th) {
-	}
-	if v, ok := m.Contains(th, 5); !ok || v != 55 {
-		t.Fatalf("routed entry lost by migration: %d,%v", v, ok)
-	}
-	if v, ok := m.Contains(th, 7); !ok || v != 77 {
-		t.Fatalf("sealed-table entry lost by migration: %d,%v", v, ok)
-	}
-	if m.Len(th) != 2 {
-		t.Fatalf("len=%d want 2", m.Len(th))
-	}
-	// And moves keep working on the merged table.
-	if v, ok := th.Move(q, m, 0, 9); !ok || v != 56 {
-		t.Fatalf("move after migration: %d,%v", v, ok)
-	}
-}
-
 // TestConcurrentMapMoves: tokens live in either of two maps (as keys);
 // moves shuffle them around while both maps keep growing; at the end
 // each token exists exactly once.
@@ -445,7 +401,7 @@ func TestContentionStatsUnderContention(t *testing.T) {
 	const threads = 4
 	rt := newRT(threads + 1)
 	setup := rt.RegisterThread()
-	m := NewSharded(setup, 4, 4, 1<<20) // huge grow load: no seals, pure CAS traffic
+	m := NewSharded(setup, 4, 4, 1<<20) // huge grow load: no grows, pure CAS traffic
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
 		th := rt.RegisterThread()

@@ -13,9 +13,9 @@ import (
 // one line, and the words operations write on other lines.
 func TestLayout(t *testing.T) {
 	var (
-		m  Map
-		s  shard
-		tb table
+		m Map
+		s shard
+		d directory
 	)
 	for _, c := range []struct {
 		name        string
@@ -24,14 +24,14 @@ func TestLayout(t *testing.T) {
 		written     map[string]uintptr // offsets of the words operations write
 	}{
 		{"shard", unsafe.Sizeof(s),
-			unsafe.Offsetof(s.cur), unsafe.Offsetof(s.cur) + unsafe.Sizeof(s.cur) - 1,
-			map[string]uintptr{"count": unsafe.Offsetof(s.count)}},
-		{"table", unsafe.Sizeof(tb),
-			unsafe.Offsetof(tb.buckets), unsafe.Offsetof(tb.next) + unsafe.Sizeof(tb.next) - 1,
-			map[string]uintptr{"ins": unsafe.Offsetof(tb.ins), "claim": unsafe.Offsetof(tb.claim)}},
+			unsafe.Offsetof(s.dir), unsafe.Offsetof(s.dir) + unsafe.Sizeof(s.dir) - 1,
+			map[string]uintptr{"count": unsafe.Offsetof(s.count), "retries": unsafe.Offsetof(s.retries)}},
+		{"directory", unsafe.Sizeof(d),
+			unsafe.Offsetof(d.heads), unsafe.Offsetof(d.mask) + unsafe.Sizeof(d.mask) - 1,
+			map[string]uintptr{"scan": unsafe.Offsetof(d.scan)}},
 		{"Map", unsafe.Sizeof(m),
 			unsafe.Offsetof(m.shards), unsafe.Offsetof(m.id) + unsafe.Sizeof(m.id) - 1,
-			map[string]uintptr{"grows": unsafe.Offsetof(m.grows), "migrated": unsafe.Offsetof(m.migrated), "steps": unsafe.Offsetof(m.steps)}},
+			map[string]uintptr{"grows": unsafe.Offsetof(m.grows), "sentinels": unsafe.Offsetof(m.sentinels), "steps": unsafe.Offsetof(m.steps)}},
 	} {
 		if c.size%pad.CacheLineSize != 0 {
 			t.Errorf("%s is %d bytes, not a whole number of lines", c.name, c.size)

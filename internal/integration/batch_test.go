@@ -139,9 +139,13 @@ func TestBatchedMoveHistoriesLinearizable(t *testing.T) {
 // TestBatchedMoveConservationRacingGrows circulates unique tokens
 // between two deliberately tiny sharded maps through batched keyed
 // moves while other threads issue plain Move/MoveN over the same keys
-// and a rebalancer forces and drives shard grows (each relocation a
-// MoveN). After the storm every token must exist exactly once across
-// the two maps and the fan-out audit queue must be empty.
+// and a rebalancer forces shard grows and links their sentinels. Every
+// successful fan-out is followed by its own thread's Dequeue, which fails
+// only on an empty queue, so the audit queue is empty once the workers
+// have returned (a worker must not "drain it back" while peers run: the
+// copy it takes is a live fan-out's, whose twin is already in a map).
+// After the storm every token must exist exactly once across the two
+// maps and the queue.
 func TestBatchedMoveConservationRacingGrows(t *testing.T) {
 	const (
 		tokens  = 64
@@ -213,16 +217,6 @@ func TestBatchedMoveConservationRacingGrows(t *testing.T) {
 				}
 			}
 			buf.Flush()
-			// Drain anything this thread's fan-outs left in the audit
-			// queue back into a map slot.
-			for {
-				v, ok := audit.Dequeue(th)
-				if !ok {
-					break
-				}
-				for !ma.Insert(th, v, v) && !mb.Insert(th, v, v) {
-				}
-			}
 		}(w)
 	}
 	wg.Wait()

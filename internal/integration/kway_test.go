@@ -407,10 +407,10 @@ func TestComposedOpsRaceGrowsAndChurn(t *testing.T) {
 	if got := q.Len(setup) + ds.Len(setup); got != drainTokens {
 		t.Fatalf("drain cell: %d tokens, want %d", got, drainTokens)
 	}
-	grows, migrated, _ := ma.Stats()
-	gb, mgb, _ := mb.Stats()
+	grows, sentinels, _ := ma.Stats()
+	gb, sb, _ := mb.Stats()
 	if grows+gb == 0 {
 		t.Fatal("no grow happened; the race was not exercised")
 	}
-	t.Logf("grows=%d migrated=%d", grows+gb, migrated+mgb)
+	t.Logf("grows=%d sentinels=%d", grows+gb, sentinels+sb)
 }

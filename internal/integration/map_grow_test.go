@@ -208,12 +208,12 @@ func TestMapConservationAcrossGrows(t *testing.T) {
 			t.Fatalf("round %d: bucket walk finds %d tokens, want %d", round, got, tokens)
 		}
 	}
-	ga, miga, _ := ma.Stats()
-	gb, migb, _ := mb.Stats()
-	if ga+gb == 0 || miga+migb == 0 {
-		t.Fatalf("grows=%d/%d migrated=%d/%d: the test never exercised a grow", ga, gb, miga, migb)
+	ga, sa, _ := ma.Stats()
+	gb, sb, _ := mb.Stats()
+	if ga+gb == 0 || sa+sb == 0 {
+		t.Fatalf("grows=%d/%d sentinels=%d/%d: the test never exercised a grow", ga, gb, sa, sb)
 	}
-	t.Logf("grows=%d+%d migrated=%d+%d", ga, gb, miga, migb)
+	t.Logf("grows=%d+%d sentinels=%d+%d", ga, gb, sa, sb)
 }
 
 // TestMoveNFanOutDuringGrow drives the §8 extension against a growing
@@ -230,13 +230,13 @@ func TestMoveNFanOutDuringGrow(t *testing.T) {
 	for i := uint64(1); i <= n; i++ {
 		ma.Insert(setup, i, i*7)
 	}
-	ma.Grow(setup) // leave a grow permanently in flight on the source
+	ma.Grow(setup) // doubled, no sentinel linked: the fan-outs meet buckets in every state
 
 	th := rt.RegisterThread()
 	moved := 0
 	for i := uint64(1); i <= n; i++ {
-		// Drive a bit of migration between fan-outs so moves hit buckets
-		// in every phase of the grow.
+		// Link a sentinel between fan-outs, so that some moves find their
+		// bucket's already there and others link it themselves.
 		ma.RebalanceStep(th)
 		if _, ok := th.MoveN(ma, []core.Inserter{mb, q}, i, []uint64{i, 0}); ok {
 			moved++

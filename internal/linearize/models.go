@@ -140,7 +140,7 @@ func (st pairState) Apply(op Op) (State, bool) {
 
 // MapPairModel models two keyed maps A and B with atomic cross-map
 // moves — the specification the sharded hash map must satisfy even
-// while a shard grow migrates its entries between buckets.
+// while its shards grow.
 //
 // Operation names understood by MapPairModel states (keys and values
 // are packed into Op.Arg as key<<32|value, so tests must keep both

@@ -178,7 +178,7 @@ func (c *Cache) Alloc() uint64 {
 	idx := c.allocIndex()
 	n := c.m.arena.NodeAt(idx)
 	n.Next.Store(word.Nil)
-	n.Aux.Store(word.Nil)
+	n.Aux = 0
 	n.Val = 0
 	n.Key = 0
 	c.allocs++

@@ -190,7 +190,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	in := []Event{
 		{TS: 10, Kind: EvPublish, TID: 0, Peer: -1, Ref: 7},
 		{TS: 20, Kind: EvHelp, TID: 2, Peer: 0, Ref: 7},
-		{TS: 30, Kind: EvMapMigrate, TID: 1, Peer: -1, Ref: 0},
+		{TS: 30, Kind: EvMapGrow, TID: 1, Peer: -1, Ref: 0},
 	}
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, in); err != nil {

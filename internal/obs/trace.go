@@ -14,7 +14,7 @@ import (
 
 // EventKind names one descriptor-protocol lifecycle event. The set
 // mirrors the windows internal/fault instruments, plus the composed
-// layers' own windows (batch flush, map migration), so a trace lines up
+// layers' own windows (batch flush, map grow), so a trace lines up
 // one-to-one with where chaos rules can fire.
 type EventKind uint8
 
@@ -38,8 +38,8 @@ const (
 	// EvBatchFlush: a batched-move buffer crossed its prepare→commit
 	// gap.
 	EvBatchFlush
-	// EvMapMigrate: a map shard migration step ran mid-grow.
-	EvMapMigrate
+	// EvMapGrow: a map shard published a doubled directory.
+	EvMapGrow
 
 	numEventKinds
 )
@@ -51,7 +51,7 @@ var eventNames = [numEventKinds]string{
 	EvAbort:      "abort",
 	EvRecycle:    "recycle",
 	EvBatchFlush: "batch-flush",
-	EvMapMigrate: "map-migrate",
+	EvMapGrow:    "map-grow",
 }
 
 // String returns the kind's wire name (used in JSONL and Chrome traces).

@@ -130,7 +130,7 @@ func Stack(a *arena.Arena, top *word.Word) (*Report, int) {
 	return r, count
 }
 
-// List checks a Harris list: strictly ascending keys over unmarked
+// List checks a Harris list: strictly ascending (Key, Aux) over unmarked
 // nodes, no descriptors, bounded walk. Marked nodes (logically deleted,
 // not yet unlinked) are allowed but must not break ordering of the live
 // ones. Returns the live element count.
@@ -143,7 +143,7 @@ func List(a *arena.Arena, head *word.Word) (*Report, int) {
 	}
 	count := 0
 	haveLast := false
-	var lastKey uint64
+	var lastKey, lastAux uint64
 	for steps := 0; word.NodeIndex(cur) != 0; steps++ {
 		if steps > maxWalk {
 			r.addf("list walk exceeded %d steps: cycle suspected", maxWalk)
@@ -156,10 +156,10 @@ func List(a *arena.Arena, head *word.Word) (*Report, int) {
 			return r, count
 		}
 		if !word.IsListMarked(next) {
-			if haveLast && n.Key <= lastKey {
-				r.addf("list keys out of order: %d after %d", n.Key, lastKey)
+			if haveLast && (n.Key < lastKey || (n.Key == lastKey && n.Aux <= lastAux)) {
+				r.addf("list keys out of order: (%d,%d) after (%d,%d)", n.Key, n.Aux, lastKey, lastAux)
 			}
-			lastKey = n.Key
+			lastKey, lastAux = n.Key, n.Aux
 			haveLast = true
 			count++
 		}
