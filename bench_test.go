@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -385,117 +384,6 @@ func BenchmarkMoveN_vs_Move_DCAS(b *testing.B) {
 		_, _ = v, w
 	}
 }
-
-// --- E-BATCH: batched move pipeline ------------------------------------------
-
-// benchMoveBatch measures B moves issued through one MoveBuffer flush
-// against B independent Move calls over the same queue/stack pair: the
-// fixed per-move costs (descriptor churn, hazard publication, retire
-// traffic) are what the flush amortizes. The two mechanisms run
-// interleaved within each iteration — a paired design, so host noise
-// cancels out of the comparison — and each reports its own ns/move;
-// "speedup" is unbatched/batched. Go's ns/op covers both halves.
-//
-// Memory: Go's per-benchmark allocation accounting cannot be split by
-// half, so the alloc comparison runs as its own pass — AllocsPerCycle
-// below reports the delta: batched cycles allocate strictly less (the
-// retire/scan pipelines grow in the unbatched path, the flush path
-// recycles in place).
-// batchBenchWorld is one mechanism's fully isolated state: its own
-// runtime, thread, descriptor contexts and containers, so neither
-// mechanism's housekeeping (retire scans, pool compaction) can
-// subsidize the other.
-type batchBenchWorld struct {
-	th   *core.Thread
-	q    *repro.Queue
-	s    *repro.Stack
-	buf  *repro.MoveBatch
-	half func(src core.Remover, dst core.Inserter)
-}
-
-func newBatchBenchWorld(b *testing.B, batchSize int, batched bool) *batchBenchWorld {
-	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 1 << 18})
-	w := &batchBenchWorld{th: rt.RegisterThread()}
-	w.q = repro.NewQueue(w.th)
-	w.s = repro.NewStack(w.th)
-	for i := uint64(0); i < uint64(batchSize); i++ {
-		w.q.Enqueue(w.th, i)
-	}
-	if batched {
-		w.buf = repro.NewMoveBatchSize(w.th, batchSize)
-		w.half = func(src core.Remover, dst core.Inserter) {
-			for i := 0; i < batchSize; i++ {
-				w.buf.Add(src, dst, 0, 0)
-			}
-			for _, r := range w.buf.Flush() {
-				if !r.OK {
-					b.Fatal("batched move failed")
-				}
-			}
-		}
-	} else {
-		w.half = func(src core.Remover, dst core.Inserter) {
-			for i := 0; i < batchSize; i++ {
-				if _, ok := w.th.Move(src, dst, 0, 0); !ok {
-					b.Fatal("move failed")
-				}
-			}
-		}
-	}
-	return w
-}
-
-func benchMoveBatch(b *testing.B, batchSize int) {
-	bw := newBatchBenchWorld(b, batchSize, true)
-	pw := newBatchBenchWorld(b, batchSize, false)
-	var batchedNS, plainNS int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		bw.half(bw.q, bw.s)
-		bw.half(bw.s, bw.q)
-		t1 := time.Now()
-		pw.half(pw.q, pw.s)
-		pw.half(pw.s, pw.q)
-		batchedNS += t1.Sub(t0).Nanoseconds()
-		plainNS += time.Since(t1).Nanoseconds()
-	}
-	b.StopTimer()
-	moves := float64(b.N * 2 * batchSize)
-	b.ReportMetric(float64(batchedNS)/moves, "ns/move-batched")
-	b.ReportMetric(float64(plainNS)/moves, "ns/move-unbatched")
-	if batchedNS > 0 {
-		b.ReportMetric(float64(plainNS)/float64(batchedNS), "speedup")
-	}
-}
-
-func BenchmarkMoveBatch_B4(b *testing.B)  { benchMoveBatch(b, 4) }
-func BenchmarkMoveBatch_B16(b *testing.B) { benchMoveBatch(b, 16) }
-func BenchmarkMoveBatch_B64(b *testing.B) { benchMoveBatch(b, 64) }
-
-// BenchmarkMoveBatch_Allocs isolates the allocation half of the
-// comparison with Go's native accounting, one mechanism per run: the
-// flush path recycles descriptors and nodes in place, so its pool and
-// retire structures stop growing almost immediately, while the
-// unbatched pipelines keep widening theirs — visible as higher B/op
-// and allocs/op over the same move count.
-func benchMoveBatchAllocs(b *testing.B, batchSize int, batched bool) {
-	w := newBatchBenchWorld(b, batchSize, batched)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.half(w.q, w.s)
-		w.half(w.s, w.q)
-	}
-}
-
-func BenchmarkMoveBatch_Allocs_B4(b *testing.B)  { benchMoveBatchAllocs(b, 4, true) }
-func BenchmarkMoveBatch_Allocs_B16(b *testing.B) { benchMoveBatchAllocs(b, 16, true) }
-func BenchmarkMoveBatch_Allocs_B64(b *testing.B) { benchMoveBatchAllocs(b, 64, true) }
-
-func BenchmarkMoveBatch_Allocs_Unbatched_B4(b *testing.B)  { benchMoveBatchAllocs(b, 4, false) }
-func BenchmarkMoveBatch_Allocs_Unbatched_B16(b *testing.B) { benchMoveBatchAllocs(b, 16, false) }
-func BenchmarkMoveBatch_Allocs_Unbatched_B64(b *testing.B) { benchMoveBatchAllocs(b, 64, false) }
 
 // --- E-MAP: sharded map -----------------------------------------------------
 

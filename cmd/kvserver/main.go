@@ -10,8 +10,8 @@
 //	        (repro.Move: in exactly one map at every instant)
 //	XFER  — atomically move up to 4 keyed entries in one k-word CAS
 //	        (repro.TransferKeys)
-//	DRAIN — stream up to n elements between two tenants' queues under
-//	        one amortized descriptor lifecycle (repro.DrainN)
+//	DRAIN — stream up to n ≤ 1024 (kvwire.MaxDrainN) elements between
+//	        two tenants' queues, each its own atomic move (repro.DrainN)
 //
 // Each connection is handled by a worker goroutine owning one
 // registered repro.Thread (the paper's thread-local move state), so

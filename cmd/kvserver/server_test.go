@@ -272,7 +272,8 @@ func TestServerProtocolErrors(t *testing.T) {
 
 	cl := dial(t, ln.Addr().String())
 	defer cl.conn.Close()
-	for _, bad := range []string{"WAT 1 2", "GET 9 1", "MOVE 0 0 1 1", "PUT 0 x y"} {
+	// The DRAIN line once reached make([]uint64, n) and killed the process.
+	for _, bad := range []string{"WAT 1 2", "GET 9 1", "MOVE 0 0 1 1", "PUT 0 x y", "DRAIN 0 1 9223372036854775807"} {
 		if r := cl.roundTrip(t, bad, false); r.Status != "ERR" {
 			t.Errorf("%q: got %q, want ERR", bad, r.Status)
 		}

@@ -60,7 +60,7 @@ func main() {
 	var require requireFlags
 	chrome := flag.String("chrome", "", "also convert the trace to Chrome trace_event JSON at this path")
 	slowest := flag.Int("slowest", 0, "summarize the N slowest spans with their stage breakdown (0 = off)")
-	flag.Var(&require, "require", "event kind that must appear at least once (repeatable): publish, help, commit, abort, recycle, batch-flush, map-grow")
+	flag.Var(&require, "require", "event kind that must appear at least once (repeatable): publish, help, commit, abort, recycle, map-grow")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tracecheck [-require kind]... [-slowest N] [-chrome out.json] trace.jsonl")

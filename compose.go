@@ -42,39 +42,22 @@
 // DescCapacity is the whole budget), one per-thread recycling context
 // with sequence-stamped ABA-safe reuse, and one helping dispatch: a
 // reader that finds any descriptor kind in a word helps it to
-// completion, so pair moves, k-word chains and batch flushes interleave
-// freely on the same words.
+// completion, so pair moves and k-word chains interleave freely on the
+// same words.
 //
-// On top of the engine, three >2-object compositions:
+// On top of the engine, beside MoveN, two >2-object compositions:
 //
 //   - SwapHeads atomically rotates the head values of 2..8 stacks —
 //     all top CASes decided by one k-word CAS.
 //   - TransferKeys atomically moves up to 4 keyed elements between two
 //     hash maps: all removes and inserts linearize together.
-//   - DrainN moves up to N elements from one object to another under a
-//     shared descriptor lifecycle — each move stays individually
-//     linearizable (it is amortization, like MoveBatch, not a
-//     transaction), with hazard publication and descriptor recycling
-//     paid once.
 //
-// # Batched moves
-//
-// NewMoveBatch returns a per-thread MoveBatch: Add buffers up to B
-// pending moves, Flush runs them through one prepare → commit →
-// recycle pipeline. The flush amortizes the fixed costs every Move
-// pays — descriptors come from the thread's recycling pool and return
-// through one shared hazard snapshot per flush (sequence-stamped
-// reuse, no full retire cycle), hazard pointers stay published across
-// the flush and are cleared once at its end, and each move's locate
-// step runs ahead of the commits (failing fast, without a descriptor,
-// when a source was observed empty or a keyed target occupied).
-//
-// A batch is amortization, NOT a transaction: every move in a flush
-// remains its own individually-linearizable operation, committed one
-// after another, and a concurrent observer may see any prefix of a
-// flush applied. A move failing mid-flush rolls nothing back. Callers
-// needing all-or-nothing multi-object semantics want MoveN. Typed
-// containers batch through MoveBatchOf, sharing a Box.
+// Two conveniences are not compositions: DrainN moves up to N elements
+// from one object to another, and a MoveBatch buffers moves and runs
+// them in order when flushed. Both are plain loops of Move — each move
+// stays individually linearizable, a concurrent observer may see any
+// prefix applied, and a failed move rolls nothing back. Callers needing
+// all-or-nothing multi-object semantics want MoveN or TransferKeys.
 //
 // Every goroutine that touches these objects must register once with
 // RegisterThread and pass its *Thread to every call; the Thread carries
@@ -97,11 +80,11 @@
 // Config.Fault accepts a FaultInjector — build a FaultPlan with
 // NewFaultPlan or ParseFaultPlan — that stalls, parks, or hard-kills
 // threads at the descriptor protocol's critical windows (after
-// publish, before commit, before recycle, the batch prepare–commit
-// gap, hash-map mid-grow). This is how the paper's core claim —
-// peers help published operations to completion, so a stalled or dead
-// thread never wedges the system — becomes an executable test axis;
-// see docs/robustness.md for the failure model and point catalog.
+// publish, before commit, before recycle, hash-map mid-grow). This is
+// how the paper's core claim — peers help published operations to
+// completion, so a stalled or dead thread never wedges the system —
+// becomes an executable test axis; see docs/robustness.md for the
+// failure model and point catalog.
 //
 // # Finding your way around
 //
@@ -243,38 +226,34 @@ func TransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) ([]uint64
 	return out, true
 }
 
-// DrainN moves up to n elements from src to dst under one shared
-// descriptor lifecycle (a batch flush): hazard publication and
-// descriptor recycling are amortized over the run. Each move remains
-// its own individually-linearizable operation — DrainN is a pipeline,
-// not a transaction — and the drain stops at the first failed move
-// (source empty or target refusing). It returns the moved values.
-// skey/tkey are passed to every move, as in Move.
+// DrainN moves up to n elements from src to dst, one Move at a time.
+// Each move is its own individually-linearizable operation — DrainN is
+// a pipeline, not a transaction — and the drain stops at the first
+// failed move (source empty or target refusing). It returns the moved
+// values; n <= 0 moves nothing. skey/tkey are passed to every move, as
+// in Move.
 func DrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) []uint64 {
-	out := make([]uint64, n)
+	out := make([]uint64, max(n, 0))
 	moved := t.DrainN(src, dst, skey, tkey, n, out)
 	return out[:moved]
 }
 
-// MoveBatch is the per-thread batched move pipeline: Add buffers moves,
-// Flush runs them through one prepare → commit → recycle pass that
-// amortizes descriptor allocation and hazard publication over the
-// batch. A flush is throughput amortization, NOT a transaction: every
-// buffered move remains its own linearizable operation, and a
-// concurrent observer can see any prefix of a flush applied. See
-// internal/batch for the full semantics.
+// MoveBatch is a per-thread buffer of moves: Add buffers up to its
+// capacity, Flush runs them one Move at a time in Add order. A flush is
+// NOT a transaction: every buffered move is its own linearizable
+// operation, and a concurrent observer can see any prefix of a flush
+// applied.
 type MoveBatch = batch.MoveBuffer
 
 // MoveResult is the per-move outcome of a MoveBatch flush.
 type MoveResult = batch.MoveResult
 
-// NewMoveBatch creates a batched move buffer for t with the default
-// capacity. Like the Thread it wraps, a MoveBatch belongs to one
-// goroutine.
+// NewMoveBatch creates a move buffer for t with the default capacity.
+// Like the Thread it wraps, a MoveBatch belongs to one goroutine.
 func NewMoveBatch(t *Thread) *MoveBatch { return batch.New(t, 0) }
 
-// NewMoveBatchSize creates a batched move buffer holding up to capacity
-// moves per flush (<= 0 selects the default).
+// NewMoveBatchSize creates a move buffer holding up to capacity moves
+// per flush (<= 0 selects the default).
 func NewMoveBatchSize(t *Thread, capacity int) *MoveBatch { return batch.New(t, capacity) }
 
 // ErrResourceExhausted is the sentinel matched (via errors.Is) by the
@@ -312,7 +291,7 @@ func TryTransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) (out [
 // pipeline, not a transaction), so partial progress is real progress,
 // not a torn operation.
 func TryDrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) (out []uint64, err error) {
-	buf := make([]uint64, n)
+	buf := make([]uint64, max(n, 0))
 	moved := 0
 	err = t.Try(func() { moved = t.DrainN(src, dst, skey, tkey, n, buf) })
 	return buf[:moved], err
@@ -320,7 +299,7 @@ func TryDrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) (
 
 // FaultPoint names one of the substrate's fault-injection sites; see
 // the fault package constants (kcas-publish, kcas-commit, kcas-recycle,
-// batch-gap, map-grow) and docs/robustness.md for the catalog.
+// map-grow) and docs/robustness.md for the catalog.
 type FaultPoint = fault.Point
 
 // FaultInjector is the hook interface Config.Fault accepts; Fire runs

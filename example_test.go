@@ -82,10 +82,10 @@ func ExampleTransferKeys() {
 	// false 2
 }
 
-// ExampleDrainN streams elements from one queue into another under a
-// single amortized descriptor lifecycle. Each element's move is its own
-// atomic operation (amortization, not a transaction), and the drain
-// stops early when the source runs dry.
+// ExampleDrainN streams elements from one queue into another, one Move
+// at a time. Each element's move is its own atomic operation (a
+// pipeline, not a transaction), and the drain stops early when the
+// source runs dry.
 func ExampleDrainN() {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
 	th := rt.RegisterThread()

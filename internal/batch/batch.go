@@ -1,56 +1,22 @@
-// Package batch implements the batched move pipeline: a per-thread
-// MoveBuffer that collects pending moves and flushes them through one
-// prepare → commit → recycle pipeline, amortizing the fixed per-move
-// costs the paper's composition pays — descriptor allocation and
-// retirement, and hazard-pointer publication traffic.
+// Package batch implements MoveBuffer, a per-thread buffer of pending
+// moves: Add appends a move, Flush runs the buffered moves one Move at a
+// time, in Add order.
 //
-// # Amortization, NOT a transaction
-//
-// A flush is a throughput optimization, not an atomicity extension:
-// every move in the buffer remains its own individually-linearizable
-// operation, exactly as if it had been issued by a lone Move call. The
-// moves of one flush commit one after another; a concurrent observer
-// can see any prefix of them applied. Nothing rolls back: a failed move
-// in the middle of a flush leaves the earlier moves committed and the
-// later ones still attempted. Callers that need all-or-nothing
-// semantics across objects want MoveN (one atomic n-object move), not a
-// MoveBuffer.
-//
-// What the flush does amortize:
-//
-//   - Descriptors come from the thread's recycling pool and, once a
-//     move completes, are recycled under one shared hazard snapshot per
-//     flush (dcas/mcas EndFlush) instead of one retire cycle per move;
-//     sequence-stamped references make the early reuse ABA-safe without
-//     waiting for a full hazard retire cycle.
-//   - Hazard pointers stay published across the flush: the per-move
-//     clear/republish traffic collapses to one clear of the container
-//     slots in EndBatchFlush, while each commit overwrites only the
-//     slots it needs.
-//   - The prepare phase runs every move's locate step (find the source
-//     element, check or clear the insert position) before any commit,
-//     so the commit loop runs back to back on warm paths — and moves
-//     whose source was observed empty (or whose keyed target was
-//     observed occupied) fail fast without ever allocating a
-//     descriptor. A prepare-phase failure is still a correct move
-//     failure: the observation it is based on (container-validated
-//     emptiness or key absence/presence) falls inside the move's
-//     interval, so the failed move linearizes there.
+// A flush is NOT a transaction: every move in the buffer is its own
+// individually-linearizable operation, exactly as if it had been issued
+// by a lone Move call. A concurrent observer can see any prefix of a
+// flush applied, and a failed move in the middle of a flush leaves the
+// earlier moves committed and the later ones still attempted. Callers
+// that need all-or-nothing semantics across objects want MoveN (one
+// atomic n-object move), not a MoveBuffer.
 //
 // A MoveBuffer belongs to one thread, like the *core.Thread it wraps.
 package batch
 
-import (
-	"sync/atomic"
-
-	"repro/internal/core"
-	"repro/internal/fault"
-)
+import "repro/internal/core"
 
 // DefaultCapacity is the buffer capacity selected by New when the
-// caller passes 0. Flushes of this size keep descriptor recycling and
-// hazard amortization effective without holding reclamation back for
-// long.
+// caller passes 0.
 const DefaultCapacity = 16
 
 // MoveResult reports the outcome of one buffered move after a flush.
@@ -63,50 +29,15 @@ type MoveResult struct {
 	// Val is the moved value when OK; OK mirrors Move's second return.
 	Val uint64
 	OK  bool
-	// FailedPrepare marks a move that failed in the prepare phase (the
-	// source was observed empty / without the key, or the keyed target
-	// observed occupied) and therefore never reached a commit DCAS.
-	FailedPrepare bool
 }
 
-// MoveBuffer collects up to Cap pending moves and flushes them through
-// the batched pipeline. Not safe for concurrent use: one per thread,
-// like the Thread it wraps.
+// MoveBuffer collects up to Cap pending moves. Not safe for concurrent
+// use: one per thread, like the Thread it wraps.
 type MoveBuffer struct {
 	t *core.Thread
 	// results doubles as the pending list: Add appends the request
-	// fields, Flush fills in the outcome in place. preps runs parallel
-	// to it, carrying each entry's narrowed prepare interfaces.
+	// fields, Flush fills in the outcome in place.
 	results []MoveResult
-	preps   []prepPair
-
-	// memo caches the two most recent (src, dst) pairs with their
-	// narrowed prepare interfaces and same-object validation: workloads
-	// overwhelmingly batch moves back and forth between two containers,
-	// and four interface compares beat re-running the itab lookups and
-	// Move's same-object check on every Add.
-	memo [2]pairMemo
-
-	// Lifetime counters. Written only by the owning thread, but atomic
-	// so the metrics registry's snapshot funcs may read them from any
-	// goroutine.
-	flushes   atomic.Uint64
-	moves     atomic.Uint64
-	fastFails atomic.Uint64
-}
-
-// prepPair carries one pending move's optional prepare hooks (nil when
-// the container does not implement them).
-type prepPair struct {
-	rp core.RemovePreparer
-	ip core.InsertPreparer
-}
-
-// pairMemo is one validated (src, dst) pair and its prepare hooks.
-type pairMemo struct {
-	src core.Remover
-	dst core.Inserter
-	p   prepPair
 }
 
 // New creates a buffer for t holding up to capacity moves (<= 0 selects
@@ -115,23 +46,8 @@ func New(t *core.Thread, capacity int) *MoveBuffer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	b := &MoveBuffer{
-		t:       t,
-		results: make([]MoveResult, 0, capacity),
-		preps:   make([]prepPair, 0, capacity),
-	}
-	if reg := t.Runtime().Obs().Metrics(); reg != nil {
-		// Every buffer registers under the same names; the registry sums
-		// them, matching what summing the buffers' Stats would report.
-		reg.AddFunc("batch_flushes_total", b.flushes.Load)
-		reg.AddFunc("batch_moves_total", b.moves.Load)
-		reg.AddFunc("batch_fastfails_total", b.fastFails.Load)
-	}
-	return b
+	return &MoveBuffer{t: t, results: make([]MoveResult, 0, capacity)}
 }
-
-// Thread returns the owning thread.
-func (b *MoveBuffer) Thread() *core.Thread { return b.t }
 
 // Len reports the number of buffered moves.
 func (b *MoveBuffer) Len() int { return len(b.results) }
@@ -146,104 +62,22 @@ func (b *MoveBuffer) Add(src core.Remover, dst core.Inserter, skey, tkey uint64)
 	if len(b.results) == cap(b.results) {
 		return false
 	}
-	if src == nil || dst == nil {
-		panic("batch: Add requires non-nil source and target")
-	}
-	// Memo lookup: a hit means this exact (src, dst) pair already passed
-	// Move's same-object validation and had its prepare interfaces
-	// narrowed — the commits go through MoveUnchecked on that basis.
-	var p prepPair
-	switch {
-	case src == b.memo[0].src && dst == b.memo[0].dst:
-		p = b.memo[0].p
-	case src == b.memo[1].src && dst == b.memo[1].dst:
-		p = b.memo[1].p
-		b.memo[0], b.memo[1] = b.memo[1], b.memo[0]
-	default:
-		if core.SameObject(src, dst) {
-			panic("batch: a move requires two distinct objects")
-		}
-		p.rp, _ = src.(core.RemovePreparer)
-		p.ip, _ = dst.(core.InsertPreparer)
-		b.memo[1] = b.memo[0]
-		b.memo[0] = pairMemo{src: src, dst: dst, p: p}
-	}
 	b.results = append(b.results, MoveResult{Src: src, Dst: dst, SKey: skey, TKey: tkey})
-	b.preps = append(b.preps, p)
 	return true
 }
 
-// Flush runs the pipeline over the buffered moves and returns one
-// result per Add, in Add order. Each move commits (or fails)
-// individually — see the package comment: a flush amortizes fixed
-// costs, it is not a transaction. The returned slice (and the buffer
-// capacity it occupies) is reused by the next Add/Flush cycle; callers
-// that keep results across flushes must copy.
+// Flush runs the buffered moves in Add order and returns one result per
+// Add. The returned slice (and the buffer capacity it occupies) is
+// reused by the next Add/Flush cycle; callers that keep results across
+// flushes must copy.
 func (b *MoveBuffer) Flush() []MoveResult {
-	if len(b.results) == 0 {
-		return b.results
-	}
-	t := b.t
-
-	t.BeginBatchFlush()
-	done := false
-	// A panic out of a prepare hook or a commit must not leave the
-	// thread stuck in batch-flush mode (hazard clears silently disabled
-	// forever); release the flush state on the way out and drop the
-	// buffered entries — the panicking entry would only re-fire on a
-	// retry, and the caller never received this flush's results.
-	defer func() {
-		if !done {
-			t.AbortBatchFlush()
-			b.results = b.results[:0]
-			b.preps = b.preps[:0]
-		}
-	}()
-	// Prepare: locate every source element and check/clear every insert
-	// position before the first commit, so the commit loop runs back to
-	// back. A false answer is a container-validated observation inside
-	// the move's interval: the move fails here, without a descriptor.
-	for i := range b.results {
-		r := &b.results[i]
-		p := b.preps[i]
-		if p.rp != nil && !p.rp.PrepareRemove(t, r.SKey) {
-			r.FailedPrepare = true
-			continue
-		}
-		if p.ip != nil && !p.ip.PrepareInsert(t, r.TKey) {
-			r.FailedPrepare = true
-		}
-	}
-	// Between prepare and commit every pending move has been located but
-	// none has committed — the widest window in which a stalled or killed
-	// flusher holds only revocable state (prepares are observations, not
-	// publications; the AbortBatchFlush defer restores the thread).
-	t.Fault(fault.BatchPrepareCommit)
-	// Commit: each move is its own linearizable operation; descriptors
-	// recycle through the flush path, hazard clears stay deferred.
-	for i := range b.results {
-		r := &b.results[i]
-		if r.FailedPrepare {
-			b.fastFails.Add(1)
-			continue
-		}
-		r.Val, r.OK = t.MoveUnchecked(r.Src, r.Dst, r.SKey, r.TKey)
-	}
-	t.EndBatchFlush()
-	done = true
-
-	b.flushes.Add(1)
-	b.moves.Add(uint64(len(b.results)))
-	// Hand the filled results to the caller; the next Add cycle starts
-	// over at the front of the same backing array.
 	out := b.results
+	// Empty the buffer first: after a panic out of a move (exhaustion,
+	// recovered by Thread.Try) the next Flush does not re-run the batch.
 	b.results = b.results[:0]
-	b.preps = b.preps[:0]
+	for i := range out {
+		r := &out[i]
+		r.Val, r.OK = b.t.Move(r.Src, r.Dst, r.SKey, r.TKey)
+	}
 	return out
-}
-
-// Stats reports lifetime counters: flushes run, moves flushed, and
-// moves that failed fast in the prepare phase.
-func (b *MoveBuffer) Stats() (flushes, moves, fastFails uint64) {
-	return b.flushes.Load(), b.moves.Load(), b.fastFails.Load()
 }

@@ -1,11 +1,14 @@
 package batch
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/hashmap"
 	"repro/internal/msqueue"
+	"repro/internal/obs"
 	"repro/internal/tstack"
 )
 
@@ -51,28 +54,38 @@ func TestFlushMovesInAddOrder(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatal("flush must drain the buffer")
 	}
-	if th.BatchActive() {
-		t.Fatal("batch mode must end with Flush")
-	}
 }
 
+// TestEmptySourceFailsFastWithoutDescriptor: a move from an empty
+// source fails in the source's init phase and never publishes the
+// descriptor it took.
 func TestEmptySourceFailsFastWithoutDescriptor(t *testing.T) {
-	rt := newRT(2)
+	rt := core.NewRuntime(core.Config{
+		MaxThreads:    2,
+		ArenaCapacity: 1 << 16,
+		DescCapacity:  1 << 12,
+		Obs:           obs.Config{Metrics: true},
+	})
 	th := rt.RegisterThread()
 	q := msqueue.New(th)
 	s := tstack.New(th)
 
 	b := New(th, 4)
 	b.Add(q, s, 0, 0) // q is empty
-	res := b.Flush()
-	if len(res) != 1 || res[0].OK || !res[0].FailedPrepare {
-		t.Fatalf("empty-source move: %+v, want prepare-phase failure", res[0])
+	b.Add(s, q, 0, 0) // so is s
+	for i, r := range b.Flush() {
+		if r.OK {
+			t.Fatalf("empty-source move %d: %+v, want failure", i, r)
+		}
 	}
-	if _, _, ff := b.Stats(); ff != 1 {
-		t.Fatalf("fastFails=%d want 1", ff)
+	if pub := rt.Obs().Metrics().Snapshot().Get("kcas_publish_total"); pub != 0 {
+		t.Fatalf("empty-source moves published %d descriptors, want 0", pub)
 	}
 }
 
+// TestOccupiedKeyedTargetFailsFast: a move into an occupied key fails
+// in the target's init phase, before any descriptor is published, and
+// leaves both containers as they were.
 func TestOccupiedKeyedTargetFailsFast(t *testing.T) {
 	rt := newRT(2)
 	th := rt.RegisterThread()
@@ -84,8 +97,8 @@ func TestOccupiedKeyedTargetFailsFast(t *testing.T) {
 	b := New(th, 4)
 	b.Add(q, m, 0, 42)
 	res := b.Flush()
-	if res[0].OK || !res[0].FailedPrepare {
-		t.Fatalf("occupied-target move: %+v, want prepare-phase failure", res[0])
+	if res[0].OK {
+		t.Fatalf("occupied-target move: %+v, want failure", res[0])
 	}
 	if q.Len(th) != 1 {
 		t.Fatal("failed move must leave the source unchanged")
@@ -148,10 +161,9 @@ func TestFlushIsNotATransaction(t *testing.T) {
 	}
 }
 
-// TestSteadyStateFlushDoesNotAllocate is the amortization claim in its
-// sharpest form: once warm, a full Add+Flush cycle runs without heap
-// allocation (descriptors recycle through the flush path, the results
-// slice is reused).
+// TestSteadyStateFlushDoesNotAllocate: once warm, a full Add+Flush
+// cycle runs without heap allocation (descriptors recycle through the
+// thread's free ring, the results slice is reused).
 func TestSteadyStateFlushDoesNotAllocate(t *testing.T) {
 	rt := newRT(2)
 	th := rt.RegisterThread()
@@ -189,9 +201,8 @@ func TestSteadyStateFlushDoesNotAllocate(t *testing.T) {
 }
 
 // TestFlushDescriptorsRecycleEagerly: with no helpers around, every
-// announced descriptor of a flush must come back through the flush
-// recycle path rather than parking in the retire list, so the same few
-// slots serve arbitrarily many flushes.
+// announced descriptor of a flush comes back through the thread's
+// retire scan, so the same few slots serve arbitrarily many flushes.
 func TestFlushDescriptorsRecycleEagerly(t *testing.T) {
 	rt := newRT(2)
 	th := rt.RegisterThread()
@@ -216,52 +227,41 @@ func TestFlushDescriptorsRecycleEagerly(t *testing.T) {
 			}
 		}
 	}
-	// 100 rounds × 32 moves = 3200 descriptors consumed; with eager
-	// recycling the pool's bump allocator must stay at its first carve.
+	// 100 rounds × 32 moves = 3200 descriptors consumed; with every one
+	// recycled the pool's bump allocator must stay at its first carve.
 	if got := rt.KCASPool().Carved(); got > 64 {
-		t.Fatalf("flush recycling ineffective: %d descriptor slots carved, want one batch (64)", got)
+		t.Fatalf("descriptor recycling ineffective: %d descriptor slots carved, want one batch (64)", got)
 	}
 }
 
-// panickySource implements core.RemovePreparer with a prepare hook
-// that panics, modeling a container failure mid-flush.
-type panickySource struct{ q *msqueue.Queue }
+// exhaustedSource models a source whose remove runs out of arena nodes
+// in its init phase, the one panic Thread.Try recovers.
+type exhaustedSource struct{}
 
-func (p *panickySource) Remove(t *core.Thread, key uint64) (uint64, bool) {
-	return p.q.Remove(t, key)
-}
-func (p *panickySource) PrepareRemove(t *core.Thread, _ uint64) bool {
-	panic("prepare boom")
+func (exhaustedSource) Remove(*core.Thread, uint64) (uint64, bool) {
+	panic(&fault.ResourceError{Resource: "test arena", Capacity: 1, Hint: "ArenaCapacity"})
 }
 
-// TestFlushReleasesBatchModeOnPanic: a panic escaping Flush must not
-// leave the thread in batch-flush mode (which would silently disable
-// hazard clears forever); after recovering, the thread and buffer stay
-// usable.
-func TestFlushReleasesBatchModeOnPanic(t *testing.T) {
+// TestFlushAfterExhaustionStartsEmpty: a flush that an exhaustion panic
+// cut short, recovered by Thread.Try, leaves the thread and the buffer
+// usable, and the next flush runs only what was added after it.
+func TestFlushAfterExhaustionStartsEmpty(t *testing.T) {
 	rt := newRT(2)
 	th := rt.RegisterThread()
 	q := msqueue.New(th)
 	s := tstack.New(th)
 	q.Enqueue(th, 1)
-	bad := &panickySource{q: q}
 
 	b := New(th, 4)
-	b.Add(bad, s, 0, 0)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("prepare panic must propagate")
-			}
-		}()
-		b.Flush()
-	}()
-	if th.BatchActive() {
-		t.Fatal("panic left the thread in batch-flush mode")
+	b.Add(exhaustedSource{}, s, 0, 0)
+	if err := th.Try(func() { b.Flush() }); !errors.Is(err, fault.ErrResourceExhausted) {
+		t.Fatalf("Try(Flush) = %v, want exhaustion", err)
 	}
-	// The thread and buffer still work.
+	if th.MoveInFlight() || b.Len() != 0 {
+		t.Fatalf("after exhaustion: move in flight %v, %d moves buffered", th.MoveInFlight(), b.Len())
+	}
 	b.Add(q, s, 0, 0)
 	if res := b.Flush(); len(res) != 1 || !res[0].OK || res[0].Val != 1 {
-		t.Fatalf("post-panic flush: %+v", res)
+		t.Fatalf("post-exhaustion flush: %+v", res)
 	}
 }

@@ -57,36 +57,26 @@ func TestHazardShadowMatchesDomain(t *testing.T) {
 		dst := &exhaustedTarget{id: rt.NextObjectID()}
 
 		var model [nodeSlotsPerThread]uint64
-		batch := false
 		ref := func() uint64 { // 0 one time in four, else one of a few nodes
 			if rng.Intn(4) == 0 {
 				return 0
 			}
 			return word.MakeNode(uint64(1+rng.Intn(5)), uint64(rng.Intn(2)))
 		}
-		clearContainerSlots := func() {
-			for s := SlotIns0; s <= SlotRemAux; s++ {
-				model[s] = 0
-			}
-		}
 
 		for step := 0; step < 3000; step++ {
 			var what string
-			switch op := rng.Intn(10); op {
+			switch op := rng.Intn(9); op {
 			case 0, 1, 2:
 				what = "ProtectNode"
 				slot, r := rng.Intn(SlotRemAux+1), ref()
 				th.ProtectNode(slot, r)
-				if r != 0 || !batch {
-					model[slot] = word.NodeIndex(r)
-				}
+				model[slot] = word.NodeIndex(r)
 			case 3:
 				what = "ClearNode"
 				slot := rng.Intn(SlotRemAux + 1)
 				th.ClearNode(slot)
-				if !batch {
-					model[slot] = 0
-				}
+				model[slot] = 0
 			case 4:
 				what = "HoldNode"
 				i, r := rng.Intn(kcas.MaxEntries), ref()
@@ -101,9 +91,7 @@ func TestHazardShadowMatchesDomain(t *testing.T) {
 			case 6:
 				what = "ClearHazards"
 				th.ClearHazards()
-				if !batch {
-					model = [nodeSlotsPerThread]uint64{}
-				}
+				model = [nodeSlotsPerThread]uint64{}
 			case 7:
 				what = "helper mirror write"
 				slot := slotMirror1 + rng.Intn(slotChainHoldBase-slotMirror1)
@@ -111,22 +99,6 @@ func TestHazardShadowMatchesDomain(t *testing.T) {
 				rt.nodeDom.Protect(tid, slot, idx)
 				model[slot] = idx
 			case 8:
-				if !batch {
-					what = "BeginBatchFlush"
-					th.BeginBatchFlush()
-					batch = true
-				} else if rng.Intn(2) == 0 {
-					what = "EndBatchFlush"
-					th.EndBatchFlush()
-					batch = false
-					clearContainerSlots()
-				} else {
-					what = "AbortBatchFlush"
-					th.AbortBatchFlush()
-					batch = false
-					clearContainerSlots()
-				}
-			case 9:
 				what = "Try(move that exhausts mid-way)"
 				src.refs = [2]uint64{ref(), ref()}
 				dst.ref = ref()
@@ -141,11 +113,10 @@ func TestHazardShadowMatchesDomain(t *testing.T) {
 				if !errors.Is(err, fault.ErrResourceExhausted) {
 					t.Fatalf("seed %d step %d: Try returned %v", seed, step, err)
 				}
-				if th.MoveInFlight() || th.BatchActive() || src.w.Load() != before {
-					t.Fatalf("seed %d step %d: Try left move=%v batch=%v word %d→%d",
-						seed, step, th.MoveInFlight(), th.BatchActive(), before, src.w.Load())
+				if th.MoveInFlight() || src.w.Load() != before {
+					t.Fatalf("seed %d step %d: Try left move=%v word %d→%d",
+						seed, step, th.MoveInFlight(), before, src.w.Load())
 				}
-				batch = false
 				model = [nodeSlotsPerThread]uint64{}
 			}
 			for s := 0; s < nodeSlotsPerThread; s++ {

@@ -5,10 +5,9 @@ import (
 	"repro/internal/word"
 )
 
-// Raw k-word CAS access and the descriptor-lifecycle-sharing drain.
-// ExecuteKCAS is the building block containers use for compositions
-// whose CAS arguments they can compute up front (tstack.SwapHeads);
-// DrainN amortizes descriptor and hazard bookkeeping over a run of
+// Raw k-word CAS access and the drain. ExecuteKCAS is the building
+// block containers use for compositions whose CAS arguments they can
+// compute up front (tstack.SwapHeads); DrainN is a run of
 // individually-linearizable moves.
 
 // MaxKCASEntries is the widest composition the engine supports (the
@@ -50,35 +49,25 @@ func (t *Thread) ExecuteKCAS(entries []KCASEntry) (bool, int) {
 		d.Entries[i] = kcas.Entry{Ptr: e.W, Old: e.Old, New: e.New, HP: word.NodeIndex(e.HP)}
 	}
 	ok, failed := t.kctx.Execute(d, ref)
-	t.recycleMDesc(d, ref)
+	t.recycleDesc(d, ref)
 	return ok, failed
 }
 
-// DrainN moves up to n elements from src to dst under one descriptor
-// lifecycle: the moves share a batch flush, so hazard publication is
-// amortized and the descriptors they consume are recycled by one hazard
-// snapshot at the end instead of one retire cycle each. Each move
-// remains its own individually-linearizable operation — DrainN is a
-// pipeline, not a transaction; it stops at the first failed move (empty
-// source or refusing target).
+// DrainN moves up to n elements from src to dst, one Move at a time.
+// Each move is its own individually-linearizable operation — DrainN is
+// a pipeline, not a transaction; it stops at the first failed move
+// (empty source or refusing target).
 //
 // skey/tkey are passed to every move (keyed targets that need distinct
 // keys should drain through MoveBatch instead). out, when non-nil,
 // receives the moved values. It returns how many elements moved.
 func (t *Thread) DrainN(src Remover, dst Inserter, skey, tkey uint64, n int, out []uint64) int {
-	if SameObject(src, dst) {
+	if sameObject(src, dst) {
 		panic("core: DrainN requires two distinct objects")
-	}
-	if n <= 0 {
-		return 0
-	}
-	nested := t.batchActive
-	if !nested {
-		t.BeginBatchFlush()
 	}
 	moved := 0
 	for moved < n {
-		val, ok := t.MoveUnchecked(src, dst, skey, tkey)
+		val, ok := t.Move(src, dst, skey, tkey)
 		if !ok {
 			break
 		}
@@ -86,9 +75,6 @@ func (t *Thread) DrainN(src Remover, dst Inserter, skey, tkey uint64, n int, out
 			out[moved] = val
 		}
 		moved++
-	}
-	if !nested {
-		t.EndBatchFlush()
 	}
 	return moved
 }

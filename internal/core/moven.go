@@ -39,7 +39,7 @@ func (t *Thread) MoveN(src Remover, dsts []Inserter, skey uint64, tkeys []uint64
 		panic("core: MoveN needs one target key per target")
 	}
 	for i, d := range dsts {
-		if SameObject(src, d) {
+		if sameObject(src, d) {
 			panic("core: MoveN requires targets distinct from the source")
 		}
 		// Compare target identities directly. (An earlier version routed
@@ -90,7 +90,7 @@ func (t *Thread) TransferN(src Remover, dst Inserter, skeys, tkeys []uint64, out
 	if len(tkeys) != k {
 		panic("core: TransferN needs one target key per source key")
 	}
-	if SameObject(src, dst) {
+	if sameObject(src, dst) {
 		panic("core: TransferN requires two distinct objects")
 	}
 	for i := 0; i < k; i++ {
@@ -153,19 +153,8 @@ func (t *Thread) runChain() (uint64, bool) {
 	t.mdesc = nil
 	t.mSteps = t.mSteps[:0]
 	t.ReleaseHolds()
-	t.recycleMDesc(cur, curRef)
+	t.recycleDesc(cur, curRef)
 	return val, ok
-}
-
-func (t *Thread) recycleMDesc(d *kcas.Desc, ref uint64) {
-	switch {
-	case !d.Decided(): // never announced
-		t.kctx.FreeDirect(d, ref)
-	case t.batchActive: // flush recycle path (one snapshot per flush)
-		t.kctx.RetireFlush(d, ref)
-	default:
-		t.kctx.Retire(d, ref)
-	}
 }
 
 // moveNRemoveSCAS captures a remove's linearization CAS as the entry at
@@ -232,7 +221,7 @@ func (t *Thread) moveNChain(j int) FResult {
 		for k := 0; k < failed; k++ {
 			nd.Entries[k] = t.mdesc.Entries[k]
 		}
-		t.recycleMDesc(t.mdesc, t.mref)
+		t.recycleDesc(t.mdesc, t.mref)
 		t.mdesc, t.mref = nd, nref
 		t.mFailed = failed
 		if failed == j {

@@ -132,20 +132,15 @@ func (t *Thread) scasInsertSlow(w *word.Word, old, new, hp uint64) FResult {
 	return FTrue // M37
 }
 
-// recycleDesc returns a descriptor to the pool by the route its history
-// requires: announced descriptors (decided result) go through hazard
-// retirement — or, inside a batch flush, through the flush recycle path
-// that amortizes one hazard snapshot over the whole flush; unannounced
-// ones are recycled directly.
+// recycleDesc returns a pair or k-word descriptor to the pool by the
+// route its history requires: announced descriptors (decided result)
+// go through hazard retirement; unannounced ones are recycled directly.
 func (t *Thread) recycleDesc(d *kcas.Desc, ref uint64) {
-	switch {
-	case !d.Decided():
-		t.kctx.FreeDirect(d, ref)
-	case t.batchActive:
-		t.kctx.RetireFlush(d, ref)
-	default:
+	if d.Decided() {
 		t.kctx.Retire(d, ref)
+		return
 	}
+	t.kctx.FreeDirect(d, ref)
 }
 
 // Move atomically moves one element from src to dst (Algorithm 3, lines
@@ -159,17 +154,9 @@ func (t *Thread) recycleDesc(d *kcas.Desc, ref uint64) {
 // when the source is empty / has no such key, or when the target cannot
 // accept the element; both objects are then unchanged.
 func (t *Thread) Move(src Remover, dst Inserter, skey, tkey uint64) (uint64, bool) {
-	if SameObject(src, dst) {
+	if sameObject(src, dst) {
 		panic("core: Move requires two distinct objects")
 	}
-	return t.MoveUnchecked(src, dst, skey, tkey)
-}
-
-// MoveUnchecked is Move without the same-object validation: for callers
-// that have already validated the pair — the batch pipeline checks at
-// Add time and memoizes, so B commits over one pair pay for one check.
-// Moving an object into itself through this entry point corrupts it.
-func (t *Thread) MoveUnchecked(src Remover, dst Inserter, skey, tkey uint64) (uint64, bool) {
 	if t.desc != nil || t.mdesc != nil {
 		panic("core: nested Move on one thread")
 	}
@@ -184,10 +171,8 @@ func (t *Thread) MoveUnchecked(src Remover, dst Inserter, skey, tkey uint64) (ui
 	return val, ok // M8
 }
 
-// SameObject reports whether a and b are the same move-ready object
-// (exported for callers that hoist Move's validation, like the batch
-// pipeline).
-func SameObject(a Remover, b Inserter) bool {
+// sameObject reports whether a and b are the same move-ready object.
+func sameObject(a Remover, b Inserter) bool {
 	am, ok1 := a.(MoveReady)
 	bm, ok2 := b.(MoveReady)
 	if ok1 && ok2 {

@@ -49,18 +49,11 @@ type Thread struct {
 	// publishes (see setSlot); the helping-mirror entries are unused.
 	hz [nodeSlotsPerThread]uint64
 
-	// batchActive marks a batch flush in progress (see batch.go): hazard
-	// clears and node retirement are deferred and descriptor retirement
-	// routes through the flush recycle path. batchNodes parks nodes
-	// retired during the flush until the hazard slots are cleared.
-	batchActive bool
-	batchNodes  []uint64
-
 	bo        *backoff.Exp
 	boEnabled bool
 
-	// flt mirrors Config.Fault for the injection points that live above
-	// the kcas engine (batch gap, map grow). Nil in production.
+	// flt mirrors Config.Fault for the injection point that lives above
+	// the kcas engine (map grow). Nil in production.
 	flt fault.Injector
 
 	// reg/trc mirror the runtime's telemetry surfaces (Config.Obs).
@@ -70,7 +63,7 @@ type Thread struct {
 
 	// Tail pad: keeps Thread a whole number of cache lines
 	// (TestThreadOwnsItsLines).
-	_ [8]byte
+	_ [40]byte
 }
 
 // chainStep is one operation of a composed chain: exactly one of rem or
@@ -97,19 +90,8 @@ func (t *Thread) AllocNode() uint64 { return t.cache.Alloc() }
 func (t *Thread) Node(ref uint64) *arena.Node { return t.rt.arena.Node(ref) }
 
 // RetireNode hands back a node that was unlinked from a shared
-// structure; it is recycled once no hazard pointer covers it. Inside a
-// batch flush whose retire list is close to a hazard scan, the
-// hand-off is deferred to EndBatchFlush: retiring after the flush's
-// deferred hazard clears keeps the scan from tripping over the flush's
-// own stale protections (which would park those nodes for another full
-// cycle). With ample headroom the direct hand-off is cheaper.
-func (t *Thread) RetireNode(ref uint64) {
-	if t.batchActive && t.cache.ScanHeadroom() < batchScanGuard {
-		t.batchNodes = append(t.batchNodes, ref)
-		return
-	}
-	t.cache.Retire(ref)
-}
+// structure; it is recycled once no hazard pointer covers it.
+func (t *Thread) RetireNode(ref uint64) { t.cache.Retire(ref) }
 
 // FreeNodeDirect recycles a node that was never published (aborted
 // inserts: lines Q15–Q17, S8–S10).
@@ -142,31 +124,18 @@ func (t *Thread) setSlot(slot int, idx uint64) {
 }
 
 // ProtectNode publishes the node referenced by ref in the given slot
-// (SlotIns0..SlotRemAux). Passing ref 0 clears the slot — deferred
-// inside a batch flush (protection is conservative; EndBatchFlush
-// clears once for the whole flush).
+// (SlotIns0..SlotRemAux). Passing ref 0 clears the slot.
 func (t *Thread) ProtectNode(slot int, ref uint64) {
-	if ref == 0 && t.batchActive {
-		return
-	}
 	t.setSlot(slot, word.NodeIndex(ref))
 }
 
-// ClearNode clears a hazard slot (deferred inside a batch flush).
-func (t *Thread) ClearNode(slot int) {
-	if t.batchActive {
-		return
-	}
-	t.setSlot(slot, 0)
-}
+// ClearNode clears a hazard slot.
+func (t *Thread) ClearNode(slot int) { t.setSlot(slot, 0) }
 
 // ClearHazards clears every node hazard slot this thread owns; the
 // exhaustion-recovery path calls it so stale protections don't delay
-// reuse (deferred inside a batch flush).
+// reuse.
 func (t *Thread) ClearHazards() {
-	if t.batchActive {
-		return
-	}
 	for s := 0; s < nodeSlotsPerThread; s++ {
 		if s >= slotMirror1 && s < slotChainHoldBase {
 			t.rt.nodeDom.Clear(t.id, s) // helping mirror: kcas.Ctx's slot, no shadow
@@ -182,15 +151,15 @@ func (t *Thread) ClearHazards() {
 // reuse their fixed Ins/Rem slots, so without a hold the node captured
 // at entry j would lose its protection as soon as a later same-side
 // step overwrites those slots — while its word is still the target of
-// the pending k-word CAS. Holds bypass the batch-flush deferral: they
-// have their own release point (ReleaseHolds), not the flush's.
+// the pending k-word CAS. Holds have their own release point
+// (ReleaseHolds).
 func (t *Thread) HoldNode(i int, ref uint64) {
 	t.setSlot(slotChainHoldBase+i, word.NodeIndex(ref))
 }
 
 // ReleaseHolds clears the chain hold slots the chain actually took;
 // composed operations call it once when their chain completes (either
-// way), also bypassing the batch-flush deferral.
+// way).
 func (t *Thread) ReleaseHolds() {
 	for i := 0; i < kcas.MaxEntries; i++ {
 		t.setSlot(slotChainHoldBase+i, 0)
@@ -253,21 +222,15 @@ func (t *Thread) Backoff() *backoff.Exp {
 }
 
 // Fault triggers injection point p if the runtime was configured with
-// an injector (Config.Fault); composed pipelines above the kcas engine
-// (internal/batch, internal/hashmap) call it at their own critical
-// windows. The calling goroutine may be stalled, parked, or terminated
+// an injector (Config.Fault); internal/hashmap calls it at its grow
+// window. The calling goroutine may be stalled, parked, or terminated
 // here.
 func (t *Thread) Fault(p fault.Point) {
-	if t.trc != nil {
-		// The layers above kcas trace through the same named points they
-		// inject at; recording before firing means a thread parked or
-		// killed at the point has already left its event.
-		switch p {
-		case fault.BatchPrepareCommit:
-			t.trc.Record(t.id, obs.EvBatchFlush, -1, 0)
-		case fault.MapMidGrow:
-			t.trc.Record(t.id, obs.EvMapGrow, -1, 0)
-		}
+	if t.trc != nil && p == fault.MapMidGrow {
+		// The map traces through the same named point it injects at;
+		// recording before firing means a thread parked or killed at the
+		// point has already left its event.
+		t.trc.Record(t.id, obs.EvMapGrow, -1, 0)
 	}
 	if t.flt != nil {
 		t.flt.Fire(p, t.id)

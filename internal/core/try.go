@@ -16,11 +16,11 @@ import "repro/internal/fault"
 // the fresh-descriptor allocation after a failed ExecutePair/Execute
 // (scas lines M30–M31 and the chain's conflict path) runs while the
 // thread still holds its previous, announced descriptor — but that
-// descriptor is decided by then, so recycleDesc/recycleMDesc dispatch
-// it down the hazard-retirement route exactly as the non-panicking path
-// would. Try therefore recovers the typed error, resets the
-// thread-local move state, and hands the caller a clean error; every
-// shared structure is untouched or already completed.
+// descriptor is decided by then, so recycleDesc dispatches it down the
+// hazard-retirement route exactly as the non-panicking path would. Try
+// therefore recovers the typed error, resets the thread-local move
+// state, and hands the caller a clean error; every shared structure is
+// untouched or already completed.
 
 // Try runs op and converts a resource-exhaustion panic
 // (*fault.ResourceError, thrown by the arena and descriptor-pool carve
@@ -48,16 +48,10 @@ func (t *Thread) Try(op func()) (err error) {
 }
 
 // resetAfterExhaustion clears every piece of thread-local operation
-// state an exhaustion panic can strand, in dependency order: leave any
-// batch flush first (restoring hazard-clear semantics), recycle the
-// stranded descriptors by their decided/undecided route, then drop the
-// chain buffers and hazard protections.
+// state an exhaustion panic can strand, in dependency order: recycle
+// the stranded descriptors by their decided/undecided route, then drop
+// the chain buffers and hazard protections.
 func (t *Thread) resetAfterExhaustion() {
-	// A panic inside internal/batch.Flush already runs AbortBatchFlush
-	// via its defer; this covers callers that bracketed the flush
-	// themselves. No-op when no flush is active.
-	t.AbortBatchFlush()
-
 	if t.desc != nil {
 		d, ref := t.desc, t.descRef
 		t.desc = nil
@@ -68,7 +62,7 @@ func (t *Thread) resetAfterExhaustion() {
 	if t.mdesc != nil {
 		d, ref := t.mdesc, t.mref
 		t.mdesc = nil
-		t.recycleMDesc(d, ref)
+		t.recycleDesc(d, ref)
 	}
 	t.mSteps = t.mSteps[:0]
 	t.mAbort = false

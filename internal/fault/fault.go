@@ -12,11 +12,11 @@
 // initiator's fate is irrelevant to the operation's. That claim is only
 // worth anything if it survives faults injected exactly at the protocol
 // windows where a stalled thread would otherwise wedge a lock-based
-// design: after the descriptor is announced but before it commits,
-// between a batch flush's prepare and commit phases, and between the two
-// steps of a hash-map grow. This package names those windows as Points
-// and lets tests and the chaos pipeline (cmd/kvserver -fault) stall,
-// park, or hard-kill the thread standing in them.
+// design: after the descriptor is announced but before it commits, and
+// between the two steps of a hash-map grow. This package names those
+// windows as Points and lets tests and the chaos pipeline
+// (cmd/kvserver -fault) stall, park, or hard-kill the thread standing
+// in them.
 //
 // # Zero overhead when disabled
 //
@@ -60,8 +60,8 @@ import (
 type Point uint8
 
 // The injection points. KCAS* fire inside internal/kcas for both the
-// pair (DCAS) and general (CASN) protocols; Batch and Map points fire
-// from the composed pipelines that sit on top.
+// pair (DCAS) and general (CASN) protocols; MapMidGrow fires from the
+// hash map that sits on top.
 const (
 	// KCASAfterPublish fires once the operation's descriptor is visible
 	// to peers — after the pair protocol's announce CAS (line D10), or
@@ -75,13 +75,9 @@ const (
 	// unreleased words that peers (or the retire-time scrub) clean up.
 	KCASBeforeCommit
 	// KCASBeforeRecycle fires as a descriptor is handed back for reuse
-	// (Retire, RetireFlush or FreeDirect). A thread killed here leaks
-	// exactly one descriptor slot.
+	// (Retire or FreeDirect). A thread killed here leaks exactly one
+	// descriptor slot.
 	KCASBeforeRecycle
-	// BatchPrepareCommit fires between a batch flush's prepare and
-	// commit loops (internal/batch), where every pending move has been
-	// located but none has committed.
-	BatchPrepareCommit
 	// MapMidGrow fires between publishing a doubled hash-map directory
 	// and linking its first sentinel (internal/hashmap): the new buckets
 	// exist but none has an anchor yet, and peers link what they need.
@@ -91,11 +87,10 @@ const (
 )
 
 var pointNames = [NumPoints]string{
-	KCASAfterPublish:   "kcas-publish",
-	KCASBeforeCommit:   "kcas-commit",
-	KCASBeforeRecycle:  "kcas-recycle",
-	BatchPrepareCommit: "batch-gap",
-	MapMidGrow:         "map-grow",
+	KCASAfterPublish:  "kcas-publish",
+	KCASBeforeCommit:  "kcas-commit",
+	KCASBeforeRecycle: "kcas-recycle",
+	MapMidGrow:        "map-grow",
 }
 
 // String returns the spec-grammar name of the point.
@@ -310,7 +305,7 @@ func (pl *Plan) Kills() uint64 { return pl.kills.Load() }
 //
 //	<point>:<action>[:<mod>[,<mod>...]]
 //
-//	point:  kcas-publish | kcas-commit | kcas-recycle | batch-gap | map-grow
+//	point:  kcas-publish | kcas-commit | kcas-recycle | map-grow
 //	action: stall=<duration> | park | kill
 //	mod:    nth=<n> | every=<n> | prob=<p>,seed=<s> | skip=<n> | thread=<tid>
 //

@@ -47,14 +47,14 @@ func TestSkipDelaysCounting(t *testing.T) {
 }
 
 func TestThreadFilter(t *testing.T) {
-	pl := NewPlan().Stall(BatchPrepareCommit, 0, Always().OnThread(3))
-	pl.Fire(BatchPrepareCommit, 1)
-	pl.Fire(BatchPrepareCommit, 2)
+	pl := NewPlan().Stall(MapMidGrow, 0, Always().OnThread(3))
+	pl.Fire(MapMidGrow, 1)
+	pl.Fire(MapMidGrow, 2)
 	if pl.FiredTotal() != 0 {
 		t.Fatal("fired for non-matching thread")
 	}
-	pl.Fire(BatchPrepareCommit, 3)
-	if pl.Fired(BatchPrepareCommit) != 1 {
+	pl.Fire(MapMidGrow, 3)
+	if pl.Fired(MapMidGrow) != 1 {
 		t.Fatal("did not fire for matching thread")
 	}
 }
@@ -140,7 +140,7 @@ func TestParkAndRelease(t *testing.T) {
 }
 
 func TestKillTerminatesGoroutine(t *testing.T) {
-	pl := NewPlan().Kill(BatchPrepareCommit, Nth(1))
+	pl := NewPlan().Kill(MapMidGrow, Nth(1))
 	reached := false
 	deferred := false
 	var wg sync.WaitGroup
@@ -148,7 +148,7 @@ func TestKillTerminatesGoroutine(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer func() { deferred = true }()
-		pl.Fire(BatchPrepareCommit, 0)
+		pl.Fire(MapMidGrow, 0)
 		reached = true
 	}()
 	wg.Wait()
@@ -199,7 +199,7 @@ func TestParseRoundTrip(t *testing.T) {
 		"kcas-commit:stall=2ms:every=97",
 		"kcas-publish:kill:nth=1500,skip=10",
 		"map-grow:stall=1ms:prob=0.01,seed=7",
-		"batch-gap:park:thread=2",
+		"map-grow:park:thread=2",
 		"kcas-recycle:stall=0s",
 	})
 	if err != nil {
@@ -221,7 +221,7 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Fatalf("rule 2 mismatch: %+v", r)
 	}
 	r = pl.rules[3]
-	if r.point != BatchPrepareCommit || r.action != actPark || r.trig.Thread != 2 {
+	if r.point != MapMidGrow || r.action != actPark || r.trig.Thread != 2 {
 		t.Fatalf("rule 3 mismatch: %+v", r)
 	}
 	if r = pl.rules[4]; r.trig.Every != 1 {
@@ -253,11 +253,10 @@ func TestParseErrors(t *testing.T) {
 
 func TestPointString(t *testing.T) {
 	want := map[Point]string{
-		KCASAfterPublish:   "kcas-publish",
-		KCASBeforeCommit:   "kcas-commit",
-		KCASBeforeRecycle:  "kcas-recycle",
-		BatchPrepareCommit: "batch-gap",
-		MapMidGrow:         "map-grow",
+		KCASAfterPublish:  "kcas-publish",
+		KCASBeforeCommit:  "kcas-commit",
+		KCASBeforeRecycle: "kcas-recycle",
+		MapMidGrow:        "map-grow",
 	}
 	for p, name := range want {
 		if p.String() != name {

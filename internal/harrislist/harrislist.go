@@ -314,24 +314,6 @@ func ContainsAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, boo
 	return t.Node(r.cur).Val, true
 }
 
-// PrepareRemove implements core.RemovePreparer for the batched move
-// pipeline: Contains' miss is a linearizable absence observation (a
-// failed batched move may linearize at it), and a hit warms the
-// traversal path — and unlinks marked nodes along it — for the commit.
-func (l *List) PrepareRemove(t *core.Thread, key uint64) bool {
-	_, ok := l.Contains(t, key)
-	return ok
-}
-
-// PrepareInsert implements core.InsertPreparer: a hit means the insert
-// would fail on the duplicate key (during a move: abort the
-// composition), so the batched move can fail fast, linearizing at the
-// observation of the occupied key.
-func (l *List) PrepareInsert(t *core.Thread, key uint64) bool {
-	_, dup := l.Contains(t, key)
-	return !dup
-}
-
 // Len counts elements (quiescent use; skips marked nodes).
 func (l *List) Len(t *core.Thread) int {
 	n := 0

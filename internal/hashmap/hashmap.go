@@ -349,23 +349,6 @@ func (m *Map) ContentionStats() []uint64 {
 	return out
 }
 
-// PrepareRemove implements core.RemovePreparer for the batched move
-// pipeline: a miss is a linearizable absence observation (a failed
-// batched move may linearize at it); a hit warms the bucket's path for
-// the commit.
-func (m *Map) PrepareRemove(t *core.Thread, key uint64) bool {
-	_, ok := m.Contains(t, key)
-	return ok
-}
-
-// PrepareInsert implements core.InsertPreparer: an occupied key would
-// fail the insert (during a move: abort the composition), so the
-// batched move can fail fast at the observation.
-func (m *Map) PrepareInsert(t *core.Thread, key uint64) bool {
-	_, dup := m.Contains(t, key)
-	return !dup
-}
-
 // Contains reports presence and value.
 func (m *Map) Contains(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)

@@ -15,10 +15,9 @@ import (
 )
 
 // These tests aim the linearizability oracle and the conservation
-// invariant at the batched move pipeline: a flush amortizes fixed
-// costs but every move in it must remain its own linearizable
-// operation — racing plain Move/MoveN traffic, shard grows (whose
-// entry relocations run through moves) and plain push/pop noise.
+// invariant at moves buffered through a MoveBuffer: every move in a
+// flush must remain its own linearizable operation — racing plain
+// Move/MoveN traffic, shard grows and plain push/pop noise.
 
 // runRecordedBatched mirrors runRecorded but issues every move through
 // a per-thread MoveBuffer, flushing windows of up to flushLen moves.
@@ -118,7 +117,7 @@ func runRecordedBatched(t *testing.T, seed uint64, opsPerThread, threads, flushL
 }
 
 // TestBatchedMoveHistoriesLinearizable is Theorem 2 restated for the
-// batch pipeline: histories where moves commit inside flushes must be
+// move buffer: histories where moves commit inside flushes must be
 // linearizable against the same atomic-move model as plain Move — the
 // flush bracket may not weaken any individual move.
 func TestBatchedMoveHistoriesLinearizable(t *testing.T) {

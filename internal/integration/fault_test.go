@@ -213,7 +213,6 @@ func TestConservationUnderChaos(t *testing.T) {
 	const opsPer = 250
 	plan := fault.NewPlan().
 		Stall(fault.KCASAfterPublish, 100*time.Microsecond, fault.Every(19)).
-		Stall(fault.BatchPrepareCommit, 100*time.Microsecond, fault.Every(13)).
 		Kill(fault.KCASAfterPublish, fault.Nth(40)) // whoever hits it 40th dies
 	rt := newFaultRT(workers+1, plan)
 	setup := rt.RegisterThread()

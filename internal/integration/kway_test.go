@@ -16,7 +16,7 @@ import (
 // These tests aim the linearizability oracle at the >2-object
 // compositions the unified k-word CAS engine opens: SwapHeads (k-way
 // head exchange), TransferN (multi-key cross-map transfer) and DrainN
-// (amortized move runs), each racing the plain operations it composes
+// (runs of moves), each racing the plain operations it composes
 // with — and, for the maps, racing shard grows.
 
 // TestSwapHeadsLinearizable records windows of pushes, pops and

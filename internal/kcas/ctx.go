@@ -13,15 +13,6 @@ const retireScanAt = 64
 // carveBatch is how many fresh descriptor slots a thread carves at once.
 const carveBatch = 64
 
-// flushRecycleAt is the minimum number of flush-parked descriptors that
-// makes EndFlush pay for a hazard snapshot; smaller flushes accumulate
-// across EndFlush calls so the snapshot stays amortized. With one
-// engine the pair and k-word descriptors park on the same list, so one
-// threshold serves both: sized above the common batch capacities (16)
-// so a mid-size flush still snapshots only every other flush, and low
-// enough that sparse MoveN-only traffic is not parked for long.
-const flushRecycleAt = 16
-
 // Slots names the hazard slots a Ctx publishes into. The three
 // descriptor-domain slots keep the pre-unification nesting discipline:
 // helping a pair operation from inside general phase 1 must not clobber
@@ -54,12 +45,6 @@ type Ctx struct {
 	free     []uint64
 	freeHead int
 	retired  []retiredDesc
-	// flushRet parks descriptors retired inside a batch flush
-	// (core.Thread.EndBatchFlush drains it through EndFlush): they were
-	// announced, but one shared hazard snapshot per flush — instead of
-	// one retire cycle per operation — decides whether they can be
-	// reused immediately.
-	flushRet []retiredDesc
 	snap     []uint64
 
 	// flt, when non-nil, is fired at the protocol's critical windows
@@ -323,52 +308,8 @@ func (c *Ctx) scan() {
 	c.retired = kept
 }
 
-// RetireFlush parks an announced descriptor for the batch-flush recycle
-// path: it is scrubbed now (like Retire) but its reuse decision is
-// deferred to EndFlush, which covers the whole flush with one hazard
-// snapshot instead of running a retire cycle per operation.
-func (c *Ctx) RetireFlush(d *Desc, ref uint64) {
-	c.obsEvent(obs.KCASRecycle, obs.EvRecycle, -1, ref)
-	c.fire(fault.KCASBeforeRecycle)
-	c.scrub(d, ref)
-	c.flushRet = append(c.flushRet, retiredDesc{d: d, ref: ref})
-}
-
-// EndFlush recycles the flush-parked descriptors: one snapshot of the
-// hpd domain, then every descriptor that is unprotected and absent from
-// all of its target words — the same conditions scan proves — goes
-// straight back to the free ring, without waiting for a full retire
-// cycle. Sequence-stamped references keep the early reuse ABA-safe: a
-// helper holding a stale reference fails the descriptor's self check.
-// Descriptors a helper may still reach fall back to the conservative
-// retire cycle. Small flushes accumulate until the snapshot is paid for.
-func (c *Ctx) EndFlush() {
-	if len(c.flushRet) < flushRecycleAt {
-		return
-	}
-	c.snap = c.pool.dom.Snapshot(c.snap)
-	for _, rd := range c.flushRet {
-		idx := word.DescIndex(rd.ref)
-		if hazard.Protected(c.snap, idx+1) || c.residue(rd) {
-			c.retired = append(c.retired, rd)
-			continue
-		}
-		rd.d.self.Store(0)
-		c.pushFree(idx)
-	}
-	c.flushRet = c.flushRet[:0]
-	if len(c.retired) >= retireScanAt {
-		c.scan()
-	}
-}
-
-// FlushParked reports the flush-parked descriptor count (tests).
-func (c *Ctx) FlushParked() int { return len(c.flushRet) }
-
 // Flush retires everything it can; used at thread shutdown and by tests.
 func (c *Ctx) Flush() {
-	c.retired = append(c.retired, c.flushRet...)
-	c.flushRet = c.flushRet[:0]
 	for prev := -1; len(c.retired) > 0 && len(c.retired) != prev; {
 		prev = len(c.retired)
 		c.scan()

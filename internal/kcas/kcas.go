@@ -25,9 +25,8 @@
 //     (kind = KindRDCSS, entry index in the mark field).
 //
 // Both paths share the sequence-stamped ABA-safe slot reuse, the
-// per-thread compacting FIFO free ring, hazard-scan retirement, and the
-// RetireFlush/EndFlush batch recycling that amortizes one hazard
-// snapshot over a whole flush. A helper that encounters a reference of
+// per-thread compacting FIFO free ring and hazard-scan retirement. A
+// helper that encounters a reference of
 // either operation kind — or an RDCSS sub-reference — resolves it
 // through this one package (Ctx.Read), so cross-kind helping needs no
 // foreign-function hook.

@@ -45,8 +45,8 @@
 // entry is never in both maps nor in neither), XFER moves up to four
 // keyed entries in one k-word CAS (repro.TransferKeys — FAIL also
 // covers chain-dependent keys, retryable as per-key MOVEs), and DRAIN
-// streams up to n elements between two tenants' queues under one
-// amortized descriptor lifecycle (repro.DrainN). Composed operations
+// streams up to n ≤ MaxDrainN elements between two tenants' queues,
+// each its own atomic move (repro.DrainN). Composed operations
 // require two distinct tenants; ParseRequest rejects same-tenant
 // pairs. AUDIT returns conservation totals: entries and value-sum
 // (wrapping uint64) over all tenant maps, and entries over all tenant
@@ -148,6 +148,11 @@ func verbOp(verb []byte) (Op, bool) {
 // MaxXferKeys is the key-pair limit of XFER (repro.TransferKeys' k-CAS
 // width budget: 2 CASes per pair, 8 entries per descriptor).
 const MaxXferKeys = 4
+
+// MaxDrainN is the element limit of DRAIN. At 1024 the largest response
+// (≤ 21 bytes per value) stays well under the 64 KiB line cap, and the
+// server's result buffer stays small.
+const MaxDrainN = 1024
 
 // Request is one parsed client request.
 type Request struct {
@@ -314,6 +319,9 @@ func (r *Request) Parse(line []byte, tenants int) error {
 		}
 		if r.N, ok = atoi(f[3]); !ok || r.N < 1 {
 			return fmt.Errorf("bad DRAIN count %q", string(f[3]))
+		}
+		if r.N > MaxDrainN {
+			return fmt.Errorf("DRAIN takes 1..%d elements", MaxDrainN)
 		}
 		return nil
 	default: // the control verbs

@@ -55,6 +55,8 @@ func TestParseRequestRejects(t *testing.T) {
 		"XFER 0 1 1,2 1",                // list length mismatch
 		"XFER 0 1 1,2,3,4,5 6,7,8,9,10", // too many pairs
 		"DRAIN 0 1 0",                   // n < 1
+		"DRAIN 0 1 1025",                // n > MaxDrainN
+		"DRAIN 0 1 9223372036854775807", // n > MaxDrainN (was a server panic)
 		"DRAIN 0 0 4",                   // same tenant
 		"STATS now",                     // junk argument
 		"GET 0 notanumber",
@@ -279,6 +281,9 @@ func refParseRequest(line string, tenants int) (Request, error) {
 		if err != nil || n < 1 {
 			return r, fmt.Errorf("bad DRAIN count %q", f[3])
 		}
+		if n > MaxDrainN {
+			return r, fmt.Errorf("DRAIN takes 1..%d elements", MaxDrainN)
+		}
 		r.N = n
 	case "STATS", "AUDIT", "PING", "METRICS", "SLOW":
 		r.Op = map[string]Op{"STATS": OpStats, "AUDIT": OpAudit, "PING": OpPing, "METRICS": OpMetrics, "SLOW": OpSlow}[f[0]]
@@ -354,12 +359,13 @@ var parseCorpus = []string{
 	"STATS", "AUDIT", "PING", "METRICS", "SLOW",
 	"", "FLY 0 1", "GET 0", "GET 3 1", "GET -1 1", "PUT 0 1", "MOVE 1 1 2 3",
 	"XFER 0 1 1,2 1", "XFER 0 1 1,2,3,4,5 6,7,8,9,10", "DRAIN 0 1 0", "DRAIN 0 0 4",
+	"DRAIN 0 1 1024", "DRAIN 0 1 1025", "DRAIN 0 1 9223372036854775807",
 	"STATS now", "GET 0 notanumber",
 	"  GET\t0   1\r", "\tPING ", " ", "get 0 1", "GETX 0 1", "GE", "GET 0 1 2 3 4 5 6",
 	"GET +1 5", "GET -0 5", "GET 00 007", "GET 0 +5", "GET 0 -5", "GET 0 1_0",
 	"GET 0 18446744073709551615", "GET 0 18446744073709551616", "GET 0 99999999999999999999999",
 	"GET 99999999999999999999 1", "GET 9223372036854775808 1",
-	"DRAIN 0 1 +4", "DRAIN 0 1 -4", "DRAIN 0 1 9223372036854775807", "DRAIN 0 1 9223372036854775808",
+	"DRAIN 0 1 +4", "DRAIN 0 1 -4", "DRAIN 0 1 9223372036854775808",
 	"XFER 0 1 , ,", "XFER 0 1 1, 2,", "XFER 0 1 1,,2 3,4,5", "XFER 0 1 1,2,3,4,x 1", "XFER 0 1 1 2,x",
 	"XFER 0 1 1,2,3,4,5 6,7,8,9", "MOVE 0 1 1,2 3", "MOVE 0 3 1 1", "MOVE 0 1 1", "PUT 0 1 2 3",
 }

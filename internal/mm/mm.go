@@ -214,12 +214,6 @@ func (c *Cache) Retire(ref uint64) {
 	}
 }
 
-// ScanHeadroom reports how many more Retire calls this cache absorbs
-// before the next hazard scan fires. Batch flushes use it to decide
-// whether deferring retirement (so the scan does not trip over the
-// flush's own stale protections) is worth the bookkeeping.
-func (c *Cache) ScanHeadroom() int { return c.m.retireAt - len(c.retired) }
-
 // FreeDirect returns a node that was never published to any shared word
 // (for example an insert aborted before its linearization CAS, lines
 // Q15–Q17 / S8–S10). No other thread can hold a reference, so it skips

@@ -137,29 +137,6 @@ func (q *Queue) Dequeue(t *core.Thread) (val uint64, ok bool) {
 	}
 }
 
-// PrepareRemove implements core.RemovePreparer for the batched move
-// pipeline. Only a false answer carries weight (a failed batched move
-// linearizes at it), so only the empty case pays for validation: the
-// fast path reads head and its next field unprotected — the node
-// cannot be unmapped (arena memory) and a stale non-nil next merely
-// answers true, which the commit re-checks anyway. An apparent empty
-// redoes the observation with Dequeue's protected head/next protocol
-// (Q23–Q29), making the false a linearizable emptiness observation.
-func (q *Queue) PrepareRemove(t *core.Thread, _ uint64) bool {
-	lhead := t.Read(&q.head)
-	if t.Node(lhead).Next.Load() != word.Nil {
-		return true
-	}
-	for {
-		lhead = t.Read(&q.head)
-		t.ProtectNode(core.SlotRem0, lhead)
-		if t.Read(&q.head) != lhead {
-			continue
-		}
-		return t.Read(&t.Node(lhead).Next) != word.Nil
-	}
-}
-
 // Insert implements core.Inserter (the key is ignored; queues are
 // unkeyed). It makes the queue usable as a move target.
 func (q *Queue) Insert(t *core.Thread, _ uint64, val uint64) bool {

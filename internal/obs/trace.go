@@ -14,7 +14,7 @@ import (
 
 // EventKind names one descriptor-protocol lifecycle event. The set
 // mirrors the windows internal/fault instruments, plus the composed
-// layers' own windows (batch flush, map grow), so a trace lines up
+// layers' own window (map grow), so a trace lines up
 // one-to-one with where chaos rules can fire.
 type EventKind uint8
 
@@ -35,9 +35,6 @@ const (
 	EvAbort
 	// EvRecycle: a descriptor slot was handed back for reuse.
 	EvRecycle
-	// EvBatchFlush: a batched-move buffer crossed its prepare→commit
-	// gap.
-	EvBatchFlush
 	// EvMapGrow: a map shard published a doubled directory.
 	EvMapGrow
 
@@ -45,13 +42,12 @@ const (
 )
 
 var eventNames = [numEventKinds]string{
-	EvPublish:    "publish",
-	EvHelp:       "help",
-	EvCommit:     "commit",
-	EvAbort:      "abort",
-	EvRecycle:    "recycle",
-	EvBatchFlush: "batch-flush",
-	EvMapGrow:    "map-grow",
+	EvPublish: "publish",
+	EvHelp:    "help",
+	EvCommit:  "commit",
+	EvAbort:   "abort",
+	EvRecycle: "recycle",
+	EvMapGrow: "map-grow",
 }
 
 // String returns the kind's wire name (used in JSONL and Chrome traces).

@@ -83,21 +83,6 @@ func (p *PQueue) Min(t *core.Thread) (priority, val uint64, ok bool) {
 	return key >> uniqBits, val, ok
 }
 
-// PrepareRemove implements core.RemovePreparer for the batched move
-// pipeline: an empty Min walk is a linearizable emptiness observation
-// (a failed batched move may linearize at it); a hit warms the head of
-// the list for the commit's RemoveMin.
-func (p *PQueue) PrepareRemove(t *core.Thread, _ uint64) bool {
-	_, _, ok := p.l.Min(t)
-	return ok
-}
-
-// PrepareInsert implements core.InsertPreparer: inserts only reject
-// out-of-range priorities, which is a static property of the key.
-func (p *PQueue) PrepareInsert(t *core.Thread, priority uint64) bool {
-	return priority <= MaxPriority
-}
-
 // Remove implements core.Remover: the key is ignored and the minimum is
 // removed, making the priority queue a move source ("take the most
 // urgent item").

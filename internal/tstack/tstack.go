@@ -150,17 +150,6 @@ func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
 // concurrent writers (the registry's cas_retries_total).
 func (s *Stack) Retries() uint64 { return s.retries.Load() }
 
-// PrepareRemove implements core.RemovePreparer for the batched move
-// pipeline: top is the stack's only anchor, so a nil top is exactly
-// Pop's linearizable empty observation (S16) — a failed batched move
-// may linearize at it — and a non-nil top warms the cache line the
-// commit will CAS. (There is no PrepareInsert: a plain push never
-// rejects and has nothing to warm that the commit does not touch
-// immediately itself.)
-func (s *Stack) PrepareRemove(t *core.Thread, _ uint64) bool {
-	return !isNil(t.Read(&s.top))
-}
-
 // Insert implements core.Inserter (key ignored).
 func (s *Stack) Insert(t *core.Thread, _ uint64, val uint64) bool {
 	return s.Push(t, val)

@@ -87,6 +87,19 @@ func TestTryTransferKeysAndDrainResourceExhausted(t *testing.T) {
 	if got := repro.DrainN(setup, q1, q2, 0, 0, 2); len(got) != 2 {
 		t.Fatalf("healthy DrainN moved %d, want 2", len(got))
 	}
+	// A non-positive count moves nothing and returns empty, not a
+	// make([]uint64, n) panic.
+	for _, n := range []int{0, -1} {
+		if got := repro.DrainN(setup, q1, q2, 0, 0, n); len(got) != 0 {
+			t.Fatalf("DrainN(n=%d) moved %d", n, len(got))
+		}
+		if got, err := repro.TryDrainN(setup, q1, q2, 0, 0, n); err != nil || len(got) != 0 {
+			t.Fatalf("TryDrainN(n=%d) = %v, %v", n, got, err)
+		}
+	}
+	if q1.Len(setup) != 2 || q2.Len(setup) != 2 {
+		t.Fatalf("non-positive drains moved elements: %d/%d", q1.Len(setup), q2.Len(setup))
+	}
 }
 
 func TestTryArenaExhaustion(t *testing.T) {

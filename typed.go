@@ -211,75 +211,6 @@ func MoveKeyed[T any](t *Thread, src, dst *MapOf[T], skey, tkey uint64) (T, bool
 	return dst.Box.Peek(h), true
 }
 
-// Boxed is the common face of the typed facades (QueueOf, StackOf,
-// MapOf): a move-ready container plus the Box its handles live in.
-// MoveBatchOf uses it to accept any mix of typed containers.
-type Boxed[T any] interface {
-	moveReady() MoveReady
-	sharedBox() *Box[T]
-}
-
-func (q *QueueOf[T]) moveReady() MoveReady { return q.Q }
-func (q *QueueOf[T]) sharedBox() *Box[T]   { return q.Box }
-func (s *StackOf[T]) moveReady() MoveReady { return s.S }
-func (s *StackOf[T]) sharedBox() *Box[T]   { return s.Box }
-func (m *MapOf[T]) moveReady() MoveReady   { return m.M }
-func (m *MapOf[T]) sharedBox() *Box[T]     { return m.Box }
-
-// MoveResultOf is the typed outcome of one batched move: the value is
-// read through the moved handle after the commit (a snapshot, like
-// MoveKeyed's).
-type MoveResultOf[T any] struct {
-	Val           T
-	OK            bool
-	SKey, TKey    uint64
-	FailedPrepare bool
-}
-
-// MoveBatchOf is the typed facade over MoveBatch: it buffers moves
-// between typed containers sharing one Box and flushes them through the
-// batched pipeline. The handles move lock-free underneath; values never
-// leave the Box, so each is visible through exactly one container at
-// every instant. Like the untyped MoveBatch, a flush amortizes fixed
-// costs — it is NOT a transaction.
-type MoveBatchOf[T any] struct {
-	B       *MoveBatch
-	Box     *Box[T]
-	results []MoveResultOf[T]
-}
-
-// NewMoveBatchOf builds a typed batch for containers sharing box.
-func NewMoveBatchOf[T any](t *Thread, box *Box[T]) *MoveBatchOf[T] {
-	return &MoveBatchOf[T]{B: NewMoveBatch(t), Box: box}
-}
-
-// Add buffers one move from src to dst (keys as in Move; ignored by
-// unkeyed containers). It reports false when the buffer is full. Both
-// containers must share the batch's Box.
-func (b *MoveBatchOf[T]) Add(src, dst Boxed[T], skey, tkey uint64) bool {
-	if src.sharedBox() != b.Box || dst.sharedBox() != b.Box {
-		panic("repro: MoveBatchOf requires containers sharing one Box")
-	}
-	return b.B.Add(src.moveReady(), dst.moveReady(), skey, tkey)
-}
-
-// Flush runs the buffered moves and returns one typed result per Add,
-// in Add order. The returned slice is reused by the next Flush.
-func (b *MoveBatchOf[T]) Flush() []MoveResultOf[T] {
-	raw := b.B.Flush()
-	b.results = b.results[:0]
-	for _, r := range raw {
-		tr := MoveResultOf[T]{
-			OK: r.OK, SKey: r.SKey, TKey: r.TKey, FailedPrepare: r.FailedPrepare,
-		}
-		if r.OK {
-			tr.Val = b.Box.Peek(r.Val)
-		}
-		b.results = append(b.results, tr)
-	}
-	return b.results
-}
-
 // MoveTyped moves one element between typed containers backed by the
 // same Box: the handle moves atomically; the value never leaves the box,
 // so it is visible through exactly one container at every instant.
@@ -333,8 +264,8 @@ func TransferKeysOf[T any](t *Thread, src, dst *MapOf[T], skeys, tkeys []uint64)
 }
 
 // DrainTyped moves up to n elements from a typed queue to a typed stack
-// sharing one Box under one amortized descriptor lifecycle (see
-// DrainN). Each move remains individually linearizable.
+// sharing one Box, one Move at a time (see DrainN). Each move is
+// individually linearizable.
 func DrainTyped[T any](t *Thread, src *QueueOf[T], dst *StackOf[T], n int) []T {
 	if src.Box != dst.Box {
 		panic("repro: DrainTyped requires containers sharing one Box")

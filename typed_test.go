@@ -177,62 +177,3 @@ func TestTypedMap(t *testing.T) {
 		}
 	}
 }
-
-func TestMoveBatchOf(t *testing.T) {
-	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 1 << 16})
-	th := rt.RegisterThread()
-	box := repro.NewBox[string]()
-	q := repro.NewQueueOf[string](th, box)
-	s := repro.NewStackOf[string](th, box)
-	m := repro.NewMapOf[string](th, box, 16)
-	q.Enqueue(th, "a")
-	q.Enqueue(th, "b")
-	m.Put(th, 7, "keyed")
-
-	b := repro.NewMoveBatchOf[string](th, box)
-	if !b.Add(q, s, 0, 0) || !b.Add(q, s, 0, 0) || !b.Add(m, s, 7, 0) || !b.Add(q, s, 0, 0) {
-		t.Fatal("Adds rejected below capacity")
-	}
-	res := b.Flush()
-	if len(res) != 4 {
-		t.Fatalf("got %d results, want 4", len(res))
-	}
-	if !res[0].OK || res[0].Val != "a" || !res[1].OK || res[1].Val != "b" {
-		t.Fatalf("queue moves: %+v %+v", res[0], res[1])
-	}
-	if !res[2].OK || res[2].Val != "keyed" {
-		t.Fatalf("keyed move: %+v", res[2])
-	}
-	// The 4th move drains an already-emptied queue. The prepare phase
-	// ran before any commit — the queue still looked non-empty then —
-	// so this fails at its commit, not fast.
-	if res[3].OK || res[3].FailedPrepare {
-		t.Fatalf("draining move must fail at commit: %+v", res[3])
-	}
-	// LIFO: the stack now pops keyed, b, a.
-	for _, want := range []string{"keyed", "b", "a"} {
-		if v, ok := s.Pop(th); !ok || v != want {
-			t.Fatalf("pop: %q %v, want %q", v, ok, want)
-		}
-	}
-	// A flush starting from an empty source does fail in the prepare
-	// phase.
-	b.Add(q, s, 0, 0)
-	if res := b.Flush(); res[0].OK || !res[0].FailedPrepare {
-		t.Fatalf("empty-source move must fail fast: %+v", res[0])
-	}
-}
-
-func TestMoveBatchOfRequiresSharedBox(t *testing.T) {
-	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 1 << 16})
-	th := rt.RegisterThread()
-	b := repro.NewMoveBatchOf[int](th, repro.NewBox[int]())
-	other := repro.NewQueueOf[int](th, repro.NewBox[int]())
-	same := repro.NewStackOf[int](th, b.Box)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("foreign box must panic")
-		}
-	}()
-	b.Add(other, same, 0, 0)
-}
