@@ -94,8 +94,9 @@ func missingRefs(dir, text string) []string {
 // TestDocReferencesExist keeps the documentation pointing at things
 // that are in the tree: every cmd/ and internal/ path, BENCH*.json and
 // .md file the living documents name, and every .md file a Go comment
-// names, must exist. CHANGES.md, ROADMAP.md and ISSUE.md are history —
-// they name what was deleted — and are not scanned.
+// names, must exist. CHANGES.md, ROADMAP.md and the issue file of the
+// change in progress are history — they name what was deleted — and are
+// not scanned.
 func TestDocReferencesExist(t *testing.T) {
 	docs := []string{"ARCHITECTURE.md", "cmd/README.md", "hypotheses/README.md", ".claude/skills/verify/SKILL.md"}
 	more, err := filepath.Glob("docs/*.md")

@@ -19,21 +19,20 @@ import (
 	"repro/internal/word"
 )
 
-// Node is one 64-byte (cache-line sized) container node. Next is the only
-// word other threads mutate; Val, Key and Aux are written by the node's
-// owner before the node is published via a CAS and are read-only
+// Node is one 32-byte container node; two share a cache line. Next is
+// the only word other threads mutate; Val, Key and Aux are written by the
+// node's owner before the node is published via a CAS and are read-only
 // afterwards.
 type Node struct {
 	Next word.Word // may hold node refs or DCAS descriptor refs
 	Aux  uint64    // lists order by (Key, Aux); unused by queue/stack
 	Val  uint64
 	Key  uint64
-	_    [4]uint64
 }
 
 const (
-	// SlabShift sets the slab size: 1<<SlabShift nodes per slab.
-	SlabShift = 16
+	// SlabShift sets the slab size: 1<<SlabShift nodes (128 KiB) per slab.
+	SlabShift = 12
 	// SlabSize is the number of nodes per slab.
 	SlabSize = 1 << SlabShift
 	slabMask = SlabSize - 1
@@ -53,9 +52,9 @@ type Arena struct {
 	limit  uint64        // hard cap on node indexes
 }
 
-// New creates an arena that can hold up to maxNodes nodes (rounded up to
-// a whole slab). maxNodes <= 0 selects a default of 1<<22 (~4M nodes,
-// 256 MiB worst case, allocated lazily slab by slab).
+// New creates an arena that can hold up to maxNodes nodes; the reserved
+// prefix counts against that limit. maxNodes <= 0 selects a default of
+// 1<<22 (~4M nodes, 128 MiB worst case, allocated lazily slab by slab).
 func New(maxNodes int) *Arena {
 	if maxNodes <= 0 {
 		maxNodes = 1 << 22

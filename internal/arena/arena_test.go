@@ -3,9 +3,21 @@ package arena
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/word"
 )
+
+// TestNodeAndSlabSize pins the node store's footprint: four live words
+// per node, two nodes to a line, and a slab of at most 128 KiB.
+func TestNodeAndSlabSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 32 {
+		t.Errorf("Node is %d bytes, want 32", got)
+	}
+	if got := SlabSize * unsafe.Sizeof(Node{}); got > 128<<10 {
+		t.Errorf("a slab is %d bytes, want at most 128 KiB", got)
+	}
+}
 
 func TestCarveProducesDistinctDereferenceableNodes(t *testing.T) {
 	a := New(SlabSize * 3)
@@ -57,19 +69,20 @@ func TestNodeDerefByRefWithTag(t *testing.T) {
 }
 
 func TestExhaustionPanics(t *testing.T) {
-	a := New(64) // rounded up internally to ≥64 indexes but limit enforced
+	a := New(64) // the limit is exact: 64 indexes, the reserved prefix included
+	a.Carve(nil, 64-ReservedIndexes)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on exhaustion")
 		}
 	}()
-	a.Carve(nil, 1000)
+	a.Carve(nil, 1)
 }
 
 func TestConcurrentCarveYieldsDisjointRanges(t *testing.T) {
-	a := New(SlabSize * 8)
 	const workers = 8
 	const per = 5000
+	a := New(workers*per + ReservedIndexes) // exactly enough, at any slab size
 	out := make([][]uint64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -109,5 +122,51 @@ func TestAllocatedAndLimit(t *testing.T) {
 	}
 	if a.Limit() != SlabSize {
 		t.Fatalf("Limit=%d", a.Limit())
+	}
+}
+
+// TestConcurrentCarveAcrossSlabs has four goroutines carve small batches
+// through twenty slabs at once, so the slab table is regrown under them
+// again and again: every index is handed out once, and every node keeps
+// what its carver wrote while the table was replaced.
+func TestConcurrentCarveAcrossSlabs(t *testing.T) {
+	const workers = 4
+	const per = 5 * SlabSize
+	a := New(workers*per + ReservedIndexes)
+	out := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var refs []uint64
+			for len(refs) < per {
+				n := len(refs)
+				refs = a.Carve(refs, 64)
+				for _, idx := range refs[n:] {
+					a.NodeAt(idx).Val = idx
+				}
+			}
+			out[w] = refs
+		}(w)
+	}
+	wg.Wait()
+	if slabs := len(*a.slabs.Load()); slabs < 17 {
+		t.Fatalf("carve crossed %d slab boundaries, want at least 16", slabs-1)
+	}
+	seen := make(map[uint64]bool, workers*per)
+	for _, refs := range out {
+		for _, idx := range refs {
+			if seen[idx] {
+				t.Fatalf("index %d handed out twice", idx)
+			}
+			seen[idx] = true
+			if got := a.NodeAt(idx).Val; got != idx {
+				t.Fatalf("node %d reads %d: a write was lost across a slab-table grow", idx, got)
+			}
+		}
+	}
+	if len(seen) != workers*per {
+		t.Fatalf("expected %d distinct indexes, got %d", workers*per, len(seen))
 	}
 }

@@ -79,16 +79,20 @@ type searchResult struct {
 
 // search locates (key, aux) with Michael's validated traversal, started
 // at anchor and unlinking logically deleted nodes it passes.
-// slotPrev/slotCur select the hazard slots (insert- and remove-side
-// calls use disjoint sets, requirement 2). The anchor itself is not
-// protected: it must be a word that is never reclaimed — an object's
-// head, or the Next word of a node that is never removed.
+// slotPrev/slotCur are the side's two hazard slots (insert- and
+// remove-side calls use disjoint pairs, requirement 2). They swap roles
+// on every advance, so a hop makes one fenced store: the node just
+// validated is already published in the slot that becomes prev's. The
+// anchor itself is not protected: it must be a word that is never
+// reclaimed — an object's head, or the Next word of a node that is never
+// removed. Nothing clears the slots on return: they go on publishing at
+// most two nodes until this thread's later searches on the same side
+// overwrite them, the bound a parked thread imposes anyway.
 func search(t *core.Thread, anchor *word.Word, key, aux uint64, slotPrev, slotCur int) searchResult {
 retry:
 	for {
 		prevW := anchor
 		prevRef := uint64(0)
-		t.ProtectNode(slotPrev, 0)
 		cur := t.Read(prevW)
 		for {
 			if cur == word.Nil {
@@ -123,8 +127,8 @@ retry:
 					found:   ckey == key && caux == aux,
 				}
 			}
-			// Advance: cur becomes prev; transfer its protection.
-			t.ProtectNode(slotPrev, cur)
+			// Advance: cur becomes prev and keeps the slot it is published in.
+			slotPrev, slotCur = slotCur, slotPrev
 			prevW = &curN.Next
 			prevRef = cur
 			cur = nextRaw
@@ -143,10 +147,6 @@ func (l *List) Insert(t *core.Thread, key, val uint64) bool {
 // (key, aux); retries counts the linearization CASes it loses.
 func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *atomic.Uint64) bool {
 	ref := word.Nil
-	defer func() {
-		t.ProtectNode(core.SlotInsAux, 0)
-		t.ProtectNode(core.SlotIns0, 0)
-	}()
 	for {
 		r := search(t, anchor, key, aux, core.SlotInsAux, core.SlotIns0)
 		if r.found {
@@ -183,10 +183,6 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *
 // hash map's sentinels), on which racing callers agree: whoever loses
 // the CAS finds the winner's node on its next search and frees its own.
 func LinkAt(t *core.Thread, anchor *word.Word, key, aux uint64, slotPrev, slotCur int) (ref uint64, linked bool) {
-	defer func() {
-		t.ProtectNode(slotPrev, 0)
-		t.ProtectNode(slotCur, 0)
-	}()
 	for {
 		r := search(t, anchor, key, aux, slotPrev, slotCur)
 		if r.found {
@@ -217,10 +213,6 @@ func (l *List) Remove(t *core.Thread, key uint64) (uint64, bool) {
 // RemoveAt is Remove on the list reachable from anchor, for the node
 // (key, aux); retries counts the linearization CASes it loses.
 func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64, retries *atomic.Uint64) (uint64, bool) {
-	defer func() {
-		t.ProtectNode(core.SlotRemAux, 0)
-		t.ProtectNode(core.SlotRem0, 0)
-	}()
 	for {
 		r := search(t, anchor, key, aux, core.SlotRemAux, core.SlotRem0)
 		if !r.found {
@@ -251,10 +243,6 @@ func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64, retries *atomi
 // RemoveMin composes with moves exactly like Remove (the priority-queue
 // package builds on this).
 func (l *List) RemoveMin(t *core.Thread) (key, val uint64, ok bool) {
-	defer func() {
-		t.ProtectNode(core.SlotRemAux, 0)
-		t.ProtectNode(core.SlotRem0, 0)
-	}()
 	for {
 		// search(0) positions at the first live node: every key is >= 0.
 		r := search(t, &l.head, 0, 0, core.SlotRemAux, core.SlotRem0)
@@ -281,10 +269,6 @@ func (l *List) RemoveMin(t *core.Thread) (key, val uint64, ok bool) {
 
 // Min returns the smallest key and its value without removing it.
 func (l *List) Min(t *core.Thread) (key, val uint64, ok bool) {
-	defer func() {
-		t.ProtectNode(core.SlotRemAux, 0)
-		t.ProtectNode(core.SlotRem0, 0)
-	}()
 	r := search(t, &l.head, 0, 0, core.SlotRemAux, core.SlotRem0)
 	if r.cur == word.Nil {
 		return 0, 0, false
@@ -303,10 +287,6 @@ func (l *List) Contains(t *core.Thread, key uint64) (uint64, bool) {
 // ContainsAt is Contains on the list reachable from anchor, for the
 // node (key, aux).
 func ContainsAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, bool) {
-	defer func() {
-		t.ProtectNode(core.SlotRemAux, 0)
-		t.ProtectNode(core.SlotRem0, 0)
-	}()
 	r := search(t, anchor, key, aux, core.SlotRemAux, core.SlotRem0)
 	if !r.found {
 		return 0, false

@@ -1,12 +1,15 @@
 package harrislist
 
 import (
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/word"
 )
 
 func newRT(threads int) *core.Runtime {
@@ -198,5 +201,114 @@ func TestConcurrentSameKeyContention(t *testing.T) {
 			t.Fatalf("key %d present twice", k)
 		}
 		seen[k] = true
+	}
+}
+
+// pinned counts the distinct nodes the runtime's hazard slots publish:
+// every index carved so far goes through one scan of a fresh cache, and
+// the scan keeps exactly the protected ones. The scan hands the rest to
+// that cache's free list, so this ends the runtime's use.
+func pinned(rt *core.Runtime) int {
+	c := rt.Manager().NewCache(rt.MaxThreads() - 1)
+	for idx := uint64(arena.ReservedIndexes); idx < rt.Arena().Allocated(); idx++ {
+		c.Retire(word.MakeNode(idx, 0))
+	}
+	c.Scan()
+	return c.LocalRetired()
+}
+
+// TestListSlotsPinAtMostTwoPerSide: list operations leave their hazard
+// slots published on return, and a search swaps the two slots of its
+// side instead of re-publishing — so after any mix of operations, a
+// thread publishes at most two nodes per side it used, and nothing in
+// any other slot.
+func TestListSlotsPinAtMostTwoPerSide(t *testing.T) {
+	type op func(th *core.Thread, l *List, k uint64)
+	insertSide := []op{
+		func(th *core.Thread, l *List, k uint64) { l.Insert(th, k, k) },
+		func(th *core.Thread, l *List, k uint64) {
+			LinkAt(th, l.HeadWord(), k, 1, core.SlotInsAux, core.SlotIns0)
+		},
+	}
+	removeSide := []op{
+		func(th *core.Thread, l *List, k uint64) { l.Remove(th, k) },
+		func(th *core.Thread, l *List, k uint64) { l.Contains(th, k) },
+		func(th *core.Thread, l *List, k uint64) { l.RemoveMin(th) },
+		func(th *core.Thread, l *List, k uint64) { l.Min(th) },
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []op
+		max  int
+	}{
+		{"insert side", insertSide, 2},
+		{"remove side", removeSide, 2},
+		{"both sides", append(append([]op{}, insertSide...), removeSide...), 4},
+	} {
+		for seed := int64(1); seed <= 5; seed++ {
+			// Replay the same sequence to several lengths: counting ends a
+			// runtime, so each checkpoint gets its own.
+			for _, steps := range []int{1, 3, 20, 300, 3000} {
+				rt := newRT(2)
+				th := rt.RegisterThread()
+				l := New(th)
+				for k := uint64(0); k < 64; k += 2 {
+					l.Insert(th, k, k)
+				}
+				th.ClearHazards() // the prefill's insert-side slots
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < steps; i++ {
+					tc.ops[rng.Intn(len(tc.ops))](th, l, uint64(rng.Intn(64)))
+				}
+				if n := pinned(rt); n > tc.max {
+					t.Fatalf("%s, seed %d, %d ops: %d nodes published, want at most %d",
+						tc.name, seed, steps, n, tc.max)
+				}
+			}
+		}
+	}
+}
+
+// TestStaleSlotPinsUntilNextOperation: a node the thread retires itself
+// stays published by the thread's own stale slot — a scan must not
+// reclaim it — until the thread's next operation on that side searches
+// past it; the first scan after that reclaims it. Removing the first,
+// second, third and fourth node leaves it in either slot of the side.
+func TestStaleSlotPinsUntilNextOperation(t *testing.T) {
+	for _, key := range []uint64{10, 20, 30, 40} {
+		rt := core.NewRuntime(core.Config{MaxThreads: 1, ArenaCapacity: 1 << 12, RetireThreshold: 1})
+		th := rt.RegisterThread()
+		l := New(th)
+		for k := uint64(10); k <= 50; k += 10 {
+			l.Insert(th, k, k)
+		}
+		// The inserts' searches left nodes in the insert-side slots, which
+		// only the thread's next insert would overwrite.
+		th.ClearHazards()
+		x := th.Read(l.HeadWord())
+		for th.Node(x).Key != key {
+			x = word.ListUnmarked(th.Read(&th.Node(x).Next))
+		}
+		spare := th.AllocNode()
+		// Remove unlinks x and retires it; at RetireThreshold 1 the retire
+		// scans at once, and x is still in one of the remove-side slots.
+		if _, ok := l.Remove(th, key); !ok {
+			t.Fatalf("Remove(%d) failed", key)
+		}
+		if got := th.AllocNode(); word.NodeIndex(got) == word.NodeIndex(x) {
+			t.Fatalf("key %d: node reclaimed while its thread's slot still names it", key)
+		} else {
+			th.FreeNodeDirect(got)
+		}
+		// The next operation's search passes two nodes and so republishes
+		// both remove-side slots; retiring spare runs the next scan.
+		if _, ok := l.Contains(th, 50); !ok {
+			t.Fatal("Contains(50) failed")
+		}
+		th.RetireNode(spare)
+		a, b := th.AllocNode(), th.AllocNode()
+		if word.NodeIndex(x) != word.NodeIndex(a) && word.NodeIndex(x) != word.NodeIndex(b) {
+			t.Fatalf("key %d: node not reclaimed by the first scan after the next operation", key)
+		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 	"repro/internal/word"
 )
 
+// newTestManager sizes its arena in nodes, not slabs, so the tests that
+// use it hold at any slab size.
 func newTestManager(threads int) (*Manager, *hazard.Domain) {
-	a := arena.New(arena.SlabSize * 4)
+	a := arena.New(1 << 16)
 	dom := hazard.New(threads, 4)
 	m := New(a, dom, Config{})
 	return m, dom
@@ -110,7 +112,7 @@ func TestRetireHoldsProtectedNodes(t *testing.T) {
 }
 
 func TestRetireTriggersScanAtThreshold(t *testing.T) {
-	a := arena.New(arena.SlabSize)
+	a := arena.New(1 << 10)
 	dom := hazard.New(1, 2)
 	m := New(a, dom, Config{RetireThreshold: 8})
 	c := m.NewCache(0)
