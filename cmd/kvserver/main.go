@@ -34,8 +34,10 @@
 // verb in Prometheus text format; -trace FILE enables the descriptor-
 // protocol tracer and writes the drained events as JSONL on the SIGTERM
 // drain path (inspect with cmd/tracecheck); -statsevery D prints a
-// "STATS <json>" line every D; -pprof ADDR serves net/http/pprof on a
-// side listener.
+// "STATS <json>" line every D; -cpuprofile FILE records a CPU profile
+// from boot and writes it at the same drain (go tool pprof FILE). The
+// METRICS verb also carries the process's heap in use and GC cycle
+// count (go_heap_inuse_bytes, go_gc_cycles_total).
 //
 // Request spans are also on by default (-spans=false disables): each
 // data-path request's wall time is decomposed into queue (accept→worker
@@ -52,7 +54,7 @@
 //	kvserver -addr :7070 -tenants 4 -workers 16
 //	kvserver -addr 127.0.0.1:7070 -tenants 3
 //	kvserver -deadline 50ms -slo 5ms -fault 'kcas-commit:stall=2ms:every=97'
-//	kvserver -trace /tmp/kv.jsonl -statsevery 5s -pprof 127.0.0.1:6060
+//	kvserver -trace /tmp/kv.jsonl -statsevery 5s -cpuprofile /tmp/kv.pprof
 //
 // Drive it with cmd/kvload, or by hand:
 //
@@ -67,10 +69,9 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // -pprof side listener
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -107,10 +108,22 @@ func main() {
 		spanBuf    = flag.Int("spanbuf", 0, "per-worker completed-span ring capacity (0 = default)")
 		slowK      = flag.Int("slowk", 0, "tail-exemplar buffer size served by SLOW (0 = default)")
 		statsEvery = flag.Duration("statsevery", 0, "print a 'STATS <json>' line on stdout at this period (0 = off)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this side address, e.g. 127.0.0.1:6060 (empty = off)")
+		cpuProfile = flag.String("cpuprofile", "", "record a CPU profile from boot; write it to this file at drain (empty = off)")
 	)
 	flag.Var(&faults, "fault", "fault-injection rule (repeatable), e.g. 'kcas-commit:stall=2ms:every=97'")
 	flag.Parse()
+
+	var profile *os.File
+	if *cpuProfile != "" {
+		var err error
+		if profile, err = os.Create(*cpuProfile); err == nil {
+			err = pprof.StartCPUProfile(profile)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "kvserver: -cpuprofile:", err)
+			os.Exit(2)
+		}
+	}
 
 	var plan *repro.FaultPlan
 	if len(faults) > 0 {
@@ -137,15 +150,6 @@ func main() {
 	fmt.Printf("kvserver: %d tenants, %d workers, listening on %s\n",
 		*tenants, *workers, ln.Addr())
 
-	if *pprofAddr != "" {
-		go func() {
-			// DefaultServeMux carries the pprof handlers via the blank
-			// import; a failed side listener is reported, not fatal.
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "kvserver: -pprof:", err)
-			}
-		}()
-	}
 	if *statsEvery > 0 {
 		go func() {
 			for range time.Tick(*statsEvery) {
@@ -198,6 +202,14 @@ func main() {
 				fmt.Fprintln(os.Stderr, "kvserver: -trace:", err)
 			} else {
 				fmt.Printf("kvserver: trace written to %s\n", *traceOut)
+			}
+		}
+		if profile != nil {
+			pprof.StopCPUProfile()
+			if err := profile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "kvserver: -cpuprofile:", err)
+			} else {
+				fmt.Printf("kvserver: cpu profile written to %s\n", *cpuProfile)
 			}
 		}
 		fmt.Printf("kvserver: drained in %v\n", time.Since(start).Round(time.Millisecond))

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -109,11 +110,13 @@ func (c Config) withDefaults() Config {
 const shedPeriod = 250 * time.Millisecond
 
 // worker is one connection handler's identity: a registered Thread
-// (the per-goroutine context every container call needs) plus the
-// latency recorder stripe index it owns.
+// (the per-goroutine context every container call needs), the latency
+// recorder stripe index it owns, and the buffer XFER and DRAIN write
+// their moved values into, so neither allocates per request.
 type worker struct {
-	idx int
-	th  *repro.Thread
+	idx  int
+	th   *repro.Thread
+	vals [kvwire.MaxDrainN]uint64
 }
 
 // Server is the composed-KV network service: per-tenant lock-free maps
@@ -231,6 +234,16 @@ func NewServer(cfg Config) *Server {
 		})
 		reg.AddInfo("build_info", fmt.Sprintf("go_version=%q,gomaxprocs=\"%d\"",
 			runtime.Version(), runtime.GOMAXPROCS(0)))
+		// The process's footprint, read at scrape time: a server that
+		// allocates per request shows a heap climbing to the collector's
+		// goal and a GC count growing with traffic.
+		reg.AddGauge("go_heap_inuse_bytes", func() uint64 {
+			return runtimeMetric("/memory/classes/heap/objects:bytes") +
+				runtimeMetric("/memory/classes/heap/unused:bytes")
+		})
+		reg.AddFunc("go_gc_cycles_total", func() uint64 {
+			return runtimeMetric("/gc/cycles/total:gc-cycles")
+		})
 		if s.stages != nil {
 			// Per-stage histogram series: one count plus current
 			// percentile/max gauges per span stage, merged across
@@ -261,6 +274,13 @@ func NewServer(cfg Config) *Server {
 		go s.spanTuner()
 	}
 	return s
+}
+
+// runtimeMetric reads one uint64 runtime/metrics sample.
+func runtimeMetric(name string) uint64 {
+	sample := []metrics.Sample{{Name: name}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 // Serve accepts connections on ln until Close. Each accepted
@@ -648,7 +668,7 @@ func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.
 		abort0 = s.reg.ThreadValue(tid, obs.KCASAbort)
 	}
 	t1 := time.Now()
-	resp := s.applyWithRetry(w.th, req, dst, t1, sp)
+	resp := s.applyWithRetry(w, req, dst, t1, sp)
 	d := time.Since(t1)
 	s.rec.Record(w.idx, req.Tenant, int(req.Op), d)
 	if spanning {
@@ -690,9 +710,9 @@ func statusToken(resp []byte) string {
 // then answer TIMEOUT. Both statuses guarantee non-execution — Try
 // unwinds from init-phase code, before the operation publishes
 // anything. Every attempt appends its response to the same empty dst.
-func (s *Server) applyWithRetry(th *repro.Thread, req *kvwire.Request, dst []byte, t0 time.Time, sp *obs.Span) []byte {
+func (s *Server) applyWithRetry(w *worker, req *kvwire.Request, dst []byte, t0 time.Time, sp *obs.Span) []byte {
 	var resp []byte
-	err := th.Try(func() { resp = s.apply(th, req, dst) })
+	err := w.th.Try(func() { resp = s.apply(w, req, dst) })
 	if err == nil {
 		return resp
 	}
@@ -717,14 +737,16 @@ func (s *Server) applyWithRetry(th *repro.Thread, req *kvwire.Request, dst []byt
 		} else {
 			jit.Sleep()
 		}
-		if err = th.Try(func() { resp = s.apply(th, req, dst) }); err == nil {
+		if err = w.th.Try(func() { resp = s.apply(w, req, dst) }); err == nil {
 			return resp
 		}
 	}
 }
 
-// apply executes one data-path request and appends its response to dst.
-func (s *Server) apply(th *repro.Thread, req *kvwire.Request, dst []byte) []byte {
+// apply executes one data-path request on w's thread and appends its
+// response to dst.
+func (s *Server) apply(w *worker, req *kvwire.Request, dst []byte) []byte {
+	th := w.th
 	switch req.Op {
 	case kvwire.OpGet:
 		if v, ok := s.maps[req.Tenant].Contains(th, req.Keys[0]); ok {
@@ -760,14 +782,18 @@ func (s *Server) apply(th *repro.Thread, req *kvwire.Request, dst []byte) []byte
 		}
 		return append(dst, "FAIL"...)
 	case kvwire.OpXfer:
-		vs, ok := repro.TransferKeys(th, s.maps[req.Tenant], s.maps[req.DTenant], req.Keys, req.TKeys)
-		if !ok {
+		// repro.TransferKeys, into the worker's buffer: keys sharing a
+		// bucket chain on either side cannot be composed and answer FAIL.
+		from, to := s.maps[req.Tenant], s.maps[req.DTenant]
+		vs := w.vals[:len(req.Keys)]
+		if !from.ChainIndependent(req.Keys) || !to.ChainIndependent(req.TKeys) ||
+			!th.TransferN(from, to, req.Keys, req.TKeys, vs) {
 			return append(dst, "FAIL"...)
 		}
 		return kvwire.AppendOK(dst, vs...)
 	case kvwire.OpDrain:
-		vs := repro.DrainN(th, s.queues[req.Tenant], s.queues[req.DTenant], 0, 0, req.N)
-		return kvwire.AppendOK(dst, vs...)
+		n := th.DrainN(s.queues[req.Tenant], s.queues[req.DTenant], 0, 0, req.N, w.vals[:])
+		return kvwire.AppendOK(dst, w.vals[:n]...)
 	}
 	return append(dst, "ERR unreachable"...)
 }

@@ -212,12 +212,8 @@ func SwapHeads(t *Thread, stacks ...*Stack) bool {
 // handle by falling back to per-key Moves. Keys within each slice must
 // be pairwise distinct and the maps must be distinct objects.
 func TransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) ([]uint64, bool) {
-	for i := range skeys {
-		for j := 0; j < i; j++ {
-			if src.SameChain(skeys[j], skeys[i]) || dst.SameChain(tkeys[j], tkeys[i]) {
-				return nil, false
-			}
-		}
+	if !src.ChainIndependent(skeys) || !dst.ChainIndependent(tkeys) {
+		return nil, false
 	}
 	out := make([]uint64, len(skeys))
 	if !t.TransferN(src, dst, skeys, tkeys, out) {

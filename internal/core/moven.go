@@ -73,9 +73,9 @@ func (t *Thread) MoveN(src Remover, dsts []Inserter, skey uint64, tkeys []uint64
 // word — e.g. two map keys in one bucket chain — cannot be composed
 // (the captured CASes would depend on each other's effect), and the
 // chain panics when it detects that. Callers with structural knowledge
-// pre-validate; see hashmap.SameChain. out, when non-nil, receives the
-// k removed values on success. TransferN fails (changing nothing) when
-// any source key is absent or any target insert is refused.
+// pre-validate; see hashmap.Map.ChainIndependent. out, when non-nil,
+// receives the k removed values on success. TransferN fails (changing
+// nothing) when any source key is absent or any target insert is refused.
 func (t *Thread) TransferN(src Remover, dst Inserter, skeys, tkeys []uint64, out []uint64) bool {
 	if t.desc != nil || t.mdesc != nil {
 		panic("core: nested Move on one thread")

@@ -292,6 +292,21 @@ func (m *Map) SameChain(key1, key2 uint64) bool {
 	return (h1>>m.shardBits)&mask == (h2>>m.shardBits)&mask
 }
 
+// ChainIndependent reports whether no two of keys land in the same
+// bucket (SameChain), which is what one side of a composed multi-key
+// operation (core.TransferN) needs. Every caller of TransferN on maps
+// checks both sides through here.
+func (m *Map) ChainIndependent(keys []uint64) bool {
+	for i := range keys {
+		for j := 0; j < i; j++ {
+			if m.SameChain(keys[j], keys[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Insert adds (key, val); false when the key exists, or when a
 // surrounding move aborts. The insert that takes its shard over the load
 // threshold doubles the shard's directory — also inside a move: the

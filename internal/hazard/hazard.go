@@ -13,7 +13,7 @@
 package hazard
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/pad"
@@ -67,9 +67,13 @@ func (d *Domain) Get(tid, slot int) uint64 {
 }
 
 // Snapshot appends every currently protected index to buf, sorts the
-// result and returns it. Callers reuse buf across scans to stay
-// allocation-free.
+// result and returns it. A buf with room for every slot of the domain is
+// used as is, a smaller one is replaced once by one that has: callers
+// reuse the result across scans to stay allocation-free.
 func (d *Domain) Snapshot(buf []uint64) []uint64 {
+	if n := len(d.records) * d.slotsPer; cap(buf) < n {
+		buf = make([]uint64, 0, n)
+	}
 	buf = buf[:0]
 	for t := range d.records {
 		for s := range d.records[t].slots {
@@ -78,12 +82,12 @@ func (d *Domain) Snapshot(buf []uint64) []uint64 {
 			}
 		}
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	return buf
 }
 
 // Protected reports whether idx appears in a sorted snapshot.
 func Protected(snapshot []uint64, idx uint64) bool {
-	i := sort.Search(len(snapshot), func(i int) bool { return snapshot[i] >= idx })
-	return i < len(snapshot) && snapshot[i] == idx
+	_, found := slices.BinarySearch(snapshot, idx)
+	return found
 }

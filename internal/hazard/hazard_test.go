@@ -61,6 +61,27 @@ func TestSnapshotReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestScanAllocationFree: a scan into a reused buffer (Snapshot, then
+// Protected per candidate) allocates nothing — the sort must not box a
+// swapper or a closure.
+func TestScanAllocationFree(t *testing.T) {
+	d := New(4, 3)
+	for tid := 0; tid < 4; tid++ {
+		for s := 0; s < 3; s++ {
+			d.Protect(tid, s, uint64(100-7*tid-s))
+		}
+	}
+	buf := d.Snapshot(nil)
+	if avg := testing.AllocsPerRun(1000, func() {
+		buf = d.Snapshot(buf)
+		if !Protected(buf, 100) || Protected(buf, 1) {
+			t.Fatal("wrong snapshot")
+		}
+	}); avg != 0 {
+		t.Fatalf("scan allocates %v times per run, want 0", avg)
+	}
+}
+
 // TestNoProtectedReclamation runs the fundamental hazard-pointer
 // property: a scanner never frees an index while some thread holds it.
 // Threads repeatedly protect a shared index, validate, use it, release;

@@ -7,17 +7,32 @@
 //	 stack to get a new list of free nodes. Hazard pointers were used
 //	 to prevent nodes in use from being reclaimed."
 //
-// Allocation order: per-thread free list, then a segment popped from the
-// global stack, then fresh nodes carved from the arena. Retired nodes sit
-// in a per-thread retire list until a hazard-pointer scan shows no thread
-// protects them, then move to the free list.
+// Each thread keeps two such lists, the loaded one and one spare, after
+// the "loaded + previous magazine" pair of Bonwick & Adams, Magazines and
+// Vmem (USENIX ATC 2001). With one list, a thread that frees as often as
+// it allocates (every Move) crosses the 200-node boundary back and forth
+// and trades a list with the global stack each time; with two, a full
+// list goes to the global stack only when the spare is full too, and a
+// thread refills from it only when both are empty. Such a thread never
+// touches the global stack.
 //
-// The global stack pushes freshly boxed segments (one small GC allocation
-// per 200 freed nodes), which is the standard Go-safe way to get an
-// ABA-free Treiber stack.
+// Allocation order: the loaded list, then the spare, then a list popped
+// from the global stack, then fresh nodes carved from the arena. Retired
+// nodes sit in a per-thread retire list until a hazard-pointer scan shows
+// no thread protects them, then move to the loaded list.
+//
+// A cache owns its two buffers for life. A spill copies the list into a
+// freshly boxed segment (the standard Go-safe way to get an ABA-free
+// Treiber stack) and a refill copies a segment into the empty list, so
+// the GC allocations per 200 freed nodes (the copy and its box) happen
+// only when a thread frees more than it allocates. Handing the buffers
+// over instead of copying them cost a fill-and-drain workload 5 % of its
+// resident size (hypotheses/README.md, H16) and saves nothing where it
+// matters: a balanced thread never spills.
 package mm
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,15 +42,15 @@ import (
 	"repro/internal/word"
 )
 
-// LocalListCap is the capacity of the per-thread free list — 200, the
-// number the paper reports.
+// LocalListCap is the capacity of each of a thread's two free lists —
+// 200, the number the paper reports.
 const LocalListCap = 200
 
 // DefaultRetireThreshold is the retire-list length that triggers a hazard
 // scan when the caller does not configure one.
 const DefaultRetireThreshold = 128
 
-// segment is one batch of free node indexes on the global stack.
+// segment is one free list on the global stack.
 type segment struct {
 	refs []uint64
 	next *segment
@@ -48,15 +63,14 @@ type Manager struct {
 	arena *arena.Arena
 	dom   *hazard.Domain
 
-	carveBatch int
-	retireAt   int
+	retireAt int
 
 	// caches lists every Cache handed out, for Stats.
 	cachesMu sync.Mutex
 	caches   []*Cache
 
 	// The shared words, off the read-only header's line: written once
-	// per spilled/refilled segment (200 nodes) or per scan.
+	// per spilled/refilled list (200 nodes) or per scan.
 	_       pad.Line
 	global  atomic.Pointer[segment]
 	scans   atomic.Uint64
@@ -66,10 +80,6 @@ type Manager struct {
 
 // Config tunes a Manager.
 type Config struct {
-	// CarveBatch is how many fresh nodes to carve from the arena when
-	// both the local list and the global stack are empty. Defaults to
-	// LocalListCap.
-	CarveBatch int
 	// RetireThreshold is the retire-list length that triggers a scan.
 	// Defaults to DefaultRetireThreshold.
 	RetireThreshold int
@@ -77,19 +87,16 @@ type Config struct {
 
 // New creates a Manager over the given arena and node hazard domain.
 func New(a *arena.Arena, dom *hazard.Domain, cfg Config) *Manager {
-	if cfg.CarveBatch <= 0 {
-		cfg.CarveBatch = LocalListCap
-	}
 	if cfg.RetireThreshold <= 0 {
 		cfg.RetireThreshold = DefaultRetireThreshold
 	}
-	return &Manager{arena: a, dom: dom, carveBatch: cfg.CarveBatch, retireAt: cfg.RetireThreshold}
+	return &Manager{arena: a, dom: dom, retireAt: cfg.RetireThreshold}
 }
 
 // Arena returns the backing arena.
 func (m *Manager) Arena() *arena.Arena { return m.arena }
 
-// pushGlobal publishes a full free list as a segment on the global stack.
+// pushGlobal publishes a free list as a segment on the global stack.
 func (m *Manager) pushGlobal(refs []uint64) {
 	seg := &segment{refs: refs}
 	for {
@@ -116,7 +123,7 @@ func (m *Manager) popGlobal() *segment {
 	}
 }
 
-// GlobalSegments counts segments currently on the global stack (O(n),
+// GlobalSegments counts lists currently on the global stack (O(n),
 // tests only).
 func (m *Manager) GlobalSegments() int {
 	n := 0
@@ -127,10 +134,10 @@ func (m *Manager) GlobalSegments() int {
 }
 
 // Stats reports cumulative counters: allocations, frees, hazard scans,
-// spills to and refills from the global stack. Allocations and frees are
-// summed over the caches' owner-written counters, so they are exact only
-// at quiescence: call Stats once the threads owning the caches have
-// stopped (tests and diagnostics), never beside them.
+// lists spilled to and refilled from the global stack. Allocations and
+// frees are summed over the caches' owner-written counters, so they are
+// exact only at quiescence: call Stats once the threads owning the
+// caches have stopped (tests and diagnostics), never beside them.
 func (m *Manager) Stats() (allocs, frees, scans, spills, refills uint64) {
 	m.cachesMu.Lock()
 	for _, c := range m.caches {
@@ -149,7 +156,8 @@ type Cache struct {
 	_       pad.Line
 	m       *Manager
 	tid     int
-	free    []uint64
+	free    []uint64 // the loaded list: Alloc pops and frees append here
+	spare   []uint64 // the other list, either empty or full
 	retired []uint64
 	snap    []uint64
 	// allocs/frees count this cache's Alloc and Retire/FreeDirect calls
@@ -160,10 +168,12 @@ type Cache struct {
 
 // NewCache creates the per-thread cache for thread tid.
 func (m *Manager) NewCache(tid int) *Cache {
+	lists := make([]uint64, 2*LocalListCap) // both free lists, back to back
 	c := &Cache{
 		m:       m,
 		tid:     tid,
-		free:    make([]uint64, 0, LocalListCap+1),
+		free:    lists[:0:LocalListCap],
+		spare:   lists[LocalListCap:LocalListCap],
 		retired: make([]uint64, 0, m.retireAt+16),
 	}
 	m.cachesMu.Lock()
@@ -186,20 +196,18 @@ func (c *Cache) Alloc() uint64 {
 }
 
 func (c *Cache) allocIndex() uint64 {
-	if n := len(c.free); n > 0 {
-		idx := c.free[n-1]
-		c.free = c.free[:n-1]
-		return idx
+	if len(c.free) == 0 {
+		if len(c.spare) > 0 { // full
+			c.free, c.spare = c.spare, c.free
+		} else if seg := c.m.popGlobal(); seg != nil {
+			c.free = append(c.free, seg.refs...)
+		} else {
+			c.free = c.m.arena.Carve(c.free, LocalListCap)
+		}
 	}
-	if seg := c.m.popGlobal(); seg != nil {
-		c.free = append(c.free[:0], seg.refs...)
-		idx := c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-		return idx
-	}
-	c.free = c.m.arena.Carve(c.free[:0], c.m.carveBatch)
-	idx := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
+	n := len(c.free) - 1
+	idx := c.free[n]
+	c.free = c.free[:n]
 	return idx
 }
 
@@ -239,34 +247,42 @@ func (c *Cache) Scan() {
 	c.retired = kept
 }
 
-// pushFree appends to the local free list, spilling a full segment to the
-// global stack at LocalListCap, per §6.
+// pushFree appends to the loaded list. A full loaded list becomes the
+// spare, and the spare goes to the global stack first only if it is full
+// too (§6's spill at LocalListCap, one list later).
 func (c *Cache) pushFree(idx uint64) {
-	c.free = append(c.free, idx)
-	if len(c.free) >= LocalListCap {
-		seg := make([]uint64, len(c.free))
-		copy(seg, c.free)
-		c.m.pushGlobal(seg)
-		c.free = c.free[:0]
+	if len(c.free) == LocalListCap {
+		if len(c.spare) == LocalListCap {
+			c.spill(&c.spare)
+		}
+		c.free, c.spare = c.spare, c.free
 	}
+	c.free = append(c.free, idx)
+}
+
+// spill publishes a copy of the list *l on the global stack and empties
+// *l.
+func (c *Cache) spill(l *[]uint64) {
+	c.m.pushGlobal(slices.Clone(*l))
+	*l = (*l)[:0]
 }
 
 // Flush force-scans until the retire list is empty or stops shrinking,
-// then spills the free list to the global stack. Used at thread
+// then publishes both free lists on the global stack. Used at thread
 // shutdown so another thread can reuse the memory.
 func (c *Cache) Flush() {
 	for prev := -1; len(c.retired) > 0 && len(c.retired) != prev; {
 		prev = len(c.retired)
 		c.Scan()
 	}
-	if len(c.free) > 0 {
-		seg := make([]uint64, len(c.free))
-		copy(seg, c.free)
-		c.m.pushGlobal(seg)
-		c.free = c.free[:0]
+	for _, l := range [...]*[]uint64{&c.free, &c.spare} {
+		if len(*l) > 0 {
+			c.spill(l)
+		}
 	}
 }
 
-// LocalFree and LocalRetired expose list lengths for tests.
-func (c *Cache) LocalFree() int    { return len(c.free) }
+// LocalFree and LocalRetired expose list lengths for tests; LocalFree
+// counts both free lists.
+func (c *Cache) LocalFree() int    { return len(c.free) + len(c.spare) }
 func (c *Cache) LocalRetired() int { return len(c.retired) }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/hazard"
 	"repro/internal/pad"
+	"repro/internal/verify"
 	"repro/internal/word"
 )
 
@@ -38,52 +39,49 @@ func TestAllocResetsNode(t *testing.T) {
 	}
 }
 
-func TestLocalListSpillsAt200(t *testing.T) {
+// TestBalancedLoopStaysLocal: a thread that frees as often as it
+// allocates (every Move does) bounces between its two lists and never
+// touches the global stack — no spill, no refill — and allocates nothing
+// from the Go heap.
+func TestBalancedLoopStaysLocal(t *testing.T) {
+	const ops = 1_000_000
 	m, _ := newTestManager(1)
 	c := m.NewCache(0)
-	refs := make([]uint64, 0, LocalListCap+50)
-	for i := 0; i < LocalListCap+50; i++ {
-		refs = append(refs, c.Alloc())
+	if n := verify.Mallocs(10*DefaultRetireThreshold, ops, func() { c.Retire(c.Alloc()) }); n != 0 {
+		t.Errorf("%d Go heap allocations over %d Alloc+Retire pairs, want 0", n, ops)
 	}
-	for _, r := range refs {
-		c.FreeDirect(r)
+	if _, _, _, spills, refills := m.Stats(); spills != 0 || refills != 0 {
+		t.Errorf("balanced loop: %d spills, %d refills, want 0 and 0", spills, refills)
 	}
-	if m.GlobalSegments() == 0 {
-		t.Fatal("freeing >200 nodes must spill a segment to the global stack")
-	}
-	if c.LocalFree() >= LocalListCap {
-		t.Fatalf("local free list should stay under cap, has %d", c.LocalFree())
+	if carved := m.Arena().Allocated() - arena.ReservedIndexes; carved != LocalListCap {
+		t.Errorf("balanced loop carved %d nodes, want one list (%d)", carved, LocalListCap)
 	}
 }
 
-func TestGlobalSegmentSharing(t *testing.T) {
+// TestProducerConsumerThroughGlobal: one thread only retires, the other
+// only allocates. Full lists still reach the consumer through the global
+// stack (it stops carving), and no cache ever holds more than its two
+// lists' worth of free nodes.
+func TestProducerConsumerThroughGlobal(t *testing.T) {
 	m, _ := newTestManager(2)
-	c0 := m.NewCache(0)
-	c1 := m.NewCache(1)
-	// Thread 0 frees enough to spill.
-	var refs []uint64
-	for i := 0; i < LocalListCap; i++ {
-		refs = append(refs, c0.Alloc())
-	}
-	for _, r := range refs {
-		c0.FreeDirect(r)
-	}
-	if m.GlobalSegments() == 0 {
-		t.Fatal("expected a spilled segment")
-	}
-	carvedBefore := m.Arena().Allocated()
-	// Thread 1 allocates; it should refill from the global stack, not
-	// carve fresh nodes.
-	seen := make(map[uint64]bool)
-	for i := 0; i < LocalListCap-1; i++ {
-		r := c1.Alloc()
-		if seen[word.NodeIndex(r)] {
-			t.Fatal("node handed out twice")
+	producer, consumer := m.NewCache(0), m.NewCache(1)
+	for i := 0; i < 100_000; i++ {
+		producer.Retire(consumer.Alloc())
+		for _, c := range []*Cache{producer, consumer} {
+			if n := c.LocalFree(); n > 2*LocalListCap {
+				t.Fatalf("op %d: cache %d holds %d free nodes, want <= %d", i, c.tid, n, 2*LocalListCap)
+			}
 		}
-		seen[word.NodeIndex(r)] = true
 	}
-	if m.Arena().Allocated() != carvedBefore {
-		t.Fatal("thread 1 should have reused spilled nodes instead of carving")
+	_, _, _, spills, refills := m.Stats()
+	if spills == 0 || refills == 0 {
+		t.Fatalf("spills=%d refills=%d: lists must travel producer → global → consumer", spills, refills)
+	}
+	// Carving happens only when the consumer and the global stack are both
+	// empty; everything carved before it is then in the producer's two
+	// lists and retire list.
+	if carved, bound := m.Arena().Allocated()-arena.ReservedIndexes, uint64(3*LocalListCap+DefaultRetireThreshold); carved > bound {
+		t.Fatalf("carved %d nodes for 100k handoffs, want <= %d: the consumer is not reusing spilled lists", carved, bound)
 	}
 }
 
@@ -133,17 +131,37 @@ func TestRetireTriggersScanAtThreshold(t *testing.T) {
 }
 
 func TestFlushPublishesEverything(t *testing.T) {
-	m, _ := newTestManager(1)
+	m, _ := newTestManager(2)
 	c := m.NewCache(0)
-	for i := 0; i < 10; i++ {
-		c.Retire(c.Alloc())
+	const n = LocalListCap + LocalListCap/2 // one full list and half of the other
+	refs := make([]uint64, n)
+	for i := range refs {
+		refs[i] = c.Alloc()
+	}
+	for _, r := range refs {
+		c.Retire(r)
 	}
 	c.Flush()
 	if c.LocalRetired() != 0 || c.LocalFree() != 0 {
 		t.Fatalf("flush left retired=%d free=%d", c.LocalRetired(), c.LocalFree())
 	}
-	if m.GlobalSegments() == 0 {
-		t.Fatal("flush must publish the free list globally")
+	if got := m.GlobalSegments(); got != 2 {
+		t.Fatalf("flush published %d lists, want both (2)", got)
+	}
+	// Another thread gets every flushed node without carving.
+	carved := m.Arena().Allocated()
+	other := m.NewCache(1)
+	seen := make(map[uint64]bool)
+	for i := 0; i < n; i++ {
+		idx := word.NodeIndex(other.Alloc())
+		if seen[idx] {
+			t.Fatal("node handed out twice")
+		}
+		seen[idx] = true
+	}
+	if m.Arena().Allocated() != carved || m.GlobalSegments() != 0 {
+		t.Fatalf("carved %d more nodes, %d lists left: the flushed lists were not reused",
+			m.Arena().Allocated()-carved, m.GlobalSegments())
 	}
 }
 

@@ -6,7 +6,8 @@
 //
 // The walkers require quiescence: they read words without helping and
 // treat any descriptor reference as a violation (at quiescence every
-// DCAS/MCAS must have been scrubbed from the structures).
+// DCAS/MCAS must have been scrubbed from the structures). Mallocs is the
+// allocation guards' counter.
 package verify
 
 import (

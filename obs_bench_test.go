@@ -14,7 +14,14 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/verify"
 )
+
+// steadyOps is how many operations an allocation guard counts over
+// (verify.Mallocs), after as many to warm up: enough that one allocation
+// per few hundred operations (a free-list spill, a hazard scan) shows,
+// where testing.AllocsPerRun's integer average would round it to 0.
+const steadyOps = 100_000
 
 // obsBenchRT builds the benchmark cell: one queue and one stack with
 // one element circulating between them by Move — the composition hot
@@ -60,8 +67,9 @@ func BenchmarkObsFull(b *testing.B) {
 }
 
 // TestObsDisabledNoAllocs asserts the acceptance bound directly: with
-// observability off, the Move hot path performs zero allocations per
-// operation (after warmup lets the descriptor pool carve its blocks).
+// observability off, the Move hot path performs no allocation at all
+// over steadyOps operations (after warmup lets the descriptor pool carve
+// its blocks).
 func TestObsDisabledNoAllocs(t *testing.T) {
 	th, q, s := obsBenchRT(repro.ObsConfig{})
 	move := func() {
@@ -69,11 +77,8 @@ func TestObsDisabledNoAllocs(t *testing.T) {
 			repro.Move(th, s, q, 0, 0)
 		}
 	}
-	for i := 0; i < 1000; i++ {
-		move() // warmup: pool carving, lazy paths
-	}
-	if avg := testing.AllocsPerRun(2000, move); avg != 0 {
-		t.Fatalf("disabled observability allocates %v allocs/op on Move, want 0", avg)
+	if n := verify.Mallocs(steadyOps, steadyOps, move); n != 0 {
+		t.Fatalf("disabled observability: %d allocations over %d Moves, want 0", n, steadyOps)
 	}
 }
 
@@ -81,8 +86,7 @@ func TestObsDisabledNoAllocs(t *testing.T) {
 // the disabled-cost claim: the request-path hooks the serving layer
 // calls around every request (NextReq, SetRequest, Finish) are
 // nil-receiver no-ops, so a kvserver built with -spans=false runs its
-// full request path — span hooks included — at zero allocations per
-// operation.
+// full request path — span hooks included — without allocating.
 func TestObsSpansDisabledRequestPathNoAllocs(t *testing.T) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 1 << 12})
 	th := rt.RegisterThread()
@@ -102,11 +106,8 @@ func TestObsSpansDisabledRequestPathNoAllocs(t *testing.T) {
 		spans.Finish(0, sp)
 		tracer.SetRequest(int(th.ID()), 0)
 	}
-	for i := 0; i < 1000; i++ {
-		request()
-	}
-	if avg := testing.AllocsPerRun(2000, request); avg != 0 {
-		t.Fatalf("disabled span hooks allocate %v allocs/op on the request path, want 0", avg)
+	if n := verify.Mallocs(steadyOps, steadyOps, request); n != 0 {
+		t.Fatalf("disabled span hooks: %d allocations over %d requests, want 0", n, steadyOps)
 	}
 }
 
@@ -121,10 +122,7 @@ func TestObsEnabledNoAllocsOnHotPath(t *testing.T) {
 			repro.Move(th, s, q, 0, 0)
 		}
 	}
-	for i := 0; i < 1000; i++ {
-		move()
-	}
-	if avg := testing.AllocsPerRun(2000, move); avg != 0 {
-		t.Fatalf("enabled observability allocates %v allocs/op on Move, want 0", avg)
+	if n := verify.Mallocs(steadyOps, steadyOps, move); n != 0 {
+		t.Fatalf("enabled observability: %d allocations over %d Moves, want 0", n, steadyOps)
 	}
 }
