@@ -192,7 +192,8 @@ func BenchmarkA1_Contended_Queue_Plain_4T(b *testing.B)     { benchContendedQueu
 // benchStackMoves: threads move a small token population between two
 // stacks — the §7 worst case for false helping.
 func benchStackMoves(b *testing.B, versioned bool, threads int) {
-	rt := repro.NewRuntime(repro.Config{MaxThreads: threads + 1, ArenaCapacity: 1 << 18})
+	rt := repro.NewRuntime(repro.Config{MaxThreads: threads + 1, ArenaCapacity: 1 << 18,
+		Obs: repro.ObsConfig{Metrics: true}})
 	setup := rt.RegisterThread()
 	mk := func() *tstack.Stack {
 		if versioned {
@@ -223,10 +224,9 @@ func benchStackMoves(b *testing.B, versioned bool, threads int) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	helps, strays, late := rt.KCASPool().Stats()
-	b.ReportMetric(float64(helps)/float64(b.N), "helps/op")
-	b.ReportMetric(float64(strays)/float64(b.N), "strays/op")
-	_ = late
+	snap := rt.Obs().Metrics().Snapshot()
+	b.ReportMetric(float64(snap.Get("kcas_helps_total"))/float64(b.N), "helps/op")
+	b.ReportMetric(float64(snap.Get("kcas_stray_cleanups_total"))/float64(b.N), "strays/op")
 }
 
 func BenchmarkA2_StackABA_Move_Plain_4T(b *testing.B)     { benchStackMoves(b, false, 4) }
@@ -262,9 +262,11 @@ var benchSlots = kcas.Slots{PairHPD: 0, KHPD: 1, RDCSSHPD: 2, PairMirror1: 6, Pa
 
 func BenchmarkA3_DCAS_Uncontended(b *testing.B) {
 	nodeDom := hazard.New(2, 24)
-	descDom := hazard.New(2, 3)
-	pool := kcas.NewPool(1<<14, descDom)
-	ctx := kcas.NewCtx(pool, nodeDom, 0, benchSlots)
+	descs, err := kcas.NewBlocks(hazard.New(2, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := kcas.NewCtx(descs, nodeDom, 0, benchSlots)
 	var w1, w2 word.Word
 	v1, v2 := word.MakeNode(100, 0), word.MakeNode(101, 0)
 	w1.Store(v1)
@@ -304,8 +306,10 @@ func BenchmarkA3_TwoPlainCAS(b *testing.B) {
 func BenchmarkA3_DCAS_Contended_4T(b *testing.B) {
 	const threads = 4
 	nodeDom := hazard.New(threads, 24)
-	descDom := hazard.New(threads, 3)
-	pool := kcas.NewPool(1<<16, descDom)
+	descs, err := kcas.NewBlocks(hazard.New(threads, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
 	var w1, w2 word.Word
 	w1.Store(word.MakeNode(100, 0))
 	w2.Store(word.MakeNode(101, 0))
@@ -316,7 +320,7 @@ func BenchmarkA3_DCAS_Contended_4T(b *testing.B) {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			ctx := kcas.NewCtx(pool, nodeDom, t, benchSlots)
+			ctx := kcas.NewCtx(descs, nodeDom, t, benchSlots)
 			for i := 0; i < perThread; i++ {
 				o1 := ctx.Read(&w1)
 				o2 := ctx.Read(&w2)

@@ -96,7 +96,6 @@ func main() {
 		shards   = flag.Int("shards", 8, "shards per tenant map")
 		buckets  = flag.Int("buckets", 8, "initial buckets per shard")
 		arena    = flag.Int("arena", 1<<20, "container-node capacity across all tenants")
-		desccap  = flag.Int("desccap", 0, "k-word CAS descriptor capacity (0 = core default)")
 		deadline = flag.Duration("deadline", 0, "per-request service deadline; exhaustion retries until it, then TIMEOUT (0 = immediate BUSY)")
 		wtimeout = flag.Duration("wtimeout", 0, "per-response write timeout; slow clients are disconnected (0 = none)")
 		slo      = flag.Duration("slo", 0, "p99 service-time SLO; overload sheds lowest-priority tenants (0 = no shedding)")
@@ -136,7 +135,7 @@ func main() {
 
 	s := NewServer(Config{
 		Tenants: *tenants, Workers: *workers,
-		Shards: *shards, Buckets: *buckets, Arena: *arena, DescCapacity: *desccap,
+		Shards: *shards, Buckets: *buckets, Arena: *arena,
 		Deadline: *deadline, WriteTimeout: *wtimeout, SLO: *slo,
 		Fault:   plan,
 		Metrics: *metrics, Trace: *traceOut != "", TraceBuf: *traceBuf,

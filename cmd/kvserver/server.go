@@ -36,11 +36,8 @@ type Config struct {
 	// defaults 8 shards × 8 buckets).
 	Shards, Buckets int
 	// Arena caps container nodes across all tenants (default 1<<20).
+	// Driving the server past it yields BUSY responses, not a crash.
 	Arena int
-	// DescCapacity caps k-word CAS descriptors across the runtime
-	// (default: the core default, 1<<18). Driving the server past it
-	// yields BUSY responses, not a crash.
-	DescCapacity int
 	// Deadline bounds one request's service time: resource-exhaustion
 	// retries stop and the request answers TIMEOUT once it has been in
 	// service this long. Zero disables the retry loop — exhaustion
@@ -179,7 +176,6 @@ func NewServer(cfg Config) *Server {
 	rc := repro.Config{
 		MaxThreads:    cfg.Workers + 2,
 		ArenaCapacity: cfg.Arena,
-		DescCapacity:  cfg.DescCapacity,
 		Obs: repro.ObsConfig{
 			Metrics: cfg.Metrics, Trace: cfg.Trace, TraceBuf: cfg.TraceBuf,
 			Spans: cfg.Spans, SpanBuf: cfg.SpanBuf, SpanTopK: cfg.SpanTopK,
@@ -267,11 +263,8 @@ func NewServer(cfg Config) *Server {
 			reg.AddFunc("spans_dropped_total", s.spans.Dropped)
 		}
 	}
-	if cfg.SLO > 0 {
-		go s.shedController()
-	}
-	if s.spans != nil {
-		go s.spanTuner()
+	if cfg.SLO > 0 || s.spans != nil {
+		go s.control()
 	}
 	return s
 }
@@ -408,12 +401,18 @@ func (s *Server) stopShedder() {
 // descriptor a killed worker left announced to completion.
 func (s *Server) SetupThread() *repro.Thread { return s.setup }
 
-// shedController runs while SLO shedding is enabled: each period it
-// computes the p99 of the samples recorded in that period (a windowed
-// delta, so recovery is observable) and moves the shed level — the
-// count of highest-id tenants answered BUSY — one notch toward the
-// overload verdict. Tenant priority is id order: tenant 0 is shed last.
-func (s *Server) shedController() {
+// control runs while SLO shedding or spans are on: each period it
+// computes the p99 of the service times recorded in that period (a
+// windowed delta, so recovery is observable) and hands it to both
+// consumers. With an SLO it moves the shed level — the count of
+// highest-id tenants answered BUSY — one notch toward the overload
+// verdict; tenant priority is id order, so tenant 0 is shed last. With
+// spans it installs the p99 as the tail-exemplar threshold, so under a
+// load shift the exemplar buffer self-tunes: only requests at or beyond
+// the current tail displace retained exemplars. A window with too few
+// samples for a meaningful p99 re-admits one shed tenant and leaves the
+// threshold standing.
+func (s *Server) control() {
 	tick := time.NewTicker(shedPeriod)
 	defer tick.Stop()
 	prev := s.rec.MergedAll()
@@ -426,41 +425,21 @@ func (s *Server) shedController() {
 		cur := s.rec.MergedAll()
 		win := cur.Sub(prev)
 		prev = cur
-		level := s.shedLevel.Load()
-		switch {
-		case win.Count >= 16 && time.Duration(win.Percentile(0.99)) > s.cfg.SLO:
-			if int(level) < s.cfg.Tenants-1 {
-				s.shedLevel.Store(level + 1)
+		full := win.Count >= 16
+		p99 := win.Percentile(0.99)
+		if s.cfg.SLO > 0 {
+			level := s.shedLevel.Load()
+			switch {
+			case full && time.Duration(p99) > s.cfg.SLO:
+				if int(level) < s.cfg.Tenants-1 {
+					s.shedLevel.Store(level + 1)
+				}
+			case level > 0:
+				s.shedLevel.Store(level - 1)
 			}
-		case level > 0:
-			// A calm (or idle) window re-admits one tenant.
-			s.shedLevel.Store(level - 1)
 		}
-	}
-}
-
-// spanTuner runs while spans are enabled: each period it recomputes the
-// windowed p99 of the service-time recorder (the same windowed delta
-// the overload controller uses) and installs it as the tail-exemplar
-// threshold, so under a load shift the exemplar buffer self-tunes —
-// only requests at or beyond the *current* tail displace retained
-// exemplars. Idle windows (too few samples for a meaningful p99) leave
-// the previous threshold standing.
-func (s *Server) spanTuner() {
-	tick := time.NewTicker(shedPeriod)
-	defer tick.Stop()
-	prev := s.rec.MergedAll()
-	for {
-		select {
-		case <-s.shedStop:
-			return
-		case <-tick.C:
-		}
-		cur := s.rec.MergedAll()
-		win := cur.Sub(prev)
-		prev = cur
-		if win.Count >= 16 {
-			s.spans.SetThreshold(win.Percentile(0.99))
+		if full {
+			s.spans.SetThreshold(p99) // nil-safe: no-op with spans off
 		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/arena"
 	"repro/internal/kvwire"
+	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/xrand"
 )
@@ -311,16 +313,19 @@ func TestServerProtocolErrors(t *testing.T) {
 	wantClosed(t, in)
 }
 
-// TestServerBusyOnDescriptorExhaustion drives the runtime past its
-// descriptor capacity and asserts the degradation contract: the
-// starved worker answers BUSY (not a crash, not a hung connection),
-// descriptor-free traffic keeps flowing on the same connection, and
-// the robust counters record the rejections.
-func TestServerBusyOnDescriptorExhaustion(t *testing.T) {
-	// DescCapacity equals one per-thread carve batch: the first worker
-	// that allocates a descriptor takes the whole pool and the second
-	// worker's first composed op finds it empty.
-	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, DescCapacity: 64})
+// exhaustArena is the arena size at which the setup thread's first node
+// carve (construction) and one worker's leave nothing: two per-thread
+// batches past the reserved prefix, so the second worker's first node
+// allocation finds the arena empty.
+const exhaustArena = arena.ReservedIndexes + 2*mm.LocalListCap
+
+// TestServerBusyOnArenaExhaustion drives the runtime past its node
+// capacity and asserts the degradation contract: the starved worker
+// answers BUSY (not a crash, not a hung connection), node-free traffic
+// keeps flowing on the same connection, and the robust counters record
+// the rejections.
+func TestServerBusyOnArenaExhaustion(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Arena: exhaustArena})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -331,30 +336,29 @@ func TestServerBusyOnDescriptorExhaustion(t *testing.T) {
 
 	c1 := dial(t, addr)
 	defer c1.conn.Close()
-	// c1's worker carves the full pool (a MOVE allocates its descriptor
-	// before touching the maps, so even a missing-key MOVE carves).
-	if r := c1.roundTrip(t, "MOVE 0 1 99 99", false); r.Status != "FAIL" {
-		t.Fatalf("carving MOVE: got %q, want FAIL", r.Status)
+	// c1's worker carves the last batch of nodes.
+	if r := c1.roundTrip(t, "PUT 0 1 10", false); !r.OK() {
+		t.Fatalf("carving PUT: %+v", r)
 	}
 
 	c2 := dial(t, addr)
 	defer c2.conn.Close()
-	r := c2.roundTrip(t, "MOVE 0 1 99 99", false)
+	r := c2.roundTrip(t, "PUT 0 2 20", false)
 	if r.Status != "BUSY" {
 		t.Fatalf("starved worker: got %q, want BUSY", r.Status)
 	}
 	if !r.Retryable() {
 		t.Fatal("BUSY must be retryable")
 	}
-	// The starved worker's connection is still serviceable for
-	// descriptor-free ops …
+	// The starved worker's connection is still serviceable for ops that
+	// take no node …
 	if r := c2.roundTrip(t, "PING", false); !r.OK() {
 		t.Fatalf("PING after BUSY: %+v", r)
 	}
-	if r := c2.roundTrip(t, "GET 0 5", false); r.Status != "NF" {
+	if r := c2.roundTrip(t, "GET 0 2", false); r.Status != "NF" {
 		t.Fatalf("GET after BUSY: %+v", r)
 	}
-	// … and the worker holding descriptors is unaffected.
+	// … and the worker holding nodes is unaffected.
 	if r := c1.roundTrip(t, "PUT 0 5 500", false); !r.OK() {
 		t.Fatalf("healthy worker PUT: %+v", r)
 	}
@@ -376,7 +380,7 @@ func TestServerBusyOnDescriptorExhaustion(t *testing.T) {
 // answered TIMEOUT — still guaranteed unexecuted.
 func TestServerTimeoutAfterDeadline(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2,
-		DescCapacity: 64, Deadline: 30 * time.Millisecond})
+		Arena: exhaustArena, Deadline: 30 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -387,13 +391,13 @@ func TestServerTimeoutAfterDeadline(t *testing.T) {
 
 	c1 := dial(t, addr)
 	defer c1.conn.Close()
-	if r := c1.roundTrip(t, "MOVE 0 1 99 99", false); r.Status != "FAIL" {
-		t.Fatalf("carving MOVE: got %q, want FAIL", r.Status)
+	if r := c1.roundTrip(t, "PUT 0 1 10", false); !r.OK() {
+		t.Fatalf("carving PUT: %+v", r)
 	}
 	c2 := dial(t, addr)
 	defer c2.conn.Close()
 	start := time.Now()
-	r := c2.roundTrip(t, "MOVE 0 1 99 99", false)
+	r := c2.roundTrip(t, "PUT 0 2 20", false)
 	if r.Status != "TIMEOUT" {
 		t.Fatalf("starved worker with deadline: got %q, want TIMEOUT", r.Status)
 	}
@@ -402,6 +406,9 @@ func TestServerTimeoutAfterDeadline(t *testing.T) {
 	}
 	if r := c2.roundTrip(t, "PING", false); !r.OK() {
 		t.Fatalf("PING after TIMEOUT: %+v", r)
+	}
+	if r := c2.roundTrip(t, "GET 0 2", false); r.Status != "NF" {
+		t.Fatalf("timed-out PUT executed: GET answered %+v", r)
 	}
 }
 

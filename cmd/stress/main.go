@@ -58,7 +58,6 @@ func main() {
 	rt := repro.NewRuntime(repro.Config{
 		MaxThreads:    *threads + 1,
 		ArenaCapacity: 1 << 21,
-		DescCapacity:  1 << 18,
 		// The audit lines read the metrics registry, so every counter
 		// they print carries the same series name METRICS and STATS
 		// expose — one naming scheme across all the stat surfaces.

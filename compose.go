@@ -38,9 +38,9 @@
 // 4) directly on the inline entries, while wider compositions run a
 // Harris/Fraser/Pratt-style CASN whose RDCSS sub-descriptors are
 // encoded in the word references themselves, so helping never
-// allocates. Both protocols share one descriptor pool (Config's
-// DescCapacity is the whole budget), one per-thread recycling context
-// with sequence-stamped ABA-safe reuse, and one helping dispatch: a
+// allocates. Both protocols share one per-thread descriptor block, sized
+// from MaxThreads so that it cannot run out, with sequence-stamped
+// ABA-safe reuse, and one helping dispatch: a
 // reader that finds any descriptor kind in a word helps it to
 // completion, so pair moves and k-word chains interleave freely on the
 // same words.
@@ -66,16 +66,15 @@
 //
 // # Robustness: graceful degradation and fault injection
 //
-// The substrate's two fixed-capacity resources — the node arena
-// (Config.ArenaCapacity) and the descriptor pool (Config.DescCapacity)
-// — panic when exhausted, which is the right default for an embedded
-// library but crashes a served system. The Try variants (TryMove,
-// TryMoveN, TryTransferKeys, TryDrainN, and Thread.Try for arbitrary
-// operations) convert those panics into an error matching
-// ErrResourceExhausted and reset the thread so it stays usable; the
-// failed operation did not execute (exhaustion unwinds from init-phase
-// code, before anything is published), so callers may retry after
-// backoff or shed the request. The panicking APIs are unchanged.
+// The substrate's one fixed-capacity resource, the node arena
+// (Config.ArenaCapacity), panics when exhausted, which is the right
+// default for an embedded library but crashes a served system. The Try
+// variants (TryMove, TryMoveN, TryTransferKeys, TryDrainN, and
+// Thread.Try for arbitrary operations) convert that panic into an error
+// matching ErrResourceExhausted and reset the thread so it stays
+// usable; the failed operation did not execute (exhaustion unwinds from
+// init-phase code, before anything is published), so callers may retry
+// after backoff or shed the request. The panicking APIs are unchanged.
 //
 // Config.Fault accepts a FaultInjector — build a FaultPlan with
 // NewFaultPlan or ParseFaultPlan — that stalls, parks, or hard-kills
@@ -113,7 +112,7 @@ import (
 type Config = core.Config
 
 // Runtime owns the shared substrate (arena, hazard pointers, memory
-// manager, descriptor pools) for one family of composable objects.
+// manager, descriptor blocks) for one family of composable objects.
 type Runtime = core.Runtime
 
 // Thread is the per-goroutine context; obtain one per goroutine from
@@ -229,9 +228,22 @@ func TransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) ([]uint64
 // values; n <= 0 moves nothing. skey/tkey are passed to every move, as
 // in Move.
 func DrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) []uint64 {
-	out := make([]uint64, max(n, 0))
-	moved := t.DrainN(src, dst, skey, tkey, n, out)
-	return out[:moved]
+	var out []uint64
+	drainInto(t, src, dst, skey, tkey, n, &out)
+	return out
+}
+
+// drainInto appends each value DrainN moves to *out as it moves, so the
+// result grows with what moved rather than with n (which may be
+// math.MaxInt).
+func drainInto(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int, out *[]uint64) {
+	for len(*out) < n {
+		v, ok := t.Move(src, dst, skey, tkey)
+		if !ok {
+			return
+		}
+		*out = append(*out, v)
+	}
 }
 
 // MoveBatch is a per-thread buffer of moves: Add buffers up to its
@@ -253,10 +265,9 @@ func NewMoveBatch(t *Thread) *MoveBatch { return batch.New(t, 0) }
 func NewMoveBatchSize(t *Thread, capacity int) *MoveBatch { return batch.New(t, capacity) }
 
 // ErrResourceExhausted is the sentinel matched (via errors.Is) by the
-// errors the Try variants return when the node arena or the descriptor
-// pool is at capacity. The failed operation did not execute; retry
-// after backoff, shed the request, or configure larger
-// ArenaCapacity/DescCapacity.
+// errors the Try variants return when the node arena is at capacity.
+// The failed operation did not execute; retry after backoff, shed the
+// request, or configure a larger ArenaCapacity.
 var ErrResourceExhausted = fault.ErrResourceExhausted
 
 // TryMove is Move with resource exhaustion reported as an error
@@ -274,8 +285,8 @@ func TryMoveN(t *Thread, src Remover, dsts []Inserter, skey uint64, tkeys []uint
 // TryTransferKeys is TransferKeys with resource exhaustion reported as
 // an error: ok=false with a nil error keeps TransferKeys' data-
 // dependent refusals (absent key, occupied target, chain-dependent
-// keys), while an error matching ErrResourceExhausted means the
-// substrate was out of descriptors or nodes and nothing changed.
+// keys), while an error matching ErrResourceExhausted means the arena
+// was out of nodes and nothing changed.
 func TryTransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) (out []uint64, ok bool, err error) {
 	err = t.Try(func() { out, ok = TransferKeys(t, src, dst, skeys, tkeys) })
 	return out, ok, err
@@ -287,10 +298,8 @@ func TryTransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) (out [
 // pipeline, not a transaction), so partial progress is real progress,
 // not a torn operation.
 func TryDrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) (out []uint64, err error) {
-	buf := make([]uint64, max(n, 0))
-	moved := 0
-	err = t.Try(func() { moved = t.DrainN(src, dst, skey, tkey, n, buf) })
-	return buf[:moved], err
+	err = t.Try(func() { drainInto(t, src, dst, skey, tkey, n, &out) })
+	return out, err
 }
 
 // FaultPoint names one of the substrate's fault-injection sites; see

@@ -47,7 +47,7 @@ const (
 // a mutex but happens only when the bump pointer crosses a slab boundary.
 type Arena struct {
 	slabs  atomic.Pointer[[]*[SlabSize]Node]
-	growMu sync.Mutex
+	slabMu sync.Mutex
 	next   atomic.Uint64 // bump pointer (node index)
 	limit  uint64        // hard cap on node indexes
 }
@@ -114,8 +114,8 @@ func (a *Arena) ensure(end uint64) {
 	if len(*a.slabs.Load()) >= needSlabs {
 		return
 	}
-	a.growMu.Lock()
-	defer a.growMu.Unlock()
+	a.slabMu.Lock()
+	defer a.slabMu.Unlock()
 	cur := *a.slabs.Load()
 	if len(cur) >= needSlabs {
 		return

@@ -16,7 +16,6 @@ func newRT(threads int) *core.Runtime {
 	return core.NewRuntime(core.Config{
 		MaxThreads:    threads,
 		ArenaCapacity: 1 << 16,
-		DescCapacity:  1 << 12,
 	})
 }
 
@@ -63,7 +62,6 @@ func TestEmptySourceFailsFastWithoutDescriptor(t *testing.T) {
 	rt := core.NewRuntime(core.Config{
 		MaxThreads:    2,
 		ArenaCapacity: 1 << 16,
-		DescCapacity:  1 << 12,
 		Obs:           obs.Config{Metrics: true},
 	})
 	th := rt.RegisterThread()
@@ -192,7 +190,7 @@ func TestSteadyStateFlushDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 64; i++ { // warm descriptor pools and retire lists
+	for i := 0; i < 64; i++ { // warm the descriptor block and retire lists
 		cycle()
 	}
 	if avg := testing.AllocsPerRun(100, cycle); avg > 0.5 {
@@ -204,7 +202,8 @@ func TestSteadyStateFlushDoesNotAllocate(t *testing.T) {
 // announced descriptor of a flush comes back through the thread's
 // retire scan, so the same few slots serve arbitrarily many flushes.
 func TestFlushDescriptorsRecycleEagerly(t *testing.T) {
-	rt := newRT(2)
+	rt := core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: 1 << 16,
+		Obs: obs.Config{Metrics: true}})
 	th := rt.RegisterThread()
 	q := msqueue.New(th)
 	s := tstack.New(th)
@@ -227,10 +226,11 @@ func TestFlushDescriptorsRecycleEagerly(t *testing.T) {
 			}
 		}
 	}
-	// 100 rounds × 32 moves = 3200 descriptors consumed; with every one
-	// recycled the pool's bump allocator must stay at its first carve.
-	if got := rt.KCASPool().Carved(); got > 64 {
-		t.Fatalf("descriptor recycling ineffective: %d descriptor slots carved, want one batch (64)", got)
+	// 100 rounds × 32 moves = 3200 descriptors through the thread's
+	// 78-slot block: each one is recycled, and a scan that failed to free
+	// the retired ones would have hit the block's invariant panic.
+	if got := rt.Obs().Metrics().Snapshot().Get("kcas_recycles_total"); got != 100*B {
+		t.Fatalf("%d descriptors recycled for %d moves", got, 100*B)
 	}
 }
 

@@ -5,10 +5,13 @@
 // at their linearization points in place of CAS.
 //
 // A Runtime owns all shared substrate (arena, hazard-pointer domains,
-// memory manager, descriptor pools); each participating goroutine
+// memory manager, descriptor store); each participating goroutine
 // registers once and receives a *Thread carrying the paper's
 // thread-local variables (desc, ltarget, ltkey, insfailed) plus its
-// hazard slots and memory caches.
+// hazard slots, memory caches and descriptor block. The node arena is
+// the one resource that can run out: a thread's descriptor block is
+// sized from MaxThreads so that reclamation always frees a slot (see
+// package kcas).
 package core
 
 import (
@@ -21,7 +24,6 @@ import (
 	"repro/internal/kcas"
 	"repro/internal/mm"
 	"repro/internal/obs"
-	"repro/internal/word"
 )
 
 // Node hazard-pointer slot assignments. Requirement 2 of the
@@ -63,21 +65,17 @@ const (
 // Config sizes a Runtime. The zero value selects usable defaults.
 type Config struct {
 	// MaxThreads is the number of threads that may register. Default 64;
-	// hard limit word.MaxThreads.
+	// the limit is what fits the descriptor slot index, one block per
+	// thread (330 threads).
 	MaxThreads int
 	// ArenaCapacity is the maximum number of container nodes. Default
 	// 1<<22.
 	ArenaCapacity int
-	// DescCapacity is the maximum number of k-word CAS descriptors —
-	// the runtime's total descriptor budget, honored exactly by the one
-	// unified pool. Default 1<<18.
-	DescCapacity int
 	// RetireThreshold triggers hazard scans of retired nodes. Default
 	// mm.DefaultRetireThreshold.
 	RetireThreshold int
 	// Fault, when non-nil, is fired at the substrate's named injection
-	// points (descriptor publish/commit/recycle, batch prepare–commit
-	// gap, hash-map mid-grow) — see package fault. Nil (the
+	// points (descriptor publish/commit/recycle, hash-map mid-grow) — see package fault. Nil (the
 	// default) disables injection; each hook site then costs one
 	// nil-interface check. Test- and chaos-harness-only: actions may
 	// stall, park, or terminate the calling goroutine.
@@ -101,7 +99,7 @@ type Runtime struct {
 	nodeDom *hazard.Domain
 	descDom *hazard.Domain
 	mm      *mm.Manager
-	pool    *kcas.Pool
+	descs   *kcas.Blocks
 	obs     *obs.Obs
 
 	nextTID atomic.Int32
@@ -113,28 +111,23 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.MaxThreads <= 0 {
 		cfg.MaxThreads = 64
 	}
-	if cfg.MaxThreads > word.MaxThreads {
-		panic(fmt.Sprintf("core: MaxThreads %d exceeds encodable limit %d", cfg.MaxThreads, word.MaxThreads))
-	}
 	rt := &Runtime{cfg: cfg}
+	rt.descDom = hazard.New(cfg.MaxThreads, descSlotsPer)
+	descs, err := kcas.NewBlocks(rt.descDom)
+	if err != nil {
+		// Also keeps every tid+1 within a descriptor's thread mark
+		// (word.MaxThreads).
+		panic(fmt.Sprintf("core: MaxThreads %d: %v", cfg.MaxThreads, err))
+	}
+	rt.descs = descs
 	rt.arena = arena.New(cfg.ArenaCapacity)
 	rt.nodeDom = hazard.New(cfg.MaxThreads, nodeSlotsPerThread)
-	rt.descDom = hazard.New(cfg.MaxThreads, descSlotsPer)
 	rt.mm = mm.New(rt.arena, rt.nodeDom, mm.Config{RetireThreshold: cfg.RetireThreshold})
-	// One pool for both protocols: DescCapacity is the whole budget.
-	// (The split engines each carved a full-capacity pool from the same
-	// config field, silently doubling descriptor memory.)
-	rt.pool = kcas.NewPool(cfg.DescCapacity, rt.descDom)
 	rt.obs = obs.New(cfg.Obs, cfg.MaxThreads)
 	if reg := rt.obs.Metrics(); reg != nil {
 		// Pull the substrate's own monotone counters into the registry:
-		// the funcs read exactly the atomics the legacy accessors
-		// (Pool.Stats, Plan.FiredTotal, ...) report, so the two surfaces
-		// cannot drift.
-		pool := rt.pool
-		reg.AddFunc("kcas_stray_cleanups_total", func() uint64 { _, s, _ := pool.Stats(); return s })
-		reg.AddFunc("kcas_late_p2_total", func() uint64 { _, _, l := pool.Stats(); return l })
-		reg.AddFunc("kcas_descs_carved_total", pool.Carved)
+		// the funcs read exactly what the accessors (Plan.FiredTotal, ...)
+		// report, so the two surfaces cannot drift.
 		if trc := rt.obs.Tracer(); trc != nil {
 			reg.AddFunc("trace_dropped_total", trc.Dropped)
 		}
@@ -152,10 +145,6 @@ func (rt *Runtime) Arena() *arena.Arena { return rt.arena }
 
 // Manager exposes the memory manager for tests and diagnostics.
 func (rt *Runtime) Manager() *mm.Manager { return rt.mm }
-
-// KCASPool exposes the unified descriptor pool's counters for tests and
-// the §7 false-helping measurements.
-func (rt *Runtime) KCASPool() *kcas.Pool { return rt.pool }
 
 // MaxThreads reports the configured registration limit.
 func (rt *Runtime) MaxThreads() int { return rt.cfg.MaxThreads }
@@ -182,7 +171,7 @@ func (rt *Runtime) RegisterThread() *Thread {
 		id:    id,
 		rt:    rt,
 		cache: rt.mm.NewCache(id),
-		kctx: kcas.NewCtx(rt.pool, rt.nodeDom, id, kcas.Slots{
+		kctx: kcas.NewCtx(rt.descs, rt.nodeDom, id, kcas.Slots{
 			PairHPD: slotHPD, KHPD: slotKHPD, RDCSSHPD: slotRDCSSHPD,
 			PairMirror1: slotMirror1, PairMirror2: slotMirror2,
 			KMirrorBase: slotKMirrorBase,

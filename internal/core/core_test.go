@@ -10,7 +10,7 @@ import (
 )
 
 func newRT(threads int) *Runtime {
-	return NewRuntime(Config{MaxThreads: threads, ArenaCapacity: 1 << 16, DescCapacity: 1 << 12})
+	return NewRuntime(Config{MaxThreads: threads, ArenaCapacity: 1 << 16})
 }
 
 func TestRegisterThreadLimits(t *testing.T) {
@@ -36,18 +36,26 @@ func TestDefaultsApplied(t *testing.T) {
 	if rt.MaxThreads() != 64 {
 		t.Fatalf("default MaxThreads=%d", rt.MaxThreads())
 	}
-	if rt.Arena() == nil || rt.Manager() == nil || rt.KCASPool() == nil {
+	if rt.Arena() == nil || rt.Manager() == nil || rt.descs == nil {
 		t.Fatal("substrate not built")
 	}
 }
 
+// TestMaxThreadsEncodableLimit: MaxThreads is bounded by what one
+// descriptor block per thread fits in the slot index (330), well below
+// the thread mark's own limit (word.MaxThreads).
 func TestMaxThreadsEncodableLimit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unencodable MaxThreads")
-		}
-	}()
-	NewRuntime(Config{MaxThreads: word.MaxThreads + 1})
+	NewRuntime(Config{MaxThreads: 330})
+	for _, n := range []int{331, word.MaxThreads + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for unencodable MaxThreads %d", n)
+				}
+			}()
+			NewRuntime(Config{MaxThreads: n})
+		}()
+	}
 }
 
 func TestSCASPlainModeIsCAS(t *testing.T) {

@@ -2,34 +2,36 @@ package core
 
 import "repro/internal/fault"
 
-// Graceful degradation for resource exhaustion. The substrate's two
-// fixed-capacity resources — the node arena and the descriptor pool —
-// historically panic when exhausted, which is the right default for a
-// library embedded in a batch process but crashes a served system.
+// Graceful degradation for resource exhaustion. The substrate's one
+// fixed-capacity resource — the node arena — historically panics when
+// exhausted, which is the right default for a library embedded in a
+// batch process but crashes a served system. Descriptors cannot run
+// out: each thread's block is sized so that reclamation always frees a
+// slot (package kcas).
 //
-// Both exhaustion panics are thrown from carve paths that run strictly
-// inside an operation's init phase, before any linearization CAS or
-// descriptor announcement publishes the operation: an unwinding
+// The exhaustion panic is thrown from the arena's carve path, which runs
+// strictly inside an operation's init phase, before any linearization
+// CAS or descriptor announcement publishes the operation: an unwinding
 // exhaustion panic can leave only thread-local state behind (an
 // allocated-but-unannounced descriptor, container hazard protections,
-// chain capture buffers). One exception looks like it violates this —
-// the fresh-descriptor allocation after a failed ExecutePair/Execute
-// (scas lines M30–M31 and the chain's conflict path) runs while the
-// thread still holds its previous, announced descriptor — but that
-// descriptor is decided by then, so recycleDesc dispatches it down the
-// hazard-retirement route exactly as the non-panicking path would. Try
+// chain capture buffers). After a failed ExecutePair/Execute (scas
+// lines M30–M31 and the chain's conflict path) the thread already holds
+// the fresh descriptor those lines took — taking it cannot run out, and
+// the decided one it replaces is retired on the spot — so an exhaustion
+// in the retried insert finds only an unannounced descriptor, which
+// recycleDesc frees directly as the non-panicking path would. Try
 // therefore recovers the typed error, resets the thread-local move
 // state, and hands the caller a clean error; every shared structure is
 // untouched or already completed.
 
 // Try runs op and converts a resource-exhaustion panic
-// (*fault.ResourceError, thrown by the arena and descriptor-pool carve
-// paths) into an error matching fault.ErrResourceExhausted, after
-// resetting this thread's move state so the thread remains usable. Any
+// (*fault.ResourceError, thrown by the arena's carve path) into an
+// error matching fault.ErrResourceExhausted, after resetting this
+// thread's move state so the thread remains usable. Any
 // other panic propagates unchanged. The failed operation did not
 // execute: exhaustion unwinds from init-phase code, so no concurrent
 // operation can have observed any effect, and the caller may retry
-// (ideally after backoff, or after raising ArenaCapacity/DescCapacity).
+// (ideally after backoff, or after raising ArenaCapacity).
 func (t *Thread) Try(op func()) (err error) {
 	defer func() {
 		r := recover()

@@ -14,13 +14,13 @@ import (
 var ErrResourceExhausted = errors.New("resource exhausted")
 
 // ResourceError is the typed value the substrate's allocation paths
-// panic with when a fixed-capacity resource (descriptor pool, node
-// arena) is exhausted. It is thrown only from init-phase code — before
+// panic with when a fixed-capacity resource (the node arena) is
+// exhausted. It is thrown only from init-phase code — before
 // any shared-memory publish — so recovering it (core's Thread.Try)
 // leaves every shared structure consistent. It wraps
 // ErrResourceExhausted for errors.Is matching.
 type ResourceError struct {
-	// Resource names the exhausted pool: "descriptor pool" or "arena".
+	// Resource names the exhausted store, e.g. "arena: node store".
 	Resource string
 	// Capacity is the configured limit that was hit.
 	Capacity uint64

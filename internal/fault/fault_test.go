@@ -269,12 +269,12 @@ func TestPointString(t *testing.T) {
 }
 
 func TestResourceError(t *testing.T) {
-	e := &ResourceError{Resource: "kcas: descriptor pool", Capacity: 64, Hint: "DescCapacity"}
+	e := &ResourceError{Resource: "arena: node store", Capacity: 64, Hint: "ArenaCapacity"}
 	if !errors.Is(e, ErrResourceExhausted) {
 		t.Fatal("ResourceError does not match ErrResourceExhausted")
 	}
 	msg := e.Error()
-	for _, frag := range []string{"descriptor pool", "capacity 64", "DescCapacity"} {
+	for _, frag := range []string{"node store", "capacity 64", "ArenaCapacity"} {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("message %q missing %q", msg, frag)
 		}

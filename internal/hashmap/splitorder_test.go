@@ -187,7 +187,7 @@ func keyWhere(from uint64, ok func(h uint64) bool) uint64 {
 // one descriptor each — the in-move link is a plain CAS, not a captured
 // entry — and leave the sentinels linked.
 func TestComposedOpsLinkSentinelsInMove(t *testing.T) {
-	rt := core.NewRuntime(core.Config{MaxThreads: 1, ArenaCapacity: 1 << 18, DescCapacity: 1 << 14,
+	rt := core.NewRuntime(core.Config{MaxThreads: 1, ArenaCapacity: 1 << 18,
 		Obs: obs.Config{Metrics: true}})
 	th := rt.RegisterThread()
 	published := func() uint64 { return rt.Obs().Metrics().Snapshot().Get("kcas_publish_total") }
@@ -274,7 +274,7 @@ func TestComposedOpsLinkSentinelsInMove(t *testing.T) {
 func TestStalledGrowerWedgesNobody(t *testing.T) {
 	for _, kill := range []bool{false, true} {
 		plan := fault.NewPlan()
-		rt := core.NewRuntime(core.Config{MaxThreads: 3, ArenaCapacity: 1 << 18, DescCapacity: 1 << 14, Fault: plan})
+		rt := core.NewRuntime(core.Config{MaxThreads: 3, ArenaCapacity: 1 << 18, Fault: plan})
 		setup := rt.RegisterThread()
 		m := NewSharded(setup, 1, 2, 2) // one shard, doubles past 4 entries
 		other := NewSharded(setup, 1, 2, 1<<30)

@@ -264,7 +264,6 @@ func TestBatchedMoveConservationUnderPushPopNoise(t *testing.T) {
 	rt := core.NewRuntime(core.Config{
 		MaxThreads:    threads + 1,
 		ArenaCapacity: 1 << 18,
-		DescCapacity:  1 << 16,
 	})
 	setup := rt.RegisterThread()
 	s1 := tstack.New(setup)

@@ -77,7 +77,7 @@ func TestMoveNWithFlakyMiddleTarget(t *testing.T) {
 }
 
 // TestMovePreservesThreadReuse: the same thread performs thousands of
-// moves; descriptor recycling must keep the pool bounded.
+// moves; descriptor recycling must keep them within its block.
 func TestMovePreservesThreadReuse(t *testing.T) {
 	rt := newRT(2)
 	th := rt.RegisterThread()
@@ -92,11 +92,9 @@ func TestMovePreservesThreadReuse(t *testing.T) {
 			t.Fatal("backward move failed")
 		}
 	}
+	// 40k moves cycle through the thread's fixed descriptor block: a
+	// recycling failure would have hit the block's invariant panic.
 	th.FlushMemory()
-	// 40k moves must not carve anywhere near 40k descriptors.
-	if carved := rt.KCASPool(); carved == nil {
-		t.Fatal("pool missing")
-	}
 }
 
 // TestMixedMoveAndMoveN runs Move and MoveN concurrently over shared

@@ -23,7 +23,6 @@ func newFaultRT(threads int, plan *fault.Plan) *core.Runtime {
 	return core.NewRuntime(core.Config{
 		MaxThreads:    threads,
 		ArenaCapacity: 1 << 18,
-		DescCapacity:  1 << 16,
 		Fault:         plan,
 	})
 }

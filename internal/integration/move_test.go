@@ -16,7 +16,6 @@ func newRT(threads int) *core.Runtime {
 	return core.NewRuntime(core.Config{
 		MaxThreads:    threads,
 		ArenaCapacity: 1 << 18,
-		DescCapacity:  1 << 16,
 	})
 }
 

@@ -21,7 +21,6 @@ func newObsRT(threads int, plan *fault.Plan) *core.Runtime {
 	cfg := core.Config{
 		MaxThreads:    threads,
 		ArenaCapacity: 1 << 18,
-		DescCapacity:  1 << 16,
 		Obs:           obs.Config{Metrics: true, Trace: true},
 	}
 	if plan != nil {
@@ -148,20 +147,6 @@ func TestMetricsReconcileWithLegacyStats(t *testing.T) {
 	}
 
 	snap := rt.Obs().Metrics().Snapshot()
-	helps, strays, late := rt.KCASPool().Stats()
-	khelps := rt.KCASPool().KHelps()
-	if got := snap.Get("kcas_helps_total"); got != helps+khelps {
-		t.Fatalf("kcas_helps_total=%d, pool reports %d (pair) + %d (kword)", got, helps, khelps)
-	}
-	if got := snap.Get("kcas_stray_cleanups_total"); got != strays {
-		t.Fatalf("kcas_stray_cleanups_total=%d, pool reports %d", got, strays)
-	}
-	if got := snap.Get("kcas_late_p2_total"); got != late {
-		t.Fatalf("kcas_late_p2_total=%d, pool reports %d", got, late)
-	}
-	if got := snap.Get("kcas_descs_carved_total"); got != rt.KCASPool().Carved() {
-		t.Fatalf("kcas_descs_carved_total=%d, pool reports %d", got, rt.KCASPool().Carved())
-	}
 	pub := snap.Get("kcas_publish_total")
 	dec := snap.Get("kcas_commits_total") + snap.Get("kcas_aborts_total")
 	if pub == 0 {

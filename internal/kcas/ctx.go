@@ -1,26 +1,74 @@
 package kcas
 
 import (
+	"fmt"
+	"math/bits"
+	"sync/atomic"
+
 	"repro/internal/fault"
 	"repro/internal/hazard"
 	"repro/internal/obs"
 	"repro/internal/word"
 )
 
-// retireScanAt is the retired-descriptor count that triggers a scan.
-const retireScanAt = 64
+// scanBatch is the least number of slots a refill frees: the part of a
+// block beyond what the reclamation bound lets scans keep.
+const scanBatch = 64
 
-// carveBatch is how many fresh descriptor slots a thread carves at once.
-const carveBatch = 64
+// liveDescs bounds the descriptors one thread holds at once: lines
+// M30–M31 (and a chain's conflict path) take a fresh descriptor before
+// retiring the failed one.
+const liveDescs = 2
+
+// blockSize is the number of descriptor slots each thread owns when the
+// descriptor hazard domain has hazardSlots slots in all: two snapshots'
+// worth of hazard slots, the live descriptors and one scan batch. The
+// package comment proves two scans free a slot of a block this size.
+func blockSize(hazardSlots int) int { return 2*hazardSlots + liveDescs + scanBatch }
+
+// Blocks is the runtime's descriptor store, shared by both protocols:
+// one fixed block of blockSize descriptors per thread, allocated by its
+// owner on the first AllocPair/AllocK and never freed. A descriptor's
+// slot index is tid<<shift | slot, so a helper holding a reference finds
+// the descriptor and its owner — the victim of the help — from the
+// index alone.
+type Blocks struct {
+	dom    *hazard.Domain // descriptor hazard domain (hpd slots)
+	size   int
+	shift  uint
+	blocks []atomic.Pointer[[]Desc] // by owner tid, stored once by the owner
+}
+
+// NewBlocks sizes the store for the threads of the descriptor hazard
+// domain dom. It fails when their blocks do not fit the slot index.
+func NewBlocks(dom *hazard.Domain) (*Blocks, error) {
+	threads := dom.MaxThreads()
+	size := blockSize(threads * dom.SlotsPerThread())
+	shift := uint(bits.Len(uint(size - 1)))
+	if uint64(threads)<<shift > word.MaxDescIndex+1 {
+		return nil, fmt.Errorf("kcas: %d threads of %d descriptor slots each exceed the %d-slot descriptor index",
+			threads, size, word.MaxDescIndex+1)
+	}
+	return &Blocks{dom: dom, size: size, shift: shift, blocks: make([]atomic.Pointer[[]Desc], threads)}, nil
+}
+
+// at dereferences a descriptor slot index. The owner's block exists:
+// every index a word can hold was stamped by an alloc from it.
+func (b *Blocks) at(idx uint64) *Desc {
+	return &(*b.blocks[idx>>b.shift].Load())[idx&(1<<b.shift-1)]
+}
+
+// owner reports the tid whose block holds slot index idx.
+func (b *Blocks) owner(idx uint64) int32 { return int32(idx >> b.shift) }
 
 // Slots names the hazard slots a Ctx publishes into. The three
 // descriptor-domain slots keep the pre-unification nesting discipline:
 // helping a pair operation from inside general phase 1 must not clobber
 // the general descriptor's own protection.
 type Slots struct {
-	// PairHPD/KHPD/RDCSSHPD index the pool's descriptor hazard domain:
-	// the hpd of the pair read operation (line D35), the general
-	// descriptor's protection, and the RDCSS sub-descriptor protection.
+	// PairHPD/KHPD/RDCSSHPD index the descriptor hazard domain: the hpd
+	// of the pair read operation (line D35), the general descriptor's
+	// protection, and the RDCSS sub-descriptor protection.
 	PairHPD, KHPD, RDCSSHPD int
 	// PairMirror1/PairMirror2 index the node domain and receive the
 	// initiator's hazard pointers when helping a pair operation (line
@@ -35,15 +83,19 @@ type Slots struct {
 // registered thread.
 type Ctx struct {
 	tid     int
-	pool    *Pool
+	blocks  *Blocks
 	nodeDom *hazard.Domain
 	slots   Slots
 
-	// free is a FIFO ring of recyclable slot indexes (owned by this
-	// thread): popped at freeHead, pushed at the back, compacted in place
-	// when full so steady-state operation never reallocates.
-	free     []uint64
+	// block is this thread's descriptor block (nil until the first
+	// alloc) and base the slot index of its first descriptor. free is a
+	// FIFO ring of the block's free slots, oldest at freeHead, so reuse
+	// distance is as long as the block allows.
+	block    []Desc
+	base     uint64
+	free     []uint32
 	freeHead int
+	nFree    int
 	retired  []retiredDesc
 	snap     []uint64
 
@@ -67,8 +119,8 @@ type retiredDesc struct {
 }
 
 // NewCtx creates the per-thread context over the given slot assignment.
-func NewCtx(pool *Pool, nodeDom *hazard.Domain, tid int, slots Slots) *Ctx {
-	return &Ctx{tid: tid, pool: pool, nodeDom: nodeDom, slots: slots}
+func NewCtx(blocks *Blocks, nodeDom *hazard.Domain, tid int, slots Slots) *Ctx {
+	return &Ctx{tid: tid, blocks: blocks, nodeDom: nodeDom, slots: slots}
 }
 
 // TID returns the thread id this context was created for.
@@ -106,53 +158,64 @@ func (c *Ctx) fire(p fault.Point) {
 	}
 }
 
-// hasFree reports whether the free ring holds a recyclable slot.
-func (c *Ctx) hasFree() bool { return c.freeHead < len(c.free) }
-
-// popFree takes the oldest free slot (FIFO, maximizing reuse distance).
-func (c *Ctx) popFree() uint64 {
-	idx := c.free[c.freeHead]
-	c.freeHead++
-	if c.freeHead == len(c.free) {
-		c.free = c.free[:0]
-		c.freeHead = 0
-	}
-	return idx
-}
-
-// pushFree returns a slot to the ring, compacting consumed head space in
-// place instead of letting append grow the backing array forever.
+// pushFree returns slot index idx to the back of the free ring.
 func (c *Ctx) pushFree(idx uint64) {
-	if c.freeHead > 0 && len(c.free) == cap(c.free) {
-		n := copy(c.free, c.free[c.freeHead:])
-		c.free = c.free[:n]
-		c.freeHead = 0
+	i := c.freeHead + c.nFree
+	if i >= len(c.free) {
+		i -= len(c.free)
 	}
-	c.free = append(c.free, idx)
+	c.free[i] = uint32(idx - c.base)
+	c.nFree++
 }
 
-// alloc takes a slot from the free ring (scanning/carving as needed),
+// alloc takes the oldest free slot (refilling the ring if it is empty),
 // stamps a fresh sequence and returns the descriptor with its unmarked
 // reference of the given kind. Both protocols draw from the same ring,
 // so a thread's mix of pairwise and k-way traffic shares one reuse
 // distance.
 func (c *Ctx) alloc(kind uint64) (*Desc, uint64) {
-	if !c.hasFree() {
-		if len(c.retired) > 0 {
-			c.scan()
-		}
-		if !c.hasFree() {
-			c.free = c.pool.carve(c.free, carveBatch)
-		}
+	if c.nFree == 0 {
+		c.refill()
 	}
-	idx := c.popFree()
-	d := c.pool.At(idx)
+	slot := c.free[c.freeHead]
+	if c.freeHead++; c.freeHead == len(c.free) {
+		c.freeHead = 0
+	}
+	c.nFree--
+	d := &c.block[slot]
 	d.seq++
-	ref := word.MakeDesc(kind, idx, d.seq)
-	d.owner.Store(int32(c.tid))
+	ref := word.MakeDesc(kind, c.base+uint64(slot), d.seq)
 	d.status.Store(statusUndecided)
 	d.self.Store(ref)
 	return d, ref
+}
+
+// refill makes the empty free ring non-empty. The first call allocates
+// this thread's block; later ones scan the retired list, and once more
+// if that freed nothing. The package comment proves the second scan
+// always frees a slot, so an empty ring after it is an invariant
+// violation, not a resource limit.
+func (c *Ctx) refill() {
+	if c.block == nil {
+		n := c.blocks.size
+		c.block = make([]Desc, n)
+		c.base = uint64(c.tid) << c.blocks.shift
+		c.blocks.blocks[c.tid].Store(&c.block)
+		c.free = make([]uint32, n)
+		for i := range c.free {
+			c.free[i] = uint32(i)
+		}
+		c.nFree = n
+		c.retired = make([]retiredDesc, 0, n)
+		return
+	}
+	for range 2 {
+		if c.scan(); c.nFree > 0 {
+			return
+		}
+	}
+	panic(fmt.Sprintf("kcas: thread %d: two scans freed none of its %d descriptors; the reclamation bound is violated",
+		c.tid, len(c.block)))
 }
 
 // AllocPair returns a fresh, undecided pair descriptor and its unmarked
@@ -189,16 +252,13 @@ func (c *Ctx) FreeDirect(d *Desc, ref uint64) {
 
 // Retire recycles a descriptor that was announced: helpers may still
 // reference it through hpd slots or through stray word contents, so it
-// is first scrubbed from its target words, then parked until a scan
-// proves it unreachable.
+// is first scrubbed from its target words, then parked until a scan —
+// run when the free ring is empty — proves it unreachable.
 func (c *Ctx) Retire(d *Desc, ref uint64) {
 	c.obsEvent(obs.KCASRecycle, obs.EvRecycle, -1, ref)
 	c.fire(fault.KCASBeforeRecycle)
 	c.scrub(d, ref)
 	c.retired = append(c.retired, retiredDesc{d: d, ref: ref})
-	if len(c.retired) >= retireScanAt {
-		c.scan()
-	}
 }
 
 // scrub removes residual references to d from its target words,
@@ -226,7 +286,7 @@ func (c *Ctx) scrubPair(d *Desc, ref uint64) {
 			break
 		}
 		if e1.Ptr.CAS(v, e1.Old) {
-			c.pool.strayCleanups.Add(1)
+			c.reg.Inc(c.tid, obs.KCASStrayCleanup)
 		}
 	}
 	for i := 0; i < 16; i++ {
@@ -235,7 +295,7 @@ func (c *Ctx) scrubPair(d *Desc, ref uint64) {
 			break
 		}
 		if e2.Ptr.CAS(v, e2.Old) {
-			c.pool.strayCleanups.Add(1)
+			c.reg.Inc(c.tid, obs.KCASStrayCleanup)
 		}
 	}
 }
@@ -289,7 +349,7 @@ func (c *Ctx) residue(rd retiredDesc) bool {
 // snapshot is taken first: any helper that could still install a stray
 // was in flight — and therefore visible — at snapshot time.
 func (c *Ctx) scan() {
-	c.snap = c.pool.dom.Snapshot(c.snap)
+	c.snap = c.blocks.dom.Snapshot(c.snap)
 	kept := c.retired[:0]
 	for _, rd := range c.retired {
 		idx := word.DescIndex(rd.ref)

@@ -1,12 +1,13 @@
 // Package kcas is the repository's single k-word compare-and-swap
-// engine: one descriptor layout, one pool and one per-thread context
-// backing both the paper's software DCAS (§3.2.2, Algorithm 4) and the
-// §8 n-word extension that generalizes composed moves to n objects.
+// engine: one descriptor layout, one descriptor store and one per-thread
+// context backing both the paper's software DCAS (§3.2.2, Algorithm 4)
+// and the §8 n-word extension that generalizes composed moves to n
+// objects.
 //
 // The two protocols used to live in separate packages (dcas, mcas) with
 // near-identical descriptor lifecycles written twice. Here a descriptor
-// is always a Desc with N entries drawn from the one pool; what differs
-// is only how it is decided:
+// is always a Desc with N entries drawn from its thread's block; what
+// differs is only how it is decided:
 //
 //   - Pair fast path (AllocPair/ExecutePair, reference kind KindDCAS):
 //     Algorithm 4 verbatim over Entries[0] (ptr1) and Entries[1] (ptr2).
@@ -25,16 +26,48 @@
 //     (kind = KindRDCSS, entry index in the mark field).
 //
 // Both paths share the sequence-stamped ABA-safe slot reuse, the
-// per-thread compacting FIFO free ring and hazard-scan retirement. A
-// helper that encounters a reference of
-// either operation kind — or an RDCSS sub-reference — resolves it
-// through this one package (Ctx.Read), so cross-kind helping needs no
-// foreign-function hook.
+// per-thread FIFO free ring and hazard-scan retirement. A helper that
+// encounters a reference of either operation kind — or an RDCSS
+// sub-reference — resolves it through this one package (Ctx.Read), so
+// cross-kind helping needs no foreign-function hook.
 //
 // The status word reports failure slots: the pair path mirrors the
 // paper's FIRSTFAILED/SECONDFAILED, the general path reports the index
 // of the entry whose word did not match, so core can re-run exactly the
 // operations from the failed slot onward.
+//
+// # Descriptors cannot run out
+//
+// Every thread owns one block of R = 2H + 2 + 64 descriptors, where H is
+// the number of slots in the descriptor hazard domain (three per
+// thread), and recycles only its own. A retired descriptor d is freed by
+// a scan unless the scan's snapshot S shows an hpd slot covering d, or
+// one of d's target words still references d, in which case the scan
+// scrubs the word and keeps d. The bound rests on one fact:
+//
+// After d's retirement, a reference to d is installed into a word only
+// by a helper whose hpd slot covers d from before the retirement until
+// after the install. Every install (line D14, an RDCSS install or
+// promotion) is made by a helper that protected d, then validated it,
+// then read d's status as not final, and the owner retires d only after
+// the status is final (Success or SecondFailed on the pair path,
+// decided on the general one). So if the install follows S, S shows the
+// protection. Helpers that validate after the status is final only
+// revert references (lines D5–D8, phase 2, promote's revert).
+//
+// Hence a d that S does not cover gains no new reference after S, and
+// the scrub of a scan that keeps it for residue removes the last one.
+// When the free ring is empty at most two descriptors are live (lines
+// M30–M31 take a fresh one while holding the failed one), so at least
+// R - 2 = 2H + 64 are retired. A first scan frees or keeps each of them;
+// a second scan keeps only those its snapshot covers (at most H) and
+// those the first snapshot covered that have residue again (at most H)
+// — every other kept one was clean after the first scrub. The second
+// scan therefore frees at least 64 slots, and alloc panics if it does
+// not: that would be a broken invariant, not a resource running out.
+// The 20-bit slot index holds the owner's tid in its high bits and the
+// slot in its low ones, which is what bounds MaxThreads
+// (core.NewRuntime).
 package kcas
 
 import (
@@ -123,21 +156,10 @@ type Desc struct {
 	// slot is never trusted.
 	self atomic.Uint64
 
-	// seq is the allocation sequence for this slot. Slots are owned by
-	// the thread that carved them and never migrate, so seq needs no
-	// atomicity.
+	// seq is the allocation sequence for this slot. A slot belongs to
+	// its owner's block and never migrates, so seq needs no atomicity.
 	seq uint64
-
-	// owner is the initiating thread's id, stamped at alloc. Helpers
-	// read it (after validating self) to attribute help events to
-	// their victim; atomic because a stale helper's read may race the
-	// slot's next incarnation being stamped.
-	owner atomic.Int32
 }
-
-// Owner reports the thread id that allocated this descriptor
-// incarnation — the victim of any help event on it.
-func (d *Desc) Owner() int32 { return d.owner.Load() }
 
 // Decided reports whether the descriptor's operation has completed: an
 // undecided status is exactly "never announced" on both paths (the pair

@@ -200,12 +200,12 @@ func (c *Ctx) promote(d *Desc, mref uint64, i int) {
 // descriptor identity, mirror the initiator's hazard pointers, then run.
 func (c *Ctx) HelpRef(w *word.Word, v uint64) {
 	idx := word.DescIndex(v)
-	c.pool.dom.Protect(c.tid, c.slots.KHPD, idx+1)
-	defer c.pool.dom.Clear(c.tid, c.slots.KHPD)
+	c.blocks.dom.Protect(c.tid, c.slots.KHPD, idx+1)
+	defer c.blocks.dom.Clear(c.tid, c.slots.KHPD)
 	if w.Load() != v {
 		return
 	}
-	d := c.pool.At(idx)
+	d := c.blocks.at(idx)
 	mref := word.UnmarkDesc(v)
 	if d.self.Load() != mref {
 		return
@@ -213,9 +213,8 @@ func (c *Ctx) HelpRef(w *word.Word, v uint64) {
 	for i := 0; i < d.N && i < MaxEntries; i++ {
 		c.nodeDom.Protect(c.tid, c.slots.KMirrorBase+i, d.Entries[i].HP)
 	}
-	c.pool.khelps.Add(1)
 	// Help-enter attribution: helper = this thread, victim = initiator.
-	c.obsEvent(obs.KCASHelp, obs.EvHelp, d.owner.Load(), mref)
+	c.obsEvent(obs.KCASHelp, obs.EvHelp, c.blocks.owner(idx), mref)
 	c.run(d, mref)
 	for i := 0; i < MaxEntries; i++ {
 		c.nodeDom.Clear(c.tid, c.slots.KMirrorBase+i)
@@ -227,12 +226,12 @@ func (c *Ctx) HelpRef(w *word.Word, v uint64) {
 // sub-descriptor.
 func (c *Ctx) CompleteRDCSS(w *word.Word, rref uint64) {
 	idx := word.DescIndex(rref)
-	c.pool.dom.Protect(c.tid, c.slots.RDCSSHPD, idx+1)
-	defer c.pool.dom.Clear(c.tid, c.slots.RDCSSHPD)
+	c.blocks.dom.Protect(c.tid, c.slots.RDCSSHPD, idx+1)
+	defer c.blocks.dom.Clear(c.tid, c.slots.RDCSSHPD)
 	if w.Load() != rref {
 		return
 	}
-	d := c.pool.At(idx)
+	d := c.blocks.at(idx)
 	mref := kRefOf(rref)
 	if d.self.Load() != mref {
 		return

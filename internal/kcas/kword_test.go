@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -175,7 +176,7 @@ func TestKConcurrentChains(t *testing.T) {
 			t.Fatalf("word %d: %d dangling transitions", i, len(perWord[i]))
 		}
 	}
-	t.Logf("successes=%d khelps=%d", total, e.pool.KHelps())
+	t.Logf("successes=%d helps=%d", total, e.reg.Value(obs.KCASHelp))
 }
 
 // TestKOverlappingPairsNoDeadlock: two word sets overlapping in one
@@ -235,9 +236,7 @@ func TestKDescriptorRecycling(t *testing.T) {
 		}
 	}
 	c.Flush()
-	if e.pool.next.Load() > 64 {
-		t.Fatalf("descriptor leak: %d slots carved for 500 sequential ops", e.pool.next.Load())
-	}
+	allFree(t, c)
 }
 
 // TestCrossKindHelping: a general operation that finds a pair

@@ -53,11 +53,11 @@ func (c *Ctx) dcas(d *Desc, ref uint64, initiator bool) Result {
 		// ptr1 (only line D10 installs unmarked refs).
 		if word.IsMarkedDesc(ref) { // D5
 			if e2.Ptr.CAS(ref, e2.Old) { // D6
-				c.pool.strayCleanups.Add(1)
+				c.reg.Inc(c.tid, obs.KCASStrayCleanup)
 			}
 		} else if !initiator {
 			if e1.Ptr.CAS(ref, e1.Old) { // D8
-				c.pool.strayCleanups.Add(1)
+				c.reg.Inc(c.tid, obs.KCASStrayCleanup)
 			}
 		}
 		return resultOf(r) // D9
@@ -114,7 +114,7 @@ func (c *Ctx) dcas(d *Desc, ref uint64, initiator bool) Result {
 			// We installed our marked descriptor but were not first to
 			// set res: change ptr2 back to its old value (Lemma 3).
 			if e2.Ptr.CAS(mdesc, e2.Old) {
-				c.pool.lateP2.Add(1)
+				c.reg.Inc(c.tid, obs.KCASLateP2)
 			}
 		}
 		return SecondFailed // D27
@@ -146,12 +146,12 @@ func resultOf(res uint64) Result {
 // fails; the caller re-reads w.
 func (c *Ctx) HelpPairRef(w *word.Word, v uint64) {
 	idx := word.DescIndex(v)
-	c.pool.dom.Protect(c.tid, c.slots.PairHPD, idx+1) // D35: hpd ← result
-	defer c.pool.dom.Clear(c.tid, c.slots.PairHPD)
+	c.blocks.dom.Protect(c.tid, c.slots.PairHPD, idx+1) // D35: hpd ← result
+	defer c.blocks.dom.Clear(c.tid, c.slots.PairHPD)
 	if w.Load() != v { // D36: if hpd = *ptr
 		return
 	}
-	d := c.pool.At(idx)
+	d := c.blocks.at(idx)
 	if d.self.Load() != word.UnmarkDesc(v) {
 		// The slot was recycled between our load and the hpd store; the
 		// reference is stale. The word no longer being protected by the
@@ -159,10 +159,9 @@ func (c *Ctx) HelpPairRef(w *word.Word, v uint64) {
 		c.checkStuck(w, v)
 		return
 	}
-	c.pool.helps.Add(1)
 	// Help-enter attribution: this thread (helper) is completing the
-	// operation announced by d.Owner() (victim).
-	c.obsEvent(obs.KCASHelp, obs.EvHelp, d.owner.Load(), word.UnmarkDesc(v))
+	// operation announced by the block's owner (victim).
+	c.obsEvent(obs.KCASHelp, obs.EvHelp, c.blocks.owner(idx), word.UnmarkDesc(v))
 	c.dcas(d, v, false) // D37: help
 	c.nodeDom.Clear(c.tid, c.slots.PairMirror1)
 	c.nodeDom.Clear(c.tid, c.slots.PairMirror2)

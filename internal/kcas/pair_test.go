@@ -5,18 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/hazard"
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
 // testSlots mirrors core's slot assignment.
 var testSlots = Slots{PairHPD: 0, KHPD: 1, RDCSSHPD: 2, PairMirror1: 6, PairMirror2: 7, KMirrorBase: 8}
 
-// testEnv wires a pool with per-thread contexts, mimicking what
-// core.Runtime does.
+// testEnv wires a descriptor store with per-thread contexts and a
+// metrics registry, mimicking what core.Runtime does.
 type testEnv struct {
-	pool    *Pool
+	blocks  *Blocks
 	nodeDom *hazard.Domain
 	descDom *hazard.Domain
+	reg     *obs.Registry
 	ctxs    []*Ctx
 }
 
@@ -24,12 +26,27 @@ func newEnv(threads int) *testEnv {
 	e := &testEnv{
 		nodeDom: hazard.New(threads, 8+2*MaxEntries),
 		descDom: hazard.New(threads, 3),
+		reg:     obs.NewRegistry(threads),
 	}
-	e.pool = NewPool(1<<14, e.descDom)
+	var err error
+	if e.blocks, err = NewBlocks(e.descDom); err != nil {
+		panic(err)
+	}
 	for i := 0; i < threads; i++ {
-		e.ctxs = append(e.ctxs, NewCtx(e.pool, e.nodeDom, i, testSlots))
+		c := NewCtx(e.blocks, e.nodeDom, i, testSlots)
+		c.SetObs(e.reg, nil)
+		e.ctxs = append(e.ctxs, c)
 	}
 	return e
+}
+
+// allFree fails the test unless every slot of c's block is back on its
+// free ring: nothing live, nothing retired.
+func allFree(t *testing.T, c *Ctx) {
+	t.Helper()
+	if c.Retired() != 0 || c.nFree != len(c.block) {
+		t.Fatalf("descriptor slots leak: %d free, %d retired of %d", c.nFree, c.Retired(), len(c.block))
+	}
 }
 
 // val builds a plain (node-reference) value safe for test words.
@@ -121,12 +138,7 @@ func TestPairDescriptorRecycling(t *testing.T) {
 		}
 	}
 	c.Flush()
-	if got := c.Retired(); got != 0 {
-		t.Fatalf("all descriptors should be reclaimable, %d retired", got)
-	}
-	if e.pool.next.Load() > 4*carveBatch {
-		t.Fatalf("descriptor slots leak: %d carved for 1000 sequential ops", e.pool.next.Load())
-	}
+	allFree(t, c)
 }
 
 func TestResultAgreementDecided(t *testing.T) {
@@ -323,6 +335,6 @@ func TestPairContendedSameWords(t *testing.T) {
 			t.Fatalf("%s: %d dangling transitions", name, len(m.trans))
 		}
 	}
-	helps, strays, late := e.pool.Stats()
-	t.Logf("contended run: helps=%d strayCleanups=%d lateP2=%d", helps, strays, late)
+	t.Logf("contended run: helps=%d strayCleanups=%d lateP2=%d",
+		e.reg.Value(obs.KCASHelp), e.reg.Value(obs.KCASStrayCleanup), e.reg.Value(obs.KCASLateP2))
 }

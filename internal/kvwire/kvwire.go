@@ -74,8 +74,8 @@
 // guarantee the operation was NOT executed, so clients may retry
 // without risking duplication:
 //
-//	BUSY    — the server shed the request: substrate resources
-//	          (descriptor pool, arena) were exhausted, or the overload
+//	BUSY    — the server shed the request: the node arena was
+//	          exhausted, or the overload
 //	          controller is shedding this tenant's ops to protect the
 //	          configured SLO. Retry after jittered backoff.
 //	TIMEOUT — the per-request deadline (-deadline) expired before the

@@ -20,13 +20,19 @@ type Counter uint8
 // initiating thread (so, quiesced and kill-free, publishes ==
 // commits + aborts on both the pair and the general path); helps by the
 // helping thread; recycles by the owning thread at every descriptor
-// recycle entry point.
+// recycle entry point. Stray cleanups (a decided descriptor's leftover
+// reference reverted) and late ptr2 installs (a pair helper's marked
+// install undone after losing the status race) are the §7 false-helping
+// costs, counted by the thread whose CAS did the work; they have no
+// trace event.
 const (
 	KCASPublish Counter = iota
 	KCASHelp
 	KCASCommit
 	KCASAbort
 	KCASRecycle
+	KCASStrayCleanup
+	KCASLateP2
 	// NumCounters bounds the fixed counter set.
 	NumCounters
 )
@@ -36,11 +42,13 @@ const (
 // kvserver STATS and the METRICS verb all use exactly these names — one
 // scheme, documented in docs/observability.md.
 var counterNames = [NumCounters]string{
-	KCASPublish: "kcas_publish_total",
-	KCASHelp:    "kcas_helps_total",
-	KCASCommit:  "kcas_commits_total",
-	KCASAbort:   "kcas_aborts_total",
-	KCASRecycle: "kcas_recycles_total",
+	KCASPublish:      "kcas_publish_total",
+	KCASHelp:         "kcas_helps_total",
+	KCASCommit:       "kcas_commits_total",
+	KCASAbort:        "kcas_aborts_total",
+	KCASRecycle:      "kcas_recycles_total",
+	KCASStrayCleanup: "kcas_stray_cleanups_total",
+	KCASLateP2:       "kcas_late_p2_total",
 }
 
 // Name returns the counter's exported series name.

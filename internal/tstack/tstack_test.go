@@ -8,7 +8,7 @@ import (
 )
 
 func newRT() *core.Runtime {
-	return core.NewRuntime(core.Config{MaxThreads: 16, ArenaCapacity: 1 << 18, DescCapacity: 1 << 14})
+	return core.NewRuntime(core.Config{MaxThreads: 16, ArenaCapacity: 1 << 18})
 }
 
 func TestPushPopLIFO(t *testing.T) {

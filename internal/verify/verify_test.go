@@ -12,7 +12,7 @@ import (
 )
 
 func newRT(threads int) *core.Runtime {
-	return core.NewRuntime(core.Config{MaxThreads: threads, ArenaCapacity: 1 << 18, DescCapacity: 1 << 14})
+	return core.NewRuntime(core.Config{MaxThreads: threads, ArenaCapacity: 1 << 18})
 }
 
 func TestQueueInvariantsClean(t *testing.T) {

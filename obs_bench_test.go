@@ -68,8 +68,8 @@ func BenchmarkObsFull(b *testing.B) {
 
 // TestObsDisabledNoAllocs asserts the acceptance bound directly: with
 // observability off, the Move hot path performs no allocation at all
-// over steadyOps operations (after warmup lets the descriptor pool carve
-// its blocks).
+// over steadyOps operations (after warmup lets the thread allocate its
+// descriptor block).
 func TestObsDisabledNoAllocs(t *testing.T) {
 	th, q, s := obsBenchRT(repro.ObsConfig{})
 	move := func() {

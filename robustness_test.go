@@ -1,39 +1,31 @@
 package repro_test
 
 // Exhaustion-path coverage for the graceful-degradation facade: the
-// Try* variants convert descriptor-pool and arena exhaustion — which
-// the panic-compatible APIs surface as a typed panic — into
-// ErrResourceExhausted, with the thread reset and reusable afterwards.
+// Try* variants convert arena exhaustion — which the panic-compatible
+// APIs surface as a typed panic — into ErrResourceExhausted, with the
+// thread reset and reusable afterwards.
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro"
 )
 
-// exhaustDescriptors drives th's first descriptor carve to take the
-// whole pool: with DescCapacity equal to one carve batch (64), any
-// descriptor-allocating op on one thread leaves nothing for a second.
-func exhaustDescriptors(t *testing.T, th *repro.Thread, a, b *repro.HashMap) {
-	t.Helper()
-	if _, ok := repro.Move(th, a, b, 1, 1); !ok {
-		t.Fatal("seed move failed")
-	}
-	if _, ok := repro.Move(th, b, a, 1, 1); !ok {
-		t.Fatal("seed move back failed")
-	}
-}
+// starvedArena holds the reserved prefix and one per-thread node batch
+// (200): the setup thread's first allocation takes the whole arena, so
+// any node-allocating op on a second thread finds it empty.
+const starvedArena = 208
 
 func TestTryMoveResourceExhausted(t *testing.T) {
-	rt := repro.NewRuntime(repro.Config{MaxThreads: 3, DescCapacity: 64})
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 3, ArenaCapacity: starvedArena})
 	setup := rt.RegisterThread()
 	a := repro.NewHashMap(setup, 8)
 	b := repro.NewHashMap(setup, 8)
 	if !a.Insert(setup, 1, 10) || !a.Insert(setup, 2, 20) {
 		t.Fatal("seed inserts failed")
 	}
-	exhaustDescriptors(t, setup, a, b)
 
 	starved := rt.RegisterThread()
 	_, _, err := repro.TryMove(starved, a, b, 2, 2)
@@ -54,14 +46,18 @@ func TestTryMoveResourceExhausted(t *testing.T) {
 	if v, in := a.Contains(setup, 2); !in || v != 20 {
 		t.Fatal("failed TryMove damaged the source entry")
 	}
-	// … and the thread with descriptors keeps working.
+	// … the starved thread's own descriptor-only work still runs …
+	if _, ok, err := repro.TryMove(starved, a, b, 99, 99); ok || err != nil {
+		t.Fatalf("absent-key TryMove: ok=%v err=%v", ok, err)
+	}
+	// … and the thread with nodes keeps working.
 	if _, ok := repro.Move(setup, a, b, 2, 2); !ok {
 		t.Fatal("healthy thread broken by peer's exhaustion")
 	}
 }
 
 func TestTryTransferKeysAndDrainResourceExhausted(t *testing.T) {
-	rt := repro.NewRuntime(repro.Config{MaxThreads: 3, DescCapacity: 64})
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 3, ArenaCapacity: starvedArena})
 	setup := rt.RegisterThread()
 	a := repro.NewHashMap(setup, 8)
 	b := repro.NewHashMap(setup, 8)
@@ -71,7 +67,6 @@ func TestTryTransferKeysAndDrainResourceExhausted(t *testing.T) {
 		a.Insert(setup, i, 100+i)
 		q1.Enqueue(setup, i)
 	}
-	exhaustDescriptors(t, setup, a, b)
 
 	starved := rt.RegisterThread()
 	if _, _, err := repro.TryTransferKeys(starved, a, b, []uint64{2, 3}, []uint64{2, 3}); !errors.Is(err, repro.ErrResourceExhausted) {
@@ -102,11 +97,28 @@ func TestTryTransferKeysAndDrainResourceExhausted(t *testing.T) {
 	}
 }
 
+// TestDrainNUnboundedCount: n bounds the moves, not an allocation made
+// up front — n = math.MaxInt drains what there is and returns it, where
+// a make([]uint64, n) panicked with "makeslice: len out of range".
+func TestDrainNUnboundedCount(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
+	th := rt.RegisterThread()
+	q, s := repro.NewQueue(th), repro.NewStack(th)
+	for i := uint64(1); i <= 3; i++ {
+		q.Enqueue(th, i)
+	}
+	if got := repro.DrainN(th, q, s, 0, 0, math.MaxInt); len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		t.Fatalf("DrainN(MaxInt) = %v, want [1 2 3]", got)
+	}
+	if got, err := repro.TryDrainN(th, s, q, 0, 0, math.MaxInt); err != nil || len(got) != 3 || got[0] != 3 {
+		t.Fatalf("TryDrainN(MaxInt) = %v, %v, want [3 2 1]", got, err)
+	}
+}
+
 func TestTryArenaExhaustion(t *testing.T) {
-	// One arena carve batch (200 nodes) past the reserved prefix: the
-	// constructor takes a node, then sustained Enqueue must hit the
+	// The constructor takes a node, then sustained Enqueue must hit the
 	// wall inside Try, not panic.
-	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 208})
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: starvedArena})
 	th := rt.RegisterThread()
 	q := repro.NewQueue(th)
 	n := 0
