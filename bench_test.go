@@ -328,11 +328,8 @@ func BenchmarkA3_DCAS_Contended_4T(b *testing.B) {
 				e1, e2 := &d.Entries[0], &d.Entries[1]
 				e1.Ptr, e1.Old, e1.New = &w1, o1, word.MakeNode(200+uint64(t)<<8+uint64(i&0xff), 0)
 				e2.Ptr, e2.Old, e2.New = &w2, o2, word.MakeNode(300+uint64(t)<<8+uint64(i&0xff), 0)
-				if ctx.ExecutePair(d, ref) == kcas.FirstFailed {
-					ctx.FreeDirect(d, ref)
-				} else {
-					ctx.Retire(d, ref)
-				}
+				ctx.ExecutePair(d, ref)
+				ctx.Retire(d, ref)
 			}
 			ctx.Flush()
 		}(t)

@@ -13,6 +13,10 @@
 // on one side travels by position on the other, and map/pqueue, where a
 // keyed token on one side surfaces by priority order on the other (all
 // re-inserted tokens share one priority, stressing the uniquifier).
+// On map/map, half the moves are two-token TransferKeys, so the k-word
+// path and its helping run under the audit too; a failed transfer (a
+// token absent from the source, its key taken in the target, or the
+// keys sharing a chain) changes nothing.
 // -rotate cycles through every pairing within one run, one pair per
 // audit round, carrying the tokens from pair to pair.
 //
@@ -126,6 +130,7 @@ func main() {
 			go func(w int) {
 				defer wg.Done()
 				th := workers[w]
+				var keys [2]uint64
 				rng := uint64(w+1)*0x9e3779b97f4a7c15 + uint64(round)
 				next := func() uint64 { rng ^= rng << 13; rng ^= rng >> 7; rng ^= rng << 17; return rng }
 				for i := 0; i < *ops; i++ {
@@ -147,9 +152,17 @@ func main() {
 						}
 						return 0
 					}
-					if doMove {
+					srcMap, sm := src.(*repro.HashMap)
+					dstMap, dm := dst.(*repro.HashMap)
+					switch {
+					case doMove && sm && dm && next()&1 == 0:
+						keys[0], keys[1] = tok, next()%uint64(*tokens)+1
+						if keys[1] != tok {
+							repro.TransferKeys(th, srcMap, dstMap, keys[:], keys[:])
+						}
+					case doMove:
 						repro.Move(th, src, dst, key(srcKeyed), key(dstKeyed))
-					} else {
+					default:
 						if v, ok := src.Remove(th, key(srcKeyed)); ok {
 							// Re-insert, alternating containers until the
 							// held token lands (a keyed slot may be
@@ -229,9 +242,10 @@ func main() {
 			insertToken(tgt, keyed, tok)
 			i++
 		}
-		fmt.Printf("round %2d %-12s ok (%6.2fs)  kcas_helps_total=%d kcas_stray_cleanups_total=%d kcas_late_p2_total=%d  cas_retries_total=%d\n",
+		fmt.Printf("round %2d %-12s ok (%6.2fs)  kcas_helps_total=%d kcas_helped_retires_total=%d kcas_stray_cleanups_total=%d kcas_late_p2_total=%d  cas_retries_total=%d\n",
 			round, roundPair, time.Since(t0).Seconds(),
 			delta.Get("kcas_helps_total"),
+			delta.Get("kcas_helped_retires_total"),
 			delta.Get("kcas_stray_cleanups_total"),
 			delta.Get("kcas_late_p2_total"),
 			delta.Get("cas_retries_total"))

@@ -49,7 +49,7 @@ func (t *Thread) ExecuteKCAS(entries []KCASEntry) (bool, int) {
 		d.Entries[i] = kcas.Entry{Ptr: e.W, Old: e.Old, New: e.New, HP: word.NodeIndex(e.HP)}
 	}
 	ok, failed := t.kctx.Execute(d, ref)
-	t.recycleDesc(d, ref)
+	t.kctx.Retire(d, ref)
 	return ok, failed
 }
 

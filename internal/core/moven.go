@@ -153,7 +153,7 @@ func (t *Thread) runChain() (uint64, bool) {
 	t.mdesc = nil
 	t.mSteps = t.mSteps[:0]
 	t.ReleaseHolds()
-	t.recycleDesc(cur, curRef)
+	t.kctx.Retire(cur, curRef)
 	return val, ok
 }
 
@@ -221,7 +221,7 @@ func (t *Thread) moveNChain(j int) FResult {
 		for k := 0; k < failed; k++ {
 			nd.Entries[k] = t.mdesc.Entries[k]
 		}
-		t.recycleDesc(t.mdesc, t.mref)
+		t.kctx.Retire(t.mdesc, t.mref)
 		t.mdesc, t.mref = nd, nref
 		t.mFailed = failed
 		if failed == j {

@@ -119,7 +119,7 @@ func (t *Thread) scasInsertSlow(w *word.Word, old, new, hp uint64) FResult {
 		// take a fresh one carrying the stored remove-side arguments.
 		nd, nref := t.kctx.AllocPair() // M31: res starts UNDECIDED
 		nd.Entries[0] = d.Entries[0]
-		t.recycleDesc(d, t.descRef)
+		t.kctx.Retire(d, t.descRef)
 		t.desc, t.descRef = nd, nref
 	}
 	t.insfailed = false // M32
@@ -130,17 +130,6 @@ func (t *Thread) scasInsertSlow(w *word.Word, old, new, hp uint64) FResult {
 		return FFalse // M36
 	}
 	return FTrue // M37
-}
-
-// recycleDesc returns a pair or k-word descriptor to the pool by the
-// route its history requires: announced descriptors (decided result)
-// go through hazard retirement; unannounced ones are recycled directly.
-func (t *Thread) recycleDesc(d *kcas.Desc, ref uint64) {
-	if d.Decided() {
-		t.kctx.Retire(d, ref)
-		return
-	}
-	t.kctx.FreeDirect(d, ref)
 }
 
 // Move atomically moves one element from src to dst (Algorithm 3, lines
@@ -167,7 +156,7 @@ func (t *Thread) Move(src Remover, dst Inserter, skey, tkey uint64) (uint64, boo
 	cur, curRef := t.desc, t.descRef
 	t.desc = nil // M7
 	t.ltarget = nil
-	t.recycleDesc(cur, curRef)
+	t.kctx.Retire(cur, curRef)
 	return val, ok // M8
 }
 

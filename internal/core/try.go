@@ -19,7 +19,7 @@ import "repro/internal/fault"
 // the fresh descriptor those lines took — taking it cannot run out, and
 // the decided one it replaces is retired on the spot — so an exhaustion
 // in the retried insert finds only an unannounced descriptor, which
-// recycleDesc frees directly as the non-panicking path would. Try
+// Retire closes at once as the non-panicking path would. Try
 // therefore recovers the typed error, resets the thread-local move
 // state, and hands the caller a clean error; every shared structure is
 // untouched or already completed.
@@ -50,21 +50,21 @@ func (t *Thread) Try(op func()) (err error) {
 }
 
 // resetAfterExhaustion clears every piece of thread-local operation
-// state an exhaustion panic can strand, in dependency order: recycle
-// the stranded descriptors by their decided/undecided route, then drop
-// the chain buffers and hazard protections.
+// state an exhaustion panic can strand, in dependency order: retire
+// the stranded descriptors, then drop the chain buffers and hazard
+// protections.
 func (t *Thread) resetAfterExhaustion() {
 	if t.desc != nil {
 		d, ref := t.desc, t.descRef
 		t.desc = nil
 		t.ltarget = nil
 		t.insfailed = false
-		t.recycleDesc(d, ref)
+		t.kctx.Retire(d, ref)
 	}
 	if t.mdesc != nil {
 		d, ref := t.mdesc, t.mref
 		t.mdesc = nil
-		t.recycleDesc(d, ref)
+		t.kctx.Retire(d, ref)
 	}
 	t.mSteps = t.mSteps[:0]
 	t.mAbort = false

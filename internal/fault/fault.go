@@ -75,8 +75,8 @@ const (
 	// unreleased words that peers (or the retire-time scrub) clean up.
 	KCASBeforeCommit
 	// KCASBeforeRecycle fires as a descriptor is handed back for reuse
-	// (Retire or FreeDirect). A thread killed here leaks exactly one
-	// descriptor slot.
+	// (Retire, before the owner's close). A thread killed here leaks
+	// exactly one descriptor slot.
 	KCASBeforeRecycle
 	// MapMidGrow fires between publishing a doubled hash-map directory
 	// and linking its first sentinel (internal/hashmap): the new buckets

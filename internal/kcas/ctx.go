@@ -90,7 +90,9 @@ type Ctx struct {
 	// block is this thread's descriptor block (nil until the first
 	// alloc) and base the slot index of its first descriptor. free is a
 	// FIFO ring of the block's free slots, oldest at freeHead, so reuse
-	// distance is as long as the block allows.
+	// distance is as long as the block allows. A closed descriptor (see
+	// Retire) goes straight to its back; retired holds only descriptors
+	// some helper entered, until a scan frees them.
 	block    []Desc
 	base     uint64
 	free     []uint32
@@ -239,24 +241,24 @@ func (c *Ctx) AllocK() (*Desc, uint64) {
 	return d, ref
 }
 
-// FreeDirect recycles a descriptor that was never announced (the pair
-// returned FIRSTFAILED before publishing, the operation never reached
-// its decision, or Execute was never called). No helper can hold a
-// reference, so it skips the hazard scan.
-func (c *Ctx) FreeDirect(d *Desc, ref uint64) {
-	c.obsEvent(obs.KCASRecycle, obs.EvRecycle, -1, ref)
-	c.fire(fault.KCASBeforeRecycle)
-	d.self.Store(0)
-	c.pushFree(word.DescIndex(ref))
-}
-
-// Retire recycles a descriptor that was announced: helpers may still
-// reference it through hpd slots or through stray word contents, so it
-// is first scrubbed from its target words, then parked until a scan —
-// run when the free ring is empty — proves it unreachable.
+// Retire recycles a descriptor after its operation, announced or not.
+// It starts with the owner's close, a CAS of self from ref to 0. The
+// close succeeds exactly when no helper entered the descriptor: no
+// helper read its fields, none can enter it any more, and the owner's
+// own lines D21/D28/D29 (or phase 2) already removed every reference it
+// installed, so the slot goes straight back on the free ring. When a
+// helper entered, helpers may still reference it through hpd slots or
+// through stray word contents, so it is first scrubbed from its target
+// words, then parked until a scan, run when the free ring is empty,
+// proves it unreachable.
 func (c *Ctx) Retire(d *Desc, ref uint64) {
 	c.obsEvent(obs.KCASRecycle, obs.EvRecycle, -1, ref)
 	c.fire(fault.KCASBeforeRecycle)
+	if d.self.CompareAndSwap(ref, 0) {
+		c.pushFree(word.DescIndex(ref))
+		return
+	}
+	c.reg.Inc(c.tid, obs.KCASHelpedRetire)
 	c.scrub(d, ref)
 	c.retired = append(c.retired, retiredDesc{d: d, ref: ref})
 }

@@ -33,8 +33,10 @@ func TestBlocksFitDescriptorIndex(t *testing.T) {
 // TestBlockBoundUnderPinsAndStrays is the reclamation bound at its
 // worst: every other thread's three descriptor hazard slots pin thread
 // 0's most recently retired descriptors in rotation, and each pinning
-// "helper" installs a stray after the retire — a late ptr2 mark on the
-// pair path, RDCSS residue on the general one — which outlives its pin.
+// "helper" enters its descriptor (so the owner's close fails and the
+// descriptor takes the scan path) and installs a stray after the retire
+// — a late ptr2 mark on the pair path, RDCSS residue on the general one
+// — which outlives its pin.
 // Every refill then finds each unpinned retired descriptor dirty, so its
 // first scan frees nothing and only the second one does. Over 100 000
 // alloc → execute → retire cycles the thread must never reach the
@@ -94,6 +96,9 @@ func TestBlockBoundUnderPinsAndStrays(t *testing.T) {
 		}
 		helper, slot := 1+n%pins/3, n%3
 		e.descDom.Protect(helper, slot, idx+1)
+		if !d.enter(ref) {
+			t.Fatalf("cycle %d: helper could not enter a live descriptor", n)
+		}
 		pinned[n%pins] = ref
 		c.Retire(d, ref)
 		if pair {
@@ -105,7 +110,7 @@ func TestBlockBoundUnderPinsAndStrays(t *testing.T) {
 			d.Entries[i].Ptr.Store(rdcssRef(ref, i))
 		}
 		for _, p := range pinned {
-			if p != 0 && e.blocks.at(word.DescIndex(p)).self.Load() != p {
+			if p != 0 && e.blocks.at(word.DescIndex(p)).self.Load() != entered(p) {
 				t.Fatalf("cycle %d: descriptor %#x freed while an hpd slot covers it", n, p)
 			}
 		}
@@ -132,7 +137,8 @@ func anyFreeable(e *testEnv, c *Ctx) bool {
 }
 
 // TestRefillPanicsPastTheBound: a block smaller than the bound, every
-// retired descriptor pinned, must fail with the invariant panic — not a
+// retired descriptor entered and pinned, must fail with the invariant
+// panic — not a
 // *fault.ResourceError, which Thread.Try would turn into a retryable
 // error.
 func TestRefillPanicsPastTheBound(t *testing.T) {
@@ -150,6 +156,7 @@ func TestRefillPanicsPastTheBound(t *testing.T) {
 			t.Fatal("setup DCAS failed")
 		}
 		e.descDom.Protect(i/3, i%3, word.DescIndex(ref)+1)
+		d.enter(ref)
 		c.Retire(d, ref)
 	}
 	defer func() {
@@ -195,8 +202,8 @@ func TestPairAndKShareFreeRing(t *testing.T) {
 	allFree(t, c)
 }
 
-// TestRetiredDescriptorsHeldWhileProtected: a descriptor referenced by
-// another thread's hpd slot must survive scans.
+// TestRetiredDescriptorsHeldWhileProtected: a descriptor a helper
+// entered and still covers with its hpd slot must survive scans.
 func TestRetiredDescriptorsHeldWhileProtected(t *testing.T) {
 	e := newEnv(2)
 	c := e.ctxs[0]
@@ -211,8 +218,10 @@ func TestRetiredDescriptorsHeldWhileProtected(t *testing.T) {
 	if c.ExecutePair(d, ref) != Success {
 		t.Fatal("setup DCAS failed")
 	}
-	// Thread 1 protects the descriptor slot (as a helper would).
+	// Thread 1 protects the descriptor slot and enters it (as a helper
+	// would).
 	e.descDom.Protect(1, 0, word.DescIndex(ref)+1)
+	d.enter(ref)
 	c.Retire(d, ref)
 	for i := 0; i < 4; i++ {
 		c.scan()
@@ -245,8 +254,10 @@ func TestRetireScrubsStrayReference(t *testing.T) {
 	if c.ExecutePair(d, ref) != Success {
 		t.Fatal("setup DCAS failed")
 	}
-	// Simulate a late helper's ABA install: ptr2 went back to old2 and a
-	// stalled helper re-installed its marked descriptor.
+	// Simulate a late helper's ABA install: the helper entered, ptr2
+	// went back to old2, and the stalled helper re-installed its marked
+	// descriptor.
+	d.enter(ref)
 	w2.Store(val(2))
 	stray := word.MarkDesc(ref, 0)
 	w2.Store(stray)
@@ -277,7 +288,9 @@ func TestRetireScrubsKResidue(t *testing.T) {
 	if ok, _ := c.Execute(d, ref); !ok {
 		t.Fatal("setup k-word CAS failed")
 	}
-	// Strand a full reference in w1 and an RDCSS sub-reference in w2.
+	// A helper entered and stranded a full reference in w1 and an RDCSS
+	// sub-reference in w2.
+	d.enter(ref)
 	w1.Store(ref)
 	w2.Store(rdcssRef(ref, 1))
 	c.Retire(d, ref)

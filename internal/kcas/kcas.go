@@ -26,7 +26,8 @@
 //     (kind = KindRDCSS, entry index in the mark field).
 //
 // Both paths share the sequence-stamped ABA-safe slot reuse, the
-// per-thread FIFO free ring and hazard-scan retirement. A helper that
+// per-thread FIFO free ring, the owner's close and the hazard-scan
+// retirement of the descriptors a helper entered. A helper that
 // encounters a reference of either operation kind — or an RDCSS
 // sub-reference — resolves it through this one package (Ctx.Read), so
 // cross-kind helping needs no foreign-function hook.
@@ -36,19 +37,50 @@
 // of the entry whose word did not match, so core can re-run exactly the
 // operations from the failed slot onward.
 //
+// # Entering and closing
+//
+// A helper enters a descriptor before it reads any of its fields: after
+// its hpd protection and the line D36 revalidation it CASes the
+// descriptor's self word from the reference it found to the same
+// reference with the entered mark, or finds the mark already set. The
+// owner's Retire starts with the close, a CAS of self from its reference
+// to 0. Both act on one word, so one of two cases holds:
+//
+//   - The close succeeds. No helper entered, so none read the
+//     descriptor or installed a reference to it, and none can enter it
+//     any more: self is 0, or a later incarnation's reference under a
+//     new sequence. Every reference in a word was the owner's own, and
+//     the owner's path removed it before Retire: lines D28/D29 on
+//     success, D21 on SecondFailed (without a helper the only failure
+//     after announcing), phase 2 on the general path, whose RDCSS
+//     installs the owner promotes itself. The slot goes straight back on
+//     the free ring: no scrub, no retired list, no scan.
+//   - The close fails because a helper entered. The descriptor is
+//     scrubbed and retired, and a scan frees it, as below.
+//
+// A helper protects one k-word descriptor at a time, because KHPD and
+// the KMirrorBase mirrors are one set. When its phase 1 meets another
+// k-word operation, it leaves the one it is helping (clearing the slot
+// and the mirrors), helps the blocker, and its caller re-reads the word.
+// A nested help would clear the outer protection on its exit, and the
+// helper would go on with a descriptor a scan may free and its owner
+// re-arm.
+//
 // # Descriptors cannot run out
 //
 // Every thread owns one block of R = 2H + 2 + 64 descriptors, where H is
 // the number of slots in the descriptor hazard domain (three per
-// thread), and recycles only its own. A retired descriptor d is freed by
-// a scan unless the scan's snapshot S shows an hpd slot covering d, or
-// one of d's target words still references d, in which case the scan
-// scrubs the word and keeps d. The bound rests on one fact:
+// thread), and recycles only its own. Only entered descriptors are
+// retired. A retired descriptor d is freed by a scan unless the scan's
+// snapshot S shows an hpd slot covering d, or one of d's target words
+// still references d, in which case the scan scrubs the word and keeps
+// d. The bound rests on one fact:
 //
 // After d's retirement, a reference to d is installed into a word only
 // by a helper whose hpd slot covers d from before the retirement until
-// after the install. Every install (line D14, an RDCSS install or
-// promotion) is made by a helper that protected d, then validated it,
+// after the install (the one-at-a-time rule above keeps the cover
+// unbroken). Every install (line D14, an RDCSS install or promotion)
+// is made by a helper that protected d, then validated it,
 // then read d's status as not final, and the owner retires d only after
 // the status is final (Success or SecondFailed on the pair path,
 // decided on the general one). So if the install follows S, S shows the
@@ -57,12 +89,13 @@
 //
 // Hence a d that S does not cover gains no new reference after S, and
 // the scrub of a scan that keeps it for residue removes the last one.
-// When the free ring is empty at most two descriptors are live (lines
-// M30–M31 take a fresh one while holding the failed one), so at least
-// R - 2 = 2H + 64 are retired. A first scan frees or keeps each of them;
-// a second scan keeps only those its snapshot covers (at most H) and
-// those the first snapshot covered that have residue again (at most H)
-// — every other kept one was clean after the first scrub. The second
+// A closed descriptor is free, not retired, so when the free ring is
+// empty at most two descriptors are live (lines M30–M31 take a fresh one
+// while holding the failed one) and at least R - 2 = 2H + 64 are
+// retired, all of them entered. A first scan frees or keeps each of
+// them; a second scan keeps only those its snapshot covers (at most H)
+// and those the first snapshot covered that have residue again (at most
+// H) — every other kept one was clean after the first scrub. The second
 // scan therefore frees at least 64 slots, and alloc panics if it does
 // not: that would be a broken invariant, not a resource running out.
 // The 20-bit slot index holds the owner's tid in its high bits and the
@@ -151,9 +184,13 @@ type Desc struct {
 	status word.Word
 
 	// self holds the descriptor's current unmarked reference while the
-	// descriptor is live and 0 while it is free. Helpers validate it
-	// after the hpd protection (line D36) so a reference to a recycled
-	// slot is never trusted.
+	// descriptor is live and 0 while it is free. A helper enters the
+	// descriptor after its hpd protection and line D36, before it reads
+	// any other field: it sets the entered mark on the reference it
+	// found (enter), which fails once the slot was closed or re-armed, so
+	// a reference to a recycled slot is never trusted. The owner's close
+	// (Retire) clears an unmarked self; a marked one routes the
+	// descriptor through the scrub and the hazard scan.
 	self atomic.Uint64
 
 	// seq is the allocation sequence for this slot. A slot belongs to
@@ -161,11 +198,21 @@ type Desc struct {
 	seq uint64
 }
 
-// Decided reports whether the descriptor's operation has completed: an
-// undecided status is exactly "never announced" on both paths (the pair
-// path returns FirstFailed without publishing; the general path cannot
-// leave Execute undecided), which is what recycle routing needs.
-func (d *Desc) Decided() bool { return decided(d.status.Load()) }
+// entered is ref with the entered mark. The mark lives in the thread-mark
+// field, which self never otherwise sets: self holds unmarked references.
+func entered(ref uint64) uint64 { return word.MarkDesc(ref, 0) }
+
+// enter admits a helper holding the unmarked reference ref to the
+// descriptor's fields: it marks self entered, or finds it already marked
+// by an earlier helper. It fails once the owner has closed the
+// descriptor or re-armed the slot. Every helper calls it after its hpd
+// protection and line D36 and reads no field before it succeeds, so an
+// owner whose close wins knows no helper read the descriptor or ever
+// will.
+func (d *Desc) enter(ref uint64) bool {
+	e := entered(ref)
+	return d.self.CompareAndSwap(ref, e) || d.self.Load() == e
+}
 
 // Status returns the raw status word (tests).
 func (d *Desc) Status() uint64 { return d.status.Load() }

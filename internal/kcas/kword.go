@@ -63,7 +63,7 @@ func (c *Ctx) Execute(d *Desc, ref uint64) (bool, int) {
 	// run()'s own fault hook fires for helpers as well, so the counters
 	// live here, on the initiator-only path.
 	c.obsEvent(obs.KCASPublish, obs.EvPublish, -1, ref)
-	st := c.run(d, ref)
+	st, _, _ := c.run(d, ref, false)
 	if st == statusSuccess {
 		c.obsEvent(obs.KCASCommit, obs.EvCommit, -1, ref)
 		return true, -1
@@ -74,8 +74,11 @@ func (c *Ctx) Execute(d *Desc, ref uint64) (bool, int) {
 
 // run drives the operation to a decision and releases its words; both
 // initiators and helpers execute it. ref is the unmarked KindMCAS
-// reference.
-func (c *Ctx) run(d *Desc, ref uint64) uint64 {
+// reference. A helper helps one k-word operation at a time, because it
+// has one KHPD slot and one set of KMirrorBase mirrors: when its phase 1
+// meets another k-word operation's reference, run returns that word and
+// reference undecided, and helpK drops d's protection before helping it.
+func (c *Ctx) run(d *Desc, ref uint64, helping bool) (st uint64, bw *word.Word, bv uint64) {
 	if d.status.Load() == statusUndecided {
 		desired := statusSuccess
 	phase1:
@@ -90,6 +93,9 @@ func (c *Ctx) run(d *Desc, ref uint64) uint64 {
 				if word.IsDesc(v) {
 					switch word.DescKind(v) {
 					case word.KindMCAS:
+						if helping {
+							return statusUndecided, e.Ptr, v
+						}
 						c.HelpRef(e.Ptr, v) // help the other operation, retry
 					case word.KindDCAS:
 						// A pair operation owns the word: help it through
@@ -125,7 +131,7 @@ func (c *Ctx) run(d *Desc, ref uint64) uint64 {
 	// the releases leaves full references behind; any reader helps them
 	// out via HelpRef (this same function, phase 2 only).
 	c.fire(fault.KCASBeforeCommit)
-	st := d.status.Load()
+	st = d.status.Load()
 	success := st == statusSuccess
 	for i := 0; i < d.N; i++ {
 		e := &d.Entries[i]
@@ -135,7 +141,7 @@ func (c *Ctx) run(d *Desc, ref uint64) uint64 {
 			e.Ptr.CAS(ref, e.Old)
 		}
 	}
-	return st
+	return st, nil, 0
 }
 
 // rdcssTry attempts to acquire entry i for the operation: it installs
@@ -196,34 +202,45 @@ func (c *Ctx) promote(d *Desc, mref uint64, i int) {
 }
 
 // HelpRef helps the k-word operation whose (possibly foreign) reference
-// v was found in word w: protect, revalidate the word, validate
-// descriptor identity, mirror the initiator's hazard pointers, then run.
+// v was found in word w, and then every k-word operation that blocks it,
+// one at a time; the caller re-reads w.
 func (c *Ctx) HelpRef(w *word.Word, v uint64) {
+	for w != nil {
+		w, v = c.helpK(w, v)
+	}
+}
+
+// helpK makes one protected helping attempt: protect, revalidate the
+// word, enter the descriptor, mirror the initiator's hazard pointers,
+// then run. When run meets another k-word operation, helpK clears its
+// protections before it returns that operation's word and reference, so
+// the helper never goes on with a descriptor it no longer protects.
+func (c *Ctx) helpK(w *word.Word, v uint64) (*word.Word, uint64) {
 	idx := word.DescIndex(v)
 	c.blocks.dom.Protect(c.tid, c.slots.KHPD, idx+1)
 	defer c.blocks.dom.Clear(c.tid, c.slots.KHPD)
 	if w.Load() != v {
-		return
+		return nil, 0
 	}
 	d := c.blocks.at(idx)
 	mref := word.UnmarkDesc(v)
-	if d.self.Load() != mref {
-		return
+	if !d.enter(mref) {
+		return nil, 0
 	}
 	for i := 0; i < d.N && i < MaxEntries; i++ {
 		c.nodeDom.Protect(c.tid, c.slots.KMirrorBase+i, d.Entries[i].HP)
 	}
 	// Help-enter attribution: helper = this thread, victim = initiator.
 	c.obsEvent(obs.KCASHelp, obs.EvHelp, c.blocks.owner(idx), mref)
-	c.run(d, mref)
+	_, bw, bv := c.run(d, mref, true)
 	for i := 0; i < MaxEntries; i++ {
 		c.nodeDom.Clear(c.tid, c.slots.KMirrorBase+i)
 	}
+	return bw, bv
 }
 
 // CompleteRDCSS resolves an RDCSS reference found in a word: recover the
-// owning operation, validate it, and promote or revert the
-// sub-descriptor.
+// owning operation, enter it, and promote or revert the sub-descriptor.
 func (c *Ctx) CompleteRDCSS(w *word.Word, rref uint64) {
 	idx := word.DescIndex(rref)
 	c.blocks.dom.Protect(c.tid, c.slots.RDCSSHPD, idx+1)
@@ -233,7 +250,7 @@ func (c *Ctx) CompleteRDCSS(w *word.Word, rref uint64) {
 	}
 	d := c.blocks.at(idx)
 	mref := kRefOf(rref)
-	if d.self.Load() != mref {
+	if !d.enter(mref) {
 		return
 	}
 	i := entryOf(rref)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/word"
 )
@@ -275,4 +276,88 @@ func TestCrossKindHelping(t *testing.T) {
 	c0.Retire(d, ref)
 	c0.Flush()
 	c1.Flush()
+}
+
+// khpdProbe records what thread tid's KHPD slot covers each time that
+// thread fires fault.KCASAfterPublish, which a helper does between its
+// phase 1 and its decision CAS.
+type khpdProbe struct {
+	e    *testEnv
+	tid  int
+	seen []uint64
+}
+
+func (p *khpdProbe) Fire(pt fault.Point, tid int) {
+	if pt == fault.KCASAfterPublish && tid == p.tid {
+		p.seen = append(p.seen, p.e.descDom.Get(tid, testSlots.KHPD))
+	}
+}
+
+// plantK leaves a k-word descriptor of c over ws as its phase 1 leaves
+// it after acquiring every word: each holds the full reference, the
+// status is undecided.
+func plantK(t *testing.T, c *Ctx, ws []*word.Word, news []uint64) (*Desc, uint64) {
+	t.Helper()
+	d, ref := c.AllocK()
+	d.N = len(ws)
+	for i, w := range ws {
+		d.Entries[i] = Entry{Ptr: w, Old: w.Load(), New: news[i]}
+		d.order[i] = uint8(i) // ws is in ascending address order
+		if !w.CAS(d.Entries[i].Old, ref) {
+			t.Fatal("plant failed")
+		}
+	}
+	return d, ref
+}
+
+// TestNestedKHelpKeepsOneDescriptorProtected: thread 1 Reads word A,
+// which holds k-word descriptor d2, while d2's next word B holds d3 (d3
+// acquired B and C; d2 acquired A and then met d3). Thread 1 must help
+// one k-word descriptor at a time: leave d2, help d3, then come back to
+// d2 through a fresh protection. So every phase 1 it finishes must end
+// with KHPD covering the descriptor it is running — d3's index + 1, then
+// d2's. A helper that helps d3 from inside d2's phase 1 instead clears
+// KHPD on the inner exit and finishes d2 unprotected (KHPD reads 0),
+// while d2 may already be freed and re-armed.
+func TestNestedKHelpKeepsOneDescriptorProtected(t *testing.T) {
+	e := newEnv(3)
+	var w [3]word.Word // A, B, C in ascending address order
+	for i := range w {
+		w[i].Store(val(uint64(i + 1)))
+	}
+	a, b, c := &w[0], &w[1], &w[2]
+	// d3 first: it takes B's current value as its old one.
+	d3, ref3 := plantK(t, e.ctxs[2], []*word.Word{b, c}, []uint64{val(22), val(33)})
+	d2, ref2 := e.ctxs[0].AllocK()
+	d2.N = 2
+	d2.Entries[0] = Entry{Ptr: a, Old: val(1), New: val(11)}
+	d2.Entries[1] = Entry{Ptr: b, Old: val(2), New: val(12)}
+	d2.order[0], d2.order[1] = 0, 1
+	if !a.CAS(val(1), ref2) {
+		t.Fatal("plant failed")
+	}
+
+	probe := &khpdProbe{e: e, tid: 1}
+	h := e.ctxs[1]
+	h.SetFault(probe)
+	got := h.Read(a)
+	h.SetFault(nil)
+
+	want := []uint64{word.DescIndex(ref3) + 1, word.DescIndex(ref2) + 1}
+	if len(probe.seen) != len(want) || probe.seen[0] != want[0] || probe.seen[1] != want[1] {
+		t.Fatalf("KHPD at each phase-1 end = %v, want %v (d3's index + 1, then d2's)", probe.seen, want)
+	}
+	// d3 committed; d2 then found B changed and failed at entry 1.
+	if d3.status.Load() != statusSuccess || d2.status.Load() != statusFailed(1) {
+		t.Fatalf("statuses d3=%#x d2=%#x", d3.status.Load(), d2.status.Load())
+	}
+	if got != val(1) || b.Load() != val(22) || c.Load() != val(33) {
+		t.Fatalf("words A=%#x B=%#x C=%#x, want d2 failed and d3 committed", got, b.Load(), c.Load())
+	}
+	e.ctxs[0].Retire(d2, ref2)
+	e.ctxs[2].Retire(d3, ref3)
+	for _, c := range []*Ctx{e.ctxs[0], e.ctxs[2]} {
+		c.Flush()
+		allFree(t, c)
+	}
 }

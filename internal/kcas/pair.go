@@ -13,9 +13,8 @@ import (
 // AllocPair on this context and fully populated (Entries[0] = ptr1 side,
 // Entries[1] = ptr2 side, optionally their HPs).
 //
-// The caller remains responsible for recycling d afterwards: FreeDirect
-// when the result is FirstFailed (the descriptor was never announced),
-// Retire otherwise.
+// The caller remains responsible for recycling d afterwards with Retire,
+// whatever the result.
 func (c *Ctx) ExecutePair(d *Desc, ref uint64) Result {
 	r := c.dcas(d, ref, true)
 	// Telemetry: the initiator records the announced operation's
@@ -141,9 +140,9 @@ func resultOf(res uint64) Result {
 
 // HelpPairRef performs one protected helping attempt for the pair
 // descriptor reference v found in word w: protect with hpd (D35),
-// revalidate that w still holds v (D36), validate the descriptor's
-// identity, then help (D37). It returns without action when validation
-// fails; the caller re-reads w.
+// revalidate that w still holds v (D36), enter the descriptor, then help
+// (D37). It returns without action when validation or entry fails; the
+// caller re-reads w.
 func (c *Ctx) HelpPairRef(w *word.Word, v uint64) {
 	idx := word.DescIndex(v)
 	c.blocks.dom.Protect(c.tid, c.slots.PairHPD, idx+1) // D35: hpd ← result
@@ -152,10 +151,10 @@ func (c *Ctx) HelpPairRef(w *word.Word, v uint64) {
 		return
 	}
 	d := c.blocks.at(idx)
-	if d.self.Load() != word.UnmarkDesc(v) {
-		// The slot was recycled between our load and the hpd store; the
-		// reference is stale. The word no longer being protected by the
-		// retire check means this read raced a cleanup — re-read.
+	if !d.enter(word.UnmarkDesc(v)) {
+		// The owner closed or re-armed the slot between our load and
+		// the hpd store; the reference is stale and this read raced a
+		// cleanup — re-read.
 		c.checkStuck(w, v)
 		return
 	}

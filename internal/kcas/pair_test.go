@@ -58,11 +58,7 @@ func runPair(c *Ctx, w1, w2 *word.Word, o1, n1, o2, n2 uint64) Result {
 	e1.Ptr, e1.Old, e1.New = w1, o1, n1
 	e2.Ptr, e2.Old, e2.New = w2, o2, n2
 	res := c.ExecutePair(d, ref)
-	if res == FirstFailed {
-		c.FreeDirect(d, ref)
-	} else {
-		c.Retire(d, ref)
-	}
+	c.Retire(d, ref)
 	return res
 }
 
@@ -154,7 +150,7 @@ func TestResultAgreementDecided(t *testing.T) {
 	if res := c.ExecutePair(d, ref); res != Success {
 		t.Fatalf("%v", res)
 	}
-	if !d.Decided() {
+	if !decided(d.Status()) {
 		t.Fatal("status must be decided after ExecutePair returns")
 	}
 	c.Retire(d, ref)

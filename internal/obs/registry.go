@@ -24,7 +24,9 @@ type Counter uint8
 // reference reverted) and late ptr2 installs (a pair helper's marked
 // install undone after losing the status race) are the §7 false-helping
 // costs, counted by the thread whose CAS did the work; they have no
-// trace event.
+// trace event. Helped retires count the descriptors whose owner's close
+// failed because a helper had entered them: only these are scrubbed and
+// wait for a hazard scan, so the series reads ≈ 0 on unhelped traffic.
 const (
 	KCASPublish Counter = iota
 	KCASHelp
@@ -33,6 +35,7 @@ const (
 	KCASRecycle
 	KCASStrayCleanup
 	KCASLateP2
+	KCASHelpedRetire
 	// NumCounters bounds the fixed counter set.
 	NumCounters
 )
@@ -49,6 +52,7 @@ var counterNames = [NumCounters]string{
 	KCASRecycle:      "kcas_recycles_total",
 	KCASStrayCleanup: "kcas_stray_cleanups_total",
 	KCASLateP2:       "kcas_late_p2_total",
+	KCASHelpedRetire: "kcas_helped_retires_total",
 }
 
 // Name returns the counter's exported series name.
