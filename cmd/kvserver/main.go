@@ -21,8 +21,9 @@
 // (p50/p99/p999/max per tenant and op) and AUDIT returns conservation
 // totals for the load generator's end-of-run check.
 //
-// Robustness (see docs/robustness.md): resource exhaustion answers
-// BUSY (or TIMEOUT once -deadline is set) instead of crashing, -wtimeout
+// Robustness (see docs/robustness.md): a request that fails for want of
+// arena nodes answers BUSY (or TIMEOUT once -deadline is set; a DRAIN
+// that moved elements first answers OK with them), -wtimeout
 // sheds clients that stop draining responses, -slo enables per-tenant
 // overload shedding against a p99 service-time objective, and SIGTERM
 // drains gracefully — stop accepting, finish in-flight requests, print
@@ -96,7 +97,7 @@ func main() {
 		shards   = flag.Int("shards", 8, "shards per tenant map")
 		buckets  = flag.Int("buckets", 8, "initial buckets per shard")
 		arena    = flag.Int("arena", 1<<20, "container-node capacity across all tenants")
-		deadline = flag.Duration("deadline", 0, "per-request service deadline; exhaustion retries until it, then TIMEOUT (0 = immediate BUSY)")
+		deadline = flag.Duration("deadline", 0, "per-request service deadline; a request failing for want of arena nodes retries until it, then TIMEOUT (0 = immediate BUSY)")
 		wtimeout = flag.Duration("wtimeout", 0, "per-response write timeout; slow clients are disconnected (0 = none)")
 		slo      = flag.Duration("slo", 0, "p99 service-time SLO; overload sheds lowest-priority tenants (0 = no shedding)")
 

@@ -38,10 +38,10 @@ type Config struct {
 	// Arena caps container nodes across all tenants (default 1<<20).
 	// Driving the server past it yields BUSY responses, not a crash.
 	Arena int
-	// Deadline bounds one request's service time: resource-exhaustion
-	// retries stop and the request answers TIMEOUT once it has been in
-	// service this long. Zero disables the retry loop — exhaustion
-	// answers BUSY immediately.
+	// Deadline bounds one request's service time: a request that failed
+	// for want of arena nodes (which executed nothing) is retried with
+	// backoff, and answers TIMEOUT once it has been in service this long.
+	// Zero disables the retry loop — such a request answers BUSY at once.
 	Deadline time.Duration
 	// WriteTimeout bounds one socket write (a flushed batch of
 	// responses); a client that cannot drain its responses within it is
@@ -592,10 +592,9 @@ func (s *Server) finishSpan(w *worker, sp obs.Span) {
 }
 
 // exec parses and applies one request line, recording the data-path
-// service time against the request's (source) tenant. Degradation
-// checks run before execution: a shed verdict or a resource-exhaustion
-// failure answers BUSY/TIMEOUT with the operation guaranteed
-// unexecuted.
+// service time against the request's (source) tenant. A shed verdict
+// (checked before execution) or a failure for want of arena nodes
+// answers BUSY/TIMEOUT with the operation guaranteed unexecuted.
 //
 // When spans are enabled, exec opens a span for every cleanly-parsed
 // data-path request (sp.Op set marks it open; control verbs and parse
@@ -683,83 +682,83 @@ func statusToken(resp []byte) string {
 	return string(tok)
 }
 
-// applyWithRetry runs the request under Thread.Try, absorbing resource
-// exhaustion: without a deadline the first exhaustion answers BUSY;
-// with one, retries with jittered backoff continue until the deadline,
-// then answer TIMEOUT. Both statuses guarantee non-execution — Try
-// unwinds from init-phase code, before the operation publishes
-// anything. Every attempt appends its response to the same empty dst.
+// applyWithRetry runs the request and reads the thread's Exhausted
+// record after every attempt. A request that failed while the record
+// was set failed for want of arena nodes and did not execute (nodes are
+// only allocated in init phases, before anything is published): without
+// a deadline it answers BUSY at once; with one, attempts repeat with
+// jittered backoff until the deadline, then answer TIMEOUT. A DRAIN that
+// moved elements before the arena ran dry executed those moves and
+// answers them OK. Every attempt appends its response to the same empty
+// dst.
 func (s *Server) applyWithRetry(w *worker, req *kvwire.Request, dst []byte, t0 time.Time, sp *obs.Span) []byte {
-	var resp []byte
-	err := w.th.Try(func() { resp = s.apply(w, req, dst) })
-	if err == nil {
-		return resp
-	}
-	if s.cfg.Deadline <= 0 {
-		s.busy.Add(1)
-		return append(dst, "BUSY"...)
-	}
-	spanning := s.spans != nil
-	jit := backoff.NewJitter(time.Millisecond, 50*time.Millisecond, uint64(t0.UnixNano()))
+	var jit *backoff.Jitter
 	for {
+		resp, ok := s.apply(w, req, dst)
+		if exhausted := w.th.Exhausted(); ok || !exhausted {
+			return resp
+		}
+		if s.cfg.Deadline <= 0 {
+			s.busy.Add(1)
+			return append(dst, "BUSY"...)
+		}
 		if time.Since(t0) >= s.cfg.Deadline {
 			s.timeouts.Add(1)
 			return append(dst, "TIMEOUT"...)
 		}
-		if spanning {
+		if jit == nil {
+			jit = backoff.NewJitter(time.Millisecond, 50*time.Millisecond, uint64(t0.UnixNano()))
+		}
+		ts := time.Now()
+		jit.Sleep()
+		if s.spans != nil {
 			// The backoff sleep is degradation overhead, not execution:
 			// attribute it to the degrade stage so a deadline-bound
 			// retry storm doesn't masquerade as slow container code.
-			ts := time.Now()
-			jit.Sleep()
 			sp.Stage[obs.StageDegrade] += time.Since(ts).Nanoseconds()
-		} else {
-			jit.Sleep()
-		}
-		if err = w.th.Try(func() { resp = s.apply(w, req, dst) }); err == nil {
-			return resp
 		}
 	}
 }
 
-// apply executes one data-path request on w's thread and appends its
-// response to dst.
-func (s *Server) apply(w *worker, req *kvwire.Request, dst []byte) []byte {
+// apply executes one data-path request on w's thread, appends its
+// response to dst, and reports whether the operation succeeded; only a
+// failed one can have failed for want of nodes.
+func (s *Server) apply(w *worker, req *kvwire.Request, dst []byte) ([]byte, bool) {
 	th := w.th
 	switch req.Op {
 	case kvwire.OpGet:
 		if v, ok := s.maps[req.Tenant].Contains(th, req.Keys[0]); ok {
-			return kvwire.AppendOK(dst, v)
+			return kvwire.AppendOK(dst, v), true
 		}
-		return append(dst, "NF"...)
+		return append(dst, "NF"...), false
 	case kvwire.OpPut:
 		if s.maps[req.Tenant].Insert(th, req.Keys[0], req.Val) {
-			return kvwire.AppendOK(dst)
+			return kvwire.AppendOK(dst), true
 		}
-		return append(dst, "EXISTS"...)
+		return append(dst, "EXISTS"...), false
 	case kvwire.OpDel:
 		if v, ok := s.maps[req.Tenant].Remove(th, req.Keys[0]); ok {
-			return kvwire.AppendOK(dst, v)
+			return kvwire.AppendOK(dst, v), true
 		}
-		return append(dst, "NF"...)
+		return append(dst, "NF"...), false
 	case kvwire.OpPush:
 		if s.queues[req.Tenant].Enqueue(th, req.Val) {
-			return kvwire.AppendOK(dst)
+			return kvwire.AppendOK(dst), true
 		}
-		return append(dst, "ERR queue full"...)
+		return append(dst, "ERR queue full"...), false
 	case kvwire.OpPop:
 		if v, ok := s.queues[req.Tenant].Dequeue(th); ok {
-			return kvwire.AppendOK(dst, v)
+			return kvwire.AppendOK(dst, v), true
 		}
-		return append(dst, "NF"...)
+		return append(dst, "NF"...), false
 	case kvwire.OpMove:
 		// The product composition: the entry leaves req.Tenant's map and
 		// appears in req.DTenant's in one linearization — never in both,
 		// never in neither.
 		if v, ok := repro.Move(th, s.maps[req.Tenant], s.maps[req.DTenant], req.Keys[0], req.TKeys[0]); ok {
-			return kvwire.AppendOK(dst, v)
+			return kvwire.AppendOK(dst, v), true
 		}
-		return append(dst, "FAIL"...)
+		return append(dst, "FAIL"...), false
 	case kvwire.OpXfer:
 		// repro.TransferKeys, into the worker's buffer: keys sharing a
 		// bucket chain on either side cannot be composed and answer FAIL.
@@ -767,14 +766,15 @@ func (s *Server) apply(w *worker, req *kvwire.Request, dst []byte) []byte {
 		vs := w.vals[:len(req.Keys)]
 		if !from.ChainIndependent(req.Keys) || !to.ChainIndependent(req.TKeys) ||
 			!th.TransferN(from, to, req.Keys, req.TKeys, vs) {
-			return append(dst, "FAIL"...)
+			return append(dst, "FAIL"...), false
 		}
-		return kvwire.AppendOK(dst, vs...)
+		return kvwire.AppendOK(dst, vs...), true
 	case kvwire.OpDrain:
+		// A drain is a run of moves: any prefix that moved executed.
 		n := th.DrainN(s.queues[req.Tenant], s.queues[req.DTenant], 0, 0, req.N, w.vals[:])
-		return kvwire.AppendOK(dst, w.vals[:n]...)
+		return kvwire.AppendOK(dst, w.vals[:n]...), n > 0
 	}
-	return append(dst, "ERR unreachable"...)
+	return append(dst, "ERR unreachable"...), true
 }
 
 // execControl serves a control verb, appending its response to dst.

@@ -412,6 +412,73 @@ func TestServerTimeoutAfterDeadline(t *testing.T) {
 	}
 }
 
+// TestServerDrainAnswersMovedPrefixOnExhaustion: a DRAIN is a run of
+// moves, so one that runs the arena dry part-way has executed the moves
+// before it and answers them OK — BUSY would promise that nothing
+// executed. The moved elements are in the target queue, and the audit
+// still counts every element once.
+func TestServerDrainAnswersMovedPrefixOnExhaustion(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Arena: exhaustArena})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer s.Close()
+
+	c := dial(t, ln.Addr().String())
+	defer c.conn.Close()
+	const n = 150 // leaves the worker's batch 50 nodes for the drain's inserts
+	for v := 1; v <= n; v++ {
+		if r := c.roundTrip(t, fmt.Sprintf("PUSH 0 %d", v), false); !r.OK() {
+			t.Fatalf("PUSH %d: %+v", v, r)
+		}
+	}
+	r := c.roundTrip(t, fmt.Sprintf("DRAIN 0 1 %d", n), true)
+	if !r.OK() || len(r.Vals) == 0 || len(r.Vals) >= n {
+		t.Fatalf("DRAIN that ran the arena dry: %s %v, want OK with the moved prefix", r.Status, r.Vals)
+	}
+	for i, v := range r.Vals {
+		if v != uint64(i+1) {
+			t.Fatalf("DRAIN value %d is %d, want %d", i, v, i+1)
+		}
+	}
+	if p := c.roundTrip(t, "POP 1", true); !p.OK() || p.Vals[0] != 1 {
+		t.Fatalf("POP 1 after the drain: %+v, want the first moved value", p)
+	}
+	if a := c.roundTrip(t, "AUDIT", true); !a.OK() || a.Vals[2] != n-1 {
+		t.Fatalf("AUDIT after the drain and one POP: %+v, want %d queued", a, n-1)
+	}
+}
+
+// TestServerExhaustionRecordNeverStale: the worker reads its thread's
+// Exhausted record after every data request, so a BUSY does not leak
+// into the next request — a PUT of an existing key answers EXISTS.
+func TestServerExhaustionRecordNeverStale(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Arena: exhaustArena})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer s.Close()
+	addr := ln.Addr().String()
+
+	c1 := dial(t, addr)
+	defer c1.conn.Close()
+	if r := c1.roundTrip(t, "PUT 0 1 10", false); !r.OK() {
+		t.Fatalf("carving PUT: %+v", r)
+	}
+	c2 := dial(t, addr)
+	defer c2.conn.Close()
+	if r := c2.roundTrip(t, "PUSH 0 5", false); r.Status != "BUSY" {
+		t.Fatalf("starved PUSH: got %q, want BUSY", r.Status)
+	}
+	if r := c2.roundTrip(t, "PUT 0 1 11", false); r.Status != "EXISTS" {
+		t.Fatalf("starved PUT of an existing key after a BUSY: got %q, want EXISTS", r.Status)
+	}
+}
+
 // TestServerSlowExemplarsAttributeStall is the tail-forensics
 // acceptance check: under a kcas-publish stall rule, the SLOW verb's
 // exemplars must attribute the slowest requests' latency to the

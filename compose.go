@@ -66,15 +66,15 @@
 //
 // # Robustness: graceful degradation and fault injection
 //
-// The substrate's one fixed-capacity resource, the node arena
-// (Config.ArenaCapacity), panics when exhausted, which is the right
-// default for an embedded library but crashes a served system. The Try
-// variants (TryMove, TryMoveN, TryTransferKeys, TryDrainN, and
-// Thread.Try for arbitrary operations) convert that panic into an error
-// matching ErrResourceExhausted and reset the thread so it stays
-// usable; the failed operation did not execute (exhaustion unwinds from
-// init-phase code, before anything is published), so callers may retry
-// after backoff or shed the request. The panicking APIs are unchanged.
+// The substrate's one fixed-capacity resource is the node arena
+// (Config.ArenaCapacity). A full arena is a result, not a panic: a node
+// is only ever allocated in an operation's init phase, before anything
+// is published, so an insert that gets no node returns false, and a
+// composition around it aborts by the paper's own path (lines M15–M18)
+// with every object unchanged. Thread.Exhausted then reports true once,
+// telling a failure for want of nodes from one caused by the data, so a
+// caller can back off and retry, shed the request, or configure a larger
+// ArenaCapacity.
 //
 // Config.Fault accepts a FaultInjector — build a FaultPlan with
 // NewFaultPlan or ParseFaultPlan — that stalls, parks, or hard-kills
@@ -178,7 +178,8 @@ func NewShardedHashMap(t *Thread, shards, bucketsPerShard, growLoad int) *HashMa
 // element in keyed sources; tkey is its key in keyed targets; both are
 // ignored by queues and stacks. It returns the moved value and whether
 // the move happened (false: source empty / no such key / target
-// rejected; both objects unchanged).
+// rejected / no node for the insert, which Thread.Exhausted reports;
+// both objects unchanged).
 func Move(t *Thread, src Remover, dst Inserter, skey, tkey uint64) (uint64, bool) {
 	return t.Move(src, dst, skey, tkey)
 }
@@ -193,7 +194,8 @@ func MoveN(t *Thread, src Remover, dsts []Inserter, skey uint64, tkeys []uint64)
 // SwapHeads atomically rotates the head values of k stacks (2 ≤ k ≤ 8):
 // stack i's head value becomes stack i-1's, with all k top CASes
 // decided by one k-word CAS — no observer sees a partial rotation. It
-// returns false (changing nothing) when any stack is observed empty.
+// returns false (changing nothing) when any stack is observed empty, or
+// when the arena has no nodes for the new heads (Thread.Exhausted).
 // The stacks must be pairwise distinct.
 func SwapHeads(t *Thread, stacks ...*Stack) bool {
 	return tstack.SwapHeads(t, stacks...)
@@ -205,7 +207,8 @@ func SwapHeads(t *Thread, stacks ...*Stack) bool {
 // pairs). On success it returns the moved values, in key order.
 //
 // It returns ok=false, changing nothing, when any source key is absent,
-// any target key is occupied, or the keys are not chain-independent —
+// any target key is occupied, the arena has no node for an insert
+// (Thread.Exhausted), or the keys are not chain-independent —
 // two source keys (or two target keys) currently hashing into the same
 // bucket chain cannot be composed, a data-dependent condition callers
 // handle by falling back to per-key Moves. Keys within each slice must
@@ -224,26 +227,19 @@ func TransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) ([]uint64
 // DrainN moves up to n elements from src to dst, one Move at a time.
 // Each move is its own individually-linearizable operation — DrainN is
 // a pipeline, not a transaction — and the drain stops at the first
-// failed move (source empty or target refusing). It returns the moved
-// values; n <= 0 moves nothing. skey/tkey are passed to every move, as
-// in Move.
+// failed move (source empty, target refusing, or no node for the
+// insert). It returns the moved values; n <= 0 moves nothing. skey/tkey
+// are passed to every move, as in Move.
 func DrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) []uint64 {
 	var out []uint64
-	drainInto(t, src, dst, skey, tkey, n, &out)
-	return out
-}
-
-// drainInto appends each value DrainN moves to *out as it moves, so the
-// result grows with what moved rather than with n (which may be
-// math.MaxInt).
-func drainInto(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int, out *[]uint64) {
-	for len(*out) < n {
+	for len(out) < n {
 		v, ok := t.Move(src, dst, skey, tkey)
 		if !ok {
-			return
+			break
 		}
-		*out = append(*out, v)
+		out = append(out, v)
 	}
+	return out
 }
 
 // MoveBatch is a per-thread buffer of moves: Add buffers up to its
@@ -263,44 +259,6 @@ func NewMoveBatch(t *Thread) *MoveBatch { return batch.New(t, 0) }
 // NewMoveBatchSize creates a move buffer holding up to capacity moves
 // per flush (<= 0 selects the default).
 func NewMoveBatchSize(t *Thread, capacity int) *MoveBatch { return batch.New(t, capacity) }
-
-// ErrResourceExhausted is the sentinel matched (via errors.Is) by the
-// errors the Try variants return when the node arena is at capacity.
-// The failed operation did not execute; retry after backoff, shed the
-// request, or configure a larger ArenaCapacity.
-var ErrResourceExhausted = fault.ErrResourceExhausted
-
-// TryMove is Move with resource exhaustion reported as an error
-// (matching ErrResourceExhausted) instead of a panic. On error neither
-// object changed and the thread remains usable.
-func TryMove(t *Thread, src Remover, dst Inserter, skey, tkey uint64) (uint64, bool, error) {
-	return t.TryMove(src, dst, skey, tkey)
-}
-
-// TryMoveN is MoveN with resource exhaustion reported as an error.
-func TryMoveN(t *Thread, src Remover, dsts []Inserter, skey uint64, tkeys []uint64) (uint64, bool, error) {
-	return t.TryMoveN(src, dsts, skey, tkeys)
-}
-
-// TryTransferKeys is TransferKeys with resource exhaustion reported as
-// an error: ok=false with a nil error keeps TransferKeys' data-
-// dependent refusals (absent key, occupied target, chain-dependent
-// keys), while an error matching ErrResourceExhausted means the arena
-// was out of nodes and nothing changed.
-func TryTransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) (out []uint64, ok bool, err error) {
-	err = t.Try(func() { out, ok = TransferKeys(t, src, dst, skeys, tkeys) })
-	return out, ok, err
-}
-
-// TryDrainN is DrainN with resource exhaustion reported as an error.
-// The returned slice holds the elements moved before the exhaustion
-// hit — each was its own completed, linearizable move (DrainN is a
-// pipeline, not a transaction), so partial progress is real progress,
-// not a torn operation.
-func TryDrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) (out []uint64, err error) {
-	err = t.Try(func() { drainInto(t, src, dst, skey, tkey, n, &out) })
-	return out, err
-}
 
 // FaultPoint names one of the substrate's fault-injection sites; see
 // the fault package constants (kcas-publish, kcas-commit, kcas-recycle,

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/fault"
 	"repro/internal/word"
 )
 
@@ -90,16 +89,21 @@ func (a *Arena) Allocated() uint64 { return a.next.Load() }
 func (a *Arena) Limit() uint64 { return a.limit }
 
 // Carve bump-allocates n fresh node indexes and appends them to dst,
-// growing slabs as needed. It panics with *fault.ResourceError when the
-// arena is exhausted — an undersized configuration or a leak. Carve runs
-// strictly before any node is published, so core.Thread.Try can recover
-// the panic into ErrResourceExhausted with shared state intact; callers
-// outside Try keep the historical crash behavior.
+// growing slabs as needed. When fewer than n indexes are left it
+// appends nothing and leaves the arena unchanged: the caller's
+// allocation fails (mm.Cache.Alloc returns word.Nil), so Allocated
+// never passes Limit.
 func (a *Arena) Carve(dst []uint64, n int) []uint64 {
-	start := a.next.Add(uint64(n)) - uint64(n)
-	end := start + uint64(n)
-	if end > a.limit {
-		panic(&fault.ResourceError{Resource: "arena: node store", Capacity: a.limit, Hint: "ArenaCapacity"})
+	var start, end uint64
+	for {
+		start = a.next.Load()
+		end = start + uint64(n)
+		if end > a.limit {
+			return dst
+		}
+		if a.next.CompareAndSwap(start, end) {
+			break
+		}
 	}
 	a.ensure(end)
 	for idx := start; idx < end; idx++ {

@@ -68,15 +68,24 @@ func TestNodeDerefByRefWithTag(t *testing.T) {
 	}
 }
 
-func TestExhaustionPanics(t *testing.T) {
+// TestExhaustionCarvesNothing: a carve past the limit appends nothing
+// and leaves the arena as it was, so a smaller carve that still fits
+// succeeds and Allocated never passes Limit.
+func TestExhaustionCarvesNothing(t *testing.T) {
 	a := New(64) // the limit is exact: 64 indexes, the reserved prefix included
-	a.Carve(nil, 64-ReservedIndexes)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on exhaustion")
-		}
-	}()
-	a.Carve(nil, 1)
+	a.Carve(nil, 64-ReservedIndexes-1)
+	if got := a.Carve([]uint64{7}, 2); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("carve past the limit returned %v", got)
+	}
+	if a.Allocated() != 63 {
+		t.Fatalf("failed carve moved Allocated to %d", a.Allocated())
+	}
+	if got := a.Carve(nil, 1); len(got) != 1 || got[0] != 63 {
+		t.Fatalf("last index: %v", got)
+	}
+	if got := a.Carve(nil, 1); len(got) != 0 || a.Allocated() != a.Limit() {
+		t.Fatalf("full arena carved %v, Allocated %d", got, a.Allocated())
+	}
 }
 
 func TestConcurrentCarveYieldsDisjointRanges(t *testing.T) {

@@ -67,13 +67,13 @@ func (b *MoveBuffer) Add(src core.Remover, dst core.Inserter, skey, tkey uint64)
 }
 
 // Flush runs the buffered moves in Add order and returns one result per
-// Add. The returned slice (and the buffer capacity it occupies) is
-// reused by the next Add/Flush cycle; callers that keep results across
-// flushes must copy.
+// Add; a move that finds the arena full fails like any other (OK false,
+// with the thread's Exhausted reporting true) and the flush goes on.
+// The returned slice (and the buffer capacity it occupies) is reused by
+// the next Add/Flush cycle; callers that keep results across flushes
+// must copy.
 func (b *MoveBuffer) Flush() []MoveResult {
 	out := b.results
-	// Empty the buffer first: after a panic out of a move (exhaustion,
-	// recovered by Thread.Try) the next Flush does not re-run the batch.
 	b.results = b.results[:0]
 	for i := range out {
 		r := &out[i]

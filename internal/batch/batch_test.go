@@ -1,12 +1,12 @@
 package batch
 
 import (
-	"errors"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/hashmap"
+	"repro/internal/mm"
 	"repro/internal/msqueue"
 	"repro/internal/obs"
 	"repro/internal/tstack"
@@ -234,34 +234,31 @@ func TestFlushDescriptorsRecycleEagerly(t *testing.T) {
 	}
 }
 
-// exhaustedSource models a source whose remove runs out of arena nodes
-// in its init phase, the one panic Thread.Try recovers.
-type exhaustedSource struct{}
-
-func (exhaustedSource) Remove(*core.Thread, uint64) (uint64, bool) {
-	panic(&fault.ResourceError{Resource: "test arena", Capacity: 1, Hint: "ArenaCapacity"})
-}
-
-// TestFlushAfterExhaustionStartsEmpty: a flush that an exhaustion panic
-// cut short, recovered by Thread.Try, leaves the thread and the buffer
-// usable, and the next flush runs only what was added after it.
+// TestFlushAfterExhaustionStartsEmpty: a flush whose move finds the
+// arena empty reports that move failed, with the thread's Exhausted set
+// and nothing moved; once a peer frees nodes, the next flush runs only
+// what was added after it.
 func TestFlushAfterExhaustionStartsEmpty(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	q := msqueue.New(th)
-	s := tstack.New(th)
-	q.Enqueue(th, 1)
+	// The peer's first allocation carves the whole arena.
+	rt := core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: arena.ReservedIndexes + mm.LocalListCap})
+	peer := rt.RegisterThread()
+	q := msqueue.New(peer)
+	s := tstack.New(peer)
+	q.Enqueue(peer, 1)
 
+	th := rt.RegisterThread()
 	b := New(th, 4)
-	b.Add(exhaustedSource{}, s, 0, 0)
-	if err := th.Try(func() { b.Flush() }); !errors.Is(err, fault.ErrResourceExhausted) {
-		t.Fatalf("Try(Flush) = %v, want exhaustion", err)
-	}
-	if th.MoveInFlight() || b.Len() != 0 {
-		t.Fatalf("after exhaustion: move in flight %v, %d moves buffered", th.MoveInFlight(), b.Len())
-	}
 	b.Add(q, s, 0, 0)
-	if res := b.Flush(); len(res) != 1 || !res[0].OK || res[0].Val != 1 {
+	if res := b.Flush(); len(res) != 1 || res[0].OK {
+		t.Fatalf("starved flush: %+v", res)
+	}
+	if !th.Exhausted() || th.MoveInFlight() || b.Len() != 0 || q.Len(peer) != 1 || s.Len(peer) != 0 {
+		t.Fatalf("after exhaustion: exhausted record lost, move in flight %v, %d moves buffered, queue %d, stack %d",
+			th.MoveInFlight(), b.Len(), q.Len(peer), s.Len(peer))
+	}
+	peer.FlushMemory() // the peer's unused nodes go to the global stack
+	b.Add(q, s, 0, 0)
+	if res := b.Flush(); len(res) != 1 || !res[0].OK || res[0].Val != 1 || th.Exhausted() {
 		t.Fatalf("post-exhaustion flush: %+v", res)
 	}
 }

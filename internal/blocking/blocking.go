@@ -96,14 +96,14 @@ type Queue struct {
 func NewQueue(t *core.Thread) *Queue {
 	q := &Queue{}
 	q.id = t.Runtime().NextObjectID()
-	s := t.AllocNode()
+	s := allocNode(t)
 	q.head, q.tail = s, s
 	return q
 }
 
 // Enqueue appends val.
 func (q *Queue) Enqueue(t *core.Thread, val uint64) bool {
-	ref := t.AllocNode()
+	ref := allocNode(t)
 	n := t.Node(ref)
 	n.Val = val
 	q.acquire(t)
@@ -132,7 +132,7 @@ func (q *Queue) Dequeue(t *core.Thread) (uint64, bool) {
 }
 
 func (q *Queue) insertLocked(t *core.Thread, _ uint64, val uint64) bool {
-	ref := t.AllocNode()
+	ref := allocNode(t)
 	n := t.Node(ref)
 	n.Val = val
 	t.Node(q.tail).Next.Store(ref)
@@ -180,7 +180,7 @@ func NewStack(t *core.Thread) *Stack {
 
 // Push adds val on top.
 func (s *Stack) Push(t *core.Thread, val uint64) bool {
-	ref := t.AllocNode()
+	ref := allocNode(t)
 	n := t.Node(ref)
 	n.Val = val
 	s.acquire(t)
@@ -208,7 +208,7 @@ func (s *Stack) Pop(t *core.Thread) (uint64, bool) {
 }
 
 func (s *Stack) insertLocked(t *core.Thread, _ uint64, val uint64) bool {
-	ref := t.AllocNode()
+	ref := allocNode(t)
 	n := t.Node(ref)
 	n.Val = val
 	n.Next.Store(s.top)
@@ -244,3 +244,13 @@ var (
 	_ Source = (*Stack)(nil)
 	_ Target = (*Stack)(nil)
 )
+
+// allocNode takes a fresh node. The baseline has no failure result to
+// report a full arena with, so it panics.
+func allocNode(t *core.Thread) uint64 {
+	ref := t.AllocNode()
+	if ref == word.Nil {
+		panic("blocking: node arena exhausted")
+	}
+	return ref
+}

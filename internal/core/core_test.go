@@ -114,11 +114,12 @@ func TestHazardSlotHelpers(t *testing.T) {
 		t.Fatal("slot not cleared")
 	}
 	th.ProtectNode(SlotRem0, ref)
-	th.ProtectNode(SlotRem1, ref)
-	th.ClearHazards()
+	th.HoldNode(3, ref)
+	th.ClearNode(SlotRem0)
+	th.ReleaseHolds()
 	for s := 0; s < nodeSlotsPerThread; s++ {
 		if rt.nodeDom.Get(th.ID(), s) != 0 {
-			t.Fatalf("slot %d survived ClearHazards", s)
+			t.Fatalf("slot %d survived ClearNode and ReleaseHolds", s)
 		}
 	}
 }

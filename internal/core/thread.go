@@ -28,6 +28,7 @@ type Thread struct {
 	ltarget   Inserter
 	ltkey     uint64
 	insfailed bool
+	exhausted bool // a node allocation failed since the last Exhausted
 
 	// Chain state for the §8 k-word compositions (MoveN, TransferN): a
 	// step program of removes and inserts whose linearization CASes are
@@ -83,8 +84,29 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 
 // --- memory management ---------------------------------------------------
 
-// AllocNode returns a fresh node reference with zeroed fields.
-func (t *Thread) AllocNode() uint64 { return t.cache.Alloc() }
+// AllocNode returns a fresh node reference with zeroed fields, or
+// word.Nil when the node arena is exhausted; the thread then records the
+// failure for Exhausted. Every caller allocates in an operation's init
+// phase and fails the operation on word.Nil before publishing anything,
+// so a surrounding move aborts by lines M15–M18 and changes nothing.
+func (t *Thread) AllocNode() uint64 {
+	ref := t.cache.Alloc()
+	if ref == word.Nil {
+		t.exhausted = true
+	}
+	return ref
+}
+
+// Exhausted reports whether a node allocation of this thread failed
+// since the previous call, and clears the record. An operation that
+// returned false while Exhausted reports true did not execute: it failed
+// because the arena had no node for it, not because of its data, and
+// may succeed once other threads free nodes.
+func (t *Thread) Exhausted() bool {
+	e := t.exhausted
+	t.exhausted = false
+	return e
+}
 
 // Node dereferences a node reference.
 func (t *Thread) Node(ref uint64) *arena.Node { return t.rt.arena.Node(ref) }
@@ -131,19 +153,6 @@ func (t *Thread) ProtectNode(slot int, ref uint64) {
 
 // ClearNode clears a hazard slot.
 func (t *Thread) ClearNode(slot int) { t.setSlot(slot, 0) }
-
-// ClearHazards clears every node hazard slot this thread owns; the
-// exhaustion-recovery path calls it so stale protections don't delay
-// reuse.
-func (t *Thread) ClearHazards() {
-	for s := 0; s < nodeSlotsPerThread; s++ {
-		if s >= slotMirror1 && s < slotChainHoldBase {
-			t.rt.nodeDom.Clear(t.id, s) // helping mirror: kcas.Ctx's slot, no shadow
-			continue
-		}
-		t.setSlot(s, 0)
-	}
-}
 
 // HoldNode publishes the node referenced by ref in the i-th chain hold
 // slot (0 <= i < kcas.MaxEntries). The hold slots carry initiator-side

@@ -1,7 +1,6 @@
-// Package fault is the robustness substrate of the repository: a
-// fault-injection hook registry for the descriptor protocol's critical
-// windows, and the typed resource-exhaustion error the graceful-
-// degradation paths unwind with.
+// Package fault is the fault-injection hook registry for the
+// descriptor protocol's critical windows. (A full node arena is not a
+// fault: it is an ordinary failed result; see core.Thread.Exhausted.)
 //
 // # Why inject faults here
 //

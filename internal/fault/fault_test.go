@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -265,27 +264,5 @@ func TestPointString(t *testing.T) {
 	}
 	if !strings.HasPrefix(Point(200).String(), "Point(") {
 		t.Error("out-of-range Point should stringify defensively")
-	}
-}
-
-func TestResourceError(t *testing.T) {
-	e := &ResourceError{Resource: "arena: node store", Capacity: 64, Hint: "ArenaCapacity"}
-	if !errors.Is(e, ErrResourceExhausted) {
-		t.Fatal("ResourceError does not match ErrResourceExhausted")
-	}
-	msg := e.Error()
-	for _, frag := range []string{"node store", "capacity 64", "ArenaCapacity"} {
-		if !strings.Contains(msg, frag) {
-			t.Errorf("message %q missing %q", msg, frag)
-		}
-	}
-	if AsResourceError(e) != e {
-		t.Fatal("AsResourceError failed on a ResourceError")
-	}
-	if AsResourceError("some other panic") != nil {
-		t.Fatal("AsResourceError matched a non-ResourceError")
-	}
-	if AsResourceError(nil) != nil {
-		t.Fatal("AsResourceError matched nil")
 	}
 }

@@ -137,15 +137,25 @@ retry:
 }
 
 // Insert adds (key, val); it returns false when the key already exists
-// (an init-phase failure: during a move this aborts the composition) or
+// (an init-phase failure: during a move this aborts the composition),
+// when the arena has no node for it (t.Exhausted then reports true), or
 // when a surrounding move aborts.
 func (l *List) Insert(t *core.Thread, key, val uint64) bool {
+	ok, _ := InsertAt(t, &l.head, key, 0, val, &l.retries)
+	return ok
+}
+
+// InsertNew is Insert that also reports whether a refused key was
+// already present, as opposed to refused for want of a node or by an
+// aborted move.
+func (l *List) InsertNew(t *core.Thread, key, val uint64) (ok, exists bool) {
 	return InsertAt(t, &l.head, key, 0, val, &l.retries)
 }
 
 // InsertAt is Insert on the list reachable from anchor, for the node
-// (key, aux); retries counts the linearization CASes it loses.
-func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *atomic.Uint64) bool {
+// (key, aux); retries counts the linearization CASes it loses. exists
+// reports a refusal because the node is already there.
+func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *atomic.Uint64) (ok, exists bool) {
 	ref := word.Nil
 	for {
 		r := search(t, anchor, key, aux, core.SlotInsAux, core.SlotIns0)
@@ -153,10 +163,12 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *
 			if ref != word.Nil {
 				t.FreeNodeDirect(ref)
 			}
-			return false
+			return false, true
 		}
 		if ref == word.Nil {
-			ref = t.AllocNode()
+			if ref = t.AllocNode(); ref == word.Nil {
+				return false, false
+			}
 			n := t.Node(ref)
 			n.Key, n.Aux, n.Val = key, aux, val
 		}
@@ -164,11 +176,11 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *
 		res := t.SCASInsert(r.prevW, r.cur, ref, r.prevRef)
 		if res == core.FAbort {
 			t.FreeNodeDirect(ref)
-			return false
+			return false, false
 		}
 		if res == core.FTrue {
 			t.BackoffReset()
-			return true
+			return true, false
 		}
 		retries.Add(1)
 		t.BackoffWait()
@@ -177,7 +189,8 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *
 
 // LinkAt returns the node (key, aux) of the list reachable from anchor,
 // linking a fresh one (value 0) when there is none, and whether this
-// call linked it. The link is structural, like Harris' physical unlink:
+// call linked it; it returns word.Nil when it must link and the arena
+// has no node. The link is structural, like Harris' physical unlink:
 // a plain CAS, never scas, so a surrounding move does not capture it as
 // one of its entries. It is meant for nodes that are never removed (the
 // hash map's sentinels), on which racing callers agree: whoever loses
@@ -192,7 +205,9 @@ func LinkAt(t *core.Thread, anchor *word.Word, key, aux uint64, slotPrev, slotCu
 			return r.cur, false
 		}
 		if ref == word.Nil {
-			ref = t.AllocNode()
+			if ref = t.AllocNode(); ref == word.Nil {
+				return word.Nil, false
+			}
 			n := t.Node(ref)
 			n.Key, n.Aux = key, aux
 		}

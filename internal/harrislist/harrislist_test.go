@@ -255,7 +255,8 @@ func TestListSlotsPinAtMostTwoPerSide(t *testing.T) {
 				for k := uint64(0); k < 64; k += 2 {
 					l.Insert(th, k, k)
 				}
-				th.ClearHazards() // the prefill's insert-side slots
+				th.ClearNode(core.SlotInsAux) // the prefill's insert-side slots
+				th.ClearNode(core.SlotIns0)
 				rng := rand.New(rand.NewSource(seed))
 				for i := 0; i < steps; i++ {
 					tc.ops[rng.Intn(len(tc.ops))](th, l, uint64(rng.Intn(64)))
@@ -284,7 +285,8 @@ func TestStaleSlotPinsUntilNextOperation(t *testing.T) {
 		}
 		// The inserts' searches left nodes in the insert-side slots, which
 		// only the thread's next insert would overwrite.
-		th.ClearHazards()
+		th.ClearNode(core.SlotInsAux)
+		th.ClearNode(core.SlotIns0)
 		x := th.Read(l.HeadWord())
 		for th.Node(x).Key != key {
 			x = word.ListUnmarked(th.Read(&th.Node(x).Next))

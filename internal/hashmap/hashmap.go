@@ -41,7 +41,9 @@
 // Sentinels are never removed or retired (they live as long as the
 // runtime's arena), so a traversal started at one needs no hazard. The
 // thread that wins a doubling links the new sentinels right away, but
-// nobody depends on it: a thread that needs one first links it itself.
+// nobody depends on it: a thread that needs one first links it itself,
+// and a thread the arena has no node for starts from the nearest linked
+// ancestor's anchor instead.
 //
 // Why no entry has to move: at directory size S an entry with hash h
 // lives in bucket h mod S, after that bucket's sentinel. At size 2S its
@@ -225,35 +227,44 @@ func unhash(h uint64) uint64 {
 func (m *Map) shard(h uint64) *shard { return &m.shards[h&m.shardMask] }
 
 // anchor returns the word a traversal for hash h starts at under
-// directory d: an initial bucket's head word, or the Next word of the
-// bucket's sentinel — linked first when nobody has yet. The hazard slots
-// are the caller's side's (insert or remove).
+// directory d. The hazard slots are the caller's side's (insert or
+// remove).
 func (m *Map) anchor(t *core.Thread, d *directory, h uint64, slotPrev, slotCur int) *word.Word {
 	b := (h >> m.shardBits) & d.mask
 	if b < uint64(len(d.heads)) {
 		return &d.heads[b]
 	}
-	return &t.Node(m.sentinel(t, d, h&m.shardMask, b, slotPrev, slotCur)).Next
+	return m.bucketAnchor(t, d, h&m.shardMask, b, slotPrev, slotCur)
 }
 
-// sentinel returns bucket b's sentinel in shard si, linking it into its
-// parent bucket's list when the slot is still empty. Idempotent and
-// lock-free: racing callers agree on one node (harrislist.LinkAt), and a
-// slot a directory copy missed is found again by the search.
-func (m *Map) sentinel(t *core.Thread, d *directory, si, b uint64, slotPrev, slotCur int) uint64 {
+// bucketAnchor returns bucket b's anchor in shard si: an initial
+// bucket's head word, or the Next word of the bucket's sentinel, linked
+// into its parent bucket's list (b with its top bit cleared) when the
+// slot is still empty. Linking is idempotent and lock-free: racing
+// callers agree on one node (harrislist.LinkAt), and a slot a directory
+// copy missed is found again by the search. When the arena has no node
+// for the sentinel, the parent's anchor serves instead — the bucket's
+// entries are a suffix of its parent's list, so the traversal is only
+// longer — and the failed allocation is not the caller's to report, so
+// t.Exhausted is cleared; b's slot then stays empty.
+func (m *Map) bucketAnchor(t *core.Thread, d *directory, si, b uint64, slotPrev, slotCur int) *word.Word {
+	if b < uint64(len(d.heads)) {
+		return &d.heads[b]
+	}
 	if ref := d.slots[b].Load(); ref != 0 {
-		return ref
+		return &t.Node(ref).Next
 	}
-	from := &d.heads[b&uint64(len(d.heads)-1)]
-	if parent := b &^ (1 << (bits.Len64(b) - 1)); parent >= uint64(len(d.heads)) {
-		from = &t.Node(m.sentinel(t, d, si, parent, slotPrev, slotCur)).Next
-	}
+	from := m.bucketAnchor(t, d, si, b&^(1<<(bits.Len64(b)-1)), slotPrev, slotCur)
 	ref, linked := harrislist.LinkAt(t, from, bits.Reverse64(b<<m.shardBits|si), auxSentinel, slotPrev, slotCur)
+	if ref == word.Nil {
+		t.Exhausted() // the ancestor serves: no failure to report
+		return from
+	}
 	if linked {
 		m.sentinels.Add(1)
 	}
 	d.slots[b].Store(ref)
-	return ref
+	return &t.Node(ref).Next
 }
 
 // double publishes a directory with twice d's buckets in place of d and
@@ -307,8 +318,9 @@ func (m *Map) ChainIndependent(keys []uint64) bool {
 	return true
 }
 
-// Insert adds (key, val); false when the key exists, or when a
-// surrounding move aborts. The insert that takes its shard over the load
+// Insert adds (key, val); false when the key exists, when the arena has
+// no node for it (t.Exhausted then reports true), or when a surrounding
+// move aborts. The insert that takes its shard over the load
 // threshold doubles the shard's directory — also inside a move: the
 // doubling is a CAS, nothing is helped — and links the new sentinels.
 func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
@@ -316,7 +328,7 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 	s := m.shard(h)
 	d := s.dir.Load()
 	from := m.anchor(t, d, h, core.SlotInsAux, core.SlotIns0)
-	if !harrislist.InsertAt(t, from, bits.Reverse64(h), auxEntry, val, &s.retries) {
+	if ok, _ := harrislist.InsertAt(t, from, bits.Reverse64(h), auxEntry, val, &s.retries); !ok {
 		return false
 	}
 	if s.count.Add(1) > int64(d.mask+1)*m.growLoad {
@@ -332,10 +344,11 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 
 // linkAll links every missing sentinel of d, a directory of shard si,
 // under the insert-side hazard slots: its callers are an insert that has
-// finished with them, or no operation at all.
+// finished with them, or no operation at all. A sentinel the arena has
+// no node for stays missing.
 func (m *Map) linkAll(t *core.Thread, d *directory, si uint64) {
 	for b := uint64(len(d.heads)); b < uint64(len(d.slots)); b++ {
-		m.sentinel(t, d, si, b, core.SlotInsAux, core.SlotIns0)
+		m.bucketAnchor(t, d, si, b, core.SlotInsAux, core.SlotIns0)
 	}
 }
 
@@ -429,7 +442,8 @@ func (m *Map) Grow(t *core.Thread) {
 // RebalanceStep performs one bounded unit of rebalancing: it doubles one
 // shard that exceeds the load threshold, or links one missing sentinel.
 // It reports whether it did any work, so callers can drive the linking
-// incrementally (a rebalancer thread loops until false).
+// incrementally (a rebalancer thread loops until false); a sentinel the
+// arena has no node for ends the step with false.
 func (m *Map) RebalanceStep(t *core.Thread) bool {
 	for i := range m.shards {
 		s := &m.shards[i]
@@ -448,7 +462,9 @@ func (m *Map) RebalanceStep(t *core.Thread) bool {
 		}
 		missing := b < uint64(len(d.slots))
 		if missing {
-			m.sentinel(t, d, uint64(i), b, core.SlotInsAux, core.SlotIns0)
+			if m.bucketAnchor(t, d, uint64(i), b, core.SlotInsAux, core.SlotIns0); d.slots[b].Load() == 0 {
+				return false
+			}
 			b++
 		}
 		if b != from {

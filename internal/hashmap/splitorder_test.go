@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/mm"
 	"repro/internal/msqueue"
 	"repro/internal/obs"
 	"repro/internal/verify"
@@ -264,6 +266,72 @@ func TestComposedOpsLinkSentinelsInMove(t *testing.T) {
 	for _, m := range []*Map{src, dst} {
 		checkSplitOrder(t, rt, th, m)
 	}
+}
+
+// TestStarvedThreadAnswersFromLinkedAncestor: after two doublings of a
+// 1×2 map no bucket 2..7 has a sentinel. A thread the arena has no node
+// for cannot link one, so it starts from the nearest linked ancestor —
+// an initial head — and its Contains, Remove and Insert answer exactly
+// as a fed thread's would: only an Insert of an absent key fails, and
+// only that one leaves Exhausted set. It links nothing until nodes are
+// freed.
+func TestStarvedThreadAnswersFromLinkedAncestor(t *testing.T) {
+	// The peer's first allocation carves the whole arena.
+	rt := core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: arena.ReservedIndexes + mm.LocalListCap})
+	peer := rt.RegisterThread()
+	m := NewSharded(peer, 1, 2, 1<<30)
+	for k := uint64(1); k <= 40; k++ {
+		m.Insert(peer, k, 100+k)
+	}
+	m.Grow(peer)
+	m.Grow(peer)
+	if _, s, _ := m.Stats(); m.Buckets() != 8 || s != 0 {
+		t.Fatalf("buckets=%d sentinels=%d after two doublings of a 1×2 map", m.Buckets(), s)
+	}
+	th := rt.RegisterThread()
+	inNew := func(h uint64) bool { return h&7 >= 2 }
+	check := func(what string, gotOK, wantOK bool) {
+		t.Helper()
+		if gotOK != wantOK {
+			t.Fatalf("starved %s: ok=%v, a fed thread answers %v", what, gotOK, wantOK)
+		}
+		if th.Exhausted() {
+			t.Fatalf("starved %s left Exhausted set", what)
+		}
+	}
+	for k := uint64(1); k <= 40; k++ {
+		v, ok := m.Contains(th, k)
+		check("Contains of a present key", ok && v == 100+k, true)
+	}
+	absent := keyWhere(1000, func(h uint64) bool { return h&7 == 6 })
+	_, ok := m.Contains(th, absent)
+	check("Contains of an absent key", ok, false)
+	_, ok = m.Remove(th, absent)
+	check("Remove of an absent key", ok, false)
+	gone := keyWhere(1, inNew)
+	v, ok := m.Remove(th, gone)
+	check("Remove of a present key", ok && v == 100+gone, true)
+	present := keyWhere(gone+1, inNew)
+	if present > 40 {
+		t.Fatal("no second key of 1..40 in a new bucket")
+	}
+	check("Insert of a present key", m.Insert(th, present, 1), false)
+	if m.Insert(th, absent, 7) || !th.Exhausted() {
+		t.Fatal("starved Insert of an absent key must fail with Exhausted set")
+	}
+	if _, s, _ := m.Stats(); s != 0 || m.Len(th) != 39 {
+		t.Fatalf("sentinels=%d len=%d: the starved thread linked or lost something", s, m.Len(th))
+	}
+	checkSplitOrder(t, rt, peer, m)
+
+	peer.FlushMemory() // the peer's unused nodes go to the global stack
+	if !m.Insert(th, absent, 7) || th.Exhausted() {
+		t.Fatal("Insert failed once nodes were freed")
+	}
+	if _, s, _ := m.Stats(); s != 2 {
+		t.Fatalf("sentinels=%d, want bucket 6 and its parent 2 linked", s)
+	}
+	checkSplitOrder(t, rt, peer, m)
 }
 
 // TestStalledGrowerWedgesNobody parks, then kills, a thread between

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/hazard"
 	"repro/internal/obs"
 	"repro/internal/word"
@@ -138,9 +137,7 @@ func anyFreeable(e *testEnv, c *Ctx) bool {
 
 // TestRefillPanicsPastTheBound: a block smaller than the bound, every
 // retired descriptor entered and pinned, must fail with the invariant
-// panic — not a
-// *fault.ResourceError, which Thread.Try would turn into a retryable
-// error.
+// panic naming the bound.
 func TestRefillPanicsPastTheBound(t *testing.T) {
 	e := newEnv(2)
 	e.blocks.size = 4
@@ -163,9 +160,6 @@ func TestRefillPanicsPastTheBound(t *testing.T) {
 		r := recover()
 		if r == nil {
 			t.Fatal("alloc past the bound returned a descriptor")
-		}
-		if fault.AsResourceError(r) != nil {
-			t.Fatalf("invariant violation surfaced as a resource error: %v", r)
 		}
 		if msg := fmt.Sprint(r); !strings.Contains(msg, "reclamation bound") {
 			t.Fatalf("panic %q does not name the broken bound", msg)

@@ -182,10 +182,22 @@ func (m *Manager) NewCache(tid int) *Cache {
 	return c
 }
 
-// Alloc returns a fresh node reference with the node's words reset. The
-// reference has tag 0 and no marks.
+// Alloc returns a fresh node reference with the node's words reset, or
+// word.Nil when the free lists, the global stack and the arena are all
+// empty. The reference has tag 0 and no marks.
 func (c *Cache) Alloc() uint64 {
-	idx := c.allocIndex()
+	if len(c.free) == 0 {
+		if len(c.spare) > 0 { // full
+			c.free, c.spare = c.spare, c.free
+		} else if seg := c.m.popGlobal(); seg != nil {
+			c.free = append(c.free, seg.refs...)
+		} else if c.free = c.m.arena.Carve(c.free, LocalListCap); len(c.free) == 0 {
+			return word.Nil
+		}
+	}
+	last := len(c.free) - 1
+	idx := c.free[last]
+	c.free = c.free[:last]
 	n := c.m.arena.NodeAt(idx)
 	n.Next.Store(word.Nil)
 	n.Aux = 0
@@ -193,22 +205,6 @@ func (c *Cache) Alloc() uint64 {
 	n.Key = 0
 	c.allocs++
 	return word.MakeNode(idx, 0)
-}
-
-func (c *Cache) allocIndex() uint64 {
-	if len(c.free) == 0 {
-		if len(c.spare) > 0 { // full
-			c.free, c.spare = c.spare, c.free
-		} else if seg := c.m.popGlobal(); seg != nil {
-			c.free = append(c.free, seg.refs...)
-		} else {
-			c.free = c.m.arena.Carve(c.free, LocalListCap)
-		}
-	}
-	n := len(c.free) - 1
-	idx := c.free[n]
-	c.free = c.free[:n]
-	return idx
 }
 
 // Retire hands a node back once it has been unlinked from every shared

@@ -6,6 +6,7 @@
 //   - every read of a word that can take part in a DCAS (lines Q6, Q7,
 //     Q8, Q10, Q23, Q24, Q25, Q26, Q28) goes through the read operation,
 //   - enqueue handles the ABORT result by freeing its node (Q15–Q17),
+//     and fails before its loop when the arena has no node for it,
 //   - dequeue also handles ABORT, per the bracketed lines of Algorithm 2,
 //     because generic move targets (unlike the queue itself) can fail.
 //
@@ -36,10 +37,13 @@ type Queue struct {
 var _ core.MoveReady = (*Queue)(nil)
 
 // New creates an empty queue with its sentinel node. The creating thread
-// pays for one node allocation.
+// pays for one node allocation; New panics when the arena has none.
 func New(t *core.Thread) *Queue {
 	q := &Queue{id: t.Runtime().NextObjectID()}
 	sentinel := t.AllocNode()
+	if sentinel == word.Nil {
+		panic("msqueue: node arena exhausted")
+	}
 	q.head.Store(sentinel)
 	q.tail.Store(sentinel)
 	return q
@@ -48,11 +52,15 @@ func New(t *core.Thread) *Queue {
 // ObjectID implements core.MoveReady.
 func (q *Queue) ObjectID() uint64 { return q.id }
 
-// Enqueue appends val and reports success. It fails only when used as a
-// move target and the move aborts; a plain enqueue always succeeds
-// (line Q17 is reachable only through scas returning ABORT).
+// Enqueue appends val and reports success. It fails when the arena has
+// no node for it (t.Exhausted then reports true) or when used as a move
+// target and the move aborts (line Q17, reached through scas returning
+// ABORT).
 func (q *Queue) Enqueue(t *core.Thread, val uint64) bool {
 	ref := t.AllocNode() // Q2
+	if ref == word.Nil {
+		return false
+	}
 	n := t.Node(ref)
 	// Q3–Q4: next is already nil from the allocator; publish val before
 	// the node becomes reachable via the scas below.
@@ -126,9 +134,9 @@ func (q *Queue) Dequeue(t *core.Thread) (val uint64, ok bool) {
 			return val, true // Q36
 		}
 		if res == core.FAbort {
-			// Not needed for queue-to-queue moves (enqueue cannot fail)
-			// but required when the move's target can reject the
-			// element; nothing was changed, so just report failure.
+			// The move's target rejected the element (a full or
+			// duplicate-key target, or an insert that got no node);
+			// nothing was changed, so just report failure.
 			t.ClearNode(core.SlotRem0)
 			t.ClearNode(core.SlotRem1)
 			return 0, false

@@ -26,6 +26,9 @@ type Queue struct {
 func New(t *core.Thread) *Queue {
 	q := &Queue{}
 	s := t.AllocNode()
+	if s == word.Nil {
+		panic("plainqueue: node arena exhausted")
+	}
 	q.head.Store(s)
 	q.tail.Store(s)
 	return q
@@ -34,6 +37,9 @@ func New(t *core.Thread) *Queue {
 // Enqueue appends val.
 func (q *Queue) Enqueue(t *core.Thread, val uint64) {
 	ref := t.AllocNode()
+	if ref == word.Nil { // a baseline has no failure result to report it with
+		panic("plainqueue: node arena exhausted")
+	}
 	n := t.Node(ref)
 	n.Val = val
 	for {

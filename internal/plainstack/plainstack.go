@@ -21,6 +21,9 @@ func New(t *core.Thread) *Stack { return &Stack{} }
 // Push adds val on top.
 func (s *Stack) Push(t *core.Thread, val uint64) {
 	ref := t.AllocNode()
+	if ref == word.Nil { // a baseline has no failure result to report it with
+		panic("plainstack: node arena exhausted")
+	}
 	n := t.Node(ref)
 	n.Val = val
 	for {

@@ -43,9 +43,10 @@ func New(t *core.Thread) *PQueue {
 // ObjectID implements core.MoveReady.
 func (p *PQueue) ObjectID() uint64 { return p.id }
 
-// Insert adds val with the given priority. It returns false only when
-// used as a move target and the move aborts, or when priority exceeds
-// MaxPriority.
+// Insert adds val with the given priority. It returns false when
+// priority exceeds MaxPriority, when the arena has no node for it
+// (t.Exhausted then reports true), or when used as a move target and the
+// move aborts.
 func (p *PQueue) Insert(t *core.Thread, priority, val uint64) bool {
 	if priority > MaxPriority {
 		return false
@@ -54,13 +55,14 @@ func (p *PQueue) Insert(t *core.Thread, priority, val uint64) bool {
 	// a rare collision just retries with the next value. During a move,
 	// each list insert that fails on a duplicate key returns without
 	// reaching scas, so retrying with a fresh key keeps the move's
-	// abort/retry protocol intact.
+	// abort/retry protocol intact. Any other refusal ends the insert.
 	base := priority << uniqBits
 	h := uint64(t.ID())<<7 ^ t.Seq()
 	for probe := uint64(0); probe < 1<<uniqBits; probe++ {
 		key := base | ((h + probe) & ((1 << uniqBits) - 1))
-		if p.l.Insert(t, key, val) {
-			return true
+		ok, exists := p.l.InsertNew(t, key, val)
+		if ok || !exists {
+			return ok
 		}
 		if t.MoveInFlight() && probe > 8 {
 			// Inside a move, give up quickly after a few probes: the

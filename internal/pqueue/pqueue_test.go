@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/mm"
 	"repro/internal/msqueue"
 )
 
@@ -90,6 +92,28 @@ func TestPriorityBounds(t *testing.T) {
 	pr, _, _ := pq.RemoveMin(th)
 	if pr != MaxPriority {
 		t.Fatalf("roundtrip priority %d", pr)
+	}
+}
+
+// TestStarvedInsertFails: an insert the arena has no node for is
+// refused with Exhausted set, changes nothing, and succeeds once a peer
+// frees nodes.
+func TestStarvedInsertFails(t *testing.T) {
+	// The peer's first allocation carves the whole arena.
+	rt := core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: arena.ReservedIndexes + mm.LocalListCap})
+	peer := rt.RegisterThread()
+	pq := New(peer)
+	pq.Insert(peer, 7, 70)
+	th := rt.RegisterThread()
+	if pq.Insert(th, 5, 50) || !th.Exhausted() {
+		t.Fatal("starved Insert must fail with Exhausted set")
+	}
+	if pr, v, ok := pq.Min(th); !ok || pr != 7 || v != 70 || pq.Len(th) != 1 {
+		t.Fatalf("starved Insert changed the queue: min %d,%d,%v", pr, v, ok)
+	}
+	peer.FlushMemory() // the peer's unused nodes go to the global stack
+	if !pq.Insert(th, 5, 50) || th.Exhausted() {
+		t.Fatal("Insert failed once nodes were freed")
 	}
 }
 

@@ -92,10 +92,14 @@ func (s *Stack) newTop(ltop, ref uint64) uint64 {
 	return word.MakeNode(word.NodeIndex(ref), word.NodeTag(ltop)+1)
 }
 
-// Push adds val on top and reports success. A plain push always
-// succeeds; as a move target it fails when the move aborts.
+// Push adds val on top and reports success. It fails when the arena
+// has no node for it (t.Exhausted then reports true) or, as a move
+// target, when the move aborts.
 func (s *Stack) Push(t *core.Thread, val uint64) bool {
 	ref := t.AllocNode() // S2
+	if ref == word.Nil {
+		return false
+	}
 	n := t.Node(ref)
 	n.Val = val // S3
 	for {       // S4
@@ -194,7 +198,9 @@ func (s *Stack) TopWord() *word.Word { return &s.top }
 // It returns false (changing nothing) when any stack is observed empty;
 // that read is the failed operation's linearization point. Each head
 // node is replaced by a fresh node carrying the rotated value, so the
-// versioned variant's ABA counters bump exactly as a pop+push would.
+// versioned variant's ABA counters bump exactly as a pop+push would;
+// when the arena cannot supply the k nodes it also returns false, with
+// t.Exhausted reporting true.
 func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 	k := len(stacks)
 	if k < 2 {
@@ -212,7 +218,12 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 	}
 	refs := make([]uint64, k) // replacement head nodes, reused across retries
 	for i := range refs {
-		refs[i] = t.AllocNode()
+		if refs[i] = t.AllocNode(); refs[i] == word.Nil {
+			for _, r := range refs[:i] {
+				t.FreeNodeDirect(r)
+			}
+			return false
+		}
 	}
 	ltops := make([]uint64, k)
 	entries := make([]core.KCASEntry, k)

@@ -1,12 +1,10 @@
 package repro_test
 
-// Exhaustion-path coverage for the graceful-degradation facade: the
-// Try* variants convert arena exhaustion — which the panic-compatible
-// APIs surface as a typed panic — into ErrResourceExhausted, with the
-// thread reset and reusable afterwards.
+// Exhaustion-path coverage for the facade: a full node arena is an
+// ordinary failed result — ok false, with Thread.Exhausted reporting
+// true once — and the thread stays usable afterwards.
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -18,7 +16,7 @@ import (
 // any node-allocating op on a second thread finds it empty.
 const starvedArena = 208
 
-func TestTryMoveResourceExhausted(t *testing.T) {
+func TestMoveExhaustionIsAResult(t *testing.T) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 3, ArenaCapacity: starvedArena})
 	setup := rt.RegisterThread()
 	a := repro.NewHashMap(setup, 8)
@@ -28,27 +26,24 @@ func TestTryMoveResourceExhausted(t *testing.T) {
 	}
 
 	starved := rt.RegisterThread()
-	_, _, err := repro.TryMove(starved, a, b, 2, 2)
-	if err == nil {
-		t.Fatal("TryMove on a starved thread must fail")
-	}
-	if !errors.Is(err, repro.ErrResourceExhausted) {
-		t.Fatalf("error %v does not unwrap to ErrResourceExhausted", err)
+	if _, ok := repro.Move(starved, a, b, 2, 2); ok || !starved.Exhausted() {
+		t.Fatal("Move on a starved thread must fail for want of nodes")
 	}
 	// The failure is stable (no partial state wedging the thread) …
-	if _, _, err2 := repro.TryMove(starved, a, b, 2, 2); !errors.Is(err2, repro.ErrResourceExhausted) {
-		t.Fatalf("second TryMove: %v", err2)
+	if _, ok := repro.Move(starved, a, b, 2, 2); ok || !starved.Exhausted() {
+		t.Fatal("second Move on the starved thread")
 	}
 	// … the op never executed …
 	if _, in := b.Contains(setup, 2); in {
-		t.Fatal("failed TryMove leaked the entry into the destination")
+		t.Fatal("failed Move leaked the entry into the destination")
 	}
 	if v, in := a.Contains(setup, 2); !in || v != 20 {
-		t.Fatal("failed TryMove damaged the source entry")
+		t.Fatal("failed Move damaged the source entry")
 	}
-	// … the starved thread's own descriptor-only work still runs …
-	if _, ok, err := repro.TryMove(starved, a, b, 99, 99); ok || err != nil {
-		t.Fatalf("absent-key TryMove: ok=%v err=%v", ok, err)
+	// … the starved thread's node-free work still runs, and its failure
+	// is the data's …
+	if _, ok := repro.Move(starved, a, b, 99, 99); ok || starved.Exhausted() {
+		t.Fatal("absent-key Move must fail without Exhausted")
 	}
 	// … and the thread with nodes keeps working.
 	if _, ok := repro.Move(setup, a, b, 2, 2); !ok {
@@ -56,7 +51,7 @@ func TestTryMoveResourceExhausted(t *testing.T) {
 	}
 }
 
-func TestTryTransferKeysAndDrainResourceExhausted(t *testing.T) {
+func TestTransferKeysAndDrainExhaustionIsAResult(t *testing.T) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 3, ArenaCapacity: starvedArena})
 	setup := rt.RegisterThread()
 	a := repro.NewHashMap(setup, 8)
@@ -69,15 +64,16 @@ func TestTryTransferKeysAndDrainResourceExhausted(t *testing.T) {
 	}
 
 	starved := rt.RegisterThread()
-	if _, _, err := repro.TryTransferKeys(starved, a, b, []uint64{2, 3}, []uint64{2, 3}); !errors.Is(err, repro.ErrResourceExhausted) {
-		t.Fatalf("TryTransferKeys: %v", err)
+	if _, ok := repro.TransferKeys(starved, a, b, []uint64{2, 3}, []uint64{2, 3}); ok || !starved.Exhausted() {
+		t.Fatal("TransferKeys on a starved thread must fail for want of nodes")
 	}
-	if _, err := repro.TryDrainN(starved, q1, q2, 0, 0, 3); !errors.Is(err, repro.ErrResourceExhausted) {
-		t.Fatalf("TryDrainN: %v", err)
+	if got := repro.DrainN(starved, q1, q2, 0, 0, 3); len(got) != 0 || !starved.Exhausted() {
+		t.Fatalf("DrainN on a starved thread moved %v", got)
 	}
 	// Nothing moved; the healthy thread still drains.
-	if q1.Len(setup) != 4 || q2.Len(setup) != 0 {
-		t.Fatalf("failed TryDrainN moved elements: %d/%d", q1.Len(setup), q2.Len(setup))
+	if a.Len(setup) != 4 || b.Len(setup) != 0 || q1.Len(setup) != 4 || q2.Len(setup) != 0 {
+		t.Fatalf("failed calls moved elements: maps %d/%d, queues %d/%d",
+			a.Len(setup), b.Len(setup), q1.Len(setup), q2.Len(setup))
 	}
 	if got := repro.DrainN(setup, q1, q2, 0, 0, 2); len(got) != 2 {
 		t.Fatalf("healthy DrainN moved %d, want 2", len(got))
@@ -87,9 +83,6 @@ func TestTryTransferKeysAndDrainResourceExhausted(t *testing.T) {
 	for _, n := range []int{0, -1} {
 		if got := repro.DrainN(setup, q1, q2, 0, 0, n); len(got) != 0 {
 			t.Fatalf("DrainN(n=%d) moved %d", n, len(got))
-		}
-		if got, err := repro.TryDrainN(setup, q1, q2, 0, 0, n); err != nil || len(got) != 0 {
-			t.Fatalf("TryDrainN(n=%d) = %v, %v", n, got, err)
 		}
 	}
 	if q1.Len(setup) != 2 || q2.Len(setup) != 2 {
@@ -110,30 +103,30 @@ func TestDrainNUnboundedCount(t *testing.T) {
 	if got := repro.DrainN(th, q, s, 0, 0, math.MaxInt); len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("DrainN(MaxInt) = %v, want [1 2 3]", got)
 	}
-	if got, err := repro.TryDrainN(th, s, q, 0, 0, math.MaxInt); err != nil || len(got) != 3 || got[0] != 3 {
-		t.Fatalf("TryDrainN(MaxInt) = %v, %v, want [3 2 1]", got, err)
+	if got := repro.DrainN(th, s, q, 0, 0, math.MaxInt); len(got) != 3 || got[0] != 3 {
+		t.Fatalf("DrainN(MaxInt) back = %v, want [3 2 1]", got)
 	}
 }
 
-func TestTryArenaExhaustion(t *testing.T) {
+func TestArenaExhaustionKeepsQueueIntact(t *testing.T) {
 	// The constructor takes a node, then sustained Enqueue must hit the
-	// wall inside Try, not panic.
+	// wall as failed enqueues, not a panic.
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: starvedArena})
 	th := rt.RegisterThread()
 	q := repro.NewQueue(th)
-	n := 0
-	err := th.Try(func() {
-		for i := 0; i < 400; i++ {
-			if q.Enqueue(th, uint64(i+1)) {
-				n++
-			}
+	n, failed := 0, 0
+	for i := 0; i < 400; i++ {
+		if q.Enqueue(th, uint64(n+1)) {
+			n++
+			continue
 		}
-	})
-	if !errors.Is(err, repro.ErrResourceExhausted) {
-		t.Fatalf("arena exhaustion: err=%v after %d enqueues", err, n)
+		failed++
+		if !th.Exhausted() {
+			t.Fatalf("enqueue %d failed without Exhausted", i)
+		}
 	}
-	if n == 0 {
-		t.Fatal("no enqueue succeeded before exhaustion")
+	if failed == 0 || n == 0 {
+		t.Fatalf("%d enqueues succeeded and %d failed, want both", n, failed)
 	}
 	// The queue is intact: everything that reported success is there.
 	if got := q.Len(th); got != n {
@@ -141,7 +134,43 @@ func TestTryArenaExhaustion(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		if v, ok := q.Dequeue(th); !ok || v != uint64(i+1) {
-			t.Fatalf("dequeue %d: %d,%v — FIFO damaged by exhaustion unwind", i, v, ok)
+			t.Fatalf("dequeue %d: %d,%v — FIFO damaged by exhaustion", i, v, ok)
+		}
+	}
+}
+
+// TestStarvedTypedInsertsReleaseHandles: a typed insert rents its Box
+// handle before the insert, so one that gets no node must give it back.
+// Box shards round-robin, so the sixteenth Put after the failed one
+// lands on its shard and must get the released handle again.
+func TestStarvedTypedInsertsReleaseHandles(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: starvedArena})
+	setup := rt.RegisterThread()
+	repro.NewQueue(setup) // the setup thread's first node carves the whole arena
+	inserts := map[string]func(th *repro.Thread, box *repro.Box[string]) bool{
+		"QueueOf.Enqueue": func(th *repro.Thread, box *repro.Box[string]) bool {
+			return repro.NewQueueOf(setup, box).Enqueue(th, "x")
+		},
+		"StackOf.Push": func(th *repro.Thread, box *repro.Box[string]) bool {
+			return repro.NewStackOf(setup, box).Push(th, "x")
+		},
+		"MapOf.Put": func(th *repro.Thread, box *repro.Box[string]) bool {
+			return repro.NewMapOf(setup, box, 8).Put(th, 1, "x")
+		},
+	}
+	starved := rt.RegisterThread()
+	for name, insert := range inserts {
+		box := repro.NewBox[string]()
+		if insert(starved, box) || !starved.Exhausted() {
+			t.Fatalf("%s on a starved thread must fail for want of nodes", name)
+		}
+		want := repro.NewBox[string]().Put("x") // the handle the failed insert rented
+		var h uint64
+		for i := 0; i < 16; i++ {
+			h = box.Put("y")
+		}
+		if h != want {
+			t.Fatalf("%s kept its handle: the 16th Put got %#x, want %#x", name, h, want)
 		}
 	}
 }
