@@ -256,13 +256,13 @@ func BenchmarkA2_StackABA_PlainOps_Versioned(b *testing.B) { benchStackPlainOps(
 // --- A3: DCAS cost ---------------------------------------------------------
 
 // benchSlots is the raw-engine slot assignment for the A3 benchmarks
-// (mirrors core's layout: 3 descriptor slots, pair mirrors at 6/7,
-// k-word mirrors from 8).
-var benchSlots = kcas.Slots{PairHPD: 0, KHPD: 1, RDCSSHPD: 2, PairMirror1: 6, PairMirror2: 7, KMirrorBase: 8}
+// (mirrors core's layout: one descriptor slot, mirrors from 6 in a
+// 22-slot node record).
+var benchSlots = kcas.Slots{HPD: 0, MirrorBase: 6}
 
 func BenchmarkA3_DCAS_Uncontended(b *testing.B) {
-	nodeDom := hazard.New(2, 24)
-	descs, err := kcas.NewBlocks(hazard.New(2, 3))
+	nodeDom := hazard.New(2, 22)
+	descs, err := kcas.NewBlocks(hazard.New(2, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,8 +305,8 @@ func BenchmarkA3_TwoPlainCAS(b *testing.B) {
 
 func BenchmarkA3_DCAS_Contended_4T(b *testing.B) {
 	const threads = 4
-	nodeDom := hazard.New(threads, 24)
-	descs, err := kcas.NewBlocks(hazard.New(threads, 3))
+	nodeDom := hazard.New(threads, 22)
+	descs, err := kcas.NewBlocks(hazard.New(threads, 1))
 	if err != nil {
 		b.Fatal(err)
 	}

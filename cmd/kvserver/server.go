@@ -771,8 +771,8 @@ func (s *Server) apply(w *worker, req *kvwire.Request, dst []byte) ([]byte, bool
 		return kvwire.AppendOK(dst, vs...), true
 	case kvwire.OpDrain:
 		// A drain is a run of moves: any prefix that moved executed.
-		n := th.DrainN(s.queues[req.Tenant], s.queues[req.DTenant], 0, 0, req.N, w.vals[:])
-		return kvwire.AppendOK(dst, w.vals[:n]...), n > 0
+		vs := th.DrainN(s.queues[req.Tenant], s.queues[req.DTenant], 0, 0, req.N, w.vals[:0])
+		return kvwire.AppendOK(dst, vs...), len(vs) > 0
 	}
 	return append(dst, "ERR unreachable"...), true
 }

@@ -231,15 +231,7 @@ func TransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) ([]uint64
 // insert). It returns the moved values; n <= 0 moves nothing. skey/tkey
 // are passed to every move, as in Move.
 func DrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) []uint64 {
-	var out []uint64
-	for len(out) < n {
-		v, ok := t.Move(src, dst, skey, tkey)
-		if !ok {
-			break
-		}
-		out = append(out, v)
-	}
-	return out
+	return t.DrainN(src, dst, skey, tkey, n, nil)
 }
 
 // MoveBatch is a per-thread buffer of moves: Add buffers up to its
@@ -301,8 +293,8 @@ func ParseFaultPlan(specs []string) (*FaultPlan, error) { return fault.Parse(spe
 type ObsConfig = obs.Config
 
 // Obs bundles a runtime's enabled telemetry surfaces; obtain it from
-// Runtime.Obs (nil when ObsConfig disabled both — the Metrics and
-// Tracer accessors stay safe to chain on nil).
+// Runtime.Obs (nil when ObsConfig enables none of the three — the
+// Metrics, Tracer and Spans accessors stay safe to chain on nil).
 type Obs = obs.Obs
 
 // ObsRegistry is the striped, allocation-free metrics registry: fixed

@@ -30,9 +30,9 @@ import (
 // move-candidate definition demands that insert and remove operations on
 // different instances can succeed simultaneously; as §5.1 prescribes,
 // insert-side and remove-side operations therefore use disjoint slot
-// sets. Slots 6..7 receive the mirrored hazard pointers when helping a
-// pair operation (line D3); the next MaxEntries slots are mirrors for
-// k-word helping; the final MaxEntries slots are the chain hold slots —
+// sets. The next MaxEntries slots receive the mirrored hazard pointers
+// of the one descriptor, of either kind, the thread is helping (line
+// D3); the final MaxEntries slots are the chain hold slots —
 // initiator-side per-entry protections published while a composed
 // chain (MoveN, TransferN, SwapHeads) accumulates entries, so a node
 // captured at entry j stays protected even after a later same-side
@@ -45,28 +45,24 @@ const (
 	SlotRem1   = 4 // remove-side secondary (e.g. lnext in dequeue)
 	SlotRemAux = 5 // remove-side traversal (ordered list prev)
 
-	slotMirror1 = 6
-	slotMirror2 = 7
+	slotMirrorBase    = 6
+	slotChainHoldBase = slotMirrorBase + kcas.MaxEntries
 
-	slotKMirrorBase   = 8
-	slotChainHoldBase = 8 + kcas.MaxEntries
-
-	nodeSlotsPerThread = 8 + 2*kcas.MaxEntries
+	nodeSlotsPerThread = slotChainHoldBase + kcas.MaxEntries
 )
 
-// Descriptor-domain hazard slots.
+// Descriptor-domain hazard slots: a thread protects one descriptor at a
+// time (package kcas), through its hpd (read operation, line D35).
 const (
-	slotHPD      = 0 // pair hpd (read operation, line D35)
-	slotKHPD     = 1 // k-word descriptor protection
-	slotRDCSSHPD = 2 // RDCSS sub-descriptor protection
-	descSlotsPer = 3
+	slotHPD      = 0
+	descSlotsPer = 1
 )
 
 // Config sizes a Runtime. The zero value selects usable defaults.
 type Config struct {
 	// MaxThreads is the number of threads that may register. Default 64;
 	// the limit is what fits the descriptor slot index, one block per
-	// thread (330 threads).
+	// thread (512 threads).
 	MaxThreads int
 	// ArenaCapacity is the maximum number of container nodes. Default
 	// 1<<22.
@@ -82,9 +78,10 @@ type Config struct {
 	Fault fault.Injector
 	// Obs configures the unified telemetry layer (package obs): a
 	// striped metrics registry the substrate and containers report
-	// into, and a descriptor-protocol tracer recording publish / help /
-	// commit / abort / recycle events with helper→victim attribution.
-	// The zero value disables both; every hook site then costs one nil
+	// into, a descriptor-protocol tracer recording publish / help /
+	// commit / abort / recycle events with helper→victim attribution,
+	// and a request-span recorder the serving layer records into. The
+	// zero value disables all three; every hook site then costs one nil
 	// check and the Move/MoveN hot paths are unchanged.
 	Obs obs.Config
 }
@@ -150,8 +147,8 @@ func (rt *Runtime) Manager() *mm.Manager { return rt.mm }
 func (rt *Runtime) MaxThreads() int { return rt.cfg.MaxThreads }
 
 // Obs exposes the runtime's telemetry surfaces; nil when Config.Obs
-// disabled both (the nil accessors stay safe to chain, so callers write
-// rt.Obs().Metrics() without guards).
+// enables none of the three (the nil accessors stay safe to chain, so
+// callers write rt.Obs().Metrics() without guards).
 func (rt *Runtime) Obs() *obs.Obs { return rt.obs }
 
 // NextObjectID hands out stable object identities; the blocking baseline
@@ -171,14 +168,10 @@ func (rt *Runtime) RegisterThread() *Thread {
 		id:    id,
 		rt:    rt,
 		cache: rt.mm.NewCache(id),
-		kctx: kcas.NewCtx(rt.descs, rt.nodeDom, id, kcas.Slots{
-			PairHPD: slotHPD, KHPD: slotKHPD, RDCSSHPD: slotRDCSSHPD,
-			PairMirror1: slotMirror1, PairMirror2: slotMirror2,
-			KMirrorBase: slotKMirrorBase,
-		}),
-		flt: rt.cfg.Fault,
-		reg: rt.obs.Metrics(),
-		trc: rt.obs.Tracer(),
+		kctx:  kcas.NewCtx(rt.descs, rt.nodeDom, id, kcas.Slots{HPD: slotHPD, MirrorBase: slotMirrorBase}),
+		flt:   rt.cfg.Fault,
+		reg:   rt.obs.Metrics(),
+		trc:   rt.obs.Tracer(),
 	}
 	t.kctx.SetFault(rt.cfg.Fault)
 	t.kctx.SetObs(t.reg, t.trc)

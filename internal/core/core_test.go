@@ -42,11 +42,11 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 // TestMaxThreadsEncodableLimit: MaxThreads is bounded by what one
-// descriptor block per thread fits in the slot index (330), well below
+// descriptor block per thread fits in the slot index (512), well below
 // the thread mark's own limit (word.MaxThreads).
 func TestMaxThreadsEncodableLimit(t *testing.T) {
-	NewRuntime(Config{MaxThreads: 330})
-	for _, n := range []int{331, word.MaxThreads + 1} {
+	NewRuntime(Config{MaxThreads: 512})
+	for _, n := range []int{513, word.MaxThreads + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {

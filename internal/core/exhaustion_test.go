@@ -121,7 +121,7 @@ func TestExhaustionAtEveryInitPhaseAllocation(t *testing.T) {
 			return tstack.SwapHeads(f.th, f.s, f.s2)
 		}},
 		{"DrainN", 0, false, func(f *fixture) bool {
-			return f.th.DrainN(f.q, f.s, 0, 0, 3, nil) == 3
+			return len(f.th.DrainN(f.q, f.s, 0, 0, 3, nil)) == 3
 		}},
 		{"MoveBatch flush", 0, false, func(f *fixture) bool {
 			b := batch.New(f.th, 2)

@@ -88,7 +88,7 @@ func TestHazardShadowMatchesDomain(t *testing.T) {
 				}
 			case 6:
 				what = "helper mirror write"
-				slot := slotMirror1 + rng.Intn(slotChainHoldBase-slotMirror1)
+				slot := slotMirrorBase + rng.Intn(kcas.MaxEntries)
 				idx := uint64(rng.Intn(3))
 				rt.nodeDom.Protect(tid, slot, idx)
 				model[slot] = idx

@@ -59,22 +59,15 @@ func (t *Thread) ExecuteKCAS(entries []KCASEntry) (bool, int) {
 // (empty source or refusing target).
 //
 // skey/tkey are passed to every move (keyed targets that need distinct
-// keys should drain through MoveBatch instead). out, when non-nil,
-// receives the moved values. It returns how many elements moved.
-func (t *Thread) DrainN(src Remover, dst Inserter, skey, tkey uint64, n int, out []uint64) int {
-	if sameObject(src, dst) {
-		panic("core: DrainN requires two distinct objects")
-	}
-	moved := 0
-	for moved < n {
+// keys should drain through MoveBatch instead). It appends the moved
+// values to out and returns the result; n <= 0 moves nothing.
+func (t *Thread) DrainN(src Remover, dst Inserter, skey, tkey uint64, n int, out []uint64) []uint64 {
+	for moved := 0; moved < n; moved++ {
 		val, ok := t.Move(src, dst, skey, tkey)
 		if !ok {
 			break
 		}
-		if out != nil {
-			out[moved] = val
-		}
-		moved++
+		out = append(out, val)
 	}
-	return moved
+	return out
 }

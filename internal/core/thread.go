@@ -64,7 +64,7 @@ type Thread struct {
 
 	// Tail pad: keeps Thread a whole number of cache lines
 	// (TestThreadOwnsItsLines).
-	_ [40]byte
+	_ [56]byte
 }
 
 // chainStep is one operation of a composed chain: exactly one of rem or

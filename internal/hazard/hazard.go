@@ -19,11 +19,16 @@ import (
 	"repro/internal/pad"
 )
 
-// Record is the per-thread hazard-pointer record.
+// Record is the per-thread hazard-pointer record. Its slots are a
+// separate allocation rounded up to whole cache lines, which the
+// allocator places on a line boundary, so no two threads' slots share a
+// line.
 type Record struct {
 	slots []atomic.Uint64
-	_     pad.Line
 }
+
+// lineWords is the number of slots in one cache line.
+const lineWords = pad.CacheLineSize / 8
 
 // Domain is a set of hazard-pointer records, one per thread, each with a
 // fixed number of slots.
@@ -37,7 +42,7 @@ type Domain struct {
 func New(maxThreads, slotsPer int) *Domain {
 	d := &Domain{slotsPer: slotsPer, records: make([]Record, maxThreads)}
 	for i := range d.records {
-		d.records[i].slots = make([]atomic.Uint64, slotsPer)
+		d.records[i].slots = make([]atomic.Uint64, slotsPer, lineWords*((slotsPer+lineWords-1)/lineWords))
 	}
 	return d
 }

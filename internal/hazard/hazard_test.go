@@ -4,6 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
+
+	"repro/internal/pad"
 )
 
 func TestProtectSnapshotClear(t *testing.T) {
@@ -148,4 +151,26 @@ func TestNoProtectedReclamation(t *testing.T) {
 		}(r + 1)
 	}
 	wg.Wait()
+}
+
+// TestRecordsOwnTheirLines: every thread writes its own slots on every
+// protected access, so each record's slots must start on a cache-line
+// boundary and span whole lines — no two threads' slots share a line,
+// whatever the slot count.
+func TestRecordsOwnTheirLines(t *testing.T) {
+	for _, slots := range []int{1, 3, 22, 24} {
+		d := New(8, slots)
+		for tid := range d.records {
+			s := d.records[tid].slots
+			if len(s) != slots {
+				t.Fatalf("%d slots: thread %d has %d", slots, tid, len(s))
+			}
+			if addr := uintptr(unsafe.Pointer(&s[0])); addr%pad.CacheLineSize != 0 {
+				t.Fatalf("%d slots: thread %d's slots start at %#x, off a line boundary", slots, tid, addr)
+			}
+			if size := uintptr(cap(s)) * unsafe.Sizeof(s[0]); size%pad.CacheLineSize != 0 {
+				t.Fatalf("%d slots: thread %d's slots span %d bytes, not whole lines", slots, tid, size)
+			}
+		}
+	}
 }

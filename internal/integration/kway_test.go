@@ -135,13 +135,13 @@ func TestDrainNLinearizable(t *testing.T) {
 						v, ok := th.Move(s, q, 0, 0)
 						rec.record(w, "moveBA", 0, v, ok, inv, rec.clock.Add(1))
 					default:
-						moved := th.DrainN(q, s, 0, 0, 2+int(next()%2), out)
+						moved := th.DrainN(q, s, 0, 0, 2+int(next()%2), out[:0])
 						ret := rec.clock.Add(1)
-						if moved == 0 {
+						if len(moved) == 0 {
 							rec.record(w, "moveAB", 0, 0, false, inv, ret)
 						}
-						for j := 0; j < moved; j++ {
-							rec.record(w, "moveAB", 0, out[j], true, inv, ret)
+						for _, v := range moved {
+							rec.record(w, "moveAB", 0, v, true, inv, ret)
 						}
 					}
 				}
@@ -370,7 +370,7 @@ func TestComposedOpsRaceGrowsAndChurn(t *testing.T) {
 		out := make([]uint64, 4)
 		for i := 0; i < iters; i++ {
 			if w%2 == 0 {
-				th.DrainN(q, ds, 0, 0, 4, out)
+				th.DrainN(q, ds, 0, 0, 4, out[:0])
 			} else {
 				th.Move(ds, q, 0, 0)
 			}

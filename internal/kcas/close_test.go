@@ -54,19 +54,6 @@ func TestUnhelpedCyclesNeverRetire(t *testing.T) {
 	}
 }
 
-// helpOnce makes one helping attempt through the entry point that
-// matches v's kind, as Read would before re-reading w.
-func helpOnce(c *Ctx, w *word.Word, v uint64) {
-	switch word.DescKind(v) {
-	case word.KindDCAS:
-		c.HelpPairRef(w, v)
-	case word.KindMCAS:
-		c.HelpRef(w, v)
-	case word.KindRDCSS:
-		c.CompleteRDCSS(w, v)
-	}
-}
-
 // TestEnterAfterCloseFails: a helper whose line D36 passes only after
 // the owner's close (the test writes the stale reference back into a
 // word, as a helper would have read it before the close) must fail to
@@ -107,7 +94,7 @@ func TestEnterAfterCloseFails(t *testing.T) {
 			d := e.blocks.at(word.DescIndex(v))
 			self, st := d.self.Load(), d.status.Load()
 			stale.Store(v)
-			helpOnce(helper, &stale, v)
+			helper.helpOnce(&stale, v)
 			if got := stale.Load(); got != v {
 				t.Fatalf("%s: helper changed the word holding %#x to %#x", when, v, got)
 			}
@@ -168,7 +155,7 @@ func TestEnteredDescriptorTakesScanPath(t *testing.T) {
 		if d.self.Load() != entered(ref) {
 			t.Errorf("helper completed the pair without entering it: self=%#x", d.self.Load())
 		}
-		e.descDom.Protect(2, testSlots.PairHPD, idx+1)
+		e.descDom.Protect(2, testSlots.HPD, idx+1)
 		if !d.enter(ref) {
 			t.Error("a second helper could not enter an entered descriptor")
 		}
@@ -190,7 +177,7 @@ func TestEnteredDescriptorTakesScanPath(t *testing.T) {
 	if owner.Retired() != 1 || d.self.Load() == 0 {
 		t.Fatal("descriptor freed while a helper's hpd covers it")
 	}
-	e.descDom.Clear(2, testSlots.PairHPD)
+	e.descDom.Clear(2, testSlots.HPD)
 	owner.Flush()
 	if d.self.Load() != 0 {
 		t.Fatal("descriptor not freed after its hpd cleared")

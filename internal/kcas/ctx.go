@@ -61,21 +61,17 @@ func (b *Blocks) at(idx uint64) *Desc {
 // owner reports the tid whose block holds slot index idx.
 func (b *Blocks) owner(idx uint64) int32 { return int32(idx >> b.shift) }
 
-// Slots names the hazard slots a Ctx publishes into. The three
-// descriptor-domain slots keep the pre-unification nesting discipline:
-// helping a pair operation from inside general phase 1 must not clobber
-// the general descriptor's own protection.
+// Slots names the hazard slots a Ctx publishes into. A thread helps one
+// descriptor at a time (see the package comment), so one descriptor
+// slot and one set of mirrors serve every kind.
 type Slots struct {
-	// PairHPD/KHPD/RDCSSHPD index the descriptor hazard domain: the hpd
-	// of the pair read operation (line D35), the general descriptor's
-	// protection, and the RDCSS sub-descriptor protection.
-	PairHPD, KHPD, RDCSSHPD int
-	// PairMirror1/PairMirror2 index the node domain and receive the
-	// initiator's hazard pointers when helping a pair operation (line
-	// D3); KMirrorBase is the first of MaxEntries consecutive node-domain
-	// mirrors for general helping.
-	PairMirror1, PairMirror2 int
-	KMirrorBase              int
+	// HPD indexes the descriptor hazard domain: the hpd of the read
+	// operation (line D35), covering the descriptor being helped.
+	HPD int
+	// MirrorBase is the first of MaxEntries consecutive node-domain
+	// slots that receive the initiator's hazard pointers while helping
+	// (line D3).
+	MirrorBase int
 }
 
 // Ctx is the per-thread handle for running and helping k-word CAS
@@ -113,6 +109,11 @@ type Ctx struct {
 	trc *obs.Tracer
 
 	stuck stuckState // diagnostic state for stale-reference detection
+
+	// Tail pad: keeps Ctx a whole number of cache lines, so the free-ring
+	// cursor its owner writes on every alloc and retire shares no line
+	// with another thread's context (TestCtxOwnsItsLines).
+	_ [40]byte
 }
 
 type retiredDesc struct {

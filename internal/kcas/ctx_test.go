@@ -4,21 +4,24 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/hazard"
 	"repro/internal/obs"
+	"repro/internal/pad"
 	"repro/internal/word"
 )
 
 // TestBlocksFitDescriptorIndex: a runtime's blocks must fit the 20-bit
-// slot index with the owner's tid in its high bits — 330 threads do,
-// 331 do not — and every slot a thread allocates names that thread.
+// slot index with the owner's tid in its high bits — 512 threads of one
+// hpd slot each do, 513 do not — and every slot a thread allocates names
+// that thread.
 func TestBlocksFitDescriptorIndex(t *testing.T) {
-	if _, err := NewBlocks(hazard.New(330, 3)); err != nil {
-		t.Fatalf("330 threads: %v", err)
+	if _, err := NewBlocks(hazard.New(512, 1)); err != nil {
+		t.Fatalf("512 threads: %v", err)
 	}
-	if _, err := NewBlocks(hazard.New(331, 3)); err == nil {
-		t.Fatal("331 threads' blocks accepted past the descriptor index")
+	if _, err := NewBlocks(hazard.New(513, 1)); err == nil {
+		t.Fatal("513 threads' blocks accepted past the descriptor index")
 	}
 	e := newEnv(3)
 	for tid, c := range e.ctxs {
@@ -29,8 +32,18 @@ func TestBlocksFitDescriptorIndex(t *testing.T) {
 	}
 }
 
+// TestCtxOwnsItsLines: a Ctx's free-ring cursor is written by its owner
+// on every alloc and retire; sized to whole lines, the allocator puts
+// the context on a line boundary and two threads' contexts never share
+// a line. Pad the struct if a field change breaks this.
+func TestCtxOwnsItsLines(t *testing.T) {
+	if size := unsafe.Sizeof(Ctx{}); size%pad.CacheLineSize != 0 {
+		t.Fatalf("Ctx is %d bytes, not a whole number of %d-byte lines", size, pad.CacheLineSize)
+	}
+}
+
 // TestBlockBoundUnderPinsAndStrays is the reclamation bound at its
-// worst: every other thread's three descriptor hazard slots pin thread
+// worst: every other thread's descriptor hazard slot pins one of thread
 // 0's most recently retired descriptors in rotation, and each pinning
 // "helper" enters its descriptor (so the owner's close fails and the
 // descriptor takes the scan path) and installs a stray after the retire
@@ -47,7 +60,7 @@ func TestBlockBoundUnderPinsAndStrays(t *testing.T) {
 	const threads, cycles = 4, 100_000
 	e := newEnv(threads)
 	c := e.ctxs[0]
-	size := blockSize(threads * 3)
+	size := blockSize(threads)
 	mask := uint64(1)<<e.blocks.shift - 1
 	// Each block slot owns three target words, so a stray stays where
 	// it was planted, untouched by later cycles, until a scan scrubs it.
@@ -57,7 +70,7 @@ func TestBlockBoundUnderPinsAndStrays(t *testing.T) {
 			words[s][i].Store(val(uint64(i)))
 		}
 	}
-	pins := 3 * (threads - 1)
+	pins := threads - 1
 	pinned := make([]uint64, pins) // the reference each helper slot covers
 	secondScans := 0
 	for n := 0; n < cycles; n++ {
@@ -93,8 +106,8 @@ func TestBlockBoundUnderPinsAndStrays(t *testing.T) {
 		} else if ok, _ := c.Execute(d, ref); !ok {
 			t.Fatalf("cycle %d: k-word CAS failed", n)
 		}
-		helper, slot := 1+n%pins/3, n%3
-		e.descDom.Protect(helper, slot, idx+1)
+		helper := 1 + n%pins
+		e.descDom.Protect(helper, 0, idx+1)
 		if !d.enter(ref) {
 			t.Fatalf("cycle %d: helper could not enter a live descriptor", n)
 		}
@@ -136,10 +149,10 @@ func anyFreeable(e *testEnv, c *Ctx) bool {
 }
 
 // TestRefillPanicsPastTheBound: a block smaller than the bound, every
-// retired descriptor entered and pinned, must fail with the invariant
-// panic naming the bound.
+// retired descriptor entered and pinned (four threads, one pin each),
+// must fail with the invariant panic naming the bound.
 func TestRefillPanicsPastTheBound(t *testing.T) {
-	e := newEnv(2)
+	e := newEnv(4)
 	e.blocks.size = 4
 	c := e.ctxs[0]
 	var w [8]word.Word
@@ -152,7 +165,7 @@ func TestRefillPanicsPastTheBound(t *testing.T) {
 		if c.ExecutePair(d, ref) != Success {
 			t.Fatal("setup DCAS failed")
 		}
-		e.descDom.Protect(i/3, i%3, word.DescIndex(ref)+1)
+		e.descDom.Protect(i, 0, word.DescIndex(ref)+1)
 		d.enter(ref)
 		c.Retire(d, ref)
 	}

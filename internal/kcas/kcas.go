@@ -58,20 +58,23 @@
 //   - The close fails because a helper entered. The descriptor is
 //     scrubbed and retired, and a scan frees it, as below.
 //
-// A helper protects one k-word descriptor at a time, because KHPD and
-// the KMirrorBase mirrors are one set. When its phase 1 meets another
-// k-word operation, it leaves the one it is helping (clearing the slot
-// and the mirrors), helps the blocker, and its caller re-reads the word.
-// A nested help would clear the outer protection on its exit, and the
-// helper would go on with a descriptor a scan may free and its owner
-// re-arm.
+// A thread protects one descriptor at a time, of any kind: it has one
+// hpd slot and one set of MaxEntries node-domain mirrors. When a
+// helper's phase 1 meets another descriptor reference — k-word, pair or
+// RDCSS — it leaves the one it is helping (clearing the slot and the
+// mirrors), helps the blocker, and its caller re-reads the word. A
+// nested help would overwrite the outer protection, and the helper would
+// go on with a descriptor a scan may free and its owner re-arm. An
+// initiator helps blockers in place: it holds no hpd slot for its own
+// descriptor.
 //
 // # Descriptors cannot run out
 //
 // Every thread owns one block of R = 2H + 2 + 64 descriptors, where H is
-// the number of slots in the descriptor hazard domain (three per
-// thread), and recycles only its own. Only entered descriptors are
-// retired. A retired descriptor d is freed by a scan unless the scan's
+// the number of slots in the descriptor hazard domain — one per thread
+// under the rule above, so H = MaxThreads and R = 2·MaxThreads + 66 —
+// and recycles only its own. Only entered descriptors are retired. A
+// retired descriptor d is freed by a scan unless the scan's
 // snapshot S shows an hpd slot covering d, or one of d's target words
 // still references d, in which case the scan scrubs the word and keeps
 // d. The bound rests on one fact:
@@ -99,8 +102,9 @@
 // scan therefore frees at least 64 slots, and alloc panics if it does
 // not: that would be a broken invariant, not a resource running out.
 // The 20-bit slot index holds the owner's tid in its high bits and the
-// slot in its low ones, which is what bounds MaxThreads
-// (core.NewRuntime).
+// slot in its low ones, which is what bounds MaxThreads at 512
+// (core.NewRuntime). At the default 64 threads a block is 194
+// descriptors, ≈ 56 KiB.
 package kcas
 
 import (

@@ -74,10 +74,11 @@ func (c *Ctx) Execute(d *Desc, ref uint64) (bool, int) {
 
 // run drives the operation to a decision and releases its words; both
 // initiators and helpers execute it. ref is the unmarked KindMCAS
-// reference. A helper helps one k-word operation at a time, because it
-// has one KHPD slot and one set of KMirrorBase mirrors: when its phase 1
-// meets another k-word operation's reference, run returns that word and
-// reference undecided, and helpK drops d's protection before helping it.
+// reference. A helper helps one descriptor at a time, because it has
+// one hpd slot and one set of mirrors: when its phase 1 meets another
+// descriptor reference, of any kind, run returns that word and reference
+// undecided, and helpOnce drops d's protection before helping it. An
+// initiator protects nothing for its own descriptor and helps in place.
 func (c *Ctx) run(d *Desc, ref uint64, helping bool) (st uint64, bw *word.Word, bv uint64) {
 	if d.status.Load() == statusUndecided {
 		desired := statusSuccess
@@ -91,20 +92,10 @@ func (c *Ctx) run(d *Desc, ref uint64, helping bool) (st uint64, bw *word.Word, 
 					break
 				}
 				if word.IsDesc(v) {
-					switch word.DescKind(v) {
-					case word.KindMCAS:
-						if helping {
-							return statusUndecided, e.Ptr, v
-						}
-						c.HelpRef(e.Ptr, v) // help the other operation, retry
-					case word.KindDCAS:
-						// A pair operation owns the word: help it through
-						// the same engine (this is what the foreign-help
-						// hook existed for when the engines were split).
-						c.HelpPairRef(e.Ptr, v)
-					case word.KindRDCSS:
-						c.CompleteRDCSS(e.Ptr, v)
+					if helping {
+						return statusUndecided, e.Ptr, v
 					}
+					c.help(e.Ptr, v) // help the other operation, retry
 					if d.status.Load() != statusUndecided {
 						break phase1
 					}
@@ -129,7 +120,7 @@ func (c *Ctx) run(d *Desc, ref uint64, helping bool) (st uint64, bw *word.Word, 
 	// value. Expected values are the unmarked descriptor reference the
 	// RDCSS promotions installed. A thread lost between the decision and
 	// the releases leaves full references behind; any reader helps them
-	// out via HelpRef (this same function, phase 2 only).
+	// out via help (this same function, phase 2 only).
 	c.fire(fault.KCASBeforeCommit)
 	st = d.status.Load()
 	success := st == statusSuccess
@@ -201,63 +192,69 @@ func (c *Ctx) promote(d *Desc, mref uint64, i int) {
 	}
 }
 
-// HelpRef helps the k-word operation whose (possibly foreign) reference
-// v was found in word w, and then every k-word operation that blocks it,
-// one at a time; the caller re-reads w.
-func (c *Ctx) HelpRef(w *word.Word, v uint64) {
+// help resolves the descriptor reference v found in word w, of any
+// kind, and then every descriptor that blocks it, one at a time; the
+// caller re-reads w.
+func (c *Ctx) help(w *word.Word, v uint64) {
 	for w != nil {
-		w, v = c.helpK(w, v)
+		w, v = c.helpOnce(w, v)
 	}
 }
 
-// helpK makes one protected helping attempt: protect, revalidate the
-// word, enter the descriptor, mirror the initiator's hazard pointers,
-// then run. When run meets another k-word operation, helpK clears its
-// protections before it returns that operation's word and reference, so
-// the helper never goes on with a descriptor it no longer protects.
-func (c *Ctx) helpK(w *word.Word, v uint64) (*word.Word, uint64) {
+// helpOnce makes one protected helping attempt (lines D35–D37): protect
+// the descriptor with the thread's one hpd slot, revalidate the word,
+// enter the descriptor, mirror the initiator's hazard pointers, then
+// help by the reference's kind. When a k-word phase 1 meets another
+// descriptor, helpOnce clears its protections before it returns that
+// descriptor's word and reference, so the helper never goes on with a
+// descriptor it no longer protects.
+func (c *Ctx) helpOnce(w *word.Word, v uint64) (bw *word.Word, bv uint64) {
 	idx := word.DescIndex(v)
-	c.blocks.dom.Protect(c.tid, c.slots.KHPD, idx+1)
-	defer c.blocks.dom.Clear(c.tid, c.slots.KHPD)
-	if w.Load() != v {
+	c.blocks.dom.Protect(c.tid, c.slots.HPD, idx+1) // D35: hpd ← result
+	defer c.blocks.dom.Clear(c.tid, c.slots.HPD)
+	if w.Load() != v { // D36: if hpd = *ptr
 		return nil, 0
 	}
 	d := c.blocks.at(idx)
-	mref := word.UnmarkDesc(v)
-	if !d.enter(mref) {
+	kind := word.DescKind(v)
+	ref := word.UnmarkDesc(v)
+	if kind == word.KindRDCSS {
+		ref = kRefOf(v)
+	}
+	if !d.enter(ref) {
+		// The owner closed or re-armed the slot between our load and
+		// the hpd store; the reference is stale and this read raced a
+		// cleanup — re-read.
+		c.checkStuck(w, v)
 		return nil, 0
 	}
-	for i := 0; i < d.N && i < MaxEntries; i++ {
-		c.nodeDom.Protect(c.tid, c.slots.KMirrorBase+i, d.Entries[i].HP)
+	if kind == word.KindRDCSS {
+		// Promote or revert the sub-descriptor; reads no node.
+		if i := entryOf(v); i >= 0 && i < d.N {
+			c.promote(d, ref, i)
+		}
+		return nil, 0
+	}
+	// D3: mirror the initiator's hazard pointers into this thread's node
+	// slots. If the operation is still undecided below, its initiator is
+	// still inside it and holds its own protections, so these mirrors
+	// become visible to any future hazard scan before the initiator's
+	// slots are cleared (Lemma 6).
+	n := d.N
+	for i := 0; i < n; i++ {
+		c.nodeDom.Protect(c.tid, c.slots.MirrorBase+i, d.Entries[i].HP)
 	}
 	// Help-enter attribution: helper = this thread, victim = initiator.
-	c.obsEvent(obs.KCASHelp, obs.EvHelp, c.blocks.owner(idx), mref)
-	_, bw, bv := c.run(d, mref, true)
-	for i := 0; i < MaxEntries; i++ {
-		c.nodeDom.Clear(c.tid, c.slots.KMirrorBase+i)
+	c.obsEvent(obs.KCASHelp, obs.EvHelp, c.blocks.owner(idx), ref)
+	if kind == word.KindDCAS {
+		c.dcas(d, v, false) // D37: help
+	} else {
+		_, bw, bv = c.run(d, ref, true)
+	}
+	for i := 0; i < n; i++ {
+		c.nodeDom.Clear(c.tid, c.slots.MirrorBase+i)
 	}
 	return bw, bv
-}
-
-// CompleteRDCSS resolves an RDCSS reference found in a word: recover the
-// owning operation, enter it, and promote or revert the sub-descriptor.
-func (c *Ctx) CompleteRDCSS(w *word.Word, rref uint64) {
-	idx := word.DescIndex(rref)
-	c.blocks.dom.Protect(c.tid, c.slots.RDCSSHPD, idx+1)
-	defer c.blocks.dom.Clear(c.tid, c.slots.RDCSSHPD)
-	if w.Load() != rref {
-		return
-	}
-	d := c.blocks.at(idx)
-	mref := kRefOf(rref)
-	if !d.enter(mref) {
-		return
-	}
-	i := entryOf(rref)
-	if i < 0 || i >= d.N {
-		return
-	}
-	c.promote(d, mref, i)
 }
 
 // Read is the read operation of Algorithm 4 (lines D32–D39) extended to
@@ -266,14 +263,7 @@ func (c *Ctx) CompleteRDCSS(w *word.Word, rref uint64) {
 func (c *Ctx) Read(w *word.Word) uint64 {
 	v := w.Load()
 	for word.IsDesc(v) {
-		switch word.DescKind(v) {
-		case word.KindDCAS:
-			c.HelpPairRef(w, v)
-		case word.KindMCAS:
-			c.HelpRef(w, v)
-		case word.KindRDCSS:
-			c.CompleteRDCSS(w, v)
-		}
+		c.help(w, v)
 		v = w.Load()
 	}
 	return v

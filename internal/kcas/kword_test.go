@@ -1,6 +1,7 @@
 package kcas
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -278,30 +279,32 @@ func TestCrossKindHelping(t *testing.T) {
 	c1.Flush()
 }
 
-// khpdProbe records what thread tid's KHPD slot covers each time that
-// thread fires fault.KCASAfterPublish, which a helper does between its
-// phase 1 and its decision CAS.
-type khpdProbe struct {
+// hpdProbe records, each time thread tid fires fault.KCASAfterPublish
+// (which a helper does between its phase 1 and its decision CAS), what
+// its hpd slot covers and what its first two mirrors publish.
+type hpdProbe struct {
 	e    *testEnv
 	tid  int
-	seen []uint64
+	seen [][3]uint64
 }
 
-func (p *khpdProbe) Fire(pt fault.Point, tid int) {
+func (p *hpdProbe) Fire(pt fault.Point, tid int) {
 	if pt == fault.KCASAfterPublish && tid == p.tid {
-		p.seen = append(p.seen, p.e.descDom.Get(tid, testSlots.KHPD))
+		m := testSlots.MirrorBase
+		p.seen = append(p.seen, [3]uint64{p.e.descDom.Get(tid, testSlots.HPD),
+			p.e.nodeDom.Get(tid, m), p.e.nodeDom.Get(tid, m+1)})
 	}
 }
 
 // plantK leaves a k-word descriptor of c over ws as its phase 1 leaves
 // it after acquiring every word: each holds the full reference, the
-// status is undecided.
-func plantK(t *testing.T, c *Ctx, ws []*word.Word, news []uint64) (*Desc, uint64) {
+// status is undecided. Entry i carries hazard pointer hp+i.
+func plantK(t *testing.T, c *Ctx, ws []*word.Word, news []uint64, hp uint64) (*Desc, uint64) {
 	t.Helper()
 	d, ref := c.AllocK()
 	d.N = len(ws)
 	for i, w := range ws {
-		d.Entries[i] = Entry{Ptr: w, Old: w.Load(), New: news[i]}
+		d.Entries[i] = Entry{Ptr: w, Old: w.Load(), New: news[i], HP: hp + uint64(i)}
 		d.order[i] = uint8(i) // ws is in ascending address order
 		if !w.CAS(d.Entries[i].Old, ref) {
 			t.Fatal("plant failed")
@@ -310,54 +313,130 @@ func plantK(t *testing.T, c *Ctx, ws []*word.Word, news []uint64) (*Desc, uint64
 	return d, ref
 }
 
-// TestNestedKHelpKeepsOneDescriptorProtected: thread 1 Reads word A,
-// which holds k-word descriptor d2, while d2's next word B holds d3 (d3
-// acquired B and C; d2 acquired A and then met d3). Thread 1 must help
-// one k-word descriptor at a time: leave d2, help d3, then come back to
-// d2 through a fresh protection. So every phase 1 it finishes must end
-// with KHPD covering the descriptor it is running — d3's index + 1, then
-// d2's. A helper that helps d3 from inside d2's phase 1 instead clears
-// KHPD on the inner exit and finishes d2 unprotected (KHPD reads 0),
-// while d2 may already be freed and re-armed.
-func TestNestedKHelpKeepsOneDescriptorProtected(t *testing.T) {
-	e := newEnv(3)
-	var w [3]word.Word // A, B, C in ascending address order
-	for i := range w {
-		w[i].Store(val(uint64(i + 1)))
+// TestHelperProtectsOneDescriptorAtATime: thread 1 Reads word A, which
+// holds k-word descriptor d2 (entries A, B; A acquired), while B holds
+// a blocker of each kind a k-word phase 1 can meet: a k-word descriptor
+// d3 over B and C, a pair over B and C announced in B, or d3's RDCSS
+// sub-reference in B before its promotion. The blocker's owner and d2's
+// owner are parked, so thread 1 does all the work. It must help one
+// descriptor at a time:
+//
+//   - every phase 1 it finishes ends with its hpd slot covering that
+//     descriptor and its mirrors holding that descriptor's hazard
+//     pointers — d3's, then d2's (a pair runs no phase 1);
+//   - it helps the blocker only after leaving d2: its help entries go
+//     d2, blocker, d2, because finishing d2 takes a fresh entry once the
+//     caller re-reads A. The RDCSS row promotes d3's sub-reference first,
+//     which records no help entry, and then meets d3 in full.
+//
+// A helper that helps the blocker from inside d2's phase 1 finishes d2
+// without re-entering it, from a slot the nested help overwrote.
+func TestHelperProtectsOneDescriptorAtATime(t *testing.T) {
+	blockers := []struct {
+		name  string
+		plant func(t *testing.T, c *Ctx, b, c2 *word.Word) (*Desc, uint64)
+		runs  bool   // the blocker runs a phase 1 in the helper
+		helps string // help entries: 2 = d2, b = blocker
+	}{
+		{"k-word", func(t *testing.T, c *Ctx, b, c2 *word.Word) (*Desc, uint64) {
+			return plantK(t, c, []*word.Word{b, c2}, []uint64{val(22), val(33)}, 43)
+		}, true, "2b2"},
+		{"pair", func(t *testing.T, c *Ctx, b, c2 *word.Word) (*Desc, uint64) {
+			d, ref := c.AllocPair()
+			d.Entries[0] = Entry{Ptr: b, Old: val(2), New: val(22), HP: 43}
+			d.Entries[1] = Entry{Ptr: c2, Old: val(3), New: val(33), HP: 44}
+			if !b.CAS(val(2), ref) { // D10: announced, not yet helped
+				t.Fatal("plant failed")
+			}
+			return d, ref
+		}, false, "2b2"},
+		{"RDCSS", func(t *testing.T, c *Ctx, b, c2 *word.Word) (*Desc, uint64) {
+			d, ref := c.AllocK()
+			d.N = 2
+			d.Entries[0] = Entry{Ptr: b, Old: val(2), New: val(22), HP: 43}
+			d.Entries[1] = Entry{Ptr: c2, Old: val(3), New: val(33), HP: 44}
+			d.order[0], d.order[1] = 0, 1
+			if !b.CAS(val(2), rdcssRef(ref, 0)) { // installed, not promoted
+				t.Fatal("plant failed")
+			}
+			return d, ref
+		}, true, "22b2"},
 	}
-	a, b, c := &w[0], &w[1], &w[2]
-	// d3 first: it takes B's current value as its old one.
-	d3, ref3 := plantK(t, e.ctxs[2], []*word.Word{b, c}, []uint64{val(22), val(33)})
-	d2, ref2 := e.ctxs[0].AllocK()
-	d2.N = 2
-	d2.Entries[0] = Entry{Ptr: a, Old: val(1), New: val(11)}
-	d2.Entries[1] = Entry{Ptr: b, Old: val(2), New: val(12)}
-	d2.order[0], d2.order[1] = 0, 1
-	if !a.CAS(val(1), ref2) {
-		t.Fatal("plant failed")
-	}
+	for _, bl := range blockers {
+		t.Run(bl.name, func(t *testing.T) {
+			e := newEnv(3)
+			var w [3]word.Word // A, B, C in ascending address order
+			for i := range w {
+				w[i].Store(val(uint64(i + 1)))
+			}
+			a, b, c := &w[0], &w[1], &w[2]
+			// The blocker first: it takes B's current value as its old one.
+			d3, ref3 := bl.plant(t, e.ctxs[2], b, c)
+			d2, ref2 := e.ctxs[0].AllocK()
+			d2.N = 2
+			d2.Entries[0] = Entry{Ptr: a, Old: val(1), New: val(11), HP: 41}
+			d2.Entries[1] = Entry{Ptr: b, Old: val(2), New: val(12), HP: 42}
+			d2.order[0], d2.order[1] = 0, 1
+			if !a.CAS(val(1), ref2) {
+				t.Fatal("plant failed")
+			}
 
-	probe := &khpdProbe{e: e, tid: 1}
-	h := e.ctxs[1]
-	h.SetFault(probe)
-	got := h.Read(a)
-	h.SetFault(nil)
+			probe := &hpdProbe{e: e, tid: 1}
+			trc := obs.NewTracer(3, 64)
+			h := e.ctxs[1]
+			h.SetFault(probe)
+			h.SetObs(e.reg, trc)
+			got := h.Read(a)
+			h.SetFault(nil)
+			h.SetObs(e.reg, nil)
 
-	want := []uint64{word.DescIndex(ref3) + 1, word.DescIndex(ref2) + 1}
-	if len(probe.seen) != len(want) || probe.seen[0] != want[0] || probe.seen[1] != want[1] {
-		t.Fatalf("KHPD at each phase-1 end = %v, want %v (d3's index + 1, then d2's)", probe.seen, want)
-	}
-	// d3 committed; d2 then found B changed and failed at entry 1.
-	if d3.status.Load() != statusSuccess || d2.status.Load() != statusFailed(1) {
-		t.Fatalf("statuses d3=%#x d2=%#x", d3.status.Load(), d2.status.Load())
-	}
-	if got != val(1) || b.Load() != val(22) || c.Load() != val(33) {
-		t.Fatalf("words A=%#x B=%#x C=%#x, want d2 failed and d3 committed", got, b.Load(), c.Load())
-	}
-	e.ctxs[0].Retire(d2, ref2)
-	e.ctxs[2].Retire(d3, ref3)
-	for _, c := range []*Ctx{e.ctxs[0], e.ctxs[2]} {
-		c.Flush()
-		allFree(t, c)
+			var want [][3]uint64
+			if bl.runs {
+				want = append(want, [3]uint64{word.DescIndex(ref3) + 1, 43, 44})
+			}
+			want = append(want, [3]uint64{word.DescIndex(ref2) + 1, 41, 42})
+			if fmt.Sprint(probe.seen) != fmt.Sprint(want) {
+				t.Fatalf("hpd and mirrors at each phase-1 end = %v, want %v", probe.seen, want)
+			}
+			helps := ""
+			for _, ev := range trc.Drain() {
+				if ev.Kind != obs.EvHelp {
+					continue
+				}
+				switch word.DescIndex(ev.Ref) {
+				case word.DescIndex(ref2):
+					helps += "2"
+				case word.DescIndex(ref3):
+					helps += "b"
+				default:
+					t.Fatalf("help entry for unknown descriptor %#x", ev.Ref)
+				}
+			}
+			if helps != bl.helps {
+				t.Fatalf("help entries %q, want %q (2 = d2, b = the blocker)", helps, bl.helps)
+			}
+			if v := e.descDom.Get(1, testSlots.HPD); v != 0 {
+				t.Fatalf("helper's hpd slot still covers %d", v)
+			}
+			for i := 0; i < MaxEntries; i++ {
+				if v := e.nodeDom.Get(1, testSlots.MirrorBase+i); v != 0 {
+					t.Fatalf("helper's mirror %d still publishes %d", i, v)
+				}
+			}
+			// The blocker committed; d2 then found B changed and failed at
+			// entry 1.
+			if d3.status.Load() != statusSuccess || d2.status.Load() != statusFailed(1) {
+				t.Fatalf("statuses blocker=%#x d2=%#x", d3.status.Load(), d2.status.Load())
+			}
+			if got != val(1) || b.Load() != val(22) || c.Load() != val(33) {
+				t.Fatalf("words A=%#x B=%#x C=%#x, want d2 failed and the blocker committed", got, b.Load(), c.Load())
+			}
+			e.ctxs[0].Retire(d2, ref2)
+			e.ctxs[2].Retire(d3, ref3)
+			for _, c := range []*Ctx{e.ctxs[0], e.ctxs[2]} {
+				c.Flush()
+				allFree(t, c)
+			}
+		})
 	}
 }

@@ -35,16 +35,8 @@ func (c *Ctx) ExecutePair(d *Desc, ref uint64) Result {
 // res field.
 func (c *Ctx) dcas(d *Desc, ref uint64, initiator bool) Result {
 	e1, e2 := &d.Entries[0], &d.Entries[1]
-	if !initiator { // D2
-		// D3: mirror the initiator's hazard pointers into this thread's
-		// node slots. If res is still undecided below, the initiating
-		// process is still inside its operation and holds its own
-		// protections, so these mirrors become visible to any future
-		// hazard scan before the initiator's slots are cleared (Lemma 6).
-		c.nodeDom.Protect(c.tid, c.slots.PairMirror1, e1.HP)
-		c.nodeDom.Protect(c.tid, c.slots.PairMirror2, e2.HP)
-	}
-
+	// D2–D3: a helper mirrored the initiator's hazard pointers in
+	// helpOnce, before calling here.
 	if r := d.status.Load(); r == statusSuccess || r == statusSecondFailed { // D4
 		// The operation is decided; only lazy cleanup of a residual
 		// descriptor reference remains. A marked reference was found in
@@ -136,34 +128,6 @@ func resultOf(res uint64) Result {
 		return Success
 	}
 	return SecondFailed
-}
-
-// HelpPairRef performs one protected helping attempt for the pair
-// descriptor reference v found in word w: protect with hpd (D35),
-// revalidate that w still holds v (D36), enter the descriptor, then help
-// (D37). It returns without action when validation or entry fails; the
-// caller re-reads w.
-func (c *Ctx) HelpPairRef(w *word.Word, v uint64) {
-	idx := word.DescIndex(v)
-	c.blocks.dom.Protect(c.tid, c.slots.PairHPD, idx+1) // D35: hpd ← result
-	defer c.blocks.dom.Clear(c.tid, c.slots.PairHPD)
-	if w.Load() != v { // D36: if hpd = *ptr
-		return
-	}
-	d := c.blocks.at(idx)
-	if !d.enter(word.UnmarkDesc(v)) {
-		// The owner closed or re-armed the slot between our load and
-		// the hpd store; the reference is stale and this read raced a
-		// cleanup — re-read.
-		c.checkStuck(w, v)
-		return
-	}
-	// Help-enter attribution: this thread (helper) is completing the
-	// operation announced by the block's owner (victim).
-	c.obsEvent(obs.KCASHelp, obs.EvHelp, c.blocks.owner(idx), word.UnmarkDesc(v))
-	c.dcas(d, v, false) // D37: help
-	c.nodeDom.Clear(c.tid, c.slots.PairMirror1)
-	c.nodeDom.Clear(c.tid, c.slots.PairMirror2)
 }
 
 // stuckSpins bounds how often a stale descriptor reference may be

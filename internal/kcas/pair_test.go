@@ -10,7 +10,7 @@ import (
 )
 
 // testSlots mirrors core's slot assignment.
-var testSlots = Slots{PairHPD: 0, KHPD: 1, RDCSSHPD: 2, PairMirror1: 6, PairMirror2: 7, KMirrorBase: 8}
+var testSlots = Slots{HPD: 0, MirrorBase: 6}
 
 // testEnv wires a descriptor store with per-thread contexts and a
 // metrics registry, mimicking what core.Runtime does.
@@ -24,8 +24,8 @@ type testEnv struct {
 
 func newEnv(threads int) *testEnv {
 	e := &testEnv{
-		nodeDom: hazard.New(threads, 8+2*MaxEntries),
-		descDom: hazard.New(threads, 3),
+		nodeDom: hazard.New(threads, 6+2*MaxEntries),
+		descDom: hazard.New(threads, 1),
 		reg:     obs.NewRegistry(threads),
 	}
 	var err error

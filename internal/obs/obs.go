@@ -2,22 +2,21 @@
 // allocation-free metrics registry and one per-thread ring-buffer tracer
 // for the descriptor protocol's lifecycle events.
 //
-// The paper's core claims — helping makes composed moves lock-free, and
-// contention management keeps the fast path fast — are only checkable if
-// who-helped-whom, abort rates and retry amplification are visible at
-// runtime. Before this package those signals were scattered over
-// per-container stat methods (tstack.Retries, hashmap.ContentionStats),
-// the kcas pool counters, fault.Plan counters and the kvserver
+// The paper's core claim — helping makes composed moves lock-free — is
+// only checkable if who-helped-whom, abort rates and retry amplification
+// are visible at runtime. Before this package those signals were
+// scattered over per-container stat methods (tstack.Retries,
+// hashmap.ContentionStats), fault.Plan counters and the kvserver
 // degradation atomics. obs absorbs them behind one Snapshot:
 //
-//   - Hot protocol events (publish, help, commit, abort, recycle) are
-//     *pushed*: each registered thread owns a cache-line-padded stripe of
-//     fixed counters, incremented without allocation or sharing, merged
-//     only at snapshot time.
+//   - Hot protocol events (publish, help, commit, abort, recycle, stray
+//     cleanups, helped retires) are *pushed*: each registered thread owns
+//     a cache-line-padded stripe of fixed counters, incremented without
+//     allocation or sharing, merged only at snapshot time.
 //
 //   - Everything that already has a cheap monotone counter somewhere
-//     (container CAS retries, map grows, pool stray cleanups, fault
-//     firings, server degradation counts) is *pulled*: the owning layer
+//     (container CAS retries, map grows, fault firings, server
+//     degradation counts) is *pulled*: the owning layer
 //     registers a named func at construction and Snapshot sums every
 //     func registered under the same name. Because the funcs read the
 //     same atomics the legacy stat methods report, the registry cannot

@@ -177,3 +177,130 @@ func TestTypedMap(t *testing.T) {
 		}
 	}
 }
+
+// mustPanic fails the test unless f panics with exactly msg.
+func mustPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != msg {
+			t.Fatalf("panic %v, want %q", r, msg)
+		}
+	}()
+	f()
+}
+
+// TestSwapHeadsOf: three typed stacks rotate their tops through the
+// shared Box (stack i takes stack i-1's top); a rotation over an
+// empty stack changes none of them; stacks over two Boxes panic.
+func TestSwapHeadsOf(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 2})
+	th := rt.RegisterThread()
+	box := repro.NewBox[payload]()
+	ss := make([]*repro.StackOf[payload], 4)
+	for i := range ss {
+		ss[i] = repro.NewStackOf[payload](th, box)
+	}
+	for i, name := range []string{"a", "b", "c"} {
+		ss[i].Push(th, payload{i, "under-" + name})
+		ss[i].Push(th, payload{i, name})
+	}
+	if !repro.SwapHeadsOf(th, ss[0], ss[1], ss[2]) {
+		t.Fatal("SwapHeadsOf over three non-empty stacks failed")
+	}
+	if repro.SwapHeadsOf(th, ss[0], ss[3]) {
+		t.Fatal("SwapHeadsOf over an empty stack succeeded")
+	}
+	for i, want := range []string{"c", "a", "b", "under-a", "under-b", "under-c"} {
+		if got, ok := ss[i%3].Pop(th); !ok || got.Name != want {
+			t.Fatalf("stack %d pop %d: %+v,%v, want %q", i%3, i/3, got, ok, want)
+		}
+	}
+	if _, ok := ss[3].Pop(th); ok {
+		t.Fatal("the failed rotation pushed onto the empty stack")
+	}
+	other := repro.NewStackOf[payload](th, repro.NewBox[payload]())
+	mustPanic(t, "repro: SwapHeadsOf requires stacks sharing one Box", func() {
+		repro.SwapHeadsOf(th, ss[0], other)
+	})
+}
+
+// TestTransferKeysOf: two keyed values cross between typed maps in one
+// step and come back through the shared Box in key order; a transfer
+// with an absent source key or an occupied target key changes neither
+// map; maps over two Boxes panic.
+func TestTransferKeysOf(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 2})
+	th := rt.RegisterThread()
+	box := repro.NewBox[payload]()
+	hot := repro.NewMapOf[payload](th, box, 64)
+	cold := repro.NewMapOf[payload](th, box, 64)
+	for _, k := range []uint64{1, 2, 3} {
+		hot.Put(th, k, payload{int(k), fmt.Sprint("v", k)})
+	}
+	cold.Put(th, 30, payload{30, "v30"})
+	for _, fail := range [][2][]uint64{
+		{{1, 9}, {10, 20}}, // 9 is absent from hot
+		{{1, 3}, {10, 30}}, // 30 is occupied in cold
+	} {
+		if !hot.M.ChainIndependent(fail[0]) || !cold.M.ChainIndependent(fail[1]) {
+			t.Fatalf("keys %v share a bucket chain; the call would fail for that alone", fail)
+		}
+		if vs, ok := repro.TransferKeysOf(th, hot, cold, fail[0], fail[1]); ok || vs != nil {
+			t.Fatalf("TransferKeysOf%v = %v,%v, want nil,false", fail, vs, ok)
+		}
+	}
+	vs, ok := repro.TransferKeysOf(th, hot, cold, []uint64{1, 2}, []uint64{10, 20})
+	if !ok || len(vs) != 2 || vs[0].Name != "v1" || vs[1].Name != "v2" {
+		t.Fatalf("TransferKeysOf = %+v,%v, want [v1 v2],true", vs, ok)
+	}
+	if v, ok := hot.Get(th, 3); !ok || v.Name != "v3" {
+		t.Fatalf("hot[3] = %+v,%v, want v3", v, ok)
+	}
+	for _, k := range []uint64{1, 2, 9} {
+		if _, ok := hot.Get(th, k); ok {
+			t.Fatalf("hot still holds key %d", k)
+		}
+	}
+	for k, want := range map[uint64]string{10: "v1", 20: "v2", 30: "v30"} {
+		if v, ok := cold.Get(th, k); !ok || v.Name != want {
+			t.Fatalf("cold[%d] = %+v,%v, want %q", k, v, ok, want)
+		}
+	}
+	other := repro.NewMapOf[payload](th, repro.NewBox[payload](), 64)
+	mustPanic(t, "repro: TransferKeysOf requires maps sharing one Box", func() {
+		repro.TransferKeysOf(th, hot, other, []uint64{3}, []uint64{3})
+	})
+}
+
+// TestDrainTyped: a drain moves a typed queue's values to a typed stack
+// in FIFO order through the shared Box and stops when the queue runs
+// dry; a drain of the empty queue changes neither; containers over two
+// Boxes panic.
+func TestDrainTyped(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 2})
+	th := rt.RegisterThread()
+	box := repro.NewBox[string]()
+	q := repro.NewQueueOf[string](th, box)
+	s := repro.NewStackOf[string](th, box)
+	for _, v := range []string{"a", "b", "c"} {
+		q.Enqueue(th, v)
+	}
+	if got := repro.DrainTyped(th, q, s, 5); fmt.Sprint(got) != "[a b c]" {
+		t.Fatalf("DrainTyped = %q, want [a b c]", got)
+	}
+	if got := repro.DrainTyped(th, q, s, 5); len(got) != 0 {
+		t.Fatalf("DrainTyped of an empty queue = %q", got)
+	}
+	for _, want := range []string{"c", "b", "a"} {
+		if v, ok := s.Pop(th); !ok || v != want {
+			t.Fatalf("Pop = %q,%v, want %q", v, ok, want)
+		}
+	}
+	if _, ok := s.Pop(th); ok {
+		t.Fatal("the empty drain pushed a value")
+	}
+	other := repro.NewStackOf[string](th, repro.NewBox[string]())
+	mustPanic(t, "repro: DrainTyped requires containers sharing one Box", func() {
+		repro.DrainTyped(th, q, other, 1)
+	})
+}
