@@ -370,8 +370,10 @@ func BenchmarkMoveN_2Targets(b *testing.B) { benchMoveN(b, 2) }
 func BenchmarkMoveN_4Targets(b *testing.B) { benchMoveN(b, 4) }
 func BenchmarkMoveN_7Targets(b *testing.B) { benchMoveN(b, 7) }
 
-// Move (DCAS-based) vs MoveN with one target (MCAS-based): the cost of
-// generality.
+// Two solo Moves per op, queue → stack and back: the uncontended cost
+// of the two-step chain decided by the pair DCAS. A one-target MoveN
+// runs the same chain (BenchmarkMoveN_1Target, which also pops and
+// enqueues to recycle).
 func BenchmarkMoveN_vs_Move_DCAS(b *testing.B) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 1 << 18})
 	th := rt.RegisterThread()

@@ -33,9 +33,10 @@
 // # The k-word CAS engine
 //
 // One engine (internal/kcas) backs every composition. A descriptor
-// holds up to eight (word, old, new) entries; two-entry operations —
-// the pairwise Move — run the paper's helping DCAS protocol (Algorithm
-// 4) directly on the inline entries, while wider compositions run a
+// holds up to eight (word, old, new) entries; two-entry compositions —
+// Move, and a MoveN or TransferKeys of one target or key pair — run the
+// paper's helping DCAS protocol (Algorithm 4) directly on the inline
+// entries, while wider compositions run a
 // Harris/Fraser/Pratt-style CASN whose RDCSS sub-descriptors are
 // encoded in the word references themselves, so helping never
 // allocates. Both protocols share one per-thread descriptor block, sized
@@ -185,8 +186,8 @@ func Move(t *Thread, src Remover, dst Inserter, skey, tkey uint64) (uint64, bool
 }
 
 // MoveN atomically removes one element from src and inserts it into
-// every dst (the paper's §8 n-object extension). All objects must be
-// pairwise distinct; at most 7 targets.
+// every dst (the paper's §8 n-object extension); with one target it is
+// Move. All objects must be pairwise distinct; at most 7 targets.
 func MoveN(t *Thread, src Remover, dsts []Inserter, skey uint64, tkeys []uint64) (uint64, bool) {
 	return t.MoveN(src, dsts, skey, tkeys)
 }
@@ -203,8 +204,8 @@ func SwapHeads(t *Thread, stacks ...*Stack) bool {
 
 // TransferKeys atomically moves len(skeys) elements from src to dst:
 // element i is removed under skeys[i] and inserted under tkeys[i], all
-// 2k linearization CASes decided by one k-word CAS (at most 4 key
-// pairs). On success it returns the moved values, in key order.
+// 2k linearization CASes decided together (at most 4 key pairs; one
+// pair is decided like a Move). On success it returns the moved values, in key order.
 //
 // It returns ok=false, changing nothing, when any source key is absent,
 // any target key is occupied, the arena has no node for an insert

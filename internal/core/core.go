@@ -2,16 +2,19 @@
 // lock-free composition methodology of §3 — the move operation
 // (Algorithm 3) that unifies the linearization points of a remove and an
 // insert via DCAS, and the scas operation that move-ready objects call
-// at their linearization points in place of CAS.
+// at their linearization points in place of CAS. Move and its §8
+// extensions (MoveN, TransferN) are one engine, a chain of steps whose
+// captured CASes one multi-word CAS decides (chain.go).
 //
 // A Runtime owns all shared substrate (arena, hazard-pointer domains,
 // memory manager, descriptor store); each participating goroutine
 // registers once and receives a *Thread carrying the paper's
-// thread-local variables (desc, ltarget, ltkey, insfailed) plus its
-// hazard slots, memory caches and descriptor block. The node arena is
-// the one resource that can run out: a thread's descriptor block is
-// sized from MaxThreads so that reclamation always frees a slot (see
-// package kcas).
+// thread-local state — the descriptor desc, and the chain of steps with
+// a reached flag per step in place of Algorithm 3's target, target key
+// and insert-failed flag — plus its hazard slots, memory caches and
+// descriptor block. The node arena is the one resource that can run
+// out: a thread's descriptor block is sized from MaxThreads so that
+// reclamation always frees a slot (see package kcas).
 package core
 
 import (
@@ -169,6 +172,7 @@ func (rt *Runtime) RegisterThread() *Thread {
 		rt:    rt,
 		cache: rt.mm.NewCache(id),
 		kctx:  kcas.NewCtx(rt.descs, rt.nodeDom, id, kcas.Slots{HPD: slotHPD, MirrorBase: slotMirrorBase}),
+		steps: make([]chainStep, 1, kcas.MaxEntries),
 		flt:   rt.cfg.Fault,
 		reg:   rt.obs.Metrics(),
 		trc:   rt.obs.Tracer(),

@@ -11,12 +11,14 @@ import (
 	"repro/internal/hashmap"
 	"repro/internal/mm"
 	"repro/internal/msqueue"
+	"repro/internal/obs"
 	"repro/internal/tstack"
 	"repro/internal/word"
 )
 
 // fixture is one runtime whose arena the peer's first carve empties,
 // with objects the peer has filled: a queue, two stacks and two maps.
+// o configures the runtime's telemetry.
 type fixture struct {
 	peer, th *core.Thread
 	q        *msqueue.Queue
@@ -25,8 +27,8 @@ type fixture struct {
 	keys     []uint64 // two of a's keys in different buckets of a and of b
 }
 
-func newFixture(t *testing.T) *fixture {
-	rt := core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: arena.ReservedIndexes + mm.LocalListCap})
+func newFixture(t *testing.T, o obs.Config) *fixture {
+	rt := core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: arena.ReservedIndexes + mm.LocalListCap, Obs: o})
 	f := &fixture{peer: rt.RegisterThread()}
 	p := f.peer
 	f.q = msqueue.New(p)
@@ -136,7 +138,7 @@ func TestExhaustionAtEveryInitPhaseAllocation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFixture(t)
+			f := newFixture(t, obs.Config{})
 			for i := 0; i < tc.give; i++ {
 				f.th.FreeNodeDirect(f.peer.AllocNode())
 			}

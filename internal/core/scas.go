@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/kcas"
-	"repro/internal/word"
-)
+import "repro/internal/word"
 
 // FResult is the tri-state result of scas (the paper's fbool): in
 // addition to true/false it can order the calling operation to abort,
@@ -63,81 +60,34 @@ type MoveReady interface {
 // hp is the node reference whose memory contains w (0 for object
 // anchors), carried to helpers via the descriptor (lines M14/D3).
 func (t *Thread) SCASRemove(w *word.Word, old, new, element, hp uint64) FResult {
-	if t.desc == nil && t.mdesc == nil { // M20: plain remove, kept inlinable
+	if t.desc == nil { // M20: plain remove, kept inlinable
 		if w.CAS(old, new) { // M21
 			return FTrue
 		}
 		return FFalse
 	}
-	return t.scasRemoveSlow(w, old, new, element, hp)
-}
-
-func (t *Thread) scasRemoveSlow(w *word.Word, old, new, element, hp uint64) FResult {
-	if t.mdesc != nil {
-		return t.moveNRemoveSCAS(w, old, new, element, hp)
-	}
-	e := &t.desc.Entries[0]
-	e.Ptr, e.Old, e.New = w, old, new           // M11–M13
-	e.HP = word.NodeIndex(hp)                   // M14
-	t.insfailed = true                          // M15
-	ok := t.ltarget.Insert(t, t.ltkey, element) // M16
-	if t.insfailed {                            // M17: the insert never reached its scas
-		return FAbort // M18
-	}
-	if ok { // M19
-		return FTrue
-	}
-	return FFalse
+	return t.capture(w, old, new, element, hp, true)
 }
 
 // SCASInsert is the scas variant called at the linearization point of
 // insert operations (Algorithm 3, lines M22–M39).
 func (t *Thread) SCASInsert(w *word.Word, old, new, hp uint64) FResult {
-	if t.desc == nil && t.mdesc == nil { // M38: plain insert, kept inlinable
+	if t.desc == nil { // M38: plain insert, kept inlinable
 		if w.CAS(old, new) { // M39
 			return FTrue
 		}
 		return FFalse
 	}
-	return t.scasInsertSlow(w, old, new, hp)
-}
-
-func (t *Thread) scasInsertSlow(w *word.Word, old, new, hp uint64) FResult {
-	if t.mdesc != nil {
-		return t.moveNInsertSCAS(w, old, new, hp)
-	}
-	d := t.desc
-	e := &d.Entries[1]
-	e.Ptr, e.Old, e.New = w, old, new // M24–M26
-	e.HP = word.NodeIndex(hp)         // M27
-	if d.Entries[0].Ptr == e.Ptr {
-		panic("core: move source and target share a word; moves require distinct objects")
-	}
-	res := t.kctx.ExecutePair(d, t.descRef) // M28
-	if res != kcas.Success {                // M29
-		// M30: a helper may still reference the failed descriptor, so
-		// take a fresh one carrying the stored remove-side arguments.
-		nd, nref := t.kctx.AllocPair() // M31: res starts UNDECIDED
-		nd.Entries[0] = d.Entries[0]
-		t.kctx.Retire(d, t.descRef)
-		t.desc, t.descRef = nd, nref
-	}
-	t.insfailed = false // M32
-	switch res {
-	case kcas.FirstFailed: // M33: the remove's word changed — redo steps 1–2
-		return FAbort // M34
-	case kcas.SecondFailed: // M35: the insert's word changed — redo step 2
-		return FFalse // M36
-	}
-	return FTrue // M37
+	return t.capture(w, old, new, 0, hp, false)
 }
 
 // Move atomically moves one element from src to dst (Algorithm 3, lines
 // M1–M8): the remove's and insert's linearization CASes are performed
 // together by one DCAS, so no concurrent operation can observe the
-// element in neither or both objects. skey selects the element for keyed
-// sources (ignored by queues/stacks); tkey is the key it is inserted
-// under for keyed targets.
+// element in neither or both objects. It runs as the two-step chain
+// (see runChain). skey selects the element for keyed sources (ignored
+// by queues/stacks); tkey is the key it is inserted under for keyed
+// targets.
 //
 // It returns the moved value and whether the move happened. A move fails
 // when the source is empty / has no such key, or when the target cannot
@@ -146,26 +96,20 @@ func (t *Thread) Move(src Remover, dst Inserter, skey, tkey uint64) (uint64, boo
 	if sameObject(src, dst) {
 		panic("core: Move requires two distinct objects")
 	}
-	if t.desc != nil || t.mdesc != nil {
-		panic("core: nested Move on one thread")
-	}
-	d, ref := t.kctx.AllocPair() // M2–M3: fresh descriptor, res = UNDECIDED
-	t.desc, t.descRef = d, ref
-	t.ltarget, t.ltkey = dst, tkey // M4–M5
-	val, ok := src.Remove(t, skey) // M6
-	cur, curRef := t.desc, t.descRef
-	t.desc = nil // M7
-	t.ltarget = nil
-	t.kctx.Retire(cur, curRef)
-	return val, ok // M8
+	t.steps = t.steps[:2]
+	t.steps[1] = chainStep{ins: dst, key: tkey} // M4–M5
+	return t.runChain(src, skey)
 }
 
-// sameObject reports whether a and b are the same move-ready object.
-func sameObject(a Remover, b Inserter) bool {
-	am, ok1 := a.(MoveReady)
-	bm, ok2 := b.(MoveReady)
+// sameObject reports whether a and b are the same object: their
+// ObjectIDs are equal when both expose one, whatever else either
+// implements, and otherwise they are the same interface value.
+func sameObject(a, b any) bool {
+	type identified interface{ ObjectID() uint64 }
+	ai, ok1 := a.(identified)
+	bi, ok2 := b.(identified)
 	if ok1 && ok2 {
-		return am.ObjectID() == bm.ObjectID()
+		return ai.ObjectID() == bi.ObjectID()
 	}
-	return false
+	return a == b
 }

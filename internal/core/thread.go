@@ -11,9 +11,10 @@ import (
 )
 
 // Thread is the per-goroutine execution context. It carries the paper's
-// thread-local variables from Algorithm 3 (desc, ltarget, ltkey,
-// insfailed), the thread's hazard-pointer slots, its memory-manager
-// cache and its descriptor context.
+// thread-local state of a composition (the descriptor desc and the
+// chain of steps that carries the rest of Algorithm 3's variables), the
+// thread's hazard-pointer slots, its memory-manager cache and its
+// descriptor context.
 //
 // A Thread must be used by exactly one goroutine at a time.
 type Thread struct {
@@ -22,26 +23,19 @@ type Thread struct {
 	cache *mm.Cache
 	kctx  *kcas.Ctx
 
-	// Algorithm 3 thread-local variables for the two-object move.
-	desc      *kcas.Desc
-	descRef   uint64
-	ltarget   Inserter
-	ltkey     uint64
-	insfailed bool
 	exhausted bool // a node allocation failed since the last Exhausted
 
-	// Chain state for the §8 k-word compositions (MoveN, TransferN): a
-	// step program of removes and inserts whose linearization CASes are
-	// captured one entry per step and decided by one k-word CAS.
-	mdesc    *kcas.Desc
-	mref     uint64
-	mSteps   []chainStep // reused buffer; len = entry count
-	mVals    [kcas.MaxEntries]uint64
-	mReached [kcas.MaxEntries]bool
-	mFailed  int
-	mAbort   bool
-	mDepth   int    // entry index the active step fills
-	mElement uint64 // element threaded through the chain
+	// Composition state (chain.go): a chain of removes and inserts whose
+	// linearization CASes are captured one entry of desc per step and
+	// decided together. desc is non-nil exactly while a composition runs.
+	desc    *kcas.Desc
+	dref    uint64
+	steps   []chainStep // steps[1:] of the chain; step 0's remover is runChain's argument
+	vals    [kcas.MaxEntries]uint64
+	reached [kcas.MaxEntries]bool
+	failed  int  // entry the latest decision failed at, -1 if it succeeded
+	abort   bool // the chain aborts: every step unwinds with FAbort
+	depth   int  // entry index the active step fills; 0 between chains
 
 	// seq is a private per-thread counter (see Seq).
 	seq uint64
@@ -64,7 +58,7 @@ type Thread struct {
 
 	// Tail pad: keeps Thread a whole number of cache lines
 	// (TestThreadOwnsItsLines).
-	_ [56]byte
+	_ [40]byte
 }
 
 // chainStep is one operation of a composed chain: exactly one of rem or
@@ -157,18 +151,20 @@ func (t *Thread) ClearNode(slot int) { t.setSlot(slot, 0) }
 // HoldNode publishes the node referenced by ref in the i-th chain hold
 // slot (0 <= i < kcas.MaxEntries). The hold slots carry initiator-side
 // per-entry protections across a composed chain: container operations
-// reuse their fixed Ins/Rem slots, so without a hold the node captured
-// at entry j would lose its protection as soon as a later same-side
-// step overwrites those slots — while its word is still the target of
-// the pending k-word CAS. Holds have their own release point
-// (ReleaseHolds).
+// reuse their fixed Ins/Rem slots, so the node captured at entry j would
+// lose its protection as soon as a later same-side step overwrites
+// those slots — while its word is still the target of the pending
+// multi-word CAS. A chain therefore holds entry j only when a later
+// step is on the same side, so a two-step chain (Move) holds nothing;
+// tstack.SwapHeads holds every head it reads.
 func (t *Thread) HoldNode(i int, ref uint64) {
 	t.setSlot(slotChainHoldBase+i, word.NodeIndex(ref))
 }
 
-// ReleaseHolds clears the chain hold slots the chain actually took;
-// composed operations call it once when their chain completes (either
-// way).
+// ReleaseHolds clears all kcas.MaxEntries chain hold slots, whichever
+// were taken; clearing one that holds nothing costs a shadow compare
+// (setSlot). A chain wider than two steps, the only kind that holds,
+// calls it once when it completes, either way.
 func (t *Thread) ReleaseHolds() {
 	for i := 0; i < kcas.MaxEntries; i++ {
 		t.setSlot(slotChainHoldBase+i, 0)
@@ -249,7 +245,7 @@ func (t *Thread) Fault(p fault.Point) {
 // MoveInFlight reports whether this thread is currently inside a move
 // (desc ≠ 0 in the paper's terms); containers use it in assertions and
 // tests observe it.
-func (t *Thread) MoveInFlight() bool { return t.desc != nil || t.mdesc != nil }
+func (t *Thread) MoveInFlight() bool { return t.desc != nil }
 
 // Seq returns a thread-local counter that increments on every call;
 // containers use it to build unique sub-keys (e.g. the priority queue's

@@ -12,7 +12,7 @@ import (
 
 // flakyTarget rejects its first n insert attempts in the init-phase
 // (before any scas), then delegates to a real stack. It drives the
-// MoveN retry path where a deeper operation's mReached flag is stale.
+// MoveN retry path where a deeper operation's reached flag is stale.
 type flakyTarget struct {
 	s        *tstack.Stack
 	rejects  int

@@ -124,8 +124,8 @@ func TestMoveSameObjectPanics(t *testing.T) {
 }
 
 // failingTarget rejects every insert in its init-phase (like a full
-// container): scas is never reached, so the move must abort via
-// insfailed (lines M15/M17).
+// container): scas is never reached, so the move must abort by lines
+// M15–M18 (the chain's reached flag).
 type failingTarget struct{ id uint64 }
 
 func (f *failingTarget) Insert(*core.Thread, uint64, uint64) bool { return false }

@@ -9,8 +9,8 @@ import (
 )
 
 // probeTarget records whether the thread was mid-move when its Insert
-// ran, then delegates to a real stack — verifying the ltarget wiring of
-// Algorithm 3 (M16).
+// ran, then delegates to a real stack — verifying that Move runs the
+// target's Insert inside the move (Algorithm 3, M16).
 type probeTarget struct {
 	s        *tstack.Stack
 	inFlight []bool

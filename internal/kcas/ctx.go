@@ -15,9 +15,9 @@ import (
 // block beyond what the reclamation bound lets scans keep.
 const scanBatch = 64
 
-// liveDescs bounds the descriptors one thread holds at once: lines
-// M30–M31 (and a chain's conflict path) take a fresh descriptor before
-// retiring the failed one.
+// liveDescs bounds the descriptors one thread holds at once: a
+// composition's conflict path (lines M30–M31) takes a fresh descriptor
+// before retiring the failed one.
 const liveDescs = 2
 
 // blockSize is the number of descriptor slots each thread owns when the

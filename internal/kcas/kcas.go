@@ -13,8 +13,9 @@
 //     Algorithm 4 verbatim over Entries[0] (ptr1) and Entries[1] (ptr2).
 //     It reports which word failed, carries the initiator's hazard
 //     pointers for helpers (line D3), needs no RDCSS sub-descriptors,
-//     and costs two fewer CASs than Harris et al. [9] uncontended —
-//     pairwise Move keeps exactly its pre-unification cost.
+//     and costs two fewer CASs than Harris et al. [9] uncontended.
+//     core decides every two-step composition chain with it (Move, a
+//     one-target MoveN, a one-pair TransferN).
 //
 //   - General path (AllocK/Execute, reference kind KindMCAS): Harris,
 //     Fraser and Pratt's practical CASN [9] — each word is acquired with
@@ -23,7 +24,8 @@
 //     released. RDCSS sub-descriptors are not allocated: the RDCSS
 //     descriptor for entry i of operation M is fully determined by
 //     (M, i), so it is encoded directly in the word reference
-//     (kind = KindRDCSS, entry index in the mark field).
+//     (kind = KindRDCSS, entry index in the mark field). core uses it
+//     for chains wider than two steps and for ExecuteKCAS.
 //
 // Both paths share the sequence-stamped ABA-safe slot reuse, the
 // per-thread FIFO free ring, the owner's close and the hazard-scan
@@ -93,8 +95,8 @@
 // Hence a d that S does not cover gains no new reference after S, and
 // the scrub of a scan that keeps it for residue removes the last one.
 // A closed descriptor is free, not retired, so when the free ring is
-// empty at most two descriptors are live (lines M30–M31 take a fresh one
-// while holding the failed one) and at least R - 2 = 2H + 64 are
+// empty at most two descriptors are live (a composition's lines M30–M31
+// take a fresh one while holding the failed one) and at least R - 2 = 2H + 64 are
 // retired, all of them entered. A first scan frees or keeps each of
 // them; a second scan keeps only those its snapshot covers (at most H)
 // and those the first snapshot covered that have residue again (at most
