@@ -197,7 +197,7 @@ func MoveN(t *Thread, src Remover, dsts []Inserter, skey uint64, tkeys []uint64)
 // decided by one k-word CAS — no observer sees a partial rotation. It
 // returns false (changing nothing) when any stack is observed empty, or
 // when the arena has no nodes for the new heads (Thread.Exhausted).
-// The stacks must be pairwise distinct.
+// The stacks must be pairwise distinct. It allocates nothing.
 func SwapHeads(t *Thread, stacks ...*Stack) bool {
 	return tstack.SwapHeads(t, stacks...)
 }
@@ -205,20 +205,28 @@ func SwapHeads(t *Thread, stacks ...*Stack) bool {
 // TransferKeys atomically moves len(skeys) elements from src to dst:
 // element i is removed under skeys[i] and inserted under tkeys[i], all
 // 2k linearization CASes decided together (at most 4 key pairs; one
-// pair is decided like a Move). On success it returns the moved values, in key order.
+// pair is decided like a Move). On success it returns the moved values,
+// in key order.
+//
+// The result is t's own storage, not a fresh slice: TransferKeys
+// allocates nothing, and the values stay valid until t's next
+// TransferKeys, which reuses them — t's other operations and other
+// threads' transfers leave them alone. Copy them to keep them longer.
 //
 // It returns ok=false, changing nothing, when any source key is absent,
 // any target key is occupied, the arena has no node for an insert
 // (Thread.Exhausted), or the keys are not chain-independent —
 // two source keys (or two target keys) currently hashing into the same
 // bucket chain cannot be composed, a data-dependent condition callers
-// handle by falling back to per-key Moves. Keys within each slice must
-// be pairwise distinct and the maps must be distinct objects.
+// handle by falling back to per-key Moves. Misuse panics instead: 1..4
+// key pairs, equal slice lengths, keys pairwise distinct within each
+// slice and two distinct maps are the caller's to get right.
 func TransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) ([]uint64, bool) {
+	core.CheckTransfer(src, dst, skeys, tkeys)
 	if !src.ChainIndependent(skeys) || !dst.ChainIndependent(tkeys) {
 		return nil, false
 	}
-	out := make([]uint64, len(skeys))
+	out := t.TransferOut(len(skeys))
 	if !t.TransferN(src, dst, skeys, tkeys, out) {
 		return nil, false
 	}
@@ -229,8 +237,10 @@ func TransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) ([]uint64
 // Each move is its own individually-linearizable operation — DrainN is
 // a pipeline, not a transaction — and the drain stops at the first
 // failed move (source empty, target refusing, or no node for the
-// insert). It returns the moved values; n <= 0 moves nothing. skey/tkey
-// are passed to every move, as in Move.
+// insert). It returns the moved values in a fresh slice; n <= 0 moves
+// nothing. skey/tkey are passed to every move, as in Move. To drain
+// without allocating, append into a reused buffer through the thread:
+// t.DrainN(src, dst, skey, tkey, n, buf[:0]).
 func DrainN(t *Thread, src Remover, dst Inserter, skey, tkey uint64, n int) []uint64 {
 	return t.DrainN(src, dst, skey, tkey, n, nil)
 }

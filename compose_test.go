@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -105,5 +106,97 @@ func TestPublicConcurrentSmoke(t *testing.T) {
 	total := q.Len(setup) + s.Len(setup)
 	if total != 100 {
 		t.Fatalf("conservation across public API: %d", total)
+	}
+}
+
+// independentKey returns the smallest key above first that shares a
+// bucket chain with first in none of maps, so that {first, key} is a
+// transfer that can be composed on either side.
+func independentKey(first uint64, maps ...*repro.HashMap) uint64 {
+	for k := first + 1; ; k++ {
+		if !slices.ContainsFunc(maps, func(m *repro.HashMap) bool { return m.SameChain(first, k) }) {
+			return k
+		}
+	}
+}
+
+// TestTransferKeysResultLifetime pins the rule TransferKeys documents:
+// the result is the thread's own storage, which the thread's other
+// operations and other threads' transfers leave alone and only the
+// thread's next TransferKeys reuses; TransferKeysOf copies out of it.
+func TestTransferKeysResultLifetime(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 2})
+	th, other := rt.RegisterThread(), rt.RegisterThread()
+	a, b := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
+	c, d := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
+	keys := []uint64{1, independentKey(1, a, b, c, d)}
+	for _, key := range keys {
+		a.Insert(th, key, key*10)
+		c.Insert(th, key, key*100)
+	}
+	vals, ok := repro.TransferKeys(th, a, b, keys, keys)
+	want := []uint64{keys[0] * 10, keys[1] * 10}
+	if !ok || !slices.Equal(vals, want) {
+		t.Fatalf("TransferKeys = %v,%v, want %v,true", vals, ok, want)
+	}
+
+	if v, ok := repro.Move(th, b, a, keys[0], keys[0]); !ok || v != want[0] {
+		t.Fatalf("Move = %d,%v, want %d,true", v, ok, want[0])
+	}
+	b.Insert(th, 99, 990)
+	b.Contains(th, keys[1])
+	if vs, ok := repro.TransferKeys(other, c, d, keys, keys); !ok || vs[0] != 100 {
+		t.Fatalf("the other thread's TransferKeys = %v,%v", vs, ok)
+	}
+	if !slices.Equal(vals, want) {
+		t.Fatalf("result changed to %v by Move, Insert, Contains and another thread's transfer, want %v", vals, want)
+	}
+
+	box := repro.NewBox[uint64]()
+	hot, cold := repro.NewMapOf[uint64](th, box, 64), repro.NewMapOf[uint64](th, box, 64)
+	for _, key := range keys {
+		hot.Put(th, key, key*1000)
+	}
+	typed, ok := repro.TransferKeysOf(th, hot, cold, keys, keys)
+	wantTyped := []uint64{keys[0] * 1000, keys[1] * 1000}
+	if !ok || !slices.Equal(typed, wantTyped) {
+		t.Fatalf("TransferKeysOf = %v,%v, want %v,true", typed, ok, wantTyped)
+	}
+
+	next, ok := repro.TransferKeys(th, d, c, keys, keys)
+	if !ok || &next[0] != &vals[0] || vals[0] != 100 {
+		t.Fatalf("the thread's next TransferKeys = %v,%v: want it to reuse the earlier result's storage", next, ok)
+	}
+	if !slices.Equal(typed, wantTyped) {
+		t.Fatalf("TransferKeysOf's result changed to %v, want %v", typed, wantTyped)
+	}
+}
+
+// TestTransferKeysMisusePanics: a malformed transfer panics with
+// TransferN's message before any data check runs — a key repeated
+// within a slice is misuse, not keys that happen to share a chain.
+func TestTransferKeysMisusePanics(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
+	th := rt.RegisterThread()
+	a, b := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
+	for key := uint64(1); key <= 5; key++ {
+		a.Insert(th, key, key*10)
+	}
+	for _, c := range []struct {
+		msg          string
+		src, dst     *repro.HashMap
+		skeys, tkeys []uint64
+	}{
+		{"core: TransferN source keys must be pairwise distinct", a, b, []uint64{1, 1}, []uint64{1, 1}},
+		{"core: TransferN target keys must be pairwise distinct", a, b, []uint64{1, 2}, []uint64{3, 3}},
+		{"core: TransferN needs at least one key pair", a, b, nil, nil},
+		{"core: TransferN supports at most kcas.MaxEntries/2 key pairs", a, b, []uint64{1, 2, 3, 4, 5}, []uint64{1, 2, 3, 4, 5}},
+		{"core: TransferN needs one target key per source key", a, b, []uint64{1, 2}, []uint64{1}},
+		{"core: TransferN requires two distinct objects", a, a, []uint64{1}, []uint64{6}},
+	} {
+		mustPanic(t, c.msg, func() { repro.TransferKeys(th, c.src, c.dst, c.skeys, c.tkeys) })
+	}
+	if a.Len(th) != 5 || b.Len(th) != 0 {
+		t.Fatalf("a misused transfer changed the maps: %d, %d entries, want 5, 0", a.Len(th), b.Len(th))
 	}
 }

@@ -63,15 +63,38 @@ func (t *Thread) MoveN(src Remover, dsts []Inserter, skey uint64, tkeys []uint64
 // not.
 //
 // src and dst must be distinct objects and the keys within each side
-// pairwise distinct. The steps must also be word-independent: removing
-// (or inserting) two keys whose linearization CASes land on the same
-// word — e.g. two map keys in one bucket chain — cannot be composed
-// (the captured CASes would depend on each other's effect), and the
-// chain panics when it detects that. Callers with structural knowledge
-// pre-validate; see hashmap.Map.ChainIndependent. out, when non-nil,
-// receives the k removed values on success. TransferN fails (changing
-// nothing) when any source key is absent or any target insert is refused.
+// pairwise distinct (CheckTransfer). The steps must also be
+// word-independent: removing (or inserting) two keys whose
+// linearization CASes land on the same word — e.g. two map keys in one
+// bucket chain — cannot be composed (the captured CASes would depend on
+// each other's effect), and the chain panics when it detects that.
+// Callers with structural knowledge pre-validate; see
+// hashmap.Map.ChainIndependent. out, when non-nil, receives the k
+// removed values on success. TransferN fails (changing nothing) when any
+// source key is absent or any target insert is refused.
 func (t *Thread) TransferN(src Remover, dst Inserter, skeys, tkeys []uint64, out []uint64) bool {
+	CheckTransfer(src, dst, skeys, tkeys)
+	k := len(skeys)
+	t.steps = append(t.steps[:1], chainStep{ins: dst, key: tkeys[0]})
+	for i := 1; i < k; i++ {
+		t.steps = append(t.steps, chainStep{rem: src, key: skeys[i]}, chainStep{ins: dst, key: tkeys[i]})
+	}
+	_, ok := t.runChain(src, skeys[0])
+	if ok && out != nil {
+		for i := 0; i < k; i++ {
+			out[i] = t.vals[2*i]
+		}
+	}
+	return ok
+}
+
+// CheckTransfer panics unless TransferN(src, dst, skeys, tkeys) is well
+// formed: 1..kcas.MaxEntries/2 key pairs, one target key per source key,
+// keys pairwise distinct within each slice, and two distinct objects.
+// TransferN runs it first; a caller that adds a data check of its own
+// (hashmap.Map.ChainIndependent) runs it before that check, so that
+// misuse panics instead of reading as a failed transfer.
+func CheckTransfer(src Remover, dst Inserter, skeys, tkeys []uint64) {
 	k := len(skeys)
 	if k == 0 {
 		panic("core: TransferN needs at least one key pair")
@@ -95,18 +118,6 @@ func (t *Thread) TransferN(src Remover, dst Inserter, skeys, tkeys []uint64, out
 			}
 		}
 	}
-
-	t.steps = append(t.steps[:1], chainStep{ins: dst, key: tkeys[0]})
-	for i := 1; i < k; i++ {
-		t.steps = append(t.steps, chainStep{rem: src, key: skeys[i]}, chainStep{ins: dst, key: tkeys[i]})
-	}
-	_, ok := t.runChain(src, skeys[0])
-	if ok && out != nil {
-		for i := 0; i < k; i++ {
-			out[i] = t.vals[2*i]
-		}
-	}
-	return ok
 }
 
 // runChain drives the chain t.steps, whose step 0 is src.Remove(skey),

@@ -56,9 +56,13 @@ type Thread struct {
 	reg *obs.Registry
 	trc *obs.Tracer
 
+	// xfer holds the values of the thread's latest TransferKeys (see
+	// TransferOut).
+	xfer [kcas.MaxEntries / 2]uint64
+
 	// Tail pad: keeps Thread a whole number of cache lines
 	// (TestThreadOwnsItsLines).
-	_ [40]byte
+	_ [8]byte
 }
 
 // chainStep is one operation of a composed chain: exactly one of rem or
@@ -69,6 +73,13 @@ type chainStep struct {
 	ins Inserter
 	key uint64
 }
+
+// TransferOut returns the first k words (1 <= k <= kcas.MaxEntries/2)
+// of the thread's transfer result buffer, for TransferN's out. The root
+// TransferKeys returns this buffer, so nothing else writes it: its
+// contents stay valid until the thread's next TransferKeys. Its capacity
+// is k, so an append to it copies.
+func (t *Thread) TransferOut(k int) []uint64 { return t.xfer[:k:k] }
 
 // ID returns the registered thread id (0-based).
 func (t *Thread) ID() int { return t.id }

@@ -216,7 +216,11 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 			}
 		}
 	}
-	refs := make([]uint64, k) // replacement head nodes, reused across retries
+	// Scratch in fixed arrays, so a call allocates nothing: replacement
+	// head nodes (reused across retries), observed heads, CAS entries.
+	var refsA, ltopsA [core.MaxKCASEntries]uint64
+	var entriesA [core.MaxKCASEntries]core.KCASEntry
+	refs, ltops, entries := refsA[:k], ltopsA[:k], entriesA[:k]
 	for i := range refs {
 		if refs[i] = t.AllocNode(); refs[i] == word.Nil {
 			for _, r := range refs[:i] {
@@ -225,8 +229,6 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 			return false
 		}
 	}
-	ltops := make([]uint64, k)
-	entries := make([]core.KCASEntry, k)
 	for {
 		empty := false
 		for i, s := range stacks {

@@ -82,6 +82,105 @@ func TestObsDisabledNoAllocs(t *testing.T) {
 	}
 }
 
+// TestCompositionsNoAllocs: every facade composition is
+// allocation-free in steady state — failed ones included — and so is a
+// drain into a reused buffer. TransferKeys returns the thread's own
+// result buffer and SwapHeads keeps its scratch on the stack; DrainN's
+// fresh result slice is the one exception, and th.DrainN(…, buf[:0]) is
+// its allocation-free form.
+func TestCompositionsNoAllocs(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 1 << 14})
+	th := rt.RegisterThread()
+	q := repro.NewQueue(th)
+	s1, s2, s3 := repro.NewStack(th), repro.NewStack(th), repro.NewStack(th)
+	empty := repro.NewStack(th)
+	q.Enqueue(th, 42)
+	for i, s := range []*repro.Stack{s1, s2, s3} {
+		s.Push(th, uint64(i))
+	}
+	drainQ := repro.NewQueue(th)
+	for i := uint64(0); i < 8; i++ {
+		drainQ.Enqueue(th, i)
+	}
+	dq, ds1, ds2 := []repro.Inserter{q}, []repro.Inserter{s1}, []repro.Inserter{s1, s2}
+	tkeys1, tkeys2 := []uint64{0}, []uint64{0, 0}
+
+	// a holds keys 1 and k (chain-independent in both maps) and 1's
+	// chain-mate dep; b starts empty.
+	a, b := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
+	k, dep := independentKey(1, a, b), uint64(2)
+	for !a.SameChain(1, dep) {
+		dep++
+	}
+	for _, key := range []uint64{1, k, dep} {
+		a.Insert(th, key, key*10)
+	}
+	pair, depPair, absent := []uint64{1, k}, []uint64{1, dep}, []uint64{1, 1 << 40}
+	buf := make([]uint64, 0, 8)
+
+	for _, row := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Move", func() {
+			if _, ok := repro.Move(th, q, s1, 0, 0); !ok {
+				repro.Move(th, s1, q, 0, 0)
+			}
+		}},
+		{"MoveN/one target", func() {
+			if _, ok := repro.MoveN(th, q, ds1, 0, tkeys1); !ok {
+				repro.MoveN(th, s1, dq, 0, tkeys1)
+			}
+		}},
+		{"MoveN/two targets", func() {
+			// One element copied into s1 and s2; both copies come off.
+			if _, ok := repro.MoveN(th, q, ds2, 0, tkeys2); ok {
+				s2.Pop(th)
+				repro.Move(th, s1, q, 0, 0)
+			}
+		}},
+		{"TransferKeys/success", func() {
+			_, there := repro.TransferKeys(th, a, b, pair, pair)
+			if _, back := repro.TransferKeys(th, b, a, pair, pair); !there || !back {
+				t.Fatalf("TransferKeys round trip of %v: %v, %v, want true, true", pair, there, back)
+			}
+		}},
+		{"TransferKeys/absent source key", func() {
+			if _, ok := repro.TransferKeys(th, a, b, absent, absent); ok {
+				t.Fatal("TransferKeys of an absent key succeeded")
+			}
+		}},
+		{"TransferKeys/chain-dependent keys", func() {
+			if _, ok := repro.TransferKeys(th, a, b, depPair, depPair); ok {
+				t.Fatal("TransferKeys of chain-dependent keys succeeded")
+			}
+		}},
+		{"SwapHeads/2 stacks", func() {
+			if !repro.SwapHeads(th, s1, s2) {
+				t.Fatal("SwapHeads over two non-empty stacks failed")
+			}
+		}},
+		{"SwapHeads/3 stacks", func() {
+			if !repro.SwapHeads(th, s1, s2, s3) {
+				t.Fatal("SwapHeads over three non-empty stacks failed")
+			}
+		}},
+		{"SwapHeads/empty stack", func() {
+			if repro.SwapHeads(th, s1, empty) {
+				t.Fatal("SwapHeads over an empty stack succeeded")
+			}
+		}},
+		{"Thread.DrainN/reused buffer", func() {
+			buf = th.DrainN(drainQ, q, 0, 0, 8, buf[:0])
+			th.DrainN(q, drainQ, 0, 0, len(buf), buf[:0])
+		}},
+	} {
+		if n := verify.Mallocs(steadyOps, steadyOps, row.fn); n != 0 {
+			t.Errorf("%s: %d allocations over %d calls, want 0", row.name, n, steadyOps)
+		}
+	}
+}
+
 // TestObsSpansDisabledRequestPathNoAllocs pins the span layer's half of
 // the disabled-cost claim: the request-path hooks the serving layer
 // calls around every request (NextReq, SetRequest, Finish) are
