@@ -49,8 +49,8 @@ func TestExecSteadyStateNoAllocs(t *testing.T) {
 	defer s.Close()
 	w := <-s.workers
 	// One cycle per key pair (a, b) leaves the server as it found it. A
-	// pair that shares a bucket chain answers XFER with FAIL and stays in
-	// tenant 1, where the next passes' MOVEs FAIL on it: still requests
+	// pair whose target keys share an insert gap answers XFER with FAIL
+	// and stays in tenant 1, where the next passes' MOVEs FAIL on it: still requests
 	// served, and still in steady state.
 	var lines [][]byte
 	for i := 0; i < pairs; i++ {

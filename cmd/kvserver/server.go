@@ -108,8 +108,9 @@ const shedPeriod = 250 * time.Millisecond
 
 // worker is one connection handler's identity: a registered Thread
 // (the per-goroutine context every container call needs), the latency
-// recorder stripe index it owns, and the buffer XFER and DRAIN write
-// their moved values into, so neither allocates per request.
+// recorder stripe index it owns, and the buffer DRAIN writes its moved
+// values into, so it does not allocate per request (XFER's values come
+// back in the thread's own buffer).
 type worker struct {
 	idx  int
 	th   *repro.Thread
@@ -760,12 +761,11 @@ func (s *Server) apply(w *worker, req *kvwire.Request, dst []byte) ([]byte, bool
 		}
 		return append(dst, "FAIL"...), false
 	case kvwire.OpXfer:
-		// repro.TransferKeys, into the worker's buffer: keys sharing a
-		// bucket chain on either side cannot be composed and answer FAIL.
-		from, to := s.maps[req.Tenant], s.maps[req.DTenant]
-		vs := w.vals[:len(req.Keys)]
-		if !from.ChainIndependent(req.Keys) || !to.ChainIndependent(req.TKeys) ||
-			!th.TransferN(from, to, req.Keys, req.TKeys, vs) {
+		// The values come back in the thread's own buffer. Target keys
+		// that would be linked into one gap cannot be composed and answer
+		// FAIL, like an absent source or an occupied target key.
+		vs, ok := repro.TransferKeys(th, s.maps[req.Tenant], s.maps[req.DTenant], req.Keys, req.TKeys)
+		if !ok {
 			return append(dst, "FAIL"...), false
 		}
 		return kvwire.AppendOK(dst, vs...), true

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -311,6 +312,43 @@ func TestServerProtocolErrors(t *testing.T) {
 	in := bufio.NewReader(conn)
 	wantLines(t, in, "OK", "ERR line too long")
 	wantClosed(t, in)
+}
+
+// TestServerXferRepeatedKeyIsERR: an XFER that repeats a key within a
+// list is malformed — TransferKeys would panic on it, and nothing
+// recovers in a worker — so the parser answers ERR: the connection
+// stays usable and nothing moved.
+func TestServerXferRepeatedKeyIsERR(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 1, Shards: 1, Buckets: 2})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer s.Close()
+
+	cl := dial(t, ln.Addr().String())
+	defer cl.conn.Close()
+	for _, put := range []string{"PUT 0 5 50", "PUT 0 6 60"} {
+		if r := cl.roundTrip(t, put, false); !r.OK() {
+			t.Fatalf("%s: %+v", put, r)
+		}
+	}
+	before := cl.roundTrip(t, "AUDIT", true)
+	for _, bad := range []string{"XFER 0 1 5,5 6,7", "XFER 0 1 5,6 7,7"} {
+		if r := cl.roundTrip(t, bad, false); r.Status != "ERR" {
+			t.Errorf("%q: got %+v, want ERR", bad, r)
+		}
+	}
+	if r := cl.roundTrip(t, "PING", false); !r.OK() {
+		t.Fatalf("PING after the rejected XFERs: %+v", r)
+	}
+	if after := cl.roundTrip(t, "AUDIT", true); !after.OK() || !slices.Equal(after.Vals, before.Vals) {
+		t.Fatalf("AUDIT %v after the rejected XFERs, want %v", after.Vals, before.Vals)
+	}
+	if r := cl.roundTrip(t, "GET 0 5", true); !r.OK() || r.Vals[0] != 50 {
+		t.Fatalf("GET 0 5 after the rejected XFERs: %+v", r)
+	}
 }
 
 // exhaustArena is the arena size at which the setup thread's first node

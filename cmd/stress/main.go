@@ -16,7 +16,8 @@
 // On map/map, half the moves are two-token TransferKeys, so the k-word
 // path and its helping run under the audit too; a failed transfer (a
 // token absent from the source, its key taken in the target, or the
-// keys sharing a chain) changes nothing.
+// two keys due to be linked into one gap of the target) changes
+// nothing.
 // -rotate cycles through every pairing within one run, one pair per
 // audit round, carrying the tokens from pair to pair.
 //

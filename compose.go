@@ -215,22 +215,16 @@ func SwapHeads(t *Thread, stacks ...*Stack) bool {
 //
 // It returns ok=false, changing nothing, when any source key is absent,
 // any target key is occupied, the arena has no node for an insert
-// (Thread.Exhausted), or the keys are not chain-independent —
-// two source keys (or two target keys) currently hashing into the same
-// bucket chain cannot be composed, a data-dependent condition callers
-// handle by falling back to per-key Moves. Misuse panics instead: 1..4
-// key pairs, equal slice lengths, keys pairwise distinct within each
-// slice and two distinct maps are the caller's to get right.
+// (Thread.Exhausted), or two target keys would be linked into one gap
+// of dst's list — the two inserts would change one word, which one
+// composition cannot do; a data-dependent condition callers handle by
+// falling back to per-key Moves. Source keys sharing a bucket chain
+// transfer: their removes change distinct words. Misuse panics
+// instead: 1..4 key pairs, equal slice lengths, keys pairwise distinct
+// within each slice and two distinct maps are the caller's to get
+// right.
 func TransferKeys(t *Thread, src, dst *HashMap, skeys, tkeys []uint64) ([]uint64, bool) {
-	core.CheckTransfer(src, dst, skeys, tkeys)
-	if !src.ChainIndependent(skeys) || !dst.ChainIndependent(tkeys) {
-		return nil, false
-	}
-	out := t.TransferOut(len(skeys))
-	if !t.TransferN(src, dst, skeys, tkeys, out) {
-		return nil, false
-	}
-	return out, true
+	return t.TransferN(src, dst, skeys, tkeys)
 }
 
 // DrainN moves up to n elements from src to dst, one Move at a time.

@@ -110,8 +110,9 @@ func TestPublicConcurrentSmoke(t *testing.T) {
 }
 
 // independentKey returns the smallest key above first that shares a
-// bucket chain with first in none of maps, so that {first, key} is a
-// transfer that can be composed on either side.
+// bucket with first in none of maps, so that {first, key} are target
+// keys no two inserts of one transfer into any of maps link into one
+// gap.
 func independentKey(first uint64, maps ...*repro.HashMap) uint64 {
 	for k := first + 1; ; k++ {
 		if !slices.ContainsFunc(maps, func(m *repro.HashMap) bool { return m.SameChain(first, k) }) {
@@ -129,7 +130,7 @@ func TestTransferKeysResultLifetime(t *testing.T) {
 	th, other := rt.RegisterThread(), rt.RegisterThread()
 	a, b := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
 	c, d := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
-	keys := []uint64{1, independentKey(1, a, b, c, d)}
+	keys := []uint64{1, independentKey(1, b, c, d)}
 	for _, key := range keys {
 		a.Insert(th, key, key*10)
 		c.Insert(th, key, key*100)
@@ -173,8 +174,8 @@ func TestTransferKeysResultLifetime(t *testing.T) {
 }
 
 // TestTransferKeysMisusePanics: a malformed transfer panics with
-// TransferN's message before any data check runs — a key repeated
-// within a slice is misuse, not keys that happen to share a chain.
+// TransferN's message before the chain runs — a key repeated within a
+// slice is misuse, not a word two steps happen to share.
 func TestTransferKeysMisusePanics(t *testing.T) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
 	th := rt.RegisterThread()
@@ -198,5 +199,34 @@ func TestTransferKeysMisusePanics(t *testing.T) {
 	}
 	if a.Len(th) != 5 || b.Len(th) != 0 {
 		t.Fatalf("a misused transfer changed the maps: %d, %d entries, want 5, 0", a.Len(th), b.Len(th))
+	}
+}
+
+// TestTransferKeysSourceKeysShareABucket: two source keys of one bucket
+// chain transfer, because their removes mark two different nodes; only
+// target keys that would be linked into one gap fail a transfer.
+func TestTransferKeysSourceKeysShareABucket(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
+	th := rt.RegisterThread()
+	a, b := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
+	mate := uint64(2)
+	for !a.SameChain(1, mate) {
+		mate++
+	}
+	skeys, tkeys := []uint64{1, mate}, []uint64{1, independentKey(1, b)}
+	for _, key := range skeys {
+		a.Insert(th, key, key*10)
+	}
+	vals, ok := repro.TransferKeys(th, a, b, skeys, tkeys)
+	if want := []uint64{10, mate * 10}; !ok || !slices.Equal(vals, want) {
+		t.Fatalf("TransferKeys of bucket-mates %v = %v,%v, want %v,true", skeys, vals, ok, want)
+	}
+	for i, key := range tkeys {
+		if v, ok := b.Contains(th, key); !ok || v != vals[i] {
+			t.Fatalf("b[%d] = %d,%v, want %d,true", key, v, ok, vals[i])
+		}
+	}
+	if a.Len(th) != 0 {
+		t.Fatalf("a keeps %d entries, want 0", a.Len(th))
 	}
 }

@@ -16,7 +16,9 @@ import (
 // Failure handling generalizes the DCAS retry rules: when the decision
 // reports a conflict at entry i, steps 0..i-1 keep their captured CAS
 // arguments and only steps i.. re-run their init-phases (entry 0 being
-// the first remove, which restarts everything, like FIRSTFAILED).
+// the first remove, which restarts everything, like FIRSTFAILED). A
+// step that would capture a word an earlier step already captured
+// aborts the chain the way a failed init-phase does.
 
 // MoveN atomically removes one element from src and inserts it into
 // every target: the paper's §8 extension ("remove an item from one
@@ -60,41 +62,38 @@ func (t *Thread) MoveN(src Remover, dsts []Inserter, skey uint64, tkeys []uint64
 // removed under skeys[i] and inserted under tkeys[i], with all 2k
 // linearization CASes decided together. No concurrent operation can
 // observe a state where some of the elements have moved and others have
-// not.
+// not. On success it returns the k removed values in the thread's own
+// result buffer, which stays valid until the thread's next TransferN;
+// its capacity is k, so an append to it copies.
 //
 // src and dst must be distinct objects and the keys within each side
-// pairwise distinct (CheckTransfer). The steps must also be
-// word-independent: removing (or inserting) two keys whose
-// linearization CASes land on the same word — e.g. two map keys in one
-// bucket chain — cannot be composed (the captured CASes would depend on
-// each other's effect), and the chain panics when it detects that.
-// Callers with structural knowledge pre-validate; see
-// hashmap.Map.ChainIndependent. out, when non-nil, receives the k
-// removed values on success. TransferN fails (changing nothing) when any
-// source key is absent or any target insert is refused.
-func (t *Thread) TransferN(src Remover, dst Inserter, skeys, tkeys []uint64, out []uint64) bool {
-	CheckTransfer(src, dst, skeys, tkeys)
+// pairwise distinct; 1..kcas.MaxEntries/2 key pairs. Misuse panics.
+// TransferN fails, changing nothing, when any source key is absent, any
+// target insert is refused, or two steps would change one word — two
+// inserts linked into one gap of a list, two pushes onto one stack, two
+// enqueues behind one tail: a CAS captured from a state the other step
+// changes cannot be composed with it, so the chain aborts.
+func (t *Thread) TransferN(src Remover, dst Inserter, skeys, tkeys []uint64) ([]uint64, bool) {
+	checkTransfer(src, dst, skeys, tkeys)
 	k := len(skeys)
 	t.steps = append(t.steps[:1], chainStep{ins: dst, key: tkeys[0]})
 	for i := 1; i < k; i++ {
 		t.steps = append(t.steps, chainStep{rem: src, key: skeys[i]}, chainStep{ins: dst, key: tkeys[i]})
 	}
-	_, ok := t.runChain(src, skeys[0])
-	if ok && out != nil {
-		for i := 0; i < k; i++ {
-			out[i] = t.vals[2*i]
-		}
+	if _, ok := t.runChain(src, skeys[0]); !ok {
+		return nil, false
 	}
-	return ok
+	out := t.xfer[:k:k]
+	for i := range out {
+		out[i] = t.vals[2*i]
+	}
+	return out, true
 }
 
-// CheckTransfer panics unless TransferN(src, dst, skeys, tkeys) is well
+// checkTransfer panics unless TransferN(src, dst, skeys, tkeys) is well
 // formed: 1..kcas.MaxEntries/2 key pairs, one target key per source key,
 // keys pairwise distinct within each slice, and two distinct objects.
-// TransferN runs it first; a caller that adds a data check of its own
-// (hashmap.Map.ChainIndependent) runs it before that check, so that
-// misuse panics instead of reading as a failed transfer.
-func CheckTransfer(src Remover, dst Inserter, skeys, tkeys []uint64) {
+func checkTransfer(src Remover, dst Inserter, skeys, tkeys []uint64) {
 	k := len(skeys)
 	if k == 0 {
 		panic("core: TransferN needs at least one key pair")
@@ -165,7 +164,12 @@ func (t *Thread) capture(w *word.Word, old, new, element, hp uint64, removing bo
 	d := t.desc
 	for k := 0; k < j; k++ {
 		if d.Entries[k].Ptr == w {
-			panic("core: composed operations share a word; steps must be independent")
+			// Step j would change a word step k already captured: its CAS
+			// was read from a state step k replaces, so the two cannot be
+			// decided together. The chain fails like an init-phase
+			// failure (M17–M18).
+			t.abort = true
+			return FAbort
 		}
 	}
 	t.reached[j] = true // M15

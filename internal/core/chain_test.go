@@ -54,7 +54,7 @@ func TestCompositionRejectsInsertOnlyViewOfSource(t *testing.T) {
 			f.th.MoveN(f.q, []core.Inserter{f.s, insertOnly{f.s}}, 0, []uint64{0, 0})
 		}},
 		{"TransferN stack to its view", "core: TransferN requires two distinct objects", func(f *fixture) {
-			f.th.TransferN(f.s, insertOnly{f.s}, []uint64{0}, []uint64{1}, nil)
+			f.th.TransferN(f.s, insertOnly{f.s}, []uint64{0}, []uint64{1})
 		}},
 	}
 	for _, tc := range cases {
@@ -132,9 +132,11 @@ func TestChainShapePicksProtocol(t *testing.T) {
 			return th.MoveN(src, []core.Inserter{dst}, key, []uint64{key})
 		}},
 		{"TransferN one pair", func(th *core.Thread, src core.Remover, dst core.Inserter, key uint64) (uint64, bool) {
-			out := make([]uint64, 1)
-			ok := th.TransferN(src, dst, []uint64{key}, []uint64{key}, out)
-			return out[0], ok
+			vals, ok := th.TransferN(src, dst, []uint64{key}, []uint64{key})
+			if !ok {
+				return 0, false
+			}
+			return vals[0], true
 		}},
 	}
 	for _, in := range inputs {
@@ -175,7 +177,8 @@ func TestChainShapePicksProtocol(t *testing.T) {
 			return ok
 		}},
 		{"TransferN two pairs", func(f *fixture) bool {
-			return f.th.TransferN(f.a, f.b, f.keys, f.keys, nil)
+			_, ok := f.th.TransferN(f.a, f.b, f.keys, f.keys)
+			return ok
 		}},
 		{"ExecuteKCAS two entries", func(f *fixture) bool {
 			var w1, w2 word.Word
@@ -193,6 +196,52 @@ func TestChainShapePicksProtocol(t *testing.T) {
 			}
 			if kinds := publishKinds(f.th); !slices.Equal(kinds, []uint64{word.KindMCAS}) {
 				t.Fatalf("publishes descriptors of kinds %v, want [%d]", kinds, word.KindMCAS)
+			}
+		})
+	}
+}
+
+// TestSharedWordFailsChain: a transfer whose steps would change one
+// word — two map inserts linked into one gap, two enqueues behind one
+// tail, two pushes onto one top — fails the way an init-phase failure
+// does. The call returns nil,false, no object changes, the thread is
+// not left inside a move, no hold is left published, the failure is not
+// read as exhaustion, and the thread's next Move succeeds.
+func TestSharedWordFailsChain(t *testing.T) {
+	cases := []struct {
+		name string
+		dst  func(f *fixture) (core.Inserter, []uint64)
+	}{
+		{"map keys in one empty bucket", func(f *fixture) (core.Inserter, []uint64) {
+			k := uint64(2)
+			for !f.b.SameChain(1, k) {
+				k++
+			}
+			return f.b, []uint64{1, k}
+		}},
+		{"queue", func(f *fixture) (core.Inserter, []uint64) { return f.q, []uint64{0, 1} }},
+		{"stack", func(f *fixture) (core.Inserter, []uint64) { return f.s, []uint64{0, 1} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, obs.Config{})
+			f.peer.FlushMemory()
+			dst, tkeys := tc.dst(f)
+			before := f.state()
+			if vals, ok := f.th.TransferN(f.a, dst, []uint64{1, 2}, tkeys); ok || vals != nil {
+				t.Fatalf("TransferN = %v,%v, want nil,false", vals, ok)
+			}
+			if got := f.state(); got != before {
+				t.Fatalf("failed transfer changed the objects:\n before %s\n after  %s", before, got)
+			}
+			if inFlight, exhausted := f.th.MoveInFlight(), f.th.Exhausted(); inFlight || exhausted {
+				t.Fatalf("in flight=%v exhausted=%v, want false, false", inFlight, exhausted)
+			}
+			if _, other := f.th.PublishedSlots(); other != 0 {
+				t.Fatalf("%d mirror, hold or descriptor slots left published", other)
+			}
+			if _, ok := f.th.Move(f.q, f.s2, 0, 0); !ok {
+				t.Fatal("the thread's next Move failed")
 			}
 		})
 	}

@@ -4,7 +4,9 @@
 // insert via DCAS, and the scas operation that move-ready objects call
 // at their linearization points in place of CAS. Move and its §8
 // extensions (MoveN, TransferN) are one engine, a chain of steps whose
-// captured CASes one multi-word CAS decides (chain.go).
+// captured CASes one multi-word CAS decides (chain.go). The engine is
+// its own guard: a step whose CAS lands on a word an earlier step
+// captured fails the chain, which changes nothing.
 //
 // A Runtime owns all shared substrate (arena, hazard-pointer domains,
 // memory manager, descriptor store); each participating goroutine

@@ -89,7 +89,8 @@ func TestHoldsOnlyWhereASideRecurs(t *testing.T) {
 			src, dst := newCells(t, th, 2), newCells(t, th, 2)
 			nodes := []uint64{src.refs[0], dst.refs[0], src.refs[1], dst.refs[1]}
 			return func() bool {
-				return th.TransferN(src, dst, []uint64{0, 1}, []uint64{0, 1}, nil)
+				_, ok := th.TransferN(src, dst, []uint64{0, 1}, []uint64{0, 1})
+				return ok
 			}, nodes
 		}},
 	}

@@ -56,8 +56,8 @@ type Thread struct {
 	reg *obs.Registry
 	trc *obs.Tracer
 
-	// xfer holds the values of the thread's latest TransferKeys (see
-	// TransferOut).
+	// xfer holds the values of the thread's latest successful
+	// TransferN, which returns it.
 	xfer [kcas.MaxEntries / 2]uint64
 
 	// Tail pad: keeps Thread a whole number of cache lines
@@ -73,13 +73,6 @@ type chainStep struct {
 	ins Inserter
 	key uint64
 }
-
-// TransferOut returns the first k words (1 <= k <= kcas.MaxEntries/2)
-// of the thread's transfer result buffer, for TransferN's out. The root
-// TransferKeys returns this buffer, so nothing else writes it: its
-// contents stay valid until the thread's next TransferKeys. Its capacity
-// is k, so an append to it copies.
-func (t *Thread) TransferOut(k int) []uint64 { return t.xfer[:k:k] }
 
 // ID returns the registered thread id (0-based).
 func (t *Thread) ID() int { return t.id }

@@ -283,17 +283,10 @@ func (m *Map) double(s *shard, d *directory) *directory {
 }
 
 // SameChain reports whether key1 and key2 land in the same bucket: same
-// shard and same bucket index at the directory size it reads. Composed
-// multi-key operations (core.TransferN) need word-independent keys — two
-// linearization CASes on neighbouring nodes can target the same word,
-// which cannot be captured twice by one k-word CAS — so callers reject
-// same-bucket pairs up front (a data-dependent condition, not a
-// programming error). The answer is a snapshot, and it stays good: two
-// keys in different buckets at size S are in different buckets at every
-// later size, and every operation on either key first makes sure its own
-// bucket's sentinel is linked — a node that sorts between the two keys
-// from then on, so neither key's node, nor its predecessor's Next word,
-// can be the other's.
+// shard and same bucket index at the directory size it reads. The
+// answer is a snapshot: a grow can later split the bucket. Two target
+// keys of one composed transfer (core.TransferN) that share a bucket
+// may be linked into one gap of its list, and then fail the transfer.
 func (m *Map) SameChain(key1, key2 uint64) bool {
 	h1, h2 := hash(key1), hash(key2)
 	if h1&m.shardMask != h2&m.shardMask {
@@ -301,21 +294,6 @@ func (m *Map) SameChain(key1, key2 uint64) bool {
 	}
 	mask := m.shard(h1).dir.Load().mask
 	return (h1>>m.shardBits)&mask == (h2>>m.shardBits)&mask
-}
-
-// ChainIndependent reports whether no two of keys land in the same
-// bucket (SameChain), which is what one side of a composed multi-key
-// operation (core.TransferN) needs. Every caller of TransferN on maps
-// checks both sides through here.
-func (m *Map) ChainIndependent(keys []uint64) bool {
-	for i := range keys {
-		for j := 0; j < i; j++ {
-			if m.SameChain(keys[j], keys[i]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Insert adds (key, val); false when the key exists, when the arena has

@@ -246,10 +246,9 @@ func TestComposedOpsLinkSentinelsInMove(t *testing.T) {
 	if src.SameChain(k1, k2) || dst.SameChain(t1, t2) {
 		t.Fatal("keys chosen for distinct buckets share one")
 	}
-	out := make([]uint64, 2)
 	p0 = published()
-	if !th.TransferN(src, dst, []uint64{k1, k2}, []uint64{t1, t2}, out) || out[0] != 11 || out[1] != 22 {
-		t.Fatalf("TransferN across unlinked buckets failed: out=%v", out)
+	if out, ok := th.TransferN(src, dst, []uint64{k1, k2}, []uint64{t1, t2}); !ok || out[0] != 11 || out[1] != 22 {
+		t.Fatalf("TransferN across unlinked buckets = %v,%v, want [11 22],true", out, ok)
 	}
 	if n := published() - p0; n != 1 {
 		t.Fatalf("TransferN published %d descriptors, want 1", n)

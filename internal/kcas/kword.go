@@ -40,21 +40,20 @@ func (c *Ctx) Execute(d *Desc, ref uint64) (bool, int) {
 	if d.N < 1 || d.N > MaxEntries {
 		panic(fmt.Sprintf("kcas: %d entries out of range", d.N))
 	}
-	for i := 0; i < d.N; i++ {
-		d.order[i] = uint8(i)
-		for j := 0; j < i; j++ {
-			if d.Entries[i].Ptr == d.Entries[j].Ptr {
-				panic("kcas: duplicate target word; operations must be on distinct objects")
-			}
-		}
-	}
 	// Phase-1 acquisition order: ascending address, so concurrent
 	// operations over overlapping word sets cannot chase each other in a
-	// cycle.
+	// cycle. The sort leaves equal words adjacent, where one comparison
+	// per step finds a duplicate.
 	ord := d.order[:d.N]
-	for i := 1; i < len(ord); i++ {
+	for i := range ord {
+		ord[i] = uint8(i)
 		for j := i; j > 0 && wordAddr(d.Entries[ord[j]].Ptr) < wordAddr(d.Entries[ord[j-1]].Ptr); j-- {
 			ord[j], ord[j-1] = ord[j-1], ord[j]
+		}
+	}
+	for i := 1; i < len(ord); i++ {
+		if d.Entries[ord[i]].Ptr == d.Entries[ord[i-1]].Ptr {
+			panic("kcas: duplicate target word; operations must be on distinct objects")
 		}
 	}
 	// Telemetry: the general path counts every Execute as a publish

@@ -44,7 +44,8 @@
 // relocates one entry between two tenants' maps (repro.Move — the
 // entry is never in both maps nor in neither), XFER moves up to four
 // keyed entries in one k-word CAS (repro.TransferKeys — FAIL also
-// covers chain-dependent keys, retryable as per-key MOVEs), and DRAIN
+// covers two target keys that would be linked into one gap, retryable
+// as per-key MOVEs; a key repeated within a list is ERR), and DRAIN
 // streams up to n ≤ MaxDrainN elements between two tenants' queues,
 // each its own atomic move (repro.DrainN). Composed operations
 // require two distinct tenants; ParseRequest rejects same-tenant
@@ -92,6 +93,7 @@ package kvwire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -313,6 +315,9 @@ func (r *Request) Parse(line []byte, tenants int) error {
 		if nk > MaxXferKeys {
 			return fmt.Errorf("XFER takes 1..%d key pairs", MaxXferKeys)
 		}
+		if repeats(r.Keys) || repeats(r.TKeys) {
+			return fmt.Errorf("XFER repeats a key within a list")
+		}
 		return nil
 	case OpDrain:
 		if err = r.parseArgs(&f, n, 3, tenants, true); err != nil {
@@ -463,6 +468,16 @@ func parseList(dst []uint64, tok []byte) (_ []uint64, n int, err error) {
 		}
 	}
 	return dst, n, nil
+}
+
+// repeats reports whether some key occurs twice in keys.
+func repeats(keys []uint64) bool {
+	for i := range keys {
+		if slices.Contains(keys[:i], keys[i]) {
+			return true
+		}
+	}
+	return false
 }
 
 // parseVals parses a response's comma-separated value list.

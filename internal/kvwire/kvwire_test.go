@@ -54,6 +54,9 @@ func TestParseRequestRejects(t *testing.T) {
 		"MOVE 1 1 2 3",                  // same tenant
 		"XFER 0 1 1,2 1",                // list length mismatch
 		"XFER 0 1 1,2,3,4,5 6,7,8,9,10", // too many pairs
+		"XFER 0 1 5,5 6,7",              // repeated source key
+		"XFER 0 1 5,6 7,8,7",            // list length mismatch wins over a repeat
+		"XFER 0 1 1,2,3 4,5,4",          // repeated target key
 		"DRAIN 0 1 0",                   // n < 1
 		"DRAIN 0 1 1025",                // n > MaxDrainN
 		"DRAIN 0 1 9223372036854775807", // n > MaxDrainN (was a server panic)
@@ -272,6 +275,15 @@ func refParseRequest(line string, tenants int) (Request, error) {
 		if len(r.Keys) == 0 || len(r.Keys) > MaxXferKeys {
 			return r, fmt.Errorf("XFER takes 1..%d key pairs", MaxXferKeys)
 		}
+		for _, keys := range [][]uint64{r.Keys, r.TKeys} {
+			seen := map[uint64]bool{}
+			for _, k := range keys {
+				if seen[k] {
+					return r, fmt.Errorf("XFER repeats a key within a list")
+				}
+				seen[k] = true
+			}
+		}
 	case "DRAIN":
 		r.Op = OpDrain
 		if err := refParseArgs(f, 3, &r, tenants, true); err != nil {
@@ -367,7 +379,8 @@ var parseCorpus = []string{
 	"GET 99999999999999999999 1", "GET 9223372036854775808 1",
 	"DRAIN 0 1 +4", "DRAIN 0 1 -4", "DRAIN 0 1 9223372036854775808",
 	"XFER 0 1 , ,", "XFER 0 1 1, 2,", "XFER 0 1 1,,2 3,4,5", "XFER 0 1 1,2,3,4,x 1", "XFER 0 1 1 2,x",
-	"XFER 0 1 1,2,3,4,5 6,7,8,9", "MOVE 0 1 1,2 3", "MOVE 0 3 1 1", "MOVE 0 1 1", "PUT 0 1 2 3",
+	"XFER 0 1 1,2,3,4,5 6,7,8,9", "XFER 0 1 5,5 6,7", "XFER 0 1 6,7 5,5", "XFER 0 1 1,2,3,1 4,5,6,7",
+	"XFER 0 1 1,2,3,4,1 5,6,7,8,9", "MOVE 0 1 1,2 3", "MOVE 0 3 1 1", "MOVE 0 1 1", "PUT 0 1 2 3",
 }
 
 // checkParse parses line with Request.Parse (into a Request that has

@@ -105,17 +105,17 @@ func TestCompositionsNoAllocs(t *testing.T) {
 	dq, ds1, ds2 := []repro.Inserter{q}, []repro.Inserter{s1}, []repro.Inserter{s1, s2}
 	tkeys1, tkeys2 := []uint64{0}, []uint64{0, 0}
 
-	// a holds keys 1 and k (chain-independent in both maps) and 1's
-	// chain-mate dep; b starts empty.
+	// a holds keys 1 and k, in different buckets of both maps; b starts
+	// empty, so 1 and its bucket-mate gap would be inserted into one gap.
 	a, b := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
-	k, dep := independentKey(1, a, b), uint64(2)
-	for !a.SameChain(1, dep) {
-		dep++
+	k, gap := independentKey(1, a, b), uint64(2)
+	for !b.SameChain(1, gap) {
+		gap++
 	}
-	for _, key := range []uint64{1, k, dep} {
+	for _, key := range []uint64{1, k} {
 		a.Insert(th, key, key*10)
 	}
-	pair, depPair, absent := []uint64{1, k}, []uint64{1, dep}, []uint64{1, 1 << 40}
+	pair, gapPair, absent := []uint64{1, k}, []uint64{1, gap}, []uint64{1, 1 << 40}
 	buf := make([]uint64, 0, 8)
 
 	for _, row := range []struct {
@@ -150,9 +150,9 @@ func TestCompositionsNoAllocs(t *testing.T) {
 				t.Fatal("TransferKeys of an absent key succeeded")
 			}
 		}},
-		{"TransferKeys/chain-dependent keys", func() {
-			if _, ok := repro.TransferKeys(th, a, b, depPair, depPair); ok {
-				t.Fatal("TransferKeys of chain-dependent keys succeeded")
+		{"TransferKeys/target keys sharing an insert gap", func() {
+			if _, ok := repro.TransferKeys(th, a, b, pair, gapPair); ok {
+				t.Fatal("TransferKeys into one insert gap succeeded")
 			}
 		}},
 		{"SwapHeads/2 stacks", func() {
