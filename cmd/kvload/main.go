@@ -382,8 +382,7 @@ func reportServerSide(addr string, doc *kvwire.Doc, n int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("server tail exemplars: %d retained, threshold %.1fus\n",
-		len(slow.Exemplars), us(slow.ThresholdNS))
+	fmt.Printf("server tail exemplars: %d retained\n", len(slow.Exemplars))
 	for i, sp := range slow.Exemplars {
 		if i >= n {
 			break

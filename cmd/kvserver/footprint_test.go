@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/kvwire"
 	"repro/internal/obs"
@@ -83,6 +84,23 @@ func TestExecSteadyStateNoAllocs(t *testing.T) {
 	const passes = 40 // × 256 cycles: ≥ 10 k GETs, XFERs and DRAINs, 20 k of the rest
 	if n := verify.Mallocs(passes, passes, pass); n != 0 {
 		t.Fatalf("%d allocations over %d requests, want 0", n, passes*len(lines))
+	}
+}
+
+// TestIdleServerNoAllocs: a server with spans and metrics on and no
+// SLO runs no periodic work, so once it has served a few requests and
+// gone idle the process allocates nothing. The SLO's control loop, the
+// only ticker, merges the latency histograms those requests created
+// every shedPeriod, and starts only when an SLO is set.
+func TestIdleServerNoAllocs(t *testing.T) {
+	_, l := servePipes(t, Config{Tenants: 1, Workers: 2, Spans: true, Metrics: true})
+	client, in, _ := l.dial(t)
+	if _, err := client.Write([]byte("PUT 0 1 11\nGET 0 1\n")); err != nil {
+		t.Fatal(err)
+	}
+	wantLines(t, in, "OK", "OK 11")
+	if n := verify.Mallocs(1, 3, func() { time.Sleep(300 * time.Millisecond) }); n != 0 {
+		t.Fatalf("an idle server allocated %d times in 900 ms", n)
 	}
 }
 

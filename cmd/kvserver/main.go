@@ -45,9 +45,8 @@
 // borrow), parse, execute (with kcas publish/help/abort deltas),
 // degrade (retry backoff) and write stages. Per-stage histograms reach
 // STATS ("stages") and METRICS (stage_* series); the SLOW verb returns
-// the slowest requests' full spans as JSON (tail exemplars, threshold-
-// gated by the windowed p99 so the buffer tracks the current tail); a
-// -trace dump interleaves span records with protocol events, joined by
+// the slowest requests' full spans since boot as JSON (tail exemplars,
+// kept per worker and merged when SLOW reads them); a -trace dump interleaves span records with protocol events, joined by
 // request id.
 //
 // Example:
@@ -106,7 +105,7 @@ func main() {
 		traceBuf   = flag.Int("tracebuf", 0, "per-thread trace ring capacity (0 = default)")
 		spans      = flag.Bool("spans", true, "enable request-scoped spans: per-stage latency attribution, tail exemplars and the SLOW wire verb")
 		spanBuf    = flag.Int("spanbuf", 0, "per-worker completed-span ring capacity (0 = default)")
-		slowK      = flag.Int("slowk", 0, "tail-exemplar buffer size served by SLOW (0 = default)")
+		slowK      = flag.Int("slowk", 0, "number of slowest requests since boot kept as tail exemplars and served by SLOW (0 = default)")
 		statsEvery = flag.Duration("statsevery", 0, "print a 'STATS <json>' line on stdout at this period (0 = off)")
 		cpuProfile = flag.String("cpuprofile", "", "record a CPU profile from boot; write it to this file at drain (empty = off)")
 	)

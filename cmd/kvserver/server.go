@@ -73,10 +73,9 @@ type Config struct {
 	// request's wall time is decomposed into queue/parse/execute/
 	// degrade/write stages, recorded into per-stage histograms (STATS
 	// "stages" block, METRICS stage_* series) and per-worker rings, with
-	// the slowest requests retained as tail exemplars behind a windowed-
-	// p99 threshold gate and served by the SLOW wire verb. SpanBuf sizes
-	// the per-worker completed-span rings and SpanTopK the exemplar
-	// buffer (0 = obs defaults).
+	// the SpanTopK slowest requests since boot retained as tail
+	// exemplars and served by the SLOW wire verb. SpanBuf sizes the
+	// per-worker completed-span rings (0 = obs defaults for both).
 	Spans    bool
 	SpanBuf  int
 	SpanTopK int
@@ -264,7 +263,7 @@ func NewServer(cfg Config) *Server {
 			reg.AddFunc("spans_dropped_total", s.spans.Dropped)
 		}
 	}
-	if cfg.SLO > 0 || s.spans != nil {
+	if cfg.SLO > 0 {
 		go s.control()
 	}
 	return s
@@ -402,17 +401,13 @@ func (s *Server) stopShedder() {
 // descriptor a killed worker left announced to completion.
 func (s *Server) SetupThread() *repro.Thread { return s.setup }
 
-// control runs while SLO shedding or spans are on: each period it
-// computes the p99 of the service times recorded in that period (a
-// windowed delta, so recovery is observable) and hands it to both
-// consumers. With an SLO it moves the shed level — the count of
+// control runs while SLO shedding is on: each period it computes the
+// p99 of the service times recorded in that period (a windowed delta,
+// so recovery is observable) and moves the shed level — the count of
 // highest-id tenants answered BUSY — one notch toward the overload
-// verdict; tenant priority is id order, so tenant 0 is shed last. With
-// spans it installs the p99 as the tail-exemplar threshold, so under a
-// load shift the exemplar buffer self-tunes: only requests at or beyond
-// the current tail displace retained exemplars. A window with too few
-// samples for a meaningful p99 re-admits one shed tenant and leaves the
-// threshold standing.
+// verdict; tenant priority is id order, so tenant 0 is shed last. A
+// window with too few samples for a meaningful p99 re-admits one shed
+// tenant.
 func (s *Server) control() {
 	tick := time.NewTicker(shedPeriod)
 	defer tick.Stop()
@@ -426,21 +421,14 @@ func (s *Server) control() {
 		cur := s.rec.MergedAll()
 		win := cur.Sub(prev)
 		prev = cur
-		full := win.Count >= 16
-		p99 := win.Percentile(0.99)
-		if s.cfg.SLO > 0 {
-			level := s.shedLevel.Load()
-			switch {
-			case full && time.Duration(p99) > s.cfg.SLO:
-				if int(level) < s.cfg.Tenants-1 {
-					s.shedLevel.Store(level + 1)
-				}
-			case level > 0:
-				s.shedLevel.Store(level - 1)
+		level := s.shedLevel.Load()
+		switch {
+		case win.Count >= 16 && time.Duration(win.Percentile(0.99)) > s.cfg.SLO:
+			if int(level) < s.cfg.Tenants-1 {
+				s.shedLevel.Store(level + 1)
 			}
-		}
-		if full {
-			s.spans.SetThreshold(p99) // nil-safe: no-op with spans off
+		case level > 0:
+			s.shedLevel.Store(level - 1)
 		}
 	}
 }
@@ -581,8 +569,8 @@ func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
 	}
 }
 
-// finishSpan records a completed span into the worker's ring, the
-// per-stage histograms and the exemplar gate, then clears the serving
+// finishSpan records a completed span into the worker's ring and tail
+// exemplars and the per-stage histograms, then clears the serving
 // thread's current-request slot in the tracer.
 func (s *Server) finishSpan(w *worker, sp obs.Span) {
 	s.spans.Finish(w.idx, sp)
@@ -794,9 +782,8 @@ func (s *Server) execControl(w *worker, op kvwire.Op, dst []byte) []byte {
 			return append(dst, "ERR spans disabled"...)
 		}
 		return appendJSON(dst, kvwire.SlowDoc{
-			ThresholdNS: s.spans.Threshold(),
-			Dropped:     s.spans.Dropped(),
-			Exemplars:   s.spans.Exemplars(),
+			Dropped:   s.spans.Dropped(),
+			Exemplars: s.spans.Exemplars(),
 		})
 	}
 	return append(dst, "ERR unreachable"...)

@@ -825,7 +825,8 @@ func TestServerFlushPerBatch(t *testing.T) {
 	}
 
 	// The METRICS response is itself in flight when its snapshot is
-	// taken, so it reports the 32 responses and 17 writes before it.
+	// taken, so it reports the 32 responses and 17 writes before it. One
+	// client's traffic loses no linearization CAS.
 	if _, err := fmt.Fprintln(client, "METRICS"); err != nil {
 		t.Fatal(err)
 	}
@@ -837,13 +838,16 @@ func TestServerFlushPerBatch(t *testing.T) {
 		}
 		metrics.WriteString(line)
 	}
-	for _, series := range []string{"flushes_total 17\n", "responses_total 32\n"} {
+	for _, series := range []string{"flushes_total 17\n", "responses_total 32\n", "\ncas_retries_total 0\n"} {
 		if !strings.Contains(metrics.String(), series) {
 			t.Errorf("METRICS lacks %q", series)
 		}
 	}
 	if obs := s.Stats().Obs; obs["flushes_total"] == 0 || obs["responses_total"] <= obs["flushes_total"] {
 		t.Errorf("STATS obs block: flushes_total=%d responses_total=%d", obs["flushes_total"], obs["responses_total"])
+	}
+	if n, ok := s.Stats().Obs["cas_retries_total"]; !ok || n != 0 {
+		t.Errorf("STATS obs block: cas_retries_total=%d (present %v), want 0", n, ok)
 	}
 }
 

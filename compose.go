@@ -337,8 +337,9 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error { return obs.Write
 type Span = obs.Span
 
 // Spans is the request-span recorder: per-worker overwrite-oldest rings
-// of completed spans plus a threshold-gated top-K tail-exemplar buffer;
-// obtain it from Obs.Spans (nil when ObsConfig.Spans is off — every
+// of completed spans, each keeping its worker's K slowest as tail
+// exemplars, which Exemplars merges into the K slowest since the
+// recorder was built; obtain it from Obs.Spans (nil when ObsConfig.Spans is off — every
 // method stays safe on nil).
 type Spans = obs.Spans
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"repro/internal/obs"
 	"repro/internal/pad"
 	"repro/internal/word"
 )
@@ -81,6 +83,124 @@ func TestSCASPlainModeIsCAS(t *testing.T) {
 	if w.Load() != 30 {
 		t.Fatalf("final value %d", w.Load())
 	}
+}
+
+// staleCell is a one-word container whose remove and insert, when
+// stale is set, first offer scas an old value the word does not hold — a
+// linearization CAS that must lose — and then the current one. It
+// records every scas result.
+type staleCell struct {
+	id    uint64
+	w     word.Word
+	stale bool
+	got   []FResult
+}
+
+func (c *staleCell) ObjectID() uint64 { return c.id }
+
+// old returns the value the next scas expects: the word's, or, once
+// after stale is set, another plain value.
+func (c *staleCell) old() uint64 {
+	v := c.w.Load()
+	if c.stale {
+		c.stale = false
+		return v + 2
+	}
+	return v
+}
+
+func (c *staleCell) Remove(t *Thread, _ uint64) (uint64, bool) {
+	for {
+		old := c.old()
+		r := t.SCASRemove(&c.w, old, old+4, 7, 0)
+		c.got = append(c.got, r)
+		if r != FFalse {
+			return 7, r == FTrue
+		}
+	}
+}
+
+func (c *staleCell) Insert(t *Thread, _, _ uint64) bool {
+	for {
+		old := c.old()
+		r := t.SCASInsert(&c.w, old, old+4, 0)
+		c.got = append(c.got, r)
+		if r != FFalse {
+			return r == FTrue
+		}
+	}
+}
+
+// TestLostSCASCounts: every scas that returns FFalse — a lost
+// linearization CAS, plain or captured by a chain — adds one to the
+// calling thread's cas_retries_total stripe, FTrue and FAbort add
+// nothing, and so does a failed raw k-word CAS.
+func TestLostSCASCounts(t *testing.T) {
+	rt := NewRuntime(Config{MaxThreads: 1, ArenaCapacity: 1 << 12, Obs: obs.Config{Metrics: true}})
+	th := rt.RegisterThread()
+	reg := rt.Obs().Metrics()
+	check := func(name string, want uint64, op func()) {
+		t.Helper()
+		before := reg.ThreadValue(th.ID(), obs.CASRetry)
+		op()
+		if d := reg.ThreadValue(th.ID(), obs.CASRetry) - before; d != want {
+			t.Errorf("%s: cas_retries_total += %d, want %d", name, d, want)
+		}
+	}
+	result := func(name string, got, want FResult) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s returned %v, want %v", name, got, want)
+		}
+	}
+	var w word.Word
+	w.Store(10)
+	check("plain SCASRemove, current old", 0, func() { result("SCASRemove", th.SCASRemove(&w, 10, 20, 0, 0), FTrue) })
+	check("plain SCASRemove, stale old", 1, func() { result("SCASRemove", th.SCASRemove(&w, 10, 30, 0, 0), FFalse) })
+	check("plain SCASInsert, current old", 0, func() { result("SCASInsert", th.SCASInsert(&w, 20, 30, 0), FTrue) })
+	check("plain SCASInsert, stale old", 1, func() { result("SCASInsert", th.SCASInsert(&w, 20, 40, 0), FFalse) })
+
+	src := &staleCell{id: rt.NextObjectID()}
+	dst := &staleCell{id: rt.NextObjectID()}
+	chain := func(name string, srcStale, dstStale bool, wantSrc, wantDst []FResult) {
+		t.Helper()
+		src.stale, dst.stale, src.got, dst.got = srcStale, dstStale, nil, nil
+		check(name, 1, func() {
+			if _, ok := th.Move(src, dst, 0, 0); !ok {
+				t.Errorf("%s: Move failed", name)
+			}
+		})
+		if !slices.Equal(src.got, wantSrc) || !slices.Equal(dst.got, wantDst) {
+			t.Errorf("%s: remove saw %v, insert saw %v; want %v and %v", name, src.got, dst.got, wantSrc, wantDst)
+		}
+	}
+	// The remove's captured CAS loses: the insert unwinds with FAbort
+	// (not counted) and the remove retries with FFalse (counted).
+	chain("chain, stale remove", true, false, []FResult{FFalse, FTrue}, []FResult{FAbort, FTrue})
+	// The insert's captured CAS loses: it alone retries.
+	chain("chain, stale insert", false, true, []FResult{FTrue}, []FResult{FFalse, FTrue})
+	// An aborted chain loses no CAS.
+	src.got = nil
+	check("chain, refusing target", 0, func() {
+		if _, ok := th.Move(src, &exhaustedTarget{id: rt.NextObjectID()}, 0, 0); ok {
+			t.Error("Move into a refusing target succeeded")
+		}
+	})
+	if !slices.Equal(src.got, []FResult{FAbort}) {
+		t.Errorf("aborted chain: remove saw %v, want [ABORT]", src.got)
+	}
+
+	cur := src.w.Load()
+	check("ExecuteKCAS, stale old", 1, func() {
+		if ok, _ := th.ExecuteKCAS([]KCASEntry{{W: &src.w, Old: cur + 2, New: cur + 4}, {W: &dst.w, Old: dst.w.Load(), New: 0}}); ok {
+			t.Error("ExecuteKCAS with a stale old succeeded")
+		}
+	})
+	check("ExecuteKCAS, current old", 0, func() {
+		if ok, _ := th.ExecuteKCAS([]KCASEntry{{W: &src.w, Old: cur, New: cur + 4}, {W: &dst.w, Old: dst.w.Load(), New: 0}}); !ok {
+			t.Error("ExecuteKCAS with current olds failed")
+		}
+	})
 }
 
 func TestNodeAllocationLifecycle(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/kcas"
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
@@ -28,7 +29,8 @@ type KCASEntry struct {
 // must hold their Old values for the operation to succeed. Entries must
 // target pairwise distinct words (1..kcas.MaxEntries of them) that the
 // caller has protected for the duration of the call. On failure it
-// reports the index of an entry whose word did not match.
+// reports the index of an entry whose word did not match, and counts
+// one lost CAS in the thread's stripe of cas_retries_total.
 //
 // This is the raw engine entry point: it performs no container
 // init-phases, so the caller owns the retry loop. It must not run
@@ -50,6 +52,9 @@ func (t *Thread) ExecuteKCAS(entries []KCASEntry) (bool, int) {
 	}
 	ok, failed := t.kctx.Execute(d, ref)
 	t.kctx.Retire(d, ref)
+	if !ok {
+		t.reg.Inc(t.id, obs.CASRetry)
+	}
 	return ok, failed
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/word"
+import (
+	"repro/internal/obs"
+	"repro/internal/word"
+)
 
 // FResult is the tri-state result of scas (the paper's fbool): in
 // addition to true/false it can order the calling operation to abort,
@@ -59,26 +62,39 @@ type MoveReady interface {
 // removed (available before the linearization point, requirement 4);
 // hp is the node reference whose memory contains w (0 for object
 // anchors), carried to helpers via the descriptor (lines M14/D3).
+//
+// A lost linearization CAS (FFalse: the operation retries) is counted
+// here, in the thread's own stripe of cas_retries_total, for every
+// container alike.
 func (t *Thread) SCASRemove(w *word.Word, old, new, element, hp uint64) FResult {
-	if t.desc == nil { // M20: plain remove, kept inlinable
+	if t.desc == nil { // M20: plain remove
 		if w.CAS(old, new) { // M21
 			return FTrue
 		}
-		return FFalse
+		return t.tally(FFalse)
 	}
-	return t.capture(w, old, new, element, hp, true)
+	return t.tally(t.capture(w, old, new, element, hp, true))
 }
 
 // SCASInsert is the scas variant called at the linearization point of
 // insert operations (Algorithm 3, lines M22–M39).
 func (t *Thread) SCASInsert(w *word.Word, old, new, hp uint64) FResult {
-	if t.desc == nil { // M38: plain insert, kept inlinable
+	if t.desc == nil { // M38: plain insert
 		if w.CAS(old, new) { // M39
 			return FTrue
 		}
-		return FFalse
+		return t.tally(FFalse)
 	}
-	return t.capture(w, old, new, 0, hp, false)
+	return t.tally(t.capture(w, old, new, 0, hp, false))
+}
+
+// tally returns r, counting it in the thread's stripe of
+// cas_retries_total when it is FFalse: a lost linearization CAS.
+func (t *Thread) tally(r FResult) FResult {
+	if r == FFalse {
+		t.reg.Inc(t.id, obs.CASRetry)
+	}
+	return r
 }
 
 // Move atomically moves one element from src to dst (Algorithm 3, lines

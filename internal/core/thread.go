@@ -180,11 +180,12 @@ func (t *Thread) ReleaseHolds() {
 // Read is the read operation of Algorithm 4 (lines D32–D39) extended to
 // dispatch on descriptor kind: it helps any pair, k-word or RDCSS
 // descriptor announced in w and returns a plain value. The common
-// no-descriptor case stays small enough for the inliner; helping is the
-// slow path.
+// no-descriptor case is one load and one bit test; helping is the slow
+// path. Read is just over the inliner's budget (go build
+// -gcflags=-m=2 reports its cost), so each read is a function call.
 func (t *Thread) Read(w *word.Word) uint64 {
 	v := w.Load()
-	if v&1 == 0 { // word.IsDesc spelled out to stay under the inline budget
+	if v&1 == 0 { // word.IsDesc
 		return v
 	}
 	return t.kctx.Read(w)

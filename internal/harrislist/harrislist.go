@@ -30,8 +30,6 @@
 package harrislist
 
 import (
-	"sync/atomic"
-
 	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/word"
@@ -42,12 +40,6 @@ import (
 type List struct {
 	head word.Word
 	id   uint64
-
-	// retries counts failed linearization CASes (an insert or remove
-	// losing its scas to a concurrent writer); the hash map sums it over
-	// its buckets for cas_retries_total. Written only on the contention
-	// path, so the uncontended fast path never touches it.
-	retries atomic.Uint64
 }
 
 var _ core.MoveReady = (*List)(nil)
@@ -141,7 +133,7 @@ retry:
 // when the arena has no node for it (t.Exhausted then reports true), or
 // when a surrounding move aborts.
 func (l *List) Insert(t *core.Thread, key, val uint64) bool {
-	ok, _ := InsertAt(t, &l.head, key, 0, val, &l.retries)
+	ok, _ := InsertAt(t, &l.head, key, 0, val)
 	return ok
 }
 
@@ -149,13 +141,13 @@ func (l *List) Insert(t *core.Thread, key, val uint64) bool {
 // already present, as opposed to refused for want of a node or by an
 // aborted move.
 func (l *List) InsertNew(t *core.Thread, key, val uint64) (ok, exists bool) {
-	return InsertAt(t, &l.head, key, 0, val, &l.retries)
+	return InsertAt(t, &l.head, key, 0, val)
 }
 
 // InsertAt is Insert on the list reachable from anchor, for the node
-// (key, aux); retries counts the linearization CASes it loses. exists
-// reports a refusal because the node is already there.
-func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *atomic.Uint64) (ok, exists bool) {
+// (key, aux). exists reports a refusal because the node is already
+// there.
+func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) (ok, exists bool) {
 	ref := word.Nil
 	for {
 		r := search(t, anchor, key, aux, core.SlotInsAux, core.SlotIns0)
@@ -182,7 +174,6 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64, retries *
 			t.BackoffReset()
 			return true, false
 		}
-		retries.Add(1)
 		t.BackoffWait()
 	}
 }
@@ -222,12 +213,12 @@ func LinkAt(t *core.Thread, anchor *word.Word, key, aux uint64, slotPrev, slotCu
 // the marking CAS on cur.next (via scas); physical unlinking is the
 // cleanup phase.
 func (l *List) Remove(t *core.Thread, key uint64) (uint64, bool) {
-	return RemoveAt(t, &l.head, key, 0, &l.retries)
+	return RemoveAt(t, &l.head, key, 0)
 }
 
 // RemoveAt is Remove on the list reachable from anchor, for the node
-// (key, aux); retries counts the linearization CASes it loses.
-func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64, retries *atomic.Uint64) (uint64, bool) {
+// (key, aux).
+func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, bool) {
 	for {
 		r := search(t, anchor, key, aux, core.SlotRemAux, core.SlotRem0)
 		if !r.found {
@@ -248,7 +239,6 @@ func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64, retries *atomi
 		if res == core.FAbort {
 			return 0, false
 		}
-		retries.Add(1)
 		t.BackoffWait()
 	}
 }
@@ -277,7 +267,6 @@ func (l *List) RemoveMin(t *core.Thread) (key, val uint64, ok bool) {
 		if res == core.FAbort {
 			return 0, 0, false
 		}
-		l.retries.Add(1)
 		t.BackoffWait()
 	}
 }
@@ -336,11 +325,6 @@ func Walk(t *core.Thread, anchor *word.Word, f func(*arena.Node)) {
 		cur = word.ListUnmarked(nx)
 	}
 }
-
-// Retries reports how many linearization CASes this list has lost to
-// concurrent writers — a monotone contention signal (zero on an
-// uncontended list).
-func (l *List) Retries() uint64 { return l.retries.Load() }
 
 // HeadWord exposes the head anchor for structural verification (package
 // verify) and diagnostics; not part of the normal API.

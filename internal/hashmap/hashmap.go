@@ -124,15 +124,14 @@ type Map struct {
 
 var _ core.MoveReady = (*Map)(nil)
 
-// shard is one partition: its current directory, its element counter and
-// its contention counter.
+// shard is one partition: its current directory and its element
+// counter.
 type shard struct {
 	dir atomic.Pointer[directory] // replaced by a grow, never cleared
 	_   pad.Pad56
 
-	count   atomic.Int64  // written by every successful insert and remove
-	retries atomic.Uint64 // linearization CASes lost in this shard's lists
-	_       pad.Pad48
+	count atomic.Int64 // written by every successful insert and remove
+	_     pad.Pad56
 }
 
 // directory maps a shard's bucket indexes to anchors. Immutable apart
@@ -184,16 +183,8 @@ func NewSharded(t *core.Thread, shards, bucketsPerShard, growLoad int) *Map {
 		m.shards[i].dir.Store(&directory{heads: make([]word.Word, per), mask: uint64(per - 1)})
 	}
 	if reg := t.Runtime().Obs().Metrics(); reg != nil {
-		// Registry pulls: map-wide aggregates reading the same atomics
-		// the legacy accessors (ContentionStats, Stats) report, so the
-		// two surfaces cannot drift.
-		reg.AddFunc("cas_retries_total", func() uint64 {
-			var total uint64
-			for _, v := range m.ContentionStats() {
-				total += v
-			}
-			return total
-		})
+		// Registry pull: reads the same atomic Stats reports, so the two
+		// surfaces cannot drift.
 		reg.AddFunc("map_grows_total", func() uint64 { return m.grows.Load() })
 	}
 	return m
@@ -306,7 +297,7 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 	s := m.shard(h)
 	d := s.dir.Load()
 	from := m.anchor(t, d, h, core.SlotInsAux, core.SlotIns0)
-	if ok, _ := harrislist.InsertAt(t, from, bits.Reverse64(h), auxEntry, val, &s.retries); !ok {
+	if ok, _ := harrislist.InsertAt(t, from, bits.Reverse64(h), auxEntry, val); !ok {
 		return false
 	}
 	if s.count.Add(1) > int64(d.mask+1)*m.growLoad {
@@ -335,24 +326,11 @@ func (m *Map) Remove(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
 	s := m.shard(h)
 	from := m.anchor(t, s.dir.Load(), h, core.SlotRemAux, core.SlotRem0)
-	v, ok := harrislist.RemoveAt(t, from, bits.Reverse64(h), auxEntry, &s.retries)
+	v, ok := harrislist.RemoveAt(t, from, bits.Reverse64(h), auxEntry)
 	if ok {
 		s.count.Add(-1)
 	}
 	return v, ok
-}
-
-// ContentionStats reports each shard's accumulated CAS-retry count: the
-// linearization CASes its inserts and removes lost to concurrent writers
-// — a shard whose counter climbs between two samples is being fought
-// over right now; the sum over shards is the registry's
-// cas_retries_total.
-func (m *Map) ContentionStats() []uint64 {
-	out := make([]uint64, len(m.shards))
-	for i := range m.shards {
-		out[i] = m.shards[i].retries.Load()
-	}
-	return out
 }
 
 // Contains reports presence and value.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msqueue"
+	"repro/internal/obs"
 )
 
 func newRT(threads int) *core.Runtime {
@@ -366,45 +367,48 @@ func TestConcurrentMapMoves(t *testing.T) {
 	}
 }
 
-// TestContentionStatsShape: one counter per shard, all zero on an
-// uncontended map, and the slice tracks the shard count.
-func TestContentionStatsShape(t *testing.T) {
-	rt := newRT(2)
+// newMetricsRT is newRT with the metrics registry on.
+func newMetricsRT(threads int) *core.Runtime {
+	return core.NewRuntime(core.Config{MaxThreads: threads, ArenaCapacity: 1 << 18, Obs: obs.Config{Metrics: true}})
+}
+
+// TestCASRetriesZeroSingleThreaded: an uncontended map loses no
+// linearization CAS, so cas_retries_total reads 0 on a fresh map and
+// after single-threaded traffic.
+func TestCASRetriesZeroSingleThreaded(t *testing.T) {
+	rt := newMetricsRT(2)
 	th := rt.RegisterThread()
 	m := NewSharded(th, 4, 2, 0)
-	cs := m.ContentionStats()
-	if len(cs) != m.Shards() {
-		t.Fatalf("len=%d want %d", len(cs), m.Shards())
-	}
-	for i, n := range cs {
-		if n != 0 {
-			t.Fatalf("shard %d: %d retries on a fresh map", i, n)
-		}
+	reg := rt.Obs().Metrics()
+	if n := reg.Snapshot().Get("cas_retries_total"); n != 0 {
+		t.Fatalf("%d retries on a fresh map", n)
 	}
 	for k := uint64(0); k < 256; k++ {
 		m.Insert(th, k, k)
 		m.Remove(th, k)
 	}
-	for i, n := range m.ContentionStats() {
-		if n != 0 {
-			t.Fatalf("shard %d: %d retries single-threaded", i, n)
-		}
+	if n := reg.Snapshot().Get("cas_retries_total"); n != 0 {
+		t.Fatalf("%d retries single-threaded", n)
 	}
 }
 
-// TestContentionStatsUnderContention hammers one hot key from several
-// threads and checks the aggregate is monotone and plausibly placed
-// (any nonzero count must sit in the hot key's shard). CAS failures
-// need real interleaving, so the positive case is logged rather than
-// asserted — on a single-CPU host the counters may stay zero.
-func TestContentionStatsUnderContention(t *testing.T) {
+// TestCASRetriesCountedByTheLosingThread hammers one hot key from
+// several threads: cas_retries_total is the sum of the workers' own
+// stripes, and the setup thread, which ran no operation of the storm,
+// counts none. CAS failures need real interleaving, so the positive
+// case is logged rather than asserted — on a single-CPU host the
+// counters may stay zero.
+func TestCASRetriesCountedByTheLosingThread(t *testing.T) {
 	const threads = 4
-	rt := newRT(threads + 1)
+	rt := newMetricsRT(threads + 1)
 	setup := rt.RegisterThread()
 	m := NewSharded(setup, 4, 4, 1<<20) // huge grow load: no grows, pure CAS traffic
+	reg := rt.Obs().Metrics()
 	var wg sync.WaitGroup
+	var tids []int
 	for w := 0; w < threads; w++ {
 		th := rt.RegisterThread()
+		tids = append(tids, th.ID())
 		wg.Add(1)
 		go func(th *core.Thread) {
 			defer wg.Done()
@@ -415,14 +419,15 @@ func TestContentionStatsUnderContention(t *testing.T) {
 		}(th)
 	}
 	wg.Wait()
-	cs := m.ContentionStats()
-	hot := int(hash(7) & m.shardMask)
-	var total uint64
-	for i, n := range cs {
-		total += n
-		if n != 0 && i != hot {
-			t.Fatalf("retries %d recorded on shard %d; only shard %d was touched", n, i, hot)
-		}
+	if n := reg.ThreadValue(setup.ID(), obs.CASRetry); n != 0 {
+		t.Fatalf("setup thread counts %d retries; it ran no operation", n)
 	}
-	t.Logf("hot-shard retries after storm: %d", total)
+	var total uint64
+	for _, tid := range tids {
+		total += reg.ThreadValue(tid, obs.CASRetry)
+	}
+	if got := reg.Snapshot().Get("cas_retries_total"); got != total {
+		t.Fatalf("cas_retries_total=%d, worker stripes sum to %d", got, total)
+	}
+	t.Logf("hot-key retries after storm: %d", total)
 }

@@ -25,7 +25,7 @@ func TestLayout(t *testing.T) {
 	}{
 		{"shard", unsafe.Sizeof(s),
 			unsafe.Offsetof(s.dir), unsafe.Offsetof(s.dir) + unsafe.Sizeof(s.dir) - 1,
-			map[string]uintptr{"count": unsafe.Offsetof(s.count), "retries": unsafe.Offsetof(s.retries)}},
+			map[string]uintptr{"count": unsafe.Offsetof(s.count)}},
 		{"directory", unsafe.Sizeof(d),
 			unsafe.Offsetof(d.heads), unsafe.Offsetof(d.mask) + unsafe.Sizeof(d.mask) - 1,
 			map[string]uintptr{"scan": unsafe.Offsetof(d.scan)}},

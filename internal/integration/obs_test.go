@@ -14,8 +14,8 @@ import (
 // These tests pin the observability layer to the protocol it observes:
 // the tracer's help events must attribute helper and victim correctly
 // (the regression the kcas-publish park makes deterministic), and the
-// registry's counters must reconcile exactly with the legacy stat
-// accessors they absorbed — same atomics, same numbers, no drift.
+// registry's counters must reconcile exactly with the stat accessors
+// and thread stripes they are read from — same counts, no drift.
 
 func newObsRT(threads int, plan *fault.Plan) *core.Runtime {
 	cfg := core.Config{
@@ -106,10 +106,10 @@ func TestTraceAttributesHelpToParkedOwner(t *testing.T) {
 }
 
 // TestMetricsReconcileWithLegacyStats races movers between two maps,
-// quiesces, and checks the registry snapshot against the legacy stat
-// accessors it absorbed, plus the protocol's own conservation law:
-// every published descriptor was decided exactly once, so publishes
-// equal commits plus aborts in a kill-free run.
+// quiesces, and checks the registry snapshot against the maps' Stats
+// accessor and against the threads that lost CASes, plus the protocol's
+// own conservation law: every published descriptor was decided exactly
+// once, so publishes equal commits plus aborts in a kill-free run.
 func TestMetricsReconcileWithLegacyStats(t *testing.T) {
 	const workers = 4
 	const tokens = 64
@@ -155,14 +155,26 @@ func TestMetricsReconcileWithLegacyStats(t *testing.T) {
 	if pub != dec {
 		t.Fatalf("kcas_publish_total=%d but commits+aborts=%d — an announced descriptor was never decided (or double-counted)", pub, dec)
 	}
-	// The map's pulled counters match its own accessors.
-	var retries uint64
+	// The maps' pulled counter matches their own accessor.
+	var grows uint64
 	for _, m := range []*hashmap.Map{a, b} {
-		for _, n := range m.ContentionStats() {
-			retries += n
-		}
+		g, _, _ := m.Stats()
+		grows += g
+	}
+	if got := snap.Get("map_grows_total"); got != grows {
+		t.Fatalf("map_grows_total=%d, maps report %d", got, grows)
+	}
+	// Lost CASes are counted by the threads that lost them: the
+	// workers' stripes, and none on the setup thread, which only seeded.
+	reg := rt.Obs().Metrics()
+	if n := reg.ThreadValue(setup.ID(), obs.CASRetry); n != 0 {
+		t.Fatalf("setup thread counts %d lost CASes single-threaded", n)
+	}
+	var retries uint64
+	for _, th := range ths {
+		retries += reg.ThreadValue(th.ID(), obs.CASRetry)
 	}
 	if got := snap.Get("cas_retries_total"); got != retries {
-		t.Fatalf("cas_retries_total=%d, maps report %d", got, retries)
+		t.Fatalf("cas_retries_total=%d, worker stripes sum to %d", got, retries)
 	}
 }

@@ -83,16 +83,12 @@ func StageRowFrom(stage string, s latency.Snapshot) StageRow {
 }
 
 // SlowDoc is the SLOW verb's one-line JSON document: the server's tail
-// exemplars (slowest requests' spans, full stage breakdown each,
-// slowest first) plus the threshold gate that admitted them and the
-// count of completed spans overwritten unread. Each exemplar's own
-// JSON form carries the "span":1 discriminator, so a SlowDoc exemplar
-// pasted into a JSONL trace file still parses as a span record.
+// exemplars (the slowest requests' spans since boot, full stage
+// breakdown each, slowest first) plus the count of completed spans
+// overwritten unread. Each exemplar's own JSON form carries the
+// "span":1 discriminator, so a SlowDoc exemplar pasted into a JSONL
+// trace file still parses as a span record.
 type SlowDoc struct {
-	// ThresholdNS is the exemplar gate at snapshot time: the windowed
-	// p99 the span layer self-tunes to (0 until the first control
-	// window closes — every span admitted).
-	ThresholdNS int64 `json:"threshold_ns"`
 	// Dropped counts completed spans overwritten in the per-worker
 	// rings before any reader saw them.
 	Dropped uint64 `json:"dropped"`

@@ -4,23 +4,20 @@
 //
 // The paper's core claim — helping makes composed moves lock-free — is
 // only checkable if who-helped-whom, abort rates and retry amplification
-// are visible at runtime. Before this package those signals were
-// scattered over per-container stat methods (tstack.Retries,
-// hashmap.ContentionStats), fault.Plan counters and the kvserver
-// degradation atomics. obs absorbs them behind one Snapshot:
+// are visible at runtime. obs puts those signals behind one Snapshot:
 //
-//   - Hot protocol events (publish, help, commit, abort, recycle, stray
-//     cleanups, helped retires) are *pushed*: each registered thread owns
-//     a cache-line-padded stripe of fixed counters, incremented without
-//     allocation or sharing, merged only at snapshot time.
+//   - Events an operation causes (publish, help, commit, abort, recycle,
+//     stray cleanups, helped retires, lost linearization CASes) are
+//     *pushed* by the thread that caused them: each registered thread
+//     owns a cache-line-padded stripe of fixed counters, incremented
+//     without allocation or sharing, merged only at snapshot time. A
+//     container keeps no counter of its own on an operation's path.
 //
-//   - Everything that already has a cheap monotone counter somewhere
-//     (container CAS retries, map grows, fault firings, server
-//     degradation counts) is *pulled*: the owning layer
-//     registers a named func at construction and Snapshot sums every
-//     func registered under the same name. Because the funcs read the
-//     same atomics the legacy stat methods report, the registry cannot
-//     drift from them.
+//   - Counts that already live in some layer's own state (map grows,
+//     fault firings, server degradation counts) are *pulled*: the
+//     owning layer registers a named func at construction and Snapshot
+//     sums every func registered under the same name, so the registry
+//     reads the very atomics the layer's accessors report.
 //
 // The tracer records the same protocol windows internal/fault
 // instruments, with helper/victim thread attribution on help events, to
@@ -45,15 +42,16 @@ type Config struct {
 	// drop count is exported as trace_dropped_total). 0 selects 4096.
 	TraceBuf int
 	// Spans enables the request-scoped span recorder: per-worker rings
-	// of completed spans plus the top-K tail-exemplar buffer (the
-	// serving layer records into it and serves the SLOW verb from it).
+	// of completed spans, each with its worker's top-K tail exemplars
+	// (the serving layer records into it and serves the SLOW verb from
+	// it).
 	Spans bool
 	// SpanBuf is the per-worker completed-span ring capacity, rounded
 	// up to a power of two; 0 selects DefaultSpanBuf (1024).
 	SpanBuf int
-	// SpanTopK sizes the tail-exemplar buffer (the K slowest requests
-	// past the threshold gate are retained); 0 selects DefaultSpanTopK
-	// (32).
+	// SpanTopK is K, the number of tail exemplars retained: the K
+	// slowest spans since the recorder was built; 0 selects
+	// DefaultSpanTopK (32).
 	SpanTopK int
 }
 

@@ -18,15 +18,15 @@ func TestRegistryStripesAndFuncs(t *testing.T) {
 		t.Fatalf("Value(KCASHelp) = %d, want 10", got)
 	}
 	// Two funcs under one name are summed; a separate name stands alone.
-	r.AddFunc("cas_retries_total", func() uint64 { return 7 })
-	r.AddFunc("cas_retries_total", func() uint64 { return 5 })
+	r.AddFunc("map_grows_total", func() uint64 { return 7 })
+	r.AddFunc("map_grows_total", func() uint64 { return 5 })
 	r.AddFunc("fault_fired_total", func() uint64 { return 3 })
 	s := r.Snapshot()
 	if got := s.Get("kcas_helps_total"); got != 10 {
 		t.Fatalf("snapshot kcas_helps_total = %d, want 10", got)
 	}
-	if got := s.Get("cas_retries_total"); got != 12 {
-		t.Fatalf("snapshot cas_retries_total = %d, want 12", got)
+	if got := s.Get("map_grows_total"); got != 12 {
+		t.Fatalf("snapshot map_grows_total = %d, want 12", got)
 	}
 	if got := s.Get("fault_fired_total"); got != 3 {
 		t.Fatalf("snapshot fault_fired_total = %d, want 3", got)

@@ -11,9 +11,10 @@ import (
 )
 
 // Counter names one of the fixed hot-path counters every registered
-// thread stripes. These are the descriptor-protocol lifecycle events the
-// initiating or helping thread pushes directly; everything else reaches
-// the registry through AddFunc pulls.
+// thread stripes. These are the events the thread that caused them
+// pushes directly — the descriptor-protocol lifecycle and lost
+// linearization CASes; everything else reaches the registry through
+// AddFunc pulls.
 type Counter uint8
 
 // The fixed counters. Publish/commit/abort are counted by the
@@ -27,6 +28,9 @@ type Counter uint8
 // trace event. Helped retires count the descriptors whose owner's close
 // failed because a helper had entered them: only these are scrubbed and
 // wait for a hazard scan, so the series reads ≈ 0 on unhelped traffic.
+// CAS retries count the linearization CASes a container operation lost
+// (its scas returned false, so it retries) and the failed raw k-word
+// CASes, by the losing thread, for every container alike.
 const (
 	KCASPublish Counter = iota
 	KCASHelp
@@ -36,6 +40,7 @@ const (
 	KCASStrayCleanup
 	KCASLateP2
 	KCASHelpedRetire
+	CASRetry
 	// NumCounters bounds the fixed counter set.
 	NumCounters
 )
@@ -53,6 +58,7 @@ var counterNames = [NumCounters]string{
 	KCASStrayCleanup: "kcas_stray_cleanups_total",
 	KCASLateP2:       "kcas_late_p2_total",
 	KCASHelpedRetire: "kcas_helped_retires_total",
+	CASRetry:         "cas_retries_total",
 }
 
 // Name returns the counter's exported series name.
@@ -66,8 +72,8 @@ type stripe struct {
 }
 
 // series is one registered pull source. Multiple funcs may share a name;
-// Snapshot sums them (e.g. every stack and every map registers under
-// cas_retries_total). gauge marks point-in-time series (AddGauge) as
+// Snapshot sums them (e.g. every map registers under map_grows_total).
+// gauge marks point-in-time series (AddGauge) as
 // opposed to monotone counters.
 type series struct {
 	name  string

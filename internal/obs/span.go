@@ -170,49 +170,71 @@ func (s *Span) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// spanRing is one worker's overwrite-oldest buffer of completed spans.
+// spanRing is one worker's overwrite-oldest buffer of completed spans
+// and its worker's tail exemplars: top holds the K slowest spans the
+// worker finished, and min indexes the fastest of them once top is full
+// — the wall time a span must beat to be retained. One writer (the
+// worker's Finish) and the readers take mu.
 type spanRing struct {
 	mu    sync.Mutex
 	buf   []Span
 	n     uint64
 	drops uint64
+	top   []Span
+	min   int
 	_     pad.Line
+}
+
+// offer retains sp among the ring's K slowest spans (r.mu held). The
+// gate is one compare against the K-th slowest; only a replacement
+// rescans for the new K-th.
+func (r *spanRing) offer(sp Span) {
+	if len(r.top) < cap(r.top) {
+		r.top = append(r.top, sp)
+		if len(r.top) < cap(r.top) {
+			return
+		}
+	} else if sp.WallNS > r.top[r.min].WallNS {
+		r.top[r.min] = sp
+	} else {
+		return
+	}
+	r.min = 0
+	for i := 1; i < len(r.top); i++ {
+		if r.top[i].WallNS < r.top[r.min].WallNS {
+			r.min = i
+		}
+	}
 }
 
 // DefaultSpanBuf is the per-worker completed-span ring capacity when
 // Config.SpanBuf is zero.
 const DefaultSpanBuf = 1024
 
-// DefaultSpanTopK is the tail-exemplar buffer size when Config.SpanTopK
-// is zero.
+// DefaultSpanTopK is the number of tail exemplars retained when
+// Config.SpanTopK is zero.
 const DefaultSpanTopK = 32
 
 // Spans is the request-span recorder: per-worker overwrite-oldest rings
-// of completed spans plus one top-K tail-exemplar buffer holding the
-// slowest requests with their full stage breakdown. A nil *Spans is the
+// of completed spans, each keeping its worker's K slowest spans as tail
+// exemplars with their full stage breakdown. A nil *Spans is the
 // disabled state — every method is a nil check and the request path
 // stays allocation-free.
 //
-// The exemplar buffer is gated by a threshold (SetThreshold, fed by the
-// serving layer's windowed p99) so that under a load shift the buffer
-// self-tunes: only requests at or beyond the current tail are
-// considered, and of those the K slowest are retained.
+// A worker writes only its own ring, so recording a span contends with
+// nothing but a reader (drain, SLOW). Since the K slowest spans overall
+// are among the union of every worker's K slowest, Exemplars returns
+// exactly the K slowest spans since the recorder was built.
 type Spans struct {
 	epoch  time.Time
 	rings  []spanRing
 	reqSeq atomic.Uint64
-
-	thresholdNS atomic.Int64
-
-	topMu sync.Mutex
-	topK  int
-	top   []Span
+	topK   int
 }
 
 // NewSpans builds a span recorder with one ring of perWorker completed
 // spans (rounded up to a power of two; <=0 selects DefaultSpanBuf) per
-// worker and a topK-sized tail-exemplar buffer (<=0 selects
-// DefaultSpanTopK).
+// worker and topK tail exemplars (<=0 selects DefaultSpanTopK).
 func NewSpans(workers, perWorker, topK int) *Spans {
 	return newSpansAt(time.Now(), workers, perWorker, topK)
 }
@@ -228,10 +250,11 @@ func newSpansAt(epoch time.Time, workers, perWorker, topK int) *Spans {
 		topK = DefaultSpanTopK
 	}
 	perWorker = pad.CeilPow2(perWorker)
-	// top is preallocated at capacity so Finish never allocates.
-	s := &Spans{epoch: epoch, rings: make([]spanRing, workers), topK: topK, top: make([]Span, 0, topK)}
+	s := &Spans{epoch: epoch, rings: make([]spanRing, workers), topK: topK}
 	for i := range s.rings {
 		s.rings[i].buf = make([]Span, perWorker)
+		// top is preallocated at capacity so Finish never allocates.
+		s.rings[i].top = make([]Span, 0, topK)
 	}
 	return s
 }
@@ -254,32 +277,9 @@ func (s *Spans) SinceEpoch(t time.Time) int64 {
 	return t.Sub(s.epoch).Nanoseconds()
 }
 
-// SetThreshold installs the exemplar gate in nanoseconds: completed
-// spans at least this slow are considered for the tail-exemplar
-// buffer. Zero (the initial state) admits every span, so exemplars are
-// available before the first control window closes.
-func (s *Spans) SetThreshold(ns int64) {
-	if s == nil {
-		return
-	}
-	if ns < 0 {
-		ns = 0
-	}
-	s.thresholdNS.Store(ns)
-}
-
-// Threshold reports the current exemplar gate.
-func (s *Spans) Threshold() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.thresholdNS.Load()
-}
-
-// Finish records one completed span into worker's ring and, when its
-// wall time clears the threshold gate, offers it to the tail-exemplar
-// buffer (kept: the K slowest offered so far). Allocation-free; a nil
-// receiver is a no-op.
+// Finish records one completed span into worker's ring and offers it to
+// the worker's tail exemplars. Allocation-free; a nil receiver is a
+// no-op.
 func (s *Spans) Finish(worker int, sp Span) {
 	if s == nil {
 		return
@@ -291,39 +291,27 @@ func (s *Spans) Finish(worker int, sp Span) {
 	}
 	r.buf[int(r.n)&(len(r.buf)-1)] = sp
 	r.n++
+	r.offer(sp)
 	r.mu.Unlock()
-
-	if sp.WallNS < s.thresholdNS.Load() {
-		return
-	}
-	s.topMu.Lock()
-	if len(s.top) < s.topK {
-		s.top = append(s.top, sp)
-	} else {
-		min := 0
-		for i := 1; i < len(s.top); i++ {
-			if s.top[i].WallNS < s.top[min].WallNS {
-				min = i
-			}
-		}
-		if sp.WallNS > s.top[min].WallNS {
-			s.top[min] = sp
-		}
-	}
-	s.topMu.Unlock()
 }
 
-// Exemplars returns a copy of the tail-exemplar buffer sorted slowest
-// first.
+// Exemplars returns the K slowest spans recorded so far, slowest first:
+// every worker's retained spans merged.
 func (s *Spans) Exemplars() []Span {
 	if s == nil {
 		return nil
 	}
-	s.topMu.Lock()
-	out := make([]Span, len(s.top))
-	copy(out, s.top)
-	s.topMu.Unlock()
+	out := make([]Span, 0, s.topK)
+	for i := range s.rings {
+		r := &s.rings[i]
+		r.mu.Lock()
+		out = append(out, r.top...)
+		r.mu.Unlock()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].WallNS > out[j].WallNS })
+	if len(out) > s.topK {
+		out = out[:s.topK]
+	}
 	return out
 }
 

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -85,23 +87,102 @@ func TestSpansFinishExemplarsAndThreshold(t *testing.T) {
 		t.Fatalf("exemplars not the slowest-first top 3: %+v", ex)
 	}
 
-	// Raising the threshold gates admission: a span below it cannot
-	// displace a retained exemplar even if the buffer has room.
-	s2 := NewSpans(1, 8, 4)
-	s2.SetThreshold(1000)
-	if got := s2.Threshold(); got != 1000 {
-		t.Fatalf("Threshold = %d, want 1000", got)
-	}
-	s2.Finish(0, Span{Req: 1, WallNS: 999})
-	s2.Finish(0, Span{Req: 2, WallNS: 1000})
+	// Each worker's gate is its own K-th slowest span: once worker 0
+	// holds K spans, a faster one is refused and a slower one displaces
+	// the K-th, which moves the gate up.
+	s2 := NewSpans(1, 8, 2)
+	s2.Finish(0, Span{Req: 1, WallNS: 500})
+	s2.Finish(0, Span{Req: 2, WallNS: 700})
+	s2.Finish(0, Span{Req: 3, WallNS: 400}) // below the gate (500)
+	s2.Finish(0, Span{Req: 4, WallNS: 600}) // displaces 500; gate 600
+	s2.Finish(0, Span{Req: 5, WallNS: 550}) // below the new gate
 	ex2 := s2.Exemplars()
-	if len(ex2) != 1 || ex2[0].Req != 2 {
-		t.Fatalf("threshold gate wrong: %+v", ex2)
+	if len(ex2) != 2 || ex2[0].Req != 2 || ex2[1].Req != 4 {
+		t.Fatalf("gate wrong: %+v", ex2)
 	}
-	// The gated-out span still reached the completed ring.
-	if got := len(s2.Completed()); got != 2 {
-		t.Fatalf("completed ring holds %d spans, want 2", got)
+	// The refused spans still reached the completed ring.
+	if got := len(s2.Completed()); got != 5 {
+		t.Fatalf("completed ring holds %d spans, want 5", got)
 	}
+}
+
+// TestExemplarsAreTheKSlowest: whatever the regime, Exemplars is
+// exactly the K slowest spans finished so far across all workers. A
+// slow regime lands unevenly on the workers, a fast regime follows
+// (it displaces nothing), and then one span slower than a retained
+// exemplar but not the slowest, on a worker that retained none of the
+// slow ones.
+func TestExemplarsAreTheKSlowest(t *testing.T) {
+	const workers, k = 3, 4
+	s := NewSpans(workers, 16, k)
+	var all []int64
+	finish := func(w int, wall int64) {
+		all = append(all, wall)
+		s.Finish(w, Span{Req: uint64(len(all)), Worker: int32(w), WallNS: wall})
+	}
+	check := func(phase string) {
+		t.Helper()
+		want := append([]int64(nil), all...)
+		sort.Slice(want, func(i, j int) bool { return want[i] > want[j] })
+		if len(want) > k {
+			want = want[:k]
+		}
+		got := s.Exemplars()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d exemplars, want %d", phase, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].WallNS != want[i] {
+				t.Fatalf("%s: exemplar %d is %d ns, want %d (all: %+v)", phase, i, got[i].WallNS, want[i], got)
+			}
+		}
+	}
+	// Slow regime: every third span on worker 2, the rest on worker 0,
+	// so worker 0 alone holds more than K of the slowest.
+	for i := int64(0); i < 40; i++ {
+		w := 0
+		if i%3 == 0 {
+			w = 2
+		}
+		finish(w, 10_000+10*((i*37)%41))
+	}
+	check("slow regime")
+	// Fast regime: every worker finishes its own spans at once while a
+	// reader merges the exemplars, as SLOW does under load.
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		walls := make([]int64, 0, 20)
+		for i := int64(0); i < 20; i++ {
+			walls = append(walls, 100+int64(w)*20+i)
+		}
+		all = append(all, walls...)
+		wg.Add(1)
+		go func(w int, walls []int64) {
+			defer wg.Done()
+			for _, wall := range walls {
+				s.Finish(w, Span{Worker: int32(w), WallNS: wall})
+			}
+		}(w, walls)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if ex := s.Exemplars(); len(ex) != k {
+				t.Errorf("mid-regime Exemplars returned %d spans, want %d", len(ex), k)
+			}
+		}
+	}()
+	wg.Wait()
+	check("fast regime")
+	// One span slower than the K-th slowest retained exemplar, on
+	// worker 1, which holds only fast spans.
+	ex := s.Exemplars()
+	finish(1, ex[k-1].WallNS+1)
+	if ex[0].WallNS <= ex[k-1].WallNS+1 {
+		t.Fatalf("fixture: the new span must not be the slowest")
+	}
+	check("one slower span")
 }
 
 func TestSpansCompletedAndDropped(t *testing.T) {
@@ -131,8 +212,7 @@ func TestSpansCompletedAndDropped(t *testing.T) {
 func TestSpansNilSafe(t *testing.T) {
 	var s *Spans
 	s.Finish(0, Span{})
-	s.SetThreshold(5)
-	if s.NextReq() != 0 || s.Threshold() != 0 || s.Dropped() != 0 ||
+	if s.NextReq() != 0 || s.Dropped() != 0 ||
 		s.Exemplars() != nil || s.Completed() != nil || s.SinceEpoch(time.Now()) != 0 {
 		t.Fatal("nil Spans must be inert")
 	}
@@ -143,7 +223,7 @@ func TestSpansFinishAllocationFree(t *testing.T) {
 	var sp Span
 	sp.WallNS = 100
 	if allocs := testing.AllocsPerRun(1000, func() {
-		sp.WallNS++ // exercise both the gate pass and top-K replace paths
+		sp.WallNS++ // every span displaces the K-th slowest: the rescan path
 		s.Finish(0, sp)
 	}); allocs != 0 {
 		t.Fatalf("Finish allocates %v per run, want 0", allocs)

@@ -16,10 +16,6 @@ type Line [CacheLineSize]byte
 // Pad56 pads a single uint64 out to a full cache line when placed after it.
 type Pad56 [CacheLineSize - 8]byte
 
-// Pad48 pads two uint64 words out to a full cache line when placed after
-// them.
-type Pad48 [CacheLineSize - 16]byte
-
 // CeilPow2 rounds n up to a power of two, minimum 1 — the shared
 // sizing helper for mask-indexed structures (shard and bucket tables).
 func CeilPow2(n int) int {

@@ -16,11 +16,4 @@ func TestSizes(t *testing.T) {
 	if unsafe.Sizeof(one{}) != CacheLineSize {
 		t.Fatalf("uint64+Pad56 is %d bytes", unsafe.Sizeof(one{}))
 	}
-	type two struct {
-		a, b uint64
-		_    Pad48
-	}
-	if unsafe.Sizeof(two{}) != CacheLineSize {
-		t.Fatalf("2×uint64+Pad48 is %d bytes", unsafe.Sizeof(two{}))
-	}
 }

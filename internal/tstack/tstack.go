@@ -24,8 +24,6 @@
 package tstack
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/pad"
 	"repro/internal/word"
@@ -46,25 +44,12 @@ type Stack struct {
 	// push/pop bumps the tag bits of the top reference.
 	versioned bool
 	_         [pad.CacheLineSize - 16]byte
-
-	// retries counts lost top CASes, bumped only on the contention
-	// path — on a line of its own, so a loser does not also invalidate
-	// the header under the winners.
-	retries atomic.Uint64
-	_       pad.Pad56
 }
 
 var _ core.MoveReady = (*Stack)(nil)
 
 func newStack(t *core.Thread, versioned bool) *Stack {
-	s := &Stack{id: t.Runtime().NextObjectID(), versioned: versioned}
-	if reg := t.Runtime().Obs().Metrics(); reg != nil {
-		// Registry pull: reads the same atomic the legacy accessor
-		// (Retries) reports, summed across every container registered
-		// under the name.
-		reg.AddFunc("cas_retries_total", s.Retries)
-	}
-	return s
+	return &Stack{id: t.Runtime().NextObjectID(), versioned: versioned}
 }
 
 // New creates an empty stack (the paper's default configuration).
@@ -114,7 +99,6 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 			t.BackoffReset()
 			return true // S12
 		}
-		s.retries.Add(1)
 		t.BackoffWait()
 	}
 }
@@ -145,14 +129,9 @@ func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
 			t.ClearNode(core.SlotRem0)
 			return 0, false
 		}
-		s.retries.Add(1)
 		t.BackoffWait()
 	}
 }
-
-// Retries reports how many linearization CASes the stack has lost to
-// concurrent writers (the registry's cas_retries_total).
-func (s *Stack) Retries() uint64 { return s.retries.Load() }
 
 // Insert implements core.Inserter (key ignored).
 func (s *Stack) Insert(t *core.Thread, _ uint64, val uint64) bool {
@@ -277,9 +256,6 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 			}
 			t.BackoffReset()
 			return true
-		}
-		for _, s := range stacks {
-			s.retries.Add(1)
 		}
 		t.BackoffWait()
 	}
