@@ -10,8 +10,8 @@
 //	go test -bench 'Backoff'     # §6/§7 backoff variants
 //	go test -bench 'A1_Overhead' # scas/read overhead on plain ops
 //	go test -bench 'A2_StackABA' # §7 ABA-counter trade-off
-//	go test -bench 'A3_DCAS'     # DCAS vs two plain CASes
 //	go test -bench 'MoveN'       # §8 n-object extension
+//	go test -bench 'MoveSolo'    # solo Move vs the blocking baseline
 //	go test -bench 'HashMove'    # §1.1 hash-map scenario
 //
 // The paper's full parameters are 5M ops × 50 trials × 1–16 threads; the
@@ -19,6 +19,9 @@
 // tractable. A cell with more threads than processors is named
 // threads=N/oversub: it still runs, but its adjusted time over-credits
 // local work (harness.Oversubscribed) and no verdict is read from it.
+//
+// The engine's own probes (a pair DCAS against two plain CASes, the
+// k-word CAS, a descriptor's life) are internal/kcas's benchmarks.
 package repro_test
 
 import (
@@ -27,15 +30,14 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/hazard"
-	"repro/internal/kcas"
 	"repro/internal/msqueue"
 	"repro/internal/plainqueue"
 	"repro/internal/plainstack"
 	"repro/internal/tstack"
-	"repro/internal/word"
+	"repro/internal/verify"
 )
 
 const benchOps = 100_000
@@ -253,90 +255,6 @@ func benchStackPlainOps(b *testing.B, versioned bool) {
 func BenchmarkA2_StackABA_PlainOps_Plain(b *testing.B)     { benchStackPlainOps(b, false) }
 func BenchmarkA2_StackABA_PlainOps_Versioned(b *testing.B) { benchStackPlainOps(b, true) }
 
-// --- A3: DCAS cost ---------------------------------------------------------
-
-// benchSlots is the raw-engine slot assignment for the A3 benchmarks
-// (mirrors core's layout: one descriptor slot, mirrors from 6 in a
-// 22-slot node record).
-var benchSlots = kcas.Slots{HPD: 0, MirrorBase: 6}
-
-func BenchmarkA3_DCAS_Uncontended(b *testing.B) {
-	nodeDom := hazard.New(2, 22)
-	descs, err := kcas.NewBlocks(hazard.New(2, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := kcas.NewCtx(descs, nodeDom, 0, benchSlots)
-	var w1, w2 word.Word
-	v1, v2 := word.MakeNode(100, 0), word.MakeNode(101, 0)
-	w1.Store(v1)
-	w2.Store(v2)
-	n1, n2 := word.MakeNode(102, 0), word.MakeNode(103, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, ref := ctx.AllocPair()
-		e1, e2 := &d.Entries[0], &d.Entries[1]
-		e1.Ptr, e1.Old, e1.New = &w1, v1, n1
-		e2.Ptr, e2.Old, e2.New = &w2, v2, n2
-		if ctx.ExecutePair(d, ref) != kcas.Success {
-			b.Fatal("uncontended DCAS failed")
-		}
-		ctx.Retire(d, ref)
-		v1, n1 = n1, v1
-		v2, n2 = n2, v2
-	}
-}
-
-func BenchmarkA3_TwoPlainCAS(b *testing.B) {
-	var w1, w2 word.Word
-	v1, v2 := word.MakeNode(100, 0), word.MakeNode(101, 0)
-	w1.Store(v1)
-	w2.Store(v2)
-	n1, n2 := word.MakeNode(102, 0), word.MakeNode(103, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !w1.CAS(v1, n1) || !w2.CAS(v2, n2) {
-			b.Fatal("CAS failed")
-		}
-		v1, n1 = n1, v1
-		v2, n2 = n2, v2
-	}
-}
-
-func BenchmarkA3_DCAS_Contended_4T(b *testing.B) {
-	const threads = 4
-	nodeDom := hazard.New(threads, 22)
-	descs, err := kcas.NewBlocks(hazard.New(threads, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var w1, w2 word.Word
-	w1.Store(word.MakeNode(100, 0))
-	w2.Store(word.MakeNode(101, 0))
-	perThread := b.N/threads + 1
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			ctx := kcas.NewCtx(descs, nodeDom, t, benchSlots)
-			for i := 0; i < perThread; i++ {
-				o1 := ctx.Read(&w1)
-				o2 := ctx.Read(&w2)
-				d, ref := ctx.AllocPair()
-				e1, e2 := &d.Entries[0], &d.Entries[1]
-				e1.Ptr, e1.Old, e1.New = &w1, o1, word.MakeNode(200+uint64(t)<<8+uint64(i&0xff), 0)
-				e2.Ptr, e2.Old, e2.New = &w2, o2, word.MakeNode(300+uint64(t)<<8+uint64(i&0xff), 0)
-				ctx.ExecutePair(d, ref)
-				ctx.Retire(d, ref)
-			}
-			ctx.Flush()
-		}(t)
-	}
-	wg.Wait()
-}
-
 // --- E-MOVEN: §8 extension --------------------------------------------------
 
 func benchMoveN(b *testing.B, targets int) {
@@ -370,21 +288,68 @@ func BenchmarkMoveN_2Targets(b *testing.B) { benchMoveN(b, 2) }
 func BenchmarkMoveN_4Targets(b *testing.B) { benchMoveN(b, 4) }
 func BenchmarkMoveN_7Targets(b *testing.B) { benchMoveN(b, 7) }
 
-// Two solo Moves per op, queue → stack and back: the uncontended cost
-// of the two-step chain decided by the pair DCAS. A one-target MoveN
-// runs the same chain (BenchmarkMoveN_1Target, which also pops and
-// enqueues to recycle).
-func BenchmarkMoveN_vs_Move_DCAS(b *testing.B) {
-	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 1 << 18})
-	th := rt.RegisterThread()
-	src := msqueue.New(th)
-	dst := tstack.New(th)
-	src.Enqueue(th, 1)
+// --- Solo moves: core.move_vs_blocking_ratio --------------------------------
+
+// soloResident is how many elements the solo-move queue and stack each
+// hold, as in bench/'s probe.
+const soloResident = 64
+
+// moveSoloOp returns two lock-free Moves on one thread, queue → stack
+// and back: the uncontended cost of the two-step chain decided by the
+// pair DCAS, bench/'s core.move_solo_ns probe. A one-target MoveN runs
+// the same chain (BenchmarkMoveN_1Target, which also pops and enqueues
+// to recycle).
+func moveSoloOp() func() {
+	th := repro.NewRuntime(repro.Config{MaxThreads: 2}).RegisterThread()
+	q, s := repro.NewQueue(th), repro.NewStack(th)
+	for i := uint64(1); i <= soloResident; i++ {
+		q.Enqueue(th, i)
+		s.Push(th, i)
+	}
+	return func() {
+		_, there := repro.Move(th, q, s, 0, 0)
+		if _, back := repro.Move(th, s, q, 0, 0); !there || !back {
+			panic("solo Move failed")
+		}
+	}
+}
+
+// blockingMoveSoloOp is moveSoloOp over the lock-based queue and stack
+// (the paper's blocking baseline), bench/'s blocking.move_solo_ns probe.
+func blockingMoveSoloOp() func() {
+	th := repro.NewRuntime(repro.Config{MaxThreads: 2}).RegisterThread()
+	q, s := blocking.NewQueue(th), blocking.NewStack(th)
+	for i := uint64(1); i <= soloResident; i++ {
+		q.Enqueue(th, i)
+		s.Push(th, i)
+	}
+	return func() {
+		_, there := blocking.Move(th, q, s, 0, 0)
+		if _, back := blocking.Move(th, s, q, 0, 0); !there || !back {
+			panic("solo blocking Move failed")
+		}
+	}
+}
+
+func benchOp(b *testing.B, op func()) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, _ := th.Move(src, dst, 0, 0)
-		w, _ := th.Move(dst, src, 0, 0)
-		_, _ = v, w
+		op()
+	}
+}
+
+// BenchmarkMoveSolo and BenchmarkBlockingMoveSolo time two moves per
+// op; their ratio is core.move_vs_blocking_ratio.
+func BenchmarkMoveSolo(b *testing.B)         { benchOp(b, moveSoloOp()) }
+func BenchmarkBlockingMoveSolo(b *testing.B) { benchOp(b, blockingMoveSoloOp()) }
+
+// TestMoveSoloNoAllocs: both solo-move probes run without allocating.
+func TestMoveSoloNoAllocs(t *testing.T) {
+	for name, op := range map[string]func(){"MoveSolo": moveSoloOp(), "BlockingMoveSolo": blockingMoveSoloOp()} {
+		if n := verify.Mallocs(steadyOps, steadyOps, op); n != 0 {
+			t.Errorf("%s: %d allocations over %d calls, want 0", name, n, steadyOps)
+		}
 	}
 }
 

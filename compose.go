@@ -26,9 +26,7 @@
 // No operation ever waits on a grow, and a grow cannot race a Move.
 // HashMap.RebalanceStep doubles one over-full shard or links one missing
 // sentinel per call and HashMap.Quiesce links them all; neither is needed
-// for correctness. Typed facades
-// (QueueOf, StackOf, MapOf) bridge arbitrary Go values onto the uint64
-// containers through a shared Box.
+// for correctness.
 //
 // # The k-word CAS engine
 //

@@ -124,7 +124,7 @@ func independentKey(first uint64, maps ...*repro.HashMap) uint64 {
 // TestTransferKeysResultLifetime pins the rule TransferKeys documents:
 // the result is the thread's own storage, which the thread's other
 // operations and other threads' transfers leave alone and only the
-// thread's next TransferKeys reuses; TransferKeysOf copies out of it.
+// thread's next TransferKeys reuses, so a caller copies it to keep it.
 func TestTransferKeysResultLifetime(t *testing.T) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 2})
 	th, other := rt.RegisterThread(), rt.RegisterThread()
@@ -153,23 +153,13 @@ func TestTransferKeysResultLifetime(t *testing.T) {
 		t.Fatalf("result changed to %v by Move, Insert, Contains and another thread's transfer, want %v", vals, want)
 	}
 
-	box := repro.NewBox[uint64]()
-	hot, cold := repro.NewMapOf[uint64](th, box, 64), repro.NewMapOf[uint64](th, box, 64)
-	for _, key := range keys {
-		hot.Put(th, key, key*1000)
-	}
-	typed, ok := repro.TransferKeysOf(th, hot, cold, keys, keys)
-	wantTyped := []uint64{keys[0] * 1000, keys[1] * 1000}
-	if !ok || !slices.Equal(typed, wantTyped) {
-		t.Fatalf("TransferKeysOf = %v,%v, want %v,true", typed, ok, wantTyped)
-	}
-
+	kept := slices.Clone(vals)
 	next, ok := repro.TransferKeys(th, d, c, keys, keys)
 	if !ok || &next[0] != &vals[0] || vals[0] != 100 {
 		t.Fatalf("the thread's next TransferKeys = %v,%v: want it to reuse the earlier result's storage", next, ok)
 	}
-	if !slices.Equal(typed, wantTyped) {
-		t.Fatalf("TransferKeysOf's result changed to %v, want %v", typed, wantTyped)
+	if !slices.Equal(kept, want) {
+		t.Fatalf("the copy of the earlier result changed to %v, want %v", kept, want)
 	}
 }
 
@@ -228,5 +218,109 @@ func TestTransferKeysSourceKeysShareABucket(t *testing.T) {
 	}
 	if a.Len(th) != 0 {
 		t.Fatalf("a keeps %d entries, want 0", a.Len(th))
+	}
+}
+
+// mustPanic fails the test unless f panics with exactly msg.
+func mustPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != msg {
+			t.Fatalf("panic %v, want %q", r, msg)
+		}
+	}()
+	f()
+}
+
+// TestTransferKeysFailureChangesNothing: two keyed values cross between
+// maps in one step and come back in key order; a transfer with an
+// absent source key or an occupied target key changes neither map.
+func TestTransferKeysFailureChangesNothing(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
+	th := rt.RegisterThread()
+	hot, cold := repro.NewHashMap(th, 64), repro.NewHashMap(th, 64)
+	for _, k := range []uint64{1, 2, 3} {
+		hot.Insert(th, k, k*10)
+	}
+	cold.Insert(th, 30, 300)
+	for _, fail := range [][2][]uint64{
+		{{1, 9}, {10, 20}}, // 9 is absent from hot
+		{{1, 3}, {10, 30}}, // 30 is occupied in cold
+	} {
+		if cold.SameChain(fail[1][0], fail[1][1]) {
+			t.Fatalf("target keys %v share a bucket; the call could fail for that alone", fail[1])
+		}
+		if vs, ok := repro.TransferKeys(th, hot, cold, fail[0], fail[1]); ok || vs != nil {
+			t.Fatalf("TransferKeys%v = %v,%v, want nil,false", fail, vs, ok)
+		}
+		if hot.Len(th) != 3 || cold.Len(th) != 1 {
+			t.Fatalf("failed TransferKeys%v left %d/%d entries, want 3/1", fail, hot.Len(th), cold.Len(th))
+		}
+	}
+	if vs, ok := repro.TransferKeys(th, hot, cold, []uint64{1, 2}, []uint64{10, 20}); !ok || !slices.Equal(vs, []uint64{10, 20}) {
+		t.Fatalf("TransferKeys = %v,%v, want [10 20],true", vs, ok)
+	}
+	if v, ok := hot.Contains(th, 3); !ok || v != 30 || hot.Len(th) != 1 {
+		t.Fatalf("hot[3] = %d,%v with %d entries, want 30 alone", v, ok, hot.Len(th))
+	}
+	for k, want := range map[uint64]uint64{10: 10, 20: 20, 30: 300} {
+		if v, ok := cold.Contains(th, k); !ok || v != want {
+			t.Fatalf("cold[%d] = %d,%v, want %d", k, v, ok, want)
+		}
+	}
+}
+
+// TestSwapHeads: three stacks rotate their tops (stack i takes stack
+// i-1's top); a rotation over an empty stack changes none of them; one
+// stack, or a stack named twice, is misuse and panics.
+func TestSwapHeads(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
+	th := rt.RegisterThread()
+	ss := []*repro.Stack{repro.NewStack(th), repro.NewStack(th), repro.NewStack(th), repro.NewStack(th)}
+	for i := range 3 {
+		ss[i].Push(th, uint64(10+i))
+		ss[i].Push(th, uint64(i))
+	}
+	if !repro.SwapHeads(th, ss[0], ss[1], ss[2]) {
+		t.Fatal("SwapHeads over three non-empty stacks failed")
+	}
+	if repro.SwapHeads(th, ss[0], ss[1], ss[3]) {
+		t.Fatal("SwapHeads over an empty stack succeeded")
+	}
+	for i, want := range []uint64{2, 0, 1, 10, 11, 12} {
+		if v, ok := ss[i%3].Pop(th); !ok || v != want {
+			t.Fatalf("stack %d pop %d: %d,%v, want %d", i%3, i/3, v, ok, want)
+		}
+	}
+	if _, ok := ss[3].Pop(th); ok {
+		t.Fatal("the failed rotation pushed onto the empty stack")
+	}
+	mustPanic(t, "tstack: SwapHeads needs at least two stacks", func() { repro.SwapHeads(th, ss[0]) })
+	mustPanic(t, "tstack: SwapHeads requires pairwise distinct stacks", func() { repro.SwapHeads(th, ss[0], ss[1], ss[0]) })
+}
+
+// TestDrainN: a drain moves a queue's values to a stack in FIFO order
+// and stops when the queue runs dry; a drain of the empty queue moves
+// nothing and changes neither.
+func TestDrainN(t *testing.T) {
+	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
+	th := rt.RegisterThread()
+	q, s := repro.NewQueue(th), repro.NewStack(th)
+	for v := uint64(1); v <= 3; v++ {
+		q.Enqueue(th, v)
+	}
+	if got := repro.DrainN(th, q, s, 0, 0, 5); !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Fatalf("DrainN = %v, want [1 2 3]", got)
+	}
+	if got := repro.DrainN(th, q, s, 0, 0, 5); len(got) != 0 {
+		t.Fatalf("DrainN of an empty queue = %v", got)
+	}
+	for _, want := range []uint64{3, 2, 1} {
+		if v, ok := s.Pop(th); !ok || v != want {
+			t.Fatalf("Pop = %d,%v, want %d", v, ok, want)
+		}
+	}
+	if _, ok := s.Pop(th); ok {
+		t.Fatal("the empty drain pushed a value")
 	}
 }

@@ -1,10 +1,10 @@
 package repro_test
 
-// Docs-freshness checks. Every exported symbol in compose.go and
-// typed.go must carry a doc comment, and every repository path the
-// documentation names must exist. CI runs this file, so an undocumented
-// addition to the facade or a pointer to a deleted file fails the build
-// rather than silently aging the documentation layer.
+// Docs-freshness checks. Every exported symbol in compose.go must carry
+// a doc comment, and every repository path the documentation names must
+// exist. CI runs this file, so an undocumented addition to the facade or
+// a pointer to a deleted file fails the build rather than silently aging
+// the documentation layer.
 
 import (
 	"go/ast"
@@ -19,45 +19,43 @@ import (
 )
 
 func TestExportedSymbolsDocumented(t *testing.T) {
-	for _, file := range []string{"compose.go", "typed.go"} {
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", file, err)
+	const file = "compose.go"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("parse %s: %v", file, err)
+	}
+	check := func(name string, doc *ast.CommentGroup, pos token.Pos) {
+		if !ast.IsExported(name) {
+			return
 		}
-		check := func(name string, doc *ast.CommentGroup, pos token.Pos) {
-			if !ast.IsExported(name) {
-				return
-			}
-			if doc == nil || strings.TrimSpace(doc.Text()) == "" {
-				p := fset.Position(pos)
-				t.Errorf("%s:%d: exported symbol %s has no doc comment", p.Filename, p.Line, name)
-			}
+		if doc == nil || strings.TrimSpace(doc.Text()) == "" {
+			p := fset.Position(pos)
+			t.Errorf("%s:%d: exported symbol %s has no doc comment", p.Filename, p.Line, name)
 		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				// Methods count too: a typed facade method like
-				// QueueOf.Enqueue is API surface just like a top-level
-				// function.
-				check(d.Name.Name, d.Doc, d.Pos())
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						doc := s.Doc
-						if doc == nil {
-							doc = d.Doc
-						}
-						check(s.Name.Name, doc, s.Pos())
-					case *ast.ValueSpec:
-						doc := s.Doc
-						if doc == nil {
-							doc = d.Doc
-						}
-						for _, n := range s.Names {
-							check(n.Name, doc, s.Pos())
-						}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			// Methods count too: a method declared in the facade is
+			// API surface just like a top-level function.
+			check(d.Name.Name, d.Doc, d.Pos())
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					doc := s.Doc
+					if doc == nil {
+						doc = d.Doc
+					}
+					check(s.Name.Name, doc, s.Pos())
+				case *ast.ValueSpec:
+					doc := s.Doc
+					if doc == nil {
+						doc = d.Doc
+					}
+					for _, n := range s.Names {
+						check(n.Name, doc, s.Pos())
 					}
 				}
 			}

@@ -102,22 +102,3 @@ func ExampleDrainN() {
 	// [1 2 3]
 	// 0 3
 }
-
-// ExampleMoveTyped shows the generics layer: moving a Go struct between
-// typed containers backed by one Box.
-func ExampleMoveTyped() {
-	rt := repro.NewRuntime(repro.Config{MaxThreads: 1})
-	th := rt.RegisterThread()
-	box := repro.NewBox[string]()
-	q := repro.NewQueueOf[string](th, box)
-	s := repro.NewStackOf[string](th, box)
-
-	q.Enqueue(th, "payload")
-	v, ok := repro.MoveTyped(th, q, s)
-	fmt.Println(v, ok)
-	got, _ := s.Pop(th)
-	fmt.Println(got)
-	// Output:
-	// payload true
-	// payload
-}

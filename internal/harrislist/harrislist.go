@@ -281,15 +281,15 @@ func (l *List) Min(t *core.Thread) (key, val uint64, ok bool) {
 	return n.Key, n.Val, true
 }
 
-// Contains reports whether key is present and returns its value. Like
-// Harris' original, it ignores logical deletion marks on the final hop
-// only if the node is unmarked; marked nodes are treated as absent.
+// Contains reports whether key is present and returns its value; a
+// marked node is never reported. It runs the validated search, so it
+// unlinks and retires the marked nodes it passes.
 func (l *List) Contains(t *core.Thread, key uint64) (uint64, bool) {
 	return ContainsAt(t, &l.head, key, 0)
 }
 
 // ContainsAt is Contains on the list reachable from anchor, for the
-// node (key, aux).
+// node (key, aux), unlinking marked nodes the same way.
 func ContainsAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, bool) {
 	r := search(t, anchor, key, aux, core.SlotRemAux, core.SlotRem0)
 	if !r.found {

@@ -321,7 +321,8 @@ func (m *Map) linkAll(t *core.Thread, d *directory, si uint64) {
 	}
 }
 
-// Remove deletes key and returns its value.
+// Remove deletes key and returns its value. Like Contains, it first
+// links the key's bucket sentinel if a grow left it missing.
 func (m *Map) Remove(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
 	s := m.shard(h)
@@ -333,7 +334,10 @@ func (m *Map) Remove(t *core.Thread, key uint64) (uint64, bool) {
 	return v, ok
 }
 
-// Contains reports presence and value.
+// Contains reports presence and value. It writes: it links a bucket
+// sentinel a grow left missing (bucketAnchor), which takes an arena node
+// or, when none is left, clears Thread.Exhausted, unread records too; and
+// its search unlinks and retires marked nodes (harrislist.ContainsAt).
 func (m *Map) Contains(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
 	from := m.anchor(t, m.shard(h).dir.Load(), h, core.SlotRemAux, core.SlotRem0)

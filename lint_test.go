@@ -50,7 +50,6 @@ func TestNoRecover(t *testing.T) {
 // reason it is not on an operation's lock-free path (or is a known
 // lock still to be removed, ROADMAP item 4).
 var mutexAllowed = map[string]string{
-	".:boxShard.mu":                "the typed facade's handle store, item 4(d)",
 	"internal/arena:Arena.slabMu":  "taken every SlabSize-th carve to grow the slab table, item 4(a)",
 	"internal/obs:ring.mu":         "the tracer ring, item 4(b)",
 	"internal/obs:spanRing.mu":     "one writer (its worker) plus drain and SLOW readers",

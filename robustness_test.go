@@ -139,38 +139,24 @@ func TestArenaExhaustionKeepsQueueIntact(t *testing.T) {
 	}
 }
 
-// TestStarvedTypedInsertsReleaseHandles: a typed insert rents its Box
-// handle before the insert, so one that gets no node must give it back.
-// Box shards round-robin, so the sixteenth Put after the failed one
-// lands on its shard and must get the released handle again.
-func TestStarvedTypedInsertsReleaseHandles(t *testing.T) {
+// TestSwapHeadsExhaustionIsAResult: a rotation needs a node for every
+// new head; on a starved thread it fails with Exhausted and every stack
+// keeps its top.
+func TestSwapHeadsExhaustionIsAResult(t *testing.T) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: starvedArena})
 	setup := rt.RegisterThread()
-	repro.NewQueue(setup) // the setup thread's first node carves the whole arena
-	inserts := map[string]func(th *repro.Thread, box *repro.Box[string]) bool{
-		"QueueOf.Enqueue": func(th *repro.Thread, box *repro.Box[string]) bool {
-			return repro.NewQueueOf(setup, box).Enqueue(th, "x")
-		},
-		"StackOf.Push": func(th *repro.Thread, box *repro.Box[string]) bool {
-			return repro.NewStackOf(setup, box).Push(th, "x")
-		},
-		"MapOf.Put": func(th *repro.Thread, box *repro.Box[string]) bool {
-			return repro.NewMapOf(setup, box, 8).Put(th, 1, "x")
-		},
-	}
+	s1, s2 := repro.NewStack(setup), repro.NewStack(setup)
+	s1.Push(setup, 1)
+	s2.Push(setup, 2)
+
 	starved := rt.RegisterThread()
-	for name, insert := range inserts {
-		box := repro.NewBox[string]()
-		if insert(starved, box) || !starved.Exhausted() {
-			t.Fatalf("%s on a starved thread must fail for want of nodes", name)
-		}
-		want := repro.NewBox[string]().Put("x") // the handle the failed insert rented
-		var h uint64
-		for i := 0; i < 16; i++ {
-			h = box.Put("y")
-		}
-		if h != want {
-			t.Fatalf("%s kept its handle: the 16th Put got %#x, want %#x", name, h, want)
-		}
+	if repro.SwapHeads(starved, s1, s2) || !starved.Exhausted() {
+		t.Fatal("SwapHeads on a starved thread must fail for want of nodes")
+	}
+	if v, ok := s1.Pop(setup); !ok || v != 1 {
+		t.Fatalf("s1 top = %d,%v after the failed rotation, want 1", v, ok)
+	}
+	if v, ok := s2.Pop(setup); !ok || v != 2 {
+		t.Fatalf("s2 top = %d,%v after the failed rotation, want 2", v, ok)
 	}
 }
