@@ -161,13 +161,14 @@ func NewList(t *Thread) *List { return harrislist.New(t) }
 
 // NewHashMap creates a move-ready hash map with the given total initial
 // bucket count (spread over a default shard count) and the default grow
-// threshold.
+// threshold of 2 entries per bucket.
 func NewHashMap(t *Thread, buckets int) *HashMap { return hashmap.New(t, buckets) }
 
 // NewShardedHashMap creates a hash map with an explicit shape: shard
 // count, initial buckets per shard (each rounded up to a power of two)
 // and the mean entries-per-bucket load that triggers a shard grow (<= 0
-// selects the default).
+// selects the default, 2: a grow moves no entry, so growing early keeps
+// every operation's bucket walk short).
 func NewShardedHashMap(t *Thread, shards, bucketsPerShard, growLoad int) *HashMap {
 	return hashmap.NewSharded(t, shards, bucketsPerShard, growLoad)
 }

@@ -95,6 +95,11 @@ func (t *Thread) AllocNode() uint64 {
 	return ref
 }
 
+// AllocNodeQuiet is AllocNode for a node the caller can do without (the
+// hash map's bucket sentinels): a failure is not recorded, so Exhausted
+// keeps reporting exactly what the caller's operations recorded.
+func (t *Thread) AllocNodeQuiet() uint64 { return t.cache.Alloc() }
+
 // Exhausted reports whether a node allocation of this thread failed
 // since the previous call, and clears the record. An operation that
 // returned false while Exhausted reports true did not execute: it failed

@@ -181,11 +181,13 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) (ok, exis
 // LinkAt returns the node (key, aux) of the list reachable from anchor,
 // linking a fresh one (value 0) when there is none, and whether this
 // call linked it; it returns word.Nil when it must link and the arena
-// has no node. The link is structural, like Harris' physical unlink:
-// a plain CAS, never scas, so a surrounding move does not capture it as
-// one of its entries. It is meant for nodes that are never removed (the
-// hash map's sentinels), on which racing callers agree: whoever loses
-// the CAS finds the winner's node on its next search and frees its own.
+// has no node, and leaves t.Exhausted's record as it was: the caller
+// works around a missing node (core.Thread.AllocNodeQuiet). The link is
+// structural, like Harris' physical unlink: a plain CAS, never scas, so
+// a surrounding move does not capture it as one of its entries. It is
+// meant for nodes that are never removed (the hash map's sentinels), on
+// which racing callers agree: whoever loses the CAS finds the winner's
+// node on its next search and frees its own.
 func LinkAt(t *core.Thread, anchor *word.Word, key, aux uint64, slotPrev, slotCur int) (ref uint64, linked bool) {
 	for {
 		r := search(t, anchor, key, aux, slotPrev, slotCur)
@@ -196,7 +198,7 @@ func LinkAt(t *core.Thread, anchor *word.Word, key, aux uint64, slotPrev, slotCu
 			return r.cur, false
 		}
 		if ref == word.Nil {
-			if ref = t.AllocNode(); ref == word.Nil {
+			if ref = t.AllocNodeQuiet(); ref == word.Nil {
 				return word.Nil, false
 			}
 			n := t.Node(ref)

@@ -9,13 +9,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// The two benchmarks below reproduce, inside the repository, what the
-// nested bench/ module measures on lib_map_kway and lib_map_grow:
+// The benchmarks below reproduce, inside the repository, what the nested
+// bench/ module measures on lib_map_kway (MapReadMostly) and lib_map_grow
+// (FillDrain; FillWithGrows is its one-thread fill):
 //
-//	go test -run '^$' -bench 'MapReadMostly|FillWithGrows' -cpu 2 ./internal/hashmap
+//	go test -run '^$' -bench 'MapReadMostly|FillDrain|FillWithGrows' -cpu 2 ./internal/hashmap
 //
-// MapReadMostly needs two processors to show coherence cost: at -cpu 1
-// its two goroutines never write a line the other holds.
+// MapReadMostly and FillDrain need two processors to show coherence
+// cost: at -cpu 1 their two goroutines never write a line the other
+// holds.
 
 // BenchmarkMapReadMostly runs two goroutines over two pre-sized maps
 // that never grow: 70 % Contains of any key, 10 % insert/remove churn on
@@ -88,7 +90,8 @@ func BenchmarkMapReadMostly(b *testing.B) {
 }
 
 // BenchmarkFillWithGrows fills an 8×8 map to 32 k keys from one thread —
-// every shard doubles seven times and links 1 016 sentinels — and
+// at the default load of 2 every shard doubles eight times, nine if its
+// share passes 4 096 keys, and links 2 040 sentinels or more — and
 // reports the fill's time per insert, doublings and sentinel links
 // included, next to the allocations of one fill.
 func BenchmarkFillWithGrows(b *testing.B) {
@@ -116,4 +119,60 @@ func BenchmarkFillWithGrows(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N*keys), "ns/insert")
+}
+
+// BenchmarkFillDrain is one cycle of lib_map_grow per iteration: on a
+// fresh 8×8 map at the default grow load, two goroutines each insert
+// their half of 32 k keys, read one earlier key of their own per four
+// inserts, then remove their half again. ns/op is the time of one cycle,
+// the runtime's and the map's construction excluded.
+func BenchmarkFillDrain(b *testing.B) {
+	const (
+		workers = 2
+		keys    = 32768
+	)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rt := core.NewRuntime(core.Config{MaxThreads: workers + 1})
+		m := NewSharded(rt.RegisterThread(), 8, 8, 0)
+		var ths [workers]*core.Thread
+		for id := range ths {
+			ths[id] = rt.RegisterThread()
+			m.Insert(ths[id], keys, 1) // first use carves the arena slab and the caches
+			m.Remove(ths[id], keys)
+		}
+		b.StartTimer()
+		var wg sync.WaitGroup
+		for id := 0; id < workers; id++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				th := ths[id]
+				lo, hi := uint64(id)*keys/workers, uint64(id+1)*keys/workers
+				for k := lo; k < hi; k++ {
+					if !m.Insert(th, k, k+1) {
+						b.Errorf("Insert of absent key %d refused", k)
+						return
+					}
+					if k&3 == 3 {
+						p := lo + (k-lo)/2
+						if v, ok := m.Contains(th, p); !ok || v != p+1 {
+							b.Errorf("Contains(%d) = %d,%v during the fill", p, v, ok)
+							return
+						}
+					}
+				}
+				for k := lo; k < hi; k++ {
+					if v, ok := m.Remove(th, k); !ok || v != k+1 {
+						b.Errorf("Remove(%d) = %d,%v, want %d,true", k, v, ok, k+1)
+						return
+					}
+				}
+			}(id)
+		}
+		wg.Wait()
+		if n := m.Len(ths[0]); n != 0 {
+			b.Fatalf("%d entries left after the drain", n)
+		}
+	}
 }

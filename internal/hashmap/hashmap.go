@@ -45,6 +45,13 @@
 // and a thread the arena has no node for starts from the nearest linked
 // ancestor's anchor instead.
 //
+// Because a doubling moves nothing, a shard grows early: at a mean load
+// of DefaultGrowLoad = 2 entries per bucket. What every operation pays is
+// the walk from its anchor to its key, about half a bucket; a doubling
+// costs one directory and one sentinel per new bucket, once. Growing at
+// load 6 would link a third of the sentinels and walk three times as far
+// (hypotheses/README.md, H26).
+//
 // Why no entry has to move: at directory size S an entry with hash h
 // lives in bucket h mod S, after that bucket's sentinel. At size 2S its
 // bucket is h mod 2S, whose index extends h mod S by one bit — so in bit-
@@ -89,8 +96,11 @@ import (
 const DefaultShards = 8
 
 // DefaultGrowLoad is the mean entries-per-bucket threshold that triggers
-// a grow.
-const DefaultGrowLoad = 6
+// a grow. It is low because a doubling moves no entry, while the walk of
+// a bucket is what every Insert, Remove and Contains pays: about one
+// entry at load 2, three at load 6. Load 1 spends more on sentinel links
+// and resident size than it saves in walk (H26).
+const DefaultGrowLoad = 2
 
 // Aux values of the map's nodes: a sentinel sorts before the entry that
 // shares its order key.
@@ -237,7 +247,8 @@ func (m *Map) anchor(t *core.Thread, d *directory, h uint64, slotPrev, slotCur i
 // for the sentinel, the parent's anchor serves instead — the bucket's
 // entries are a suffix of its parent's list, so the traversal is only
 // longer — and the failed allocation is not the caller's to report, so
-// t.Exhausted is cleared; b's slot then stays empty.
+// t.Exhausted's record stays as it was (harrislist.LinkAt); b's slot
+// then stays empty.
 func (m *Map) bucketAnchor(t *core.Thread, d *directory, si, b uint64, slotPrev, slotCur int) *word.Word {
 	if b < uint64(len(d.heads)) {
 		return &d.heads[b]
@@ -248,8 +259,7 @@ func (m *Map) bucketAnchor(t *core.Thread, d *directory, si, b uint64, slotPrev,
 	from := m.bucketAnchor(t, d, si, b&^(1<<(bits.Len64(b)-1)), slotPrev, slotCur)
 	ref, linked := harrislist.LinkAt(t, from, bits.Reverse64(b<<m.shardBits|si), auxSentinel, slotPrev, slotCur)
 	if ref == word.Nil {
-		t.Exhausted() // the ancestor serves: no failure to report
-		return from
+		return from // the ancestor serves
 	}
 	if linked {
 		m.sentinels.Add(1)
@@ -336,8 +346,8 @@ func (m *Map) Remove(t *core.Thread, key uint64) (uint64, bool) {
 
 // Contains reports presence and value. It writes: it links a bucket
 // sentinel a grow left missing (bucketAnchor), which takes an arena node
-// or, when none is left, clears Thread.Exhausted, unread records too; and
-// its search unlinks and retires marked nodes (harrislist.ContainsAt).
+// when one is left and records no failure when none is; and its search
+// unlinks and retires marked nodes (harrislist.ContainsAt).
 func (m *Map) Contains(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
 	from := m.anchor(t, m.shard(h).dir.Load(), h, core.SlotRemAux, core.SlotRem0)

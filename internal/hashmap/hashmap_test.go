@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/msqueue"
 	"repro/internal/obs"
+	"repro/internal/verify"
 )
 
 func newRT(threads int) *core.Runtime {
@@ -104,6 +105,86 @@ func TestGrowPreservesEntries(t *testing.T) {
 		if v, ok := m.Contains(th, k); !ok || v != k^0xabc {
 			t.Fatalf("Contains(%d)=%d,%v after grow", k, v, ok)
 		}
+	}
+}
+
+// TestDefaultLoadBoundsBuckets fills a default-threshold 8×8 map with
+// 32 k keys from one thread: the mean load stays within DefaultGrowLoad,
+// every shard ends at the smallest doubling of its 8 buckets that holds
+// its keys at that load, and the grower linked every new bucket's
+// sentinel itself (linkAll), so a fill-time operation starts at its own
+// bucket. The drain then empties the map.
+func TestDefaultLoadBoundsBuckets(t *testing.T) {
+	const keys, initial = 32768, 8
+	th := newRT(1).RegisterThread()
+	m := NewSharded(th, 8, initial, 0)
+	for k := uint64(0); k < keys; k++ {
+		if !m.Insert(th, k, k+1) {
+			t.Fatalf("insert %d failed", k)
+		}
+	}
+	if n := m.Len(th); n != keys || n > DefaultGrowLoad*m.Buckets() {
+		t.Fatalf("Len=%d in %d buckets: want %d within load %d", n, m.Buckets(), keys, DefaultGrowLoad)
+	}
+	var want uint64
+	for i := range m.shards {
+		s := &m.shards[i]
+		per := uint64(initial)
+		for s.count.Load() > int64(per)*DefaultGrowLoad {
+			per *= 2
+			want++
+		}
+		if got := s.dir.Load().mask + 1; got != per {
+			t.Errorf("shard %d: %d entries in %d buckets, want %d", i, s.count.Load(), got, per)
+		}
+	}
+	grows, sentinels, _ := m.Stats()
+	if grows != want {
+		t.Fatalf("grows=%d, want %d", grows, want)
+	}
+	if newBuckets := uint64(m.Buckets() - m.Shards()*initial); sentinels != newBuckets {
+		t.Fatalf("sentinels=%d, want one per new bucket (%d)", sentinels, newBuckets)
+	}
+	for k := uint64(0); k < keys; k++ {
+		if v, ok := m.Remove(th, k); !ok || v != k+1 {
+			t.Fatalf("Remove(%d)=%d,%v", k, v, ok)
+		}
+	}
+	if n := m.Len(th); n != 0 {
+		t.Fatalf("Len=%d after the drain", n)
+	}
+}
+
+// TestMapOpsNoAllocs: warm Insert, Contains and Remove on a map sized so
+// that it never reaches the grow threshold allocate nothing — the nodes
+// come from the arena. A doubling does allocate: its directory is
+// ordinary garbage-collected memory, by design, once per doubling.
+func TestMapOpsNoAllocs(t *testing.T) {
+	const resident, churn = 512, 256 // at most 513 entries in 8×64 buckets: load ≈ 1
+	th := newRT(1).RegisterThread()
+	m := NewSharded(th, 8, 64, 0)
+	for k := uint64(0); k < resident; k++ {
+		m.Insert(th, k, k)
+	}
+	var i, failed uint64
+	n := verify.Mallocs(100_000, 100_000, func() {
+		k := resident + i%churn
+		i++
+		if !m.Insert(th, k, k) {
+			failed++
+		}
+		if _, ok := m.Contains(th, k/2); !ok {
+			failed++
+		}
+		if _, ok := m.Remove(th, k); !ok {
+			failed++
+		}
+	})
+	if n != 0 {
+		t.Errorf("%d allocations over 100 k rounds of Insert/Contains/Remove, want 0", n)
+	}
+	if grows, _, _ := m.Stats(); failed != 0 || grows != 0 {
+		t.Fatalf("failed=%d grows=%d: the map must neither fail nor grow", failed, grows)
 	}
 }
 

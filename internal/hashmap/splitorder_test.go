@@ -275,19 +275,7 @@ func TestComposedOpsLinkSentinelsInMove(t *testing.T) {
 // only that one leaves Exhausted set. It links nothing until nodes are
 // freed.
 func TestStarvedThreadAnswersFromLinkedAncestor(t *testing.T) {
-	// The peer's first allocation carves the whole arena.
-	rt := core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: arena.ReservedIndexes + mm.LocalListCap})
-	peer := rt.RegisterThread()
-	m := NewSharded(peer, 1, 2, 1<<30)
-	for k := uint64(1); k <= 40; k++ {
-		m.Insert(peer, k, 100+k)
-	}
-	m.Grow(peer)
-	m.Grow(peer)
-	if _, s, _ := m.Stats(); m.Buckets() != 8 || s != 0 {
-		t.Fatalf("buckets=%d sentinels=%d after two doublings of a 1×2 map", m.Buckets(), s)
-	}
-	th := rt.RegisterThread()
+	rt, peer, th, m := starvedGrownMap(t)
 	inNew := func(h uint64) bool { return h&7 >= 2 }
 	check := func(what string, gotOK, wantOK bool) {
 		t.Helper()
@@ -331,6 +319,49 @@ func TestStarvedThreadAnswersFromLinkedAncestor(t *testing.T) {
 		t.Fatalf("sentinels=%d, want bucket 6 and its parent 2 linked", s)
 	}
 	checkSplitOrder(t, rt, peer, m)
+}
+
+// starvedGrownMap returns a 1×2 map holding keys 1..40 (value 100+k),
+// doubled twice by peer so that no bucket 2..7 has a sentinel, and th, a
+// second thread the arena has no node for: peer's first allocation
+// carved all of it.
+func starvedGrownMap(t *testing.T) (rt *core.Runtime, peer, th *core.Thread, m *Map) {
+	t.Helper()
+	rt = core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: arena.ReservedIndexes + mm.LocalListCap})
+	peer = rt.RegisterThread()
+	m = NewSharded(peer, 1, 2, 1<<30)
+	for k := uint64(1); k <= 40; k++ {
+		m.Insert(peer, k, 100+k)
+	}
+	m.Grow(peer)
+	m.Grow(peer)
+	if _, s, _ := m.Stats(); m.Buckets() != 8 || s != 0 {
+		t.Fatalf("buckets=%d sentinels=%d after two doublings of a 1×2 map", m.Buckets(), s)
+	}
+	return rt, peer, rt.RegisterThread(), m
+}
+
+// TestSentinelLinkKeepsExhaustedRecord: a sentinel the arena has no
+// node for is not the caller's failure, and not the caller's record to
+// erase either. On a starved thread, a failed Insert records exhaustion;
+// a Contains that follows it, of a key whose bucket has no sentinel yet,
+// fails to link one and must leave that unread record as it found it.
+func TestSentinelLinkKeepsExhaustedRecord(t *testing.T) {
+	_, _, th, m := starvedGrownMap(t)
+	absent := keyWhere(1000, func(h uint64) bool { return h&7 == 6 })
+	if m.Insert(th, absent, 7) {
+		t.Fatal("starved Insert of an absent key succeeded")
+	}
+	other := keyWhere(1, func(h uint64) bool { return h&7 == 3 })
+	if v, ok := m.Contains(th, other); other > 40 || !ok || v != 100+other {
+		t.Fatalf("Contains(%d) = %d,%v, want %d,true", other, v, ok, 100+other)
+	}
+	if !th.Exhausted() {
+		t.Fatal("a failed sentinel link erased the failed Insert's exhaustion record")
+	}
+	if _, s, _ := m.Stats(); s != 0 {
+		t.Fatalf("sentinels=%d: the starved thread linked one", s)
+	}
 }
 
 // TestStalledGrowerWedgesNobody parks, then kills, a thread between
