@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/obs"
-	"repro/internal/word"
-)
+import "repro/internal/word"
 
 // FResult is the tri-state result of scas (the paper's fbool): in
 // addition to true/false it can order the calling operation to abort,
@@ -65,7 +62,9 @@ type MoveReady interface {
 //
 // A lost linearization CAS (FFalse: the operation retries) is counted
 // here, in the thread's own stripe of cas_retries_total, for every
-// container alike.
+// container alike. The containers of this repository run the plain
+// case (M20–M21) at their call sites and count its lost CASes with
+// LostCAS; the plain case here serves any other caller.
 func (t *Thread) SCASRemove(w *word.Word, old, new, element, hp uint64) FResult {
 	if t.desc == nil { // M20: plain remove
 		if w.CAS(old, new) { // M21
@@ -92,7 +91,7 @@ func (t *Thread) SCASInsert(w *word.Word, old, new, hp uint64) FResult {
 // cas_retries_total when it is FFalse: a lost linearization CAS.
 func (t *Thread) tally(r FResult) FResult {
 	if r == FFalse {
-		t.reg.Inc(t.id, obs.CASRetry)
+		t.LostCAS()
 	}
 	return r
 }

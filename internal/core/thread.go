@@ -184,10 +184,10 @@ func (t *Thread) ReleaseHolds() {
 
 // Read is the read operation of Algorithm 4 (lines D32–D39) extended to
 // dispatch on descriptor kind: it helps any pair, k-word or RDCSS
-// descriptor announced in w and returns a plain value. The common
-// no-descriptor case is one load and one bit test; helping is the slow
-// path. Read is just over the inliner's budget (go build
-// -gcflags=-m=2 reports its cost), so each read is a function call.
+// descriptor announced in w and returns a plain value. Read is just over
+// the inliner's budget (go build -gcflags=-m=2 reports its cost), so the
+// containers run its common case themselves: they load the word, test
+// word.IsDesc, and call Read only when the word holds a descriptor.
 func (t *Thread) Read(w *word.Word) uint64 {
 	v := w.Load()
 	if v&1 == 0 { // word.IsDesc
@@ -253,9 +253,15 @@ func (t *Thread) Fault(p fault.Point) {
 }
 
 // MoveInFlight reports whether this thread is currently inside a move
-// (desc ≠ 0 in the paper's terms); containers use it in assertions and
-// tests observe it.
+// (desc ≠ 0 in the paper's terms). A container's linearization CAS is a
+// plain CAS at its call site when it reports false (lines M20–M21,
+// M38–M39), and SCASRemove or SCASInsert otherwise.
 func (t *Thread) MoveInFlight() bool { return t.desc != nil }
+
+// LostCAS counts a lost plain linearization CAS in this thread's stripe
+// of cas_retries_total: a container calls it where its call-site plain
+// CAS fails, as SCASRemove and SCASInsert count their FFalse results.
+func (t *Thread) LostCAS() { t.reg.Inc(t.id, obs.CASRetry) }
 
 // Seq returns a thread-local counter that increments on every call;
 // containers use it to build unique sub-keys (e.g. the priority queue's

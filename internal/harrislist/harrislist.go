@@ -21,6 +21,16 @@
 // physical unlinking happens in the remove's cleanup phase or by later
 // traversals, exactly as Harris prescribes.
 //
+// Reads of a link word (an anchor or a node's next) and the two
+// linearization CASes run at the call site in their plain case, so an
+// operation outside a composition costs what a plain list's does: a
+// read is a load and a word.IsDesc test, calling Thread.Read only for a
+// descriptor, and an scas is a plain CAS unless Thread.MoveInFlight
+// (lines M20–M21, M38–M39 of Algorithm 3). The traversal's
+// revalidations compare prev's link with the plain value read before; a
+// descriptor never equals one, so the check fails and the restarted
+// traversal's guarded read helps it.
+//
 // The algorithm is written once, over an anchor: the word a traversal
 // starts at. List anchors at its head word; the hash map anchors at a
 // bucket's head word or at the Next word of a bucket's sentinel node
@@ -85,17 +95,23 @@ retry:
 	for {
 		prevW := anchor
 		prevRef := uint64(0)
-		cur := t.Read(prevW)
+		cur := prevW.Load()
+		if word.IsDesc(cur) {
+			cur = t.Read(prevW)
+		}
 		for {
 			if cur == word.Nil {
 				return searchResult{prevW: prevW, prevRef: prevRef, cur: word.Nil}
 			}
 			t.ProtectNode(slotCur, cur)
-			if t.Read(prevW) != cur {
+			if prevW.Load() != cur {
 				continue retry // prev changed under us; restart
 			}
 			curN := t.Node(cur)
-			nextRaw := t.Read(&curN.Next)
+			nextRaw := curN.Next.Load()
+			if word.IsDesc(nextRaw) {
+				nextRaw = t.Read(&curN.Next)
+			}
 			if word.IsListMarked(nextRaw) {
 				// cur is logically deleted: unlink it (cleanup help).
 				next := word.ListUnmarked(nextRaw)
@@ -107,7 +123,7 @@ retry:
 				continue
 			}
 			ckey, caux := curN.Key, curN.Aux
-			if t.Read(prevW) != cur {
+			if prevW.Load() != cur {
 				continue retry // revalidate before trusting ckey/nextRaw
 			}
 			if ckey > key || (ckey == key && caux >= aux) {
@@ -165,16 +181,22 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) (ok, exis
 			n.Key, n.Aux, n.Val = key, aux, val
 		}
 		t.Node(ref).Next.Store(r.cur)
-		res := t.SCASInsert(r.prevW, r.cur, ref, r.prevRef)
-		if res == core.FAbort {
-			t.FreeNodeDirect(ref)
-			return false, false
+		if !t.MoveInFlight() { // M38–M39: plain insert
+			if !r.prevW.CAS(r.cur, ref) {
+				t.LostCAS()
+				t.BackoffWait()
+				continue
+			}
+		} else if res := t.SCASInsert(r.prevW, r.cur, ref, r.prevRef); res != core.FTrue {
+			if res == core.FAbort {
+				t.FreeNodeDirect(ref)
+				return false, false
+			}
+			t.BackoffWait()
+			continue
 		}
-		if res == core.FTrue {
-			t.BackoffReset()
-			return true, false
-		}
-		t.BackoffWait()
+		t.BackoffReset()
+		return true, false
 	}
 }
 
@@ -228,20 +250,26 @@ func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, bool)
 		}
 		curN := t.Node(r.cur)
 		val := curN.Val // requirement 4: value available before the LP
-		res := t.SCASRemove(&curN.Next, r.next, word.ListMarked(r.next), val, r.cur)
-		if res == core.FTrue {
-			// Cleanup phase: try to unlink; a failed CAS leaves the node
-			// for later traversals.
-			if r.prevW.CAS(r.cur, r.next) {
-				t.RetireNode(r.cur)
+		if !t.MoveInFlight() {
+			if !curN.Next.CAS(r.next, word.ListMarked(r.next)) {
+				t.LostCAS()
+				t.BackoffWait()
+				continue
 			}
-			t.BackoffReset()
-			return val, true
+		} else if res := t.SCASRemove(&curN.Next, r.next, word.ListMarked(r.next), val, r.cur); res != core.FTrue {
+			if res == core.FAbort {
+				return 0, false
+			}
+			t.BackoffWait()
+			continue
 		}
-		if res == core.FAbort {
-			return 0, false
+		// Cleanup phase: try to unlink; a failed CAS leaves the node for
+		// later traversals.
+		if r.prevW.CAS(r.cur, r.next) {
+			t.RetireNode(r.cur)
 		}
-		t.BackoffWait()
+		t.BackoffReset()
+		return val, true
 	}
 }
 
@@ -258,18 +286,24 @@ func (l *List) RemoveMin(t *core.Thread) (key, val uint64, ok bool) {
 		}
 		curN := t.Node(r.cur)
 		key, val = curN.Key, curN.Val
-		res := t.SCASRemove(&curN.Next, r.next, word.ListMarked(r.next), val, r.cur)
-		if res == core.FTrue {
-			if r.prevW.CAS(r.cur, r.next) {
-				t.RetireNode(r.cur)
+		if !t.MoveInFlight() { // M20–M21: plain remove
+			if !curN.Next.CAS(r.next, word.ListMarked(r.next)) {
+				t.LostCAS()
+				t.BackoffWait()
+				continue
 			}
-			t.BackoffReset()
-			return key, val, true
+		} else if res := t.SCASRemove(&curN.Next, r.next, word.ListMarked(r.next), val, r.cur); res != core.FTrue {
+			if res == core.FAbort {
+				return 0, 0, false
+			}
+			t.BackoffWait()
+			continue
 		}
-		if res == core.FAbort {
-			return 0, 0, false
+		if r.prevW.CAS(r.cur, r.next) {
+			t.RetireNode(r.cur)
 		}
-		t.BackoffWait()
+		t.BackoffReset()
+		return key, val, true
 	}
 }
 
@@ -317,10 +351,16 @@ func (l *List) Keys(t *core.Thread) []uint64 {
 // Walk calls f on every unmarked node reachable from anchor, in list
 // order (quiescent use: audits and tests).
 func Walk(t *core.Thread, anchor *word.Word, f func(*arena.Node)) {
-	cur := t.Read(anchor)
+	cur := anchor.Load()
+	if word.IsDesc(cur) {
+		cur = t.Read(anchor)
+	}
 	for cur != word.Nil {
 		n := t.Node(cur)
-		nx := t.Read(&n.Next)
+		nx := n.Next.Load()
+		if word.IsDesc(nx) {
+			nx = t.Read(&n.Next)
+		}
 		if !word.IsListMarked(nx) {
 			f(n)
 		}

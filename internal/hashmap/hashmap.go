@@ -52,6 +52,19 @@
 // load 6 would link a third of the sentinels and walk three times as far
 // (hypotheses/README.md, H26).
 //
+// A shard's entry count is striped by thread: each registered thread
+// counts its own inserts and removes for every shard on cache lines of
+// its own, so an operation writes no line another thread writes
+// (hypotheses/README.md, H25). A shard's size is the sum of its
+// stripes. An insert reads that sum only when its own stripe reaches a
+// multiple of q, where q is min(16, T/64) rounded down to a power of
+// two (at least 1) and T is the threshold at which the shard doubles,
+// its bucket count times the grow load. So the trigger is exact while
+// T < 128, and a larger shard doubles at the latest when it holds fewer
+// than q entries per inserting thread beyond T: once it does, the
+// latest thread whose stripe reached its current multiple of q has
+// read a sum above T.
+//
 // Why no entry has to move: at directory size S an entry with hash h
 // lives in bucket h mod S, after that bucket's sentinel. At size 2S its
 // bucket is h mod 2S, whose index extends h mod S by one bit — so in bit-
@@ -81,6 +94,7 @@
 package hashmap
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -117,14 +131,19 @@ const (
 // operations write sit on a separate, padded line — otherwise every
 // writer would invalidate the line every reader needs. The structs are
 // sized to whole lines, which the allocator then places on line
-// boundaries; layout_test.go pins the offsets.
+// boundaries; layout_test.go pins the offsets. The entry counts are
+// thread stripes of whole lines (count).
 type Map struct {
 	shards    []shard
+	counts    []countLine // per-thread entry counts (count)
 	shardMask uint64
-	shardBits uint
-	growLoad  int64
-	id        uint64
-	_         [pad.CacheLineSize - 56]byte
+	shardBits uint32
+	growLoad  int32
+
+	// Read by compositions (ObjectID) and by the sums of the counts.
+	rt *core.Runtime
+	id uint64
+	_  [pad.CacheLineSize - 16]byte
 
 	grows     atomic.Uint64 // directory doublings
 	sentinels atomic.Uint64 // sentinel nodes linked
@@ -134,15 +153,18 @@ type Map struct {
 
 var _ core.MoveReady = (*Map)(nil)
 
-// shard is one partition: its current directory and its element
-// counter.
+// shard is one partition: its current directory. Its entry count is
+// the sum of the threads' stripes (count).
 type shard struct {
 	dir atomic.Pointer[directory] // replaced by a grow, never cleared
 	_   pad.Pad56
-
-	count atomic.Int64 // written by every successful insert and remove
-	_     pad.Pad56
 }
+
+// countLine is one cache line of a thread's entry counts, one counter
+// per shard.
+type countLine [countsPerLine]atomic.Int64
+
+const countsPerLine = pad.CacheLineSize / 8
 
 // directory maps a shard's bucket indexes to anchors. Immutable apart
 // from the slot values, which only ever go from 0 to a sentinel's
@@ -178,11 +200,14 @@ func NewSharded(t *core.Thread, shards, bucketsPerShard, growLoad int) *Map {
 	if growLoad <= 0 {
 		growLoad = DefaultGrowLoad
 	}
+	rt := t.Runtime()
 	m := &Map{
 		shards:    make([]shard, ns),
+		counts:    make([]countLine, rt.MaxThreads()*linesPerThread(ns)),
 		shardMask: uint64(ns - 1),
-		growLoad:  int64(growLoad),
-		id:        t.Runtime().NextObjectID(),
+		growLoad:  int32(min(growLoad, math.MaxInt32)),
+		rt:        rt,
+		id:        rt.NextObjectID(),
 	}
 	for ns > 1 {
 		m.shardBits++
@@ -226,6 +251,40 @@ func unhash(h uint64) uint64 {
 }
 
 func (m *Map) shard(h uint64) *shard { return &m.shards[h&m.shardMask] }
+
+// linesPerThread is the number of count lines a thread's stripe takes
+// for shards shards.
+func linesPerThread(shards int) int { return (shards + countsPerLine - 1) / countsPerLine }
+
+// count returns thread tid's entry counter for shard si: its stripe is
+// linesPerThread lines of counts, written by tid alone.
+func (m *Map) count(tid int, si uint64) *atomic.Int64 {
+	per := linesPerThread(len(m.shards))
+	return &m.counts[tid*per+int(si/countsPerLine)][si%countsPerLine]
+}
+
+// threads is the number of stripes that can be nonzero: the runtime's
+// registered threads.
+func (m *Map) threads() int { return min(m.rt.RegisteredThreads(), m.rt.MaxThreads()) }
+
+// size sums shard si's entry counts over the registered threads.
+func (m *Map) size(si uint64) int64 {
+	n := int64(0)
+	for tid := range m.threads() {
+		n += m.count(tid, si).Load()
+	}
+	return n
+}
+
+// limit is the entry count above which a shard whose directory is d
+// doubles it.
+func (m *Map) limit(d *directory) int64 { return int64(d.mask+1) * int64(m.growLoad) }
+
+// checkMask returns q − 1, where q is how often an inserting thread
+// reads the size of a shard whose doubling threshold is limit: at every
+// q-th step of its own stripe, min(16, limit/64) rounded down to a
+// power of two, at least 1.
+func checkMask(limit int64) int64 { return 1<<min(bits.Len64(uint64(limit)>>7), 4) - 1 }
 
 // anchor returns the word a traversal for hash h starts at under
 // directory d. The hazard slots are the caller's side's (insert or
@@ -304,18 +363,20 @@ func (m *Map) SameChain(key1, key2 uint64) bool {
 // doubling is a CAS, nothing is helped — and links the new sentinels.
 func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 	h := hash(key)
-	s := m.shard(h)
+	si := h & m.shardMask
+	s := &m.shards[si]
 	d := s.dir.Load()
 	from := m.anchor(t, d, h, core.SlotInsAux, core.SlotIns0)
 	if ok, _ := harrislist.InsertAt(t, from, bits.Reverse64(h), auxEntry, val); !ok {
 		return false
 	}
-	if s.count.Add(1) > int64(d.mask+1)*m.growLoad {
+	limit := m.limit(d)
+	if n := m.count(t.ID(), si).Add(1); n&checkMask(limit) == 0 && m.size(si) > limit {
 		if nd := m.double(s, d); nd != nil {
 			// A thread stalled or killed here leaves a directory whose new
 			// half is all empty slots; peers link what they need.
 			t.Fault(fault.MapMidGrow)
-			m.linkAll(t, nd, h&m.shardMask)
+			m.linkAll(t, nd, si)
 		}
 	}
 	return true
@@ -335,11 +396,10 @@ func (m *Map) linkAll(t *core.Thread, d *directory, si uint64) {
 // links the key's bucket sentinel if a grow left it missing.
 func (m *Map) Remove(t *core.Thread, key uint64) (uint64, bool) {
 	h := hash(key)
-	s := m.shard(h)
-	from := m.anchor(t, s.dir.Load(), h, core.SlotRemAux, core.SlotRem0)
+	from := m.anchor(t, m.shard(h).dir.Load(), h, core.SlotRemAux, core.SlotRem0)
 	v, ok := harrislist.RemoveAt(t, from, bits.Reverse64(h), auxEntry)
 	if ok {
-		s.count.Add(-1)
+		m.count(t.ID(), h&m.shardMask).Add(-1)
 	}
 	return v, ok
 }
@@ -354,12 +414,14 @@ func (m *Map) Contains(t *core.Thread, key uint64) (uint64, bool) {
 	return harrislist.ContainsAt(t, from, bits.Reverse64(h), auxEntry)
 }
 
-// Len reports the element count from the per-shard counters: exact at
-// quiescence, a momentary snapshot under concurrency.
+// Len reports the element count, the sum of the registered threads'
+// stripes: exact at quiescence, a momentary snapshot under concurrency.
 func (m *Map) Len(t *core.Thread) int {
 	n := int64(0)
-	for i := range m.shards {
-		n += m.shards[i].count.Load()
+	for i := range m.counts[:m.threads()*linesPerThread(len(m.shards))] {
+		for j := range m.counts[i] {
+			n += m.counts[i][j].Load()
+		}
 	}
 	return int(n)
 }
@@ -418,7 +480,7 @@ func (m *Map) RebalanceStep(t *core.Thread) bool {
 	for i := range m.shards {
 		s := &m.shards[i]
 		d := s.dir.Load()
-		if s.count.Load() > int64(d.mask+1)*m.growLoad {
+		if m.size(uint64(i)) > m.limit(d) {
 			if m.double(s, d) != nil {
 				m.steps.Add(1)
 				return true

@@ -111,9 +111,9 @@ func TestGrowPreservesEntries(t *testing.T) {
 // TestDefaultLoadBoundsBuckets fills a default-threshold 8×8 map with
 // 32 k keys from one thread: the mean load stays within DefaultGrowLoad,
 // every shard ends at the smallest doubling of its 8 buckets that holds
-// its keys at that load, and the grower linked every new bucket's
-// sentinel itself (linkAll), so a fill-time operation starts at its own
-// bucket. The drain then empties the map.
+// its keys within the lag bound (checkBuckets), and the grower linked
+// every new bucket's sentinel itself (linkAll), so a fill-time operation
+// starts at its own bucket. The drain then empties the map.
 func TestDefaultLoadBoundsBuckets(t *testing.T) {
 	const keys, initial = 32768, 8
 	th := newRT(1).RegisterThread()
@@ -126,18 +126,7 @@ func TestDefaultLoadBoundsBuckets(t *testing.T) {
 	if n := m.Len(th); n != keys || n > DefaultGrowLoad*m.Buckets() {
 		t.Fatalf("Len=%d in %d buckets: want %d within load %d", n, m.Buckets(), keys, DefaultGrowLoad)
 	}
-	var want uint64
-	for i := range m.shards {
-		s := &m.shards[i]
-		per := uint64(initial)
-		for s.count.Load() > int64(per)*DefaultGrowLoad {
-			per *= 2
-			want++
-		}
-		if got := s.dir.Load().mask + 1; got != per {
-			t.Errorf("shard %d: %d entries in %d buckets, want %d", i, s.count.Load(), got, per)
-		}
-	}
+	want := checkBuckets(t, m, initial, 1, 0)
 	grows, sentinels, _ := m.Stats()
 	if grows != want {
 		t.Fatalf("grows=%d, want %d", grows, want)
@@ -152,6 +141,105 @@ func TestDefaultLoadBoundsBuckets(t *testing.T) {
 	}
 	if n := m.Len(th); n != 0 {
 		t.Fatalf("Len=%d after the drain", n)
+	}
+}
+
+// checkBuckets checks every shard of m, which started at initial buckets
+// per shard and grows at DefaultGrowLoad, against the lag bound of the
+// striped counts: inserting threads may each have added up to q − 1
+// entries beyond a doubling threshold T before one of them reads the
+// shard's size. So a shard of n entries ends at the smallest doubling
+// whose threshold plus that lag holds n, and no larger than the
+// smallest whose T holds n + slack: slack is how far a shard's size,
+// read while the threads ran, may have exceeded its size now. It
+// returns the number of doublings the shards made.
+func checkBuckets(t *testing.T, m *Map, initial uint64, threads, slack int64) (doublings uint64) {
+	t.Helper()
+	for i := range m.shards {
+		n := m.size(uint64(i))
+		lo, hi := initial, initial
+		for n > int64(lo)*DefaultGrowLoad+threads*checkMask(int64(lo)*DefaultGrowLoad) {
+			lo *= 2
+		}
+		for n+slack > int64(hi)*DefaultGrowLoad {
+			hi *= 2
+		}
+		got := m.shards[i].dir.Load().mask + 1
+		if got < lo || got > hi {
+			t.Errorf("shard %d: %d entries in %d buckets, want %d..%d", i, n, got, lo, hi)
+		}
+		for b := initial; b < got; b *= 2 {
+			doublings++
+		}
+	}
+	return doublings
+}
+
+// TestStripesSumToLen races two threads' inserts and removes over a
+// default-threshold map, and then each thread's removes of keys the
+// other inserted, so that one thread's stripes go negative. At
+// quiescence the stripes sum to Len and to the keys present, and every
+// shard's size is the smallest doubling that holds its entries within
+// the lag bound.
+func TestStripesSumToLen(t *testing.T) {
+	const n, initial = 1 << 14, 8
+	rt := newRT(2)
+	ths := []*core.Thread{rt.RegisterThread(), rt.RegisterThread()}
+	m := NewSharded(ths[0], 8, initial, 0)
+	ranges := [2][2]uint64{{0, n}, {n, n + n/4}} // thread i's keys
+	run := func(f func(i int)) {
+		var wg sync.WaitGroup
+		for i := range ths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f(i)
+			}()
+		}
+		wg.Wait()
+	}
+	// Thread 0 inserts the keys [0, n), thread 1 [n, n+n/4), and each
+	// removes every fourth of its keys again at once: the map never holds
+	// more than one entry per thread beyond what it holds at the end.
+	run(func(i int) {
+		th := ths[i]
+		for k := ranges[i][0]; k < ranges[i][1]; k++ {
+			if !m.Insert(th, k, k) {
+				t.Errorf("Insert(%d) failed", k)
+			}
+			if k%4 == 0 {
+				if _, ok := m.Remove(th, k); !ok {
+					t.Errorf("Remove(%d) failed", k)
+				}
+			}
+		}
+	})
+	checkBuckets(t, m, initial, 2, 2)
+	// Each thread removes some of the other's keys: thread 1 the n/4 keys
+	// k%4 == 1 of thread 0, more than it holds of its own; thread 0 the
+	// n/16 keys k%4 == 2 of thread 1.
+	run(func(i int) {
+		other, class := ranges[1-i], uint64(2-i)
+		for k := other[0]; k < other[1]; k++ {
+			if k%4 != class {
+				continue
+			}
+			if v, ok := m.Remove(ths[i], k); !ok || v != k {
+				t.Errorf("Remove(%d)=%d,%v", k, v, ok)
+			}
+		}
+	})
+	var sum, th1 int64
+	for si := range m.shards {
+		sum += m.size(uint64(si))
+		th1 += m.count(ths[1].ID(), uint64(si)).Load()
+	}
+	if th1 >= 0 {
+		t.Errorf("thread 1's stripes sum to %d, want below 0: it removed more than it inserted", th1)
+	}
+	const want = n/2 + n/8
+	if got, keys := m.Len(ths[0]), len(m.Keys(ths[0])); got != want || sum != want || keys != want {
+		t.Fatalf("Len=%d, stripes sum to %d, %d keys present; want %d", got, sum, keys, want)
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"repro/internal/pad"
 )
 
-// TestLayout pins the coherence budget's layout rule for the map's three
-// shared structs: whole lines (so the allocator puts them, and the shard
-// array's elements, on line boundaries), a read-mostly header that fits
-// one line, and the words operations write on other lines.
+// TestLayout pins the coherence budget's layout rule for the map's
+// shared structs: whole lines (so the allocator puts them, and the
+// elements of the shard and count arrays, on line boundaries), a
+// read-mostly header that fits one line, and the words operations write
+// on other lines. A count line is exactly one line, so a thread's stripe
+// of entry counts shares no line with another thread's.
 func TestLayout(t *testing.T) {
 	var (
 		m Map
@@ -25,12 +27,13 @@ func TestLayout(t *testing.T) {
 	}{
 		{"shard", unsafe.Sizeof(s),
 			unsafe.Offsetof(s.dir), unsafe.Offsetof(s.dir) + unsafe.Sizeof(s.dir) - 1,
-			map[string]uintptr{"count": unsafe.Offsetof(s.count)}},
+			nil},
+		{"countLine", unsafe.Sizeof(countLine{}), 0, 0, nil},
 		{"directory", unsafe.Sizeof(d),
 			unsafe.Offsetof(d.heads), unsafe.Offsetof(d.mask) + unsafe.Sizeof(d.mask) - 1,
 			map[string]uintptr{"scan": unsafe.Offsetof(d.scan)}},
 		{"Map", unsafe.Sizeof(m),
-			unsafe.Offsetof(m.shards), unsafe.Offsetof(m.id) + unsafe.Sizeof(m.id) - 1,
+			unsafe.Offsetof(m.shards), unsafe.Offsetof(m.growLoad) + unsafe.Sizeof(m.growLoad) - 1,
 			map[string]uintptr{"grows": unsafe.Offsetof(m.grows), "sentinels": unsafe.Offsetof(m.sentinels), "steps": unsafe.Offsetof(m.steps)}},
 	} {
 		if c.size%pad.CacheLineSize != 0 {

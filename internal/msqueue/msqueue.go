@@ -3,12 +3,22 @@
 //
 //   - the linearization-point CASes (lines Q14 and Q34) are replaced by
 //     scas,
-//   - every read of a word that can take part in a DCAS (lines Q6, Q7,
-//     Q8, Q10, Q23, Q24, Q25, Q26, Q28) goes through the read operation,
+//   - every read of a word that can take part in a DCAS goes through the
+//     read operation: head (Q23) and a node's next (Q8, Q26),
 //   - enqueue handles the ABORT result by freeing its node (Q15–Q17),
 //     and fails before its loop when the arena has no node for it,
 //   - dequeue also handles ABORT, per the bracketed lines of Algorithm 2,
 //     because generic move targets (unlike the queue itself) can fail.
+//
+// The read operation and scas run at the call site in their plain case,
+// so an operation outside a composition costs what the plain queue's
+// does: a read is a load and a word.IsDesc test, calling Thread.Read
+// only for a descriptor, and an scas is a plain CAS unless
+// Thread.MoveInFlight (lines M20–M21, M38–M39). Two kinds of read need no guard. Tail (Q6, Q7, Q10, Q25)
+// is swung by plain CAS alone (Q12, Q19, Q31) and no composition
+// captures it, so it never holds a descriptor. A revalidation compares
+// head with a plain value it read before; a descriptor never equals
+// one, so the check fails and the retry's guarded read helps it.
 //
 // The queue is a move-candidate (Lemma 8): dequeue and enqueue are
 // linearizable [18]; separate hazard-pointer slot sets let insert and
@@ -66,36 +76,45 @@ func (q *Queue) Enqueue(t *core.Thread, val uint64) bool {
 	// the node becomes reachable via the scas below.
 	n.Val = val
 	for { // Q5
-		ltail := t.Read(&q.tail)            // Q6
+		ltail := q.tail.Load()              // Q6
 		t.ProtectNode(core.SlotIns0, ltail) // Q7: hp1 ← ltail
-		if t.Read(&q.tail) != ltail {
+		if q.tail.Load() != ltail {
 			continue
 		}
 		tn := t.Node(ltail)
-		lnext := t.Read(&tn.Next)           // Q8
+		lnext := tn.Next.Load() // Q8
+		if word.IsDesc(lnext) {
+			lnext = t.Read(&tn.Next)
+		}
 		t.ProtectNode(core.SlotIns1, lnext) // Q9: hp2 ← lnext
-		if t.Read(&q.tail) != ltail {       // Q10
+		if q.tail.Load() != ltail {         // Q10
 			continue
 		}
 		if lnext != word.Nil { // Q11: tail is lagging
 			t.CAS(&q.tail, ltail, lnext) // Q12
 			continue                     // Q13
 		}
-		res := t.SCASInsert(&tn.Next, word.Nil, ref, ltail) // Q14
-		if res == core.FAbort {                             // Q15
-			t.FreeNodeDirect(ref) // Q16: the node was never published
-			t.ClearNode(core.SlotIns0)
-			t.ClearNode(core.SlotIns1)
-			return false // Q17
+		if !t.MoveInFlight() { // Q14, M38–M39: plain insert
+			if !tn.Next.CAS(word.Nil, ref) {
+				t.LostCAS()
+				t.BackoffWait() // conflict: retry (with backoff when enabled, §6)
+				continue
+			}
+		} else if res := t.SCASInsert(&tn.Next, word.Nil, ref, ltail); res != core.FTrue { // Q14
+			if res == core.FAbort { // Q15
+				t.FreeNodeDirect(ref) // Q16: the node was never published
+				t.ClearNode(core.SlotIns0)
+				t.ClearNode(core.SlotIns1)
+				return false // Q17
+			}
+			t.BackoffWait()
+			continue
 		}
-		if res == core.FTrue { // Q18
-			t.CAS(&q.tail, ltail, ref) // Q19
-			t.ClearNode(core.SlotIns0)
-			t.ClearNode(core.SlotIns1)
-			t.BackoffReset()
-			return true // Q20
-		}
-		t.BackoffWait() // conflict: retry (with backoff when enabled, §6)
+		t.CAS(&q.tail, ltail, ref) // Q18–Q19
+		t.ClearNode(core.SlotIns0)
+		t.ClearNode(core.SlotIns1)
+		t.BackoffReset()
+		return true // Q20
 	}
 }
 
@@ -103,16 +122,22 @@ func (q *Queue) Enqueue(t *core.Thread, val uint64) bool {
 // or a surrounding move aborted.
 func (q *Queue) Dequeue(t *core.Thread) (val uint64, ok bool) {
 	for { // Q22
-		lhead := t.Read(&q.head)            // Q23
+		lhead := q.head.Load() // Q23
+		if word.IsDesc(lhead) {
+			lhead = t.Read(&q.head)
+		}
 		t.ProtectNode(core.SlotRem0, lhead) // Q24: hp3 ← lhead
-		if t.Read(&q.head) != lhead {
+		if q.head.Load() != lhead {
 			continue
 		}
-		ltail := t.Read(&q.tail) // Q25
+		ltail := q.tail.Load() // Q25
 		hn := t.Node(lhead)
-		lnext := t.Read(&hn.Next)           // Q26
+		lnext := hn.Next.Load() // Q26
+		if word.IsDesc(lnext) {
+			lnext = t.Read(&hn.Next)
+		}
 		t.ProtectNode(core.SlotRem1, lnext) // Q27: hp4 ← lnext
-		if t.Read(&q.head) != lhead {       // Q28
+		if q.head.Load() != lhead {         // Q28
 			continue
 		}
 		if lnext == word.Nil { // Q29: empty
@@ -124,24 +149,30 @@ func (q *Queue) Dequeue(t *core.Thread) (val uint64, ok bool) {
 			t.CAS(&q.tail, ltail, lnext) // Q31
 			continue                     // Q32
 		}
-		val = t.Node(lnext).Val                                // Q33
-		res := t.SCASRemove(&q.head, lhead, lnext, val, lhead) // Q34
-		if res == core.FTrue {
-			t.RetireNode(lhead) // Q35: free lhead
-			t.ClearNode(core.SlotRem0)
-			t.ClearNode(core.SlotRem1)
-			t.BackoffReset()
-			return val, true // Q36
+		val = t.Node(lnext).Val // Q33
+		if !t.MoveInFlight() {  // Q34, M20–M21: plain remove
+			if !q.head.CAS(lhead, lnext) {
+				t.LostCAS()
+				t.BackoffWait()
+				continue
+			}
+		} else if res := t.SCASRemove(&q.head, lhead, lnext, val, lhead); res != core.FTrue { // Q34
+			if res == core.FAbort {
+				// The move's target rejected the element (a full or
+				// duplicate-key target, or an insert that got no node);
+				// nothing was changed, so just report failure.
+				t.ClearNode(core.SlotRem0)
+				t.ClearNode(core.SlotRem1)
+				return 0, false
+			}
+			t.BackoffWait()
+			continue
 		}
-		if res == core.FAbort {
-			// The move's target rejected the element (a full or
-			// duplicate-key target, or an insert that got no node);
-			// nothing was changed, so just report failure.
-			t.ClearNode(core.SlotRem0)
-			t.ClearNode(core.SlotRem1)
-			return 0, false
-		}
-		t.BackoffWait()
+		t.RetireNode(lhead) // Q35: free lhead
+		t.ClearNode(core.SlotRem0)
+		t.ClearNode(core.SlotRem1)
+		t.BackoffReset()
+		return val, true // Q36
 	}
 }
 
@@ -160,9 +191,16 @@ func (q *Queue) Remove(t *core.Thread, _ uint64) (uint64, bool) {
 // only in quiescent states and exists for tests and examples.
 func (q *Queue) Len(t *core.Thread) int {
 	n := 0
-	cur := t.Read(&q.head)
+	cur := q.head.Load()
+	if word.IsDesc(cur) {
+		cur = t.Read(&q.head)
+	}
 	for {
-		next := t.Read(&t.Node(cur).Next)
+		nw := &t.Node(cur).Next
+		next := nw.Load()
+		if word.IsDesc(next) {
+			next = t.Read(nw)
+		}
 		if next == word.Nil {
 			return n
 		}

@@ -3,9 +3,19 @@
 //
 //   - the linearization-point CASes (lines S7 and S22) are replaced by
 //     scas,
-//   - reads of top (lines S5, S15, S19) go through the read operation,
+//   - reads of top (lines S5, S15) go through the read operation,
 //   - push handles the ABORT result by freeing its node (S8–S10), and
 //     pop handles it per the bracketed lines of Algorithm 2.
+//
+// The read operation and scas run at the call site in their plain case,
+// so an operation outside a composition costs what the plain stack's
+// does: a read of top is a load and a word.IsDesc test, calling
+// Thread.Read only for a descriptor, and an scas is a plain CAS unless
+// Thread.MoveInFlight (lines M20–M21, M38–M39). The revalidation at S19 compares top with
+// the plain value read at S15, so it is a plain load: a descriptor never
+// equals a plain value, the check fails, and the retry's guarded read
+// helps it. A node's next is written before the node is published and
+// never captured, so pop reads it with a plain load.
 //
 // The stack is a move-candidate (Lemma 9): push/pop are linearizable
 // (Vafeiadis [23] gives a formal proof); instances share nothing
@@ -88,18 +98,28 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 	n := t.Node(ref)
 	n.Val = val // S3
 	for {       // S4
-		ltop := t.Read(&s.top)                                    // S5
-		n.Next.Store(ltop)                                        // S6
-		res := t.SCASInsert(&s.top, ltop, s.newTop(ltop, ref), 0) // S7
-		if res == core.FAbort {                                   // S8
-			t.FreeNodeDirect(ref) // S9
-			return false          // S10
+		ltop := s.top.Load() // S5
+		if word.IsDesc(ltop) {
+			ltop = t.Read(&s.top)
 		}
-		if res == core.FTrue { // S11
-			t.BackoffReset()
-			return true // S12
+		n.Next.Store(ltop) // S6
+		ntop := s.newTop(ltop, ref)
+		if !t.MoveInFlight() { // S7, M38–M39: plain insert
+			if !s.top.CAS(ltop, ntop) {
+				t.LostCAS()
+				t.BackoffWait()
+				continue
+			}
+		} else if res := t.SCASInsert(&s.top, ltop, ntop, 0); res != core.FTrue { // S7
+			if res == core.FAbort { // S8
+				t.FreeNodeDirect(ref) // S9
+				return false          // S10
+			}
+			t.BackoffWait()
+			continue
 		}
-		t.BackoffWait()
+		t.BackoffReset() // S11
+		return true      // S12
 	}
 }
 
@@ -107,29 +127,38 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 // surrounding move aborted.
 func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
 	for { // S14
-		ltop := t.Read(&s.top) // S15
-		if isNil(ltop) {       // S16
+		ltop := s.top.Load() // S15
+		if word.IsDesc(ltop) {
+			ltop = t.Read(&s.top)
+		}
+		if isNil(ltop) { // S16
 			return 0, false // S17
 		}
 		t.ProtectNode(core.SlotRem0, ltop) // S18: hp ← ltop
-		if t.Read(&s.top) != ltop {        // S19
+		if s.top.Load() != ltop {          // S19
 			continue // S20
 		}
 		n := t.Node(ltop)
 		val = n.Val // S21
-		lnext := n.Next.Load()
-		res := t.SCASRemove(&s.top, ltop, s.newTop(ltop, lnext), val, ltop) // S22
-		if res == core.FTrue {
-			t.RetireNode(ltop) // S23
-			t.ClearNode(core.SlotRem0)
-			t.BackoffReset()
-			return val, true // S24
+		ntop := s.newTop(ltop, n.Next.Load())
+		if !t.MoveInFlight() { // S22, M20–M21: plain remove
+			if !s.top.CAS(ltop, ntop) {
+				t.LostCAS()
+				t.BackoffWait()
+				continue
+			}
+		} else if res := t.SCASRemove(&s.top, ltop, ntop, val, ltop); res != core.FTrue { // S22
+			if res == core.FAbort {
+				t.ClearNode(core.SlotRem0)
+				return 0, false
+			}
+			t.BackoffWait()
+			continue
 		}
-		if res == core.FAbort {
-			t.ClearNode(core.SlotRem0)
-			return 0, false
-		}
-		t.BackoffWait()
+		t.RetireNode(ltop) // S23
+		t.ClearNode(core.SlotRem0)
+		t.BackoffReset()
+		return val, true // S24
 	}
 }
 
@@ -146,8 +175,12 @@ func (s *Stack) Remove(t *core.Thread, _ uint64) (uint64, bool) {
 // Len counts elements by walking the chain (tests/examples; quiescent
 // use only).
 func (s *Stack) Len(t *core.Thread) int {
+	cur := s.top.Load()
+	if word.IsDesc(cur) {
+		cur = t.Read(&s.top)
+	}
 	n := 0
-	for cur := t.Read(&s.top); !isNil(cur); cur = t.Node(cur).Next.Load() {
+	for ; !isNil(cur); cur = t.Node(cur).Next.Load() {
 		n++
 	}
 	return n
@@ -212,7 +245,10 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 		empty := false
 		for i, s := range stacks {
 			for {
-				ltop := t.Read(&s.top)
+				ltop := s.top.Load()
+				if word.IsDesc(ltop) {
+					ltop = t.Read(&s.top)
+				}
 				if isNil(ltop) {
 					empty = true
 					break
@@ -221,7 +257,7 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 				// hold slots keep all k heads protected at once, where the
 				// container slots only cover one.
 				t.HoldNode(i, ltop)
-				if t.Read(&s.top) == ltop {
+				if s.top.Load() == ltop {
 					ltops[i] = ltop
 					break
 				}
