@@ -102,9 +102,7 @@ func main() {
 
 		metrics    = flag.Bool("metrics", true, "enable the metrics registry and the METRICS wire verb")
 		traceOut   = flag.String("trace", "", "enable descriptor-protocol tracing; write JSONL events (and spans) to this file at drain")
-		traceBuf   = flag.Int("tracebuf", 0, "per-thread trace ring capacity (0 = default)")
 		spans      = flag.Bool("spans", true, "enable request-scoped spans: per-stage latency attribution, tail exemplars and the SLOW wire verb")
-		spanBuf    = flag.Int("spanbuf", 0, "per-worker completed-span ring capacity (0 = default)")
 		slowK      = flag.Int("slowk", 0, "number of slowest requests since boot kept as tail exemplars and served by SLOW (0 = default)")
 		statsEvery = flag.Duration("statsevery", 0, "print a 'STATS <json>' line on stdout at this period (0 = off)")
 		cpuProfile = flag.String("cpuprofile", "", "record a CPU profile from boot; write it to this file at drain (empty = off)")
@@ -138,8 +136,8 @@ func main() {
 		Shards: *shards, Buckets: *buckets, Arena: *arena,
 		Deadline: *deadline, WriteTimeout: *wtimeout, SLO: *slo,
 		Fault:   plan,
-		Metrics: *metrics, Trace: *traceOut != "", TraceBuf: *traceBuf,
-		Spans: *spans, SpanBuf: *spanBuf, SpanTopK: *slowK,
+		Metrics: *metrics, Trace: *traceOut != "",
+		Spans: *spans, SpanTopK: *slowK,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -66,18 +66,15 @@ type Config struct {
 	Metrics bool
 	// Trace enables the descriptor-protocol tracer; WriteTrace drains
 	// it as JSONL (main's -trace flag writes it at SIGTERM drain).
-	// TraceBuf sizes the per-thread rings (0 = obs default).
-	Trace    bool
-	TraceBuf int
+	Trace bool
 	// Spans enables the request-scoped span layer: each data-path
 	// request's wall time is decomposed into queue/parse/execute/
 	// degrade/write stages, recorded into per-stage histograms (STATS
 	// "stages" block, METRICS stage_* series) and per-worker rings, with
 	// the SpanTopK slowest requests since boot retained as tail
-	// exemplars and served by the SLOW wire verb. SpanBuf sizes the
-	// per-worker completed-span rings (0 = obs defaults for both).
+	// exemplars and served by the SLOW wire verb (0 = the obs
+	// default).
 	Spans    bool
-	SpanBuf  int
 	SpanTopK int
 }
 
@@ -142,7 +139,7 @@ type Server struct {
 	// Span layer (nil when Config.Spans is off; every use is nil-safe
 	// or gated, so the disabled request path stays allocation-free).
 	spans  *obs.Spans
-	stages *latency.Stages
+	stages *latency.Recorder // one tenant, one op per obs.Stage
 	reg    *obs.Registry
 	trc    *obs.Tracer
 
@@ -177,8 +174,8 @@ func NewServer(cfg Config) *Server {
 		MaxThreads:    cfg.Workers + 2,
 		ArenaCapacity: cfg.Arena,
 		Obs: repro.ObsConfig{
-			Metrics: cfg.Metrics, Trace: cfg.Trace, TraceBuf: cfg.TraceBuf,
-			Spans: cfg.Spans, SpanBuf: cfg.SpanBuf, SpanTopK: cfg.SpanTopK,
+			Metrics: cfg.Metrics, Trace: cfg.Trace,
+			Spans: cfg.Spans, SpanTopK: cfg.SpanTopK,
 		},
 	}
 	if cfg.Fault != nil {
@@ -207,11 +204,7 @@ func NewServer(cfg Config) *Server {
 	s.reg = rt.Obs().Metrics()
 	s.trc = rt.Obs().Tracer()
 	if s.spans != nil {
-		names := make([]string, obs.NumStages)
-		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			names[st] = st.String()
-		}
-		s.stages = latency.NewStages(cfg.Workers, names)
+		s.stages = latency.NewRecorder(cfg.Workers, 1, int(obs.NumStages))
 	}
 	if reg := s.reg; reg != nil {
 		// The degradation counters join the registry under the same
@@ -248,16 +241,16 @@ func NewServer(cfg Config) *Server {
 				st := st
 				name := st.String()
 				reg.AddFunc("stage_"+name+"_count_total", func() uint64 {
-					return s.stages.Merged(int(st)).Count
+					return s.stages.Merged(0, int(st)).Count
 				})
 				reg.AddGauge("stage_"+name+"_p50_ns", func() uint64 {
-					return uint64(s.stages.Merged(int(st)).Percentile(0.50))
+					return uint64(s.stages.Merged(0, int(st)).Percentile(0.50))
 				})
 				reg.AddGauge("stage_"+name+"_p99_ns", func() uint64 {
-					return uint64(s.stages.Merged(int(st)).Percentile(0.99))
+					return uint64(s.stages.Merged(0, int(st)).Percentile(0.99))
 				})
 				reg.AddGauge("stage_"+name+"_max_ns", func() uint64 {
-					return uint64(s.stages.Merged(int(st)).Max())
+					return uint64(s.stages.Merged(0, int(st)).Max())
 				})
 			}
 			reg.AddFunc("spans_dropped_total", s.spans.Dropped)
@@ -575,7 +568,7 @@ func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
 func (s *Server) finishSpan(w *worker, sp obs.Span) {
 	s.spans.Finish(w.idx, sp)
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		s.stages.RecordNS(w.idx, int(st), sp.Stage[st])
+		s.stages.Record(w.idx, 0, int(st), time.Duration(sp.Stage[st]))
 	}
 	s.trc.SetRequest(w.th.ID(), 0)
 }
@@ -870,8 +863,8 @@ func (s *Server) Stats() kvwire.Doc {
 		// The span layer's per-stage breakdown, merged across workers:
 		// where wall time actually went, one row per stage even at zero
 		// traffic (grep-style assertions again).
-		for st, name := range s.stages.Names() {
-			doc.Stages = append(doc.Stages, kvwire.StageRowFrom(name, s.stages.Merged(st)))
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			doc.Stages = append(doc.Stages, kvwire.StageRowFrom(st.String(), s.stages.Merged(0, int(st))))
 		}
 	}
 	return doc

@@ -324,10 +324,6 @@ type TraceEvent = obs.Event
 // line — the format cmd/tracecheck validates and converts.
 func WriteTraceJSONL(w io.Writer, events []TraceEvent) error { return obs.WriteJSONL(w, events) }
 
-// WriteChromeTrace serializes drained trace events in Chrome
-// trace_event format for chrome://tracing or ui.perfetto.dev.
-func WriteChromeTrace(w io.Writer, events []TraceEvent) error { return obs.WriteChromeTrace(w, events) }
-
 // Span is one completed request's latency attribution: wall time
 // decomposed into stages (queue wait, parse, execute, degrade, write)
 // plus the kcas protocol work — publishes, helps, aborts — its execute

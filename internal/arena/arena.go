@@ -12,7 +12,6 @@
 package arena
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/word"
@@ -42,29 +41,39 @@ const (
 	ReservedIndexes = 8
 )
 
-// Arena is a grow-only slab store. Dereference is lock-free; growth takes
-// a mutex but happens only when the bump pointer crosses a slab boundary.
+// maxLimit caps an arena's node limit at 2^28 nodes (8 GiB of nodes),
+// so the slab directory New allocates is at most 512 KiB. A larger
+// limit is clamped rather than given a second directory level: that is
+// the smaller mechanism, and no workload comes near it.
+const maxLimit = 1 << 28
+
+// Arena is a grow-only slab store. Nothing on its path waits on another
+// thread: the directory of slab pointers is sized once from the limit,
+// a carver installs each missing slab its range needs by CAS, and
+// dereference is one load of the directory entry.
 type Arena struct {
-	slabs  atomic.Pointer[[]*[SlabSize]Node]
-	slabMu sync.Mutex
-	next   atomic.Uint64 // bump pointer (node index)
-	limit  uint64        // hard cap on node indexes
+	slabs []atomic.Pointer[[SlabSize]Node]
+	spare atomic.Pointer[[SlabSize]Node] // a slab that lost an install, still zero
+	next  atomic.Uint64                  // bump pointer (node index)
+	limit uint64                         // hard cap on node indexes
 }
 
 // New creates an arena that can hold up to maxNodes nodes; the reserved
 // prefix counts against that limit. maxNodes <= 0 selects a default of
-// 1<<22 (~4M nodes, 128 MiB worst case, allocated lazily slab by slab).
+// 1<<22 (~4M nodes, 128 MiB worst case, allocated lazily slab by slab);
+// a limit above maxLimit is clamped to it.
 func New(maxNodes int) *Arena {
 	if maxNodes <= 0 {
 		maxNodes = 1 << 22
 	}
-	if uint64(maxNodes) > word.MaxNodeIndex {
-		maxNodes = int(word.MaxNodeIndex)
+	if maxNodes > maxLimit {
+		maxNodes = maxLimit
 	}
-	a := &Arena{limit: uint64(maxNodes)}
+	a := &Arena{
+		slabs: make([]atomic.Pointer[[SlabSize]Node], (maxNodes+slabMask)>>SlabShift),
+		limit: uint64(maxNodes),
+	}
 	a.next.Store(ReservedIndexes)
-	empty := make([]*[SlabSize]Node, 0)
-	a.slabs.Store(&empty)
 	return a
 }
 
@@ -77,8 +86,7 @@ func (a *Arena) Node(ref uint64) *Node {
 
 // NodeAt dereferences a bare arena index (as produced by Carve).
 func (a *Arena) NodeAt(idx uint64) *Node {
-	slabs := *a.slabs.Load()
-	return &slabs[idx>>SlabShift][idx&slabMask]
+	return &a.slabs[idx>>SlabShift].Load()[idx&slabMask]
 }
 
 // Allocated returns the number of node indexes carved so far, including
@@ -89,8 +97,8 @@ func (a *Arena) Allocated() uint64 { return a.next.Load() }
 func (a *Arena) Limit() uint64 { return a.limit }
 
 // Carve bump-allocates n fresh node indexes and appends them to dst,
-// growing slabs as needed. When fewer than n indexes are left it
-// appends nothing and leaves the arena unchanged: the caller's
+// installing the slabs they fall in. When fewer than n indexes are left
+// it appends nothing and leaves the arena unchanged: the caller's
 // allocation fails (mm.Cache.Alloc returns word.Nil), so Allocated
 // never passes Limit.
 func (a *Arena) Carve(dst []uint64, n int) []uint64 {
@@ -105,29 +113,30 @@ func (a *Arena) Carve(dst []uint64, n int) []uint64 {
 			break
 		}
 	}
-	a.ensure(end)
+	for s := start >> SlabShift; s<<SlabShift < end; s++ {
+		a.install(s)
+	}
 	for idx := start; idx < end; idx++ {
 		dst = append(dst, idx)
 	}
 	return dst
 }
 
-// ensure grows the slab table until index end-1 is dereferenceable.
-func (a *Arena) ensure(end uint64) {
-	needSlabs := int((end + slabMask) >> SlabShift)
-	if len(*a.slabs.Load()) >= needSlabs {
+// install puts a slab into directory entry s unless one is there. Two
+// carvers that need a missing slab at once each bring one and race to
+// install it; the loser's slab, never published and so still zero,
+// becomes the spare the next install takes instead of allocating, or is
+// dropped when a spare is already kept. Dropping every loser's slab
+// left one in fourteen slabs as garbage on a two-thread fill.
+func (a *Arena) install(s uint64) {
+	if a.slabs[s].Load() != nil {
 		return
 	}
-	a.slabMu.Lock()
-	defer a.slabMu.Unlock()
-	cur := *a.slabs.Load()
-	if len(cur) >= needSlabs {
-		return
+	slab := a.spare.Swap(nil)
+	if slab == nil {
+		slab = new([SlabSize]Node)
 	}
-	grown := make([]*[SlabSize]Node, needSlabs)
-	copy(grown, cur)
-	for i := len(cur); i < needSlabs; i++ {
-		grown[i] = new([SlabSize]Node)
+	if !a.slabs[s].CompareAndSwap(nil, slab) {
+		a.spare.CompareAndSwap(nil, slab)
 	}
-	a.slabs.Store(&grown)
 }

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -135,9 +136,9 @@ func TestAllocatedAndLimit(t *testing.T) {
 }
 
 // TestConcurrentCarveAcrossSlabs has four goroutines carve small batches
-// through twenty slabs at once, so the slab table is regrown under them
-// again and again: every index is handed out once, and every node keeps
-// what its carver wrote while the table was replaced.
+// through twenty slabs at once, so slabs are installed under them again
+// and again: every index is handed out once, and every node keeps what
+// its carver wrote while other carvers installed slabs.
 func TestConcurrentCarveAcrossSlabs(t *testing.T) {
 	const workers = 4
 	const per = 5 * SlabSize
@@ -160,7 +161,7 @@ func TestConcurrentCarveAcrossSlabs(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if slabs := len(*a.slabs.Load()); slabs < 17 {
+	if slabs := a.installed(); slabs < 17 {
 		t.Fatalf("carve crossed %d slab boundaries, want at least 16", slabs-1)
 	}
 	seen := make(map[uint64]bool, workers*per)
@@ -171,11 +172,77 @@ func TestConcurrentCarveAcrossSlabs(t *testing.T) {
 			}
 			seen[idx] = true
 			if got := a.NodeAt(idx).Val; got != idx {
-				t.Fatalf("node %d reads %d: a write was lost across a slab-table grow", idx, got)
+				t.Fatalf("node %d reads %d: a write was lost across a slab install", idx, got)
 			}
 		}
 	}
 	if len(seen) != workers*per {
 		t.Fatalf("expected %d distinct indexes, got %d", workers*per, len(seen))
 	}
+}
+
+// TestCarveAroundAParkedReservation: a carver that has reserved indexes
+// across a slab boundary and never installs the slab they reach stops
+// nobody. Other threads carve past the boundary, install what they need
+// and dereference their nodes; the parked range is never handed out
+// again.
+func TestCarveAroundAParkedReservation(t *testing.T) {
+	const workers = 3
+	a := New(8 * SlabSize)
+	start, end := a.reserve(2 * SlabSize) // into slab 2; installs neither 1 nor 2
+	if a.slabs[1].Load() != nil || a.slabs[2].Load() != nil {
+		t.Fatal("fixture: a slab of the parked range is installed")
+	}
+	out := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var refs []uint64
+			for len(refs) < SlabSize {
+				n := len(refs)
+				refs = a.Carve(refs, 50)
+				for _, idx := range refs[n:] {
+					a.NodeAt(idx).Val = idx
+				}
+			}
+			out[w] = refs
+		}(w)
+	}
+	wg.Wait()
+	for _, refs := range out {
+		for _, idx := range refs {
+			if idx >= start && idx < end {
+				t.Fatalf("index %d of the parked range handed out again", idx)
+			}
+			if got := a.NodeAt(idx).Val; got != idx {
+				t.Fatalf("node %d reads %d", idx, got)
+			}
+		}
+	}
+	// Slab 2, which the parked carver should have installed, the others
+	// did; slab 1, which nobody else needs, stays empty.
+	if a.slabs[2].Load() == nil || a.slabs[1].Load() != nil || a.installed() < 4 {
+		t.Fatalf("%d slabs installed; slab 1: %v, slab 2: %v", a.installed(),
+			a.slabs[1].Load() != nil, a.slabs[2].Load() != nil)
+	}
+}
+
+// TestDirectoryAtLargestLimitIsSmall: New accepts any limit, clamps it
+// to maxLimit, and the directory it sizes from the limit costs less
+// than 1 MiB to build, so an outside limit (kvserver's -arena) cannot
+// make construction allocate gigabytes.
+func TestDirectoryAtLargestLimitIsSmall(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := New(1 << 40)
+	runtime.ReadMemStats(&after)
+	if a.Limit() != maxLimit {
+		t.Fatalf("Limit = %d, want the clamp %d", a.Limit(), maxLimit)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("New(1<<40) allocated %d bytes, want < 1 MiB", got)
+	}
+	runtime.KeepAlive(a)
 }

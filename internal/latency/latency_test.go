@@ -170,33 +170,25 @@ func TestMax(t *testing.T) {
 	}
 }
 
-// TestStages: the positional stage dimension stripes per worker,
-// merges per stage, and is a no-op when nil (the disabled path).
+// TestStages: a one-tenant Recorder whose op dimension is the span
+// stages (how kvserver keeps its stage histograms) stripes per worker,
+// merges per stage, and leaves a stage nobody recorded empty.
 func TestStages(t *testing.T) {
-	names := []string{"queue", "parse", "execute"}
-	st := NewStages(2, names)
-	if got := st.Names(); len(got) != 3 || got[2] != "execute" {
-		t.Fatalf("Names() = %v, want %v", got, names)
-	}
-	st.RecordNS(0, 0, 100)
-	st.RecordNS(1, 0, 300)
-	st.RecordNS(0, 2, 9000)
-	q := st.Merged(0)
+	const queue, parse, execute = 0, 1, 2
+	st := NewRecorder(2, 1, 3)
+	st.Record(0, 0, queue, 100)
+	st.Record(1, 0, queue, 300)
+	st.Record(0, 0, execute, 9000)
+	q := st.Merged(0, queue)
 	if q.Count != 2 || q.Max() != 300 {
 		t.Fatalf("queue stage: count=%d max=%d, want 2/300", q.Count, q.Max())
 	}
-	if p := st.Merged(1); p.Count != 0 {
+	if p := st.Merged(0, parse); p.Count != 0 {
 		t.Fatalf("parse stage recorded nothing, count = %d", p.Count)
 	}
 	all := st.MergedAll()
 	if all.Count != 3 || all.Max() != 9000 {
 		t.Fatalf("MergedAll: count=%d max=%d, want 3/9000", all.Count, all.Max())
-	}
-
-	var nilStages *Stages
-	nilStages.RecordNS(0, 0, 1) // must not panic
-	if nilStages.Names() != nil || nilStages.Merged(0).Count != 0 || nilStages.MergedAll().Count != 0 {
-		t.Fatal("nil Stages must report empty")
 	}
 }
 

@@ -22,9 +22,14 @@
 // The tracer records the same protocol windows internal/fault
 // instruments, with helper/victim thread attribution on help events, to
 // fixed-size per-thread rings. Disabled (the default), every hook is a
-// nil check; enabled, Record is mutex-per-ring but allocation-free.
-// Drained events serialize to JSONL (one event per line) and to Chrome
-// trace_event JSON for timeline viewing — see docs/observability.md.
+// nil check. Enabled, nothing in obs takes a lock on an operation's
+// path: trace events, completed spans and tail exemplars all live in
+// one ring type that only the owning thread writes and that readers
+// copy and validate (ring.go), so Record and Finish are wait-free and
+// allocation-free, and a drain never waits on an operation nor an
+// operation on a drain. Drained events serialize to JSONL (one event
+// per line) and to Chrome trace_event JSON for timeline viewing — see
+// docs/observability.md.
 package obs
 
 import "time"
@@ -35,20 +40,15 @@ import "time"
 type Config struct {
 	// Metrics enables the striped counter registry.
 	Metrics bool
-	// Trace enables the descriptor-protocol tracer.
+	// Trace enables the descriptor-protocol tracer: DefaultTraceBuf
+	// events per thread, oldest overwritten on overflow (the drop count
+	// is exported as trace_dropped_total).
 	Trace bool
-	// TraceBuf is the per-thread ring capacity in events, rounded up to
-	// a power of two; oldest events are overwritten on overflow (the
-	// drop count is exported as trace_dropped_total). 0 selects 4096.
-	TraceBuf int
 	// Spans enables the request-scoped span recorder: per-worker rings
-	// of completed spans, each with its worker's top-K tail exemplars
-	// (the serving layer records into it and serves the SLOW verb from
-	// it).
+	// of DefaultSpanBuf completed spans, each with its worker's top-K
+	// tail exemplars (the serving layer records into it and serves the
+	// SLOW verb from it).
 	Spans bool
-	// SpanBuf is the per-worker completed-span ring capacity, rounded
-	// up to a power of two; 0 selects DefaultSpanBuf (1024).
-	SpanBuf int
 	// SpanTopK is K, the number of tail exemplars retained: the K
 	// slowest spans since the recorder was built; 0 selects
 	// DefaultSpanTopK (32).
@@ -81,10 +81,12 @@ func New(cfg Config, maxThreads int) *Obs {
 		o.metrics = NewRegistry(maxThreads)
 	}
 	if cfg.Trace {
-		o.tracer = newTracerAt(now, maxThreads, cfg.TraceBuf)
+		o.tracer = NewTracer(maxThreads, DefaultTraceBuf)
+		o.tracer.start = now
 	}
 	if cfg.Spans {
-		o.spans = newSpansAt(now, maxThreads, cfg.SpanBuf, cfg.SpanTopK)
+		o.spans = NewSpans(maxThreads, DefaultSpanBuf, cfg.SpanTopK)
+		o.spans.epoch = now
 	}
 	return o
 }

@@ -196,7 +196,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := WriteJSONL(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadJSONL(&buf)
+	out, _, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,19 +208,19 @@ func TestJSONLRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: got %+v, want %+v", i, out[i], in[i])
 		}
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"ts_ns":1,"ev":"nonsense","tid":0,"peer":0,"ref":0}`)); err == nil {
+	if _, _, err := ReadTrace(strings.NewReader(`{"ts_ns":1,"ev":"nonsense","tid":0,"peer":0,"ref":0}`)); err == nil {
 		t.Fatal("unknown event kind accepted")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{broken`)); err == nil {
+	if _, _, err := ReadTrace(strings.NewReader(`{broken`)); err == nil {
 		t.Fatal("malformed line accepted")
 	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteChromeTrace(&buf, []Event{
+	err := WriteChromeTraceWith(&buf, []Event{
 		{TS: 1500, Kind: EvHelp, TID: 3, Peer: 1, Ref: 42},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,25 +6,23 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/pad"
 )
 
-// Stage indexes one segment of a request-scoped span: the wall time of
-// one wire request decomposed into where it was actually spent. The
-// taxonomy follows the kvserver request path (docs/observability.md):
+// Stage indexes one segment of a request-scoped span, the wall time of
+// one wire request split by where it went, along the kvserver request
+// path (docs/observability.md).
 type Stage uint8
 
-// The stage taxonomy. Queue is the accept→worker-borrow wait (pool
-// queueing, invisible to service-time histograms because they start
-// after the borrow); Parse is request-line parsing; Exec is time inside
-// the data-path operation (including kcas retries and helping — the
-// span's Publishes/Helps/Aborts sub-counters attribute it); Degrade is
-// degradation overhead (retry backoff sleeps between exhausted
-// attempts); Write is response serialization and flush.
+// The stages. Queue is the accept→worker-borrow wait (invisible to
+// service-time histograms, which start after the borrow); Parse is
+// request-line parsing; Exec is the data-path operation, kcas retries
+// and helping included (Publishes/Helps/Aborts attribute it); Degrade
+// is retry backoff between exhausted attempts; Write is response
+// serialization and flush.
 const (
 	StageQueue Stage = iota
 	StageParse
@@ -70,8 +68,7 @@ func StageFromString(s string) (Stage, bool) {
 // the request is current, so a slow span's publish/help/commit chain is
 // recoverable from the trace.
 type Span struct {
-	// Req is the server-unique request id (1-based; 0 means "no
-	// request" in tracer events).
+	// Req is the server-unique request id (1-based; 0 is "none").
 	Req uint64
 	// TID is the serving thread's registered id (matches tracer TIDs);
 	// Worker is the serving worker's pool index (the latency stripe).
@@ -88,16 +85,14 @@ type Span struct {
 	// timeline); WallNS the span's full wall time including queue wait.
 	StartNS int64
 	WallNS  int64
-	// Stage holds per-stage nanoseconds. Stages are measured as
-	// disjoint intervals of the request's wall time; their sum is ≤
-	// WallNS (the remainder is inter-stage bookkeeping, normally
-	// negligible — cmd/tracecheck validates this).
+	// Stage holds per-stage nanoseconds, disjoint intervals of the
+	// wall time: their sum is ≤ WallNS, the rest inter-stage
+	// bookkeeping (cmd/tracecheck validates this).
 	Stage [NumStages]int64
 	// Publishes/Helps/Aborts are the serving thread's kcas counter
-	// deltas over the execute stage: how many descriptors the request
-	// announced, how many times it helped peers' operations, and how
-	// many announced attempts aborted. Zero when the metrics registry
-	// is off.
+	// deltas over the execute stage: descriptors announced, peers'
+	// operations helped, announced attempts aborted. Zero when the
+	// metrics registry is off.
 	Publishes uint64
 	Helps     uint64
 	Aborts    uint64
@@ -149,7 +144,8 @@ func (s Span) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON parses the named-stage wire form. Unknown stage names
-// are an error — the reader is strict the same way ReadJSONL is.
+// are an error — the reader is strict the same way ReadTrace is with
+// event kinds.
 func (s *Span) UnmarshalJSON(b []byte) error {
 	var j spanJSON
 	if err := json.Unmarshal(b, &j); err != nil {
@@ -170,91 +166,133 @@ func (s *Span) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// spanRing is one worker's overwrite-oldest buffer of completed spans
-// and its worker's tail exemplars: top holds the K slowest spans the
-// worker finished, and min indexes the fastest of them once top is full
-// — the wall time a span must beat to be retained. One writer (the
-// worker's Finish) and the readers take mu.
-type spanRing struct {
-	mu    sync.Mutex
-	buf   []Span
-	n     uint64
-	drops uint64
-	top   []Span
-	min   int
-	_     pad.Line
+// spanWords is a span's payload: Req, TID|Worker, Tenant|Op|Status,
+// StartNS, WallNS, the stages, Publishes, Helps, Aborts.
+const spanWords = 5 + int(NumStages) + 3
+
+// maxNames bounds a worker's name table (a name past it is recorded as
+// ""); the wire protocol's verbs and status tokens are far fewer.
+const maxNames = 64
+
+// spanWorker is one worker's span state: its completed spans (oldest
+// overwritten) and its K slowest, which Finish replaces in place;
+// topWall and min are Finish's own note of which one goes next. Op and
+// Status travel as indexes into names, which only the worker appends
+// to; nNames publishes its length.
+type spanWorker struct {
+	done    ring
+	top     ring
+	topWall []int64
+	min     int
+	names   [maxNames]string
+	nNames  atomic.Uint32
+	_       pad.Line
 }
 
-// offer retains sp among the ring's K slowest spans (r.mu held). The
-// gate is one compare against the K-th slowest; only a replacement
-// rescans for the new K-th.
-func (r *spanRing) offer(sp Span) {
-	if len(r.top) < cap(r.top) {
-		r.top = append(r.top, sp)
-		if len(r.top) < cap(r.top) {
-			return
+// name returns s's index in names, appending it if new. Owner only.
+func (w *spanWorker) name(s string) uint64 {
+	n := w.nNames.Load()
+	for i := uint32(0); i < n; i++ {
+		if w.names[i] == s {
+			return uint64(i)
 		}
-	} else if sp.WallNS > r.top[r.min].WallNS {
-		r.top[r.min] = sp
+	}
+	if n == maxNames {
+		return 0 // names[0] is ""
+	}
+	w.names[n] = s
+	w.nNames.Store(n + 1)
+	return uint64(n)
+}
+
+func (w *spanWorker) encode(sp *Span, v *[spanWords]uint64) {
+	v[0] = sp.Req
+	v[1] = uint64(uint32(sp.TID)) | uint64(uint32(sp.Worker))<<32
+	v[2] = uint64(uint32(sp.Tenant)) | w.name(sp.Op)<<32 | w.name(sp.Status)<<48
+	v[3], v[4] = uint64(sp.StartNS), uint64(sp.WallNS)
+	for st := Stage(0); st < NumStages; st++ {
+		v[5+st] = uint64(sp.Stage[st])
+	}
+	v[5+NumStages], v[6+NumStages], v[7+NumStages] = sp.Publishes, sp.Helps, sp.Aborts
+}
+
+// decode inverts encode on a payload a reader validated.
+func (w *spanWorker) decode(v []uint64) Span {
+	names := w.names[:w.nNames.Load()] // covers every index the payload holds
+	sp := Span{
+		Req: v[0], TID: int32(v[1]), Worker: int32(v[1] >> 32),
+		Tenant: int32(v[2]), Op: names[v[2]>>32&0xffff], Status: names[v[2]>>48],
+		StartNS: int64(v[3]), WallNS: int64(v[4]),
+		Publishes: v[5+NumStages], Helps: v[6+NumStages], Aborts: v[7+NumStages],
+	}
+	for st := Stage(0); st < NumStages; st++ {
+		sp.Stage[st] = int64(v[5+st])
+	}
+	return sp
+}
+
+// admit reports whether a span of wall ns joins the worker's K slowest,
+// and in which slot: one compare against the K-th slowest, and a rescan
+// for the new K-th only on a replacement. Owner only.
+func (w *spanWorker) admit(wall int64) (uint64, bool) {
+	slot := len(w.topWall)
+	if slot < cap(w.topWall) {
+		w.topWall = append(w.topWall, wall)
+	} else if slot = w.min; wall > w.topWall[slot] {
+		w.topWall[slot] = wall
 	} else {
-		return
+		return 0, false
 	}
-	r.min = 0
-	for i := 1; i < len(r.top); i++ {
-		if r.top[i].WallNS < r.top[r.min].WallNS {
-			r.min = i
+	w.min = 0
+	for i := 1; i < len(w.topWall); i++ {
+		if w.topWall[i] < w.topWall[w.min] {
+			w.min = i
 		}
 	}
+	return uint64(slot), true
 }
 
-// DefaultSpanBuf is the per-worker completed-span ring capacity when
-// Config.SpanBuf is zero.
-const DefaultSpanBuf = 1024
-
-// DefaultSpanTopK is the number of tail exemplars retained when
-// Config.SpanTopK is zero.
-const DefaultSpanTopK = 32
+const (
+	// DefaultSpanBuf is the per-worker completed-span ring capacity
+	// obs.New gives the span recorder.
+	DefaultSpanBuf = 1024
+	// DefaultSpanTopK is K, the tail exemplars kept, when
+	// Config.SpanTopK is zero.
+	DefaultSpanTopK = 32
+)
 
 // Spans is the request-span recorder: per-worker overwrite-oldest rings
-// of completed spans, each keeping its worker's K slowest spans as tail
+// of completed spans, each worker keeping its K slowest spans as tail
 // exemplars with their full stage breakdown. A nil *Spans is the
 // disabled state — every method is a nil check and the request path
 // stays allocation-free.
 //
-// A worker writes only its own ring, so recording a span contends with
-// nothing but a reader (drain, SLOW). Since the K slowest spans overall
-// are among the union of every worker's K slowest, Exemplars returns
-// exactly the K slowest spans since the recorder was built.
+// A worker writes only its own rings, and readers (drain, SLOW) wait on
+// no worker, leaving out a span being written. The K slowest spans are
+// among the union of every worker's K slowest, so Exemplars returns
+// exactly the K slowest since the recorder was built whenever no worker
+// is writing.
 type Spans struct {
-	epoch  time.Time
-	rings  []spanRing
-	reqSeq atomic.Uint64
-	topK   int
+	epoch   time.Time
+	workers []spanWorker
+	reqSeq  atomic.Uint64
+	topK    int
 }
 
 // NewSpans builds a span recorder with one ring of perWorker completed
-// spans (rounded up to a power of two; <=0 selects DefaultSpanBuf) per
-// worker and topK tail exemplars (<=0 selects DefaultSpanTopK).
+// spans (rounded up to a power of two) per worker and topK tail
+// exemplars (<=0 selects DefaultSpanTopK).
 func NewSpans(workers, perWorker, topK int) *Spans {
-	return newSpansAt(time.Now(), workers, perWorker, topK)
-}
-
-func newSpansAt(epoch time.Time, workers, perWorker, topK int) *Spans {
-	if workers <= 0 {
-		workers = 1
-	}
-	if perWorker <= 0 {
-		perWorker = DefaultSpanBuf
-	}
 	if topK <= 0 {
 		topK = DefaultSpanTopK
 	}
-	perWorker = pad.CeilPow2(perWorker)
-	s := &Spans{epoch: epoch, rings: make([]spanRing, workers), topK: topK}
-	for i := range s.rings {
-		s.rings[i].buf = make([]Span, perWorker)
-		// top is preallocated at capacity so Finish never allocates.
-		s.rings[i].top = make([]Span, 0, topK)
+	s := &Spans{epoch: time.Now(), workers: make([]spanWorker, workers), topK: topK}
+	for i := range s.workers {
+		w := &s.workers[i]
+		w.done = newRing(perWorker, spanWords)
+		w.top = newRing(topK, spanWords)
+		w.topWall = make([]int64, 0, topK) // at capacity: Finish never allocates
+		w.nNames.Store(1)                  // names[0] is ""
 	}
 	return s
 }
@@ -277,36 +315,36 @@ func (s *Spans) SinceEpoch(t time.Time) int64 {
 	return t.Sub(s.epoch).Nanoseconds()
 }
 
-// Finish records one completed span into worker's ring and offers it to
-// the worker's tail exemplars. Allocation-free; a nil receiver is a
-// no-op.
+// Finish records a completed span into worker's ring and offers it to
+// the worker's exemplars. Only the worker may call it. Allocation-free
+// and wait-free; a nil receiver is a no-op.
 func (s *Spans) Finish(worker int, sp Span) {
 	if s == nil {
 		return
 	}
-	r := &s.rings[worker]
-	r.mu.Lock()
-	if r.n >= uint64(len(r.buf)) {
-		r.drops++
+	w := &s.workers[worker]
+	var v [spanWords]uint64
+	w.encode(&sp, &v)
+	w.done.push(v[:]...)
+	if slot, ok := w.admit(sp.WallNS); ok {
+		w.top.put(slot, v[:]...)
 	}
-	r.buf[int(r.n)&(len(r.buf)-1)] = sp
-	r.n++
-	r.offer(sp)
-	r.mu.Unlock()
 }
 
-// Exemplars returns the K slowest spans recorded so far, slowest first:
-// every worker's retained spans merged.
+// Exemplars returns the K slowest spans recorded so far, slowest first.
 func (s *Spans) Exemplars() []Span {
 	if s == nil {
 		return nil
 	}
 	out := make([]Span, 0, s.topK)
-	for i := range s.rings {
-		r := &s.rings[i]
-		r.mu.Lock()
-		out = append(out, r.top...)
-		r.mu.Unlock()
+	var v [spanWords]uint64
+	for i := range s.workers {
+		w := &s.workers[i]
+		for slot := uint64(0); slot < w.top.size(); slot++ {
+			if w.top.get(slot, v[:]) != 0 {
+				out = append(out, w.decode(v[:]))
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].WallNS > out[j].WallNS })
 	if len(out) > s.topK {
@@ -315,50 +353,36 @@ func (s *Spans) Exemplars() []Span {
 	return out
 }
 
-// Completed returns every span still buffered in the per-worker rings,
-// merged and sorted by start time. The rings are not reset — the trace
-// dump path reads once at drain.
+// Completed returns every span still in the per-worker rings, sorted by
+// start time. The rings are not reset: the trace dump reads once.
 func (s *Spans) Completed() []Span {
 	if s == nil {
 		return nil
 	}
 	var out []Span
-	for i := range s.rings {
-		r := &s.rings[i]
-		r.mu.Lock()
-		kept := r.n
-		if kept > uint64(len(r.buf)) {
-			kept = uint64(len(r.buf))
-		}
-		for j := uint64(0); j < kept; j++ {
-			out = append(out, r.buf[(r.n-kept+j)&uint64(len(r.buf)-1)])
-		}
-		r.mu.Unlock()
+	for i := range s.workers {
+		w := &s.workers[i]
+		w.done.read(0, w.done.n.Load(), func(v []uint64) { out = append(out, w.decode(v)) })
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StartNS < out[j].StartNS })
 	return out
 }
 
-// Dropped reports how many completed spans were overwritten in the
-// rings before being read (exported as spans_dropped_total when metrics
-// are also on).
+// Dropped reports how many completed spans were overwritten (exported as
+// spans_dropped_total when metrics are also on).
 func (s *Spans) Dropped() uint64 {
 	if s == nil {
 		return 0
 	}
 	var total uint64
-	for i := range s.rings {
-		r := &s.rings[i]
-		r.mu.Lock()
-		total += r.drops
-		r.mu.Unlock()
+	for i := range s.workers {
+		total += s.workers[i].done.dropped()
 	}
 	return total
 }
 
-// WriteSpansJSONL serializes spans one JSON object per line (the same
-// framing as WriteJSONL event lines; the top-level "span" key
-// discriminates the two record types in a mixed trace file).
+// WriteSpansJSONL serializes spans one JSON object per line, framed like
+// WriteJSONL's events; the top-level "span" key tells them apart.
 func WriteSpansJSONL(w io.Writer, spans []Span) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -379,32 +403,28 @@ func ReadTrace(r io.Reader) ([]Event, []Span, error) {
 	var spans []Span
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
+	for line := 1; sc.Scan(); line++ {
 		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
-		var probe struct {
-			Span int `json:"span"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		if probe.Span != 0 {
+		var je jsonEvent
+		err := json.Unmarshal(raw, &je)
+		if err == nil && je.Span != 0 {
 			var sp Span
-			if err := sp.UnmarshalJSON(raw); err != nil {
-				return nil, nil, fmt.Errorf("line %d: %w", line, err)
+			if err = sp.UnmarshalJSON(raw); err == nil {
+				spans = append(spans, sp)
 			}
-			spans = append(spans, sp)
-			continue
+		} else if err == nil {
+			k, ok := KindFromString(je.Ev)
+			if !ok {
+				err = fmt.Errorf("unknown event kind %q", je.Ev)
+			}
+			events = append(events, Event{TS: je.TSNS, Kind: k, TID: je.TID, Peer: je.Peer, Ref: je.Ref, Req: je.Req})
 		}
-		ev, err := parseEventLine(raw)
 		if err != nil {
 			return nil, nil, fmt.Errorf("line %d: %w", line, err)
 		}
-		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
@@ -412,49 +432,33 @@ func ReadTrace(r io.Reader) ([]Event, []Span, error) {
 	return events, spans, nil
 }
 
-// WriteChromeTraceWith serializes protocol events (instant events, as
-// WriteChromeTrace) plus spans as Chrome "complete" (ph:"X") duration
-// events — one slice per nonzero stage on the serving thread's row, so
-// a slow request renders as a bar decomposed into queue / parse /
-// execute / degrade / write, with the request id in args for
-// cross-referencing the instant events it stamped.
+// WriteChromeTraceWith serializes events and spans in Chrome
+// trace_event format, for chrome://tracing or ui.perfetto.dev: events as
+// instant events on their thread's row, each span as one "complete"
+// (ph:"X") slice per nonzero stage on its serving thread's row, with
+// the request id in args to find the events it stamped.
 func WriteChromeTraceWith(w io.Writer, events []Event, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, `{"traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	sep := func() string {
-		if first {
-			first = false
-			return ""
-		}
-		return ","
-	}
+	bw := bufio.NewWriter(w) // its first write error sticks until Flush
+	sep := `{"traceEvents":[`
 	for _, e := range events {
-		if _, err := fmt.Fprintf(bw,
-			`%s{"name":%q,"ph":"i","s":"t","pid":0,"tid":%d,"ts":%d.%03d,"args":{"peer":%d,"ref":%d,"req":%d}}`,
-			sep(), e.Kind.String(), e.TID, e.TS/1000, e.TS%1000, e.Peer, e.Ref, e.Req); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, `%s{"name":%q,"ph":"i","s":"t","pid":0,"tid":%d,"ts":%d.%03d,"args":{"peer":%d,"ref":%d,"req":%d}}`,
+			sep, e.Kind.String(), e.TID, e.TS/1000, e.TS%1000, e.Peer, e.Ref, e.Req)
+		sep = ","
 	}
 	for _, sp := range spans {
 		off := sp.StartNS
 		for st := Stage(0); st < NumStages; st++ {
-			d := sp.Stage[st]
-			if d <= 0 {
-				continue
+			if d := sp.Stage[st]; d > 0 {
+				fmt.Fprintf(bw, `%s{"name":%q,"ph":"X","pid":0,"tid":%d,"ts":%d.%03d,"dur":%d.%03d,"args":{"req":%d,"op":%q,"status":%q}}`,
+					sep, st.String(), sp.TID, off/1000, off%1000, d/1000, d%1000, sp.Req, sp.Op, sp.Status)
+				sep = ","
+				off += d
 			}
-			if _, err := fmt.Fprintf(bw,
-				`%s{"name":%q,"ph":"X","pid":0,"tid":%d,"ts":%d.%03d,"dur":%d.%03d,"args":{"req":%d,"op":%q,"status":%q}}`,
-				sep(), st.String(), sp.TID, off/1000, off%1000, d/1000, d%1000, sp.Req, sp.Op, sp.Status); err != nil {
-				return err
-			}
-			off += d
 		}
 	}
-	if _, err := io.WriteString(bw, "]}\n"); err != nil {
-		return err
+	if sep != "," {
+		bw.WriteString(sep)
 	}
+	bw.WriteString("]}\n")
 	return bw.Flush()
 }

@@ -260,13 +260,16 @@ func TestReadTraceMixed(t *testing.T) {
 		t.Fatalf("span corrupted: got %+v want %+v", spans[0], sp)
 	}
 
-	// The legacy event reader skips span lines instead of erroring.
-	evsOnly, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	// Span lines do not leak into the events, in either order.
+	var rev bytes.Buffer
+	if err := WriteSpansJSONL(&rev, []Span{sp}); err != nil {
 		t.Fatal(err)
 	}
-	if len(evsOnly) != 2 {
-		t.Fatalf("ReadJSONL on a mixed file: %d events, want 2", len(evsOnly))
+	if err := WriteJSONL(&rev, events); err != nil {
+		t.Fatal(err)
+	}
+	if evs, spans, err := ReadTrace(&rev); err != nil || len(evs) != 2 || len(spans) != 1 {
+		t.Fatalf("ReadTrace spans first: %d events, %d spans, %v; want 2/1", len(evs), len(spans), err)
 	}
 }
 
@@ -321,7 +324,7 @@ func TestTracerSetRequestStamping(t *testing.T) {
 	if err := WriteJSONL(&buf, tr.Drain()); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ReadJSONL(&buf)
+	evs, _, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +386,7 @@ func TestChromeTraceAfterDrops(t *testing.T) {
 		t.Fatal("expected drops")
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, evs); err != nil {
+	if err := WriteChromeTraceWith(&buf, evs, nil); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {

@@ -47,12 +47,8 @@ func TestNoRecover(t *testing.T) {
 
 // mutexAllowed names every sync.Mutex/RWMutex field that may stay in a
 // package TestNoMutexFields checks, keyed "dir:Type.field", with the
-// reason it is not on an operation's lock-free path (or is a known
-// lock still to be removed, ROADMAP item 4).
+// reason it is not on an operation's lock-free path.
 var mutexAllowed = map[string]string{
-	"internal/arena:Arena.slabMu":  "taken every SlabSize-th carve to grow the slab table, item 4(a)",
-	"internal/obs:ring.mu":         "the tracer ring, item 4(b)",
-	"internal/obs:spanRing.mu":     "one writer (its worker) plus drain and SLOW readers",
 	"internal/obs:Registry.mu":     "registration and snapshot only",
 	"internal/mm:Manager.cachesMu": "cache registration only",
 }
