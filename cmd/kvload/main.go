@@ -545,8 +545,8 @@ func neutral(op kvwire.Op) bool {
 // classes are distinguished:
 //
 //   - A wire-level BUSY or TIMEOUT response is the server guaranteeing
-//     the op was NOT executed (shed before execution, or failed for
-//     want of arena nodes in its init phase), so ANY op retries safely.
+//     the op was NOT executed (it failed for want of arena nodes in
+//     its init phase), so ANY op retries safely.
 //   - A connection-level failure (deadline expiry, server closed the
 //     conn — e.g. its worker was fault-killed mid-op) is ambiguous:
 //     the op may have executed before the response was lost. Only

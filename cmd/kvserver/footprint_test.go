@@ -46,7 +46,7 @@ func TestNoHTTPStack(t *testing.T) {
 // failure, find the allocation with -memprofile and -memprofilerate=1.
 func TestExecSteadyStateNoAllocs(t *testing.T) {
 	const pairs = 256 // 512 keys over 8 shards × 256 buckets: no map grows
-	s := NewServer(Config{Tenants: 2, Workers: 1, Shards: 8, Buckets: 256, Metrics: true})
+	s := NewServer(Config{Tenants: 2, Workers: 1, Shards: 8, Buckets: 256})
 	defer s.Close()
 	w := <-s.workers
 	// One cycle per key pair (a, b) leaves the server as it found it. A
@@ -87,13 +87,11 @@ func TestExecSteadyStateNoAllocs(t *testing.T) {
 	}
 }
 
-// TestIdleServerNoAllocs: a server with spans and metrics on and no
-// SLO runs no periodic work, so once it has served a few requests and
-// gone idle the process allocates nothing. The SLO's control loop, the
-// only ticker, merges the latency histograms those requests created
-// every shedPeriod, and starts only when an SLO is set.
+// TestIdleServerNoAllocs: a server with spans on runs no periodic work
+// (it has no ticker), so once it has served a few requests and gone
+// idle the process allocates nothing.
 func TestIdleServerNoAllocs(t *testing.T) {
-	_, l := servePipes(t, Config{Tenants: 1, Workers: 2, Spans: true, Metrics: true})
+	_, l := servePipes(t, Config{Tenants: 1, Workers: 2, Spans: true})
 	client, in, _ := l.dial(t)
 	if _, err := client.Write([]byte("PUT 0 1 11\nGET 0 1\n")); err != nil {
 		t.Fatal(err)
@@ -107,7 +105,7 @@ func TestIdleServerNoAllocs(t *testing.T) {
 // TestMetricsFootprintSeries: METRICS carries the process's heap in use
 // (a gauge) and its GC cycle count (a counter), read at scrape time.
 func TestMetricsFootprintSeries(t *testing.T) {
-	s := NewServer(Config{Tenants: 1, Workers: 1, Metrics: true})
+	s := NewServer(Config{Tenants: 1, Workers: 1})
 	defer s.Close()
 	scrape := func() map[string]uint64 {
 		vals := map[string]uint64{}

@@ -24,21 +24,21 @@
 // Robustness (see docs/robustness.md): a request that fails for want of
 // arena nodes answers BUSY (or TIMEOUT once -deadline is set; a DRAIN
 // that moved elements first answers OK with them), -wtimeout
-// sheds clients that stop draining responses, -slo enables per-tenant
-// overload shedding against a p99 service-time objective, and SIGTERM
-// drains gracefully — stop accepting, finish in-flight requests, print
-// a final STATS and AUDIT line, exit 0. -fault installs chaos-test
-// fault rules (stalls, parks, kills at descriptor-protocol windows).
+// sheds clients that stop draining responses, and SIGTERM drains
+// gracefully — stop accepting, finish in-flight requests, print a final
+// STATS and AUDIT line, exit 0. Overload is met with back-pressure, not
+// rejection: accepts wait for a free worker and TCP holds what a busy
+// worker has not read. -fault installs chaos-test fault rules (stalls,
+// parks, kills at descriptor-protocol windows).
 //
-// Observability (see docs/observability.md): the metrics registry is on
-// by default (-metrics=false disables it) and serves the METRICS wire
-// verb in Prometheus text format; -trace FILE enables the descriptor-
-// protocol tracer and writes the drained events as JSONL on the SIGTERM
-// drain path (inspect with cmd/tracecheck); -statsevery D prints a
-// "STATS <json>" line every D; -cpuprofile FILE records a CPU profile
-// from boot and writes it at the same drain (go tool pprof FILE). The
-// METRICS verb also carries the process's heap in use and GC cycle
-// count (go_heap_inuse_bytes, go_gc_cycles_total).
+// Observability (see docs/observability.md): the metrics registry is
+// always on and serves the METRICS wire verb in Prometheus text format;
+// -trace FILE enables the descriptor-protocol tracer and writes the
+// drained events as JSONL on the SIGTERM drain path (inspect with
+// cmd/tracecheck); -cpuprofile FILE records a CPU profile from boot and
+// writes it at the same drain (go tool pprof FILE). The METRICS verb
+// also carries the process's heap in use and GC cycle count
+// (go_heap_inuse_bytes, go_gc_cycles_total).
 //
 // Request spans are also on by default (-spans=false disables): each
 // data-path request's wall time is decomposed into queue (accept→worker
@@ -53,8 +53,8 @@
 //
 //	kvserver -addr :7070 -tenants 4 -workers 16
 //	kvserver -addr 127.0.0.1:7070 -tenants 3
-//	kvserver -deadline 50ms -slo 5ms -fault 'kcas-commit:stall=2ms:every=97'
-//	kvserver -trace /tmp/kv.jsonl -statsevery 5s -cpuprofile /tmp/kv.pprof
+//	kvserver -deadline 50ms -fault 'kcas-commit:stall=2ms:every=97'
+//	kvserver -trace /tmp/kv.jsonl -cpuprofile /tmp/kv.pprof
 //
 // Drive it with cmd/kvload, or by hand:
 //
@@ -98,13 +98,10 @@ func main() {
 		arena    = flag.Int("arena", 1<<20, "container-node capacity across all tenants")
 		deadline = flag.Duration("deadline", 0, "per-request service deadline; a request failing for want of arena nodes retries until it, then TIMEOUT (0 = immediate BUSY)")
 		wtimeout = flag.Duration("wtimeout", 0, "per-response write timeout; slow clients are disconnected (0 = none)")
-		slo      = flag.Duration("slo", 0, "p99 service-time SLO; overload sheds lowest-priority tenants (0 = no shedding)")
 
-		metrics    = flag.Bool("metrics", true, "enable the metrics registry and the METRICS wire verb")
 		traceOut   = flag.String("trace", "", "enable descriptor-protocol tracing; write JSONL events (and spans) to this file at drain")
 		spans      = flag.Bool("spans", true, "enable request-scoped spans: per-stage latency attribution, tail exemplars and the SLOW wire verb")
 		slowK      = flag.Int("slowk", 0, "number of slowest requests since boot kept as tail exemplars and served by SLOW (0 = default)")
-		statsEvery = flag.Duration("statsevery", 0, "print a 'STATS <json>' line on stdout at this period (0 = off)")
 		cpuProfile = flag.String("cpuprofile", "", "record a CPU profile from boot; write it to this file at drain (empty = off)")
 	)
 	flag.Var(&faults, "fault", "fault-injection rule (repeatable), e.g. 'kcas-commit:stall=2ms:every=97'")
@@ -134,9 +131,8 @@ func main() {
 	s := NewServer(Config{
 		Tenants: *tenants, Workers: *workers,
 		Shards: *shards, Buckets: *buckets, Arena: *arena,
-		Deadline: *deadline, WriteTimeout: *wtimeout, SLO: *slo,
-		Fault:   plan,
-		Metrics: *metrics, Trace: *traceOut != "",
+		Deadline: *deadline, WriteTimeout: *wtimeout,
+		Fault: plan, Trace: *traceOut != "",
 		Spans: *spans, SpanTopK: *slowK,
 	})
 	ln, err := net.Listen("tcp", *addr)
@@ -146,16 +142,6 @@ func main() {
 	}
 	fmt.Printf("kvserver: %d tenants, %d workers, listening on %s\n",
 		*tenants, *workers, ln.Addr())
-
-	if *statsEvery > 0 {
-		go func() {
-			for range time.Tick(*statsEvery) {
-				if blob, err := json.Marshal(s.Stats()); err == nil {
-					fmt.Printf("STATS %s\n", blob)
-				}
-			}
-		}()
-	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)

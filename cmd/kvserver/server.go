@@ -48,22 +48,10 @@ type Config struct {
 	// disconnected (shed) so it cannot pin a worker forever. Zero
 	// disables.
 	WriteTimeout time.Duration
-	// SLO enables the per-tenant overload shedder: when the windowed
-	// p99 service time exceeds SLO, the highest tenant ids (lowest
-	// priority) get BUSY before execution, one more tenant per control
-	// period the overload persists; recovered windows re-admit them.
-	// Zero disables shedding.
-	SLO time.Duration
 	// Fault, when non-nil, is installed as the runtime's fault injector
 	// (chaos testing; see internal/fault). Drain releases any parked
 	// threads before waiting.
 	Fault *repro.FaultPlan
-	// Metrics enables the runtime metrics registry: the METRICS wire
-	// verb serves its snapshot in Prometheus text format, STATS carries
-	// it as the "obs" block, and the server's degradation counters are
-	// registered into it. main defaults it on (-metrics=false to
-	// disable); the zero Config leaves it off.
-	Metrics bool
 	// Trace enables the descriptor-protocol tracer; WriteTrace drains
 	// it as JSONL (main's -trace flag writes it at SIGTERM drain).
 	Trace bool
@@ -97,11 +85,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shedPeriod is the overload controller's sampling interval: long
-// enough for a meaningful windowed p99, short enough to shed within a
-// human-noticeable overload.
-const shedPeriod = 250 * time.Millisecond
-
 // worker is one connection handler's identity: a registered Thread
 // (the per-goroutine context every container call needs), the latency
 // recorder stripe index it owns, and the buffer DRAIN writes its moved
@@ -121,11 +104,14 @@ type worker struct {
 // recorded per (tenant, op) into striped HDR histograms and reported
 // by STATS without stopping traffic.
 //
+// The runtime metrics registry is always on: the METRICS wire verb
+// serves its snapshot in Prometheus text format, STATS carries it as
+// the "obs" block, and the degradation counters are registered into it.
+//
 // Degradation paths (see docs/robustness.md): resource exhaustion
 // answers BUSY/TIMEOUT instead of crashing, slow clients are shed by
-// write timeout, overload sheds low-priority tenants against the SLO,
-// fault-killed workers are retired (never returned to the pool), and
-// Drain performs the SIGTERM graceful shutdown.
+// write timeout, fault-killed workers are retired (never returned to
+// the pool), and Drain performs the SIGTERM graceful shutdown.
 type Server struct {
 	cfg     Config
 	rt      *repro.Runtime
@@ -135,22 +121,20 @@ type Server struct {
 	rec     *latency.Recorder
 	workers chan *worker
 	started time.Time
+	reg     *obs.Registry
 
-	// Span layer (nil when Config.Spans is off; every use is nil-safe
-	// or gated, so the disabled request path stays allocation-free).
+	// Span layer and tracer (nil when Config.Spans or Config.Trace is
+	// off; every use is nil-safe or gated, so the disabled request path
+	// stays allocation-free).
 	spans  *obs.Spans
 	stages *latency.Recorder // one tenant, one op per obs.Stage
-	reg    *obs.Registry
 	trc    *obs.Tracer
 
-	draining  atomic.Bool
-	shedLevel atomic.Int32
-	shedStop  chan struct{}
+	draining atomic.Bool
 
 	// Degradation counters (kvwire.RobustCounters, server-side fields).
 	busy        atomic.Uint64
 	timeouts    atomic.Uint64
-	shed        atomic.Uint64
 	slowClients atomic.Uint64
 	lostWorkers atomic.Uint64
 
@@ -174,7 +158,7 @@ func NewServer(cfg Config) *Server {
 		MaxThreads:    cfg.Workers + 2,
 		ArenaCapacity: cfg.Arena,
 		Obs: repro.ObsConfig{
-			Metrics: cfg.Metrics, Trace: cfg.Trace,
+			Metrics: true, Trace: cfg.Trace,
 			Spans: cfg.Spans, SpanTopK: cfg.SpanTopK,
 		},
 	}
@@ -184,14 +168,13 @@ func NewServer(cfg Config) *Server {
 	rt := repro.NewRuntime(rc)
 	setup := rt.RegisterThread()
 	s := &Server{
-		cfg:      cfg,
-		rt:       rt,
-		setup:    setup,
-		rec:      latency.NewRecorder(cfg.Workers, cfg.Tenants, int(kvwire.OpCount)),
-		workers:  make(chan *worker, cfg.Workers),
-		conns:    make(map[net.Conn]struct{}),
-		started:  time.Now(),
-		shedStop: make(chan struct{}),
+		cfg:     cfg,
+		rt:      rt,
+		setup:   setup,
+		rec:     latency.NewRecorder(cfg.Workers, cfg.Tenants, int(kvwire.OpCount)),
+		workers: make(chan *worker, cfg.Workers),
+		conns:   make(map[net.Conn]struct{}),
+		started: time.Now(),
 	}
 	for i := 0; i < cfg.Tenants; i++ {
 		s.maps = append(s.maps, repro.NewShardedHashMap(setup, cfg.Shards, cfg.Buckets, 0))
@@ -206,58 +189,52 @@ func NewServer(cfg Config) *Server {
 	if s.spans != nil {
 		s.stages = latency.NewRecorder(cfg.Workers, 1, int(obs.NumStages))
 	}
-	if reg := s.reg; reg != nil {
-		// The degradation counters join the registry under the same
-		// names the STATS robust block reports, so METRICS output and
-		// RobustCounters reconcile by construction.
-		reg.AddFunc("busy_total", s.busy.Load)
-		reg.AddFunc("timeouts_total", s.timeouts.Load)
-		reg.AddFunc("shed_total", s.shed.Load)
-		reg.AddFunc("slow_clients_total", s.slowClients.Load)
-		reg.AddFunc("lost_workers_total", s.lostWorkers.Load)
-		reg.AddFunc("flushes_total", s.flushes.Load)
-		reg.AddFunc("responses_total", s.responses.Load)
-		// Self-describing scrapes: process uptime and build identity.
-		reg.AddGauge("uptime_seconds", func() uint64 {
-			return uint64(time.Since(s.started).Seconds())
-		})
-		reg.AddInfo("build_info", fmt.Sprintf("go_version=%q,gomaxprocs=\"%d\"",
-			runtime.Version(), runtime.GOMAXPROCS(0)))
-		// The process's footprint, read at scrape time: a server that
-		// allocates per request shows a heap climbing to the collector's
-		// goal and a GC count growing with traffic.
-		reg.AddGauge("go_heap_inuse_bytes", func() uint64 {
-			return runtimeMetric("/memory/classes/heap/objects:bytes") +
-				runtimeMetric("/memory/classes/heap/unused:bytes")
-		})
-		reg.AddFunc("go_gc_cycles_total", func() uint64 {
-			return runtimeMetric("/gc/cycles/total:gc-cycles")
-		})
-		if s.stages != nil {
-			// Per-stage histogram series: one count plus current
-			// percentile/max gauges per span stage, merged across
-			// workers at scrape time.
-			for st := obs.Stage(0); st < obs.NumStages; st++ {
-				st := st
-				name := st.String()
-				reg.AddFunc("stage_"+name+"_count_total", func() uint64 {
-					return s.stages.Merged(0, int(st)).Count
-				})
-				reg.AddGauge("stage_"+name+"_p50_ns", func() uint64 {
-					return uint64(s.stages.Merged(0, int(st)).Percentile(0.50))
-				})
-				reg.AddGauge("stage_"+name+"_p99_ns", func() uint64 {
-					return uint64(s.stages.Merged(0, int(st)).Percentile(0.99))
-				})
-				reg.AddGauge("stage_"+name+"_max_ns", func() uint64 {
-					return uint64(s.stages.Merged(0, int(st)).Max())
-				})
-			}
-			reg.AddFunc("spans_dropped_total", s.spans.Dropped)
+	// The degradation counters join the registry under the same names
+	// the STATS robust block reports, so METRICS output and
+	// RobustCounters reconcile by construction.
+	s.reg.AddFunc("busy_total", s.busy.Load)
+	s.reg.AddFunc("timeouts_total", s.timeouts.Load)
+	s.reg.AddFunc("slow_clients_total", s.slowClients.Load)
+	s.reg.AddFunc("lost_workers_total", s.lostWorkers.Load)
+	s.reg.AddFunc("flushes_total", s.flushes.Load)
+	s.reg.AddFunc("responses_total", s.responses.Load)
+	// Self-describing scrapes: process uptime and build identity.
+	s.reg.AddGauge("uptime_seconds", func() uint64 {
+		return uint64(time.Since(s.started).Seconds())
+	})
+	s.reg.AddInfo("build_info", fmt.Sprintf("go_version=%q,gomaxprocs=\"%d\"",
+		runtime.Version(), runtime.GOMAXPROCS(0)))
+	// The process's footprint, read at scrape time: a server that
+	// allocates per request shows a heap climbing to the collector's
+	// goal and a GC count growing with traffic.
+	s.reg.AddGauge("go_heap_inuse_bytes", func() uint64 {
+		return runtimeMetric("/memory/classes/heap/objects:bytes") +
+			runtimeMetric("/memory/classes/heap/unused:bytes")
+	})
+	s.reg.AddFunc("go_gc_cycles_total", func() uint64 {
+		return runtimeMetric("/gc/cycles/total:gc-cycles")
+	})
+	if s.stages != nil {
+		// Per-stage histogram series: one count plus current
+		// percentile/max gauges per span stage, merged across
+		// workers at scrape time.
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			st := st
+			name := st.String()
+			s.reg.AddFunc("stage_"+name+"_count_total", func() uint64 {
+				return s.stages.Merged(0, int(st)).Count
+			})
+			s.reg.AddGauge("stage_"+name+"_p50_ns", func() uint64 {
+				return uint64(s.stages.Merged(0, int(st)).Percentile(0.50))
+			})
+			s.reg.AddGauge("stage_"+name+"_p99_ns", func() uint64 {
+				return uint64(s.stages.Merged(0, int(st)).Percentile(0.99))
+			})
+			s.reg.AddGauge("stage_"+name+"_max_ns", func() uint64 {
+				return uint64(s.stages.Merged(0, int(st)).Max())
+			})
 		}
-	}
-	if cfg.SLO > 0 {
-		go s.control()
+		s.reg.AddFunc("spans_dropped_total", s.spans.Dropped)
 	}
 	return s
 }
@@ -332,7 +309,6 @@ func (s *Server) Close() {
 		c.Close()
 	}
 	s.mu.Unlock()
-	s.stopShedder()
 	if ln != nil {
 		ln.Close()
 	}
@@ -366,7 +342,6 @@ func (s *Server) Drain() {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	s.stopShedder()
 	if ln != nil {
 		ln.Close()
 	}
@@ -379,59 +354,12 @@ func (s *Server) Drain() {
 	s.wg.Wait()
 }
 
-func (s *Server) stopShedder() {
-	select {
-	case <-s.shedStop:
-	default:
-		close(s.shedStop)
-	}
-}
-
 // SetupThread exposes the construction thread for post-drain audits:
 // after Drain no worker thread is guaranteed live (a fault plan may
 // have killed some), but the setup thread never runs data-path
 // requests and survives. The audit sweep it performs also helps any
 // descriptor a killed worker left announced to completion.
 func (s *Server) SetupThread() *repro.Thread { return s.setup }
-
-// control runs while SLO shedding is on: each period it computes the
-// p99 of the service times recorded in that period (a windowed delta,
-// so recovery is observable) and moves the shed level — the count of
-// highest-id tenants answered BUSY — one notch toward the overload
-// verdict; tenant priority is id order, so tenant 0 is shed last. A
-// window with too few samples for a meaningful p99 re-admits one shed
-// tenant.
-func (s *Server) control() {
-	tick := time.NewTicker(shedPeriod)
-	defer tick.Stop()
-	prev := s.rec.MergedAll()
-	for {
-		select {
-		case <-s.shedStop:
-			return
-		case <-tick.C:
-		}
-		cur := s.rec.MergedAll()
-		win := cur.Sub(prev)
-		prev = cur
-		level := s.shedLevel.Load()
-		switch {
-		case win.Count >= 16 && time.Duration(win.Percentile(0.99)) > s.cfg.SLO:
-			if int(level) < s.cfg.Tenants-1 {
-				s.shedLevel.Store(level + 1)
-			}
-		case level > 0:
-			s.shedLevel.Store(level - 1)
-		}
-	}
-}
-
-// shouldShed reports whether the overload controller is currently
-// shedding ops addressed to (or sourced from) tenant tn.
-func (s *Server) shouldShed(tn int) bool {
-	level := int(s.shedLevel.Load())
-	return level > 0 && tn >= s.cfg.Tenants-level
-}
 
 // maxLine caps one request line: the limit the connection loop has
 // always had (it was bufio.Scanner's), now answered with an ERR instead
@@ -574,9 +502,9 @@ func (s *Server) finishSpan(w *worker, sp obs.Span) {
 }
 
 // exec parses and applies one request line, recording the data-path
-// service time against the request's (source) tenant. A shed verdict
-// (checked before execution) or a failure for want of arena nodes
-// answers BUSY/TIMEOUT with the operation guaranteed unexecuted.
+// service time against the request's (source) tenant. A failure for
+// want of arena nodes answers BUSY/TIMEOUT with the operation
+// guaranteed unexecuted.
 //
 // When spans are enabled, exec opens a span for every cleanly-parsed
 // data-path request (sp.Op set marks it open; control verbs and parse
@@ -603,6 +531,7 @@ func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.
 		return s.execControl(w, req.Op, dst)
 	}
 	tid := w.th.ID()
+	var pub0, help0, abort0 uint64
 	if spanning {
 		sp.Req = s.spans.NextReq()
 		sp.TID = int32(tid)
@@ -612,17 +541,6 @@ func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.
 		sp.StartNS = s.spans.SinceEpoch(t0)
 		sp.Stage[obs.StageParse] = time.Since(t0).Nanoseconds()
 		s.trc.SetRequest(tid, sp.Req)
-	}
-	if s.shouldShed(req.Tenant) {
-		s.shed.Add(1)
-		s.busy.Add(1)
-		if spanning {
-			sp.Status = "BUSY"
-		}
-		return append(dst, "BUSY"...)
-	}
-	var pub0, help0, abort0 uint64
-	if spanning && s.reg != nil {
 		pub0 = s.reg.ThreadValue(tid, obs.KCASPublish)
 		help0 = s.reg.ThreadValue(tid, obs.KCASHelp)
 		abort0 = s.reg.ThreadValue(tid, obs.KCASAbort)
@@ -639,11 +557,9 @@ func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.
 			execNS = 0
 		}
 		sp.Stage[obs.StageExec] = execNS
-		if s.reg != nil {
-			sp.Publishes = s.reg.ThreadValue(tid, obs.KCASPublish) - pub0
-			sp.Helps = s.reg.ThreadValue(tid, obs.KCASHelp) - help0
-			sp.Aborts = s.reg.ThreadValue(tid, obs.KCASAbort) - abort0
-		}
+		sp.Publishes = s.reg.ThreadValue(tid, obs.KCASPublish) - pub0
+		sp.Helps = s.reg.ThreadValue(tid, obs.KCASHelp) - help0
+		sp.Aborts = s.reg.ThreadValue(tid, obs.KCASAbort) - abort0
 		sp.Status = statusToken(resp)
 	}
 	return resp
@@ -796,9 +712,6 @@ func appendJSON(dst []byte, doc any) []byte {
 // (written by WritePrometheus, completed by the handler's newline)
 // frames it for line-reading clients.
 func (s *Server) metricsText(dst []byte) []byte {
-	if s.reg == nil {
-		return append(dst, "ERR metrics disabled"...)
-	}
 	b := bytes.NewBuffer(dst)
 	if err := s.reg.Snapshot().WritePrometheus(b); err != nil {
 		return append(append(dst, "ERR "...), err.Error()...)
@@ -848,17 +761,13 @@ func (s *Server) Stats() kvwire.Doc {
 	doc.Robust = &kvwire.RobustCounters{
 		Busy:        s.busy.Load(),
 		Timeouts:    s.timeouts.Load(),
-		Shed:        s.shed.Load(),
-		ShedLevel:   int(s.shedLevel.Load()),
 		SlowClients: s.slowClients.Load(),
 		LostWorkers: s.lostWorkers.Load(),
 		Drained:     s.draining.Load(),
 	}
-	if reg := s.reg; reg != nil {
-		// Same names, same registry as the METRICS verb; every known
-		// series present even at zero (like the robust block).
-		doc.Obs = reg.Snapshot().Counters
-	}
+	// Same names, same registry as the METRICS verb; every known series
+	// present even at zero (like the robust block).
+	doc.Obs = s.reg.Snapshot().Counters
 	if s.stages != nil {
 		// The span layer's per-stage breakdown, merged across workers:
 		// where wall time actually went, one row per stage even at zero

@@ -361,7 +361,8 @@ const exhaustArena = arena.ReservedIndexes + 2*mm.LocalListCap
 // capacity and asserts the degradation contract: the starved worker
 // answers BUSY (not a crash, not a hung connection), node-free traffic
 // keeps flowing on the same connection, and the robust counters record
-// the rejections.
+// the rejections. The registry is on in every server, so STATS' obs
+// block and METRICS carry the same busy_total.
 func TestServerBusyOnArenaExhaustion(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Arena: exhaustArena})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -410,6 +411,20 @@ func TestServerBusyOnArenaExhaustion(t *testing.T) {
 	}
 	if doc.Robust == nil || doc.Robust.Busy == 0 {
 		t.Fatalf("robust counters missing the BUSY: %+v", doc.Robust)
+	}
+	if got, ok := doc.Obs["busy_total"]; !ok || got != doc.Robust.Busy {
+		t.Fatalf("STATS obs busy_total = %d (present %v), robust busy = %d", got, ok, doc.Robust.Busy)
+	}
+	if _, err := fmt.Fprintln(c1.conn, "METRICS"); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("busy_total %d", doc.Robust.Busy)
+	found := false
+	for c1.in.Scan() && c1.in.Text() != "# EOF" {
+		found = found || c1.in.Text() == want
+	}
+	if !found {
+		t.Fatalf("METRICS lacks %q", want)
 	}
 }
 
@@ -531,7 +546,7 @@ func TestServerSlowExemplarsAttributeStall(t *testing.T) {
 	// SpanTopK 8 < the stalled-request count, so the exemplar buffer
 	// holds only genuinely stalled requests once traffic quiesces.
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2,
-		Fault: plan, Metrics: true, Spans: true, SpanTopK: 8})
+		Fault: plan, Spans: true, SpanTopK: 8})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -797,7 +812,7 @@ func wantClosed(t *testing.T, in *bufio.Reader) {
 // sent one at a time by a client that waits for each answer take 16, and
 // the server's own flushes_total/responses_total say the same.
 func TestServerFlushPerBatch(t *testing.T) {
-	s, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Metrics: true})
+	s, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2})
 	client, in, srv := l.dial(t)
 
 	var batch []byte
@@ -874,7 +889,7 @@ func TestServerAnswersBeforePartialLine(t *testing.T) {
 // response, in order, and the connection ends after the last one.
 func TestServerPipelinedOrder(t *testing.T) {
 	const tenants, rounds = 4, 250
-	_, addr := serveTCP(t, Config{Tenants: tenants, Workers: 2, Metrics: true, Spans: true})
+	_, addr := serveTCP(t, Config{Tenants: tenants, Workers: 2, Spans: true})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -974,7 +989,7 @@ func TestServerSlowPipelinedClient(t *testing.T) {
 
 	t.Run("write timeout", func(t *testing.T) {
 		s, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2,
-			Metrics: true, WriteTimeout: 20 * time.Millisecond})
+			WriteTimeout: 20 * time.Millisecond})
 		client, _, _ := l.dial(t)
 		// The write returns when the server, having timed out, closes its
 		// end — by then it has counted the client.

@@ -1,10 +1,12 @@
 package repro_test
 
 // Docs-freshness checks. Every exported symbol in compose.go must carry
-// a doc comment, and every repository path the documentation names must
-// exist. CI runs this file, so an undocumented addition to the facade or
-// a pointer to a deleted file fails the build rather than silently aging
-// the documentation layer.
+// a doc comment, every repository path the documentation names must
+// exist, and cmd/README.md documents exactly the flags each binary
+// defines. CI runs this file, so an undocumented addition to the facade,
+// a pointer to a deleted file or a flag added or removed without its
+// documentation fails the build rather than silently aging the
+// documentation layer.
 
 import (
 	"go/ast"
@@ -14,6 +16,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -148,5 +152,133 @@ func TestMissingRefsFindsStaleNames(t *testing.T) {
 	want := []string{"DESIGN.md", "cmd/nosuchtool", "internal/harness/nosuch.go", "BENCH_nosuch.json", "docs/nosuch.md"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("missingRefs = %q, want %q", got, want)
+	}
+}
+
+// flagKinds are the flag package's defining functions with any "Var"
+// suffix cut off ("" is flag.Var itself).
+var flagKinds = []string{"", "Bool", "BoolFunc", "Duration", "Float64", "Func",
+	"Int", "Int64", "String", "Text", "Uint", "Uint64"}
+
+// definedFlags returns the flag names a main.go defines: the first
+// argument of flag.<Type>(name, …), the second of
+// flag.<Type>Var(p, name, …) and flag.Var(value, name, …).
+func definedFlags(t *testing.T, file string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatalf("parse %s: %v", file, err)
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		fn, arg := sel.Sel.Name, 0
+		if base, isVar := strings.CutSuffix(fn, "Var"); isVar {
+			fn, arg = base, 1
+		}
+		if !slices.Contains(flagKinds, fn) || len(call.Args) <= arg {
+			return true
+		}
+		lit, ok := call.Args[arg].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			t.Errorf("%s: flag.%s names its flag with a non-literal", file, sel.Sel.Name)
+			return true
+		}
+		name, err := strconv.Unquote(lit.Value)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		names = append(names, name)
+		return true
+	})
+	return names
+}
+
+// fencedBlock matches a fenced code block; codeSpan a backtick span
+// (which may wrap a line); flagSpan the flag name that opens one.
+var (
+	fencedBlock = regexp.MustCompile("(?ms)^```.*?^```")
+	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	flagSpan    = regexp.MustCompile(`^-([A-Za-z][\w-]*)`)
+)
+
+// namedFlags returns the flag names that open a backtick span in
+// markdown text, fenced code blocks left out.
+func namedFlags(text string) []string {
+	var names []string
+	for _, m := range codeSpan.FindAllStringSubmatch(fencedBlock.ReplaceAllString(text, ""), -1) {
+		if f := flagSpan.FindStringSubmatch(m[1]); f != nil {
+			names = append(names, f[1])
+		}
+	}
+	return names
+}
+
+// readmeSections splits markdown into its "## name" sections.
+func readmeSections(text string) map[string]string {
+	sections := map[string]string{}
+	for _, part := range strings.Split("\n"+text, "\n## ")[1:] {
+		name, body, _ := strings.Cut(part, "\n")
+		sections[strings.TrimSpace(name)] = body
+	}
+	return sections
+}
+
+// TestFlagsDocumented: for each binary under cmd/, every flag its
+// main.go defines is named as `-name` in the binary's "## <binary>"
+// section of cmd/README.md, and every `-name` that opens a backtick span
+// there is one of that binary's flags. A flag added without its
+// documentation, or deleted with its documentation left behind, fails.
+func TestFlagsDocumented(t *testing.T) {
+	readme, err := os.ReadFile("cmd/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := readmeSections(string(readme))
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("cmd/*/main.go: %v, %v", mains, err)
+	}
+	for _, main := range mains {
+		bin := filepath.Base(filepath.Dir(main))
+		section, ok := sections[bin]
+		if !ok {
+			t.Errorf("cmd/README.md has no \"## %s\" section", bin)
+			continue
+		}
+		flags, named := definedFlags(t, main), namedFlags(section)
+		for _, f := range flags {
+			if !slices.Contains(named, f) {
+				t.Errorf("%s defines -%s; the \"## %s\" section of cmd/README.md never names `-%s`", main, f, bin, f)
+			}
+		}
+		for _, f := range named {
+			if !slices.Contains(flags, f) {
+				t.Errorf("the \"## %s\" section of cmd/README.md names `-%s`, which %s does not define", bin, f, main)
+			}
+		}
+	}
+}
+
+// TestFlagSpansParse: the flag scanner reads names from the forms the
+// README uses, and the flag finder reads both definition forms.
+func TestFlagSpansParse(t *testing.T) {
+	section := "Key flags: `-addr`, `-metrics=false`, `-fault 'kcas-commit:stall=2ms'`,\n" +
+		"`-slow N`, `go test -bench\nX`.\n\n```sh\nkvserver -nosuch\n```\n"
+	if got, want := strings.Join(namedFlags(section), " "), "addr metrics fault slow"; got != want {
+		t.Fatalf("named flags = %q, want %q", got, want)
+	}
+	if got, want := strings.Join(definedFlags(t, "cmd/tracecheck/main.go"), " "), "chrome slowest require"; got != want {
+		t.Fatalf("tracecheck flags = %q, want %q", got, want)
 	}
 }

@@ -75,11 +75,12 @@
 // guarantee the operation was NOT executed, so clients may retry
 // without risking duplication:
 //
-//	BUSY    — the server shed the request: the operation failed for
-//	          want of arena nodes (nothing executed; a DRAIN that moved
-//	          elements first answers OK with them instead), or the
-//	          overload controller is shedding this tenant's ops to
-//	          protect the configured SLO. Retry after jittered backoff.
+//	BUSY    — the operation failed for want of arena nodes (nothing
+//	          executed; a DRAIN that moved elements first answers OK
+//	          with them instead). The arena is the server's one
+//	          resource that can run out; overload meets back-pressure
+//	          (worker pool, TCP), never BUSY. Retry after jittered
+//	          backoff.
 //	TIMEOUT — the per-request deadline (-deadline) expired before the
 //	          operation could execute. Retry, ideally with a longer
 //	          deadline or lower offered load.

@@ -102,7 +102,7 @@ func TestParseResponse(t *testing.T) {
 }
 
 // TestDegradationStatuses: BUSY and TIMEOUT are valid, non-OK,
-// retryable responses — the grammar contract the server's shedding
+// retryable responses — the grammar contract the server's degradation
 // paths and kvload's retry loop both build on.
 func TestDegradationStatuses(t *testing.T) {
 	for _, status := range []string{"BUSY", "TIMEOUT"} {
@@ -136,7 +136,7 @@ func TestRobustCountersRoundTrip(t *testing.T) {
 	doc := NewDoc()
 	doc.Robust = &RobustCounters{
 		Busy: 3, Timeouts: 2, Retries: 7, Ambiguous: 1,
-		Shed: 11, ShedLevel: 2, SlowClients: 1, LostWorkers: 1, Drained: true,
+		SlowClients: 1, LostWorkers: 1, Drained: true,
 	}
 	blob, err := json.Marshal(doc)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestRobustCountersRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal zero: %v", err)
 	}
-	for _, field := range []string{`"busy":0`, `"shed":0`, `"lost_workers":0`, `"drained":false`} {
+	for _, field := range []string{`"busy":0`, `"lost_workers":0`, `"drained":false`} {
 		if !strings.Contains(string(zero), field) {
 			t.Errorf("zero-valued robust encoding missing %s: %s", field, zero)
 		}

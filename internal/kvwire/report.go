@@ -138,12 +138,6 @@ type RobustCounters struct {
 	// have executed and the response been lost) — never retried, and
 	// excluded from the client's conservation expectations.
 	Ambiguous uint64 `json:"ambiguous"`
-	// Shed counts operations the kvserver overload controller rejected
-	// with BUSY to protect the configured SLO.
-	Shed uint64 `json:"shed"`
-	// ShedLevel is the controller's shed level at snapshot time: tenants
-	// with id >= Tenants-ShedLevel are currently being shed (0: none).
-	ShedLevel int `json:"shed_level"`
 	// SlowClients counts connections kvserver dropped because a response
 	// write exceeded the per-connection write timeout.
 	SlowClients uint64 `json:"slow_clients"`
@@ -178,9 +172,8 @@ type Doc struct {
 	// in docs/observability.md. Like RobustCounters it is kept
 	// non-omitempty per series: when the map is present every known
 	// series appears even at zero, because "absent" must not alias
-	// "zero" for grep-style assertions. Nil only when the registry is
-	// disabled (kvserver -metrics=false) or the emitter has none
-	// (kvload reports).
+	// "zero" for grep-style assertions. Nil when the emitter has no
+	// registry (kvload reports).
 	Obs map[string]uint64 `json:"obs,omitempty"`
 
 	// Stages is the server-side per-stage latency breakdown (span layer

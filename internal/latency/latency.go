@@ -186,41 +186,12 @@ func (s Snapshot) Percentile(q float64) int64 {
 	return bucketMid(numBuckets - 1)
 }
 
-// Sub returns the delta snapshot s minus prev, where prev is an
-// earlier snapshot of the same (merged) histograms: the samples
-// recorded in the interval between the two. Overload controllers use
-// it to compute windowed percentiles — a p99 over the last control
-// period, not over the process lifetime, so a recovered overload stops
-// biasing the signal. MaxNS is carried from s (maxima are not
-// invertible); a prev that is not an ancestor of s (counts exceeding
-// s's) clamps to zero rather than wrapping.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Count: s.Count - min(prev.Count, s.Count),
-		SumNS: s.SumNS - min(prev.SumNS, s.SumNS),
-		MaxNS: s.MaxNS,
-	}
-	if s.counts == nil {
-		return d
-	}
-	d.counts = make([]uint64, len(s.counts))
-	copy(d.counts, s.counts)
-	for i := range prev.counts {
-		if i >= len(d.counts) {
-			break
-		}
-		d.counts[i] -= min(prev.counts[i], d.counts[i])
-	}
-	return d
-}
-
 // Max returns the exact largest recorded sample in nanoseconds (0 when
 // empty). Unlike Percentile(1), which reports a bucket midpoint with
 // the layout's ~3.1% relative error, Max is tracked exactly (atomic
 // max alongside the buckets) — exemplar thresholds and stall forensics
 // need the true worst case, not a bucket approximation. Merge takes
-// the larger of the two maxima; Sub carries s's max (maxima are not
-// invertible over a window).
+// the larger of the two maxima.
 func (s Snapshot) Max() int64 { return s.MaxNS }
 
 // MeanNS returns the mean sample in nanoseconds (0 when empty).

@@ -118,8 +118,8 @@ func TestMergeEmpty(t *testing.T) {
 }
 
 // TestMax: the exact max is tracked independently of the bucket
-// approximation, survives Merge (larger wins) and Sub (carried from
-// the newer snapshot), and Max() matches MaxNS.
+// approximation, survives Merge (larger wins), and Max() matches
+// MaxNS.
 func TestMax(t *testing.T) {
 	h := NewHist()
 	if got := h.Snapshot().Max(); got != 0 {
@@ -152,21 +152,6 @@ func TestMax(t *testing.T) {
 	m2.Merge(lo.Snapshot())
 	if m2.Max() != exact*2 {
 		t.Fatalf("merge order must not matter: max = %d, want %d", m2.Max(), exact*2)
-	}
-
-	// Sub carries the newer snapshot's max (maxima are not invertible):
-	// even when the window added only fast samples, the lifetime max
-	// stands.
-	h2 := NewHist()
-	h2.RecordNS(exact)
-	prev := h2.Snapshot()
-	h2.RecordNS(50)
-	win := h2.Snapshot().Sub(prev)
-	if win.Count != 1 {
-		t.Fatalf("window count = %d, want 1", win.Count)
-	}
-	if win.Max() != exact {
-		t.Fatalf("window max = %d, want carried %d", win.Max(), exact)
 	}
 }
 
@@ -244,38 +229,5 @@ func TestSnapshotDuringRecording(t *testing.T) {
 	<-done
 	if got := r.MergedAll().Count; got != 100_000 {
 		t.Fatalf("final count = %d, want 100000", got)
-	}
-}
-
-// TestSnapshotSub: windowed deltas — the overload controller's signal
-// — report the interval's percentiles, not the lifetime's.
-func TestSnapshotSub(t *testing.T) {
-	h := NewHist()
-	for i := 0; i < 1000; i++ {
-		h.RecordNS(100) // fast era
-	}
-	prev := h.Snapshot()
-	for i := 0; i < 1000; i++ {
-		h.RecordNS(1_000_000) // slow era
-	}
-	win := h.Snapshot().Sub(prev)
-	if win.Count != 1000 {
-		t.Fatalf("window count = %d, want 1000", win.Count)
-	}
-	if p99 := win.Percentile(0.99); p99 < 500_000 {
-		t.Fatalf("window p99 = %d, want ~1ms (lifetime contamination?)", p99)
-	}
-	if life := h.Snapshot().Percentile(0.25); life > 10_000 {
-		t.Fatalf("lifetime p25 = %d, sanity check failed", life)
-	}
-	// Sub of an empty prev is identity on counts.
-	id := h.Snapshot().Sub(Snapshot{})
-	if id.Count != 2000 {
-		t.Fatalf("identity Sub count = %d, want 2000", id.Count)
-	}
-	// A non-ancestor prev clamps instead of wrapping.
-	weird := prev.Sub(h.Snapshot())
-	if weird.Count != 0 {
-		t.Fatalf("non-ancestor Sub must clamp to zero, got %d", weird.Count)
 	}
 }
