@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -56,7 +55,7 @@ func TestClamping(t *testing.T) {
 }
 
 // TestPercentilesMatchExact cross-validates the bucketed quantiles
-// against stats.Quantile over the raw samples.
+// against Quantile over the raw samples.
 func TestPercentilesMatchExact(t *testing.T) {
 	rng := xrand.New(42)
 	h := NewHist()
@@ -73,12 +72,12 @@ func TestPercentilesMatchExact(t *testing.T) {
 	s := h.Snapshot()
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		got := float64(s.Percentile(q))
-		want := stats.Quantile(raw, q)
+		want := Quantile(raw, q)
 		if err := math.Abs(got-want) / want; err > maxRelErr+0.01 {
 			t.Errorf("p%g = %.0f, exact %.0f: relative error %.4f", q*100, got, want, err)
 		}
 	}
-	if mean := s.MeanNS(); math.Abs(mean-stats.Quantile(raw, 0.5)) > mean*100 {
+	if mean := s.MeanNS(); math.Abs(mean-Quantile(raw, 0.5)) > mean*100 {
 		t.Errorf("mean %.0f implausible", mean) // sanity only; mean is exact by construction
 	}
 }

@@ -1,11 +1,38 @@
-package stats
+package latency
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
-// Edge cases of the exact reference quantile: the latency package's
-// bucketed percentiles are validated against Quantile, so its behavior
-// at the degenerate inputs (empty, singleton, out-of-range q) is part
-// of that contract.
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the samples by
+// linear interpolation between order statistics — the exact reference
+// the bucketed percentiles are validated against (TestPercentilesMatchExact).
+// An empty slice yields 0.
+func Quantile(samples []float64, q float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
+
+// Edge cases of the exact reference quantile: the bucketed percentiles
+// are validated against Quantile, so its behavior at the degenerate
+// inputs (empty, singleton, out-of-range q) is part of that contract.
 
 func TestQuantileEmpty(t *testing.T) {
 	for _, q := range []float64{-1, 0, 0.5, 1, 2} {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/verify"
 )
 
 func TestStageNamesRoundTrip(t *testing.T) {
@@ -227,6 +229,42 @@ func TestSpansFinishAllocationFree(t *testing.T) {
 		s.Finish(0, sp)
 	}); allocs != 0 {
 		t.Fatalf("Finish allocates %v per run, want 0", allocs)
+	}
+}
+
+// spansFinishOp returns one Finish as a kvserver worker makes it with
+// default flags: a recorder of obs.New's sizes whose K slowest already
+// hold slower spans, so the span goes to the completed ring only and is
+// refused by one compare, the common case.
+func spansFinishOp() func() {
+	s := NewSpans(1, DefaultSpanBuf, DefaultSpanTopK)
+	sp := Span{Req: 1, Tenant: 0, Op: "MOVE", Status: "OK", WallNS: 1 << 20}
+	for range DefaultSpanTopK {
+		s.Finish(0, sp)
+	}
+	sp.WallNS = 1000
+	sp.Stage[StageExec] = 600
+	return func() {
+		sp.Req++
+		s.Finish(0, sp)
+	}
+}
+
+// BenchmarkSpansFinish times Spans.Finish on the default path
+// (spansFinishOp).
+func BenchmarkSpansFinish(b *testing.B) {
+	op := spansFinishOp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestSpansFinishNoAllocs: the probe runs without allocating.
+func TestSpansFinishNoAllocs(t *testing.T) {
+	if n := verify.Mallocs(10_000, 100_000, spansFinishOp()); n != 0 {
+		t.Errorf("Finish: %d allocations over 100000 calls, want 0", n)
 	}
 }
 

@@ -1,14 +1,10 @@
 // Package xrand provides a small, allocation-free, per-thread random
-// number generator (splitmix64 seeding + xoshiro-style state advance) and
-// the normally distributed samples the paper's workload generator needs
-// for "local work ... picked from a normal distribution" (§6).
+// number generator (splitmix64 seeding + xoshiro-style state advance).
 //
 // math/rand is avoided on the hot path because its global source is
 // locked and its per-goroutine sources allocate; benchmark loops here
 // issue one sample per operation.
 package xrand
-
-import "math"
 
 // State is a 64-bit xorshift* generator. The zero value is invalid; use
 // New.
@@ -63,31 +59,4 @@ func (r *State) Intn(n int) int {
 // Float64 returns a value uniformly distributed in [0, 1).
 func (r *State) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
-// Norm returns a sample from the standard normal distribution using the
-// Marsaglia polar method. It consumes a variable number of uniform
-// samples but no heap memory.
-func (r *State) Norm() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
-// NormDuration returns a normally distributed sample with the given mean
-// and standard deviation, clamped to be non-negative. The paper's local
-// work times ("around 0.1µs per operation on average", §6) are produced
-// with this.
-func (r *State) NormDuration(mean, stddev float64) float64 {
-	d := mean + stddev*r.Norm()
-	if d < 0 {
-		return 0
-	}
-	return d
 }

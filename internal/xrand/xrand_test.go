@@ -82,42 +82,6 @@ func TestUniformMoments(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := New(13)
-	const n = 200000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		x := r.Norm()
-		sum += x
-		sq += x * x
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %f", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance %f", variance)
-	}
-}
-
-func TestNormDuration(t *testing.T) {
-	r := New(17)
-	const mean, sd = 100.0, 20.0
-	var sum float64
-	for i := 0; i < 100000; i++ {
-		d := r.NormDuration(mean, sd)
-		if d < 0 {
-			t.Fatal("NormDuration must be non-negative")
-		}
-		sum += d
-	}
-	got := sum / 100000
-	if math.Abs(got-mean) > 2 {
-		t.Fatalf("NormDuration mean %f want ~%f", got, mean)
-	}
-}
-
 func TestUint32(t *testing.T) {
 	r := New(19)
 	seen := map[uint32]bool{}
