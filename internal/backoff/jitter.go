@@ -1,3 +1,8 @@
+// Package backoff implements the service layer's retry backoff: a
+// sleep-based, decorrelated-jitter schedule for millisecond-scale
+// BUSY/timeout retries against an overloaded server. The paper's §6
+// spin backoff is not here: only the blocking baseline's lock backs off
+// that way, and it lives in internal/spin.
 package backoff
 
 import (
@@ -7,9 +12,10 @@ import (
 )
 
 // Jitter is a sleep-based, decorrelated-jitter retry backoff for the
-// service layer: where Exp spins (sub-microsecond CAS conflicts),
-// Jitter sleeps (millisecond-scale BUSY/timeout retries against an
-// overloaded server). Decorrelated jitter — each delay drawn uniformly
+// service layer: where the blocking baseline's lock spins
+// (sub-microsecond waits, internal/spin), Jitter sleeps
+// (millisecond-scale BUSY/timeout retries against an overloaded
+// server). Decorrelated jitter — each delay drawn uniformly
 // from [base, 3×previous], capped — both spreads retries (no
 // synchronized retry storms from clients that were rejected together)
 // and grows the expected delay geometrically under persistent

@@ -5,63 +5,6 @@ import (
 	"time"
 )
 
-func TestDoubling(t *testing.T) {
-	b := New(4, 64)
-	if b.Current() != 0 {
-		t.Fatal("fresh backoff must start at 0")
-	}
-	b.Wait()
-	if b.Current() != 8 { // waited 4, doubled to 8
-		t.Fatalf("after first wait: %d", b.Current())
-	}
-	b.Wait() // waits 8 → 16
-	b.Wait() // 16 → 32
-	b.Wait() // 32 → 64
-	b.Wait() // 64 → saturate
-	if b.Current() != 64 {
-		t.Fatalf("must saturate at max, got %d", b.Current())
-	}
-	b.Wait()
-	if b.Current() != 64 {
-		t.Fatal("saturation must hold")
-	}
-}
-
-func TestReset(t *testing.T) {
-	b := New(4, 64)
-	b.Wait()
-	b.Wait()
-	b.Reset()
-	if b.Current() != 0 {
-		t.Fatal("Reset must clear the wait")
-	}
-	b.Wait()
-	if b.Current() != 8 {
-		t.Fatal("post-reset wait must restart from start")
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	b := New(0, 0)
-	b.Wait()
-	if b.Current() != DefaultStart*2 {
-		t.Fatalf("default start not applied: %d", b.Current())
-	}
-	var zero Exp
-	zero.Wait() // must not panic and must adopt defaults
-	if zero.Current() != DefaultStart*2 {
-		t.Fatalf("zero value defaults: %d", zero.Current())
-	}
-}
-
-func TestMaxBelowStartClamped(t *testing.T) {
-	b := New(100, 10)
-	b.Wait()
-	if b.Current() != 100 {
-		t.Fatalf("max must clamp to start, got %d", b.Current())
-	}
-}
-
 // TestJitterBoundsAndGrowth: every delay stays in [base, max]; the
 // ceiling (3x previous) grows under persistent failure so retry
 // pressure decays; Reset restores the floor.

@@ -1,7 +1,9 @@
 // Package blocking provides the paper's baseline: "simple blocking
 // implementations using test-test-and-set to implement a lock" (§6),
 // with the same memory manager as the lock-free objects, plus a
-// composed blocking move that holds both objects' locks.
+// composed blocking move that holds both objects' locks. Every lock
+// acquisition backs off exponentially while the lock is held, as §6's
+// baseline does (spin.TTAS.Lock).
 //
 // The blocking move acquires locks in ObjectID order, the standard
 // deadlock-avoidance discipline the paper's composition would need;
@@ -20,7 +22,7 @@ import (
 // Object is the common surface of the blocking containers.
 type Object interface {
 	ObjectID() uint64
-	acquire(t *core.Thread)
+	acquire()
 	release()
 }
 
@@ -45,13 +47,7 @@ type lockBase struct {
 
 func (b *lockBase) ObjectID() uint64 { return b.id }
 
-func (b *lockBase) acquire(t *core.Thread) {
-	if bo := t.Backoff(); bo != nil {
-		b.mu.LockBackoff(bo)
-		return
-	}
-	b.mu.Lock()
-}
+func (b *lockBase) acquire() { b.mu.Lock() }
 
 func (b *lockBase) release() { b.mu.Unlock() }
 
@@ -66,8 +62,8 @@ func Move(t *core.Thread, src Source, dst Target, skey, tkey uint64) (uint64, bo
 	if first.ObjectID() > second.ObjectID() {
 		first, second = second, first
 	}
-	first.acquire(t)
-	second.acquire(t)
+	first.acquire()
+	second.acquire()
 	val, ok := src.removeLocked(t, skey)
 	if ok {
 		if !dst.insertLocked(t, tkey, val) {
@@ -106,17 +102,16 @@ func (q *Queue) Enqueue(t *core.Thread, val uint64) bool {
 	ref := allocNode(t)
 	n := t.Node(ref)
 	n.Val = val
-	q.acquire(t)
+	q.acquire()
 	t.Node(q.tail).Next.Store(ref)
 	q.tail = ref
 	q.release()
-	t.BackoffReset()
 	return true
 }
 
 // Dequeue removes the oldest value.
 func (q *Queue) Dequeue(t *core.Thread) (uint64, bool) {
-	q.acquire(t)
+	q.acquire()
 	first := t.Node(q.head).Next.Load()
 	if first == word.Nil {
 		q.release()
@@ -127,7 +122,6 @@ func (q *Queue) Dequeue(t *core.Thread) (uint64, bool) {
 	q.head = first
 	q.release()
 	t.FreeNodeDirect(old)
-	t.BackoffReset()
 	return val, true
 }
 
@@ -155,7 +149,7 @@ func (q *Queue) removeLocked(t *core.Thread, _ uint64) (uint64, bool) {
 // Len counts elements (quiescent use).
 func (q *Queue) Len(t *core.Thread) int {
 	n := 0
-	q.acquire(t)
+	q.acquire()
 	for cur := t.Node(q.head).Next.Load(); cur != word.Nil; cur = t.Node(cur).Next.Load() {
 		n++
 	}
@@ -183,17 +177,16 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 	ref := allocNode(t)
 	n := t.Node(ref)
 	n.Val = val
-	s.acquire(t)
+	s.acquire()
 	n.Next.Store(s.top)
 	s.top = ref
 	s.release()
-	t.BackoffReset()
 	return true
 }
 
 // Pop removes the newest value.
 func (s *Stack) Pop(t *core.Thread) (uint64, bool) {
-	s.acquire(t)
+	s.acquire()
 	ref := s.top
 	if ref == word.Nil {
 		s.release()
@@ -203,7 +196,6 @@ func (s *Stack) Pop(t *core.Thread) (uint64, bool) {
 	s.top = t.Node(ref).Next.Load()
 	s.release()
 	t.FreeNodeDirect(ref)
-	t.BackoffReset()
 	return val, true
 }
 
@@ -230,7 +222,7 @@ func (s *Stack) removeLocked(t *core.Thread, _ uint64) (uint64, bool) {
 // Len counts elements (quiescent use).
 func (s *Stack) Len(t *core.Thread) int {
 	n := 0
-	s.acquire(t)
+	s.acquire()
 	for cur := s.top; cur != word.Nil; cur = t.Node(cur).Next.Load() {
 		n++
 	}

@@ -117,8 +117,7 @@ func TestMoveNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixed exercises queue and stack under contention with
-// backoff enabled on half the threads.
+// TestConcurrentMixed exercises queue and stack under contention.
 func TestConcurrentMixed(t *testing.T) {
 	const workers = 8
 	const opsPer = 4000
@@ -133,9 +132,6 @@ func TestConcurrentMixed(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			th := rt.RegisterThread()
-			if w%2 == 0 {
-				th.EnableBackoff(8, 1024)
-			}
 			rng := uint64(w)*2654435761 + 3
 			next := func() uint64 { rng ^= rng << 13; rng ^= rng >> 7; rng ^= rng << 17; return rng }
 			for i := 0; i < opsPer; i++ {

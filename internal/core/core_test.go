@@ -257,32 +257,6 @@ func TestReadPlainValueAndFResultStrings(t *testing.T) {
 	}
 }
 
-func TestBackoffToggles(t *testing.T) {
-	rt := newRT(1)
-	th := rt.RegisterThread()
-	if th.Backoff() != nil {
-		t.Fatal("backoff must default to disabled")
-	}
-	th.BackoffWait()  // no-op
-	th.BackoffReset() // no-op
-	th.EnableBackoff(4, 16)
-	if th.Backoff() == nil {
-		t.Fatal("backoff not enabled")
-	}
-	th.BackoffWait()
-	if th.Backoff().Current() == 0 {
-		t.Fatal("wait did not advance")
-	}
-	th.BackoffReset()
-	if th.Backoff().Current() != 0 {
-		t.Fatal("reset did not clear")
-	}
-	th.DisableBackoff()
-	if th.Backoff() != nil {
-		t.Fatal("disable failed")
-	}
-}
-
 func TestObjectIDsMonotone(t *testing.T) {
 	rt := newRT(1)
 	a := rt.NextObjectID()

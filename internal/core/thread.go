@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/arena"
-	"repro/internal/backoff"
 	"repro/internal/fault"
 	"repro/internal/kcas"
 	"repro/internal/mm"
@@ -44,9 +43,6 @@ type Thread struct {
 	// publishes (see setSlot); the helping-mirror entries are unused.
 	hz [nodeSlotsPerThread]uint64
 
-	bo        *backoff.Exp
-	boEnabled bool
-
 	// flt mirrors Config.Fault for the injection point that lives above
 	// the kcas engine (map grow). Nil in production.
 	flt fault.Injector
@@ -62,7 +58,7 @@ type Thread struct {
 
 	// Tail pad: keeps Thread a whole number of cache lines
 	// (TestThreadOwnsItsLines).
-	_ [8]byte
+	_ [24]byte
 }
 
 // chainStep is one operation of a composed chain: exactly one of rem or
@@ -199,42 +195,6 @@ func (t *Thread) Read(w *word.Word) uint64 {
 // CAS performs a plain CAS on a shared word (used for non-linearization
 // CASes such as the queue's tail swing, lines Q12/Q19/Q31).
 func (t *Thread) CAS(w *word.Word, old, new uint64) bool { return w.CAS(old, new) }
-
-// --- backoff ----------------------------------------------------------------
-
-// EnableBackoff turns on the §6 exponential backoff for this thread's
-// operations; containers consult it on every failed retry.
-func (t *Thread) EnableBackoff(start, max uint32) {
-	t.bo = backoff.New(start, max)
-	t.boEnabled = true
-}
-
-// DisableBackoff turns backoff off.
-func (t *Thread) DisableBackoff() { t.boEnabled = false }
-
-// BackoffWait waits (and doubles) if backoff is enabled; containers call
-// it after a conflict.
-func (t *Thread) BackoffWait() {
-	if t.boEnabled {
-		t.bo.Wait()
-	}
-}
-
-// BackoffReset resets the wait time after a successful operation.
-func (t *Thread) BackoffReset() {
-	if t.boEnabled {
-		t.bo.Reset()
-	}
-}
-
-// Backoff returns this thread's backoff policy, or nil when disabled.
-// The blocking baseline uses it for lock acquisition (§6).
-func (t *Thread) Backoff() *backoff.Exp {
-	if t.boEnabled {
-		return t.bo
-	}
-	return nil
-}
 
 // Fault triggers injection point p if the runtime was configured with
 // an injector (Config.Fault); internal/hashmap calls it at its grow

@@ -184,7 +184,6 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) (ok, exis
 		if !t.MoveInFlight() { // M38–M39: plain insert
 			if !r.prevW.CAS(r.cur, ref) {
 				t.LostCAS()
-				t.BackoffWait()
 				continue
 			}
 		} else if res := t.SCASInsert(r.prevW, r.cur, ref, r.prevRef); res != core.FTrue {
@@ -192,10 +191,8 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) (ok, exis
 				t.FreeNodeDirect(ref)
 				return false, false
 			}
-			t.BackoffWait()
 			continue
 		}
-		t.BackoffReset()
 		return true, false
 	}
 }
@@ -253,14 +250,12 @@ func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, bool)
 		if !t.MoveInFlight() {
 			if !curN.Next.CAS(r.next, word.ListMarked(r.next)) {
 				t.LostCAS()
-				t.BackoffWait()
 				continue
 			}
 		} else if res := t.SCASRemove(&curN.Next, r.next, word.ListMarked(r.next), val, r.cur); res != core.FTrue {
 			if res == core.FAbort {
 				return 0, false
 			}
-			t.BackoffWait()
 			continue
 		}
 		// Cleanup phase: try to unlink; a failed CAS leaves the node for
@@ -268,7 +263,6 @@ func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, bool)
 		if r.prevW.CAS(r.cur, r.next) {
 			t.RetireNode(r.cur)
 		}
-		t.BackoffReset()
 		return val, true
 	}
 }
@@ -289,20 +283,17 @@ func (l *List) RemoveMin(t *core.Thread) (key, val uint64, ok bool) {
 		if !t.MoveInFlight() { // M20–M21: plain remove
 			if !curN.Next.CAS(r.next, word.ListMarked(r.next)) {
 				t.LostCAS()
-				t.BackoffWait()
 				continue
 			}
 		} else if res := t.SCASRemove(&curN.Next, r.next, word.ListMarked(r.next), val, r.cur); res != core.FTrue {
 			if res == core.FAbort {
 				return 0, 0, false
 			}
-			t.BackoffWait()
 			continue
 		}
 		if r.prevW.CAS(r.cur, r.next) {
 			t.RetireNode(r.cur)
 		}
-		t.BackoffReset()
 		return key, val, true
 	}
 }

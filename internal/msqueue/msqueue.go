@@ -97,8 +97,7 @@ func (q *Queue) Enqueue(t *core.Thread, val uint64) bool {
 		if !t.MoveInFlight() { // Q14, M38–M39: plain insert
 			if !tn.Next.CAS(word.Nil, ref) {
 				t.LostCAS()
-				t.BackoffWait() // conflict: retry (with backoff when enabled, §6)
-				continue
+				continue // conflict: retry
 			}
 		} else if res := t.SCASInsert(&tn.Next, word.Nil, ref, ltail); res != core.FTrue { // Q14
 			if res == core.FAbort { // Q15
@@ -107,13 +106,11 @@ func (q *Queue) Enqueue(t *core.Thread, val uint64) bool {
 				t.ClearNode(core.SlotIns1)
 				return false // Q17
 			}
-			t.BackoffWait()
 			continue
 		}
 		t.CAS(&q.tail, ltail, ref) // Q18–Q19
 		t.ClearNode(core.SlotIns0)
 		t.ClearNode(core.SlotIns1)
-		t.BackoffReset()
 		return true // Q20
 	}
 }
@@ -153,7 +150,6 @@ func (q *Queue) Dequeue(t *core.Thread) (val uint64, ok bool) {
 		if !t.MoveInFlight() {  // Q34, M20–M21: plain remove
 			if !q.head.CAS(lhead, lnext) {
 				t.LostCAS()
-				t.BackoffWait()
 				continue
 			}
 		} else if res := t.SCASRemove(&q.head, lhead, lnext, val, lhead); res != core.FTrue { // Q34
@@ -165,13 +161,11 @@ func (q *Queue) Dequeue(t *core.Thread) (val uint64, ok bool) {
 				t.ClearNode(core.SlotRem1)
 				return 0, false
 			}
-			t.BackoffWait()
 			continue
 		}
 		t.RetireNode(lhead) // Q35: free lhead
 		t.ClearNode(core.SlotRem0)
 		t.ClearNode(core.SlotRem1)
-		t.BackoffReset()
 		return val, true // Q36
 	}
 }

@@ -64,7 +64,6 @@ func (q *Queue) Enqueue(t *core.Thread, val uint64) {
 			t.ClearNode(core.SlotIns1)
 			return
 		}
-		t.BackoffWait()
 	}
 }
 
@@ -99,6 +98,5 @@ func (q *Queue) Dequeue(t *core.Thread) (uint64, bool) {
 			t.ClearNode(core.SlotRem1)
 			return val, true
 		}
-		t.BackoffWait()
 	}
 }

@@ -32,7 +32,6 @@ func (s *Stack) Push(t *core.Thread, val uint64) {
 		if s.top.CAS(ltop, ref) {
 			return
 		}
-		t.BackoffWait()
 	}
 }
 
@@ -54,6 +53,5 @@ func (s *Stack) Pop(t *core.Thread) (uint64, bool) {
 			t.ClearNode(core.SlotRem0)
 			return val, true
 		}
-		t.BackoffWait()
 	}
 }

@@ -3,8 +3,6 @@ package spin
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/backoff"
 )
 
 func TestLockUnlock(t *testing.T) {
@@ -20,21 +18,6 @@ func TestLockUnlock(t *testing.T) {
 	if l.Locked() {
 		t.Fatal("Unlock must clear state")
 	}
-}
-
-func TestTryLock(t *testing.T) {
-	var l TTAS
-	if !l.TryLock() {
-		t.Fatal("TryLock on free lock must succeed")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock on held lock must fail")
-	}
-	l.Unlock()
-	if !l.TryLock() {
-		t.Fatal("TryLock after unlock must succeed")
-	}
-	l.Unlock()
 }
 
 func TestUnlockOfUnlockedPanics(t *testing.T) {
@@ -70,26 +53,37 @@ func TestMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestMutualExclusionWithBackoff(t *testing.T) {
-	var l TTAS
-	const workers = 4
-	const iters = 10000
-	counter := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bo := backoff.New(4, 256)
-			for i := 0; i < iters; i++ {
-				l.LockBackoff(bo)
-				counter++
-				l.Unlock()
-			}
-		}()
+// TestExpDefaults: the zero value needs no setup; its first wait spins
+// defaultStart iterations and doubles the next one.
+func TestExpDefaults(t *testing.T) {
+	var b exp
+	if b.cur != 0 {
+		t.Fatal("fresh backoff must start at 0")
 	}
-	wg.Wait()
-	if counter != workers*iters {
-		t.Fatalf("lost updates: %d != %d", counter, workers*iters)
+	b.wait()
+	if b.cur != 2*defaultStart {
+		t.Fatalf("after the first wait: %d, want %d", b.cur, 2*defaultStart)
+	}
+}
+
+// TestExpDoubling: each wait doubles the next, and the wait saturates
+// at defaultMax.
+func TestExpDoubling(t *testing.T) {
+	var b exp
+	want := uint32(defaultStart)
+	for want < defaultMax {
+		b.wait()
+		want <<= 1
+		if b.cur != want {
+			t.Fatalf("wait did not double: %d, want %d", b.cur, want)
+		}
+	}
+	b.wait()
+	if b.cur != defaultMax {
+		t.Fatalf("must saturate at %d, got %d", defaultMax, b.cur)
+	}
+	b.wait()
+	if b.cur != defaultMax {
+		t.Fatal("saturation must hold")
 	}
 }

@@ -107,7 +107,6 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 		if !t.MoveInFlight() { // S7, M38–M39: plain insert
 			if !s.top.CAS(ltop, ntop) {
 				t.LostCAS()
-				t.BackoffWait()
 				continue
 			}
 		} else if res := t.SCASInsert(&s.top, ltop, ntop, 0); res != core.FTrue { // S7
@@ -115,11 +114,9 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 				t.FreeNodeDirect(ref) // S9
 				return false          // S10
 			}
-			t.BackoffWait()
 			continue
 		}
-		t.BackoffReset() // S11
-		return true      // S12
+		return true // S11–S12
 	}
 }
 
@@ -144,7 +141,6 @@ func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
 		if !t.MoveInFlight() { // S22, M20–M21: plain remove
 			if !s.top.CAS(ltop, ntop) {
 				t.LostCAS()
-				t.BackoffWait()
 				continue
 			}
 		} else if res := t.SCASRemove(&s.top, ltop, ntop, val, ltop); res != core.FTrue { // S22
@@ -152,12 +148,10 @@ func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
 				t.ClearNode(core.SlotRem0)
 				return 0, false
 			}
-			t.BackoffWait()
 			continue
 		}
 		t.RetireNode(ltop) // S23
 		t.ClearNode(core.SlotRem0)
-		t.BackoffReset()
 		return val, true // S24
 	}
 }
@@ -290,9 +284,7 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 			for _, old := range ltops {
 				t.RetireNode(old)
 			}
-			t.BackoffReset()
 			return true
 		}
-		t.BackoffWait()
 	}
 }

@@ -102,14 +102,6 @@ func ListMarked(v uint64) uint64 { return v | nodeMarkBit }
 // ListUnmarked returns v with the logical-delete mark cleared.
 func ListUnmarked(v uint64) uint64 { return v &^ uint64(nodeMarkBit) }
 
-// BumpTag returns the node reference with its version tag incremented
-// (wrapping). Used by the versioned-top stack variant from §7 of the
-// paper.
-func BumpTag(v uint64) uint64 {
-	tag := (NodeTag(v) + 1) & nodeTagMask
-	return MakeNode(NodeIndex(v), tag) | (v & nodeMarkBit)
-}
-
 // --- Descriptor references ---------------------------------------------
 
 // MakeDesc builds an unmarked descriptor reference.

@@ -43,23 +43,6 @@ func TestNodeMarkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBumpTag(t *testing.T) {
-	v := MakeNode(42, 7)
-	b := BumpTag(v)
-	if NodeIndex(b) != 42 || NodeTag(b) != 8 {
-		t.Fatalf("BumpTag: got index %d tag %d", NodeIndex(b), NodeTag(b))
-	}
-	// Tag wraps.
-	w := MakeNode(42, MaxNodeTag)
-	if NodeTag(BumpTag(w)) != 0 {
-		t.Fatal("BumpTag must wrap")
-	}
-	// Mark preserved.
-	if !IsListMarked(BumpTag(ListMarked(v))) {
-		t.Fatal("BumpTag must preserve the list mark")
-	}
-}
-
 func TestDescRoundTrip(t *testing.T) {
 	f := func(kind, index, seq uint64) bool {
 		kind &= 3

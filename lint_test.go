@@ -125,8 +125,9 @@ func TestNoMutexFields(t *testing.T) {
 // an if on t.MoveInFlight() or the else-branch of one on
 // !t.MoveInFlight(). Everywhere else the containers run the plain case
 // themselves: a load and a plain CAS. The plain branch of an if on
-// !t.MoveInFlight() must count its lost CAS (LostCAS), as the scas it
-// stands in for would.
+// !t.MoveInFlight() must count its lost CAS as the scas it stands in
+// for would: each `if !<word>.CAS(...)` there calls LostCAS exactly
+// once in its body, and no other code in these packages calls it.
 func TestSharedReadsGuarded(t *testing.T) {
 	for _, dir := range []string{"internal/msqueue", "internal/tstack", "internal/harrislist"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -134,6 +135,7 @@ func TestSharedReadsGuarded(t *testing.T) {
 			t.Fatal(err)
 		}
 		calls := 0
+		counted := map[token.Pos]bool{} // the LostCAS calls in plain-path CAS failure bodies
 		for _, path := range files {
 			if strings.HasSuffix(path, "_test.go") {
 				continue
@@ -151,9 +153,29 @@ func TestSharedReadsGuarded(t *testing.T) {
 				}
 				stack = append(stack, n)
 				if ifs, ok := n.(*ast.IfStmt); ok {
-					if not, ok := ifs.Cond.(*ast.UnaryExpr); ok && not.Op == token.NOT && isMethodCall(not.X, "MoveInFlight") &&
-						!containsCall(ifs.Body, func(sel *ast.SelectorExpr) bool { return sel.Sel.Name == "LostCAS" }) {
-						t.Errorf("%s: plain-path CAS branch does not call LostCAS", fset.Position(ifs.Pos()))
+					if not, ok := ifs.Cond.(*ast.UnaryExpr); ok && not.Op == token.NOT && isMethodCall(not.X, "MoveInFlight") {
+						sites := 0
+						ast.Inspect(ifs.Body, func(n ast.Node) bool {
+							cas, ok := n.(*ast.IfStmt)
+							if !ok {
+								return true
+							}
+							if not, ok := cas.Cond.(*ast.UnaryExpr); !ok || not.Op != token.NOT || !isCall(not.X, "CAS") {
+								return true
+							}
+							sites++
+							lost := callsTo(cas.Body, "LostCAS")
+							if len(lost) != 1 {
+								t.Errorf("%s: a lost plain-path CAS calls LostCAS %d times, want once", fset.Position(cas.Pos()), len(lost))
+							}
+							for _, c := range lost {
+								counted[c.Pos()] = true
+							}
+							return true
+						})
+						if sites == 0 {
+							t.Errorf("%s: plain-path branch has no `if !<word>.CAS(...)`", fset.Position(ifs.Pos()))
+						}
 					}
 				}
 				call, ok := n.(*ast.CallExpr)
@@ -166,6 +188,11 @@ func TestSharedReadsGuarded(t *testing.T) {
 				}
 				var guarded func(cond ast.Expr, then bool) bool
 				switch sel.Sel.Name {
+				case "LostCAS":
+					if !counted[call.Pos()] {
+						t.Errorf("%s: LostCAS outside a lost plain-path CAS's body", fset.Position(call.Pos()))
+					}
+					return true
 				case "Read":
 					guarded = func(cond ast.Expr, then bool) bool {
 						return then && containsCall(cond, func(sel *ast.SelectorExpr) bool {
@@ -220,14 +247,31 @@ func containsCall(n ast.Node, match func(*ast.SelectorExpr) bool) bool {
 	return found
 }
 
-// isMethodCall reports whether e is a call x.name() with no arguments.
-func isMethodCall(e ast.Expr, name string) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 0 {
+// callsTo returns the calls in n whose function is a selector x.name.
+func callsTo(n ast.Node, name string) []*ast.CallExpr {
+	var calls []*ast.CallExpr
+	ast.Inspect(n, func(n ast.Node) bool {
+		if isCall(n, name) {
+			calls = append(calls, n.(*ast.CallExpr))
+		}
+		return true
+	})
+	return calls
+}
+
+// isCall reports whether n is a call x.name(...).
+func isCall(n ast.Node, name string) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == name
+}
+
+// isMethodCall reports whether e is a call x.name() with no arguments.
+func isMethodCall(e ast.Expr, name string) bool {
+	return isCall(e, name) && len(e.(*ast.CallExpr).Args) == 0
 }
 
 // isMutex reports whether a field type is sync.Mutex or sync.RWMutex,
