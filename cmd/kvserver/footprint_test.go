@@ -20,7 +20,9 @@ import (
 
 // TestNoHTTPStack: kvserver links neither net/http nor crypto/tls. With
 // x509 they are more than half of a binary that links them, and nothing
-// the server does needs them: -cpuprofile uses runtime/pprof alone.
+// the server does needs them: -cpuprofile uses runtime/pprof alone. It
+// links neither net nor runtime/cgo either: net's name resolver is the
+// one user of cgo in its graph, and it makes the binary load libc.
 func TestNoHTTPStack(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go is not on PATH")
@@ -30,7 +32,8 @@ func TestNoHTTPStack(t *testing.T) {
 		t.Fatalf("go list -deps: %v", err)
 	}
 	for _, dep := range strings.Fields(string(out)) {
-		if dep == "net/http" || dep == "crypto/tls" {
+		switch dep {
+		case "net/http", "crypto/tls", "net", "runtime/cgo":
 			t.Errorf("kvserver depends on %s", dep)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
+	"os"
 	"runtime"
 	"runtime/metrics"
 	"strconv"
@@ -58,10 +58,10 @@ type Config struct {
 	// Spans enables the request-scoped span layer: each data-path
 	// request's wall time is decomposed into queue/parse/execute/
 	// degrade/write stages, recorded into per-stage histograms (STATS
-	// "stages" block, METRICS stage_* series) and per-worker rings, with
-	// the SpanTopK slowest requests since boot retained as tail
-	// exemplars and served by the SLOW wire verb (0 = the obs
-	// default).
+	// "stages" block, METRICS stage_* series), with the SpanTopK
+	// slowest requests since boot retained as tail exemplars and served
+	// by the SLOW wire verb (0 = the obs default). With Trace, every
+	// completed span is also kept in per-worker rings for WriteTrace.
 	Spans    bool
 	SpanTopK int
 }
@@ -145,8 +145,8 @@ type Server struct {
 	responses atomic.Uint64
 
 	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
+	ln     listener
+	conns  map[conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -173,7 +173,7 @@ func NewServer(cfg Config) *Server {
 		setup:   setup,
 		rec:     latency.NewRecorder(cfg.Workers, cfg.Tenants, int(kvwire.OpCount)),
 		workers: make(chan *worker, cfg.Workers),
-		conns:   make(map[net.Conn]struct{}),
+		conns:   make(map[conn]struct{}),
 		started: time.Now(),
 	}
 	for i := 0; i < cfg.Tenants; i++ {
@@ -234,7 +234,9 @@ func NewServer(cfg Config) *Server {
 				return uint64(s.stages.Merged(0, int(st)).Max())
 			})
 		}
-		s.reg.AddFunc("spans_dropped_total", s.spans.Dropped)
+		if cfg.Trace { // only the trace dump's spans have a ring to drop from
+			s.reg.AddFunc("spans_dropped_total", s.spans.Dropped)
+		}
 	}
 	return s
 }
@@ -246,10 +248,23 @@ func runtimeMetric(name string) uint64 {
 	return sample[0].Value.Uint64()
 }
 
+// listener is what Serve needs of listenTCP's socket or a test's pipes.
+type listener interface {
+	Accept() (conn, error)
+	Close() error
+}
+
+// conn is what a handler needs of a connection: *os.File or net.Conn.
+type conn interface {
+	io.ReadWriteCloser
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
+}
+
 // Serve accepts connections on ln until Close. Each accepted
 // connection borrows a worker from the pool (waiting for one when all
 // are serving) and is handled until EOF.
-func (s *Server) Serve(ln net.Listener) error {
+func (s *Server) Serve(ln listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	closed := s.closed
@@ -258,7 +273,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		return nil
 	}
 	for {
-		conn, err := ln.Accept()
+		c, err := ln.Accept()
 		if err != nil {
 			s.mu.Lock()
 			closed := s.closed
@@ -284,14 +299,14 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			conn.Close()
+			c.Close()
 			s.workers <- w
 			return nil
 		}
-		s.conns[conn] = struct{}{}
+		s.conns[c] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go s.handle(conn, w, borrowNS)
+		go s.handle(c, w, borrowNS)
 	}
 }
 
@@ -337,7 +352,7 @@ func (s *Server) Drain() {
 	}
 	s.closed = true
 	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
+	conns := make([]conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
@@ -375,24 +390,21 @@ const maxLine = 64 << 10
 // a client which let the deadline pass is a slow client.
 type connWriter struct {
 	s       *Server
-	conn    net.Conn
+	c       conn
 	pending uint64 // responses buffered since the last write
 }
 
 func (cw *connWriter) Write(p []byte) (int, error) {
 	s := cw.s
 	if s.cfg.WriteTimeout > 0 {
-		cw.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		cw.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
 	s.flushes.Add(1)
 	s.responses.Add(cw.pending)
 	cw.pending = 0
-	n, err := cw.conn.Write(p)
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.slowClients.Add(1) // shed the client that can't drain
-		}
+	n, err := cw.c.Write(p)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		s.slowClients.Add(1) // shed the client that can't drain
 	}
 	return n, err
 }
@@ -413,9 +425,9 @@ func lineBuffered(in *bufio.Reader) bool {
 // read holding unflushed responses, and every response of a request that
 // executed reaches the socket before the connection closes, whichever
 // way the loop ends (the deferred flush below).
-func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
-	in := bufio.NewReaderSize(conn, maxLine)
-	cw := &connWriter{s: s, conn: conn}
+func (s *Server) handle(c conn, w *worker, borrowNS int64) {
+	in := bufio.NewReaderSize(c, maxLine)
+	cw := &connWriter{s: s, c: c}
 	out := bufio.NewWriter(cw)
 	defer func() {
 		// EOF, read error, drain, write error (Flush then returns the
@@ -423,9 +435,9 @@ func (s *Server) handle(conn net.Conn, w *worker, borrowNS int64) {
 		// here, the last by runtime.Goexit with its batch-mates' responses
 		// still buffered.
 		out.Flush()
-		conn.Close()
+		c.Close()
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, c)
 		s.mu.Unlock()
 		// A fault-killed handler exits via runtime.Goexit mid-operation:
 		// its Thread may hold announced move state and must never serve

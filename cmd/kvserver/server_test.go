@@ -119,12 +119,11 @@ func TestKVServerE2E(t *testing.T) {
 		keys    = 64 // small key range per tenant → real collisions
 	)
 	s := NewServer(Config{Tenants: tenants, Workers: clients + 2, Shards: 2, Buckets: 2})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
-	addr := ln.Addr().String()
 
 	led := &ledger{mapped: make(map[uint64]int)}
 	var wg sync.WaitGroup
@@ -266,14 +265,14 @@ func TestKVServerE2E(t *testing.T) {
 // cannot frame — an over-long line — gets an ERR before the close.
 func TestServerProtocolErrors(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	defer s.Close()
 
-	cl := dial(t, ln.Addr().String())
+	cl := dial(t, addr)
 	defer cl.conn.Close()
 	// The DRAIN line once reached make([]uint64, n) and killed the process.
 	for _, bad := range []string{"WAT 1 2", "GET 9 1", "MOVE 0 0 1 1", "PUT 0 x y", "DRAIN 0 1 9223372036854775807"} {
@@ -300,7 +299,7 @@ func TestServerProtocolErrors(t *testing.T) {
 	// it in the same batch is answered first. The line is exactly the cap
 	// with no newline, so the server has read all of it when it gives up
 	// and the close is an orderly one.
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +319,14 @@ func TestServerProtocolErrors(t *testing.T) {
 // stays usable and nothing moved.
 func TestServerXferRepeatedKeyIsERR(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 1, Shards: 1, Buckets: 2})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	defer s.Close()
 
-	cl := dial(t, ln.Addr().String())
+	cl := dial(t, addr)
 	defer cl.conn.Close()
 	for _, put := range []string{"PUT 0 5 50", "PUT 0 6 60"} {
 		if r := cl.roundTrip(t, put, false); !r.OK() {
@@ -365,13 +364,12 @@ const exhaustArena = arena.ReservedIndexes + 2*mm.LocalListCap
 // block and METRICS carry the same busy_total.
 func TestServerBusyOnArenaExhaustion(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Arena: exhaustArena})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	defer s.Close()
-	addr := ln.Addr().String()
 
 	c1 := dial(t, addr)
 	defer c1.conn.Close()
@@ -434,13 +432,12 @@ func TestServerBusyOnArenaExhaustion(t *testing.T) {
 func TestServerTimeoutAfterDeadline(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2,
 		Arena: exhaustArena, Deadline: 30 * time.Millisecond})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	defer s.Close()
-	addr := ln.Addr().String()
 
 	c1 := dial(t, addr)
 	defer c1.conn.Close()
@@ -472,14 +469,14 @@ func TestServerTimeoutAfterDeadline(t *testing.T) {
 // still counts every element once.
 func TestServerDrainAnswersMovedPrefixOnExhaustion(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Arena: exhaustArena})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	defer s.Close()
 
-	c := dial(t, ln.Addr().String())
+	c := dial(t, addr)
 	defer c.conn.Close()
 	const n = 150 // leaves the worker's batch 50 nodes for the drain's inserts
 	for v := 1; v <= n; v++ {
@@ -509,13 +506,12 @@ func TestServerDrainAnswersMovedPrefixOnExhaustion(t *testing.T) {
 // into the next request — a PUT of an existing key answers EXISTS.
 func TestServerExhaustionRecordNeverStale(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Arena: exhaustArena})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	defer s.Close()
-	addr := ln.Addr().String()
 
 	c1 := dial(t, addr)
 	defer c1.conn.Close()
@@ -544,17 +540,18 @@ func TestServerSlowExemplarsAttributeStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SpanTopK 8 < the stalled-request count, so the exemplar buffer
-	// holds only genuinely stalled requests once traffic quiesces.
+	// holds only genuinely stalled requests once traffic quiesces. Trace
+	// is on for spans_dropped_total, a series of the trace dump's rings.
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2,
-		Fault: plan, Spans: true, SpanTopK: 8})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+		Fault: plan, Spans: true, SpanTopK: 8, Trace: true})
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	defer s.Close()
 
-	cl := dial(t, ln.Addr().String())
+	cl := dial(t, addr)
 	defer cl.conn.Close()
 	const moves = 32
 	for i := 0; i < moves; i++ {
@@ -658,12 +655,11 @@ func TestServerSlowExemplarsAttributeStall(t *testing.T) {
 // and no new connections are accepted.
 func TestServerGracefulDrain(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
-	addr := ln.Addr().String()
 
 	cl := dial(t, addr)
 	defer cl.conn.Close()
@@ -730,7 +726,7 @@ type pipeListener struct {
 	once  sync.Once
 }
 
-func (l *pipeListener) Accept() (net.Conn, error) {
+func (l *pipeListener) Accept() (conn, error) {
 	select {
 	case c := <-l.conns:
 		return c, nil
@@ -743,8 +739,6 @@ func (l *pipeListener) Close() error {
 	l.once.Do(func() { close(l.done) })
 	return nil
 }
-
-func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
 
 // dial connects a new client; reads on it give up after 10 s so a
 // response that never comes fails the test instead of hanging it.
@@ -773,13 +767,13 @@ func servePipes(t *testing.T, cfg Config) (*Server, *pipeListener) {
 func serveTCP(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	s := NewServer(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, addr, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln)
 	t.Cleanup(s.Close)
-	return s, ln.Addr().String()
+	return s, addr
 }
 
 // wantLines reads len(want) response lines and compares them.
@@ -1001,6 +995,25 @@ func TestServerSlowPipelinedClient(t *testing.T) {
 		}
 		if n := s.Stats().Obs["slow_clients_total"]; n != 1 {
 			t.Fatalf("slow_clients_total = %d, want 1", n)
+		}
+	})
+
+	// The same over listenTCP's sockets, whose deadline error is an
+	// *os.PathError: socket buffers take the burst's first megabytes, so
+	// the shed is awaited on the counter rather than on the client's write.
+	t.Run("write timeout over TCP", func(t *testing.T) {
+		s, addr := serveTCP(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2,
+			WriteTimeout: 20 * time.Millisecond})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		go conn.Write(burst) // ends when the server closes its end, or at the Close above
+		for deadline := time.Now().Add(10 * time.Second); s.slowClients.Load() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("a TCP client that reads nothing was not shed in 10 s")
+			}
 		}
 	})
 }

@@ -2,7 +2,7 @@ package kcas
 
 import (
 	"fmt"
-	"reflect"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -27,10 +27,10 @@ func kRefOf(rref uint64) uint64 {
 // entryOf recovers the entry index from an RDCSS reference.
 func entryOf(rref uint64) int { return int(word.DescTID(rref)) - 1 }
 
-// wordAddr gives a total order over words without package unsafe;
-// reflect is only used off the fast path (once per Execute, never while
-// helping).
-func wordAddr(w *word.Word) uintptr { return reflect.ValueOf(w).Pointer() }
+// wordAddr is the one order all operations acquire words in, so two over
+// overlapping words cannot wait on each other in a cycle. A word escapes
+// to the heap through Desc.Entries, and Go's heap does not move.
+func wordAddr(w *word.Word) uintptr { return uintptr(unsafe.Pointer(w)) }
 
 // Execute runs the k-word CAS described by d as initiator. d must come
 // from AllocK on this context, with Entries[0..N) populated and

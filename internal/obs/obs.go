@@ -44,10 +44,10 @@ type Config struct {
 	// events per thread, oldest overwritten on overflow (the drop count
 	// is exported as trace_dropped_total).
 	Trace bool
-	// Spans enables the request-scoped span recorder: per-worker rings
-	// of DefaultSpanBuf completed spans, each with its worker's top-K
-	// tail exemplars (the serving layer records into it and serves the
-	// SLOW verb from it).
+	// Spans enables the request-scoped span recorder: each worker's
+	// top-K tail exemplars (the serving layer records into it and serves
+	// the SLOW verb from it), and, with Trace, per-worker rings of
+	// DefaultSpanBuf completed spans for the trace dump.
 	Spans bool
 	// SpanTopK is K, the number of tail exemplars retained: the K
 	// slowest spans since the recorder was built; 0 selects
@@ -85,7 +85,11 @@ func New(cfg Config, maxThreads int) *Obs {
 		o.tracer.start = now
 	}
 	if cfg.Spans {
-		o.spans = NewSpans(maxThreads, DefaultSpanBuf, cfg.SpanTopK)
+		buf := 0 // only a trace dump reads completed spans
+		if cfg.Trace {
+			buf = DefaultSpanBuf
+		}
+		o.spans = NewSpans(maxThreads, buf, cfg.SpanTopK)
 		o.spans.epoch = now
 	}
 	return o

@@ -254,7 +254,7 @@ func (w *spanWorker) admit(wall int64) (uint64, bool) {
 
 const (
 	// DefaultSpanBuf is the per-worker completed-span ring capacity
-	// obs.New gives the span recorder.
+	// obs.New gives the span recorder when Config.Trace is on.
 	DefaultSpanBuf = 1024
 	// DefaultSpanTopK is K, the tail exemplars kept, when
 	// Config.SpanTopK is zero.
@@ -280,8 +280,8 @@ type Spans struct {
 }
 
 // NewSpans builds a span recorder with one ring of perWorker completed
-// spans (rounded up to a power of two) per worker and topK tail
-// exemplars (<=0 selects DefaultSpanTopK).
+// spans (rounded up to a power of two; no ring for 0) per worker and
+// topK tail exemplars (<=0 selects DefaultSpanTopK).
 func NewSpans(workers, perWorker, topK int) *Spans {
 	if topK <= 0 {
 		topK = DefaultSpanTopK
@@ -289,7 +289,9 @@ func NewSpans(workers, perWorker, topK int) *Spans {
 	s := &Spans{epoch: time.Now(), workers: make([]spanWorker, workers), topK: topK}
 	for i := range s.workers {
 		w := &s.workers[i]
-		w.done = newRing(perWorker, spanWords)
+		if perWorker > 0 {
+			w.done = newRing(perWorker, spanWords)
+		}
 		w.top = newRing(topK, spanWords)
 		w.topWall = make([]int64, 0, topK) // at capacity: Finish never allocates
 		w.nNames.Store(1)                  // names[0] is ""
@@ -315,9 +317,9 @@ func (s *Spans) SinceEpoch(t time.Time) int64 {
 	return t.Sub(s.epoch).Nanoseconds()
 }
 
-// Finish records a completed span into worker's ring and offers it to
-// the worker's exemplars. Only the worker may call it. Allocation-free
-// and wait-free; a nil receiver is a no-op.
+// Finish records a completed span into worker's ring, if the recorder
+// keeps one, and offers it to the worker's exemplars. Only the worker
+// may call it. Allocation-free and wait-free; a nil receiver is a no-op.
 func (s *Spans) Finish(worker int, sp Span) {
 	if s == nil {
 		return
@@ -325,7 +327,9 @@ func (s *Spans) Finish(worker int, sp Span) {
 	w := &s.workers[worker]
 	var v [spanWords]uint64
 	w.encode(&sp, &v)
-	w.done.push(v[:]...)
+	if w.done.words != nil {
+		w.done.push(v[:]...)
+	}
 	if slot, ok := w.admit(sp.WallNS); ok {
 		w.top.put(slot, v[:]...)
 	}
@@ -361,8 +365,9 @@ func (s *Spans) Completed() []Span {
 	}
 	var out []Span
 	for i := range s.workers {
-		w := &s.workers[i]
-		w.done.read(0, w.done.n.Load(), func(v []uint64) { out = append(out, w.decode(v)) })
+		if w := &s.workers[i]; w.done.words != nil {
+			w.done.read(0, w.done.n.Load(), func(v []uint64) { out = append(out, w.decode(v)) })
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StartNS < out[j].StartNS })
 	return out

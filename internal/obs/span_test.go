@@ -211,6 +211,28 @@ func TestSpansCompletedAndDropped(t *testing.T) {
 	}
 }
 
+// TestSpansKeepCompletedOnlyForTrace: obs.New builds the completed-span
+// ring only with Trace, the one configuration whose trace dump reads it;
+// without it Finish still feeds the exemplars.
+func TestSpansKeepCompletedOnlyForTrace(t *testing.T) {
+	for _, trace := range []bool{false, true} {
+		s := New(Config{Spans: true, Trace: trace}, 1).Spans()
+		for i := 0; i < DefaultSpanBuf+3; i++ {
+			s.Finish(0, Span{Req: uint64(i + 1), WallNS: int64(i)})
+		}
+		completed, dropped := len(s.Completed()), s.Dropped()
+		if trace && (completed != DefaultSpanBuf || dropped != 3) {
+			t.Errorf("with Trace: %d completed, %d dropped; want %d and 3", completed, dropped, DefaultSpanBuf)
+		}
+		if !trace && (completed != 0 || dropped != 0) {
+			t.Errorf("without Trace: %d completed, %d dropped; want none", completed, dropped)
+		}
+		if ex := s.Exemplars(); len(ex) != DefaultSpanTopK || ex[0].WallNS != DefaultSpanBuf+2 {
+			t.Errorf("Trace %v: %d exemplars, want the %d slowest", trace, len(ex), DefaultSpanTopK)
+		}
+	}
+}
+
 func TestSpansNilSafe(t *testing.T) {
 	var s *Spans
 	s.Finish(0, Span{})
@@ -233,11 +255,11 @@ func TestSpansFinishAllocationFree(t *testing.T) {
 }
 
 // spansFinishOp returns one Finish as a kvserver worker makes it with
-// default flags: a recorder of obs.New's sizes whose K slowest already
-// hold slower spans, so the span goes to the completed ring only and is
-// refused by one compare, the common case.
+// default flags: a recorder as obs.New builds it without Trace (no
+// completed ring) whose K slowest already hold slower spans, so the span
+// is refused by one compare, the common case.
 func spansFinishOp() func() {
-	s := NewSpans(1, DefaultSpanBuf, DefaultSpanTopK)
+	s := New(Config{Spans: true}, 1).Spans()
 	sp := Span{Req: 1, Tenant: 0, Op: "MOVE", Status: "OK", WallNS: 1 << 20}
 	for range DefaultSpanTopK {
 		s.Finish(0, sp)
