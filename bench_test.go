@@ -209,21 +209,15 @@ func benchContendedQueuePair(b *testing.B, moveReady bool, threads int) {
 func BenchmarkA1_Contended_Queue_MoveReady_4T(b *testing.B) { benchContendedQueuePair(b, true, 4) }
 func BenchmarkA1_Contended_Queue_Plain_4T(b *testing.B)     { benchContendedQueuePair(b, false, 4) }
 
-// --- A2: §7 stack ABA counter --------------------------------------------
+// --- A2: §7 stack ABA --------------------------------------------------
 
 // benchStackMoves: threads move a small token population between two
 // stacks — the §7 worst case for false helping.
-func benchStackMoves(b *testing.B, versioned bool, threads int) {
+func benchStackMoves(b *testing.B, threads int) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: threads + 1, ArenaCapacity: 1 << 18,
 		Obs: repro.ObsConfig{Metrics: true}})
 	setup := rt.RegisterThread()
-	mk := func() *tstack.Stack {
-		if versioned {
-			return tstack.NewVersioned(setup)
-		}
-		return tstack.New(setup)
-	}
-	s1, s2 := mk(), mk()
+	s1, s2 := tstack.New(setup), tstack.New(setup)
 	for i := uint64(1); i <= 64; i++ {
 		s1.Push(setup, i)
 	}
@@ -251,29 +245,20 @@ func benchStackMoves(b *testing.B, versioned bool, threads int) {
 	b.ReportMetric(float64(snap.Get("kcas_stray_cleanups_total"))/float64(b.N), "strays/op")
 }
 
-func BenchmarkA2_StackABA_Move_Plain_4T(b *testing.B)     { benchStackMoves(b, false, 4) }
-func BenchmarkA2_StackABA_Move_Versioned_4T(b *testing.B) { benchStackMoves(b, true, 4) }
+func BenchmarkA2_StackABA_Move_Plain_4T(b *testing.B) { benchStackMoves(b, 4) }
 
-// The other side of the §7 trade-off: versioning slows the normal
-// operations slightly.
-func benchStackPlainOps(b *testing.B, versioned bool) {
+// BenchmarkA2_StackABA_PlainOps_Plain: one push+pop on a stack of one
+// thread, the normal operations a §7 counter would have slowed.
+func BenchmarkA2_StackABA_PlainOps_Plain(b *testing.B) {
 	rt := repro.NewRuntime(repro.Config{MaxThreads: 2, ArenaCapacity: 1 << 16})
 	th := rt.RegisterThread()
-	var s *tstack.Stack
-	if versioned {
-		s = tstack.NewVersioned(th)
-	} else {
-		s = tstack.New(th)
-	}
+	s := tstack.New(th)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Push(th, uint64(i))
 		s.Pop(th)
 	}
 }
-
-func BenchmarkA2_StackABA_PlainOps_Plain(b *testing.B)     { benchStackPlainOps(b, false) }
-func BenchmarkA2_StackABA_PlainOps_Versioned(b *testing.B) { benchStackPlainOps(b, true) }
 
 // --- E-MOVEN: §8 extension --------------------------------------------------
 

@@ -39,18 +39,27 @@ func TestNoHTTPStack(t *testing.T) {
 	}
 }
 
-// TestExecSteadyStateNoAllocs: with spans off, a warm server serves
-// ≥ 10 k requests of each data verb — GET, PUT, DEL, PUSH, POP, MOVE,
-// XFER and DRAIN — without one allocation. A server that allocates per
+// TestExecSteadyStateNoAllocs: with spans off and on, a warm server
+// serves ≥ 10 k requests of each data verb — GET, PUT, DEL, PUSH, POP,
+// MOVE, XFER and DRAIN — without one allocation; with spans on, each
+// request runs exec and then finishSpan. A server that allocates per
 // request grows its heap to the collector's goal between cycles, and
 // that goal is its resident size. Counted with runtime.MemStats over
 // every request (verify.Mallocs), not testing.AllocsPerRun, whose
 // integer average hides one allocation in a few hundred requests. On
 // failure, find the allocation with -memprofile and -memprofilerate=1.
 func TestExecSteadyStateNoAllocs(t *testing.T) {
+	for _, spans := range []string{"off", "on"} {
+		t.Run("spans="+spans, func(t *testing.T) {
+			s := NewServer(Config{Tenants: 2, Workers: 1, Shards: 8, Buckets: 256, Spans: spans == "on"})
+			defer s.Close()
+			execSteadyStateNoAllocs(t, s)
+		})
+	}
+}
+
+func execSteadyStateNoAllocs(t *testing.T, s *Server) {
 	const pairs = 256 // 512 keys over 8 shards × 256 buckets: no map grows
-	s := NewServer(Config{Tenants: 2, Workers: 1, Shards: 8, Buckets: 256})
-	defer s.Close()
 	w := <-s.workers
 	// One cycle per key pair (a, b) leaves the server as it found it. A
 	// pair whose target keys share an insert gap answers XFER with FAIL
@@ -72,13 +81,16 @@ func TestExecSteadyStateNoAllocs(t *testing.T) {
 		}
 	}
 	var req kvwire.Request
-	var sp obs.Span
 	buf := make([]byte, 0, 64<<10)
 	pass := func() {
 		for _, line := range lines {
+			var sp obs.Span
 			resp := s.exec(w, &req, line, buf[:0], &sp)
 			if bytes.HasPrefix(resp, []byte("ERR")) || bytes.HasPrefix(resp, []byte("BUSY")) {
 				t.Fatalf("%s: %s", line, resp)
+			}
+			if sp.Op != "" {
+				s.finishSpan(w, &sp, 0)
 			}
 		}
 	}

@@ -122,6 +122,7 @@ type Server struct {
 	workers chan *worker
 	started time.Time
 	reg     *obs.Registry
+	clock   *obs.Clock // the request path's one time base
 
 	// Span layer and tracer (nil when Config.Spans or Config.Trace is
 	// off; every use is nil-safe or gated, so the disabled request path
@@ -185,6 +186,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s.spans = rt.Obs().Spans()
 	s.reg = rt.Obs().Metrics()
+	s.clock = rt.Obs().Clock()
 	s.trc = rt.Obs().Tracer()
 	if s.spans != nil {
 		s.stages = latency.NewRecorder(cfg.Workers, 1, int(obs.NumStages))
@@ -290,9 +292,9 @@ func (s *Server) Serve(ln listener) error {
 		var borrowNS int64
 		var w *worker
 		if s.spans != nil {
-			t := time.Now()
+			t := s.clock.Now()
 			w = <-s.workers
-			borrowNS = time.Since(t).Nanoseconds()
+			borrowNS = s.clock.Now() - t
 		} else {
 			w = <-s.workers
 		}
@@ -468,33 +470,19 @@ func (s *Server) handle(c conn, w *worker, borrowNS int64) {
 		}
 		var sp obs.Span
 		resp := s.exec(w, &req, line, out.AvailableBuffer(), &sp)
-		// sp.Op is set iff exec opened a span (spans on, data-path op,
-		// clean parse); finish it around the response write so the
-		// write stage and full wall time land in the record. Only the
-		// request that ends a batch pays for the flush there: its
-		// batch-mates' write stage is the append to the buffer.
-		spanning := sp.Op != ""
-		var tw time.Time
-		if spanning {
-			if borrowNS > 0 {
-				// The connection's first request absorbs the worker
-				// borrow wait; the span starts at accept, not at parse.
-				sp.Stage[obs.StageQueue] = borrowNS
-				sp.StartNS -= borrowNS
-				borrowNS = 0 // attributed once
-			}
-			tw = time.Now()
-		}
 		_, err := out.Write(append(resp, '\n'))
 		cw.pending++
 		if err == nil && !lineBuffered(in) {
 			err = out.Flush()
 		}
-		if spanning {
-			now := time.Now()
-			sp.Stage[obs.StageWrite] = now.Sub(tw).Nanoseconds()
-			sp.WallNS = s.spans.SinceEpoch(now) - sp.StartNS
-			s.finishSpan(w, sp)
+		// sp.Op is set iff exec opened a span (spans on, data-path op,
+		// clean parse). Only the request that ends a batch pays for the
+		// flush in its write stage: its batch-mates' is the append to
+		// the buffer. The connection's first span absorbs the worker
+		// borrow wait, so it starts at accept, not at parse.
+		if sp.Op != "" {
+			s.finishSpan(w, &sp, borrowNS)
+			borrowNS = 0
 		}
 		if err != nil || rerr != nil || s.draining.Load() {
 			return // graceful drain: stop reading; the deferred flush sends what executed
@@ -502,11 +490,20 @@ func (s *Server) handle(c conn, w *worker, borrowNS int64) {
 	}
 }
 
-// finishSpan records a completed span into the worker's ring and tail
-// exemplars and the per-stage histograms, then clears the serving
-// thread's current-request slot in the tracer.
-func (s *Server) finishSpan(w *worker, sp obs.Span) {
-	s.spans.Finish(w.idx, sp)
+// finishSpan closes the span exec opened. It stamps written, the end of
+// the write stage, which began at exec's executed stamp (StartNS plus
+// the WallNS exec left), and charges borrowNS to the queue stage, which
+// ends where the span's parse begins. The stages then partition
+// [start − borrowNS, written] exactly. It records the span into the
+// worker's ring and tail exemplars and the per-stage histograms, then
+// clears the serving thread's current-request slot in the tracer.
+func (s *Server) finishSpan(w *worker, sp *obs.Span, borrowNS int64) {
+	written := s.clock.Now()
+	sp.Stage[obs.StageWrite] = written - (sp.StartNS + sp.WallNS)
+	sp.Stage[obs.StageQueue] = borrowNS
+	sp.StartNS -= borrowNS
+	sp.WallNS = written - sp.StartNS
+	s.spans.Finish(w.idx, *sp)
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
 		s.stages.Record(w.idx, 0, int(st), time.Duration(sp.Stage[st]))
 	}
@@ -518,23 +515,26 @@ func (s *Server) finishSpan(w *worker, sp obs.Span) {
 // want of arena nodes answers BUSY/TIMEOUT with the operation
 // guaranteed unexecuted.
 //
+// exec reads the server's Clock at the stage boundaries it owns: start
+// (spans only), parsed and executed. Service time is executed − parsed.
 // When spans are enabled, exec opens a span for every cleanly-parsed
 // data-path request (sp.Op set marks it open; control verbs and parse
 // errors stay unspanned): parse and execute stage times, degradation
 // backoff (accumulated by applyWithRetry), the serving thread's kcas
 // counter deltas, and the request id — also installed as the tracer's
 // current request, so every protocol event the execution records
-// carries it. The caller (handle) closes the span around the response
-// write.
+// carries it. Opening the span counts as parse; the bookkeeping after
+// the executed stamp counts as write. handle closes the span after the
+// response write (finishSpan).
 //
 // req is the connection's reusable Request and dst an empty slice of
 // its write buffer: the response is appended to dst and returned, so a
 // request served from both allocates nothing for parse or response.
 func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.Span) []byte {
 	spanning := s.spans != nil
-	var t0 time.Time
+	var start int64
 	if spanning {
-		t0 = time.Now()
+		start = s.clock.Now()
 	}
 	if err := req.Parse(line, s.cfg.Tenants); err != nil {
 		return append(append(dst, "ERR "...), err.Error()...)
@@ -550,25 +550,23 @@ func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.
 		sp.Worker = int32(w.idx)
 		sp.Tenant = int32(req.Tenant)
 		sp.Op = req.Op.String()
-		sp.StartNS = s.spans.SinceEpoch(t0)
-		sp.Stage[obs.StageParse] = time.Since(t0).Nanoseconds()
 		s.trc.SetRequest(tid, sp.Req)
 		pub0 = s.reg.ThreadValue(tid, obs.KCASPublish)
 		help0 = s.reg.ThreadValue(tid, obs.KCASHelp)
 		abort0 = s.reg.ThreadValue(tid, obs.KCASAbort)
 	}
-	t1 := time.Now()
-	resp := s.applyWithRetry(w, req, dst, t1, sp)
-	d := time.Since(t1)
-	s.rec.Record(w.idx, req.Tenant, int(req.Op), d)
+	parsed := s.clock.Now()
+	resp := s.applyWithRetry(w, req, dst, parsed, sp)
+	executed := s.clock.Now()
+	s.rec.Record(w.idx, req.Tenant, int(req.Op), time.Duration(executed-parsed))
 	if spanning {
 		// Execute is service time minus the backoff sleeps the retry
-		// loop attributed to the degrade stage.
-		execNS := d.Nanoseconds() - sp.Stage[obs.StageDegrade]
-		if execNS < 0 {
-			execNS = 0
-		}
-		sp.Stage[obs.StageExec] = execNS
+		// loop attributed to the degrade stage (they lie inside it).
+		// WallNS runs to executed for now; finishSpan extends it.
+		sp.StartNS = start
+		sp.WallNS = executed - start
+		sp.Stage[obs.StageParse] = parsed - start
+		sp.Stage[obs.StageExec] = executed - parsed - sp.Stage[obs.StageDegrade]
 		sp.Publishes = s.reg.ThreadValue(tid, obs.KCASPublish) - pub0
 		sp.Helps = s.reg.ThreadValue(tid, obs.KCASHelp) - help0
 		sp.Aborts = s.reg.ThreadValue(tid, obs.KCASAbort) - abort0
@@ -600,8 +598,8 @@ func statusToken(resp []byte) string {
 // jittered backoff until the deadline, then answer TIMEOUT. A DRAIN that
 // moved elements before the arena ran dry executed those moves and
 // answers them OK. Every attempt appends its response to the same empty
-// dst.
-func (s *Server) applyWithRetry(w *worker, req *kvwire.Request, dst []byte, t0 time.Time, sp *obs.Span) []byte {
+// dst. parsed is exec's Clock stamp, where service time starts.
+func (s *Server) applyWithRetry(w *worker, req *kvwire.Request, dst []byte, parsed int64, sp *obs.Span) []byte {
 	var jit *backoff.Jitter
 	for {
 		resp, ok := s.apply(w, req, dst)
@@ -612,20 +610,20 @@ func (s *Server) applyWithRetry(w *worker, req *kvwire.Request, dst []byte, t0 t
 			s.busy.Add(1)
 			return append(dst, "BUSY"...)
 		}
-		if time.Since(t0) >= s.cfg.Deadline {
+		if time.Duration(s.clock.Now()-parsed) >= s.cfg.Deadline {
 			s.timeouts.Add(1)
 			return append(dst, "TIMEOUT"...)
 		}
 		if jit == nil {
-			jit = backoff.NewJitter(time.Millisecond, 50*time.Millisecond, uint64(t0.UnixNano()))
+			jit = backoff.NewJitter(time.Millisecond, 50*time.Millisecond, uint64(parsed))
 		}
-		ts := time.Now()
+		slept := s.clock.Now()
 		jit.Sleep()
 		if s.spans != nil {
 			// The backoff sleep is degradation overhead, not execution:
 			// attribute it to the degrade stage so a deadline-bound
 			// retry storm doesn't masquerade as slow container code.
-			sp.Stage[obs.StageDegrade] += time.Since(ts).Nanoseconds()
+			sp.Stage[obs.StageDegrade] += s.clock.Now() - slept
 		}
 	}
 }

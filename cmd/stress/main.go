@@ -42,7 +42,7 @@ import (
 // allPairs is the -rotate order: same-kind pairs first, then the mixed
 // keyed↔unkeyed ones.
 var allPairs = []string{
-	"queue/queue", "stack/stack", "queue/stack", "vstack/vstack",
+	"queue/queue", "stack/stack", "queue/stack",
 	"map/map", "list/list", "map/list", "map/queue", "list/queue",
 	"map/pqueue",
 }
@@ -273,8 +273,6 @@ func buildPair(t *core.Thread, name string) (a, b repro.MoveReady, akeyed, bkeye
 		return repro.NewStack(t), repro.NewStack(t), false, false
 	case "queue/stack":
 		return repro.NewQueue(t), repro.NewStack(t), false, false
-	case "vstack/vstack":
-		return repro.NewVersionedStack(t), repro.NewVersionedStack(t), false, false
 	case "map/map":
 		return growingMap(t), growingMap(t), true, true
 	case "map/list":

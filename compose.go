@@ -13,9 +13,8 @@
 //	q.Enqueue(th, 42)
 //	v, ok := repro.Move(th, q, s, 0, 0) // atomic: in q XOR in s, never neither
 //
-// Containers: NewQueue (Michael–Scott FIFO), NewStack / NewVersionedStack
-// (Treiber LIFO, optionally with the §7 ABA counter), NewList (ordered
-// set), NewHashMap / NewShardedHashMap (sharded resizable map). All of
+// Containers: NewQueue (Michael–Scott FIFO), NewStack (Treiber LIFO),
+// NewList (ordered set), NewHashMap / NewShardedHashMap (sharded resizable map). All of
 // them compose with Move and MoveN; keys select elements in keyed
 // containers and are ignored by queues/stacks.
 //
@@ -150,11 +149,6 @@ func NewQueue(t *Thread) *Queue { return msqueue.New(t) }
 
 // NewStack creates an empty move-ready stack.
 func NewStack(t *Thread) *Stack { return tstack.New(t) }
-
-// NewVersionedStack creates a stack with the §7 ABA counter on its top
-// pointer, trading a little plain-operation speed for far less false
-// helping in stack-to-stack moves.
-func NewVersionedStack(t *Thread) *Stack { return tstack.NewVersioned(t) }
 
 // NewList creates an empty move-ready ordered set.
 func NewList(t *Thread) *List { return harrislist.New(t) }

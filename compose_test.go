@@ -14,25 +14,20 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 
 	q := repro.NewQueue(th)
 	s := repro.NewStack(th)
-	vs := repro.NewVersionedStack(th)
 	l := repro.NewList(th)
 	m := repro.NewHashMap(th, 8)
 
 	q.Enqueue(th, 1)
 	s.Push(th, 2)
-	vs.Push(th, 3)
 	l.Insert(th, 4, 40)
 	m.Insert(th, 5, 50)
 
-	// A chain of moves across all five container types.
+	// A chain of moves across all four container types.
 	if v, ok := repro.Move(th, q, s, 0, 0); !ok || v != 1 {
 		t.Fatalf("queue→stack: %d,%v", v, ok)
 	}
-	if v, ok := repro.Move(th, s, vs, 0, 0); !ok || v != 1 {
-		t.Fatalf("stack→vstack: %d,%v", v, ok)
-	}
-	if v, ok := repro.Move(th, vs, l, 0, 9); !ok || v != 1 {
-		t.Fatalf("vstack→list: %d,%v", v, ok)
+	if v, ok := repro.Move(th, s, l, 0, 9); !ok || v != 1 {
+		t.Fatalf("stack→list: %d,%v", v, ok)
 	}
 	if v, ok := repro.Move(th, l, m, 9, 99); !ok || v != 1 {
 		t.Fatalf("list→map: %d,%v", v, ok)
@@ -47,9 +42,6 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	// The other residents were untouched.
 	if v, _ := s.Pop(th); v != 2 {
 		t.Fatal("stack disturbed")
-	}
-	if v, _ := vs.Pop(th); v != 3 {
-		t.Fatal("versioned stack disturbed")
 	}
 	if v, _ := l.Contains(th, 4); v != 40 {
 		t.Fatal("list disturbed")

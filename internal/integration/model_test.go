@@ -51,42 +51,35 @@ func TestQueueMatchesModel(t *testing.T) {
 func TestStackMatchesModel(t *testing.T) {
 	rt := newRT(1)
 	th := rt.RegisterThread()
-	for _, versioned := range []bool{false, true} {
-		f := func(ops []uint8) bool {
-			var s *tstack.Stack
-			if versioned {
-				s = tstack.NewVersioned(th)
-			} else {
-				s = tstack.New(th)
-			}
-			var model []uint64
-			for i, op := range ops {
-				if op%2 == 0 {
-					v := uint64(i + 1)
-					if !s.Push(th, v) {
-						return false
-					}
-					model = append(model, v)
-				} else {
-					v, ok := s.Pop(th)
-					if len(model) == 0 {
-						if ok {
-							return false
-						}
-						continue
-					}
-					want := model[len(model)-1]
-					if !ok || v != want {
-						return false
-					}
-					model = model[:len(model)-1]
+	f := func(ops []uint8) bool {
+		s := tstack.New(th)
+		var model []uint64
+		for i, op := range ops {
+			if op%2 == 0 {
+				v := uint64(i + 1)
+				if !s.Push(th, v) {
+					return false
 				}
+				model = append(model, v)
+			} else {
+				v, ok := s.Pop(th)
+				if len(model) == 0 {
+					if ok {
+						return false
+					}
+					continue
+				}
+				want := model[len(model)-1]
+				if !ok || v != want {
+					return false
+				}
+				model = model[:len(model)-1]
 			}
-			return s.Len(th) == len(model)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Fatalf("versioned=%v: %v", versioned, err)
-		}
+		return s.Len(th) == len(model)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -258,13 +258,6 @@ func TestMoveStressQueueStack(t *testing.T) {
 		8, 512, 4000)
 }
 
-func TestMoveStressVersionedStacks(t *testing.T) {
-	moveStress(t,
-		func(th *core.Thread) core.MoveReady { return tstack.NewVersioned(th) },
-		func(th *core.Thread) core.MoveReady { return tstack.NewVersioned(th) },
-		8, 512, 4000)
-}
-
 // TestMoveStressSingleToken is the §7 worst case: one token bouncing
 // between two stacks maximizes the remove-then-reinsert ABA that causes
 // false helping; conservation must still hold.

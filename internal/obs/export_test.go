@@ -1,7 +1,5 @@
 package obs
 
-import "time"
-
 // parkPut is put stopped between its two sequence stores: slot s reads
 // odd, as it does while its writer is descheduled mid-write, until
 // finish stores the payload and closes the slot.
@@ -22,7 +20,7 @@ func (r *ring) parkPut(s uint64, vals ...uint64) (finish func()) {
 func (t *Tracer) parkRecord(tid int, k EventKind, peer int32, ref uint64) (finish func()) {
 	r := &t.rings[tid]
 	i := r.n.Load()
-	put := r.parkPut(i&(r.size()-1), uint64(time.Since(t.start).Nanoseconds()),
+	put := r.parkPut(i&(r.size()-1), uint64(t.clock.Now()),
 		uint64(k)|uint64(uint32(peer))<<32, ref, r.req)
 	return func() { put(); r.n.Store(i + 1) }
 }

@@ -62,27 +62,37 @@ func (c Config) Enabled() bool { return c.Metrics || c.Trace || c.Spans }
 // disabled state) is valid: every accessor returns nil and the nil
 // Registry/Tracer methods are no-ops, so call sites need no guards.
 type Obs struct {
+	clock   *Clock
 	metrics *Registry
 	tracer  *Tracer
 	spans   *Spans
 }
 
+// Clock is a runtime's one time base: monotonic nanoseconds since the
+// epoch obs.New stamps. Tracer events and every stamp a caller puts in
+// a Span (StartNS, WallNS, the stages) read it, so spans and protocol
+// events live on one timeline.
+type Clock struct{ epoch time.Time }
+
+func newClock() *Clock { return &Clock{epoch: time.Now()} }
+
+// Now returns nanoseconds since the epoch: one monotonic clock read
+// (the wall clock is never read), wait-free and allocation-free.
+func (c *Clock) Now() int64 { return int64(time.Since(c.epoch)) }
+
 // New builds the telemetry surfaces cfg selects, sized for maxThreads
-// registered threads. It returns nil when cfg disables everything. The
-// tracer and span recorder share one epoch, so span StartNS and event
-// TS values live on the same timeline.
+// registered threads. It returns nil when cfg disables everything.
 func New(cfg Config, maxThreads int) *Obs {
 	if !cfg.Enabled() {
 		return nil
 	}
-	o := &Obs{}
-	now := time.Now()
+	o := &Obs{clock: newClock()}
 	if cfg.Metrics {
 		o.metrics = NewRegistry(maxThreads)
 	}
 	if cfg.Trace {
 		o.tracer = NewTracer(maxThreads, DefaultTraceBuf)
-		o.tracer.start = now
+		o.tracer.clock = o.clock
 	}
 	if cfg.Spans {
 		buf := 0 // only a trace dump reads completed spans
@@ -90,9 +100,16 @@ func New(cfg Config, maxThreads int) *Obs {
 			buf = DefaultSpanBuf
 		}
 		o.spans = NewSpans(maxThreads, buf, cfg.SpanTopK)
-		o.spans.epoch = now
 	}
 	return o
+}
+
+// Clock returns the runtime's time base, or nil on a nil receiver.
+func (o *Obs) Clock() *Clock {
+	if o == nil {
+		return nil
+	}
+	return o.clock
 }
 
 // Metrics returns the counter registry, or nil when metrics are off

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/pad"
 )
@@ -80,14 +79,16 @@ type Span struct {
 	// token (OK, NF, BUSY, TIMEOUT, FAIL, ...).
 	Op     string
 	Status string
-	// StartNS is nanoseconds since the span recorder's epoch (shared
-	// with the tracer's, so spans and protocol events align on one
-	// timeline); WallNS the span's full wall time including queue wait.
+	// StartNS is the runtime Clock's reading at the span's start
+	// (shared with the tracer's events, so spans and protocol events
+	// align on one timeline); WallNS the span's full wall time
+	// including queue wait.
 	StartNS int64
 	WallNS  int64
 	// Stage holds per-stage nanoseconds, disjoint intervals of the
-	// wall time: their sum is ≤ WallNS, the rest inter-stage
-	// bookkeeping (cmd/tracecheck validates this).
+	// wall time: their sum is ≤ WallNS (cmd/tracecheck validates
+	// this). kvserver's stages share their boundary stamps, so there
+	// the sum is exactly WallNS.
 	Stage [NumStages]int64
 	// Publishes/Helps/Aborts are the serving thread's kcas counter
 	// deltas over the execute stage: descriptors announced, peers'
@@ -273,7 +274,6 @@ const (
 // exactly the K slowest since the recorder was built whenever no worker
 // is writing.
 type Spans struct {
-	epoch   time.Time
 	workers []spanWorker
 	reqSeq  atomic.Uint64
 	topK    int
@@ -286,7 +286,7 @@ func NewSpans(workers, perWorker, topK int) *Spans {
 	if topK <= 0 {
 		topK = DefaultSpanTopK
 	}
-	s := &Spans{epoch: time.Now(), workers: make([]spanWorker, workers), topK: topK}
+	s := &Spans{workers: make([]spanWorker, workers), topK: topK}
 	for i := range s.workers {
 		w := &s.workers[i]
 		if perWorker > 0 {
@@ -306,15 +306,6 @@ func (s *Spans) NextReq() uint64 {
 		return 0
 	}
 	return s.reqSeq.Add(1)
-}
-
-// SinceEpoch converts a wall-clock instant to span-timeline
-// nanoseconds.
-func (s *Spans) SinceEpoch(t time.Time) int64 {
-	if s == nil {
-		return 0
-	}
-	return t.Sub(s.epoch).Nanoseconds()
 }
 
 // Finish records a completed span into worker's ring, if the recorder

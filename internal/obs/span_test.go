@@ -237,7 +237,7 @@ func TestSpansNilSafe(t *testing.T) {
 	var s *Spans
 	s.Finish(0, Span{})
 	if s.NextReq() != 0 || s.Dropped() != 0 ||
-		s.Exemplars() != nil || s.Completed() != nil || s.SinceEpoch(time.Now()) != 0 {
+		s.Exemplars() != nil || s.Completed() != nil {
 		t.Fatal("nil Spans must be inert")
 	}
 }
@@ -475,12 +475,13 @@ func TestObsSpansConfig(t *testing.T) {
 	if !(Config{Spans: true}).Enabled() {
 		t.Fatal("Spans alone must enable the Obs layer")
 	}
-	// The tracer and span recorder share one epoch: a span stamped "now"
-	// and an event recorded "now" land at comparable offsets.
+	// The tracer and the runtime's Clock, which stamps spans, share one
+	// epoch: a span stamped "now" and an event recorded "now" land at
+	// comparable offsets.
 	o2 := New(Config{Trace: true, Spans: true}, 1)
 	o2.Tracer().Record(0, EvPublish, -1, 1)
 	evTS := o2.Tracer().Drain()[0].TS
-	spTS := o2.Spans().SinceEpoch(time.Now())
+	spTS := o2.Clock().Now()
 	if diff := spTS - evTS; diff < 0 || diff > int64(time.Second) {
 		t.Fatalf("span/event timelines diverge: event %dns, span %dns", evTS, spTS)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/pad"
 )
@@ -66,7 +65,7 @@ func KindFromString(s string) (EventKind, bool) {
 
 // Event is one recorded protocol event.
 type Event struct {
-	// TS is nanoseconds since the tracer was created.
+	// TS is the tracer's Clock reading: nanoseconds since its epoch.
 	TS int64
 	// Kind is the event taxonomy entry.
 	Kind EventKind
@@ -98,7 +97,7 @@ type traceRing struct {
 // Tracer records protocol events into fixed per-thread rings. A nil
 // *Tracer is the disabled state: Record is a nil check.
 type Tracer struct {
-	start time.Time
+	clock *Clock
 	rings []traceRing
 }
 
@@ -106,9 +105,10 @@ type Tracer struct {
 const DefaultTraceBuf = 4096
 
 // NewTracer builds a tracer with one ring of perThread events (rounded
-// up to a power of two) for each of maxThreads threads.
+// up to a power of two) for each of maxThreads threads, on a Clock of
+// its own (obs.New gives it the runtime's).
 func NewTracer(maxThreads, perThread int) *Tracer {
-	t := &Tracer{start: time.Now(), rings: make([]traceRing, maxThreads)}
+	t := &Tracer{clock: newClock(), rings: make([]traceRing, maxThreads)}
 	for i := range t.rings {
 		t.rings[i].ring = newRing(perThread, eventWords)
 	}
@@ -122,9 +122,8 @@ func (t *Tracer) Record(tid int, k EventKind, peer int32, ref uint64) {
 	if t == nil {
 		return
 	}
-	ts := time.Since(t.start).Nanoseconds()
 	r := &t.rings[tid]
-	r.push(uint64(ts), uint64(k)|uint64(uint32(peer))<<32, ref, r.req)
+	r.push(uint64(t.clock.Now()), uint64(k)|uint64(uint32(peer))<<32, ref, r.req)
 }
 
 // SetRequest installs req as thread tid's current request id, carried by

@@ -27,10 +27,9 @@
 // §7 observes that stack-to-stack moves suffer "false helping in the
 // DCAS, due to the ABA-problem that occurs when the same element is
 // removed and then inserted again", and proposes "adding a counter to
-// the top pointer" at some cost to the normal operations. NewVersioned
-// builds that variant: top carries a 22-bit modification counter in the
-// reference's tag field, so a top value never recurs within 4M
-// operations. Ablation A2 measures both effects.
+// the top pointer". That variant is not built: measured on root
+// BenchmarkA2_StackABA_*, a counter on top neither cut helps per move
+// nor made moves faster on a 2-CPU host (hypotheses/README.md, A2).
 package tstack
 
 import (
@@ -40,52 +39,25 @@ import (
 )
 
 // Stack is a move-ready Treiber stack holding uint64 values. Create
-// instances with New or NewVersioned.
+// instances with New.
 type Stack struct {
 	// top is the word every push and pop targets; it owns its line.
 	top word.Word
 	_   pad.Pad56
 
-	// The fields every operation reads and nothing writes after
-	// construction share the next line.
+	// The field every operation reads and nothing writes after
+	// construction has the next line.
 	id uint64
-
-	// versioned selects the §7 ABA-counter variant: every successful
-	// push/pop bumps the tag bits of the top reference.
-	versioned bool
-	_         [pad.CacheLineSize - 16]byte
+	_  [pad.CacheLineSize - 8]byte
 }
 
 var _ core.MoveReady = (*Stack)(nil)
 
-func newStack(t *core.Thread, versioned bool) *Stack {
-	return &Stack{id: t.Runtime().NextObjectID(), versioned: versioned}
-}
-
-// New creates an empty stack (the paper's default configuration).
-func New(t *core.Thread) *Stack { return newStack(t, false) }
-
-// NewVersioned creates an empty stack with the §7 ABA counter on top.
-func NewVersioned(t *core.Thread) *Stack { return newStack(t, true) }
+// New creates an empty stack.
+func New(t *core.Thread) *Stack { return &Stack{id: t.Runtime().NextObjectID()} }
 
 // ObjectID implements core.MoveReady.
 func (s *Stack) ObjectID() uint64 { return s.id }
-
-// Versioned reports whether the ABA counter is enabled (tests).
-func (s *Stack) Versioned() bool { return s.versioned }
-
-// isNil treats any reference with node index 0 as empty: the versioned
-// variant encodes "empty after k operations" as (index 0, tag k).
-func isNil(ref uint64) bool { return word.NodeIndex(ref) == 0 }
-
-// newTop computes the reference to install for a transition to node
-// index idx, bumping the version tag when enabled.
-func (s *Stack) newTop(ltop, ref uint64) uint64 {
-	if !s.versioned {
-		return word.MakeNode(word.NodeIndex(ref), 0)
-	}
-	return word.MakeNode(word.NodeIndex(ref), word.NodeTag(ltop)+1)
-}
 
 // Push adds val on top and reports success. It fails when the arena
 // has no node for it (t.Exhausted then reports true) or, as a move
@@ -102,14 +74,13 @@ func (s *Stack) Push(t *core.Thread, val uint64) bool {
 		if word.IsDesc(ltop) {
 			ltop = t.Read(&s.top)
 		}
-		n.Next.Store(ltop) // S6
-		ntop := s.newTop(ltop, ref)
+		n.Next.Store(ltop)     // S6
 		if !t.MoveInFlight() { // S7, M38–M39: plain insert
-			if !s.top.CAS(ltop, ntop) {
+			if !s.top.CAS(ltop, ref) {
 				t.LostCAS()
 				continue
 			}
-		} else if res := t.SCASInsert(&s.top, ltop, ntop, 0); res != core.FTrue { // S7
+		} else if res := t.SCASInsert(&s.top, ltop, ref, 0); res != core.FTrue { // S7
 			if res == core.FAbort { // S8
 				t.FreeNodeDirect(ref) // S9
 				return false          // S10
@@ -128,7 +99,7 @@ func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
 		if word.IsDesc(ltop) {
 			ltop = t.Read(&s.top)
 		}
-		if isNil(ltop) { // S16
+		if ltop == word.Nil { // S16
 			return 0, false // S17
 		}
 		t.ProtectNode(core.SlotRem0, ltop) // S18: hp ← ltop
@@ -137,7 +108,7 @@ func (s *Stack) Pop(t *core.Thread) (val uint64, ok bool) {
 		}
 		n := t.Node(ltop)
 		val = n.Val // S21
-		ntop := s.newTop(ltop, n.Next.Load())
+		ntop := n.Next.Load()
 		if !t.MoveInFlight() { // S22, M20–M21: plain remove
 			if !s.top.CAS(ltop, ntop) {
 				t.LostCAS()
@@ -174,7 +145,7 @@ func (s *Stack) Len(t *core.Thread) int {
 		cur = t.Read(&s.top)
 	}
 	n := 0
-	for ; !isNil(cur); cur = t.Node(cur).Next.Load() {
+	for ; cur != word.Nil; cur = t.Node(cur).Next.Load() {
 		n++
 	}
 	return n
@@ -203,9 +174,8 @@ func (s *Stack) TopWord() *word.Word { return &s.top }
 //
 // It returns false (changing nothing) when any stack is observed empty;
 // that read is the failed operation's linearization point. Each head
-// node is replaced by a fresh node carrying the rotated value, so the
-// versioned variant's ABA counters bump exactly as a pop+push would;
-// when the arena cannot supply the k nodes it also returns false, with
+// node is replaced by a fresh node carrying the rotated value; when the
+// arena cannot supply the k nodes it also returns false, with
 // t.Exhausted reporting true.
 func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 	k := len(stacks)
@@ -243,7 +213,7 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 				if word.IsDesc(ltop) {
 					ltop = t.Read(&s.top)
 				}
-				if isNil(ltop) {
+				if ltop == word.Nil {
 					empty = true
 					break
 				}
@@ -275,7 +245,7 @@ func SwapHeads(t *core.Thread, stacks ...*Stack) bool {
 			n.Next.Store(old.Next.Load())
 			entries[i] = core.KCASEntry{
 				W: &s.top, Old: ltops[i],
-				New: s.newTop(ltops[i], refs[i]), HP: ltops[i],
+				New: refs[i], HP: ltops[i],
 			}
 		}
 		ok, _ := t.ExecuteKCAS(entries)

@@ -100,8 +100,6 @@ func Queue(a *arena.Arena, head, tail *word.Word) (*Report, int) {
 }
 
 // Stack checks a Treiber stack: acyclic chain, no marks, no descriptors.
-// Works for both the plain and the versioned-top variants (tags are
-// ignored during the walk).
 func Stack(a *arena.Arena, top *word.Word) (*Report, int) {
 	r := &Report{}
 	cur := top.Load()

@@ -38,18 +38,17 @@ func TestQueueInvariantsClean(t *testing.T) {
 func TestStackInvariantsClean(t *testing.T) {
 	rt := newRT(1)
 	th := rt.RegisterThread()
-	for _, s := range []*tstack.Stack{tstack.New(th), tstack.NewVersioned(th)} {
-		for i := uint64(0); i < 50; i++ {
-			s.Push(th, i)
-		}
-		s.Pop(th)
-		r, n := Stack(rt.Arena(), s.TopWord())
-		if !r.Ok() {
-			t.Fatalf("versioned=%v violations: %v", s.Versioned(), r.Violations)
-		}
-		if n != 49 {
-			t.Fatalf("count=%d", n)
-		}
+	s := tstack.New(th)
+	for i := uint64(0); i < 50; i++ {
+		s.Push(th, i)
+	}
+	s.Pop(th)
+	r, n := Stack(rt.Arena(), s.TopWord())
+	if !r.Ok() {
+		t.Fatalf("violations: %v", r.Violations)
+	}
+	if n != 49 {
+		t.Fatalf("count=%d", n)
 	}
 }
 

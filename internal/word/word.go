@@ -11,7 +11,7 @@
 //	bit 0 = 0   node reference:
 //	            bit  1        Harris-list logical-delete mark
 //	            bits 2..41    arena index (40 bits)
-//	            bits 42..63   version tag (22 bits; versioned-top stack)
+//	            bits 42..63   version tag (22 bits; no container sets it)
 //	bit 0 = 1   descriptor reference:
 //	            bits 1..2     descriptor kind (DCAS / MCAS / RDCSS)
 //	            bits 3..16    thread mark: tid+1, 0 = unmarked (14 bits)

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -288,6 +289,53 @@ func isMutex(e ast.Expr) bool {
 			return ok && pkg.Name == "sync" && (x.Sel.Name == "Mutex" || x.Sel.Name == "RWMutex")
 		default:
 			return false
+		}
+	}
+}
+
+// requestPath names kvserver's request-path functions, which read time
+// only through the server's obs.Clock.
+var requestPath = []string{"Serve", "handle", "exec", "applyWithRetry", "finishSpan"}
+
+// TestRequestPathOneClock keeps kvserver's request path on one time
+// base: none of the requestPath functions in cmd/kvserver/server.go
+// calls time.Now, time.Since or time.Until, or a method named Sub (the
+// lint reads syntax, not types, so it takes every Sub for Time.Sub).
+// Each stage boundary is one obs.Clock stamp, a monotonic read; the
+// write deadline in connWriter stays on the wall clock.
+func TestRequestPathOneClock(t *testing.T) {
+	const path = "cmd/kvserver/server.go"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || !slices.Contains(requestPath, fn.Name.Name) {
+			continue
+		}
+		seen[fn.Name.Name] = true
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, _ := sel.X.(*ast.Ident)
+			if sel.Sel.Name == "Sub" || pkg != nil && pkg.Name == "time" && slices.Contains([]string{"Now", "Since", "Until"}, sel.Sel.Name) {
+				t.Errorf("%s: %s reads time outside the server's obs.Clock", fset.Position(call.Pos()), fn.Name.Name)
+			}
+			return true
+		})
+	}
+	for _, name := range requestPath {
+		if !seen[name] {
+			t.Errorf("%s defines no func %s", path, name)
 		}
 	}
 }
