@@ -45,7 +45,7 @@
 // fields, one row per tenant×op with p50/p99/p999/max ns, per-tenant
 // and overall rollups, audit verdict). -slow N fetches the server-side
 // view after the run: the per-stage latency breakdown (queue/parse/
-// execute/degrade/write, echoed into the report's "stages" block) and
+// execute/write, echoed into the report's "stages" block) and
 // the N slowest requests' spans from the SLOW verb, each tagged with
 // its dominant stage — the server's answer to why the client-side tail
 // is fat.
@@ -95,7 +95,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload RNG seed")
 		audit    = flag.Bool("audit", true, "run the end-of-run conservation audit")
 		timeout  = flag.Duration("timeout", 0, "per-request connection deadline (0 = none)")
-		retries  = flag.Int("retries", 8, "max retries per request on BUSY/TIMEOUT (with jittered backoff)")
+		retries  = flag.Int("retries", 8, "max retries per request on BUSY (with jittered backoff)")
 		metrics  = flag.String("metrics", "", "fetch the server's METRICS snapshot after the run and write the Prometheus text here")
 		slowN    = flag.Int("slow", 0, "fetch the server's per-stage breakdown and SLOW tail exemplars after the run; print the slowest N with stage attribution (0 = off)")
 	)
@@ -258,7 +258,7 @@ type generator struct {
 
 	// Degradation accounting (kvwire.RobustCounters, client-side fields).
 	busy      atomic.Uint64 // BUSY responses observed
-	timeouts  atomic.Uint64 // TIMEOUT responses + connection deadline expiries
+	timeouts  atomic.Uint64 // connection deadline expiries
 	retries   atomic.Uint64 // retry attempts issued
 	ambiguous atomic.Uint64 // mutations abandoned on a dead connection
 
@@ -544,9 +544,9 @@ func neutral(op kvwire.Op) bool {
 // send issues one request with bounded jittered retry. Two failure
 // classes are distinguished:
 //
-//   - A wire-level BUSY or TIMEOUT response is the server guaranteeing
-//     the op was NOT executed (it failed for want of arena nodes in
-//     its init phase), so ANY op retries safely.
+//   - A wire-level BUSY response is the server guaranteeing the op was
+//     NOT executed (it failed for want of arena nodes in its init
+//     phase), so ANY op retries safely.
 //   - A connection-level failure (deadline expiry, server closed the
 //     conn — e.g. its worker was fault-killed mid-op) is ambiguous:
 //     the op may have executed before the response was lost. Only
@@ -564,15 +564,11 @@ func (g *generator) send(cp **conn, req kvwire.Request, jit *backoff.Jitter) (kv
 		}
 		resp, err := c.roundTrip(req)
 		if err == nil {
-			switch resp.Status {
-			case "BUSY":
-				g.busy.Add(1)
-			case "TIMEOUT":
-				g.timeouts.Add(1)
-			default:
+			if resp.Status != "BUSY" {
 				jit.Reset()
 				return resp, true, nil
 			}
+			g.busy.Add(1)
 			if attempts >= g.maxRetries {
 				return resp, true, nil // rejected but answered: not executed
 			}

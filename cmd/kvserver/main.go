@@ -22,11 +22,10 @@
 // totals for the load generator's end-of-run check.
 //
 // Robustness (see docs/robustness.md): a request that fails for want of
-// arena nodes answers BUSY (or TIMEOUT once -deadline is set; a DRAIN
-// that moved elements first answers OK with them), -wtimeout
-// sheds clients that stop draining responses, and SIGTERM drains
-// gracefully — stop accepting, finish in-flight requests, print a final
-// STATS and AUDIT line, exit 0. Overload is met with back-pressure, not
+// arena nodes answers BUSY at once (a DRAIN that moved elements first
+// answers OK with them), -wtimeout sheds clients that stop draining
+// responses, and SIGTERM drains gracefully — stop accepting, finish
+// in-flight requests, print a final STATS and AUDIT line, exit 0. Overload is met with back-pressure, not
 // rejection: accepts wait for a free worker and TCP holds what a busy
 // worker has not read. -fault installs chaos-test fault rules (stalls,
 // parks, kills at descriptor-protocol windows).
@@ -42,12 +41,12 @@
 //
 // Request spans are also on by default (-spans=false disables): each
 // data-path request's wall time is decomposed into queue (accept→worker
-// borrow), parse, execute (with kcas publish/help/abort deltas),
-// degrade (retry backoff) and write stages. Per-stage histograms reach
-// STATS ("stages") and METRICS (stage_* series); the SLOW verb returns
-// the slowest requests' full spans since boot as JSON (tail exemplars,
-// kept per worker and merged when SLOW reads them); a -trace dump interleaves span records with protocol events, joined by
-// request id.
+// borrow), parse, execute (with kcas publish/help/abort deltas) and
+// write stages. Per-stage histograms reach STATS ("stages") and METRICS
+// (stage_* series); the SLOW verb returns the slowest requests' full
+// spans since boot as JSON (tail exemplars, kept per worker and merged
+// when SLOW reads them); a -trace dump interleaves span records with
+// protocol events, joined by request id.
 //
 // On Linux kvserver imports no net (listen_linux.go): net's cgo resolver
 // makes a cgo build dynamic, and libc and the loader are then a third of
@@ -57,7 +56,7 @@
 //
 //	kvserver -addr :7070 -tenants 4 -workers 16
 //	kvserver -addr 127.0.0.1:7070 -tenants 3
-//	kvserver -deadline 50ms -fault 'kcas-commit:stall=2ms:every=97'
+//	kvserver -arena 65536 -fault 'kcas-commit:stall=2ms:every=97'
 //	kvserver -trace /tmp/kv.jsonl -cpuprofile /tmp/kv.pprof
 //
 // Drive it with cmd/kvload, or by hand:
@@ -99,12 +98,10 @@ func main() {
 		shards   = flag.Int("shards", 8, "shards per tenant map")
 		buckets  = flag.Int("buckets", 8, "initial buckets per shard")
 		arena    = flag.Int("arena", 1<<20, "container-node capacity across all tenants")
-		deadline = flag.Duration("deadline", 0, "per-request service deadline; a request failing for want of arena nodes retries until it, then TIMEOUT (0 = immediate BUSY)")
 		wtimeout = flag.Duration("wtimeout", 0, "per-response write timeout; slow clients are disconnected (0 = none)")
 
 		traceOut   = flag.String("trace", "", "enable descriptor-protocol tracing; write JSONL events (and spans) to this file at drain")
 		spans      = flag.Bool("spans", true, "enable request-scoped spans: per-stage latency attribution, tail exemplars and the SLOW wire verb")
-		slowK      = flag.Int("slowk", 0, "number of slowest requests since boot kept as tail exemplars and served by SLOW (0 = default)")
 		cpuProfile = flag.String("cpuprofile", "", "record a CPU profile from boot; write it to this file at drain (empty = off)")
 	)
 	flag.Var(&faults, "fault", "fault-injection rule (repeatable), e.g. 'kcas-commit:stall=2ms:every=97'")
@@ -134,9 +131,8 @@ func main() {
 	s := NewServer(Config{
 		Tenants: *tenants, Workers: *workers,
 		Shards: *shards, Buckets: *buckets, Arena: *arena,
-		Deadline: *deadline, WriteTimeout: *wtimeout,
-		Fault: plan, Trace: *traceOut != "",
-		Spans: *spans, SpanTopK: *slowK,
+		WriteTimeout: *wtimeout, Fault: plan,
+		Trace: *traceOut != "", Spans: *spans,
 	})
 	ln, bound, err := listenTCP(*addr)
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/backoff"
 	"repro/internal/kvwire"
 	"repro/internal/latency"
 	"repro/internal/obs"
@@ -36,13 +35,10 @@ type Config struct {
 	// defaults 8 shards × 8 buckets).
 	Shards, Buckets int
 	// Arena caps container nodes across all tenants (default 1<<20).
-	// Driving the server past it yields BUSY responses, not a crash.
+	// Driving the server past it yields BUSY responses, not a crash: a
+	// request that failed for want of arena nodes executed nothing and
+	// answers BUSY at once.
 	Arena int
-	// Deadline bounds one request's service time: a request that failed
-	// for want of arena nodes (which executed nothing) is retried with
-	// backoff, and answers TIMEOUT once it has been in service this long.
-	// Zero disables the retry loop — such a request answers BUSY at once.
-	Deadline time.Duration
 	// WriteTimeout bounds one socket write (a flushed batch of
 	// responses); a client that cannot drain its responses within it is
 	// disconnected (shed) so it cannot pin a worker forever. Zero
@@ -56,14 +52,13 @@ type Config struct {
 	// it as JSONL (main's -trace flag writes it at SIGTERM drain).
 	Trace bool
 	// Spans enables the request-scoped span layer: each data-path
-	// request's wall time is decomposed into queue/parse/execute/
-	// degrade/write stages, recorded into per-stage histograms (STATS
-	// "stages" block, METRICS stage_* series), with the SpanTopK
-	// slowest requests since boot retained as tail exemplars and served
-	// by the SLOW wire verb (0 = the obs default). With Trace, every
-	// completed span is also kept in per-worker rings for WriteTrace.
-	Spans    bool
-	SpanTopK int
+	// request's wall time is decomposed into queue/parse/execute/write
+	// stages, recorded into per-stage histograms (STATS "stages" block,
+	// METRICS stage_* series), with the obs.TopK slowest requests since
+	// boot retained as tail exemplars and served by the SLOW wire verb.
+	// With Trace, every completed span is also kept in per-worker rings
+	// for WriteTrace.
+	Spans bool
 }
 
 func (c Config) withDefaults() Config {
@@ -109,7 +104,7 @@ type worker struct {
 // the "obs" block, and the degradation counters are registered into it.
 //
 // Degradation paths (see docs/robustness.md): resource exhaustion
-// answers BUSY/TIMEOUT instead of crashing, slow clients are shed by
+// answers BUSY instead of crashing, slow clients are shed by
 // write timeout, fault-killed workers are retired (never returned to
 // the pool), and Drain performs the SIGTERM graceful shutdown.
 type Server struct {
@@ -135,7 +130,6 @@ type Server struct {
 
 	// Degradation counters (kvwire.RobustCounters, server-side fields).
 	busy        atomic.Uint64
-	timeouts    atomic.Uint64
 	slowClients atomic.Uint64
 	lostWorkers atomic.Uint64
 
@@ -158,10 +152,7 @@ func NewServer(cfg Config) *Server {
 	rc := repro.Config{
 		MaxThreads:    cfg.Workers + 2,
 		ArenaCapacity: cfg.Arena,
-		Obs: repro.ObsConfig{
-			Metrics: true, Trace: cfg.Trace,
-			Spans: cfg.Spans, SpanTopK: cfg.SpanTopK,
-		},
+		Obs:           repro.ObsConfig{Metrics: true, Trace: cfg.Trace, Spans: cfg.Spans},
 	}
 	if cfg.Fault != nil {
 		rc.Fault = cfg.Fault
@@ -195,7 +186,6 @@ func NewServer(cfg Config) *Server {
 	// the STATS robust block reports, so METRICS output and
 	// RobustCounters reconcile by construction.
 	s.reg.AddFunc("busy_total", s.busy.Load)
-	s.reg.AddFunc("timeouts_total", s.timeouts.Load)
 	s.reg.AddFunc("slow_clients_total", s.slowClients.Load)
 	s.reg.AddFunc("lost_workers_total", s.lostWorkers.Load)
 	s.reg.AddFunc("flushes_total", s.flushes.Load)
@@ -511,19 +501,16 @@ func (s *Server) finishSpan(w *worker, sp *obs.Span, borrowNS int64) {
 }
 
 // exec parses and applies one request line, recording the data-path
-// service time against the request's (source) tenant. A failure for
-// want of arena nodes answers BUSY/TIMEOUT with the operation
-// guaranteed unexecuted.
+// service time against the request's (source) tenant.
 //
 // exec reads the server's Clock at the stage boundaries it owns: start
 // (spans only), parsed and executed. Service time is executed − parsed.
 // When spans are enabled, exec opens a span for every cleanly-parsed
 // data-path request (sp.Op set marks it open; control verbs and parse
-// errors stay unspanned): parse and execute stage times, degradation
-// backoff (accumulated by applyWithRetry), the serving thread's kcas
-// counter deltas, and the request id — also installed as the tracer's
-// current request, so every protocol event the execution records
-// carries it. Opening the span counts as parse; the bookkeeping after
+// errors stay unspanned): parse and execute stage times, the serving
+// thread's kcas counter deltas, and the request id — also installed as
+// the tracer's current request, so every protocol event the execution
+// records carries it. Opening the span counts as parse; the bookkeeping after
 // the executed stamp counts as write. handle closes the span after the
 // response write (finishSpan).
 //
@@ -556,17 +543,24 @@ func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.
 		abort0 = s.reg.ThreadValue(tid, obs.KCASAbort)
 	}
 	parsed := s.clock.Now()
-	resp := s.applyWithRetry(w, req, dst, parsed, sp)
+	resp, ok := s.apply(w, req, dst)
+	// The thread's Exhausted record is read, and so cleared, after every
+	// request. A request that failed while it was set failed for want of
+	// arena nodes and executed nothing (nodes are only allocated in init
+	// phases, before anything is published), so it answers BUSY at once;
+	// a DRAIN that moved elements first succeeded with them.
+	if w.th.Exhausted() && !ok {
+		s.busy.Add(1)
+		resp = append(dst, "BUSY"...)
+	}
 	executed := s.clock.Now()
 	s.rec.Record(w.idx, req.Tenant, int(req.Op), time.Duration(executed-parsed))
 	if spanning {
-		// Execute is service time minus the backoff sleeps the retry
-		// loop attributed to the degrade stage (they lie inside it).
 		// WallNS runs to executed for now; finishSpan extends it.
 		sp.StartNS = start
 		sp.WallNS = executed - start
 		sp.Stage[obs.StageParse] = parsed - start
-		sp.Stage[obs.StageExec] = executed - parsed - sp.Stage[obs.StageDegrade]
+		sp.Stage[obs.StageExec] = executed - parsed
 		sp.Publishes = s.reg.ThreadValue(tid, obs.KCASPublish) - pub0
 		sp.Helps = s.reg.ThreadValue(tid, obs.KCASHelp) - help0
 		sp.Aborts = s.reg.ThreadValue(tid, obs.KCASAbort) - abort0
@@ -576,7 +570,7 @@ func (s *Server) exec(w *worker, req *kvwire.Request, line, dst []byte, sp *obs.
 }
 
 // statuses are the protocol's response status tokens (kvwire.Response).
-var statuses = [...]string{"OK", "NF", "EXISTS", "FAIL", "BUSY", "TIMEOUT", "ERR"}
+var statuses = [...]string{"OK", "NF", "EXISTS", "FAIL", "BUSY", "ERR"}
 
 // statusToken returns the response's leading status token ("OK 7" →
 // "OK") as the constant, so a span's Status costs no allocation.
@@ -588,44 +582,6 @@ func statusToken(resp []byte) string {
 		}
 	}
 	return string(tok)
-}
-
-// applyWithRetry runs the request and reads the thread's Exhausted
-// record after every attempt. A request that failed while the record
-// was set failed for want of arena nodes and did not execute (nodes are
-// only allocated in init phases, before anything is published): without
-// a deadline it answers BUSY at once; with one, attempts repeat with
-// jittered backoff until the deadline, then answer TIMEOUT. A DRAIN that
-// moved elements before the arena ran dry executed those moves and
-// answers them OK. Every attempt appends its response to the same empty
-// dst. parsed is exec's Clock stamp, where service time starts.
-func (s *Server) applyWithRetry(w *worker, req *kvwire.Request, dst []byte, parsed int64, sp *obs.Span) []byte {
-	var jit *backoff.Jitter
-	for {
-		resp, ok := s.apply(w, req, dst)
-		if exhausted := w.th.Exhausted(); ok || !exhausted {
-			return resp
-		}
-		if s.cfg.Deadline <= 0 {
-			s.busy.Add(1)
-			return append(dst, "BUSY"...)
-		}
-		if time.Duration(s.clock.Now()-parsed) >= s.cfg.Deadline {
-			s.timeouts.Add(1)
-			return append(dst, "TIMEOUT"...)
-		}
-		if jit == nil {
-			jit = backoff.NewJitter(time.Millisecond, 50*time.Millisecond, uint64(parsed))
-		}
-		slept := s.clock.Now()
-		jit.Sleep()
-		if s.spans != nil {
-			// The backoff sleep is degradation overhead, not execution:
-			// attribute it to the degrade stage so a deadline-bound
-			// retry storm doesn't masquerade as slow container code.
-			sp.Stage[obs.StageDegrade] += s.clock.Now() - slept
-		}
-	}
 }
 
 // apply executes one data-path request on w's thread, appends its
@@ -770,7 +726,6 @@ func (s *Server) Stats() kvwire.Doc {
 	}
 	doc.Robust = &kvwire.RobustCounters{
 		Busy:        s.busy.Load(),
-		Timeouts:    s.timeouts.Load(),
 		SlowClients: s.slowClients.Load(),
 		LostWorkers: s.lostWorkers.Load(),
 		Drained:     s.draining.Load(),

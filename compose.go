@@ -319,7 +319,7 @@ type TraceEvent = obs.Event
 func WriteTraceJSONL(w io.Writer, events []TraceEvent) error { return obs.WriteJSONL(w, events) }
 
 // Span is one completed request's latency attribution: wall time
-// decomposed into stages (queue wait, parse, execute, degrade, write)
+// decomposed into stages (queue wait, parse, execute, write)
 // plus the kcas protocol work — publishes, helps, aborts — its execute
 // stage performed. The Req id cross-references the TraceEvents the
 // serving thread recorded while the request was current.

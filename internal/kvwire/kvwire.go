@@ -71,24 +71,21 @@
 //
 // # Degradation responses
 //
-// Two statuses carry the server's graceful-degradation contract; both
-// guarantee the operation was NOT executed, so clients may retry
+// One status carries the server's graceful-degradation contract, and it
+// guarantees the operation was NOT executed, so clients may retry
 // without risking duplication:
 //
-//	BUSY    — the operation failed for want of arena nodes (nothing
-//	          executed; a DRAIN that moved elements first answers OK
-//	          with them instead). The arena is the server's one
-//	          resource that can run out; overload meets back-pressure
-//	          (worker pool, TCP), never BUSY. Retry after jittered
-//	          backoff.
-//	TIMEOUT — the per-request deadline (-deadline) expired before the
-//	          operation could execute. Retry, ideally with a longer
-//	          deadline or lower offered load.
+//	BUSY — the operation failed for want of arena nodes (nothing
+//	       executed; a DRAIN that moved elements first answers OK with
+//	       them instead). The arena is the server's one resource that
+//	       can run out; overload meets back-pressure (worker pool, TCP),
+//	       never BUSY. The server answers it at once and does not retry.
+//	       A client may retry after jittered backoff.
 //
-// A connection-level client timeout is NOT a TIMEOUT response: the
-// request may have executed and the response been lost, so clients must
-// treat it as ambiguous for any operation whose duplication is
-// observable (kvload retries only conservation-neutral ops after one).
+// A connection-level client timeout is not a response: the request may
+// have executed and the response been lost, so clients must treat it as
+// ambiguous for any operation whose duplication is observable (kvload
+// retries only conservation-neutral ops after one).
 package kvwire
 
 import (
@@ -497,9 +494,9 @@ func parseVals(s string) ([]uint64, error) {
 
 // Response is one parsed server response.
 type Response struct {
-	// Status is "OK", "NF", "EXISTS", "FAIL", "ERR", "BUSY" or
-	// "TIMEOUT". BUSY and TIMEOUT guarantee the operation did not
-	// execute (see the package comment's degradation contract).
+	// Status is "OK", "NF", "EXISTS", "FAIL", "ERR" or "BUSY". BUSY
+	// guarantees the operation did not execute (see the package
+	// comment's degradation contract).
 	Status string
 	// Vals are the response's numeric payloads (value of GET/DEL/POP/
 	// MOVE, value list of XFER/DRAIN, the three AUDIT totals).
@@ -511,11 +508,10 @@ type Response struct {
 // OK reports whether the request succeeded.
 func (r Response) OK() bool { return r.Status == "OK" }
 
-// Retryable reports whether the response is a degradation status (BUSY
-// or TIMEOUT) under which the server guarantees the operation did not
-// execute — safe to retry for every operation, including
-// non-idempotent ones.
-func (r Response) Retryable() bool { return r.Status == "BUSY" || r.Status == "TIMEOUT" }
+// Retryable reports whether the response is the degradation status BUSY,
+// under which the server guarantees the operation did not execute — safe
+// to retry for every operation, including non-idempotent ones.
+func (r Response) Retryable() bool { return r.Status == "BUSY" }
 
 // AppendOK appends the success response carrying vals, "OK" or
 // "OK <v,..>", without the newline: the form ParseResponse reads back
@@ -547,7 +543,7 @@ func ParseResponse(line string, values bool) (Response, error) {
 				r.Vals = append(r.Vals, vs...)
 			}
 		}
-	case "NF", "EXISTS", "FAIL", "ERR", "BUSY", "TIMEOUT":
+	case "NF", "EXISTS", "FAIL", "ERR", "BUSY":
 	default:
 		return r, fmt.Errorf("unknown response status %q", status)
 	}

@@ -101,21 +101,22 @@ func TestParseResponse(t *testing.T) {
 	}
 }
 
-// TestDegradationStatuses: BUSY and TIMEOUT are valid, non-OK,
-// retryable responses — the grammar contract the server's degradation
-// paths and kvload's retry loop both build on.
+// TestDegradationStatuses: BUSY is a valid, non-OK, retryable response —
+// the grammar contract the server's degradation path and kvload's retry
+// loop both build on — and the server has no other degradation status.
 func TestDegradationStatuses(t *testing.T) {
-	for _, status := range []string{"BUSY", "TIMEOUT"} {
-		r, err := ParseResponse(status, true)
-		if err != nil {
-			t.Fatalf("ParseResponse(%q): %v", status, err)
-		}
-		if r.OK() {
-			t.Fatalf("%s must not parse as success", status)
-		}
-		if !r.Retryable() {
-			t.Fatalf("%s must be retryable", status)
-		}
+	r, err := ParseResponse("BUSY", true)
+	if err != nil {
+		t.Fatalf("ParseResponse(BUSY): %v", err)
+	}
+	if r.OK() {
+		t.Fatal("BUSY must not parse as success")
+	}
+	if !r.Retryable() {
+		t.Fatal("BUSY must be retryable")
+	}
+	if _, err := ParseResponse("TIMEOUT", true); err == nil {
+		t.Fatal("TIMEOUT is not a status of the protocol")
 	}
 	for _, status := range []string{"OK 1", "NF", "EXISTS", "FAIL", "ERR nope"} {
 		r, err := ParseResponse(status, true)

@@ -55,7 +55,7 @@ func RowFrom(figure, tenant, op string, threads int, s latency.Snapshot, wallNS 
 
 // StageRow is one request-stage latency record: the same percentile
 // shape as Row, but over the span layer's stage dimension (queue wait,
-// parse, execute, degrade, write) merged across workers. kvserver
+// parse, execute, write) merged across workers. kvserver
 // attaches them to STATS output and kvload prints them next to its
 // client-side percentiles, so a fat tail is attributable to a stage
 // without a second scrape.
@@ -126,12 +126,11 @@ type Audit struct {
 type RobustCounters struct {
 	// Busy: BUSY responses (kvserver: sent; kvload: received).
 	Busy uint64 `json:"busy"`
-	// Timeouts: kvserver counts TIMEOUT responses sent (per-request
-	// deadline expiries); kvload counts connection-level timeouts it
-	// observed (no response within -timeout).
+	// Timeouts: kvload counts connection-level timeouts it observed (no
+	// response within -timeout); kvserver leaves it 0.
 	Timeouts uint64 `json:"timeouts"`
-	// Retries is the number of retry attempts kvload issued after BUSY/
-	// TIMEOUT responses or neutral-op connection timeouts.
+	// Retries is the number of retry attempts kvload issued after BUSY
+	// responses or neutral-op connection timeouts.
 	Retries uint64 `json:"retries"`
 	// Ambiguous counts kvload connection timeouts on operations whose
 	// execution state is unknowable (PUT/DEL/PUSH/POP: the request may

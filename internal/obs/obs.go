@@ -44,15 +44,12 @@ type Config struct {
 	// events per thread, oldest overwritten on overflow (the drop count
 	// is exported as trace_dropped_total).
 	Trace bool
-	// Spans enables the request-scoped span recorder: each worker's
-	// top-K tail exemplars (the serving layer records into it and serves
-	// the SLOW verb from it), and, with Trace, per-worker rings of
-	// DefaultSpanBuf completed spans for the trace dump.
+	// Spans enables the request-scoped span recorder: the TopK slowest
+	// spans since it was built, as tail exemplars (the serving layer
+	// records into it and serves the SLOW verb from it), and, with
+	// Trace, per-worker rings of DefaultSpanBuf completed spans for the
+	// trace dump.
 	Spans bool
-	// SpanTopK is K, the number of tail exemplars retained: the K
-	// slowest spans since the recorder was built; 0 selects
-	// DefaultSpanTopK (32).
-	SpanTopK int
 }
 
 // Enabled reports whether any surface is on.
@@ -99,7 +96,7 @@ func New(cfg Config, maxThreads int) *Obs {
 		if cfg.Trace {
 			buf = DefaultSpanBuf
 		}
-		o.spans = NewSpans(maxThreads, buf, cfg.SpanTopK)
+		o.spans = NewSpans(maxThreads, buf, TopK)
 	}
 	return o
 }

@@ -19,14 +19,12 @@ type Stage uint8
 // The stages. Queue is the accept→worker-borrow wait (invisible to
 // service-time histograms, which start after the borrow); Parse is
 // request-line parsing; Exec is the data-path operation, kcas retries
-// and helping included (Publishes/Helps/Aborts attribute it); Degrade
-// is retry backoff between exhausted attempts; Write is response
-// serialization and flush.
+// and helping included (Publishes/Helps/Aborts attribute it); Write is
+// response serialization and flush.
 const (
 	StageQueue Stage = iota
 	StageParse
 	StageExec
-	StageDegrade
 	StageWrite
 
 	// NumStages bounds the stage set.
@@ -34,11 +32,10 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	StageQueue:   "queue",
-	StageParse:   "parse",
-	StageExec:    "execute",
-	StageDegrade: "degrade",
-	StageWrite:   "write",
+	StageQueue: "queue",
+	StageParse: "parse",
+	StageExec:  "execute",
+	StageWrite: "write",
 }
 
 // String returns the stage's wire name (used in span JSON, the METRICS
@@ -76,7 +73,7 @@ type Span struct {
 	// Tenant is the request's (source) tenant; -1 when not applicable.
 	Tenant int32
 	// Op is the protocol verb served; Status the response's status
-	// token (OK, NF, BUSY, TIMEOUT, FAIL, ...).
+	// token (OK, NF, BUSY, FAIL, ...).
 	Op     string
 	Status string
 	// StartNS is the runtime Clock's reading at the span's start
@@ -257,9 +254,9 @@ const (
 	// DefaultSpanBuf is the per-worker completed-span ring capacity
 	// obs.New gives the span recorder when Config.Trace is on.
 	DefaultSpanBuf = 1024
-	// DefaultSpanTopK is K, the tail exemplars kept, when
-	// Config.SpanTopK is zero.
-	DefaultSpanTopK = 32
+	// TopK is K, the tail exemplars obs.New gives the span recorder:
+	// the K slowest spans since it was built.
+	TopK = 32
 )
 
 // Spans is the request-span recorder: per-worker overwrite-oldest rings
@@ -281,11 +278,8 @@ type Spans struct {
 
 // NewSpans builds a span recorder with one ring of perWorker completed
 // spans (rounded up to a power of two; no ring for 0) per worker and
-// topK tail exemplars (<=0 selects DefaultSpanTopK).
+// topK > 0 tail exemplars.
 func NewSpans(workers, perWorker, topK int) *Spans {
-	if topK <= 0 {
-		topK = DefaultSpanTopK
-	}
 	s := &Spans{workers: make([]spanWorker, workers), topK: topK}
 	for i := range s.workers {
 		w := &s.workers[i]

@@ -35,7 +35,7 @@ func TestSpanDominant(t *testing.T) {
 	// Ties resolve to the earliest stage; the zero span is all-queue.
 	var tie Span
 	tie.Stage[StageParse] = 7
-	tie.Stage[StageDegrade] = 7
+	tie.Stage[StageWrite] = 7
 	if got := tie.Dominant(); got != StageParse {
 		t.Fatalf("tie Dominant = %v, want parse", got)
 	}
@@ -227,8 +227,8 @@ func TestSpansKeepCompletedOnlyForTrace(t *testing.T) {
 		if !trace && (completed != 0 || dropped != 0) {
 			t.Errorf("without Trace: %d completed, %d dropped; want none", completed, dropped)
 		}
-		if ex := s.Exemplars(); len(ex) != DefaultSpanTopK || ex[0].WallNS != DefaultSpanBuf+2 {
-			t.Errorf("Trace %v: %d exemplars, want the %d slowest", trace, len(ex), DefaultSpanTopK)
+		if ex := s.Exemplars(); len(ex) != TopK || ex[0].WallNS != DefaultSpanBuf+2 {
+			t.Errorf("Trace %v: %d exemplars, want the %d slowest", trace, len(ex), TopK)
 		}
 	}
 }
@@ -261,7 +261,7 @@ func TestSpansFinishAllocationFree(t *testing.T) {
 func spansFinishOp() func() {
 	s := New(Config{Spans: true}, 1).Spans()
 	sp := Span{Req: 1, Tenant: 0, Op: "MOVE", Status: "OK", WallNS: 1 << 20}
-	for range DefaultSpanTopK {
+	for range TopK {
 		s.Finish(0, sp)
 	}
 	sp.WallNS = 1000

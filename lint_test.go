@@ -295,7 +295,7 @@ func isMutex(e ast.Expr) bool {
 
 // requestPath names kvserver's request-path functions, which read time
 // only through the server's obs.Clock.
-var requestPath = []string{"Serve", "handle", "exec", "applyWithRetry", "finishSpan"}
+var requestPath = []string{"Serve", "handle", "exec", "apply", "finishSpan"}
 
 // TestRequestPathOneClock keeps kvserver's request path on one time
 // base: none of the requestPath functions in cmd/kvserver/server.go
