@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +102,134 @@ func execSteadyStateNoAllocs(t *testing.T, s *Server) {
 	if n := verify.Mallocs(passes, passes, pass); n != 0 {
 		t.Fatalf("%d allocations over %d requests, want 0", n, passes*len(lines))
 	}
+}
+
+// TestAuditNoAllocs: the conservation audit walks each map once and
+// counts each queue, so on a populated server whose maps have grown it
+// makes no Go allocation, whatever the number of entries.
+func TestAuditNoAllocs(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 1, Shards: 2, Buckets: 2})
+	defer s.Close()
+	w := <-s.workers
+	mixedTraffic(t, s, w, 5_000, 1024, 3)
+	for tn := range s.maps {
+		if grows, _, _ := s.maps[tn].Stats(); grows == 0 || s.maps[tn].Len(w.th) == 0 {
+			t.Fatalf("tenant %d: %d grows, %d entries; want a populated map that has grown", tn, grows, s.maps[tn].Len(w.th))
+		}
+	}
+	if n := verify.Mallocs(10, 100, func() { s.Audit(w.th) }); n != 0 {
+		t.Fatalf("%d allocations over 100 audits, want 0", n)
+	}
+}
+
+// TestStatsBytesBounded: STATS merges each histogram's counters straight
+// into one scratch snapshot, so what a call allocates does not grow with
+// the live (worker, tenant, op) cells. A server that never collects
+// keeps every byte its STATS polls allocate. Here 4 workers serve every
+// data verb on each of 4 tenants: 128 live cells, and with spans on 4
+// stage histograms per worker as well.
+func TestStatsBytesBounded(t *testing.T) {
+	const (
+		workers, tenants = 4, 4
+		bound            = 32 << 10
+	)
+	for _, spans := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spans=%v", spans), func(t *testing.T) {
+			s := NewServer(Config{Tenants: tenants, Workers: workers, Spans: spans})
+			defer s.Close()
+			var req kvwire.Request
+			buf := make([]byte, 0, 4<<10)
+			for i := 0; i < workers; i++ {
+				w := <-s.workers
+				for tn := 0; tn < tenants; tn++ {
+					dt := (tn + 1) % tenants
+					for _, l := range []string{
+						fmt.Sprintf("PUT %d %d 1", tn, i), fmt.Sprintf("GET %d %d", tn, i),
+						fmt.Sprintf("MOVE %d %d %d %d", tn, dt, i, 100+i),
+						fmt.Sprintf("XFER %d %d %d,%d %d,%d", tn, dt, i, 10+i, 200+i, 300+i),
+						fmt.Sprintf("DEL %d %d", tn, i), fmt.Sprintf("PUSH %d %d", tn, i),
+						fmt.Sprintf("DRAIN %d %d 1", tn, dt), fmt.Sprintf("POP %d", tn),
+					} {
+						var sp obs.Span
+						if resp := s.exec(w, &req, []byte(l), buf[:0], &sp); bytes.HasPrefix(resp, []byte("ERR")) {
+							t.Fatalf("%s: %s", l, resp)
+						}
+						if sp.Op != "" {
+							s.finishSpan(w, &sp, 0)
+						}
+					}
+				}
+			}
+			if rows := len(s.Stats().Rows); rows != tenants*9 {
+				t.Fatalf("STATS has %d rows, want %d: 8 ops and an all row per tenant", rows, tenants*9)
+			}
+			const calls = 20
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < calls; i++ {
+				s.Stats()
+			}
+			runtime.ReadMemStats(&m1)
+			if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per > bound {
+				t.Fatalf("Stats allocates %d bytes per call, want at most %d", per, bound)
+			} else {
+				t.Logf("Stats allocates %d bytes per call", per)
+			}
+		})
+	}
+}
+
+// TestStatsConcurrentReports: STATS and METRICS calls from several
+// goroutines share the server's spare scratch snapshot while a worker
+// records. Each report merges into a snapshot no other report holds, so
+// no stage row counts more spans than have finished. Run it under
+// -race.
+func TestStatsConcurrentReports(t *testing.T) {
+	s := NewServer(Config{Tenants: 2, Workers: 1, Spans: true})
+	defer s.Close()
+	w := <-s.workers
+	stop := make(chan struct{})
+	var done atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var req kvwire.Request
+		buf := make([]byte, 0, 256)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var sp obs.Span
+			s.exec(w, &req, []byte(fmt.Sprintf("PUT %d %d 1", i%2, i)), buf[:0], &sp)
+			s.finishSpan(w, &sp, 0)
+			done.Add(1)
+		}
+	}()
+	var reporters sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		reporters.Add(1)
+		go func() {
+			defer reporters.Done()
+			for i := 0; i < 50; i++ {
+				doc := s.Stats()
+				finished := done.Load()
+				for _, st := range doc.Stages {
+					if st.Count > finished+1 {
+						t.Errorf("stage %s counts %d spans of %d finished: a report merged into a snapshot another held",
+							st.Stage, st.Count, finished)
+						return
+					}
+				}
+				s.metricsText(nil)
+			}
+		}()
+	}
+	reporters.Wait()
+	close(stop)
+	wg.Wait()
 }
 
 // TestIdleServerNoAllocs: a server with spans on runs no periodic work

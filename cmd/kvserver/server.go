@@ -126,6 +126,11 @@ type Server struct {
 	stages *latency.Recorder // one tenant, one op per obs.Stage
 	trc    *obs.Tracer
 
+	// spare is the scratch snapshot reports merge histogram stripes into
+	// (scratch), so STATS and the stage series allocate no copy per
+	// histogram.
+	spare atomic.Pointer[latency.Snapshot]
+
 	draining atomic.Bool
 
 	// Degradation counters (kvwire.RobustCounters, server-side fields).
@@ -211,20 +216,19 @@ func NewServer(cfg Config) *Server {
 		// percentile/max gauges per span stage, merged across
 		// workers at scrape time.
 		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			st := st
+			stage := func(read func(*latency.Snapshot) uint64) func() uint64 {
+				return func() uint64 {
+					snap := s.scratch()
+					defer s.spare.Store(snap)
+					s.stages.MergeInto(snap, 0, int(st))
+					return read(snap)
+				}
+			}
 			name := st.String()
-			s.reg.AddFunc("stage_"+name+"_count_total", func() uint64 {
-				return s.stages.Merged(0, int(st)).Count
-			})
-			s.reg.AddGauge("stage_"+name+"_p50_ns", func() uint64 {
-				return uint64(s.stages.Merged(0, int(st)).Percentile(0.50))
-			})
-			s.reg.AddGauge("stage_"+name+"_p99_ns", func() uint64 {
-				return uint64(s.stages.Merged(0, int(st)).Percentile(0.99))
-			})
-			s.reg.AddGauge("stage_"+name+"_max_ns", func() uint64 {
-				return uint64(s.stages.Merged(0, int(st)).Max())
-			})
+			s.reg.AddFunc("stage_"+name+"_count_total", stage(func(h *latency.Snapshot) uint64 { return h.Count }))
+			s.reg.AddGauge("stage_"+name+"_p50_ns", stage(func(h *latency.Snapshot) uint64 { return uint64(h.Percentile(0.50)) }))
+			s.reg.AddGauge("stage_"+name+"_p99_ns", stage(func(h *latency.Snapshot) uint64 { return uint64(h.Percentile(0.99)) }))
+			s.reg.AddGauge("stage_"+name+"_max_ns", stage(func(h *latency.Snapshot) uint64 { return uint64(h.Max()) }))
 		}
 		if cfg.Trace { // only the trace dump's spans have a ring to drop from
 			s.reg.AddFunc("spans_dropped_total", s.spans.Dropped)
@@ -703,27 +707,57 @@ func (s *Server) WriteTrace(w io.Writer) error {
 	return nil
 }
 
+// scratch returns an empty snapshot to merge histogram stripes into:
+// the server's spare when no concurrent report holds it, else a new one.
+// The caller gives it back with s.spare.Store.
+func (s *Server) scratch() *latency.Snapshot {
+	snap := s.spare.Swap(nil)
+	if snap == nil {
+		return new(latency.Snapshot)
+	}
+	snap.Reset()
+	return snap
+}
+
 // Stats merges the per-worker histogram stripes into the kvwire report
 // document: one row per (tenant, op) with traffic, plus per-tenant
-// "all" rows, plus the degradation counters (robust block). It is safe
-// to call concurrently with traffic.
+// "all" rows, plus the degradation counters (robust block). Every row
+// is merged straight from the histograms' counters into one scratch
+// snapshot, so a call allocates no histogram copy, whatever the number
+// of live cells. It is safe to call concurrently with traffic.
 func (s *Server) Stats() kvwire.Doc {
 	doc := kvwire.NewDoc()
 	wall := float64(time.Since(s.started).Nanoseconds())
+	snap := s.scratch()
 	for tn := 0; tn < s.cfg.Tenants; tn++ {
 		for op := 0; op < int(kvwire.OpCount); op++ {
-			snap := s.rec.Merged(tn, op)
-			if snap.Count == 0 {
+			snap.Reset()
+			if s.rec.MergeInto(snap, tn, op); snap.Count == 0 {
 				continue
 			}
 			doc.Rows = append(doc.Rows, kvwire.RowFrom("kvserver",
-				strconv.Itoa(tn), kvwire.Op(op).String(), s.cfg.Workers, snap, wall))
+				strconv.Itoa(tn), kvwire.Op(op).String(), s.cfg.Workers, *snap, wall))
 		}
-		if snap := s.rec.MergedTenant(tn); snap.Count > 0 {
+		snap.Reset()
+		for op := 0; op < int(kvwire.OpCount); op++ {
+			s.rec.MergeInto(snap, tn, op)
+		}
+		if snap.Count > 0 {
 			doc.Rows = append(doc.Rows, kvwire.RowFrom("kvserver",
-				strconv.Itoa(tn), "all", s.cfg.Workers, snap, wall))
+				strconv.Itoa(tn), "all", s.cfg.Workers, *snap, wall))
 		}
 	}
+	if s.stages != nil {
+		// The span layer's per-stage breakdown, merged across workers:
+		// where wall time actually went, one row per stage even at zero
+		// traffic (grep-style assertions again).
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			snap.Reset()
+			s.stages.MergeInto(snap, 0, int(st))
+			doc.Stages = append(doc.Stages, kvwire.StageRowFrom(st.String(), *snap))
+		}
+	}
+	s.spare.Store(snap)
 	doc.Robust = &kvwire.RobustCounters{
 		Busy:        s.busy.Load(),
 		SlowClients: s.slowClients.Load(),
@@ -731,35 +765,28 @@ func (s *Server) Stats() kvwire.Doc {
 		Drained:     s.draining.Load(),
 	}
 	// Same names, same registry as the METRICS verb; every known series
-	// present even at zero (like the robust block).
+	// present even at zero (like the robust block). The stage series
+	// take the spare back in turn.
 	doc.Obs = s.reg.Snapshot().Counters
-	if s.stages != nil {
-		// The span layer's per-stage breakdown, merged across workers:
-		// where wall time actually went, one row per stage even at zero
-		// traffic (grep-style assertions again).
-		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			doc.Stages = append(doc.Stages, kvwire.StageRowFrom(st.String(), s.stages.Merged(0, int(st))))
-		}
-	}
 	return doc
 }
 
 // Audit sweeps every tenant container and returns the conservation
 // totals: map entries and wrapping value-sum, and queued elements.
-// Composed operations never change any of them. The sweep races
-// in-flight traffic benignly (each read is atomic) but is only an
-// exact conservation witness on a quiesced server — kvload audits
-// after its workers finish. The sweep's reads also help any descriptor
-// a stalled or killed thread left announced, so a post-fault audit
-// both verifies and completes.
+// Composed operations never change any of them. Each map is summed in
+// one walk of its lists (HashMap.Walk) and each queue counted by Len:
+// one pass per container, no allocation, no arena node taken. The
+// sweep races in-flight traffic benignly (each read is atomic) but is
+// only an exact conservation witness on a quiesced server — kvload
+// audits after its workers finish. The sweep's reads also help any
+// descriptor a stalled or killed thread left announced, so a post-fault
+// audit both verifies and completes.
 func (s *Server) Audit(th *repro.Thread) (mapCount, mapSum, queueCount uint64) {
 	for tn := 0; tn < s.cfg.Tenants; tn++ {
-		for _, k := range s.maps[tn].Keys(th) {
-			if v, ok := s.maps[tn].Contains(th, k); ok {
-				mapCount++
-				mapSum += v
-			}
-		}
+		s.maps[tn].Walk(th, func(_, v uint64) {
+			mapCount++
+			mapSum += v
+		})
 		queueCount += uint64(s.queues[tn].Len(th))
 	}
 	return

@@ -25,6 +25,7 @@ import (
 
 	"repro"
 	"repro/internal/arena"
+	"repro/internal/core"
 	"repro/internal/kvwire"
 	"repro/internal/mm"
 	"repro/internal/obs"
@@ -431,6 +432,13 @@ func TestServerBusyOnArenaExhaustion(t *testing.T) {
 // before it and answers them OK — BUSY would promise that nothing
 // executed. The moved elements are in the target queue, and the audit
 // still counts every element once.
+//
+// Each move takes a node for its insert and retires the source queue's
+// old sentinel, and an Alloc that finds the arena dry scans its own
+// retire list first. So the drain runs dry only if its retirees are
+// still protected: the setup thread's hazard slots pin the first k of
+// them, the queue's sentinel and its first k−1 element nodes, where k
+// is what the worker's 200-node batch keeps after the pushes.
 func TestServerDrainAnswersMovedPrefixOnExhaustion(t *testing.T) {
 	s := NewServer(Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Arena: exhaustArena})
 	ln, addr, err := listenTCP("127.0.0.1:0")
@@ -442,11 +450,23 @@ func TestServerDrainAnswersMovedPrefixOnExhaustion(t *testing.T) {
 
 	c := dial(t, addr)
 	defer c.conn.Close()
-	const n = 150 // leaves the worker's batch 50 nodes for the drain's inserts
+	const n = 196 // leaves the worker's batch k = 4 nodes for the drain's inserts
 	for v := 1; v <= n; v++ {
 		if r := c.roundTrip(t, fmt.Sprintf("PUSH 0 %d", v), false); !r.OK() {
 			t.Fatalf("PUSH %d: %+v", v, r)
 		}
+	}
+	const k = mm.LocalListCap - n
+	pin := s.SetupThread()
+	head, _ := s.queues[0].Anchors()
+	ref := head.Load()
+	for i := 0; i < k; i++ {
+		if i < core.SlotRemAux+1 {
+			pin.ProtectNode(i, ref)
+		} else {
+			pin.HoldNode(i-core.SlotRemAux-1, ref)
+		}
+		ref = pin.Node(ref).Next.Load()
 	}
 	r := c.roundTrip(t, fmt.Sprintf("DRAIN 0 1 %d", n), true)
 	if !r.OK() || len(r.Vals) == 0 || len(r.Vals) >= n {
@@ -1003,6 +1023,123 @@ func TestServerKillMidBatch(t *testing.T) {
 	wantClosed(t, in)
 	if n := s.Stats().Robust.LostWorkers; n != 1 {
 		t.Fatalf("lost_workers = %d, want 1", n)
+	}
+}
+
+// TestServerAuditCompletesKilledMove: a worker fault-killed right after
+// it announced a MOVE's descriptor leaves the move undecided in the
+// source entry's link word. An AUDIT from another connection walks that
+// word, helps the move to completion and counts the entry once; a GET
+// then finds the key in exactly one tenant.
+func TestServerAuditCompletesKilledMove(t *testing.T) {
+	plan, err := repro.ParseFaultPlan([]string{"kcas-publish:kill:nth=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, l := servePipes(t, Config{Tenants: 2, Workers: 2, Shards: 1, Buckets: 2, Fault: plan})
+	killed, in, _ := l.dial(t)
+	if _, err := killed.Write([]byte("PUT 0 1 11\nMOVE 0 1 1 1\n")); err != nil {
+		t.Fatal(err)
+	}
+	wantLines(t, in, "OK")
+	wantClosed(t, in)
+	if n := s.Stats().Robust.LostWorkers; n != 1 {
+		t.Fatalf("lost_workers = %d, want 1", n)
+	}
+	client, in, _ := l.dial(t)
+	if _, err := client.Write([]byte("AUDIT\nGET 0 1\nGET 1 1\n")); err != nil {
+		t.Fatal(err)
+	}
+	wantLines(t, in, "OK 1 11 0")
+	found := 0
+	for tn := 0; tn < 2; tn++ {
+		line, err := in.ReadString('\n')
+		if err != nil {
+			t.Fatalf("GET %d 1: %v", tn, err)
+		}
+		switch line = strings.TrimSuffix(line, "\n"); line {
+		case "OK 11":
+			found++
+		case "NF":
+		default:
+			t.Fatalf("GET %d 1: %q", tn, line)
+		}
+	}
+	if found != 1 {
+		t.Fatalf("key 1 found in %d tenants after the audit, want exactly 1", found)
+	}
+}
+
+// mixedTraffic runs ops random data requests through worker w's exec
+// over keys [0, keys) of every tenant — PUT, DEL, MOVE, XFER, PUSH, POP
+// and DRAIN — and fails the test on an ERR or BUSY. It returns the
+// number of DRAINs that moved something.
+func mixedTraffic(t testing.TB, s *Server, w *worker, ops, keys int, seed uint64) (drains int) {
+	t.Helper()
+	rng := xrand.New(seed)
+	tenants := s.cfg.Tenants
+	var req kvwire.Request
+	buf := make([]byte, 0, 16<<10)
+	for i := 0; i < ops; i++ {
+		tn := rng.Intn(tenants)
+		dt := (tn + 1 + rng.Intn(tenants-1)) % tenants
+		k1, k2 := rng.Intn(keys), rng.Intn(keys)
+		var line string
+		switch p := rng.Intn(100); {
+		case p < 40:
+			line = fmt.Sprintf("PUT %d %d %d", tn, k1, rng.Intn(1<<20))
+		case p < 50:
+			line = fmt.Sprintf("DEL %d %d", tn, k1)
+		case p < 70:
+			line = fmt.Sprintf("MOVE %d %d %d %d", tn, dt, k1, k2)
+		case p < 78:
+			line = fmt.Sprintf("XFER %d %d %d,%d %d,%d", tn, dt, k1, (k1+1)%keys, k2, (k2+1)%keys)
+		case p < 90:
+			line = fmt.Sprintf("PUSH %d %d", tn, rng.Intn(1<<20))
+		case p < 95:
+			line = fmt.Sprintf("POP %d", tn)
+		default:
+			line = fmt.Sprintf("DRAIN %d %d %d", tn, dt, 1+rng.Intn(8))
+		}
+		resp := s.exec(w, &req, []byte(line), buf[:0], nil)
+		if bytes.HasPrefix(resp, []byte("ERR")) || bytes.HasPrefix(resp, []byte("BUSY")) {
+			t.Fatalf("%s: %s", line, resp)
+		}
+		if strings.HasPrefix(line, "DRAIN") && bytes.HasPrefix(resp, []byte("OK ")) {
+			drains++
+		}
+	}
+	return drains
+}
+
+// TestAuditMatchesKeysContains: the one-walk audit reads the totals the
+// former sweep computed — Map.Keys, then one Contains per key — after
+// mixed traffic that grew every map and moved elements by DRAIN.
+func TestAuditMatchesKeysContains(t *testing.T) {
+	s := NewServer(Config{Tenants: 3, Workers: 1, Shards: 2, Buckets: 2})
+	defer s.Close()
+	w := <-s.workers
+	if drains := mixedTraffic(t, s, w, 20_000, 512, 7); drains == 0 {
+		t.Fatal("no DRAIN moved anything")
+	}
+	var wantN, wantSum, wantQ uint64
+	for tn := range s.maps {
+		if grows, _, _ := s.maps[tn].Stats(); grows == 0 {
+			t.Fatalf("tenant %d's map never grew", tn)
+		}
+		for _, k := range s.maps[tn].Keys(w.th) {
+			if v, ok := s.maps[tn].Contains(w.th, k); ok {
+				wantN++
+				wantSum += v
+			}
+		}
+		wantQ += uint64(s.queues[tn].Len(w.th))
+	}
+	if wantN == 0 || wantQ == 0 {
+		t.Fatalf("traffic left %d map entries and %d queued elements, want both above 0", wantN, wantQ)
+	}
+	if n, sum, q := s.Audit(w.th); n != wantN || sum != wantSum || q != wantQ {
+		t.Fatalf("Audit = (%d, %d, %d), Keys+Contains = (%d, %d, %d)", n, sum, q, wantN, wantSum, wantQ)
 	}
 }
 

@@ -240,7 +240,7 @@ func hash(k uint64) uint64 {
 }
 
 // unhash inverts hash (the multipliers are the modular inverses of
-// hash's); Keys recovers a key from a node's order key with it.
+// hash's); Walk recovers a key from a node's order key with it.
 func unhash(h uint64) uint64 {
 	h ^= h>>31 ^ h>>62
 	h *= 0x319642b2d24d8ec3
@@ -426,20 +426,31 @@ func (m *Map) Len(t *core.Thread) int {
 	return int(n)
 }
 
-// Keys returns every key (quiescent use: audits and tests). Order is
+// Walk calls f with every entry's key and value (quiescent use: audits
+// and tests). It is the map's one traversal: harrislist.Walk over each
+// shard's initial lists, which hold every node, so each entry is
+// visited once; sentinels and marked nodes are skipped. Its reads help
+// any descriptor a stalled or killed thread left announced in a link
+// word, so a walk after a fault completes what it meets. It links no
+// sentinel, takes no arena node and allocates nothing. Order is
 // unspecified.
-func (m *Map) Keys(t *core.Thread) []uint64 {
-	var out []uint64
+func (m *Map) Walk(t *core.Thread, f func(key, val uint64)) {
 	for i := range m.shards {
 		heads := m.shards[i].dir.Load().heads
 		for j := range heads {
 			harrislist.Walk(t, &heads[j], func(n *arena.Node) {
 				if n.Aux == auxEntry {
-					out = append(out, unhash(bits.Reverse64(n.Key)))
+					f(unhash(bits.Reverse64(n.Key)), n.Val)
 				}
 			})
 		}
 	}
+}
+
+// Keys returns every key (quiescent use: tests). Order is unspecified.
+func (m *Map) Keys(t *core.Thread) []uint64 {
+	var out []uint64
+	m.Walk(t, func(k, _ uint64) { out = append(out, k) })
 	return out
 }
 

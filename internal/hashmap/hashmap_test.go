@@ -276,6 +276,63 @@ func TestMapOpsNoAllocs(t *testing.T) {
 	}
 }
 
+// TestWalkNoAllocs: Walk hands each live entry to its callback once,
+// with its value, on a map that grew and then doubled again with its
+// sentinels still unlinked. It links none of them, takes no arena node
+// and allocates nothing.
+func TestWalkNoAllocs(t *testing.T) {
+	const n = 2000
+	th := newRT(1).RegisterThread()
+	m := NewSharded(th, 2, 1, 0)
+	for k := uint64(0); k < n; k++ {
+		m.Insert(th, k, k^0xabc)
+	}
+	for k := uint64(0); k < n; k += 4 {
+		m.Remove(th, k)
+	}
+	m.Grow(th) // a doubling whose sentinels nobody links
+	grows, sentinels, _ := m.Stats()
+	carved := th.Runtime().Arena().Allocated()
+	var wantSum uint64
+	for k := uint64(0); k < n; k++ {
+		if k%4 != 0 {
+			wantSum += k ^ 0xabc
+		}
+	}
+	seen := make(map[uint64]int)
+	m.Walk(th, func(k, v uint64) {
+		if v != k^0xabc {
+			t.Fatalf("Walk: key %d with value %d, want %d", k, v, k^0xabc)
+		}
+		seen[k]++
+	})
+	for k := uint64(0); k < n; k++ {
+		if want := int(min(k%4, 1)); seen[k] != want {
+			t.Fatalf("Walk visited key %d %d times, want %d", k, seen[k], want)
+		}
+	}
+	var count, sum uint64
+	walk := func() {
+		count, sum = 0, 0
+		m.Walk(th, func(_, v uint64) {
+			count++
+			sum += v
+		})
+	}
+	if a := verify.Mallocs(10, 100, walk); a != 0 {
+		t.Errorf("%d allocations over 100 summing walks, want 0", a)
+	}
+	if count != uint64(m.Len(th)) || count != n-n/4 || sum != wantSum {
+		t.Fatalf("walk counted %d entries summing %d, Len %d, want %d summing %d", count, sum, m.Len(th), n-n/4, wantSum)
+	}
+	if g, s, _ := m.Stats(); g != grows || s != sentinels || th.Runtime().Arena().Allocated() != carved {
+		t.Fatalf("walks linked %d sentinels and carved %d nodes, want none", s-sentinels, th.Runtime().Arena().Allocated()-carved)
+	}
+	if grows < 2 {
+		t.Fatalf("%d doublings, want the fill's and the forced one", grows)
+	}
+}
+
 // TestRebalanceStepDrivesGrow checks the incremental driver: the
 // sentinels of a forced Grow are all linked purely by RebalanceStep
 // calls.

@@ -109,27 +109,36 @@ func (h *Hist) RecordNS(ns int64) {
 // enough for reporting (bucket totals may trail count by in-flight
 // samples).
 func (h *Hist) Snapshot() Snapshot {
-	s := Snapshot{
-		Count: h.count.Load(),
-		SumNS: h.sumNS.Load(),
-		MaxNS: h.maxNS.Load(),
-	}
-	if s.Count == 0 {
-		return s
-	}
-	s.counts = make([]uint64, numBuckets)
-	for i := range h.counts {
-		s.counts[i] = h.counts[i].Load()
-	}
+	var s Snapshot
+	s.Add(h)
 	return s
 }
 
-// Snapshot is an immutable merged view of one or more histograms.
+// Snapshot is a merged view of one or more histograms.
 type Snapshot struct {
 	Count  uint64
 	SumNS  uint64
 	MaxNS  int64
 	counts []uint64
+}
+
+// Add folds h's current state into s straight from h's counters: what
+// s.Merge(h.Snapshot()) computes, without the intermediate copy. Like
+// Snapshot it is safe beside h's writers.
+func (s *Snapshot) Add(h *Hist) {
+	n := h.count.Load()
+	s.Count += n
+	s.SumNS += h.sumNS.Load()
+	s.MaxNS = max(s.MaxNS, h.maxNS.Load())
+	if n == 0 {
+		return
+	}
+	if s.counts == nil {
+		s.counts = make([]uint64, numBuckets)
+	}
+	for i := range h.counts {
+		s.counts[i] += h.counts[i].Load()
+	}
 }
 
 // Merge folds other into s.
@@ -148,6 +157,13 @@ func (s *Snapshot) Merge(other Snapshot) {
 	for i, c := range other.counts {
 		s.counts[i] += c
 	}
+}
+
+// Reset empties s and keeps its bucket storage, so a report can merge
+// one group of histograms after another into a single scratch snapshot.
+func (s *Snapshot) Reset() {
+	clear(s.counts)
+	s.Count, s.SumNS, s.MaxNS = 0, 0, 0
 }
 
 // Percentile returns the latency (ns) at quantile q in [0,1]: the

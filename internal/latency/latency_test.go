@@ -230,3 +230,45 @@ func TestSnapshotDuringRecording(t *testing.T) {
 		t.Fatalf("final count = %d, want 100000", got)
 	}
 }
+
+// TestMergeIntoScratch: merging straight from the counters into a reset
+// scratch snapshot reads what copying each histogram and merging the
+// copies reads, and once the scratch holds bucket storage it allocates
+// nothing, however many stripes it merges.
+func TestMergeIntoScratch(t *testing.T) {
+	r := NewRecorder(8, 2, 2)
+	rng := xrand.New(5)
+	for w := 0; w < 8; w++ {
+		for i := 0; i < 1000; i++ {
+			r.Record(w, i%2, 0, time.Duration(rng.Intn(1<<20)))
+		}
+	}
+	var want Snapshot
+	for w := 0; w < 8; w++ {
+		if h := r.cell(w, 1, 0).Load(); h != nil {
+			want.Merge(h.Snapshot())
+		}
+	}
+	var scratch Snapshot
+	r.MergeInto(&scratch, 0, 0) // leaves other data behind, and storage
+	merge := func() {
+		scratch.Reset()
+		r.MergeInto(&scratch, 1, 0)
+	}
+	if n := testing.AllocsPerRun(100, merge); n != 0 {
+		t.Fatalf("%v allocations per reset-and-merge of 8 stripes, want 0", n)
+	}
+	if scratch.Count != want.Count || scratch.SumNS != want.SumNS || scratch.MaxNS != want.MaxNS {
+		t.Fatalf("scratch %d/%d/%d, copies %d/%d/%d (count/sum/max)",
+			scratch.Count, scratch.SumNS, scratch.MaxNS, want.Count, want.SumNS, want.MaxNS)
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
+		if got, w := scratch.Percentile(q), want.Percentile(q); got != w {
+			t.Fatalf("p%v: scratch %d, copies %d", q*100, got, w)
+		}
+	}
+	scratch.Reset()
+	if scratch.Count != 0 || scratch.Percentile(0.5) != 0 || scratch.Max() != 0 {
+		t.Fatalf("a reset snapshot reads %d samples, p50 %d, max %d", scratch.Count, scratch.Percentile(0.5), scratch.Max())
+	}
+}

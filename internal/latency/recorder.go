@@ -63,15 +63,22 @@ func (r *Recorder) Record(worker, tenant, op int, d time.Duration) {
 	h.Record(d)
 }
 
+// MergeInto folds the (tenant, op) pair's histograms across all workers
+// into s, straight from their counters (Snapshot.Add): a caller that
+// resets and reuses one s per report allocates nothing per histogram.
+func (r *Recorder) MergeInto(s *Snapshot, tenant, op int) {
+	for w := 0; w < r.workers; w++ {
+		if h := r.cell(w, tenant, op).Load(); h != nil {
+			s.Add(h)
+		}
+	}
+}
+
 // Merged returns the merged snapshot of one (tenant, op) pair across
 // all workers.
 func (r *Recorder) Merged(tenant, op int) Snapshot {
 	var s Snapshot
-	for w := 0; w < r.workers; w++ {
-		if h := r.cell(w, tenant, op).Load(); h != nil {
-			s.Merge(h.Snapshot())
-		}
-	}
+	r.MergeInto(&s, tenant, op)
 	return s
 }
 
@@ -80,7 +87,7 @@ func (r *Recorder) Merged(tenant, op int) Snapshot {
 func (r *Recorder) MergedTenant(tenant int) Snapshot {
 	var s Snapshot
 	for op := 0; op < r.ops; op++ {
-		s.Merge(r.Merged(tenant, op))
+		r.MergeInto(&s, tenant, op)
 	}
 	return s
 }
@@ -90,7 +97,9 @@ func (r *Recorder) MergedTenant(tenant int) Snapshot {
 func (r *Recorder) MergedAll() Snapshot {
 	var s Snapshot
 	for tn := 0; tn < r.tenants; tn++ {
-		s.Merge(r.MergedTenant(tn))
+		for op := 0; op < r.ops; op++ {
+			r.MergeInto(&s, tn, op)
+		}
 	}
 	return s
 }

@@ -19,7 +19,15 @@
 // Allocation order: the loaded list, then the spare, then a list popped
 // from the global stack, then fresh nodes carved from the arena. Retired
 // nodes sit in a per-thread retire list until a hazard-pointer scan shows
-// no thread protects them, then move to the loaded list.
+// no thread protects them, then move to the loaded list. A scan runs
+// when the retire list reaches its threshold, and once more in an Alloc
+// that finds every other source empty. So a failed Alloc (word.Nil)
+// guarantees that the caller's two lists, the global stack and the
+// arena were empty and that every node in the caller's retire list was
+// protected by a hazard pointer at that scan. It does not guarantee
+// that the arena has no free node: a peer's two lists can hold up to
+// 2·LocalListCap free nodes that reach the global stack only as full
+// lists.
 //
 // A cache owns its two buffers for life. A spill copies the list into a
 // freshly boxed segment (the standard Go-safe way to get an ABA-free
@@ -184,7 +192,8 @@ func (m *Manager) NewCache(tid int) *Cache {
 
 // Alloc returns a fresh node reference with the node's words reset, or
 // word.Nil when the free lists, the global stack and the arena are all
-// empty. The reference has tag 0 and no marks.
+// empty and a scan of the retire list freed nothing. The reference has
+// tag 0 and no marks.
 func (c *Cache) Alloc() uint64 {
 	if len(c.free) == 0 {
 		if len(c.spare) > 0 { // full
@@ -192,7 +201,14 @@ func (c *Cache) Alloc() uint64 {
 		} else if seg := c.m.popGlobal(); seg != nil {
 			c.free = append(c.free, seg.refs...)
 		} else if c.free = c.m.arena.Carve(c.free, LocalListCap); len(c.free) == 0 {
-			return word.Nil
+			// Last resort: nodes this thread retired below the threshold
+			// may be free already.
+			if len(c.retired) > 0 {
+				c.Scan()
+			}
+			if len(c.free) == 0 {
+				return word.Nil
+			}
 		}
 	}
 	last := len(c.free) - 1

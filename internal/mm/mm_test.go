@@ -109,6 +109,53 @@ func TestRetireHoldsProtectedNodes(t *testing.T) {
 	}
 }
 
+// TestExhaustedAllocScansOwnRetireList: a cache whose two lists, the
+// global stack and the arena are empty scans its retire list before it
+// fails, so nodes it retired below the scan threshold are not stranded.
+// What a failed Alloc then guarantees is the package comment's: every
+// node left in the caller's retire list is protected.
+func TestExhaustedAllocScansOwnRetireList(t *testing.T) {
+	a := arena.New(arena.ReservedIndexes + LocalListCap)
+	dom := hazard.New(2, 4)
+	m := New(a, dom, Config{})
+	c := m.NewCache(0)
+	refs := make([]uint64, LocalListCap)
+	for i := range refs {
+		if refs[i] = c.Alloc(); refs[i] == word.Nil {
+			t.Fatalf("alloc %d of %d failed on a fresh arena of one list", i, LocalListCap)
+		}
+	}
+	if ref := c.Alloc(); ref != word.Nil {
+		t.Fatalf("the arena is carved dry, yet Alloc returned %#x", ref)
+	}
+	// Four nodes retired, far below the threshold: no scan has run.
+	// Another thread protects the first; the other three are free.
+	retired := map[uint64]bool{}
+	for _, r := range refs[:4] {
+		retired[word.NodeIndex(r)] = true
+		c.Retire(r)
+	}
+	protected := word.NodeIndex(refs[0])
+	dom.Protect(1, 0, protected)
+	for i := 0; i < 3; i++ {
+		ref := c.Alloc()
+		if ref == word.Nil {
+			t.Fatalf("alloc %d after the retires failed with %d unprotected nodes in the retire list", i, 3-i)
+		}
+		idx := word.NodeIndex(ref)
+		if !retired[idx] || idx == protected {
+			t.Fatalf("alloc %d returned node %d, want one of the unprotected retirees", i, idx)
+		}
+		delete(retired, idx)
+	}
+	if ref := c.Alloc(); ref != word.Nil {
+		t.Fatalf("Alloc returned %#x with only a protected node left to free", ref)
+	}
+	if c.LocalRetired() != 1 {
+		t.Fatalf("%d nodes retired after the failed Alloc, want the protected one", c.LocalRetired())
+	}
+}
+
 func TestRetireTriggersScanAtThreshold(t *testing.T) {
 	a := arena.New(1 << 10)
 	dom := hazard.New(1, 2)
