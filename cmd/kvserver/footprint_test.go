@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"fmt"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -37,6 +38,36 @@ func TestNoHTTPStack(t *testing.T) {
 		switch dep {
 		case "net/http", "crypto/tls", "net", "runtime/cgo":
 			t.Errorf("kvserver depends on %s", dep)
+		}
+	}
+}
+
+// TestNoJSONEncoder: kvserver writes STATS, SLOW and its span lines
+// with hand-written appenders (kvwire's Doc.AppendJSON and
+// SlowDoc.AppendJSON, obs.Span.AppendJSON), so its binary links none of
+// encoding/json's reflective encoder, ≈ 190 kB of text and rodata that
+// a running server maps and keeps resident. obs still imports
+// encoding/json for its readers, so the package graph cannot tell; the
+// symbol table can.
+func TestNoJSONEncoder(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go is not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "kvserver")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command("go", "tool", "nm", bin).Output()
+	if err != nil {
+		t.Fatalf("go tool nm: %v", err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		// addr type name; a generic shape's name may hold spaces.
+		if f := strings.Fields(line); len(f) >= 3 {
+			name := strings.Join(f[2:], " ")
+			if name == "encoding/json.Marshal" || strings.HasPrefix(name, "encoding/json.(*encodeState)") {
+				t.Errorf("kvserver links %s", name)
+			}
 		}
 	}
 }
@@ -124,10 +155,14 @@ func TestAuditNoAllocs(t *testing.T) {
 
 // TestStatsBytesBounded: STATS merges each histogram's counters straight
 // into one scratch snapshot, so what a call allocates does not grow with
-// the live (worker, tenant, op) cells. A server that never collects
-// keeps every byte its STATS polls allocate. Here 4 workers serve every
-// data verb on each of 4 tenants: 128 live cells, and with spans on 4
-// stage histograms per worker as well.
+// the live (worker, tenant, op) cells, and SLOW keeps at most K spans
+// while it merges the workers' exemplars. A server that never collects
+// keeps every byte its STATS and SLOW polls allocate. Both verbs are
+// measured through execControl into a 4 KiB response buffer, as a
+// connection's write buffer offers it, so the document and its encoding
+// are counted together. Here 4 workers serve every data verb on each of
+// 4 tenants: 128 live cells, and with spans on 4 stage histograms and 32
+// exemplars per worker as well.
 func TestStatsBytesBounded(t *testing.T) {
 	const (
 		workers, tenants = 4, 4
@@ -139,8 +174,9 @@ func TestStatsBytesBounded(t *testing.T) {
 			defer s.Close()
 			var req kvwire.Request
 			buf := make([]byte, 0, 4<<10)
+			var w *worker
 			for i := 0; i < workers; i++ {
-				w := <-s.workers
+				w = <-s.workers
 				for tn := 0; tn < tenants; tn++ {
 					dt := (tn + 1) % tenants
 					for _, l := range []string{
@@ -163,17 +199,23 @@ func TestStatsBytesBounded(t *testing.T) {
 			if rows := len(s.Stats().Rows); rows != tenants*9 {
 				t.Fatalf("STATS has %d rows, want %d: 8 ops and an all row per tenant", rows, tenants*9)
 			}
-			const calls = 20
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			for i := 0; i < calls; i++ {
-				s.Stats()
-			}
-			runtime.ReadMemStats(&m1)
-			if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per > bound {
-				t.Fatalf("Stats allocates %d bytes per call, want at most %d", per, bound)
-			} else {
-				t.Logf("Stats allocates %d bytes per call", per)
+			for _, op := range []kvwire.Op{kvwire.OpStats, kvwire.OpSlow} {
+				const calls = 20
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				var resp []byte
+				for i := 0; i < calls; i++ {
+					resp = s.execControl(w, op, buf[:0])
+				}
+				runtime.ReadMemStats(&m1)
+				if (op == kvwire.OpStats || spans) && !bytes.HasPrefix(resp, []byte("OK {")) {
+					t.Fatalf("%v answered %.40q", op, resp)
+				}
+				if per := (m1.TotalAlloc - m0.TotalAlloc) / calls; per > bound {
+					t.Fatalf("%v allocates %d bytes per call (%d-byte response), want at most %d", op, per, len(resp), bound)
+				} else {
+					t.Logf("%v allocates %d bytes per call (%d-byte response)", op, per, len(resp))
+				}
 			}
 		})
 	}

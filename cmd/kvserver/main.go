@@ -68,7 +68,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -162,12 +161,8 @@ func main() {
 		fmt.Printf("kvserver: %v, draining\n", sig)
 		start := time.Now()
 		s.Drain()
-		blob, err := json.Marshal(s.Stats())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kvserver: final stats:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("STATS %s\n", blob)
+		doc := s.Stats()
+		os.Stdout.Write(append(doc.AppendJSON([]byte("STATS ")), '\n'))
 		mapN, mapSum, queueN := s.Audit(s.SetupThread())
 		fmt.Printf("AUDIT %d %d %d\n", mapN, mapSum, queueN)
 		if *traceOut != "" {

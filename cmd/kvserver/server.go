@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -650,7 +649,8 @@ func (s *Server) execControl(w *worker, op kvwire.Op, dst []byte) []byte {
 	case kvwire.OpPing:
 		return kvwire.AppendOK(dst)
 	case kvwire.OpStats:
-		return appendJSON(dst, s.Stats())
+		doc := s.Stats()
+		return doc.AppendJSON(append(dst, "OK "...))
 	case kvwire.OpAudit:
 		mapN, mapSum, queueN := s.Audit(w.th)
 		return fmt.Appendf(dst, "OK %d %d %d", mapN, mapSum, queueN)
@@ -660,21 +660,10 @@ func (s *Server) execControl(w *worker, op kvwire.Op, dst []byte) []byte {
 		if s.spans == nil {
 			return append(dst, "ERR spans disabled"...)
 		}
-		return appendJSON(dst, kvwire.SlowDoc{
-			Dropped:   s.spans.Dropped(),
-			Exemplars: s.spans.Exemplars(),
-		})
+		doc := kvwire.SlowDoc{Dropped: s.spans.Dropped(), Exemplars: s.spans.Exemplars()}
+		return doc.AppendJSON(append(dst, "OK "...))
 	}
 	return append(dst, "ERR unreachable"...)
-}
-
-// appendJSON appends "OK <one-line JSON of doc>".
-func appendJSON(dst []byte, doc any) []byte {
-	b, err := json.Marshal(doc)
-	if err != nil {
-		return append(append(dst, "ERR "...), err.Error()...)
-	}
-	return append(append(dst, "OK "...), b...)
 }
 
 // metricsText appends the registry snapshot in Prometheus text format.
@@ -727,6 +716,9 @@ func (s *Server) scratch() *latency.Snapshot {
 // of live cells. It is safe to call concurrently with traffic.
 func (s *Server) Stats() kvwire.Doc {
 	doc := kvwire.NewDoc()
+	if rows := s.liveRows(); rows > 0 {
+		doc.Rows = make([]kvwire.Row, 0, rows)
+	}
 	wall := float64(time.Since(s.started).Nanoseconds())
 	snap := s.scratch()
 	for tn := 0; tn < s.cfg.Tenants; tn++ {
@@ -758,6 +750,9 @@ func (s *Server) Stats() kvwire.Doc {
 		}
 	}
 	s.spare.Store(snap)
+	if len(doc.Rows) == 0 {
+		doc.Rows = nil // a pair that went live after liveRows but has no count yet: still "rows":null
+	}
 	doc.Robust = &kvwire.RobustCounters{
 		Busy:        s.busy.Load(),
 		SlowClients: s.slowClients.Load(),
@@ -769,6 +764,25 @@ func (s *Server) Stats() kvwire.Doc {
 	// take the spare back in turn.
 	doc.Obs = s.reg.Snapshot().Counters
 	return doc
+}
+
+// liveRows counts the rows Stats will build, one per (tenant, op) pair
+// with traffic and one per tenant that has any, so that Stats allocates
+// its rows once.
+func (s *Server) liveRows() int {
+	rows := 0
+	for tn := 0; tn < s.cfg.Tenants; tn++ {
+		ops := 0
+		for op := 0; op < int(kvwire.OpCount); op++ {
+			if s.rec.Live(tn, op) {
+				ops++
+			}
+		}
+		if ops > 0 {
+			rows += ops + 1
+		}
+	}
+	return rows
 }
 
 // Audit sweeps every tenant container and returns the conservation

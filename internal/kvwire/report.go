@@ -2,6 +2,9 @@ package kvwire
 
 import (
 	"runtime"
+	"slices"
+	"sort"
+	"strconv"
 
 	"repro/internal/latency"
 	"repro/internal/obs"
@@ -189,4 +192,132 @@ type Doc struct {
 // against contended runs.
 func NewDoc() Doc {
 	return Doc{HostCPUs: runtime.NumCPU(), Contended: runtime.GOMAXPROCS(0) > 1}
+}
+
+// The documents' JSON writers. Each appends exactly the bytes
+// encoding/json's Marshal writes for the same value (field order,
+// omitempty, nil slices as null, map keys sorted), so kvserver need not
+// link the reflective encoder; kvload, bench and tracecheck read the
+// documents with encoding/json. Floats go through obs.AppendJSONFloat,
+// strings through obs.AppendJSONString.
+
+// AppendJSON appends the document's one-line JSON form to dst. It
+// first grows dst by an estimate of the document's size, so that a
+// STATS document appended to a short response buffer grows it once,
+// not a quarter at a time.
+func (d *Doc) AppendJSON(dst []byte) []byte {
+	dst = slices.Grow(dst, 256+192*len(d.Rows)+128*len(d.Stages)+32*len(d.Obs))
+	dst = strconv.AppendInt(append(dst, `{"host_cpus":`...), int64(d.HostCPUs), 10)
+	dst = strconv.AppendBool(append(dst, `,"contended":`...), d.Contended)
+	if d.RateRPS != 0 {
+		dst = obs.AppendJSONFloat(append(dst, `,"rate_rps":`...), d.RateRPS)
+	}
+	if d.DurationMS != 0 {
+		dst = obs.AppendJSONFloat(append(dst, `,"duration_ms":`...), d.DurationMS)
+	}
+	if d.Conns != 0 {
+		dst = strconv.AppendInt(append(dst, `,"conns":`...), int64(d.Conns), 10)
+	}
+	if d.Audit != nil {
+		dst = d.Audit.appendJSON(append(dst, `,"audit":`...))
+	}
+	if d.Robust != nil {
+		dst = d.Robust.appendJSON(append(dst, `,"robust":`...))
+	}
+	if len(d.Obs) > 0 {
+		names := make([]string, 0, len(d.Obs))
+		for name := range d.Obs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		sep := byte('{')
+		dst = append(dst, `,"obs":`...)
+		for _, name := range names {
+			dst = obs.AppendJSONString(append(dst, sep), name)
+			dst = strconv.AppendUint(append(dst, ':'), d.Obs[name], 10)
+			sep = ','
+		}
+		dst = append(dst, '}')
+	}
+	if len(d.Stages) > 0 {
+		dst = appendArray(append(dst, `,"stages":`...), d.Stages, (*StageRow).appendJSON)
+	}
+	dst = appendArray(append(dst, `,"rows":`...), d.Rows, (*Row).appendJSON)
+	return append(dst, '}')
+}
+
+// AppendJSON appends the SLOW document's one-line JSON form to dst,
+// growing dst first by an estimate of its size as Doc.AppendJSON does.
+func (d *SlowDoc) AppendJSON(dst []byte) []byte {
+	dst = slices.Grow(dst, 64+256*len(d.Exemplars))
+	dst = strconv.AppendUint(append(dst, `{"dropped":`...), d.Dropped, 10)
+	dst = appendArray(append(dst, `,"exemplars":`...), d.Exemplars, (*obs.Span).AppendJSON)
+	return append(dst, '}')
+}
+
+// appendArray appends list as a JSON array of appendElem's elements, or
+// null when it is nil.
+func appendArray[T any](dst []byte, list []T, appendElem func(*T, []byte) []byte) []byte {
+	if list == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i := range list {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendElem(&list[i], dst)
+	}
+	return append(dst, ']')
+}
+
+func (r *Row) appendJSON(dst []byte) []byte {
+	dst = obs.AppendJSONString(append(dst, `{"figure":`...), r.Figure)
+	dst = obs.AppendJSONString(append(dst, `,"tenant":`...), r.Tenant)
+	dst = obs.AppendJSONString(append(dst, `,"op":`...), r.Op)
+	dst = strconv.AppendInt(append(dst, `,"threads":`...), int64(r.Threads), 10)
+	dst = strconv.AppendUint(append(dst, `,"ops":`...), r.Ops, 10)
+	dst = obs.AppendJSONFloat(append(dst, `,"ops_per_sec":`...), r.OpsPerSec)
+	dst = obs.AppendJSONFloat(append(dst, `,"mean_ns":`...), r.MeanNS)
+	dst = strconv.AppendInt(append(dst, `,"p50_ns":`...), r.P50NS, 10)
+	dst = strconv.AppendInt(append(dst, `,"p99_ns":`...), r.P99NS, 10)
+	dst = strconv.AppendInt(append(dst, `,"p999_ns":`...), r.P999NS, 10)
+	dst = strconv.AppendInt(append(dst, `,"max_ns":`...), r.MaxNS, 10)
+	if r.Late != 0 {
+		dst = strconv.AppendUint(append(dst, `,"late":`...), r.Late, 10)
+	}
+	return append(dst, '}')
+}
+
+func (r *StageRow) appendJSON(dst []byte) []byte {
+	dst = obs.AppendJSONString(append(dst, `{"stage":`...), r.Stage)
+	dst = strconv.AppendUint(append(dst, `,"count":`...), r.Count, 10)
+	dst = obs.AppendJSONFloat(append(dst, `,"mean_ns":`...), r.MeanNS)
+	dst = strconv.AppendInt(append(dst, `,"p50_ns":`...), r.P50NS, 10)
+	dst = strconv.AppendInt(append(dst, `,"p99_ns":`...), r.P99NS, 10)
+	dst = strconv.AppendInt(append(dst, `,"p999_ns":`...), r.P999NS, 10)
+	dst = strconv.AppendInt(append(dst, `,"max_ns":`...), r.MaxNS, 10)
+	return append(dst, '}')
+}
+
+func (a *Audit) appendJSON(dst []byte) []byte {
+	dst = strconv.AppendBool(append(dst, `{"pass":`...), a.Pass)
+	dst = strconv.AppendUint(append(dst, `,"expect_map_count":`...), a.ExpectMapCount, 10)
+	dst = strconv.AppendUint(append(dst, `,"got_map_count":`...), a.GotMapCount, 10)
+	dst = strconv.AppendUint(append(dst, `,"expect_map_sum":`...), a.ExpectMapSum, 10)
+	dst = strconv.AppendUint(append(dst, `,"got_map_sum":`...), a.GotMapSum, 10)
+	dst = strconv.AppendUint(append(dst, `,"expect_queue_count":`...), a.ExpectQueueCount, 10)
+	dst = strconv.AppendUint(append(dst, `,"got_queue_count":`...), a.GotQueueCount, 10)
+	return append(dst, '}')
+}
+
+func (r *RobustCounters) appendJSON(dst []byte) []byte {
+	dst = strconv.AppendUint(append(dst, `{"busy":`...), r.Busy, 10)
+	dst = strconv.AppendUint(append(dst, `,"timeouts":`...), r.Timeouts, 10)
+	dst = strconv.AppendUint(append(dst, `,"retries":`...), r.Retries, 10)
+	dst = strconv.AppendUint(append(dst, `,"ambiguous":`...), r.Ambiguous, 10)
+	dst = strconv.AppendUint(append(dst, `,"slow_clients":`...), r.SlowClients, 10)
+	dst = strconv.AppendUint(append(dst, `,"lost_workers":`...), r.LostWorkers, 10)
+	dst = strconv.AppendBool(append(dst, `,"drained":`...), r.Drained)
+	return append(dst, '}')
 }

@@ -63,6 +63,18 @@ func (r *Recorder) Record(worker, tenant, op int, d time.Duration) {
 	h.Record(d)
 }
 
+// Live reports whether any worker has recorded into the (tenant, op)
+// pair. It reads one pointer per worker, so a report can size its rows
+// before it merges them.
+func (r *Recorder) Live(tenant, op int) bool {
+	for w := 0; w < r.workers; w++ {
+		if r.cell(w, tenant, op).Load() != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // MergeInto folds the (tenant, op) pair's histograms across all workers
 // into s, straight from their counters (Snapshot.Add): a caller that
 // resets and reuses one s per report allocates nothing per histogram.

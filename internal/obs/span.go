@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/pad"
@@ -110,7 +111,8 @@ func (s Span) Dominant() Stage {
 
 // spanJSON is the wire form of a Span: one JSON object per line in
 // trace dumps (distinguished from events by the top-level "span" key)
-// and the element type of the SLOW verb's exemplar list.
+// and the element type of the SLOW verb's exemplar list. AppendJSON
+// writes it; UnmarshalJSON reads it through this struct.
 type spanJSON struct {
 	Span      int              `json:"span"` // always 1: record discriminator
 	Req       uint64           `json:"req"`
@@ -127,19 +129,43 @@ type spanJSON struct {
 	Aborts    uint64           `json:"kcas_aborts"`
 }
 
-// MarshalJSON serializes the span with named stages.
-func (s Span) MarshalJSON() ([]byte, error) {
-	j := spanJSON{
-		Span: 1, Req: s.Req, TID: s.TID, Worker: s.Worker, Tenant: s.Tenant,
-		Op: s.Op, Status: s.Status, StartNS: s.StartNS, WallNS: s.WallNS,
-		Stages:    make(map[string]int64, NumStages),
-		Publishes: s.Publishes, Helps: s.Helps, Aborts: s.Aborts,
+// stagesByName lists the stages in their names' byte order, the order
+// encoding/json writes a map's keys in.
+var stagesByName = func() [NumStages]Stage {
+	var order [NumStages]Stage
+	for i := range order {
+		order[i] = Stage(i)
 	}
-	for st := Stage(0); st < NumStages; st++ {
-		j.Stages[st.String()] = s.Stage[st]
+	sort.Slice(order[:], func(i, j int) bool { return stageNames[order[i]] < stageNames[order[j]] })
+	return order
+}()
+
+// AppendJSON appends the span's wire form (spanJSON, stages by name) to
+// dst, byte for byte what encoding/json writes for it.
+func (s *Span) AppendJSON(dst []byte) []byte {
+	dst = strconv.AppendUint(append(dst, `{"span":1,"req":`...), s.Req, 10)
+	dst = strconv.AppendInt(append(dst, `,"tid":`...), int64(s.TID), 10)
+	dst = strconv.AppendInt(append(dst, `,"worker":`...), int64(s.Worker), 10)
+	dst = strconv.AppendInt(append(dst, `,"tenant":`...), int64(s.Tenant), 10)
+	dst = AppendJSONString(append(dst, `,"op":`...), s.Op)
+	dst = AppendJSONString(append(dst, `,"status":`...), s.Status)
+	dst = strconv.AppendInt(append(dst, `,"start_ns":`...), s.StartNS, 10)
+	dst = strconv.AppendInt(append(dst, `,"wall_ns":`...), s.WallNS, 10)
+	sep := byte('{')
+	dst = append(dst, `,"stages":`...)
+	for _, st := range stagesByName {
+		dst = AppendJSONString(append(dst, sep), stageNames[st])
+		dst = strconv.AppendInt(append(dst, ':'), s.Stage[st], 10)
+		sep = ','
 	}
-	return json.Marshal(j)
+	dst = strconv.AppendUint(append(dst, `},"kcas_publishes":`...), s.Publishes, 10)
+	dst = strconv.AppendUint(append(dst, `,"kcas_helps":`...), s.Helps, 10)
+	dst = strconv.AppendUint(append(dst, `,"kcas_aborts":`...), s.Aborts, 10)
+	return append(dst, '}')
 }
+
+// MarshalJSON serializes the span with named stages.
+func (s Span) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil), nil }
 
 // UnmarshalJSON parses the named-stage wire form. Unknown stage names
 // are an error — the reader is strict the same way ReadTrace is with
@@ -321,24 +347,36 @@ func (s *Spans) Finish(worker int, sp Span) {
 }
 
 // Exemplars returns the K slowest spans recorded so far, slowest first.
+// It holds at most K spans while it reads the workers' exemplars, so a
+// call allocates K spans whatever the number of workers.
 func (s *Spans) Exemplars() []Span {
 	if s == nil {
 		return nil
 	}
 	out := make([]Span, 0, s.topK)
+	fastest := 0 // index of out's fastest span
 	var v [spanWords]uint64
 	for i := range s.workers {
 		w := &s.workers[i]
 		for slot := uint64(0); slot < w.top.size(); slot++ {
-			if w.top.get(slot, v[:]) != 0 {
-				out = append(out, w.decode(v[:]))
+			if w.top.get(slot, v[:]) == 0 {
+				continue
+			}
+			if sp := w.decode(v[:]); len(out) < s.topK {
+				out = append(out, sp)
+			} else if sp.WallNS > out[fastest].WallNS {
+				out[fastest] = sp
+			} else {
+				continue
+			}
+			for j := range out {
+				if out[j].WallNS < out[fastest].WallNS {
+					fastest = j
+				}
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].WallNS > out[j].WallNS })
-	if len(out) > s.topK {
-		out = out[:s.topK]
-	}
 	return out
 }
 
@@ -374,12 +412,11 @@ func (s *Spans) Dropped() uint64 {
 // WriteSpansJSONL serializes spans one JSON object per line, framed like
 // WriteJSONL's events; the top-level "span" key tells them apart.
 func WriteSpansJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, sp := range spans {
-		if err := enc.Encode(sp); err != nil {
-			return err
-		}
+	bw := bufio.NewWriter(w) // its first write error sticks until Flush
+	var line []byte
+	for i := range spans {
+		line = append(spans[i].AppendJSON(line[:0]), '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }
