@@ -6,9 +6,11 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -322,4 +324,48 @@ func TestMetricsFootprintSeries(t *testing.T) {
 			t.Errorf("METRICS lacks %q", want)
 		}
 	}
+}
+
+// sink keeps a map on the heap, where a returned map lives.
+var sink map[string]uint64
+
+// TestRegistrySnapshotSizedOnce: a registry Snapshot, which every
+// STATS and METRICS call takes, makes its counters map at its final
+// size. A map grown from empty through its doublings allocates each
+// smaller table on the way. The registry here carries as many series as
+// the server's, each a func that allocates nothing, so the map is all
+// that Snapshot allocates.
+func TestRegistrySnapshotSizedOnce(t *testing.T) {
+	s := NewServer(Config{Tenants: 4, Workers: 4, Spans: true})
+	defer s.Close()
+	series := len(s.reg.Snapshot().Counters)
+	reg := obs.NewRegistry(1)
+	for i := 0; len(reg.Snapshot().Counters) < series; i++ {
+		reg.AddFunc(fmt.Sprintf("series_%d_total", i), func() uint64 { return 0 })
+	}
+	names := slices.Collect(maps.Keys(reg.Snapshot().Counters))
+	bytesPer := func(fn func()) (allocs float64, bytes uint64) {
+		const calls = 100
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < calls; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&m1)
+		return testing.AllocsPerRun(calls, fn), (m1.TotalAlloc - m0.TotalAlloc) / calls
+	}
+	gotAllocs, gotBytes := bytesPer(func() { reg.Snapshot() })
+	wantAllocs, wantBytes := bytesPer(func() {
+		m := make(map[string]uint64, len(names))
+		for _, n := range names {
+			m[n] = 0
+		}
+		sink = m // returned, as Snapshot's map is
+	})
+	if gotAllocs > wantAllocs || gotBytes > wantBytes {
+		t.Fatalf("Snapshot of %d series allocates %.0f times, %d bytes; a map made at that size %.0f times, %d bytes",
+			series, gotAllocs, gotBytes, wantAllocs, wantBytes)
+	}
+	_, serverBytes := bytesPer(func() { s.reg.Snapshot() })
+	t.Logf("%d series: %d bytes per Snapshot, %d bytes per server Snapshot", series, gotBytes, serverBytes)
 }

@@ -59,14 +59,10 @@ func TestBinariesSmoke(t *testing.T) {
 	runBinary(t, filepath.Join(dir, "quickstart"))
 	runBinary(t, filepath.Join(dir, "shardedmap"),
 		"-sessions", "200", "-threads", "2", "-ops", "2000")
-	runBinary(t, filepath.Join(dir, "stress"),
-		"-pair", "map/map", "-threads", "2", "-tokens", "64", "-rounds", "1", "-ops", "2000")
 
 	if testing.Short() {
 		return
 	}
-	runBinary(t, filepath.Join(dir, "stress"),
-		"-pair", "queue/stack", "-threads", "2", "-tokens", "64", "-rounds", "1", "-ops", "2000")
 	for _, demo := range []string{"bank", "hashmove", "pipeline", "scheduler"} {
 		runBinary(t, filepath.Join(dir, demo))
 	}

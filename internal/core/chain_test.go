@@ -237,7 +237,7 @@ func TestSharedWordFailsChain(t *testing.T) {
 			if inFlight, exhausted := f.th.MoveInFlight(), f.th.Exhausted(); inFlight || exhausted {
 				t.Fatalf("in flight=%v exhausted=%v, want false, false", inFlight, exhausted)
 			}
-			if _, other := f.th.PublishedSlots(); other != 0 {
+			if _, _, other := f.th.PublishedSlots(); other != 0 {
 				t.Fatalf("%d mirror, hold or descriptor slots left published", other)
 			}
 			if _, ok := f.th.Move(f.q, f.s2, 0, 0); !ok {

@@ -159,12 +159,12 @@ func TestExhaustionAtEveryInitPhaseAllocation(t *testing.T) {
 			if f.th.MoveInFlight() {
 				t.Fatal("a move is still in flight")
 			}
-			container, other := f.th.PublishedSlots()
+			ins, rem, other := f.th.PublishedSlots()
 			if other != 0 {
 				t.Fatalf("%d mirror, hold or descriptor slots left published", other)
 			}
-			if maxPins := map[bool]int{false: 0, true: 4}[tc.list]; container > maxPins {
-				t.Fatalf("%d container slots left published, want at most %d", container, maxPins)
+			if maxPins := map[bool]int{false: 0, true: 2}[tc.list]; ins > maxPins || rem > maxPins {
+				t.Fatalf("%d insert-side and %d remove-side slots left published, want at most %d each", ins, rem, maxPins)
 			}
 			held := make([]uint64, tc.give) // the nodes the thread held are still its own
 			for i := range held {

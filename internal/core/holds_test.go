@@ -137,7 +137,7 @@ func TestHoldsOnlyWhereASideRecurs(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("initiator did not return after release")
 			}
-			if _, other := th.PublishedSlots(); other != 0 || th.MoveInFlight() {
+			if _, _, other := th.PublishedSlots(); other != 0 || th.MoveInFlight() {
 				t.Fatalf("after the chain: %d hold, mirror or descriptor slots published, in flight=%v",
 					other, th.MoveInFlight())
 			}

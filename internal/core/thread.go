@@ -223,9 +223,8 @@ func (t *Thread) MoveInFlight() bool { return t.desc != nil }
 // CAS fails, as SCASRemove and SCASInsert count their FFalse results.
 func (t *Thread) LostCAS() { t.reg.Inc(t.id, obs.CASRetry) }
 
-// Seq returns a thread-local counter that increments on every call;
-// containers use it to build unique sub-keys (e.g. the priority queue's
-// uniquifier).
+// Seq returns a thread-local counter that increments on every call,
+// for unique per-thread sub-keys.
 func (t *Thread) Seq() uint64 {
 	t.seq++
 	return t.seq

@@ -59,12 +59,6 @@ func New(t *core.Thread) *List {
 	return &List{id: t.Runtime().NextObjectID()}
 }
 
-// Init gives a zero List held by value inside an owning structure its
-// object identity: one of a block of ids for the hash map's bucket
-// arrays, the owner's own id for the priority queue (which is its list).
-// It must run before the list is shared.
-func (l *List) Init(id uint64) { l.id = id }
-
 // ObjectID implements core.MoveReady.
 func (l *List) ObjectID() uint64 { return l.id }
 
@@ -149,21 +143,12 @@ retry:
 // when the arena has no node for it (t.Exhausted then reports true), or
 // when a surrounding move aborts.
 func (l *List) Insert(t *core.Thread, key, val uint64) bool {
-	ok, _ := InsertAt(t, &l.head, key, 0, val)
-	return ok
-}
-
-// InsertNew is Insert that also reports whether a refused key was
-// already present, as opposed to refused for want of a node or by an
-// aborted move.
-func (l *List) InsertNew(t *core.Thread, key, val uint64) (ok, exists bool) {
 	return InsertAt(t, &l.head, key, 0, val)
 }
 
 // InsertAt is Insert on the list reachable from anchor, for the node
-// (key, aux). exists reports a refusal because the node is already
-// there.
-func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) (ok, exists bool) {
+// (key, aux).
+func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) bool {
 	ref := word.Nil
 	for {
 		r := search(t, anchor, key, aux, core.SlotInsAux, core.SlotIns0)
@@ -171,11 +156,11 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) (ok, exis
 			if ref != word.Nil {
 				t.FreeNodeDirect(ref)
 			}
-			return false, true
+			return false
 		}
 		if ref == word.Nil {
 			if ref = t.AllocNode(); ref == word.Nil {
-				return false, false
+				return false
 			}
 			n := t.Node(ref)
 			n.Key, n.Aux, n.Val = key, aux, val
@@ -189,11 +174,11 @@ func InsertAt(t *core.Thread, anchor *word.Word, key, aux, val uint64) (ok, exis
 		} else if res := t.SCASInsert(r.prevW, r.cur, ref, r.prevRef); res != core.FTrue {
 			if res == core.FAbort {
 				t.FreeNodeDirect(ref)
-				return false, false
+				return false
 			}
 			continue
 		}
-		return true, false
+		return true
 	}
 }
 
@@ -265,47 +250,6 @@ func RemoveAt(t *core.Thread, anchor *word.Word, key, aux uint64) (uint64, bool)
 		}
 		return val, true
 	}
-}
-
-// RemoveMin deletes the element with the smallest key and returns it.
-// The linearization point is the same marking CAS as Remove's, so
-// RemoveMin composes with moves exactly like Remove (the priority-queue
-// package builds on this).
-func (l *List) RemoveMin(t *core.Thread) (key, val uint64, ok bool) {
-	for {
-		// search(0) positions at the first live node: every key is >= 0.
-		r := search(t, &l.head, 0, 0, core.SlotRemAux, core.SlotRem0)
-		if r.cur == word.Nil {
-			return 0, 0, false
-		}
-		curN := t.Node(r.cur)
-		key, val = curN.Key, curN.Val
-		if !t.MoveInFlight() { // M20–M21: plain remove
-			if !curN.Next.CAS(r.next, word.ListMarked(r.next)) {
-				t.LostCAS()
-				continue
-			}
-		} else if res := t.SCASRemove(&curN.Next, r.next, word.ListMarked(r.next), val, r.cur); res != core.FTrue {
-			if res == core.FAbort {
-				return 0, 0, false
-			}
-			continue
-		}
-		if r.prevW.CAS(r.cur, r.next) {
-			t.RetireNode(r.cur)
-		}
-		return key, val, true
-	}
-}
-
-// Min returns the smallest key and its value without removing it.
-func (l *List) Min(t *core.Thread) (key, val uint64, ok bool) {
-	r := search(t, &l.head, 0, 0, core.SlotRemAux, core.SlotRem0)
-	if r.cur == word.Nil {
-		return 0, 0, false
-	}
-	n := t.Node(r.cur)
-	return n.Key, n.Val, true
 }
 
 // Contains reports whether key is present and returns its value; a

@@ -233,8 +233,6 @@ func TestListSlotsPinAtMostTwoPerSide(t *testing.T) {
 	removeSide := []op{
 		func(th *core.Thread, l *List, k uint64) { l.Remove(th, k) },
 		func(th *core.Thread, l *List, k uint64) { l.Contains(th, k) },
-		func(th *core.Thread, l *List, k uint64) { l.RemoveMin(th) },
-		func(th *core.Thread, l *List, k uint64) { l.Min(th) },
 	}
 	for _, tc := range []struct {
 		name string

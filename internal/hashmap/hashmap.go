@@ -367,7 +367,7 @@ func (m *Map) Insert(t *core.Thread, key, val uint64) bool {
 	s := &m.shards[si]
 	d := s.dir.Load()
 	from := m.anchor(t, d, h, core.SlotInsAux, core.SlotIns0)
-	if ok, _ := harrislist.InsertAt(t, from, bits.Reverse64(h), auxEntry, val); !ok {
+	if !harrislist.InsertAt(t, from, bits.Reverse64(h), auxEntry, val) {
 		return false
 	}
 	limit := m.limit(d)
@@ -435,14 +435,23 @@ func (m *Map) Len(t *core.Thread) int {
 // sentinel, takes no arena node and allocates nothing. Order is
 // unspecified.
 func (m *Map) Walk(t *core.Thread, f func(key, val uint64)) {
+	m.EachHead(func(head *word.Word) {
+		harrislist.Walk(t, head, func(n *arena.Node) {
+			if n.Aux == auxEntry {
+				f(unhash(bits.Reverse64(n.Key)), n.Val)
+			}
+		})
+	})
+}
+
+// EachHead calls f with each shard's initial head words, whose lists
+// together hold every node of the map: Walk's traversal, and structural
+// verification (package verify) at quiescence.
+func (m *Map) EachHead(f func(head *word.Word)) {
 	for i := range m.shards {
 		heads := m.shards[i].dir.Load().heads
 		for j := range heads {
-			harrislist.Walk(t, &heads[j], func(n *arena.Node) {
-				if n.Aux == auxEntry {
-					f(unhash(bits.Reverse64(n.Key)), n.Val)
-				}
-			})
+			f(&heads[j])
 		}
 	}
 }

@@ -24,20 +24,20 @@ import (
 // Each batched move is recorded with the flush's bracket as its
 // interval: the move linearizes somewhere inside Flush, so an interval
 // spanning the whole flush contains its linearization point.
-func runRecordedBatched(t *testing.T, seed uint64, opsPerThread, threads, flushLen int) ([]linearize.Op, linearize.PairModel) {
+func runRecordedBatched(t *testing.T, seed uint64, opsPerThread, threads, flushLen int) ([]linearize.Op, linearize.Objects) {
 	rt := newRT(threads + 1)
 	setup := rt.RegisterThread()
 	q := msqueue.New(setup)
 	s := tstack.New(setup)
-	model := linearize.PairModel{
-		AKind: linearize.FIFO, BKind: linearize.LIFO,
-		InitialA: []uint64{1, 2}, InitialB: []uint64{3},
+	model := linearize.Objects{
+		Kinds:   []linearize.Kind{linearize.FIFO, linearize.LIFO},
+		Initial: [][]linearize.Elem{{{Val: 1}, {Val: 2}}, {{Val: 3}}},
 	}
-	for _, v := range model.InitialA {
-		q.Enqueue(setup, v)
+	for _, e := range model.Initial[0] {
+		q.Enqueue(setup, e.Val)
 	}
-	for _, v := range model.InitialB {
-		s.Push(setup, v)
+	for _, e := range model.Initial[1] {
+		s.Push(setup, e.Val)
 	}
 
 	rec := &recorder{}

@@ -32,20 +32,20 @@ func (r *recorder) record(th int, name string, arg, ret uint64, ok bool, inv, re
 // the paper's Move versus the naive remove-then-insert composition
 // (recorded as a single "move" op in both cases — that is the whole
 // point: the naive version claims atomicity it does not have).
-func runRecorded(t *testing.T, atomicMove bool, seed uint64, opsPerThread, threads int) ([]linearize.Op, linearize.PairModel) {
+func runRecorded(t *testing.T, atomicMove bool, seed uint64, opsPerThread, threads int) ([]linearize.Op, linearize.Objects) {
 	rt := newRT(threads + 1)
 	setup := rt.RegisterThread()
 	q := msqueue.New(setup)
 	s := tstack.New(setup)
-	model := linearize.PairModel{
-		AKind: linearize.FIFO, BKind: linearize.LIFO,
-		InitialA: []uint64{1, 2}, InitialB: []uint64{3},
+	model := linearize.Objects{
+		Kinds:   []linearize.Kind{linearize.FIFO, linearize.LIFO},
+		Initial: [][]linearize.Elem{{{Val: 1}, {Val: 2}}, {{Val: 3}}},
 	}
-	for _, v := range model.InitialA {
-		q.Enqueue(setup, v)
+	for _, e := range model.Initial[0] {
+		q.Enqueue(setup, e.Val)
 	}
-	for _, v := range model.InitialB {
-		s.Push(setup, v)
+	for _, e := range model.Initial[1] {
+		s.Push(setup, e.Val)
 	}
 
 	rec := &recorder{}

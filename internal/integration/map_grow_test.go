@@ -24,22 +24,22 @@ func kv(k, v uint64) uint64 { return k<<32 | v }
 // goroutine forces and drives grows. Rebalancing is internal
 // reorganization with no observable effect, so it is not recorded — the
 // whole point is that the history must stay linearizable regardless.
-func runRecordedMaps(t *testing.T, seed uint64, opsPerThread, threads int) ([]linearize.Op, linearize.MapPairModel) {
+func runRecordedMaps(t *testing.T, seed uint64, opsPerThread, threads int) ([]linearize.Op, linearize.Objects) {
 	rt := newRT(threads + 2)
 	setup := rt.RegisterThread()
 	// 2 shards × 1 bucket with a grow threshold of 2 entries/bucket:
 	// the handful of keys below is already enough to trigger grows.
 	ma := hashmap.NewSharded(setup, 2, 1, 2)
 	mb := hashmap.NewSharded(setup, 2, 1, 2)
-	model := linearize.MapPairModel{
-		InitialA: map[uint64]uint64{1: 11, 2: 12},
-		InitialB: map[uint64]uint64{3: 13},
+	model := linearize.Objects{
+		Kinds:   []linearize.Kind{linearize.Keyed, linearize.Keyed},
+		Initial: [][]linearize.Elem{{{Key: 1, Val: 11}, {Key: 2, Val: 12}}, {{Key: 3, Val: 13}}},
 	}
-	for k, v := range model.InitialA {
-		ma.Insert(setup, k, v)
+	for _, e := range model.Initial[0] {
+		ma.Insert(setup, e.Key, e.Val)
 	}
-	for k, v := range model.InitialB {
-		mb.Insert(setup, k, v)
+	for _, e := range model.Initial[1] {
+		mb.Insert(setup, e.Key, e.Val)
 	}
 
 	var stop atomic.Bool
@@ -84,18 +84,18 @@ func runRecordedMaps(t *testing.T, seed uint64, opsPerThread, threads int) ([]li
 				case 0:
 					v := next()%1000 + 100
 					ok := a.Insert(th, k, v)
-					rec.record(w, "put"+side, kv(k, v), 0, ok, inv, rec.clock.Add(1))
+					rec.record(w, "ins"+side, kv(k, v), 0, ok, inv, rec.clock.Add(1))
 				case 1:
 					v, ok := a.Remove(th, k)
-					rec.record(w, "del"+side, k, v, ok, inv, rec.clock.Add(1))
+					rec.record(w, "rem"+side, k, v, ok, inv, rec.clock.Add(1))
 				case 2:
 					v, ok := a.Contains(th, k)
 					rec.record(w, "get"+side, k, v, ok, inv, rec.clock.Add(1))
 				default:
 					tk := next()%keys + 1
-					name := "mvAB"
+					name := "moveAB"
 					if side == "B" {
-						name = "mvBA"
+						name = "moveBA"
 					}
 					v, ok := th.Move(a, b, k, tk)
 					rec.record(w, name, kv(k, tk), v, ok, inv, rec.clock.Add(1))

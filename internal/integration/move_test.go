@@ -1,6 +1,9 @@
-// Package integration holds cross-module tests: the move operation over
-// every container pairing, element conservation under contention, and
-// the retry/abort protocol of Algorithm 3.
+// Package integration holds cross-module tests: the retry/abort
+// protocol of Algorithm 3, element conservation under contention, faults
+// and telemetry, map growth and buffered moves. Move, MoveN, DrainN and
+// TransferN over every ordered container pair — the sequential model,
+// conservation, linearizability, exhaustion, a parked composition and
+// the slot rule — are internal/core's TestConformance.
 package integration
 
 import (

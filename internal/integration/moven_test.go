@@ -1,7 +1,6 @@
 package integration
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -175,174 +174,5 @@ func TestMoveNDuplicateInsertOnlyTarget(t *testing.T) {
 	}
 	if v, _ := s.Pop(th); v != 41 {
 		t.Fatal("element missing from target after MoveN")
-	}
-}
-
-// TestMoveNConcurrentConservation: tokens are fanned out from a source
-// queue into n containers atomically; total token count must multiply
-// exactly by n, with every copy accounted.
-func TestMoveNConcurrentConservation(t *testing.T) {
-	const workers = 4
-	const tokens = 200
-	rt := newRT(workers + 1)
-	setup := rt.RegisterThread()
-	src := msqueue.New(setup)
-	d1 := msqueue.New(setup)
-	d2 := tstack.New(setup)
-	for i := uint64(1); i <= tokens; i++ {
-		src.Enqueue(setup, i)
-	}
-	var wg sync.WaitGroup
-	moved := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := rt.RegisterThread()
-			for {
-				if _, ok := th.MoveN(src, []core.Inserter{d1, d2}, 0, []uint64{0, 0}); !ok {
-					return // source drained
-				}
-				moved[w]++
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	for _, m := range moved {
-		total += m
-	}
-	if total != tokens {
-		t.Fatalf("moved %d of %d tokens", total, tokens)
-	}
-	// Each target must hold each token exactly once.
-	for name, drain := range map[string]func() map[uint64]int{
-		"queue": func() map[uint64]int {
-			got := map[uint64]int{}
-			for {
-				v, ok := d1.Dequeue(setup)
-				if !ok {
-					return got
-				}
-				got[v]++
-			}
-		},
-		"stack": func() map[uint64]int {
-			got := map[uint64]int{}
-			for {
-				v, ok := d2.Pop(setup)
-				if !ok {
-					return got
-				}
-				got[v]++
-			}
-		},
-	} {
-		got := drain()
-		if len(got) != tokens {
-			t.Fatalf("%s holds %d distinct tokens, want %d", name, len(got), tokens)
-		}
-		for v, n := range got {
-			if n != 1 {
-				t.Fatalf("%s: token %d appears %d times", name, v, n)
-			}
-		}
-	}
-}
-
-// TestMoveNContendedTargets: concurrent MoveN and plain operations on
-// the shared targets force MCAS conflicts and slot-wise retries.
-func TestMoveNContendedTargets(t *testing.T) {
-	const movers = 3
-	const noisemakers = 3
-	const tokens = 300
-	rt := newRT(movers + noisemakers + 1)
-	setup := rt.RegisterThread()
-	src := msqueue.New(setup)
-	d1 := tstack.New(setup)
-	d2 := tstack.New(setup)
-	for i := uint64(1); i <= tokens; i++ {
-		src.Enqueue(setup, i)
-	}
-	var wg, moverWG sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < noisemakers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := rt.RegisterThread()
-			noise := uint64(1 << 40) // disjoint from token values
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				d1.Push(th, noise)
-				d2.Push(th, noise)
-				// Pop churns the tops; tokens that surface go back so
-				// conservation still holds.
-				if v, ok := d1.Pop(th); ok && v < 1<<40 {
-					d1.Push(th, v)
-				}
-				if v, ok := d2.Pop(th); ok && v < 1<<40 {
-					d2.Push(th, v)
-				}
-			}
-		}(w)
-	}
-	moved := 0
-	var mu sync.Mutex
-	for w := 0; w < movers; w++ {
-		wg.Add(1)
-		moverWG.Add(1)
-		go func() {
-			defer wg.Done()
-			defer moverWG.Done()
-			th := rt.RegisterThread()
-			for {
-				if _, ok := th.MoveN(src, []core.Inserter{d1, d2}, 0, []uint64{0, 0}); !ok {
-					return
-				}
-				mu.Lock()
-				moved++
-				mu.Unlock()
-			}
-		}()
-	}
-	moverWG.Wait()
-	close(stop)
-	wg.Wait()
-	if moved != tokens {
-		t.Fatalf("movers transferred %d of %d tokens", moved, tokens)
-	}
-
-	// Account tokens (noise values excluded).
-	count1, count2 := map[uint64]int{}, map[uint64]int{}
-	for {
-		v, ok := d1.Pop(setup)
-		if !ok {
-			break
-		}
-		if v < 1<<40 {
-			count1[v]++
-		}
-	}
-	for {
-		v, ok := d2.Pop(setup)
-		if !ok {
-			break
-		}
-		if v < 1<<40 {
-			count2[v]++
-		}
-	}
-	if len(count1) != tokens || len(count2) != tokens {
-		t.Fatalf("targets hold %d/%d distinct tokens, want %d", len(count1), len(count2), tokens)
-	}
-	for v, n := range count1 {
-		if n != 1 || count2[v] != 1 {
-			t.Fatalf("token %d: counts %d/%d", v, n, count2[v])
-		}
 	}
 }

@@ -170,8 +170,8 @@ type Doc struct {
 
 	// Obs is the metrics-registry snapshot (series name → value) taken
 	// when the document was built — the same names, from the same
-	// registry, that the METRICS verb and cmd/stress report, documented
-	// in docs/observability.md. Like RobustCounters it is kept
+	// registry, that the METRICS verb reports, documented in
+	// docs/observability.md. Like RobustCounters it is kept
 	// non-omitempty per series: when the map is present every known
 	// series appears even at zero, because "absent" must not alias
 	// "zero" for grep-style assertions. Nil when the emitter has no

@@ -7,7 +7,7 @@ func h(th int, name string, arg, ret uint64, ok bool, inv, retTS int64) Op {
 	return Op{Thread: th, Name: name, Arg: arg, Ret: ret, RetOK: ok, Invoke: inv, Return: retTS}
 }
 
-func queuePair() PairModel { return PairModel{AKind: FIFO, BKind: FIFO} }
+func queuePair() Objects { return Objects{Kinds: []Kind{FIFO, FIFO}} }
 
 func TestEmptyHistory(t *testing.T) {
 	if !Check(queuePair(), nil) {
@@ -48,7 +48,7 @@ func TestFIFOOrderEnforced(t *testing.T) {
 	if Check(queuePair(), hist) {
 		t.Fatal("queue model accepted LIFO removal")
 	}
-	lifo := PairModel{AKind: LIFO, BKind: LIFO}
+	lifo := Objects{Kinds: []Kind{LIFO, LIFO}}
 	if !Check(lifo, hist2(hist)) {
 		t.Fatal("stack model should accept LIFO removal")
 	}
@@ -93,7 +93,7 @@ func TestFigure1cNaiveMoveRejected(t *testing.T) {
 		h(1, "remB", 0, 0, false, 30, 40),   // then B looked empty too
 		h(1, "remB", 0, 42, true, 110, 120), // element surfaced later
 	}
-	m := PairModel{AKind: FIFO, BKind: FIFO, InitialA: []uint64{42}}
+	m := Objects{Kinds: []Kind{FIFO, FIFO}, Initial: [][]Elem{{{Val: 42}}}}
 	if Check(m, hist) {
 		t.Fatal("Figure 1c history must not be linearizable")
 	}
@@ -107,7 +107,7 @@ func TestFigure1dAtomicMoveAccepted(t *testing.T) {
 		h(1, "remA", 0, 0, false, 10, 20),
 		h(1, "remB", 0, 42, true, 30, 40),
 	}
-	m := PairModel{AKind: FIFO, BKind: FIFO, InitialA: []uint64{42}}
+	m := Objects{Kinds: []Kind{FIFO, FIFO}, Initial: [][]Elem{{{Val: 42}}}}
 	if !Check(m, hist) {
 		t.Fatal("Figure 1d history must be linearizable")
 	}
@@ -132,14 +132,14 @@ func TestDuplicateDeliveryRejected(t *testing.T) {
 		h(1, "remA", 0, 42, true, 5, 6),
 		h(1, "remB", 0, 42, true, 7, 8),
 	}
-	m := PairModel{AKind: FIFO, BKind: FIFO, InitialA: []uint64{42}}
+	m := Objects{Kinds: []Kind{FIFO, FIFO}, Initial: [][]Elem{{{Val: 42}}}}
 	if Check(m, hist) {
 		t.Fatal("duplicated element accepted")
 	}
 }
 
 func TestInitialStateRespected(t *testing.T) {
-	m := PairModel{AKind: FIFO, BKind: FIFO, InitialA: []uint64{5}, InitialB: []uint64{6}}
+	m := Objects{Kinds: []Kind{FIFO, FIFO}, Initial: [][]Elem{{{Val: 5}}, {{Val: 6}}}}
 	hist := []Op{
 		h(0, "remA", 0, 5, true, 1, 2),
 		h(0, "remB", 0, 6, true, 3, 4),

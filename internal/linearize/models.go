@@ -1,338 +1,261 @@
 package linearize
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
-// Sequential models for pairs of containers with an atomic move, the
-// specification the paper's composed move must satisfy (§2,
-// linearizability per Herlihy & Wing [12]).
+// Objects is the sequential specification of a set of containers with
+// atomic compositions across them (§2, linearizability per Herlihy &
+// Wing [12]): every composed operation is one step of the model, so no
+// linearization may observe it half done.
 //
-// Operation names understood by PairModel states:
+// The containers are named A, B, C, ... in the order of Kinds, and an
+// operation's name is a verb followed by the names of the containers it
+// acts on, source first. Keys and values are packed into Op.Arg (keys
+// and values below 2^32; the keys of fan and xfer below 2^16), and the
+// key of an unkeyed container is ignored:
 //
-//	insA(v) / insB(v)   — insert; always succeeds (RetOK true)
-//	remA() / remB()     — remove; returns (value, ok)
-//	moveAB() / moveBA() — atomic move; returns (moved value, ok)
-//	swapAB()            — atomically exchange the heads of A and B
-//	                      (SwapHeads with k=2); fails, changing nothing,
-//	                      only when a side is empty; Ret is ignored
-//	                      (the implementation reports success alone)
-//
-// Container kinds determine insertion/removal order (FIFO queue or LIFO
-// stack).
+//	insX   Arg = key<<32|val; RetOK reports inserted. Only a keyed
+//	       container refuses an insert: when the key is present.
+//	remX   Arg = key; returns (value, ok). ok is false exactly when X
+//	       has no element to give (empty, or no such key).
+//	getX   Arg = key; remX without the removal.
+//	moveXY Arg = skey<<32|tkey; Move: remX and insY in one step,
+//	       returning the moved value. It fails, changing nothing,
+//	       exactly when the remove or the insert would.
+//	fanXYZ Arg = skey<<32|tkey1<<16|tkey2; MoveN to two targets: remX,
+//	       insY and insZ of one element in one step; fails like move.
+//	xferXY Arg = s1<<48|t1<<32|s2<<16|t2; TransferN of two key pairs,
+//	       returning Ret = v1<<32|v2. A failed transfer is legal from
+//	       every state: besides a missing key or a refused insert, two
+//	       steps that would change one word of the structure fail it.
+//	swapXY SwapHeads of two FIFO/LIFO containers: exchanges the elements
+//	       a remove would take from each. It fails, changing nothing,
+//	       exactly when a side is empty; Ret is ignored.
+type Objects struct {
+	Kinds []Kind
+	// Initial seeds the containers, in Kinds' order; a missing entry
+	// leaves its container empty.
+	Initial [][]Elem
+}
 
 // Kind selects a container discipline.
 type Kind int
 
 const (
-	// FIFO is a queue.
+	// FIFO is a queue: a remove takes the oldest element.
 	FIFO Kind = iota
-	// LIFO is a stack.
+	// LIFO is a stack: a remove takes the newest element.
 	LIFO
+	// Keyed is a map or an ordered list: elements are addressed by key,
+	// and an insert of a present key fails.
+	Keyed
+	// Priority is a priority queue: a remove takes an element of the
+	// least key (its priority), any one of them when several tie.
+	Priority
 )
 
-// PairModel is a model of two containers A and B with atomic moves.
-type PairModel struct {
-	AKind, BKind Kind
-	// InitialA/InitialB seed the containers.
-	InitialA, InitialB []uint64
-}
+// Elem is one element of a container: its key (ignored by FIFO and LIFO
+// containers) and its value.
+type Elem struct{ Key, Val uint64 }
 
 // Init implements Model.
-func (m PairModel) Init() State {
-	return pairState{
-		aKind: m.AKind, bKind: m.BKind,
-		a: append([]uint64(nil), m.InitialA...),
-		b: append([]uint64(nil), m.InitialB...),
-	}
-}
-
-type pairState struct {
-	aKind, bKind Kind
-	a, b         []uint64
-}
-
-// take removes the next element from a container per its discipline.
-func take(kind Kind, s []uint64) (uint64, []uint64, bool) {
-	if len(s) == 0 {
-		return 0, s, false
-	}
-	if kind == FIFO {
-		return s[0], s[1:], true
-	}
-	return s[len(s)-1], s[:len(s)-1], true
-}
-
-// putHead places v where take would next find it — the inverse of take,
-// used by swapAB to replace a head in place.
-func putHead(kind Kind, s []uint64, v uint64) []uint64 {
-	if kind == FIFO {
-		return append([]uint64{v}, s...)
-	}
-	return append(append(make([]uint64, 0, len(s)+1), s...), v)
-}
-
-func (st pairState) Apply(op Op) (State, bool) {
-	a := st.a
-	b := st.b
-	switch op.Name {
-	case "insA":
-		if !op.RetOK {
-			return nil, false // plain inserts always succeed here
+func (m Objects) Init() State {
+	st := objState{kinds: m.Kinds, sides: make([][]Elem, len(m.Kinds))}
+	for i, es := range m.Initial {
+		for _, e := range es {
+			st.sides[i], _ = st.put(i, e)
 		}
-		na := append(append(make([]uint64, 0, len(a)+1), a...), op.Arg)
-		return pairState{st.aKind, st.bKind, na, b}, true
-	case "insB":
-		if !op.RetOK {
-			return nil, false
-		}
-		nb := append(append(make([]uint64, 0, len(b)+1), b...), op.Arg)
-		return pairState{st.aKind, st.bKind, a, nb}, true
-	case "remA":
-		v, na, ok := take(st.aKind, a)
-		if !ok {
-			return st, !op.RetOK // empty: only a failed remove is legal
-		}
-		if !op.RetOK || op.Ret != v {
-			return nil, false
-		}
-		return pairState{st.aKind, st.bKind, na, b}, true
-	case "remB":
-		v, nb, ok := take(st.bKind, b)
-		if !ok {
-			return st, !op.RetOK
-		}
-		if !op.RetOK || op.Ret != v {
-			return nil, false
-		}
-		return pairState{st.aKind, st.bKind, a, nb}, true
-	case "moveAB":
-		v, na, ok := take(st.aKind, a)
-		if !ok {
-			return st, !op.RetOK // move from empty fails, atomically a no-op
-		}
-		if !op.RetOK || op.Ret != v {
-			return nil, false
-		}
-		nb := append(append(make([]uint64, 0, len(b)+1), b...), v)
-		return pairState{st.aKind, st.bKind, na, nb}, true
-	case "moveBA":
-		v, nb, ok := take(st.bKind, b)
-		if !ok {
-			return st, !op.RetOK
-		}
-		if !op.RetOK || op.Ret != v {
-			return nil, false
-		}
-		na := append(append(make([]uint64, 0, len(a)+1), a...), v)
-		return pairState{st.aKind, st.bKind, na, nb}, true
-	case "swapAB":
-		va, na, okA := take(st.aKind, a)
-		vb, nb, okB := take(st.bKind, b)
-		if !okA || !okB {
-			return st, !op.RetOK // a swap observing an empty side fails, a no-op
-		}
-		if !op.RetOK {
-			return nil, false // both sides held a head: failure is illegal
-		}
-		return pairState{st.aKind, st.bKind, putHead(st.aKind, na, vb), putHead(st.bKind, nb, va)}, true
-	}
-	return nil, false
-}
-
-// MapPairModel models two keyed maps A and B with atomic cross-map
-// moves — the specification the sharded hash map must satisfy even
-// while its shards grow.
-//
-// Operation names understood by MapPairModel states (keys and values
-// are packed into Op.Arg as key<<32|value, so tests must keep both
-// below 2^32):
-//
-//	putA/putB  — Arg = key<<32|val; RetOK reports inserted (false:
-//	             key already present)
-//	delA/delB  — Arg = key; returns (value, ok)
-//	getA/getB  — Arg = key; returns (value, ok) without removing
-//	mvAB/mvBA  — Arg = skey<<32|tkey; atomic keyed move; returns the
-//	             moved value
-//	mv2AB/mv2BA — Arg = s1<<48|t1<<32|s2<<16|t2 (keys below 2^16);
-//	             atomic two-key transfer (TransferN with k=2); returns
-//	             Ret = v1<<32|v2. Both keys move in one step: no
-//	             ordering may observe one moved and the other not.
-//
-// A failed move is modeled as a legal no-op from every state: besides
-// the semantic failures (missing source key, occupied target key) the
-// implementation may also reject a move whose target shard is mid-grow,
-// and a failed move changes nothing either way. Failed puts/dels/gets
-// stay strict: the implementation never rejects those spuriously.
-type MapPairModel struct {
-	InitialA, InitialB map[uint64]uint64
-}
-
-// Init implements Model.
-func (m MapPairModel) Init() State {
-	st := mapPairState{a: map[uint64]uint64{}, b: map[uint64]uint64{}}
-	for k, v := range m.InitialA {
-		st.a[k] = v
-	}
-	for k, v := range m.InitialB {
-		st.b[k] = v
 	}
 	return st
 }
 
-type mapPairState struct {
-	a, b map[uint64]uint64
+// objState holds each container's elements: FIFO and LIFO ones in
+// insertion order, Keyed and Priority ones sorted by key (and value), so
+// that equal states have equal Keys.
+type objState struct {
+	kinds []Kind
+	sides [][]Elem
 }
 
-func (st mapPairState) clone() mapPairState {
-	n := mapPairState{a: make(map[uint64]uint64, len(st.a)), b: make(map[uint64]uint64, len(st.b))}
-	for k, v := range st.a {
-		n.a[k] = v
+// find returns the index of the element a remove from side i takes: the
+// first or last of a FIFO or LIFO side, key's element of a Keyed side,
+// and of a Priority side the element of the least key whose value is
+// want, or the first of the least key when none is. It returns -1 when
+// the side has nothing to give.
+func (st objState) find(i int, key, want uint64) int {
+	s := st.sides[i]
+	if len(s) == 0 {
+		return -1
 	}
-	for k, v := range st.b {
-		n.b[k] = v
+	switch st.kinds[i] {
+	case LIFO:
+		return len(s) - 1
+	case Keyed:
+		if j, ok := slices.BinarySearchFunc(s, key, func(e Elem, k uint64) int { return cmp.Compare(e.Key, k) }); ok {
+			return j
+		}
+		return -1
+	case Priority:
+		for j := 0; j < len(s) && s[j].Key == s[0].Key; j++ {
+			if s[j].Val == want {
+				return j
+			}
+		}
+	}
+	return 0
+}
+
+// take returns side i without element j, and the element.
+func (st objState) take(i, j int) ([]Elem, Elem) {
+	s := st.sides[i]
+	return slices.Concat(s[:j], s[j+1:]), s[j]
+}
+
+// put returns side i with e inserted, or false when side i refuses it.
+func (st objState) put(i int, e Elem) ([]Elem, bool) {
+	s := st.sides[i]
+	switch st.kinds[i] {
+	case FIFO, LIFO:
+		return append(slices.Clip(s), Elem{Val: e.Val}), true
+	case Keyed:
+		j, found := slices.BinarySearchFunc(s, e.Key, func(x Elem, k uint64) int { return cmp.Compare(x.Key, k) })
+		return slices.Insert(slices.Clip(s), j, e), !found
+	}
+	j, _ := slices.BinarySearchFunc(s, e, func(x, y Elem) int {
+		return cmp.Or(cmp.Compare(x.Key, y.Key), cmp.Compare(x.Val, y.Val))
+	})
+	return slices.Insert(slices.Clip(s), j, e), true
+}
+
+// with returns the state with the given sides replaced.
+func (st objState) with(sides map[int][]Elem) objState {
+	n := objState{kinds: st.kinds, sides: slices.Clone(st.sides)}
+	for i, s := range sides {
+		n.sides[i] = s
 	}
 	return n
 }
 
-// unpackKV splits an Op.Arg encoded as key<<32|value.
-func unpackKV(arg uint64) (key, val uint64) { return arg >> 32, arg & 0xffffffff }
+// parse splits an operation name into its verb and container indexes.
+func (st objState) parse(name string) (string, []int, bool) {
+	k := len(name)
+	for k > 0 && name[k-1] >= 'A' && name[k-1] <= 'Z' {
+		k--
+	}
+	var sides []int
+	for _, c := range name[k:] {
+		i := int(c - 'A')
+		if i >= len(st.kinds) || slices.Contains(sides, i) {
+			return "", nil, false
+		}
+		sides = append(sides, i)
+	}
+	return name[:k], sides, true
+}
 
-func (st mapPairState) Apply(op Op) (State, bool) {
-	fromA := true
-	switch op.Name {
-	case "putB", "delB", "getB", "mvBA", "mv2BA":
-		fromA = false
+// arity is the number of containers each verb acts on.
+var arity = map[string]int{"ins": 1, "rem": 1, "get": 1, "move": 2, "fan": 3, "xfer": 2, "swap": 2}
+
+// Apply implements State.
+func (st objState) Apply(op Op) (State, bool) {
+	verb, c, ok := st.parse(op.Name)
+	if n := arity[verb]; !ok || n == 0 || len(c) != n {
+		return nil, false
 	}
-	src, dst := st.a, st.b
-	if !fromA {
-		src, dst = st.b, st.a
-	}
-	// sides returns the clone's source and destination maps.
-	sides := func(n mapPairState) (s, d map[uint64]uint64) {
-		if fromA {
-			return n.a, n.b
+	switch verb {
+	case "ins":
+		s, ok := st.put(c[0], Elem{op.Arg >> 32, op.Arg & 0xffffffff})
+		if !ok || !op.RetOK {
+			return st, ok == op.RetOK
 		}
-		return n.b, n.a
-	}
-	switch op.Name {
-	case "putA", "putB":
-		k, v := unpackKV(op.Arg)
-		_, exists := src[k]
-		if op.RetOK == exists {
-			return nil, false // inserted iff the key was absent
-		}
-		if !op.RetOK {
-			return st, true
-		}
-		n := st.clone()
-		ns, _ := sides(n)
-		ns[k] = v
-		return n, true
-	case "delA", "delB":
-		v, exists := src[op.Arg]
-		if !exists {
+		return st.with(map[int][]Elem{c[0]: s}), true
+	case "rem", "get":
+		j := st.find(c[0], op.Arg, op.Ret)
+		if j < 0 {
 			return st, !op.RetOK
 		}
-		if !op.RetOK || op.Ret != v {
+		s, e := st.take(c[0], j)
+		if !op.RetOK || op.Ret != e.Val {
 			return nil, false
 		}
-		n := st.clone()
-		ns, _ := sides(n)
-		delete(ns, op.Arg)
-		return n, true
-	case "getA", "getB":
-		v, exists := src[op.Arg]
-		if op.RetOK != exists || (exists && op.Ret != v) {
+		if verb == "get" {
+			return st, true
+		}
+		return st.with(map[int][]Elem{c[0]: s}), true
+	case "move", "fan":
+		tkeys := []uint64{op.Arg & 0xffffffff}
+		if verb == "fan" {
+			tkeys = []uint64{op.Arg >> 16 & 0xffff, op.Arg & 0xffff}
+		}
+		j := st.find(c[0], op.Arg>>32, op.Ret)
+		if j < 0 {
+			return st, !op.RetOK
+		}
+		s, e := st.take(c[0], j)
+		sides := map[int][]Elem{c[0]: s}
+		for i, tkey := range tkeys {
+			s, ok := st.put(c[i+1], Elem{tkey, e.Val})
+			if !ok {
+				return st, !op.RetOK
+			}
+			sides[c[i+1]] = s
+		}
+		if !op.RetOK || op.Ret != e.Val {
 			return nil, false
 		}
-		return st, true
-	case "mvAB", "mvBA":
+		return st.with(sides), true
+	case "xfer":
 		if !op.RetOK {
-			return st, true // failed moves are no-ops (see type doc)
+			return st, true // see the type's comment
 		}
-		skey, tkey := unpackKV(op.Arg)
-		v, exists := src[skey]
-		if !exists || op.Ret != v {
-			return nil, false
+		n := st
+		for i, ret := range []uint64{op.Ret >> 32, op.Ret & 0xffffffff} {
+			pair := op.Arg >> (32 - 32*i)
+			j := n.find(c[0], pair>>16&0xffff, ret)
+			if j < 0 {
+				return nil, false
+			}
+			s, e := n.take(c[0], j)
+			if e.Val != ret {
+				return nil, false
+			}
+			n = n.with(map[int][]Elem{c[0]: s})
+			if s, ok = n.put(c[1], Elem{pair & 0xffff, e.Val}); !ok {
+				return nil, false
+			}
+			n = n.with(map[int][]Elem{c[1]: s})
 		}
-		if _, occupied := dst[tkey]; occupied {
-			return nil, false // a successful move needs a free target key
-		}
-		n := st.clone()
-		ns, nd := sides(n)
-		delete(ns, skey)
-		nd[tkey] = v
 		return n, true
-	case "mv2AB", "mv2BA":
+	default: // swap
+		ja, jb := st.find(c[0], 0, 0), st.find(c[1], 0, 0)
+		if ja < 0 || jb < 0 {
+			return st, !op.RetOK // a swap observing an empty side fails
+		}
 		if !op.RetOK {
-			return st, true // failed transfers are no-ops (see type doc)
-		}
-		s1, t1 := op.Arg>>48, (op.Arg>>32)&0xffff
-		s2, t2 := (op.Arg>>16)&0xffff, op.Arg&0xffff
-		v1, ok1 := src[s1]
-		v2, ok2 := src[s2]
-		if !ok1 || !ok2 || op.Ret != v1<<32|v2 {
 			return nil, false
 		}
-		if _, occ := dst[t1]; occ {
-			return nil, false
-		}
-		if _, occ := dst[t2]; occ {
-			return nil, false
-		}
-		n := st.clone()
-		ns, nd := sides(n)
-		delete(ns, s1)
-		delete(ns, s2)
-		nd[t1] = v1
-		nd[t2] = v2
-		return n, true
+		a, b := slices.Clone(st.sides[c[0]]), slices.Clone(st.sides[c[1]])
+		a[ja].Val, b[jb].Val = b[jb].Val, a[ja].Val
+		return st.with(map[int][]Elem{c[0]: a, c[1]: b}), true
 	}
-	return nil, false
 }
 
-// Key canonically encodes both maps as sorted (key, value) pairs with a
-// separator, so distinct states never collide in the memo table.
-func (st mapPairState) Key() string {
-	buf := make([]byte, 0, 16*(len(st.a)+len(st.b))+1)
-	enc := func(m map[uint64]uint64) {
-		keys := make([]uint64, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			for x, i := k, 0; i < 8; i++ {
-				buf = append(buf, byte(x))
-				x >>= 8
-			}
-			for x, i := m[k], 0; i < 8; i++ {
-				buf = append(buf, byte(x))
-				x >>= 8
+// Key implements State: each container's length and then its keys and
+// values, as little-endian bytes, so distinct states never collide in
+// the memo table.
+func (st objState) Key() string {
+	buf := make([]byte, 0, 64)
+	for _, s := range st.sides {
+		buf = append(buf, byte(len(s)), byte(len(s)>>8))
+		for _, e := range s {
+			for _, x := range []uint64{e.Key, e.Val} {
+				for k := 0; k < 8; k++ {
+					buf = append(buf, byte(x>>(8*k)))
+				}
 			}
 		}
-	}
-	enc(st.a)
-	buf = append(buf, 0xfe)
-	enc(st.b)
-	return string(buf)
-}
-
-// Key canonically encodes both sequences (little-endian bytes with a
-// separator), so distinct states never collide in the memo table.
-func (st pairState) Key() string {
-	buf := make([]byte, 0, 8*(len(st.a)+len(st.b))+1)
-	enc := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf = append(buf, byte(v))
-			v >>= 8
-		}
-	}
-	for _, v := range st.a {
-		enc(v)
-	}
-	buf = append(buf, 0xfe)
-	for _, v := range st.b {
-		enc(v)
 	}
 	return string(buf)
 }

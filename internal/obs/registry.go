@@ -46,9 +46,9 @@ const (
 )
 
 // counterNames is the exported naming scheme: Prometheus-style
-// snake_case with a _total suffix for monotone counts. cmd/stress,
-// kvserver STATS and the METRICS verb all use exactly these names — one
-// scheme, documented in docs/observability.md.
+// snake_case with a _total suffix for monotone counts. kvserver STATS
+// and the METRICS verb both use exactly these names — one scheme,
+// documented in docs/observability.md.
 var counterNames = [NumCounters]string{
 	KCASPublish:      "kcas_publish_total",
 	KCASHelp:         "kcas_helps_total",
@@ -190,17 +190,19 @@ func (r *Registry) AddInfo(name, labels string) {
 // one point-in-time view. All known names are present even at zero —
 // "absent" must not alias "zero" on any surface that reports this.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{Counters: make(map[string]uint64)}
 	if r == nil {
-		return s
-	}
-	for c := Counter(0); c < NumCounters; c++ {
-		s.Counters[counterNames[c]] = r.Value(c)
+		return Snapshot{Counters: make(map[string]uint64)}
 	}
 	r.mu.Lock()
 	funcs := r.funcs[:len(r.funcs):len(r.funcs)]
 	infos := r.infos[:len(r.infos):len(r.infos)]
 	r.mu.Unlock()
+	// Sized once: a map grown through its doublings allocates every
+	// smaller table on the way.
+	s := Snapshot{Counters: make(map[string]uint64, int(NumCounters)+len(funcs))}
+	for c := Counter(0); c < NumCounters; c++ {
+		s.Counters[counterNames[c]] = r.Value(c)
+	}
 	for _, f := range funcs {
 		s.Counters[f.name] += f.fn()
 		if f.gauge {

@@ -4,11 +4,14 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mm"
 	"repro/internal/msqueue"
+	"repro/internal/tstack"
 )
 
 func newRT(threads int) *core.Runtime {
@@ -238,5 +241,54 @@ func TestConcurrentMixedWithMoves(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("token %d seen %d times", v, n)
 		}
+	}
+}
+
+// TestRemoveMinNotOvertakenByInsert: a Move out of the queue takes the
+// minimum in force when it decides, not the one its RemoveMin found. The
+// move finds priority 5 and captures its removal; a push onto the target
+// stack fails its first decision; while the move recycles that
+// descriptor, priority 1 is inserted and then X is pushed. The move's
+// second decision comes after X's push — the stack pops the moved value
+// above X — so it comes after the insert too, and must move priority 1.
+// A RemoveMin that marks the found node's own Next, as a Harris list's
+// remove does, never sees the insert in front of it and moves 5.
+func TestRemoveMinNotOvertakenByInsert(t *testing.T) {
+	plan := fault.NewPlan()
+	rt := core.NewRuntime(core.Config{MaxThreads: 2, ArenaCapacity: 1 << 12, Fault: plan})
+	victim, peer := rt.RegisterThread(), rt.RegisterThread()
+	pq, s := New(victim), tstack.New(victim)
+	pq.Insert(victim, 5, 50)
+	plan.Park(fault.KCASAfterPublish, fault.Nth(1).OnThread(victim.ID()))
+	plan.Park(fault.KCASBeforeRecycle, fault.Nth(1).OnThread(victim.ID()))
+	defer plan.Release()
+	parked := func(n int) {
+		for i := 0; plan.Parked() < n; i++ {
+			if i > 5000 {
+				t.Fatalf("the move never parked %d times", n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	moved := make(chan uint64, 1)
+	go func() {
+		v, _ := victim.Move(pq, s, 0, 0)
+		moved <- v
+	}()
+	parked(1)
+	s.Push(peer, 7) // the target's top changes under the published move: its decision fails
+	plan.Release()
+	parked(1)
+	pq.Insert(peer, 1, 10)
+	s.Push(peer, 8) // X
+	plan.Release()
+	if v := <-moved; v != 10 {
+		t.Fatalf("the move took %d, want 10: priority 1 was inserted before the push that the move's value lands above", v)
+	}
+	if v, _ := s.Pop(peer); v != 10 {
+		t.Fatalf("the stack's top is %d, want the moved 10", v)
+	}
+	if pr, v, ok := pq.RemoveMin(peer); !ok || pr != 5 || v != 50 {
+		t.Fatalf("RemoveMin = %d,%d,%v, want 5,50,true", pr, v, ok)
 	}
 }

@@ -166,3 +166,31 @@ func List(a *arena.Arena, head *word.Word) (*Report, int) {
 	}
 	return r, count
 }
+
+// PQueue checks a priority queue (package pqueue): a bounded walk with
+// no descriptors, marked pointers only in a prefix (a marked pointer's
+// node is deleted, and deletions happen at the front), and live
+// priorities nondecreasing. Returns the live element count.
+func PQueue(a *arena.Arena, head *word.Word) (*Report, int) {
+	r, count, live, last := &Report{}, 0, false, uint64(0)
+	for v, steps := head.Load(), 0; word.ListUnmarked(v) != word.Nil; steps++ {
+		if word.IsDesc(v) || steps > maxWalk {
+			r.addf("priority queue walk meets descriptor %#x or exceeds %d steps", v, maxWalk)
+			return r, count
+		}
+		n := a.Node(word.ListUnmarked(v))
+		if word.IsListMarked(v) {
+			if live {
+				r.addf("deleted node %#x after a live one", v)
+			}
+		} else {
+			if live && n.Key < last {
+				r.addf("priority %d after %d", n.Key, last)
+			}
+			live, last = true, n.Key
+			count++
+		}
+		v = n.Next.Load()
+	}
+	return r, count
+}
