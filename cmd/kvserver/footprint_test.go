@@ -6,11 +6,9 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -326,24 +324,31 @@ func TestMetricsFootprintSeries(t *testing.T) {
 	}
 }
 
-// sink keeps a map on the heap, where a returned map lives.
-var sink map[string]uint64
+// sink keeps maps on the heap, where a returned Snapshot's maps live.
+var sink obs.Snapshot
 
 // TestRegistrySnapshotSizedOnce: a registry Snapshot, which every
-// STATS and METRICS call takes, makes its counters map at its final
-// size. A map grown from empty through its doublings allocates each
-// smaller table on the way. The registry here carries as many series as
-// the server's, each a func that allocates nothing, so the map is all
-// that Snapshot allocates.
+// STATS and METRICS call takes, makes its counters, gauge and info maps
+// at their final sizes. A map grown from empty through its doublings
+// allocates each smaller table on the way. The registry here carries as
+// many series, gauges and info series as the server's, each a func that
+// allocates nothing, so the maps are all that Snapshot allocates.
 func TestRegistrySnapshotSizedOnce(t *testing.T) {
 	s := NewServer(Config{Tenants: 4, Workers: 4, Spans: true})
 	defer s.Close()
-	series := len(s.reg.Snapshot().Counters)
+	server := s.reg.Snapshot()
+	series := len(server.Counters)
 	reg := obs.NewRegistry(1)
+	for name := range server.Gauges {
+		reg.AddGauge(name+"_gauge", func() uint64 { return 0 })
+	}
+	for name := range server.Infos {
+		reg.AddInfo(name+"_info", "")
+	}
 	for i := 0; len(reg.Snapshot().Counters) < series; i++ {
 		reg.AddFunc(fmt.Sprintf("series_%d_total", i), func() uint64 { return 0 })
 	}
-	names := slices.Collect(maps.Keys(reg.Snapshot().Counters))
+	snap := reg.Snapshot()
 	bytesPer := func(fn func()) (allocs float64, bytes uint64) {
 		const calls = 100
 		var m0, m1 runtime.MemStats
@@ -356,15 +361,24 @@ func TestRegistrySnapshotSizedOnce(t *testing.T) {
 	}
 	gotAllocs, gotBytes := bytesPer(func() { reg.Snapshot() })
 	wantAllocs, wantBytes := bytesPer(func() {
-		m := make(map[string]uint64, len(names))
-		for _, n := range names {
-			m[n] = 0
+		sink = obs.Snapshot{ // returned, as Snapshot's maps are
+			Counters: make(map[string]uint64, len(snap.Counters)),
+			Gauges:   make(map[string]bool, len(snap.Gauges)),
+			Infos:    make(map[string]string, len(snap.Infos)),
 		}
-		sink = m // returned, as Snapshot's map is
+		for n := range snap.Counters {
+			sink.Counters[n] = 0
+		}
+		for n := range snap.Gauges {
+			sink.Gauges[n] = true
+		}
+		for n, l := range snap.Infos {
+			sink.Infos[n] = l
+		}
 	})
 	if gotAllocs > wantAllocs || gotBytes > wantBytes {
-		t.Fatalf("Snapshot of %d series allocates %.0f times, %d bytes; a map made at that size %.0f times, %d bytes",
-			series, gotAllocs, gotBytes, wantAllocs, wantBytes)
+		t.Fatalf("Snapshot of %d series (%d gauges, %d infos) allocates %.0f times, %d bytes; maps made at those sizes %.0f times, %d bytes",
+			series, len(snap.Gauges), len(snap.Infos), gotAllocs, gotBytes, wantAllocs, wantBytes)
 	}
 	_, serverBytes := bytesPer(func() { s.reg.Snapshot() })
 	t.Logf("%d series: %d bytes per Snapshot, %d bytes per server Snapshot", series, gotBytes, serverBytes)

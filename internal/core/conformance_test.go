@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -29,20 +30,21 @@ import (
 // other such object. The rows are the 25 ordered (source, target) pairs
 // of the five move-ready containers, two distinct objects on a
 // same-kind row. The columns are the composed operations — Move, MoveN
-// to two targets of the target's kind, DrainN, and TransferN, which
-// succeeds only where both sides are keyed — each with every check that
-// applies to it:
+// to the target and a second target of another kind (fanKind), DrainN,
+// and TransferN, which succeeds only where both sides are keyed — each
+// with every check that applies to it:
 //
-//   - model: one thread runs the operation and plain inserts and removes
-//     on every object, and each result is a legal step of
-//     linearize.Objects;
-//   - conserve: four threads run the operation on 600 tokens beside
-//     plain remove/re-insert racers on both sides; at quiescence every
-//     token is in the source or the target exactly once, and MoveN's
+//   - model: one thread runs the operation and plain inserts, removes
+//     and, on keyed objects, lookups on every object, and each result is
+//     a legal step of linearize.Objects;
+//   - conserve: four threads run the operation on 600 tokens, one run in
+//     four from target to source where the operation has a reverse,
+//     beside plain remove/re-insert racers on both sides; at quiescence
+//     every token is in the source or the target exactly once, MoveN's
 //     second target holds it as often as it was fanned out and not
-//     taken back;
-//   - linearize: short concurrent histories, with map directories
-//     doubling beside them, pass linearize.Check;
+//     taken back, and each map counts the entries its walk finds;
+//   - linearize: short concurrent histories of the same steps, with map
+//     directories doubling beside them, pass linearize.Check;
 //   - exhaust: on a thread the arena cannot serve the operation fails,
 //     Exhausted reports it once, nothing changes, and it succeeds once
 //     nodes are freed;
@@ -96,13 +98,21 @@ var kinds = []kindSpec{
 
 func (k kindSpec) keyed() bool { return k.model == linearize.Keyed }
 
+// fanKind is MoveN's second target for target kind k: the kind two
+// places on in kinds, so that each kind is a second target once, never
+// beside its own kind, and a priority queue fans out beside a stack.
+func fanKind(k kindSpec) kindSpec {
+	i := slices.IndexFunc(kinds, func(x kindSpec) bool { return x.name == k.name })
+	return kinds[(i+2)%len(kinds)]
+}
+
 // keySpace bounds the random keys of the keyed sides; priorities range
 // over 1..50, so equal priorities meet too.
 const keySpace = 6
 
 // cell is one (row, operation) of the table on its own runtime: objs[0]
-// is the source, objs[1] the target and objs[2] MoveN's second target,
-// of the target's kind — the model's A, B and C.
+// is the source, objs[1] the target and objs[2] MoveN's second target —
+// the model's A, B and C.
 type cell struct {
 	op    string
 	kinds [3]kindSpec
@@ -113,7 +123,7 @@ type cell struct {
 // newCell builds the cell's runtime and objects and returns the thread
 // that built them.
 func newCell(op string, src, dst kindSpec, cfg core.Config) (*cell, *core.Thread) {
-	c := &cell{op: op, kinds: [3]kindSpec{src, dst, dst}, rt: core.NewRuntime(cfg)}
+	c := &cell{op: op, kinds: [3]kindSpec{src, dst, fanKind(dst)}, rt: core.NewRuntime(cfg)}
 	th := c.rt.RegisterThread()
 	for i, k := range c.kinds {
 		c.objs[i] = k.new(th)
@@ -218,14 +228,20 @@ func (c *cell) composeAt(th *core.Thread, skey, t1, t2 uint64) []linearize.Op {
 	return []linearize.Op{mv}
 }
 
-// plain runs a plain insert of val or a plain remove, picked by r, on
-// one of the cell's objects.
+// plain runs a plain insert of val, a plain remove or, on a keyed
+// object, a lookup, picked by r, on one of the cell's objects.
 func (c *cell) plain(th *core.Thread, r, val uint64) linearize.Op {
 	i := int(r % uint64(c.sides()))
 	side := string(rune('A' + i))
 	key := c.keyFor(i, r>>8)
 	if r>>4&1 == 0 {
 		return linearize.Op{Name: "ins" + side, Arg: key<<32 | val, RetOK: c.objs[i].Insert(th, key, val)}
+	}
+	if c.kinds[i].keyed() && r>>5&1 == 0 {
+		v, ok := c.objs[i].(interface {
+			Contains(*core.Thread, uint64) (uint64, bool)
+		}).Contains(th, key)
+		return linearize.Op{Name: "get" + side, Arg: key, Ret: v, RetOK: ok}
 	}
 	v, ok := c.objs[i].Remove(th, key)
 	return linearize.Op{Name: "rem" + side, Arg: key, Ret: v, RetOK: ok}
@@ -370,19 +386,20 @@ func checkModel(t *testing.T, src, dst kindSpec, op string) {
 }
 
 // checkConservation circulates 600 tokens through four threads: half the
-// operations are the cell's, from source to target; the rest are plain
-// racers that remove a token from the target (or MoveN's second target,
-// which drops it) or from the source, and re-insert it, alternating
-// sides until one takes it. A keyed side addresses a token by its
-// number, so a keyed-to-keyed composition keeps token k under key k;
-// the priority queue holds every token at priority 0, so every insert
-// into it ties. Tokens start outside the maps, so the maps grow while
-// the compositions run.
+// operations are the cell's, from source to target, and for Move, DrainN
+// and TransferN one in four of them from target to source, so that
+// opposing compositions race on the same words (MoveN's reverse would
+// be another operation); the rest are plain racers that remove a token
+// from the target (or MoveN's second target, which drops it) or from the
+// source, and re-insert it, alternating sides until one takes it. A
+// keyed side addresses a token by its number, so a keyed-to-keyed
+// composition keeps token k under key k; the priority queue holds every
+// token at priority 0, so every insert into it ties. Tokens start
+// outside the maps, so the maps grow while the compositions run.
 func checkConservation(t *testing.T, src, dst kindSpec, op string) {
-	const threads, tokens, ops = 4, 600, 2000
+	const threads, tokens, ops, tries, limit = 4, 600, 2000, 1000, time.Minute
 	sr := &slotRule{}
 	c, setup := newCell(op, src, dst, core.Config{MaxThreads: threads + 1, ArenaCapacity: 1 << 15, Fault: sr})
-	a, b := c.objs[0], c.objs[1]
 	sr.threads = []*core.Thread{setup}
 	for range threads {
 		sr.threads = append(sr.threads, c.rt.RegisterThread())
@@ -407,6 +424,7 @@ func checkConservation(t *testing.T, src, dst kindSpec, op string) {
 	}
 
 	fanned, dropped := make([]atomic.Int64, tokens+1), make([]atomic.Int64, tokens+1)
+	var lost atomic.Pointer[string] // the first token no side took back
 	var wg sync.WaitGroup
 	for w, th := range sr.threads[1:] {
 		wg.Add(1)
@@ -415,52 +433,75 @@ func checkConservation(t *testing.T, src, dst kindSpec, op string) {
 			rnd := xorshift(uint64(w + 1))
 			var buf [4]uint64
 			// land re-inserts a held token, alternating sides until one
-			// takes it: a composition from an unkeyed to a keyed side
-			// files a token under another token's key, which may be taken.
-			land := func(tok uint64, first, second int) {
-				for !insert(th, first, tok) && !insert(th, second, tok) {
+			// takes it (a composition from an unkeyed to a keyed side
+			// files a token under another token's key, which may be
+			// taken), and gives up after tries rounds.
+			land := func(tok uint64, first, second int) bool {
+				for range tries {
+					if insert(th, first, tok) || insert(th, second, tok) {
+						return true
+					}
 				}
+				msg := fmt.Sprintf("no side takes back token %d: %s %c and %s %c refused it %d times each",
+					tok, c.kinds[first].name, 'A'+first, c.kinds[second].name, 'A'+second, tries)
+				lost.CompareAndSwap(nil, &msg)
+				return false
 			}
 			for range ops {
 				r := rnd()
 				tok := r>>8%tokens + 1
+				held, home := uint64(0), [2]int{0, 1}
 				switch r % 8 {
 				case 0, 1, 2, 3:
+					from, to := 0, 1
+					if r%8 == 0 && op != "MoveN" {
+						from, to = 1, 0
+					}
+					a, b := c.objs[from], c.objs[to]
 					switch op {
 					case "Move":
-						th.Move(a, b, key(0, tok), key(1, tok))
+						th.Move(a, b, key(from, tok), key(to, tok))
 					case "MoveN":
 						if v, ok := th.MoveN(a, []core.Inserter{b, c.objs[2]}, key(0, tok), []uint64{key(1, tok), key(2, tok)}); ok {
 							fanned[v].Add(1)
 						}
 					case "DrainN":
-						th.DrainN(a, b, key(0, tok), key(1, tok), len(buf), buf[:0])
+						th.DrainN(a, b, key(from, tok), key(to, tok), len(buf), buf[:0])
 					case "TransferN":
 						if tok2 := r>>20%tokens + 1; tok2 != tok {
 							th.TransferN(a, b, []uint64{tok, tok2}, []uint64{tok, tok2})
 						}
 					}
 				case 4, 5:
-					if v, ok := b.Remove(th, key(1, tok)); ok {
-						land(v, 0, 1)
-					}
+					held, _ = c.objs[1].Remove(th, key(1, tok))
 				case 6:
-					if v, ok := a.Remove(th, key(0, tok)); ok {
-						land(v, 0, 1)
-					}
+					held, _ = c.objs[0].Remove(th, key(0, tok))
 				default:
 					if op != "MoveN" {
-						if v, ok := b.Remove(th, key(1, tok)); ok {
-							land(v, 1, 0)
-						}
+						held, _ = c.objs[1].Remove(th, key(1, tok))
+						home = [2]int{1, 0}
 					} else if v, ok := c.objs[2].Remove(th, key(2, tok)); ok {
 						dropped[v].Add(1)
 					}
 				}
+				if held != 0 && !land(held, home[0], home[1]) {
+					return
+				}
 			}
 		}()
 	}
-	wg.Wait()
+	// An operation that loops inside a corrupted object never returns:
+	// the cell fails after limit, leaving its workers to spin.
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		t.Fatalf("the workers have not finished %d operations each after %v", ops, limit)
+	}
+	if msg := lost.Load(); msg != nil {
+		t.Fatal(*msg)
+	}
 	sr.verdict(t)
 
 	for i := range c.sides() {
@@ -470,6 +511,9 @@ func checkConservation(t *testing.T, src, dst kindSpec, op string) {
 		if m, ok := c.objs[i].(*hashmap.Map); ok {
 			if grows, _, _ := m.Stats(); grows == 0 {
 				t.Fatalf("map %c never grew", 'A'+i)
+			}
+			if n, walked := m.Len(setup), len(contents(setup, m)); n != walked {
+				t.Fatalf("map %c counts %d entries, its walk finds %d", 'A'+i, n, walked)
 			}
 		}
 	}
@@ -523,12 +567,12 @@ func checkLinearizable(t *testing.T, src, dst kindSpec, op string) {
 			wg    sync.WaitGroup
 			gwg   sync.WaitGroup
 		)
-		if src.name == "map" || dst.name == "map" {
+		if slices.ContainsFunc(c.kinds[:c.sides()], func(k kindSpec) bool { return k.name == "map" }) {
 			gwg.Add(1)
 			go func() {
 				defer gwg.Done()
 				for !stop.Load() {
-					for _, obj := range c.objs {
+					for _, obj := range c.objs[:c.sides()] {
 						if m, ok := obj.(*hashmap.Map); ok && !m.RebalanceStep(grower) && m.Buckets() < 64 {
 							m.Grow(grower)
 						}

@@ -72,9 +72,6 @@ type Config struct {
 	// ArenaCapacity is the maximum number of container nodes. Default
 	// 1<<22.
 	ArenaCapacity int
-	// RetireThreshold triggers hazard scans of retired nodes. Default
-	// mm.DefaultRetireThreshold.
-	RetireThreshold int
 	// Fault, when non-nil, is fired at the substrate's named injection
 	// points (descriptor publish/commit/recycle, hash-map mid-grow) — see package fault. Nil (the
 	// default) disables injection; each hook site then costs one
@@ -124,7 +121,7 @@ func NewRuntime(cfg Config) *Runtime {
 	rt.descs = descs
 	rt.arena = arena.New(cfg.ArenaCapacity)
 	rt.nodeDom = hazard.New(cfg.MaxThreads, nodeSlotsPerThread)
-	rt.mm = mm.New(rt.arena, rt.nodeDom, mm.Config{RetireThreshold: cfg.RetireThreshold})
+	rt.mm = mm.New(rt.arena, rt.nodeDom)
 	rt.obs = obs.New(cfg.Obs, cfg.MaxThreads)
 	if reg := rt.obs.Metrics(); reg != nil {
 		// Pull the substrate's own monotone counters into the registry:

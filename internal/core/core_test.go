@@ -60,31 +60,6 @@ func TestMaxThreadsEncodableLimit(t *testing.T) {
 	}
 }
 
-func TestSCASPlainModeIsCAS(t *testing.T) {
-	rt := newRT(1)
-	th := rt.RegisterThread()
-	var w word.Word
-	w.Store(10)
-	if th.SCASRemove(&w, 10, 20, 99, 0) != FTrue {
-		t.Fatal("plain SCASRemove must behave as CAS (success)")
-	}
-	if w.Load() != 20 {
-		t.Fatal("value not swapped")
-	}
-	if th.SCASRemove(&w, 10, 30, 99, 0) != FFalse {
-		t.Fatal("plain SCASRemove must behave as CAS (failure)")
-	}
-	if th.SCASInsert(&w, 20, 30, 0) != FTrue {
-		t.Fatal("plain SCASInsert must behave as CAS (success)")
-	}
-	if th.SCASInsert(&w, 20, 40, 0) != FFalse {
-		t.Fatal("plain SCASInsert must behave as CAS (failure)")
-	}
-	if w.Load() != 30 {
-		t.Fatalf("final value %d", w.Load())
-	}
-}
-
 // staleCell is a one-word container whose remove and insert, when
 // stale is set, first offer scas an old value the word does not hold — a
 // linearization CAS that must lose — and then the current one. It
@@ -112,6 +87,9 @@ func (c *staleCell) old() uint64 {
 func (c *staleCell) Remove(t *Thread, _ uint64) (uint64, bool) {
 	for {
 		old := c.old()
+		if !t.MoveInFlight() {
+			return 7, c.w.CAS(old, old+4)
+		}
 		r := t.SCASRemove(&c.w, old, old+4, 7, 0)
 		c.got = append(c.got, r)
 		if r != FFalse {
@@ -123,6 +101,9 @@ func (c *staleCell) Remove(t *Thread, _ uint64) (uint64, bool) {
 func (c *staleCell) Insert(t *Thread, _, _ uint64) bool {
 	for {
 		old := c.old()
+		if !t.MoveInFlight() {
+			return c.w.CAS(old, old+4)
+		}
 		r := t.SCASInsert(&c.w, old, old+4, 0)
 		c.got = append(c.got, r)
 		if r != FFalse {
@@ -132,7 +113,7 @@ func (c *staleCell) Insert(t *Thread, _, _ uint64) bool {
 }
 
 // TestLostSCASCounts: every scas that returns FFalse — a lost
-// linearization CAS, plain or captured by a chain — adds one to the
+// linearization CAS captured by a chain — adds one to the
 // calling thread's cas_retries_total stripe, FTrue and FAbort add
 // nothing, and so does a failed raw k-word CAS.
 func TestLostSCASCounts(t *testing.T) {
@@ -147,19 +128,6 @@ func TestLostSCASCounts(t *testing.T) {
 			t.Errorf("%s: cas_retries_total += %d, want %d", name, d, want)
 		}
 	}
-	result := func(name string, got, want FResult) {
-		t.Helper()
-		if got != want {
-			t.Errorf("%s returned %v, want %v", name, got, want)
-		}
-	}
-	var w word.Word
-	w.Store(10)
-	check("plain SCASRemove, current old", 0, func() { result("SCASRemove", th.SCASRemove(&w, 10, 20, 0, 0), FTrue) })
-	check("plain SCASRemove, stale old", 1, func() { result("SCASRemove", th.SCASRemove(&w, 10, 30, 0, 0), FFalse) })
-	check("plain SCASInsert, current old", 0, func() { result("SCASInsert", th.SCASInsert(&w, 20, 30, 0), FTrue) })
-	check("plain SCASInsert, stale old", 1, func() { result("SCASInsert", th.SCASInsert(&w, 20, 40, 0), FFalse) })
-
 	src := &staleCell{id: rt.NextObjectID()}
 	dst := &staleCell{id: rt.NextObjectID()}
 	chain := func(name string, srcStale, dstStale bool, wantSrc, wantDst []FResult) {

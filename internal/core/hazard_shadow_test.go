@@ -22,6 +22,9 @@ func (s *probeSource) Remove(t *Thread, key uint64) (uint64, bool) {
 	t.ProtectNode(SlotRemAux, s.refs[0])
 	t.ProtectNode(SlotRem0, s.refs[1])
 	old := s.w.Load()
+	if !t.MoveInFlight() {
+		return 7, s.w.CAS(old, old+4)
+	}
 	return 7, t.SCASRemove(&s.w, old, old+4, 7, s.refs[1]) == FTrue
 }
 

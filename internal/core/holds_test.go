@@ -40,6 +40,12 @@ func (c *cells) Remove(t *Thread, key uint64) (uint64, bool) {
 	w := &t.Node(ref).Next
 	for {
 		old := t.Read(w)
+		if !t.MoveInFlight() {
+			if w.CAS(old, old+2) {
+				return old, true
+			}
+			continue
+		}
 		switch t.SCASRemove(w, old, old+2, old, ref) {
 		case FTrue:
 			return old, true
@@ -55,6 +61,12 @@ func (c *cells) Insert(t *Thread, key, _ uint64) bool {
 	w := &t.Node(ref).Next
 	for {
 		old := t.Read(w)
+		if !t.MoveInFlight() {
+			if w.CAS(old, old+2) {
+				return true
+			}
+			continue
+		}
 		switch t.SCASInsert(w, old, old+2, ref) {
 		case FTrue:
 			return true

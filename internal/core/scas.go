@@ -54,36 +54,26 @@ type MoveReady interface {
 }
 
 // SCASRemove is the scas variant called at the linearization point of
-// remove operations (Algorithm 3, lines M9–M21). w/old/new are the CAS
+// remove operations (Algorithm 3, lines M9–M19). w/old/new are the CAS
 // the operation would have performed; element is the value being
 // removed (available before the linearization point, requirement 4);
 // hp is the node reference whose memory contains w (0 for object
 // anchors), carried to helpers via the descriptor (lines M14/D3).
 //
-// A lost linearization CAS (FFalse: the operation retries) is counted
-// here, in the thread's own stripe of cas_retries_total, for every
-// container alike. The containers of this repository run the plain
-// case (M20–M21) at their call sites and count its lost CASes with
-// LostCAS; the plain case here serves any other caller.
+// The caller must be inside a composition (MoveInFlight reports true):
+// a plain remove performs its CAS at its call site (lines M20–M21) and
+// counts a lost one with LostCAS. A lost linearization CAS (FFalse: the
+// operation retries) is counted here, in the thread's own stripe of
+// cas_retries_total.
 func (t *Thread) SCASRemove(w *word.Word, old, new, element, hp uint64) FResult {
-	if t.desc == nil { // M20: plain remove
-		if w.CAS(old, new) { // M21
-			return FTrue
-		}
-		return t.tally(FFalse)
-	}
 	return t.tally(t.capture(w, old, new, element, hp, true))
 }
 
 // SCASInsert is the scas variant called at the linearization point of
-// insert operations (Algorithm 3, lines M22–M39).
+// insert operations (Algorithm 3, lines M22–M37), under SCASRemove's
+// precondition: a plain insert performs its CAS at its call site (lines
+// M38–M39).
 func (t *Thread) SCASInsert(w *word.Word, old, new, hp uint64) FResult {
-	if t.desc == nil { // M38: plain insert
-		if w.CAS(old, new) { // M39
-			return FTrue
-		}
-		return t.tally(FFalse)
-	}
 	return t.tally(t.capture(w, old, new, 0, hp, false))
 }
 

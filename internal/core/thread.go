@@ -36,9 +36,6 @@ type Thread struct {
 	abort   bool // the chain aborts: every step unwinds with FAbort
 	depth   int  // entry index the active step fills; 0 between chains
 
-	// seq is a private per-thread counter (see Seq).
-	seq uint64
-
 	// hz shadows what each of this thread's node-domain hazard slots
 	// publishes (see setSlot); the helping-mirror entries are unused.
 	hz [nodeSlotsPerThread]uint64
@@ -58,7 +55,7 @@ type Thread struct {
 
 	// Tail pad: keeps Thread a whole number of cache lines
 	// (TestThreadOwnsItsLines).
-	_ [24]byte
+	_ [32]byte
 }
 
 // chainStep is one operation of a composed chain: exactly one of rem or
@@ -222,10 +219,3 @@ func (t *Thread) MoveInFlight() bool { return t.desc != nil }
 // of cas_retries_total: a container calls it where its call-site plain
 // CAS fails, as SCASRemove and SCASInsert count their FFalse results.
 func (t *Thread) LostCAS() { t.reg.Inc(t.id, obs.CASRetry) }
-
-// Seq returns a thread-local counter that increments on every call,
-// for unique per-thread sub-keys.
-func (t *Thread) Seq() uint64 {
-	t.seq++
-	return t.seq
-}

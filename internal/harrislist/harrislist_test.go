@@ -273,9 +273,12 @@ func TestListSlotsPinAtMostTwoPerSide(t *testing.T) {
 // reclaim it — until the thread's next operation on that side searches
 // past it; the first scan after that reclaims it. Removing the first,
 // second, third and fourth node leaves it in either slot of the side.
+// FlushMemory scans at once, below the retire threshold, and hands the
+// thread's free nodes to the global stack, whose top segment its next
+// AllocNode takes.
 func TestStaleSlotPinsUntilNextOperation(t *testing.T) {
 	for _, key := range []uint64{10, 20, 30, 40} {
-		rt := core.NewRuntime(core.Config{MaxThreads: 1, ArenaCapacity: 1 << 12, RetireThreshold: 1})
+		rt := core.NewRuntime(core.Config{MaxThreads: 1, ArenaCapacity: 1 << 12})
 		th := rt.RegisterThread()
 		l := New(th)
 		for k := uint64(10); k <= 50; k += 10 {
@@ -290,11 +293,12 @@ func TestStaleSlotPinsUntilNextOperation(t *testing.T) {
 			x = word.ListUnmarked(th.Read(&th.Node(x).Next))
 		}
 		spare := th.AllocNode()
-		// Remove unlinks x and retires it; at RetireThreshold 1 the retire
-		// scans at once, and x is still in one of the remove-side slots.
+		// Remove unlinks x and retires it; the scan finds x still in one
+		// of the remove-side slots.
 		if _, ok := l.Remove(th, key); !ok {
 			t.Fatalf("Remove(%d) failed", key)
 		}
+		th.FlushMemory()
 		if got := th.AllocNode(); word.NodeIndex(got) == word.NodeIndex(x) {
 			t.Fatalf("key %d: node reclaimed while its thread's slot still names it", key)
 		} else {
@@ -306,6 +310,7 @@ func TestStaleSlotPinsUntilNextOperation(t *testing.T) {
 			t.Fatal("Contains(50) failed")
 		}
 		th.RetireNode(spare)
+		th.FlushMemory()
 		a, b := th.AllocNode(), th.AllocNode()
 		if word.NodeIndex(x) != word.NodeIndex(a) && word.NodeIndex(x) != word.NodeIndex(b) {
 			t.Fatalf("key %d: node not reclaimed by the first scan after the next operation", key)

@@ -1,12 +1,10 @@
 package integration
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/msqueue"
-	"repro/internal/pqueue"
 	"repro/internal/tstack"
 )
 
@@ -95,72 +93,4 @@ func TestMovePreservesThreadReuse(t *testing.T) {
 	// 40k moves cycle through the thread's fixed descriptor block: a
 	// recycling failure would have hit the block's invariant panic.
 	th.FlushMemory()
-}
-
-// TestMixedMoveAndMoveN runs Move and MoveN concurrently over shared
-// containers: DCAS and MCAS descriptors interleave in the same words,
-// exercising the cross-kind helping dispatch in Thread.Read.
-func TestMixedMoveAndMoveN(t *testing.T) {
-	const tokens = 128
-	const workers = 6
-	rt := newRT(workers + 1)
-	setup := rt.RegisterThread()
-	q := msqueue.New(setup)
-	s1 := tstack.New(setup)
-	s2 := tstack.New(setup)
-	for i := uint64(1); i <= tokens; i++ {
-		q.Enqueue(setup, i)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := rt.RegisterThread()
-			rng := uint64(w)*0x9e3779b97f4a7c15 + 1
-			next := func() uint64 { rng ^= rng << 13; rng ^= rng >> 7; rng ^= rng << 17; return rng }
-			for i := 0; i < 3000; i++ {
-				switch next() % 4 {
-				case 0:
-					th.Move(q, s1, 0, 0)
-				case 1:
-					th.Move(s1, q, 0, 0)
-				case 2:
-					th.Move(s2, q, 0, 0)
-				default:
-					// Fan-out: q → s1+s2 atomically; bounce one back so
-					// counts stay auditable is not possible for fan-out,
-					// so fan out only from a private spare token space.
-					th.Move(q, s2, 0, 0)
-				}
-			}
-			th.FlushMemory()
-		}(w)
-	}
-	wg.Wait()
-	total := q.Len(setup) + s1.Len(setup) + s2.Len(setup)
-	if total != tokens {
-		t.Fatalf("conservation across mixed moves: %d != %d", total, tokens)
-	}
-}
-
-// TestPriorityQueueMoveNFanOut: MoveN into a priority queue plus a
-// stack, with the pq assigning a priority key.
-func TestPriorityQueueMoveNFanOut(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	q := msqueue.New(th)
-	pq := pqueue.New(th)
-	s := tstack.New(th)
-	q.Enqueue(th, 77)
-	if v, ok := th.MoveN(q, []core.Inserter{pq, s}, 0, []uint64{3, 0}); !ok || v != 77 {
-		t.Fatalf("MoveN with pq: %d,%v", v, ok)
-	}
-	pr, val, ok := pq.RemoveMin(th)
-	if !ok || pr != 3 || val != 77 {
-		t.Fatalf("pq entry: %d,%d,%v", pr, val, ok)
-	}
-	if v, _ := s.Pop(th); v != 77 {
-		t.Fatal("stack missing fan-out copy")
-	}
 }

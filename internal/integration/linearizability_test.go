@@ -27,12 +27,13 @@ func (r *recorder) record(th int, name string, arg, ret uint64, ok bool, inv, re
 	r.mu.Unlock()
 }
 
-// run executes one recorded window of random operations over a
-// queue(A)/stack(B) pair and returns the history. atomicMove selects
-// the paper's Move versus the naive remove-then-insert composition
-// (recorded as a single "move" op in both cases — that is the whole
-// point: the naive version claims atomicity it does not have).
-func runRecorded(t *testing.T, atomicMove bool, seed uint64, opsPerThread, threads int) ([]linearize.Op, linearize.Objects) {
+// runRecorded executes one recorded window of random operations over a
+// queue(A)/stack(B) pair and returns the history. Its moves are the
+// naive remove-then-insert composition, recorded as single "move" ops:
+// that is the whole point, the naive version claims atomicity it does
+// not have. Histories of the paper's Move are TestConformance's
+// linearize cells in internal/core.
+func runRecorded(t *testing.T, seed uint64, opsPerThread, threads int) ([]linearize.Op, linearize.Objects) {
 	rt := newRT(threads + 1)
 	setup := rt.RegisterThread()
 	q := msqueue.New(setup)
@@ -78,21 +79,15 @@ func runRecorded(t *testing.T, atomicMove bool, seed uint64, opsPerThread, threa
 					v, ok := s.Pop(th)
 					rec.record(w, "remB", 0, v, ok, inv, rec.clock.Add(1))
 				case 4:
-					var v uint64
-					var ok bool
-					if atomicMove {
-						v, ok = th.Move(q, s, 0, 0)
-					} else if v, ok = q.Dequeue(th); ok {
+					v, ok := q.Dequeue(th)
+					if ok {
 						runtime.Gosched() // realistic preemption inside the gap
 						s.Push(th, v)
 					}
 					rec.record(w, "moveAB", 0, v, ok, inv, rec.clock.Add(1))
 				default:
-					var v uint64
-					var ok bool
-					if atomicMove {
-						v, ok = th.Move(s, q, 0, 0)
-					} else if v, ok = s.Pop(th); ok {
+					v, ok := s.Pop(th)
+					if ok {
 						runtime.Gosched() // realistic preemption inside the gap
 						q.Enqueue(th, v)
 					}
@@ -105,21 +100,6 @@ func runRecorded(t *testing.T, atomicMove bool, seed uint64, opsPerThread, threa
 	return rec.ops, model
 }
 
-// TestMoveHistoriesLinearizable is the direct check of Theorem 2: every
-// history produced with the DCAS-based move must be linearizable
-// against a model in which move is one atomic step.
-func TestMoveHistoriesLinearizable(t *testing.T) {
-	for seed := uint64(1); seed <= 60; seed++ {
-		hist, model := runRecorded(t, true, seed, 5, 3)
-		if len(hist) > linearize.MaxOps {
-			t.Fatalf("history too long: %d", len(hist))
-		}
-		if !linearize.Check(model, hist) {
-			t.Fatalf("seed %d: atomic-move history NOT linearizable:\n%v", seed, hist)
-		}
-	}
-}
-
 // TestNaiveCompositionViolatesLinearizability demonstrates Figure 1c on
 // real containers: recording the remove-then-insert composition as one
 // "atomic" move yields non-linearizable histories once any window
@@ -130,7 +110,7 @@ func TestMoveHistoriesLinearizable(t *testing.T) {
 func TestNaiveCompositionViolatesLinearizability(t *testing.T) {
 	violations := 0
 	for seed := uint64(1); seed <= 120; seed++ {
-		hist, model := runRecorded(t, false, seed, 6, 3)
+		hist, model := runRecorded(t, seed, 6, 3)
 		if !linearize.Check(model, hist) {
 			violations++
 		}

@@ -1,9 +1,10 @@
 // Package integration holds cross-module tests: the retry/abort
-// protocol of Algorithm 3, element conservation under contention, faults
+// protocol of Algorithm 3, one token bouncing between two stacks, faults
 // and telemetry, map growth and buffered moves. Move, MoveN, DrainN and
-// TransferN over every ordered container pair — the sequential model,
-// conservation, linearizability, exhaustion, a parked composition and
-// the slot rule — are internal/core's TestConformance.
+// TransferN over every ordered container pair — the sequential model
+// with lookups, conservation under opposing compositions, map counts,
+// linearizability, exhaustion, a parked composition and the slot rule —
+// are internal/core's TestConformance.
 package integration
 
 import (
@@ -20,79 +21,6 @@ func newRT(threads int) *core.Runtime {
 		MaxThreads:    threads,
 		ArenaCapacity: 1 << 18,
 	})
-}
-
-func TestMoveQueueToStack(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	q := msqueue.New(th)
-	s := tstack.New(th)
-	q.Enqueue(th, 42)
-	v, ok := th.Move(q, s, 0, 0)
-	if !ok || v != 42 {
-		t.Fatalf("move: v=%d ok=%v", v, ok)
-	}
-	if q.Len(th) != 0 || s.Len(th) != 1 {
-		t.Fatalf("lengths after move: q=%d s=%d", q.Len(th), s.Len(th))
-	}
-	if got, _ := s.Pop(th); got != 42 {
-		t.Fatal("moved value corrupted")
-	}
-}
-
-func TestMoveStackToQueue(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	q := msqueue.New(th)
-	s := tstack.New(th)
-	s.Push(th, 7)
-	s.Push(th, 8)
-	if v, ok := th.Move(s, q, 0, 0); !ok || v != 8 {
-		t.Fatalf("move should take the stack top: v=%d ok=%v", v, ok)
-	}
-	if v, ok := q.Dequeue(th); !ok || v != 8 {
-		t.Fatalf("queue should hold the moved element: v=%d ok=%v", v, ok)
-	}
-	if v, _ := s.Pop(th); v != 7 {
-		t.Fatal("stack bottom disturbed")
-	}
-}
-
-func TestMoveQueueToQueue(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	q1 := msqueue.New(th)
-	q2 := msqueue.New(th)
-	for i := uint64(1); i <= 5; i++ {
-		q1.Enqueue(th, i)
-	}
-	for i := uint64(1); i <= 5; i++ {
-		if v, ok := th.Move(q1, q2, 0, 0); !ok || v != i {
-			t.Fatalf("move %d: v=%d ok=%v", i, v, ok)
-		}
-	}
-	for i := uint64(1); i <= 5; i++ {
-		if v, ok := q2.Dequeue(th); !ok || v != i {
-			t.Fatalf("FIFO order lost through moves: got %d want %d", v, i)
-		}
-	}
-}
-
-func TestMoveStackToStack(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	s1 := tstack.New(th)
-	s2 := tstack.New(th)
-	s1.Push(th, 1)
-	s1.Push(th, 2)
-	th.Move(s1, s2, 0, 0) // moves 2
-	th.Move(s1, s2, 0, 0) // moves 1
-	if v, _ := s2.Pop(th); v != 1 {
-		t.Fatal("stack-to-stack move order")
-	}
-	if v, _ := s2.Pop(th); v != 2 {
-		t.Fatal("stack-to-stack move order")
-	}
 }
 
 func TestMoveFromEmptyFails(t *testing.T) {
@@ -240,27 +168,6 @@ func pick(r uint64, a, b core.MoveReady) core.MoveReady {
 	return b
 }
 
-func TestMoveStressQueueQueue(t *testing.T) {
-	moveStress(t,
-		func(th *core.Thread) core.MoveReady { return msqueue.New(th) },
-		func(th *core.Thread) core.MoveReady { return msqueue.New(th) },
-		8, 512, 4000)
-}
-
-func TestMoveStressStackStack(t *testing.T) {
-	moveStress(t,
-		func(th *core.Thread) core.MoveReady { return tstack.New(th) },
-		func(th *core.Thread) core.MoveReady { return tstack.New(th) },
-		8, 512, 4000)
-}
-
-func TestMoveStressQueueStack(t *testing.T) {
-	moveStress(t,
-		func(th *core.Thread) core.MoveReady { return msqueue.New(th) },
-		func(th *core.Thread) core.MoveReady { return tstack.New(th) },
-		8, 512, 4000)
-}
-
 // TestMoveStressSingleToken is the §7 worst case: one token bouncing
 // between two stacks maximizes the remove-then-reinsert ABA that causes
 // false helping; conservation must still hold.
@@ -269,79 +176,4 @@ func TestMoveStressSingleToken(t *testing.T) {
 		func(th *core.Thread) core.MoveReady { return tstack.New(th) },
 		func(th *core.Thread) core.MoveReady { return tstack.New(th) },
 		8, 1, 8000)
-}
-
-// TestNormalOpsDuringMoves interleaves heavy plain enqueue/dequeue with
-// moves, checking that values never vanish and the per-value accounting
-// holds (the paper's claim that normal operations coexist with moves).
-func TestNormalOpsDuringMoves(t *testing.T) {
-	const movers, workers, per = 4, 4, 5000
-	rt := newRT(movers + workers + 1)
-	setup := rt.RegisterThread()
-	q := msqueue.New(setup)
-	s := tstack.New(setup)
-
-	var wg sync.WaitGroup
-	var produced, consumed sync.Map
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := rt.RegisterThread()
-			for i := 0; i < per; i++ {
-				v := uint64(w+1)<<32 | uint64(i)
-				produced.Store(v, true)
-				q.Enqueue(th, v)
-				if v2, ok := s.Pop(th); ok {
-					if _, was := consumed.LoadOrStore(v2, true); was {
-						t.Errorf("value %#x consumed twice", v2)
-					}
-				}
-			}
-			th.FlushMemory()
-		}(w)
-	}
-	for m := 0; m < movers; m++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := rt.RegisterThread()
-			for i := 0; i < per; i++ {
-				th.Move(q, s, 0, 0)
-			}
-			th.FlushMemory()
-		}()
-	}
-	wg.Wait()
-
-	// Drain both; every produced value must be in consumed ∪ leftovers,
-	// exactly once.
-	for {
-		v, ok := q.Dequeue(setup)
-		if !ok {
-			break
-		}
-		if _, was := consumed.LoadOrStore(v, true); was {
-			t.Fatalf("value %#x both consumed and still queued", v)
-		}
-	}
-	for {
-		v, ok := s.Pop(setup)
-		if !ok {
-			break
-		}
-		if _, was := consumed.LoadOrStore(v, true); was {
-			t.Fatalf("value %#x both consumed and still stacked", v)
-		}
-	}
-	missing := 0
-	produced.Range(func(k, _ any) bool {
-		if _, ok := consumed.Load(k); !ok {
-			missing++
-		}
-		return true
-	})
-	if missing != 0 {
-		t.Fatalf("%d produced values vanished", missing)
-	}
 }

@@ -9,44 +9,6 @@ import (
 	"repro/internal/tstack"
 )
 
-func TestMoveNBasic(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	src := msqueue.New(th)
-	d1 := tstack.New(th)
-	d2 := msqueue.New(th)
-	d3 := tstack.New(th)
-	src.Enqueue(th, 777)
-
-	v, ok := th.MoveN(src, []core.Inserter{d1, d2, d3}, 0, []uint64{0, 0, 0})
-	if !ok || v != 777 {
-		t.Fatalf("MoveN: v=%d ok=%v", v, ok)
-	}
-	if src.Len(th) != 0 {
-		t.Fatal("source must be empty")
-	}
-	for i, c := range []interface {
-		Remove(*core.Thread, uint64) (uint64, bool)
-	}{d1, d2, d3} {
-		if got, ok := c.Remove(th, 0); !ok || got != 777 {
-			t.Fatalf("target %d: got %d ok=%v", i, got, ok)
-		}
-	}
-}
-
-func TestMoveNFromEmptyFails(t *testing.T) {
-	rt := newRT(2)
-	th := rt.RegisterThread()
-	src := tstack.New(th)
-	d1 := msqueue.New(th)
-	if _, ok := th.MoveN(src, []core.Inserter{d1}, 0, []uint64{0}); ok {
-		t.Fatal("MoveN from empty must fail")
-	}
-	if d1.Len(th) != 0 {
-		t.Fatal("failed MoveN must not touch targets")
-	}
-}
-
 func TestMoveNAbortsOnDuplicateKey(t *testing.T) {
 	rt := newRT(2)
 	th := rt.RegisterThread()
@@ -174,5 +136,52 @@ func TestMoveNDuplicateInsertOnlyTarget(t *testing.T) {
 	}
 	if v, _ := s.Pop(th); v != 41 {
 		t.Fatal("element missing from target after MoveN")
+	}
+}
+
+// TestMoveNFanOutDuringGrow drives the §8 extension against a growing
+// map: MoveN removes a key from one map and inserts it into a second
+// map and an audit queue atomically, while the source keeps growing.
+func TestMoveNFanOutDuringGrow(t *testing.T) {
+	rt := newRT(3)
+	setup := rt.RegisterThread()
+	ma := hashmap.NewSharded(setup, 2, 1, 2)
+	mb := hashmap.NewSharded(setup, 2, 1, 1<<30)
+	q := msqueue.New(setup)
+
+	const n = 300
+	for i := uint64(1); i <= n; i++ {
+		ma.Insert(setup, i, i*7)
+	}
+	ma.Grow(setup) // doubled, no sentinel linked: the fan-outs meet buckets in every state
+
+	th := rt.RegisterThread()
+	moved := 0
+	for i := uint64(1); i <= n; i++ {
+		// Link a sentinel between fan-outs, so that some moves find their
+		// bucket's already there and others link it themselves.
+		ma.RebalanceStep(th)
+		if _, ok := th.MoveN(ma, []core.Inserter{mb, q}, i, []uint64{i, 0}); ok {
+			moved++
+		}
+	}
+	for ma.RebalanceStep(th) {
+	}
+	if moved != n {
+		t.Fatalf("moved %d of %d entries out of a growing map", moved, n)
+	}
+	if got := ma.Len(setup); got != 0 {
+		t.Fatalf("source still holds %d entries", got)
+	}
+	if got := mb.Len(setup); got != n {
+		t.Fatalf("target map holds %d entries, want %d", got, n)
+	}
+	if got := q.Len(setup); got != n {
+		t.Fatalf("audit queue holds %d entries, want %d", got, n)
+	}
+	for i := uint64(1); i <= n; i++ {
+		if v, ok := mb.Contains(setup, i); !ok || v != i*7 {
+			t.Fatalf("entry %d=(%d,%v) corrupted by fan-out", i, v, ok)
+		}
 	}
 }

@@ -103,17 +103,3 @@ func TestMoveStateClearedAfterAbort(t *testing.T) {
 		t.Fatal("thread unusable after aborted move")
 	}
 }
-
-// TestSeqCounter: thread-local sequence is strictly increasing.
-func TestSeqCounter(t *testing.T) {
-	rt := newRT(1)
-	th := rt.RegisterThread()
-	prev := th.Seq()
-	for i := 0; i < 100; i++ {
-		cur := th.Seq()
-		if cur <= prev {
-			t.Fatal("Seq must increase")
-		}
-		prev = cur
-	}
-}

@@ -55,7 +55,7 @@ import (
 const LocalListCap = 200
 
 // DefaultRetireThreshold is the retire-list length that triggers a hazard
-// scan when the caller does not configure one.
+// scan.
 const DefaultRetireThreshold = 128
 
 // segment is one free list on the global stack.
@@ -71,8 +71,6 @@ type Manager struct {
 	arena *arena.Arena
 	dom   *hazard.Domain
 
-	retireAt int
-
 	// caches lists every Cache handed out, for Stats.
 	cachesMu sync.Mutex
 	caches   []*Cache
@@ -86,19 +84,9 @@ type Manager struct {
 	refills atomic.Uint64
 }
 
-// Config tunes a Manager.
-type Config struct {
-	// RetireThreshold is the retire-list length that triggers a scan.
-	// Defaults to DefaultRetireThreshold.
-	RetireThreshold int
-}
-
 // New creates a Manager over the given arena and node hazard domain.
-func New(a *arena.Arena, dom *hazard.Domain, cfg Config) *Manager {
-	if cfg.RetireThreshold <= 0 {
-		cfg.RetireThreshold = DefaultRetireThreshold
-	}
-	return &Manager{arena: a, dom: dom, retireAt: cfg.RetireThreshold}
+func New(a *arena.Arena, dom *hazard.Domain) *Manager {
+	return &Manager{arena: a, dom: dom}
 }
 
 // Arena returns the backing arena.
@@ -182,7 +170,7 @@ func (m *Manager) NewCache(tid int) *Cache {
 		tid:     tid,
 		free:    lists[:0:LocalListCap],
 		spare:   lists[LocalListCap:LocalListCap],
-		retired: make([]uint64, 0, m.retireAt+16),
+		retired: make([]uint64, 0, DefaultRetireThreshold+16),
 	}
 	m.cachesMu.Lock()
 	m.caches = append(m.caches, c)
@@ -229,7 +217,7 @@ func (c *Cache) Alloc() uint64 {
 func (c *Cache) Retire(ref uint64) {
 	c.retired = append(c.retired, word.NodeIndex(ref))
 	c.frees++
-	if len(c.retired) >= c.m.retireAt {
+	if len(c.retired) >= DefaultRetireThreshold {
 		c.Scan()
 	}
 }

@@ -17,7 +17,7 @@ import (
 func newTestManager(threads int) (*Manager, *hazard.Domain) {
 	a := arena.New(1 << 16)
 	dom := hazard.New(threads, 4)
-	m := New(a, dom, Config{})
+	m := New(a, dom)
 	return m, dom
 }
 
@@ -117,7 +117,7 @@ func TestRetireHoldsProtectedNodes(t *testing.T) {
 func TestExhaustedAllocScansOwnRetireList(t *testing.T) {
 	a := arena.New(arena.ReservedIndexes + LocalListCap)
 	dom := hazard.New(2, 4)
-	m := New(a, dom, Config{})
+	m := New(a, dom)
 	c := m.NewCache(0)
 	refs := make([]uint64, LocalListCap)
 	for i := range refs {
@@ -159,20 +159,24 @@ func TestExhaustedAllocScansOwnRetireList(t *testing.T) {
 func TestRetireTriggersScanAtThreshold(t *testing.T) {
 	a := arena.New(1 << 10)
 	dom := hazard.New(1, 2)
-	m := New(a, dom, Config{RetireThreshold: 8})
+	m := New(a, dom)
 	c := m.NewCache(0)
-	refs := make([]uint64, 0, 8)
-	for i := 0; i < 8; i++ {
+	refs := make([]uint64, 0, DefaultRetireThreshold)
+	for range DefaultRetireThreshold {
 		refs = append(refs, c.Alloc())
 	}
-	for _, r := range refs {
+	for _, r := range refs[1:] {
 		c.Retire(r)
 	}
+	if _, _, scans, _, _ := m.Stats(); scans != 0 || c.LocalRetired() != DefaultRetireThreshold-1 {
+		t.Fatalf("%d scans below the threshold, %d retired", scans, c.LocalRetired())
+	}
+	c.Retire(refs[0])
 	if c.LocalRetired() != 0 {
 		t.Fatalf("retire threshold should have triggered a scan, %d left", c.LocalRetired())
 	}
 	_, frees, scans, _, _ := m.Stats()
-	if frees != 8 || scans == 0 {
+	if frees != DefaultRetireThreshold || scans != 1 {
 		t.Fatalf("stats: frees=%d scans=%d", frees, scans)
 	}
 }

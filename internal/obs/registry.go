@@ -196,19 +196,25 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	funcs := r.funcs[:len(r.funcs):len(r.funcs)]
 	infos := r.infos[:len(r.infos):len(r.infos)]
+	gauges := 0
+	for _, f := range funcs {
+		if f.gauge {
+			gauges++
+		}
+	}
 	r.mu.Unlock()
 	// Sized once: a map grown through its doublings allocates every
 	// smaller table on the way.
 	s := Snapshot{Counters: make(map[string]uint64, int(NumCounters)+len(funcs))}
+	if gauges > 0 {
+		s.Gauges = make(map[string]bool, gauges)
+	}
 	for c := Counter(0); c < NumCounters; c++ {
 		s.Counters[counterNames[c]] = r.Value(c)
 	}
 	for _, f := range funcs {
 		s.Counters[f.name] += f.fn()
 		if f.gauge {
-			if s.Gauges == nil {
-				s.Gauges = make(map[string]bool)
-			}
 			s.Gauges[f.name] = true
 		}
 	}
